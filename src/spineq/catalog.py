@@ -61,6 +61,13 @@ def _coth(x):
     return _cosh(x) / _sinh(x)
 
 
+def _holds(constraint, params) -> bool:
+    try:
+        return bool(constraint(params))
+    except (ZeroDivisionError, OverflowError, ValueError):
+        return False
+
+
 @dataclass(frozen=True)
 class CatalogEntry:
     id: int
@@ -86,7 +93,9 @@ class CatalogEntry:
         return p
 
     def failed_constraints(self, params) -> list[str]:
-        return [name for name, ok in self.constraints if not ok(params)]
+        """Names of the violated constraints; one that cannot be evaluated
+        (say, a division by a zero parameter) counts as violated."""
+        return [name for name, ok in self.constraints if not _holds(ok, params)]
 
     def check_params(self, params) -> None:
         bad = self.failed_constraints(params)

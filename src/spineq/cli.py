@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -33,6 +33,10 @@ EXIT_NUMERICAL = 3
 _FMT = "%.16e"
 
 TOL_MIN, TOL_MAX = 1e-13, 1e-3
+
+# fewest --nodes per subcommand; invert and darboux run a 5-point stencil
+# over their trajectory
+MIN_NODES = {"propagate": 2, "bloch": 2, "reduce": 2, "invert": 5, "darboux": 5}
 
 
 def _fmt(x: float) -> str:
@@ -94,6 +98,8 @@ def _check_tol(tol: float) -> float:
 
 def _check_window(window) -> tuple[float, float]:
     t0, t1 = window
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise _Validation("--window bounds must be finite")
     if not t1 > t0:
         raise _Validation("--window must satisfy t0 < t1")
     return float(t0), float(t1)
@@ -154,12 +160,12 @@ def _verify_one(entry_id, params, window, n_points, tol):
 def _cmd_verify(args) -> int:
     params = _parse_params(args.params)
     window = _check_window(args.window) if args.window else None
+    if args.points < 1:
+        raise _Validation("verify needs --points >= 1")
     tol = args.tol if args.tol is not None else 1e-6
     if args.all:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            futs = [pool.submit(_verify_one, i, params, window, args.points, tol)
-                    for i in range(1, catalog.N_ENTRIES + 1)]
-            reports = [f.result() for f in futs]
+        reports = [_verify_one(i, params, window, args.points, tol)
+                   for i in range(1, catalog.N_ENTRIES + 1)]
         fh, close = _out_handle(args)
         try:
             if args.format == "json":
@@ -419,9 +425,12 @@ def run(argv) -> int:
     try:
         if args.command == "catalog" and args.action == "show" and args.id is None:
             raise _Validation("catalog show needs an entry id")
-        if args.command in ("propagate", "invert", "bloch", "reduce", "darboux") \
-                and args.window is None:
-            raise _Validation(f"{args.command} needs --window T0 T1")
+        if args.command in MIN_NODES:
+            if args.window is None:
+                raise _Validation(f"{args.command} needs --window T0 T1")
+            if args.nodes < MIN_NODES[args.command]:
+                raise _Validation(f"{args.command} needs --nodes >= "
+                                  f"{MIN_NODES[args.command]}")
         return args.fn(args)
     except (_Validation, DomainError, FieldParseError, FileNotFoundError) as exc:
         print(f"ERROR {EXIT_VALIDATION}: {exc}", file=sys.stderr)

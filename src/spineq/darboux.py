@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import DomainError, IntegrationError, SingularityError
 from .dynamics import Trajectory, trajectory_se_residuals, _check_uniform
@@ -107,6 +106,8 @@ def darboux_params_mu_route(F3_fn, R: complex, mu0: float, window,
                             tol: float = 1e-10, n_nodes: int = 801) -> DarbouxParams:
     """Pair via the phase equation mu' = 2 (R sin mu - F3), with
     (alpha, beta) = (R cos mu, R sin mu).  Real R, F3 and mu assumed."""
+    from scipy.integrate import solve_ivp
+
     t0, t1 = float(window[0]), float(window[1])
     R = complex(R)
 

@@ -3,6 +3,10 @@
 propagate() is the package's independent numerical oracle: an adaptive
 high-order explicit Runge-Kutta integration (scipy DOP853, embedded error
 estimate) used everywhere a closed form needs residual verification.
+
+scipy.integrate is imported inside the functions that run a solver, so that
+importing the package (and every CLI call that solves nothing) does not pay
+for it.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
 
 from .errors import AccuracyError, DomainError, IntegrationError, SingularityError
 from .fields import FieldSpec, field_callable, split_kg
@@ -138,6 +141,8 @@ def propagate(spec: FieldSpec, V0, window, tol: float = 1e-10,
         t_eval = np.linspace(t0, t1, n_nodes)
     else:
         t_eval = np.asarray(t_eval, dtype=float)
+    from scipy.integrate import solve_ivp
+
     rt = max(tol / 4.0, 2.3e-14)
     try:
         sol = solve_ivp(_rhs_factory(field_fn), (t0, t1), y0, method="DOP853",
@@ -263,6 +268,8 @@ def evolution_constant_direction(q_fn, lam: complex, t: float,
     phase is the integral function w(t), which is what solves the
     evolution equation for non-constant q.
     """
+    from scipy.integrate import quad
+
     def part(fn):
         val, err = quad(fn, 0.0, t, epsabs=quad_tol, epsrel=quad_tol, limit=400)
         if not math.isfinite(val) or err > max(1e-8, 100 * quad_tol * max(1.0, abs(val))):
@@ -301,6 +308,8 @@ def bloch_propagate(spec: FieldSpec, state0: BlochState, window,
             phidot_costheta = phidot * n[2]
         adot = phidot_costheta - 2.0 * (K @ n)
         return np.array([ndot[0], ndot[1], ndot[2], adot, gn])
+
+    from scipy.integrate import solve_ivp
 
     y0 = np.array([n0[0], n0[1], n0[2], state0.alpha, math.log(state0.N)])
     rt = max(tol / 4.0, 2.3e-14)
@@ -344,6 +353,8 @@ def hamiltonian_check(f_fn, g_fn, q0: float, p0: float, window,
 
     near_pole.terminal = True
     near_pole.direction = -1
+
+    from scipy.integrate import solve_ivp
 
     rt = max(tol / 4.0, 2.3e-14)
     t_eval = np.linspace(t0, t1, n_nodes)

@@ -157,12 +157,22 @@ def load_field_json(source) -> FieldSpec:
     """Load a field spec from a JSON file path, file object, or dict."""
     if isinstance(source, dict):
         doc = source
-    elif hasattr(source, "read"):
-        doc = json.load(source)
     else:
-        with open(source, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        try:
+            if hasattr(source, "read"):
+                doc = json.load(source)
+            else:
+                with open(source, "r", encoding="utf-8") as fh:
+                    doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise FieldParseError(f"field document is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise FieldParseError("a field document must be a JSON object")
     kind = doc.get("kind")
+    if kind not in ("const", "expr", "catalog"):
+        raise FieldParseError(f"unknown field kind {kind!r}")
+    if "defs" not in doc:
+        raise FieldParseError(f"{kind} field document has no 'defs'")
     params = {k: _complex_from_pair(v) for k, v in doc.get("params", {}).items()}
     if kind == "const":
         defs = doc["defs"]
@@ -175,13 +185,11 @@ def load_field_json(source) -> FieldSpec:
         if missing:
             raise FieldParseError(f"missing parameter values for {sorted(missing)}")
         return ExprField(spec.defs, params)
-    if kind == "catalog":
-        entry_id = int(doc["defs"])
-        from . import catalog
+    entry_id = int(doc["defs"])
+    from . import catalog
 
-        catalog.entry(entry_id)  # validates the id
-        return CatalogField(entry_id, params)
-    raise FieldParseError(f"unknown field kind {kind!r}")
+    catalog.entry(entry_id)  # validates the id
+    return CatalogField(entry_id, params)
 
 
 def dump_field_json(spec: FieldSpec) -> dict:

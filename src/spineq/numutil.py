@@ -1,7 +1,6 @@
 """Finite-difference stencils and quadrature helpers used across the package."""
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 __all__ = [
     "fd_derivative",
@@ -85,6 +84,8 @@ def cumulative_integral(y, x):
         if len(x) == 2:
             out[1] = 0.5 * (y[0] + y[1]) * (x[1] - x[0])
         return out
+    from scipy.integrate import cumulative_simpson
+
     if np.iscomplexobj(y):
         re = cumulative_simpson(y.real, x=x, initial=0.0)
         im = cumulative_simpson(y.imag, x=x, initial=0.0)

@@ -52,6 +52,13 @@ class TestEntryAccess:
         with pytest.raises(DomainError):
             catalog.entry_solution(1, {"c": 0.0}, 1.0)
 
+    def test_unevaluable_constraint_is_violated(self):
+        # entry 5's constraints divide by w
+        e = catalog.entry(5)
+        assert "w != 0" in e.failed_constraints(e.merged({"w": 0.0}))
+        with pytest.raises(DomainError):
+            catalog.verify_entry(5, {"w": 0.0})
+
     def test_pole_evaluation_raises_singularity(self):
         from spineq.errors import SingularityError
 

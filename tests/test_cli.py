@@ -1,10 +1,28 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spineq.cli import run
+import spineq
+from spineq import catalog
+from spineq.cli import _fmt, _verify_one, run
 from spineq.dynamics import CSV_HEADER
+
+SRC = str(Path(spineq.__file__).resolve().parent.parent)
+# a rejected input must be reported quickly: interpreter start and import
+# take well under a second
+FAST_TIMEOUT_S = 5.0
+
+
+def _python(args, cwd, timeout):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=timeout)
 
 
 @pytest.fixture
@@ -103,6 +121,16 @@ class TestVerify:
     def test_needs_entry_or_all(self, capsys):
         assert run(["verify"]) == 2
 
+    def test_all_table_is_serial_join(self, capsys):
+        assert run(["verify", "--all"]) == 0
+        rows = [_verify_one(i, {}, None, 50, 1e-6)
+                for i in range(1, catalog.N_ENTRIES + 1)]
+        want = f"{'entry':>5} {'max residual':>16} {'status':>8}  label\n" + "".join(
+            f"{r['entry']:>5} {_fmt(r['max_residual']):>16} "
+            f"{'flagged' if r['flagged'] else 'pass' if r['passed'] else 'FAIL':>8}"
+            f"  {r['label']}\n" for r in rows)
+        assert capsys.readouterr().out == want
+
 
 class TestInvert:
     def test_selfadjoint_round_trip(self, expr_field, capsys):
@@ -185,3 +213,50 @@ class TestBlochReduce:
         # reduced field is constant (0.7, 0, 0.4 - 0.65)
         assert np.max(np.abs(rows[:, 1] - 0.7)) <= 1e-9
         assert np.max(np.abs(rows[:, 5] - (0.4 - 0.65))) <= 1e-9
+
+
+class TestColdStart:
+    def test_scipy_integrate_loaded_only_by_a_solve(self, const_field, tmp_path):
+        code = (
+            "import sys, spineq, spineq.cli\n"
+            "assert 'scipy.integrate' not in sys.modules\n"
+            f"rc = spineq.cli.run(['propagate', '--field', {const_field!r}, '--v0', '1,0',"
+            " '--window', '0', '1', '--nodes', '5', '--out', 'traj.csv'])\n"
+            "assert rc == 0\n"
+            "assert 'scipy.integrate' in sys.modules\n"
+        )
+        p = _python(["-c", code], tmp_path, timeout=30)
+        assert p.returncode == 0, p.stderr
+
+
+class TestBoundaryDefects:
+    """Inputs that once escaped as tracebacks or hung: each must exit 2 fast."""
+
+    @pytest.fixture
+    def files(self, tmp_path, const_field):  # const_field is tmp_path/const.json
+        docs = {"malformed": '{"kind": "expr", "defs": "F1 = t"',
+                "no_defs": '{"kind": "expr", "params": {}}',
+                "not_object": '[1, 2]'}
+        for name, text in docs.items():
+            (tmp_path / f"{name}.json").write_text(text)
+        return tmp_path
+
+    @pytest.mark.parametrize("argv", [
+        ["propagate", "--field", "const.json", "--v0", "1,0", "--window", "0.2", "inf"],
+        ["propagate", "--field", "const.json", "--v0", "1,0", "--window", "0", "1",
+         "--nodes", "0"],
+        ["invert", "--field", "const.json", "--v0", "1,0", "--window", "0", "1",
+         "--nodes", "3"],
+        ["darboux", "--params", "f=0.5;R=1", "--window", "0", "1", "--nodes", "4"],
+        ["propagate", "--field", "malformed.json", "--v0", "1,0", "--window", "0", "1"],
+        ["propagate", "--field", "no_defs.json", "--v0", "1,0", "--window", "0", "1"],
+        ["propagate", "--field", "not_object.json", "--v0", "1,0", "--window", "0", "1"],
+        ["verify", "--entry", "5", "--params", "w=0"],
+        ["verify", "--entry", "5", "--points", "0"],
+    ], ids=["window-inf", "nodes-0", "invert-nodes-3", "darboux-nodes-4",
+            "json-malformed", "json-no-defs", "json-not-object", "verify-w0",
+            "verify-points-0"])
+    def test_exits_2(self, files, argv):
+        p = _python(["-m", "spineq.cli", *argv], files, timeout=FAST_TIMEOUT_S)
+        assert p.returncode == 2, p.stderr
+        assert p.stderr.startswith("ERROR 2:")

@@ -175,6 +175,17 @@ class TestJsonEnvelope:
         with pytest.raises(FieldParseError):
             load_field_json({"kind": "smooth", "defs": 1})
 
+    @pytest.mark.parametrize("text, match", [
+        ('{"kind": "expr", "defs": "F1 = t"', "not valid JSON"),
+        ('{"kind": "expr", "params": {}}', "no 'defs'"),
+        ('[1, 2]', "JSON object"),
+    ], ids=["malformed", "no-defs", "not-object"])
+    def test_bad_document_rejected(self, tmp_path, text, match):
+        path = tmp_path / "f.json"
+        path.write_text(text)
+        with pytest.raises(FieldParseError, match=match):
+            load_field_json(path)
+
 
 class TestCatalogFieldEquivalence:
     def test_all_entries_match_their_dsl(self, rng):
