@@ -1,13 +1,13 @@
 """The 26 exact (field, solution) families for fields F = (F1, 0, F3).
 
-Each entry packages the field components, the closed-form solution spinor
-built from hypergeometric / Kummer / parabolic-cylinder functions, its
-auxiliary parameter definitions, pole set, parameter constraints, and a
-default verification window.  Entries are transcriptions of published
-formulas; verify_entry() checks each one by residual substitution into
-the spin equation.  An entry that fails verification after its
-transcription has been double-checked is shipped with ``flagged`` set
-rather than silently altered.
+Each entry packages the field, defined once by its DSL text (field_dsl),
+the closed-form solution spinor built from hypergeometric / Kummer /
+parabolic-cylinder functions, its auxiliary parameter definitions, pole
+set, parameter constraints, and a default verification window.  Entries
+are transcriptions of published formulas; verify_entry() checks each one
+by residual substitution into the spin equation.  An entry that fails
+verification after its transcription has been double-checked is shipped
+with ``flagged`` set rather than silently altered.
 
 Entries 1-3 and 16-18 are written directly in t; the others use the
 phase phi = w t + p0 with parameters w (frequency) and p0 (offset).
@@ -18,11 +18,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, SingularityError
+from .expr import compile_expr, parse_statements
 from .specfun import gauss_2f1, kummer_phi, parabolic_d, _is_nonpositive_integer
 from .spinors import Spinor
 from . import dynamics
@@ -44,21 +46,7 @@ N_ENTRIES = 26
 _sqrt = cmath.sqrt
 _exp = cmath.exp
 _sin = cmath.sin
-_cos = cmath.cos
-_tan = cmath.tan
-_sinh = cmath.sinh
-_cosh = cmath.cosh
 _tanh = cmath.tanh
-
-_FIELD_LIMIT = 1e12
-
-
-def _cot(x):
-    return _cos(x) / _sin(x)
-
-
-def _coth(x):
-    return _cosh(x) / _sinh(x)
 
 
 def _holds(constraint, params) -> bool:
@@ -76,8 +64,7 @@ class CatalogEntry:
     param_names: tuple[str, ...]
     default_params: dict[str, complex]
     default_window: tuple[float, float]
-    field_dsl: str
-    _field: Callable
+    field_dsl: str  # the one definition of the field
     _solution: Callable
     # pole descriptors: ("periodic", period, offset) / ("point", phi) in phi,
     # or ("origin",) in t
@@ -102,16 +89,19 @@ class CatalogEntry:
         if bad:
             raise DomainError(f"entry {self.id} parameter constraints violated: {bad}")
 
+    @cached_property
+    def _field_defs(self) -> dict:
+        return parse_statements(self.field_dsl)
+
+    def bind_field(self, params: dict):
+        """field_dsl compiled with params bound: the functions t -> F1 and
+        t -> F3, each raising SingularityError carrying t at a pole."""
+        return tuple(compile_expr(self._field_defs[comp], params) for comp in ("F1", "F3"))
+
     def field_components(self, t: float, params: dict):
-        try:
-            f1, f3 = self._field(t, params)
-        except (ZeroDivisionError, OverflowError, ValueError):
-            raise SingularityError(f"entry {self.id} field singular at t = {t}",
-                                   t=t) from None
-        for v in (f1, f3):
-            if not cmath.isfinite(v) or abs(v) > _FIELD_LIMIT:
-                raise SingularityError(f"entry {self.id} field singular at t = {t}", t=t)
-        return f1, f3
+        """(F1, F3) at one time t; bind_field once to evaluate at many."""
+        f1, f3 = self.bind_field(params)
+        return f1(t), f3(t)
 
     def solution_components(self, t: float, params: dict):
         try:
@@ -200,18 +190,9 @@ def _phi(t, p):
     return p["w"] * t + p["p0"]
 
 
-def _nonpos_int(z):
-    return _is_nonpositive_integer(z)
-
-
 # ---------------------------------------------------------------------------
 # entries written directly in t
 # ---------------------------------------------------------------------------
-
-def _field_1(t, p):
-    a, b, c = p["a"], p["b"], p["c"]
-    return a * t, b * t + c / t
-
 
 def _sol_1(t, p):
     a, b, c = p["a"], p["b"], p["c"]
@@ -225,11 +206,6 @@ def _sol_1(t, p):
     return u1, u2
 
 
-def _field_2(t, p):
-    a, b, c = p["a"], p["b"], p["c"]
-    return a / t, b / t + c * t
-
-
 def _sol_2(t, p):
     a, b, c = p["a"], p["b"], p["c"]
     s = _sqrt(a * a + b * b)
@@ -240,11 +216,6 @@ def _sol_2(t, p):
     u1 = -a * t ** (g - 1) * e * kummer_phi(al, g, z)
     u2 = (s + b) * t ** (g - 1) * e * kummer_phi(al + 1, g, z)
     return u1, u2
-
-
-def _field_3(t, p):
-    a, b, c = p["a"], p["b"], p["c"]
-    return a / t, b / t + c
 
 
 def _sol_3(t, p):
@@ -262,11 +233,6 @@ def _sol_3(t, p):
     return u1, u2
 
 
-def _field_16(t, p):
-    a, b, c = p["a"], p["b"], p["c"]
-    return a, b * t + c
-
-
 def _sol_16(t, p):
     a, b, c = p["a"], p["b"], p["c"]
     sb = _sqrt(b)
@@ -275,11 +241,6 @@ def _sol_16(t, p):
     u1 = 2 * sb * parabolic_d(mu, z)
     u2 = (1 + 1j) * a * parabolic_d(mu - 1, z)
     return u1, u2
-
-
-def _field_17(t, p):
-    a, b, c = p["a"], p["b"], p["c"]
-    return a, b / t + c
 
 
 def _sol_17(t, p):
@@ -292,11 +253,6 @@ def _sol_17(t, p):
     u1 = (1 - 2j * b) * t ** g * e * kummer_phi(al, 2 * g, z)
     u2 = -1j * a * t ** (g + 1) * e * kummer_phi(al + 1, 2 * g + 2, z)
     return u1, u2
-
-
-def _field_18(t, p):
-    a, b, c = p["a"], p["b"], p["c"]
-    return a, b / t + c * t
 
 
 def _sol_18(t, p):
@@ -314,12 +270,6 @@ def _sol_18(t, p):
 # entries in phi = w t + p0
 # ---------------------------------------------------------------------------
 
-def _field_4(t, p):
-    ph = _phi(t, p)
-    a, b, c = p["a"], p["b"], p["c"]
-    return a / _sin(2 * ph), (b * _cos(2 * ph) + c) / _sin(2 * ph)
-
-
 def _sol_4(t, p):
     a, b, c, w = p["a"], p["b"], p["c"], p["w"]
     ph = _phi(t, p)
@@ -333,12 +283,6 @@ def _sol_4(t, p):
     u1 = -a * pref * gauss_2f1(al + 1, be, g, z)
     u2 = (-4j * w * mu + b + c) * pref * gauss_2f1(al, be + 1, g, z)
     return u1, u2
-
-
-def _field_5(t, p):
-    ph = _phi(t, p)
-    a, b, c = p["a"], p["b"], p["c"]
-    return a * _tan(ph), b * _tan(ph) + c * _cot(ph)
 
 
 def _sol_5(t, p):
@@ -355,12 +299,6 @@ def _sol_5(t, p):
     return u1, u2
 
 
-def _field_6(t, p):
-    ph = _phi(t, p)
-    a, b, c = p["a"], p["b"], p["c"]
-    return a / _sin(ph), b * _tan(ph) + c * _cot(ph)
-
-
 def _sol_6(t, p):
     a, b, c, w = p["a"], p["b"], p["c"], p["w"]
     ph = _phi(t, p)
@@ -372,12 +310,6 @@ def _sol_6(t, p):
     u1 = -a * z ** mu * (1 - z) ** (nu + 0.5) * gauss_2f1(al + 1, be, 2 * mu + 1, z)
     u2 = (_sqrt(a * a + c * c) + c) * z ** mu * (1 - z) ** nu * gauss_2f1(al, be, 2 * mu + 1, z)
     return u1, u2
-
-
-def _field_7(t, p):
-    ph = _phi(t, p)
-    a, b, c = p["a"], p["b"], p["c"]
-    return a / _cos(ph), b * _tan(ph) + c
 
 
 def _sol_7(t, p):
@@ -396,12 +328,6 @@ def _sol_7(t, p):
     return u1, u2
 
 
-def _field_8(t, p):
-    ph = _phi(t, p)
-    a, b, c = p["a"], p["b"], p["c"]
-    return a / _sinh(ph), b * _tanh(ph) + c * _coth(ph)
-
-
 def _sol_8(t, p):
     a, b, c, w = p["a"], p["b"], p["c"], p["w"]
     ph = _phi(t, p)
@@ -416,12 +342,6 @@ def _sol_8(t, p):
     # (pattern of _sol_6); the grouping with a stray factor a fails residual
     u2 = (-2j * w * mu + c) * z ** mu * (1 - z) ** (nu + 0.5) * gauss_2f1(al, be + 1, g, z)
     return u1, u2
-
-
-def _field_9(t, p):
-    ph = _phi(t, p)
-    a, b, c = p["a"], p["b"], p["c"]
-    return a / _cosh(ph), b * _tanh(ph) + c * _coth(ph)
 
 
 def _sol_9(t, p):
@@ -439,12 +359,6 @@ def _sol_9(t, p):
     return u1, u2
 
 
-def _field_10(t, p):
-    ph = _phi(t, p)
-    a, b, c = p["a"], p["b"], p["c"]
-    return a / _sinh(2 * ph), (b * _cosh(2 * ph) + c) / _sinh(2 * ph)
-
-
 def _sol_10(t, p):
     a, b, c, w = p["a"], p["b"], p["c"], p["w"]
     ph = _phi(t, p)
@@ -458,12 +372,6 @@ def _sol_10(t, p):
     u1 = -a * z ** mu * (1 - z) ** nu * gauss_2f1(al, be, g, z)
     u2 = (-4j * w * mu + b + c) * z ** mu * (1 - z) ** (nu + 1) * gauss_2f1(al + 1, be + 1, g, z)
     return u1, u2
-
-
-def _field_11(t, p):
-    ph = _phi(t, p)
-    a, b, c = p["a"], p["b"], p["c"]
-    return a / _cosh(ph), (b * _sinh(ph) + c) / _cosh(ph)
 
 
 def _sol_11(t, p):
@@ -482,12 +390,6 @@ def _sol_11(t, p):
     return u1, u2
 
 
-def _field_12(t, p):
-    ph = _phi(t, p)
-    a, b, c = p["a"], p["b"], p["c"]
-    return a * _tanh(ph), b * _tanh(ph) + c * _coth(ph)
-
-
 def _sol_12(t, p):
     a, b, c, w = p["a"], p["b"], p["c"], p["w"]
     ph = _phi(t, p)
@@ -501,12 +403,6 @@ def _sol_12(t, p):
     u1 = 2 * (c + 1j * w) * z ** mu * (1 - z) ** nu * gauss_2f1(al, be, g, z)
     u2 = a * z ** (mu + 1) * (1 - z) ** nu * gauss_2f1(al + 1, be + 1, g + 2, z)
     return u1, u2
-
-
-def _field_13(t, p):
-    ph = _phi(t, p)
-    a, b, c = p["a"], p["b"], p["c"]
-    return a * _coth(ph), b * _tanh(ph) + c * _coth(ph)
 
 
 def _sol_13(t, p):
@@ -525,12 +421,6 @@ def _sol_13(t, p):
     return u1, u2
 
 
-def _field_14(t, p):
-    ph = _phi(t, p)
-    a, b, c = p["a"], p["b"], p["c"]
-    return a / _cosh(ph), b * _tanh(ph) + c
-
-
 def _sol_14(t, p):
     a, b, c, w = p["a"], p["b"], p["c"], p["w"]
     ph = _phi(t, p)
@@ -544,12 +434,6 @@ def _sol_14(t, p):
     u1 = (2 * b + 2 * c - 1j * w) * z ** mu * (1 - z) ** nu * gauss_2f1(al, be, g, z)
     u2 = 2 * a * z ** (mu + 0.5) * (1 - z) ** (nu + 0.5) * gauss_2f1(al + 1, be + 1, g + 1, z)
     return u1, u2
-
-
-def _field_15(t, p):
-    ph = _phi(t, p)
-    a, b, c = p["a"], p["b"], p["c"]
-    return a / _sinh(ph), b * _coth(ph) + c
 
 
 def _sol_15(t, p):
@@ -566,12 +450,6 @@ def _sol_15(t, p):
     return u1, u2
 
 
-def _field_19(t, p):
-    ph = _phi(t, p)
-    a, b, c = p["a"], p["b"], p["c"]
-    return a, (b * _cos(2 * ph) + c) / _sin(2 * ph)
-
-
 def _sol_19(t, p):
     a, b, c, w = p["a"], p["b"], p["c"], p["w"]
     ph = _phi(t, p)
@@ -584,12 +462,6 @@ def _sol_19(t, p):
     u1 = (b + c + 1j * w) * z ** mu * (1 - z) ** nu * gauss_2f1(al, be, g, z)
     u2 = a * z ** (mu + 0.5) * (1 - z) ** (nu + 0.5) * gauss_2f1(al + 1, be + 1, g + 1, z)
     return u1, u2
-
-
-def _field_20(t, p):
-    ph = _phi(t, p)
-    a, b, c = p["a"], p["b"], p["c"]
-    return a, b * _tan(ph) + c * _cot(ph)
 
 
 def _sol_20(t, p):
@@ -607,12 +479,6 @@ def _sol_20(t, p):
     return u1, u2
 
 
-def _field_21(t, p):
-    ph = _phi(t, p)
-    a, b, c = p["a"], p["b"], p["c"]
-    return a, b * _tan(ph) + c
-
-
 def _sol_21(t, p):
     a, b, c, w = p["a"], p["b"], p["c"], p["w"]
     ph = _phi(t, p)
@@ -626,12 +492,6 @@ def _sol_21(t, p):
     u1 = a * z ** mu * (1 - z) ** nu * gauss_2f1(al, be, g, z)
     u2 = (2 * w * mu - c + 1j * b) * z ** mu * (1 - z) ** (nu + 1) * gauss_2f1(al + 1, be + 1, g, z)
     return u1, u2
-
-
-def _field_22(t, p):
-    ph = _phi(t, p)
-    a, b, c = p["a"], p["b"], p["c"]
-    return a, b * _tanh(ph) + c * _coth(ph)
 
 
 def _sol_22(t, p):
@@ -648,12 +508,6 @@ def _sol_22(t, p):
     return u1, u2
 
 
-def _field_23(t, p):
-    ph = _phi(t, p)
-    a, b, c = p["a"], p["b"], p["c"]
-    return a, (b * _cosh(2 * ph) + c) / _sinh(2 * ph)
-
-
 def _sol_23(t, p):
     a, b, c, w = p["a"], p["b"], p["c"], p["w"]
     ph = _phi(t, p)
@@ -666,12 +520,6 @@ def _sol_23(t, p):
     u1 = (b + c + 1j * w) * z ** mu * (1 - z) ** nu * gauss_2f1(al, be, g, z)
     u2 = a * z ** (mu + 0.5) * (1 - z) ** nu * gauss_2f1(al, be + 1, g + 1, z)
     return u1, u2
-
-
-def _field_24(t, p):
-    ph = _phi(t, p)
-    a, b, c = p["a"], p["b"], p["c"]
-    return a, (b * _sinh(ph) + c) / _cosh(ph)
 
 
 def _sol_24(t, p):
@@ -689,12 +537,6 @@ def _sol_24(t, p):
     return u1, u2
 
 
-def _field_25(t, p):
-    ph = _phi(t, p)
-    a, b, c = p["a"], p["b"], p["c"]
-    return a, b * _tanh(ph) + c
-
-
 def _sol_25(t, p):
     a, b, c, w = p["a"], p["b"], p["c"], p["w"]
     ph = _phi(t, p)
@@ -707,12 +549,6 @@ def _sol_25(t, p):
     u1 = a * z ** mu * (1 - z) ** nu * gauss_2f1(al + 1, be, g, z)
     u2 = -(2j * w * mu + b + c) * z ** mu * (1 - z) ** nu * gauss_2f1(al, be + 1, g, z)
     return u1, u2
-
-
-def _field_26(t, p):
-    ph = _phi(t, p)
-    a, b, c = p["a"], p["b"], p["c"]
-    return a, b * _coth(ph) + c
 
 
 def _sol_26(t, p):
@@ -734,20 +570,12 @@ def _sol_26(t, p):
 # assembly
 # ---------------------------------------------------------------------------
 
-def _abc(p):
-    return p["a"], p["b"], p["c"]
-
-
 def _c_nonzero(p):
     return abs(p["c"]) > 1e-12
 
 
 def _b_nonzero(p):
     return abs(p["b"]) > 1e-12
-
-
-def _a_nonzero(p):
-    return abs(p["a"]) > 1e-12
 
 
 def _a2b2_nonzero(p):
@@ -773,99 +601,100 @@ _P_SIN2 = (("periodic", math.pi / 2, 0.0),)          # zeros of sin(2 phi)
 _P_TAN = (("periodic", math.pi, math.pi / 2),)       # poles of tan
 _P_COT = (("periodic", math.pi, 0.0),)               # poles of cot
 _P_TANCOT = _P_TAN + _P_COT
-
-
-def _point_zero():
-    # sinh/coth entries: the only real pole is phi = 0
-    return (("point", 0.0),)
+_P_ZERO = (("point", 0.0),)                          # sinh/coth: only phi = 0
 
 
 _RAW = [
-    (1, "F1 = a t, F3 = b t + c/t", "t", _field_1, _sol_1, (0.2, 1.4), _POLE_T0,
+    (1, "F1 = a t, F3 = b t + c/t", "t", _sol_1, (0.2, 1.4), _POLE_T0,
      (("c != 0", _c_nonzero), ("a^2 + b^2 != 0", _a2b2_nonzero),
-      ("i c not a non-positive integer", lambda p: not _nonpos_int(1j * p["c"]))),
+      ("i c not a non-positive integer",
+       lambda p: not _is_nonpositive_integer(1j * p["c"]))),
      "F1 = a*t; F3 = b*t + c/t"),
-    (2, "F1 = a/t, F3 = b/t + c t", "t", _field_2, _sol_2, (0.2, 1.4), _POLE_T0,
+    (2, "F1 = a/t, F3 = b/t + c t", "t", _sol_2, (0.2, 1.4), _POLE_T0,
      (("a^2 + b^2 != 0", _a2b2_nonzero),),
      "F1 = a/t; F3 = b/t + c*t"),
-    (3, "F1 = a/t, F3 = b/t + c", "t", _field_3, _sol_3, (0.2, 1.4), _POLE_T0,
+    (3, "F1 = a/t, F3 = b/t + c", "t", _sol_3, (0.2, 1.4), _POLE_T0,
      (("a^2 + b^2 != 0", _a2b2_nonzero),),
      "F1 = a/t; F3 = b/t + c"),
-    (4, "F1 = a/sin 2phi, F3 = (b cos 2phi + c)/sin 2phi", "phi", _field_4, _sol_4,
+    (4, "F1 = a/sin 2phi, F3 = (b cos 2phi + c)/sin 2phi", "phi", _sol_4,
      (0.2, 1.2), _P_SIN2, (("w != 0", _w_nonzero),),
      "F1 = a/sin(2*(w*t + p0)); F3 = (b*cos(2*(w*t + p0)) + c)/sin(2*(w*t + p0))"),
-    (5, "F1 = a tan phi, F3 = b tan phi + c cot phi", "phi", _field_5, _sol_5,
+    (5, "F1 = a tan phi, F3 = b tan phi + c cot phi", "phi", _sol_5,
      (0.2, 1.2), _P_TANCOT,
      (("w != 0", _w_nonzero), ("c != 0", _c_nonzero),
-      ("2mu = -ic/w not a non-positive integer", lambda p: not _nonpos_int(-1j * p["c"] / p["w"]))),
+      ("2mu = -ic/w not a non-positive integer",
+       lambda p: not _is_nonpositive_integer(-1j * p["c"] / p["w"]))),
      "F1 = a*tan(w*t + p0); F3 = b*tan(w*t + p0) + c*cot(w*t + p0)"),
-    (6, "F1 = a/sin phi, F3 = b tan phi + c cot phi", "phi", _field_6, _sol_6,
+    (6, "F1 = a/sin phi, F3 = b tan phi + c cot phi", "phi", _sol_6,
      (0.2, 1.2), _P_TANCOT, (("w != 0", _w_nonzero), ("a^2 + c^2 != 0", _a2c2_nonzero)),
      "F1 = a/sin(w*t + p0); F3 = b*tan(w*t + p0) + c*cot(w*t + p0)"),
-    (7, "F1 = a/cos phi, F3 = b tan phi + c", "phi", _field_7, _sol_7,
+    (7, "F1 = a/cos phi, F3 = b tan phi + c", "phi", _sol_7,
      (0.2, 0.9), _P_TAN, (("w != 0", _w_nonzero),),
      "F1 = a/cos(w*t + p0); F3 = b*tan(w*t + p0) + c"),
-    (8, "F1 = a/sinh phi, F3 = b tanh phi + c coth phi", "phi", _field_8, _sol_8,
-     (0.2, 1.5), _point_zero(), (("w != 0", _w_nonzero), ("a^2 + c^2 != 0", _a2c2_nonzero)),
+    (8, "F1 = a/sinh phi, F3 = b tanh phi + c coth phi", "phi", _sol_8,
+     (0.2, 1.5), _P_ZERO, (("w != 0", _w_nonzero), ("a^2 + c^2 != 0", _a2c2_nonzero)),
      "F1 = a/sinh(w*t + p0); F3 = b*tanh(w*t + p0) + c*coth(w*t + p0)"),
-    (9, "F1 = a/cosh phi, F3 = b tanh phi + c coth phi", "phi", _field_9, _sol_9,
-     (0.2, 1.5), _point_zero(), (("w != 0", _w_nonzero),),
+    (9, "F1 = a/cosh phi, F3 = b tanh phi + c coth phi", "phi", _sol_9,
+     (0.2, 1.5), _P_ZERO, (("w != 0", _w_nonzero),),
      "F1 = a/cosh(w*t + p0); F3 = b*tanh(w*t + p0) + c*coth(w*t + p0)"),
-    (10, "F1 = a/sinh 2phi, F3 = (b cosh 2phi + c)/sinh 2phi", "phi", _field_10, _sol_10,
-     (0.2, 1.5), _point_zero(), (("w != 0", _w_nonzero),),
+    (10, "F1 = a/sinh 2phi, F3 = (b cosh 2phi + c)/sinh 2phi", "phi", _sol_10,
+     (0.2, 1.5), _P_ZERO, (("w != 0", _w_nonzero),),
      "F1 = a/sinh(2*(w*t + p0)); F3 = (b*cosh(2*(w*t + p0)) + c)/sinh(2*(w*t + p0))"),
-    (11, "F1 = a/cosh phi, F3 = (b sinh phi + c)/cosh phi", "phi", _field_11, _sol_11,
+    (11, "F1 = a/cosh phi, F3 = (b sinh phi + c)/cosh phi", "phi", _sol_11,
      (0.2, 1.1), (), (("w != 0", _w_nonzero),),
      "F1 = a/cosh(w*t + p0); F3 = (b*sinh(w*t + p0) + c)/cosh(w*t + p0)"),
-    (12, "F1 = a tanh phi, F3 = b tanh phi + c coth phi", "phi", _field_12, _sol_12,
-     (0.2, 1.5), _point_zero(),
+    (12, "F1 = a tanh phi, F3 = b tanh phi + c coth phi", "phi", _sol_12,
+     (0.2, 1.5), _P_ZERO,
      (("w != 0", _w_nonzero), ("c != 0", _c_nonzero),
-      ("2mu = -ic/w not a non-positive integer", lambda p: not _nonpos_int(-1j * p["c"] / p["w"]))),
+      ("2mu = -ic/w not a non-positive integer",
+       lambda p: not _is_nonpositive_integer(-1j * p["c"] / p["w"]))),
      "F1 = a*tanh(w*t + p0); F3 = b*tanh(w*t + p0) + c*coth(w*t + p0)"),
-    (13, "F1 = a coth phi, F3 = b tanh phi + c coth phi", "phi", _field_13, _sol_13,
-     (0.2, 1.5), _point_zero(), (("w != 0", _w_nonzero), ("a^2 + c^2 != 0", _a2c2_nonzero)),
+    (13, "F1 = a coth phi, F3 = b tanh phi + c coth phi", "phi", _sol_13,
+     (0.2, 1.5), _P_ZERO, (("w != 0", _w_nonzero), ("a^2 + c^2 != 0", _a2c2_nonzero)),
      "F1 = a*coth(w*t + p0); F3 = b*tanh(w*t + p0) + c*coth(w*t + p0)"),
-    (14, "F1 = a/cosh phi, F3 = b tanh phi + c", "phi", _field_14, _sol_14,
+    (14, "F1 = a/cosh phi, F3 = b tanh phi + c", "phi", _sol_14,
      (0.2, 2.0), (), (("w != 0", _w_nonzero),),
      "F1 = a/cosh(w*t + p0); F3 = b*tanh(w*t + p0) + c"),
-    (15, "F1 = a/sinh phi, F3 = b coth phi + c", "phi", _field_15, _sol_15,
-     (0.2, 1.1), _point_zero(), (("w != 0", _w_nonzero), ("a^2 + b^2 != 0", _a2b2_nonzero)),
+    (15, "F1 = a/sinh phi, F3 = b coth phi + c", "phi", _sol_15,
+     (0.2, 1.1), _P_ZERO, (("w != 0", _w_nonzero), ("a^2 + b^2 != 0", _a2b2_nonzero)),
      "F1 = a/sinh(w*t + p0); F3 = b*coth(w*t + p0) + c"),
-    (16, "F1 = a, F3 = b t + c", "t", _field_16, _sol_16, (0.2, 2.0), (),
+    (16, "F1 = a, F3 = b t + c", "t", _sol_16, (0.2, 2.0), (),
      (("b != 0", _b_nonzero),),
      "F1 = a; F3 = b*t + c"),
-    (17, "F1 = a, F3 = b/t + c", "t", _field_17, _sol_17, (0.2, 2.0), _POLE_T0,
+    (17, "F1 = a, F3 = b/t + c", "t", _sol_17, (0.2, 2.0), _POLE_T0,
      (("b != 0", _b_nonzero), ("a^2 + c^2 != 0", _a2c2_nonzero),
-      ("-2ib not a non-positive integer", lambda p: not _nonpos_int(-2j * p["b"]))),
+      ("-2ib not a non-positive integer",
+       lambda p: not _is_nonpositive_integer(-2j * p["b"]))),
      "F1 = a; F3 = b/t + c"),
-    (18, "F1 = a, F3 = b/t + c t", "t", _field_18, _sol_18, (0.2, 2.0), _POLE_T0,
+    (18, "F1 = a, F3 = b/t + c t", "t", _sol_18, (0.2, 2.0), _POLE_T0,
      (("c != 0", _c_nonzero),),
      "F1 = a; F3 = b/t + c*t"),
-    (19, "F1 = a, F3 = (b cos 2phi + c)/sin 2phi", "phi", _field_19, _sol_19,
+    (19, "F1 = a, F3 = (b cos 2phi + c)/sin 2phi", "phi", _sol_19,
      (0.2, 1.2), _P_SIN2, (("w != 0", _w_nonzero),),
      "F1 = a; F3 = (b*cos(2*(w*t + p0)) + c)/sin(2*(w*t + p0))"),
-    (20, "F1 = a, F3 = b tan phi + c cot phi", "phi", _field_20, _sol_20,
+    (20, "F1 = a, F3 = b tan phi + c cot phi", "phi", _sol_20,
      (0.2, 1.2), _P_TANCOT, (("w != 0", _w_nonzero),),
      "F1 = a; F3 = b*tan(w*t + p0) + c*cot(w*t + p0)"),
-    (21, "F1 = a, F3 = b tan phi + c", "phi", _field_21, _sol_21,
+    (21, "F1 = a, F3 = b tan phi + c", "phi", _sol_21,
      (0.2, 0.9), _P_TAN, (("w != 0", _w_nonzero),),
      "F1 = a; F3 = b*tan(w*t + p0) + c"),
-    (22, "F1 = a, F3 = b tanh phi + c coth phi", "phi", _field_22, _sol_22,
-     (0.2, 1.5), _point_zero(), (("w != 0", _w_nonzero),),
+    (22, "F1 = a, F3 = b tanh phi + c coth phi", "phi", _sol_22,
+     (0.2, 1.5), _P_ZERO, (("w != 0", _w_nonzero),),
      "F1 = a; F3 = b*tanh(w*t + p0) + c*coth(w*t + p0)"),
-    (23, "F1 = a, F3 = (b cosh 2phi + c)/sinh 2phi", "phi", _field_23, _sol_23,
-     (0.2, 1.5), _point_zero(), (("w != 0", _w_nonzero),),
+    (23, "F1 = a, F3 = (b cosh 2phi + c)/sinh 2phi", "phi", _sol_23,
+     (0.2, 1.5), _P_ZERO, (("w != 0", _w_nonzero),),
      "F1 = a; F3 = (b*cosh(2*(w*t + p0)) + c)/sinh(2*(w*t + p0))"),
-    (24, "F1 = a, F3 = (b sinh phi + c)/cosh phi", "phi", _field_24, _sol_24,
+    (24, "F1 = a, F3 = (b sinh phi + c)/cosh phi", "phi", _sol_24,
      (0.2, 1.1), (), (("w != 0", _w_nonzero),),
      "F1 = a; F3 = (b*sinh(w*t + p0) + c)/cosh(w*t + p0)"),
-    (25, "F1 = a, F3 = b tanh phi + c", "phi", _field_25, _sol_25,
+    (25, "F1 = a, F3 = b tanh phi + c", "phi", _sol_25,
      (0.2, 2.0), (), (("w != 0", _w_nonzero),),
      "F1 = a; F3 = b*tanh(w*t + p0) + c"),
-    (26, "F1 = a, F3 = b coth phi + c", "phi", _field_26, _sol_26,
-     (0.2, 1.1), _point_zero(),
+    (26, "F1 = a, F3 = b coth phi + c", "phi", _sol_26,
+     (0.2, 1.1), _P_ZERO,
      (("w != 0", _w_nonzero), ("b != 0", _b_nonzero),
-      ("-2ib/w not a non-positive integer", lambda p: not _nonpos_int(-2j * p["b"] / p["w"]))),
+      ("-2ib/w not a non-positive integer",
+       lambda p: not _is_nonpositive_integer(-2j * p["b"] / p["w"]))),
      "F1 = a; F3 = b*coth(w*t + p0) + c"),
 ]
 
@@ -882,7 +711,7 @@ _NOTES = {
 }
 
 _ENTRIES: dict[int, CatalogEntry] = {}
-for (eid, label, kind, ffn, sfn, window, poles, cons, dsl) in _RAW:
+for (eid, label, kind, sfn, window, poles, cons, dsl) in _RAW:
     defaults = dict(_DEF_ABC if kind == "t" else _DEF_PHI)
     if eid == 16:
         defaults = {"a": 1.0, "b": 1.0, "c": 0.0}
@@ -890,7 +719,7 @@ for (eid, label, kind, ffn, sfn, window, poles, cons, dsl) in _RAW:
         id=eid, label=label, kind=kind,
         param_names=_T_PARAMS if kind == "t" else _PHI_PARAMS,
         default_params=defaults, default_window=window, field_dsl=dsl,
-        _field=ffn, _solution=sfn, pole_spec=poles, constraints=cons,
+        _solution=sfn, pole_spec=poles, constraints=cons,
         notes=_NOTES.get(eid),
     )
 
@@ -935,13 +764,14 @@ def verify_entry(entry_id: int, params: dict | None = None,
     win = tuple(window) if window is not None else e.window_for(p)
     times = np.linspace(win[0], win[1], n_points)
 
+    f1, f3 = e.bind_field(p)
+
     def u_fn(t):
         u1, u2 = e.solution_components(t, p)
         return np.array([u1, u2])
 
     def f_fn(t):
-        f1, f3 = e.field_components(t, p)
-        return np.array([f1, 0j, f3])
+        return np.array([f1(t), 0j, f3(t)])
 
     residuals = np.array([dynamics.se_residual(u_fn, f_fn, t) for t in times])
     return EntryReport(entry_id, p, win, times, residuals,

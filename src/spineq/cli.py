@@ -21,8 +21,8 @@ from .darboux import darboux_params_constant_f, darboux_apply, constant_f_soluti
 from .dynamics import Trajectory, propagate, bloch_propagate, BlochState
 from .errors import (AccuracyError, DomainError, FieldParseError,
                      IntegrationError, SingularityError, SpinEqError)
-from .expr import parse_expr, eval_expr
-from .fields import load_field_json
+from .expr import compile_expr, parse_expr
+from .fields import field_callable, load_field_json
 from .reductions import ReductionPlan, reduce_field
 from .solutions import gauge_from_field, invert_field, invert_field_selfadjoint
 
@@ -332,16 +332,12 @@ def _cmd_reduce(args) -> int:
             raise ValueError
     except ValueError:
         raise _Validation(f"--l must be x,y,z, got '{args.l}'") from None
-    alpha_ast = parse_expr(args.alpha)
-    alpha_fn = lambda t: eval_expr(alpha_ast, t, {})
-    if args.alpha_dot:
-        adot_ast = parse_expr(args.alpha_dot)
-        adot_fn = lambda t: eval_expr(adot_ast, t, {})
-    else:
-        adot_fn = None
+    alpha_fn = compile_expr(parse_expr(args.alpha), {})
+    adot_fn = compile_expr(parse_expr(args.alpha_dot), {}) if args.alpha_dot else None
     plan = ReductionPlan.make(l, alpha_fn, adot_fn)
     times = np.linspace(window[0], window[1], args.nodes)
-    samples = np.array([reduce_field(spec, plan, t).as_array() for t in times])
+    field = field_callable(spec)
+    samples = np.array([reduce_field(field, plan, t).as_array() for t in times])
     fh, close = _out_handle(args)
     try:
         _write_field_csv(fh, times, samples)

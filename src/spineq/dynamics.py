@@ -141,6 +141,9 @@ def propagate(spec: FieldSpec, V0, window, tol: float = 1e-10,
         t_eval = np.linspace(t0, t1, n_nodes)
     else:
         t_eval = np.asarray(t_eval, dtype=float)
+    # sampled before the solve, so a field singular at an output node fails
+    # at once instead of after the solver has crawled up to its pole
+    fsamp = np.array([field_fn(t) for t in t_eval])
     from scipy.integrate import solve_ivp
 
     rt = max(tol / 4.0, 2.3e-14)
@@ -154,7 +157,6 @@ def propagate(spec: FieldSpec, V0, window, tol: float = 1e-10,
         raise IntegrationError(f"propagation failed near t = {t_reached}: {sol.message}",
                                t=t_reached)
     states = sol.y.T.copy()
-    fsamp = np.array([field_fn(t) for t in t_eval])
     return Trajectory(t_eval, states, fsamp, est_error=tol)
 
 

@@ -18,13 +18,14 @@ parameter supplied at evaluation time.
 from __future__ import annotations
 
 import cmath
+import operator
 from dataclasses import dataclass
 
 from .errors import FieldParseError, SingularityError
 
 __all__ = ["ExprNode", "Num", "Var", "Call", "BinOp", "Neg", "parse_expr",
-           "parse_statements", "print_expr", "eval_expr", "free_parameters",
-           "FUNCTIONS"]
+           "parse_statements", "print_expr", "compile_expr", "eval_expr",
+           "free_parameters", "FUNCTIONS"]
 
 
 def _cot(z):
@@ -53,6 +54,9 @@ _RESERVED = set(FUNCTIONS) | {"i", "t"}
 
 # magnitudes above this are treated as a pole hit during evaluation
 SINGULARITY_THRESHOLD = 1e12
+
+_BINOPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv, "^": operator.pow}
 
 
 class ExprNode:
@@ -334,43 +338,68 @@ def free_parameters(node: ExprNode) -> set[str]:
     return out
 
 
+def _compile(node: ExprNode, params: dict[str, complex]):
+    """Closure t -> complex for one subtree, with its parameters bound."""
+    if isinstance(node, Num):
+        value = node.value
+        return lambda t: value
+    if isinstance(node, Var):
+        if node.name == "t":
+            return complex  # t -> complex(t)
+        try:
+            value = complex(params[node.name])
+        except KeyError:
+            raise FieldParseError(f"unknown identifier '{node.name}'") from None
+        return lambda t: value
+    if isinstance(node, Neg):
+        arg = _compile(node.arg, params)
+        return lambda t: -arg(t)
+    if isinstance(node, Call):
+        fn, name, arg = FUNCTIONS[node.fn], node.fn, _compile(node.arg, params)
+
+        def call(t):
+            x = arg(t)
+            try:
+                return fn(x)
+            except (ValueError, OverflowError, ZeroDivisionError):
+                raise SingularityError(f"{name} pole at t = {t}", t=t) from None
+
+        return call
+    if isinstance(node, BinOp):
+        op, sym = _BINOPS[node.op], node.op
+        left, right = _compile(node.left, params), _compile(node.right, params)
+
+        def binop(t):
+            x = left(t)
+            y = right(t)
+            try:
+                return op(x, y)
+            except (ZeroDivisionError, OverflowError, ValueError):
+                raise SingularityError(f"'{sym}' overflow/pole at t = {t}", t=t) from None
+
+        return binop
+    raise TypeError(f"not an ExprNode: {node!r}")
+
+
+def compile_expr(node: ExprNode, params: dict[str, complex]):
+    """Bind an AST's parameters once and return a function t -> complex.
+
+    Every node becomes a closure doing the complex arithmetic of the
+    grammar, so repeated evaluation does not walk the tree again.  An
+    identifier missing from params raises FieldParseError here; a pole
+    raises SingularityError carrying t when the function is called.
+    """
+    fn = _compile(node, params)
+
+    def value(t) -> complex:
+        v = fn(t)
+        if not cmath.isfinite(v) or abs(v) > SINGULARITY_THRESHOLD:
+            raise SingularityError(f"field component singular at t = {t}", t=t)
+        return v
+
+    return value
+
+
 def eval_expr(node: ExprNode, t: float, params: dict[str, complex]) -> complex:
     """Evaluate an AST at time t; poles surface as SingularityError."""
-    def ev(n) -> complex:
-        if isinstance(n, Num):
-            return n.value
-        if isinstance(n, Var):
-            if n.name == "t":
-                return complex(t)
-            try:
-                return complex(params[n.name])
-            except KeyError:
-                raise FieldParseError(f"unknown identifier '{n.name}'") from None
-        if isinstance(n, Neg):
-            return -ev(n.arg)
-        if isinstance(n, Call):
-            try:
-                return FUNCTIONS[n.fn](ev(n.arg))
-            except (ValueError, OverflowError, ZeroDivisionError):
-                raise SingularityError(f"{n.fn} pole at t = {t}", t=t) from None
-        if isinstance(n, BinOp):
-            left = ev(n.left)
-            right = ev(n.right)
-            try:
-                if n.op == "+":
-                    return left + right
-                if n.op == "-":
-                    return left - right
-                if n.op == "*":
-                    return left * right
-                if n.op == "/":
-                    return left / right
-                return left ** right
-            except (ZeroDivisionError, OverflowError, ValueError):
-                raise SingularityError(f"'{n.op}' overflow/pole at t = {t}", t=t) from None
-        raise TypeError(f"not an ExprNode: {n!r}")
-
-    value = ev(node)
-    if not (cmath.isfinite(value)) or abs(value) > SINGULARITY_THRESHOLD:
-        raise SingularityError(f"field component singular at t = {t}", t=t)
-    return value
+    return compile_expr(node, params)(t)

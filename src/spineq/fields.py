@@ -102,36 +102,46 @@ def eval_field(spec: FieldSpec, t: float, params: dict | None = None) -> CVec3:
     """Evaluate a field spec at time t.
 
     ``params`` supplies (or overrides) named parameters; evaluation at a
-    pole raises SingularityError carrying t.
+    pole raises SingularityError carrying t.  To evaluate one spec at many
+    times, bind it once with field_callable.
+    """
+    return CVec3.from_array(field_callable(spec, params)(t))
+
+
+def field_callable(spec: FieldSpec, params: dict | None = None):
+    """Bind a spec to a plain t -> ndarray(3) callable for integrators.
+
+    Expression and catalog fields are compiled here, once, with their
+    parameters bound (``params`` overrides the spec's own).
     """
     if isinstance(spec, ConstField):
-        return CVec3(*spec.value)
+        vec = np.array(spec.value, dtype=complex)
+        return lambda t: vec
     if isinstance(spec, ExprField):
         merged = dict(spec.params)
         if params:
             merged.update(params)
-        out = []
-        for comp in ("F1", "F2", "F3"):
-            node = spec.component(comp)
-            out.append(ex.eval_expr(node, t, merged) if node is not None else 0j)
-        return CVec3(*out)
-    if isinstance(spec, CatalogField):
+        f1, f2, f3 = (_compile_component(spec.component(comp), merged)
+                      for comp in ("F1", "F2", "F3"))
+    elif isinstance(spec, CatalogField):
         from . import catalog
 
         merged = spec.merged_params()
         if params:
             merged.update(params)
-        f1, f3 = catalog.entry(spec.entry_id).field_components(t, merged)
-        return CVec3(f1, 0j, f3)
-    raise DomainError(f"not a field spec: {spec!r}")
+        f1, f3 = catalog.entry(spec.entry_id).bind_field(merged)
+        f2 = _zero
+    else:
+        raise DomainError(f"not a field spec: {spec!r}")
+    return lambda t: np.array([f1(t), f2(t), f3(t)])
 
 
-def field_callable(spec: FieldSpec, params: dict | None = None):
-    """Bind a spec to a plain t -> ndarray(3) callable for integrators."""
-    if isinstance(spec, ConstField):
-        vec = np.array(spec.value, dtype=complex)
-        return lambda t: vec
-    return lambda t: eval_field(spec, t, params).as_array()
+def _zero(t):
+    return 0j
+
+
+def _compile_component(node, params):
+    return _zero if node is None else ex.compile_expr(node, params)
 
 
 def split_kg(F: CVec3):
@@ -140,10 +150,14 @@ def split_kg(F: CVec3):
     return a.real.copy(), a.imag.copy()
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _complex_from_pair(v):
-    if isinstance(v, (int, float)):
+    if _is_number(v):
         return complex(v)
-    if isinstance(v, (list, tuple)) and len(v) == 2:
+    if isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_number, v)):
         return complex(v[0], v[1])
     raise FieldParseError(f"bad complex value {v!r}; expected number or [re, im]")
 
@@ -173,23 +187,29 @@ def load_field_json(source) -> FieldSpec:
         raise FieldParseError(f"unknown field kind {kind!r}")
     if "defs" not in doc:
         raise FieldParseError(f"{kind} field document has no 'defs'")
-    params = {k: _complex_from_pair(v) for k, v in doc.get("params", {}).items()}
+    params = doc.get("params", {})
+    if not isinstance(params, dict):
+        raise FieldParseError("'params' must be a JSON object of name: value")
+    params = {k: _complex_from_pair(v) for k, v in params.items()}
+    defs = doc["defs"]
     if kind == "const":
-        defs = doc["defs"]
-        if len(defs) != 3:
-            raise FieldParseError("const field needs exactly three components")
+        if not isinstance(defs, (list, tuple)) or len(defs) != 3:
+            raise FieldParseError("const field needs a list of exactly three components")
         return ConstField(tuple(_complex_from_pair(v) for v in defs))
     if kind == "expr":
-        spec = parse_field_spec(doc["defs"])
+        if not isinstance(defs, str):
+            raise FieldParseError("expr field needs its 'defs' as a DSL string")
+        spec = parse_field_spec(defs)
         missing = spec.free_parameters() - set(params)
         if missing:
             raise FieldParseError(f"missing parameter values for {sorted(missing)}")
         return ExprField(spec.defs, params)
-    entry_id = int(doc["defs"])
+    if not isinstance(defs, int) or isinstance(defs, bool):
+        raise FieldParseError(f"catalog field needs an integer entry id, got {defs!r}")
     from . import catalog
 
-    catalog.entry(entry_id)  # validates the id
-    return CatalogField(entry_id, params)
+    catalog.entry(defs)  # validates the id
+    return CatalogField(defs, params)
 
 
 def dump_field_json(spec: FieldSpec) -> dict:

@@ -81,6 +81,25 @@ class TestPropagate:
                   "--window", "0", "1", "--tol", "1e-15"])
         assert rc == 2
 
+    @pytest.mark.parametrize("eid, window", [(1, ("0.3", "1.3")), (5, ("0.2", "1.2"))])
+    def test_catalog_and_expr_documents_give_identical_csv(self, tmp_path, capsys,
+                                                           eid, window):
+        e = catalog.entry(eid)
+        pairs = {k: [complex(v).real, complex(v).imag]
+                 for k, v in e.merged({"a": 1.1 + 0.1j}).items()}
+        docs = {"catalog": {"kind": "catalog", "defs": eid, "params": {"a": [1.1, 0.1]}},
+                "expr": {"kind": "expr", "defs": e.field_dsl, "params": pairs}}
+        out = {}
+        for kind, doc in docs.items():
+            path = tmp_path / f"{kind}.json"
+            path.write_text(json.dumps(doc))
+            rc = run(["propagate", "--field", str(path), "--v0", "1,0,0.3,0.2",
+                      "--window", *window, "--nodes", "21"])
+            assert rc == 0
+            out[kind] = capsys.readouterr().out
+        assert out["catalog"].startswith(CSV_HEADER + "\n")
+        assert out["catalog"] == out["expr"]
+
     def test_missing_file(self):
         rc = run(["propagate", "--field", "/nonexistent.json", "--v0", "1,0",
                   "--window", "0", "1"])
@@ -232,11 +251,25 @@ class TestColdStart:
 class TestBoundaryDefects:
     """Inputs that once escaped as tracebacks or hung: each must exit 2 fast."""
 
+    # field documents whose params or defs have the wrong JSON type; the
+    # non-integer catalog ids were once silently truncated to entry 1
+    BAD_TYPES = {
+        "params-list": '{"kind": "expr", "defs": "F1 = t", "params": [1, 2]}',
+        "param-pair-str": '{"kind": "expr", "defs": "F1 = a", "params": {"a": [1, "x"]}}',
+        "const-defs-int": '{"kind": "const", "defs": 5}',
+        "expr-defs-int": '{"kind": "expr", "defs": 5}',
+        "catalog-defs-str": '{"kind": "catalog", "defs": "x"}',
+        "catalog-defs-list": '{"kind": "catalog", "defs": [1]}',
+        "catalog-defs-float": '{"kind": "catalog", "defs": 1.7}',
+        "catalog-defs-bool": '{"kind": "catalog", "defs": true}',
+    }
+
     @pytest.fixture
     def files(self, tmp_path, const_field):  # const_field is tmp_path/const.json
         docs = {"malformed": '{"kind": "expr", "defs": "F1 = t"',
                 "no_defs": '{"kind": "expr", "params": {}}',
-                "not_object": '[1, 2]'}
+                "not_object": '[1, 2]',
+                **self.BAD_TYPES}
         for name, text in docs.items():
             (tmp_path / f"{name}.json").write_text(text)
         return tmp_path
@@ -253,9 +286,11 @@ class TestBoundaryDefects:
         ["propagate", "--field", "not_object.json", "--v0", "1,0", "--window", "0", "1"],
         ["verify", "--entry", "5", "--params", "w=0"],
         ["verify", "--entry", "5", "--points", "0"],
+        *(["propagate", "--field", f"{name}.json", "--v0", "1,0", "--window", "0.2", "1"]
+          for name in BAD_TYPES),
     ], ids=["window-inf", "nodes-0", "invert-nodes-3", "darboux-nodes-4",
             "json-malformed", "json-no-defs", "json-not-object", "verify-w0",
-            "verify-points-0"])
+            "verify-points-0", *(f"json-{name}" for name in BAD_TYPES)])
     def test_exits_2(self, files, argv):
         p = _python(["-m", "spineq.cli", *argv], files, timeout=FAST_TIMEOUT_S)
         assert p.returncode == 2, p.stderr
