@@ -1,4 +1,5 @@
-"""Benchmark the compiled series kernels against the pure-Python twin.
+"""Benchmark the compiled series kernels against the pure-Python twin, and
+the pure-Python grid kernels against its scalar loops.
 
 Run:  python benchmarks/bench_series.py
 """
@@ -29,6 +30,10 @@ def sweep_1f1(kernel, points):
         val, n, est = kernel.hyp1f1_series(a, c, z)
         acc += abs(val)
     return acc
+
+
+def _bits(values):
+    return np.asarray(values, dtype=complex).view(np.int64).reshape(-1, 2)
 
 
 def timeit(fn, *args, repeat=5):
@@ -72,11 +77,36 @@ def main():
         t_c = timeit(sweep_1f1, _series, pts_1f1)
         rows.append(("1F1 series", "compiled", t_c, t_py / t_c))
 
+    # the grid kernels sum one parameter set over an array of z, as the
+    # catalog's closed forms call them on a residual stencil
+    a, b, c, _ = pts_2f1[0]
+    z_2f1 = np.array([z for *_, z in pts_2f1])
+    t_py = timeit(sweep_2f1, _series_py, [(a, b, c, z) for z in z_2f1])
+    t_grid = timeit(_series_py.hyp2f1_grid, a, b, c, z_2f1)
+    rows.append(("2F1 one set", "pure Python", t_py, 1.0))
+    rows.append(("2F1 one set", "grid", t_grid, t_py / t_grid))
+    a, c, _ = pts_1f1[0]
+    z_1f1 = np.array([z for *_, z in pts_1f1])
+    t_py = timeit(sweep_1f1, _series_py, [(a, c, z) for z in z_1f1])
+    t_grid = timeit(_series_py.hyp1f1_grid, a, c, z_1f1)
+    rows.append(("1F1 one set", "pure Python", t_py, 1.0))
+    rows.append(("1F1 one set", "grid", t_grid, t_py / t_grid))
+
     print(f"{'kernel':<12} {'backend':<12} {'time (2000 evals)':>18} {'speedup':>9}")
     for name, backend, t, speedup in rows:
         print(f"{name:<12} {backend:<12} {t * 1e3:>15.2f} ms {speedup:>8.1f}x")
     if _series is None:
         print("\ncompiled kernels not available; showing pure Python only")
+
+    # the grid kernels must reproduce the scalar loop bit for bit
+    a, b, c, _ = pts_2f1[0]
+    values, terms, _ = _series_py.hyp2f1_grid(a, b, c, z_2f1)
+    scalar = [_series_py.hyp2f1_series(a, b, c, complex(z)) for z in z_2f1]
+    same = np.count_nonzero(
+        (_bits(values) == _bits([v for v, _, _ in scalar])).all(axis=1)
+        & (terms == [n for _, n, _ in scalar]))
+    print(f"\ngrid vs scalar (2F1, one parameter set): {same} of {len(z_2f1)} "
+          "values and term counts bit-identical")
 
     # agreement check between the two backends
     if _series is not None:

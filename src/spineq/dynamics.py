@@ -37,6 +37,8 @@ __all__ = [
     "bloch_propagate",
     "hamiltonian_check",
     "se_residual",
+    "stencil",
+    "stencil_residual",
     "CSV_HEADER",
 ]
 
@@ -44,7 +46,7 @@ Mat2 = np.ndarray  # 2x2 complex matrices are plain numpy arrays
 
 CSV_HEADER = "t,re_v1,im_v1,re_v2,im_v2,re_F1,im_F1,re_F2,im_F2,re_F3,im_F3,norm"
 
-_FMT = "%.16e"
+_ROW_FMT = ",".join(["%.16e"] * 12) + "\n"  # one CSV row
 
 MIN_TOL = 1e-13
 
@@ -67,14 +69,12 @@ class Trajectory:
 
     def to_csv(self, fh) -> None:
         fh.write(CSV_HEADER + "\n")
-        norms = self.norms()
-        for i, t in enumerate(self.times):
-            v = self.states[i]
-            f = self.field_samples[i]
-            row = [t, v[0].real, v[0].imag, v[1].real, v[1].imag,
-                   f[0].real, f[0].imag, f[1].real, f[1].imag,
-                   f[2].real, f[2].imag, norms[i]]
-            fh.write(",".join(_FMT % x for x in row) + "\n")
+        v, f = self.states, self.field_samples
+        table = np.column_stack([self.times, v[:, 0].real, v[:, 0].imag,
+                                 v[:, 1].real, v[:, 1].imag,
+                                 f[:, 0].real, f[:, 0].imag, f[:, 1].real, f[:, 1].imag,
+                                 f[:, 2].real, f[:, 2].imag, self.norms()])
+        fh.writelines(_ROW_FMT % tuple(row) for row in table.tolist())
 
 
 @dataclass(frozen=True)
@@ -413,22 +413,31 @@ def hamiltonian_check(f_fn, g_fn, q0: float, p0: float, window,
                              theta_eq_residual, truncated, float(times[-1]))
 
 
+def stencil(t: float, h: float | None = None):
+    """Step and nodes (t-2h, t-h, t+h, t+2h, t) of se_residual's stencil,
+    with h = 1e-5 max(1, |t|) unless given."""
+    if h is None:
+        h = 1e-5 * max(1.0, abs(t))
+    return h, (t - 2 * h, t - h, t + h, t + 2 * h, t)
+
+
+def stencil_residual(samples, F, h: float) -> float:
+    """se_residual from u at the five stencil nodes, in stencil order, and
+    the field F at the centre node."""
+    um2, um1, up1, up2, u = samples
+    du = (um2 - 8 * um1 + 8 * up1 - up2) / (12 * h)
+    res = 1j * du - sigma_dot(F) @ u
+    return float(np.linalg.norm(res) / max(np.linalg.norm(u), 1e-30))
+
+
 def se_residual(u_fn, field_fn, t: float, h: float | None = None) -> float:
     """Relative residual ||i u' - (sigma.F) u|| / max(||u||, 1e-30).
 
     u' by a 4th-order central stencil with h = 1e-5 max(1, |t|).
     """
-    if h is None:
-        h = 1e-5 * max(1.0, abs(t))
-    um2 = np.asarray(u_fn(t - 2 * h), dtype=complex)
-    um1 = np.asarray(u_fn(t - h), dtype=complex)
-    up1 = np.asarray(u_fn(t + h), dtype=complex)
-    up2 = np.asarray(u_fn(t + 2 * h), dtype=complex)
-    du = (um2 - 8 * um1 + 8 * up1 - up2) / (12 * h)
-    u = np.asarray(u_fn(t), dtype=complex)
-    F = np.asarray(field_fn(t), dtype=complex)
-    res = 1j * du - sigma_dot(F) @ u
-    return float(np.linalg.norm(res) / max(np.linalg.norm(u), 1e-30))
+    h, nodes = stencil(t, h)
+    samples = [np.asarray(u_fn(x), dtype=complex) for x in nodes]
+    return stencil_residual(samples, np.asarray(field_fn(t), dtype=complex), h)
 
 
 def trajectory_se_residuals(traj: Trajectory) -> np.ndarray:

@@ -6,6 +6,14 @@ The raw power-series summation lives in a compiled kernel
 whichever is importable is selected here.  Everything else — domain
 handling, the Pfaff transformation used near the unit circle, the Lanczos
 gamma and the parabolic-cylinder reduction — is plain Python on top.
+
+gauss_2f1, kummer_phi and parabolic_d also take an ndarray of z (an
+object array of Python numbers, as the catalog's closed forms build) and
+return an object array of Python complex values.  Each element takes the
+branch the scalar call would take, the series are summed for all elements
+at once by the grid kernels of spineq._series_py, and the values carry the
+bits of the pure-Python scalar kernels.  Errors are those of the scalar
+call at some failing element, not necessarily the first one.
 """
 
 from __future__ import annotations
@@ -14,12 +22,15 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from . import _series_py as _kernel_py
 from .errors import AccuracyError, DomainError
 
 try:
     from . import _series as _kernel
 except ImportError:  # compiled extension unavailable
-    from . import _series_py as _kernel
+    _kernel = _kernel_py
 
 USING_COMPILED = bool(getattr(_kernel, "COMPILED", False))
 
@@ -72,6 +83,43 @@ def _run_2f1(a, b, c, z) -> SeriesResult:
     return SeriesResult(value, n, est)
 
 
+def _run_grid(name, grid_kernel, params, z):
+    """A grid kernel over the complex array z, as an object array of Python
+    complex values; AccuracyError names the first element over the cap."""
+    values, n, _ = grid_kernel(*(complex(x) for x in params), z)
+    if (n < 0).any():
+        raise AccuracyError(f"{name} series did not converge within {MAX_TERMS} "
+                            f"terms at z={complex(z.flat[np.argmax(n < 0)])}")
+    return _objects(values)
+
+
+def _objects(values: np.ndarray) -> np.ndarray:
+    return np.array(values.tolist(), dtype=object)
+
+
+def _elementwise(fn):
+    """fn on a number, and element by element on an ndarray (an object
+    array out), so that scalar code runs unchanged on arrays."""
+    ufunc = np.frompyfunc(fn, 1, 1)
+    return lambda x: ufunc(x) if isinstance(x, np.ndarray) else fn(x)
+
+
+def _pfaff_image(alpha, beta, gamma, z: complex):
+    """Branch for |z| above the direct radius: the Pfaff image z/(z-1), or
+    None for the slow direct series; DomainError outside both."""
+    if z.imag == 0.0 and z.real >= 1.0:
+        raise DomainError(f"2F1 branch cut: z = {z} lies on [1, inf)")
+    w = z / (z - 1.0)
+    if abs(w) <= _DIRECT_RADIUS:
+        return w
+    if abs(z) <= 1.0 + 1e-12 and (complex(gamma) - alpha - beta).real > 0.05:
+        return None
+    raise DomainError(
+        f"2F1 argument z = {z} outside the supported domain "
+        f"(|z| = {abs(z):.6g}, |z/(z-1)| = {abs(w):.6g})"
+    )
+
+
 def gauss_2f1_info(alpha: complex, beta: complex, gamma: complex, z: complex) -> SeriesResult:
     """Gauss hypergeometric F(alpha, beta; gamma; z) with convergence metadata.
 
@@ -83,25 +131,43 @@ def gauss_2f1_info(alpha: complex, beta: complex, gamma: complex, z: complex) ->
     """
     _check_gamma_param(gamma)
     z = complex(z)
-    if abs(z) <= _DIRECT_RADIUS:
-        return _run_2f1(alpha, beta, gamma, z)
-    if z.imag == 0.0 and z.real >= 1.0:
-        raise DomainError(f"2F1 branch cut: z = {z} lies on [1, inf)")
-    w = z / (z - 1.0)
-    if abs(w) <= _DIRECT_RADIUS:
-        # Pfaff: F(a,b;c;z) = (1-z)^(-a) F(a, c-b; c; z/(z-1))
-        inner = _run_2f1(alpha, gamma - beta, gamma, w)
-        pref = (1.0 - z) ** (-alpha)
-        return SeriesResult(pref * inner.value, inner.terms_used, inner.truncation_estimate)
-    if abs(z) <= 1.0 + 1e-12 and (complex(gamma) - alpha - beta).real > 0.05:
-        return _run_2f1(alpha, beta, gamma, z)
-    raise DomainError(
-        f"2F1 argument z = {z} outside the supported domain "
-        f"(|z| = {abs(z):.6g}, |z/(z-1)| = {abs(w):.6g})"
-    )
+    if not abs(z) <= _DIRECT_RADIUS:
+        w = _pfaff_image(alpha, beta, gamma, z)
+        if w is not None:
+            # Pfaff: F(a,b;c;z) = (1-z)^(-a) F(a, c-b; c; z/(z-1))
+            inner = _run_2f1(alpha, gamma - beta, gamma, w)
+            pref = (1.0 - z) ** (-alpha)
+            return SeriesResult(pref * inner.value, inner.terms_used, inner.truncation_estimate)
+    return _run_2f1(alpha, beta, gamma, z)
+
+
+def _gauss_2f1_grid(alpha, beta, gamma, z: np.ndarray) -> np.ndarray:
+    """gauss_2f1 at every element of z, each taking the scalar's branch."""
+    _check_gamma_param(gamma)
+    zc = np.asarray(z, dtype=complex).ravel()
+    out = np.empty(zc.size, dtype=object)
+    far = np.flatnonzero(~(np.hypot(zc.real, zc.imag) <= _DIRECT_RADIUS)).tolist()
+    direct = np.ones(zc.size, dtype=bool)
+    pfaff, images = [], []
+    for i in far:
+        w = _pfaff_image(alpha, beta, gamma, complex(zc[i]))
+        if w is not None:
+            direct[i] = False
+            pfaff.append(i)
+            images.append(w)
+    if direct.any():
+        out[direct] = _run_grid("2F1", _kernel_py.hyp2f1_grid, (alpha, beta, gamma), zc[direct])
+    if pfaff:
+        inner = _run_grid("2F1", _kernel_py.hyp2f1_grid, (alpha, gamma - beta, gamma),
+                          np.array(images))
+        out[pfaff] = [(1.0 - complex(zc[i])) ** (-alpha) * v for i, v in zip(pfaff, inner)]
+    return out.reshape(np.shape(z))
 
 
 def gauss_2f1(alpha: complex, beta: complex, gamma: complex, z: complex) -> complex:
+    """F(alpha, beta; gamma; z); an ndarray z gives an object array."""
+    if isinstance(z, np.ndarray):
+        return _gauss_2f1_grid(alpha, beta, gamma, z)
     return gauss_2f1_info(alpha, beta, gamma, z).value
 
 
@@ -117,6 +183,11 @@ def kummer_phi_info(alpha: complex, gamma: complex, z: complex) -> SeriesResult:
 
 
 def kummer_phi(alpha: complex, gamma: complex, z: complex) -> complex:
+    """Phi(alpha, gamma; z); an ndarray z gives an object array."""
+    if isinstance(z, np.ndarray):
+        _check_gamma_param(gamma)
+        return _run_grid("Kummer", _kernel_py.hyp1f1_grid, (alpha, gamma),
+                         np.asarray(z, dtype=complex))
     return kummer_phi_info(alpha, gamma, z).value
 
 
@@ -158,6 +229,7 @@ def reciprocal_gamma(z: complex) -> complex:
     return 1.0 / complex_gamma(z)
 
 
+_exp = _elementwise(cmath.exp)
 _SQRT_PI = math.sqrt(math.pi)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -169,8 +241,8 @@ def parabolic_d(p: complex, z: complex) -> complex:
     entire in both p and z.
     """
     p = complex(p)
-    z = complex(z)
+    z = _objects(np.asarray(z, dtype=complex)) if isinstance(z, np.ndarray) else complex(z)
     zz = 0.5 * z * z
     term1 = _SQRT_PI * reciprocal_gamma(0.5 * (1.0 - p)) * kummer_phi(-0.5 * p, 0.5, zz)
     term2 = _SQRT_2PI * z * reciprocal_gamma(-0.5 * p) * kummer_phi(0.5 * (1.0 - p), 1.5, zz)
-    return 2.0 ** (0.5 * p) * cmath.exp(-0.25 * z * z) * (term1 - term2)
+    return 2.0 ** (0.5 * p) * _exp(-0.25 * z * z) * (term1 - term2)

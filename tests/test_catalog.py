@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from spineq import catalog
+from spineq import catalog, specfun
 from spineq.dynamics import Trajectory, se_residual, trajectory_se_residuals
-from spineq.errors import DomainError
+from spineq.errors import AccuracyError, DomainError, SingularityError
 from spineq.fields import CatalogField, eval_field
 from spineq.solutions import general_solution
 
@@ -120,6 +120,79 @@ class TestResiduals:
                 rep = catalog.verify_entry(e.id, p)
                 assert rep.max_residual <= 1e-6, \
                     f"entry {e.id} params {p}: {rep.max_residual:.3e}"
+
+
+def _per_node_residuals(eid, params=None, window=None, n_points=50):
+    """verify_entry's residuals the slow way: se_residual node by node."""
+    e = catalog.entry(eid)
+    p = e.merged(params)
+    win = tuple(window) if window is not None else e.window_for(p)
+    f1, f3 = e.bind_field(p)
+
+    def u_fn(t):
+        return np.array(e.solution_components(t, p))
+
+    def f_fn(t):
+        return np.array([f1(t), 0j, f3(t)])
+
+    return np.array([se_residual(u_fn, f_fn, t)
+                     for t in np.linspace(win[0], win[1], n_points)])
+
+
+class TestGridVerification:
+    """verify_entry evaluates each closed form on its whole stencil at once;
+    that must give the per-node bits and the per-node errors."""
+
+    @pytest.mark.parametrize("eid", range(1, 27))
+    def test_residuals_bit_identical_to_per_node(self, eid, monkeypatch):
+        e = catalog.entry(eid)
+        rng = np.random.default_rng([eid, 4])
+        cases = [None] + [e.draw_params(rng) for _ in range(3)]
+        for n_points in (7, 50):
+            want = [_per_node_residuals(eid, p, n_points=n_points) for p in cases]
+            with monkeypatch.context() as m:
+                if not specfun.USING_COMPILED:
+                    # the grid path must not fall back to the per-node loop
+                    m.setattr(catalog.CatalogEntry, "solution_components", None)
+                got = [catalog.verify_entry(eid, p, n_points=n_points).residuals
+                       for p in cases]
+            for p, g, w in zip(cases, got, want):
+                assert g.view(np.int64).tolist() == w.view(np.int64).tolist(), \
+                    f"entry {eid} params {p} n_points {n_points}"
+
+    @pytest.mark.parametrize("eid, window, error", [
+        (1, (0, 1), SingularityError),  # t ** (i c) at t = 0
+        (7, (0.5, 3), DomainError),     # 2F1 argument where no branch applies
+        (16, (-50, 50), AccuracyError),  # Kummer series over the term cap
+    ])
+    def test_errors_match_per_node(self, eid, window, error):
+        with pytest.raises(error) as got:
+            catalog.verify_entry(eid, window=window)
+        with pytest.raises(error) as want:
+            _per_node_residuals(eid, window=window)
+        assert str(got.value) == str(want.value)
+        assert getattr(got.value, "t", None) == getattr(want.value, "t", None)
+        if error is SingularityError:
+            assert got.value.t == 0.0
+
+
+class TestBindField:
+    def test_last_binding_is_reused(self):
+        e = catalog.entry(5)
+        p = dict(e.default_params)
+        f = e.bind_field(p)
+        assert e.bind_field(dict(reversed(list(p.items())))) is f
+        q = dict(p, c=0.4)
+        g = e.bind_field(q)
+        assert g is not f and e.bind_field(q) is g
+        # one binding per entry: p is compiled again
+        assert e.bind_field(p) is not f
+        assert [fn(0.7) for fn in e.bind_field(p)] == [fn(0.7) for fn in f]
+
+    def test_signed_zero_is_a_different_binding(self):
+        e = catalog.entry(16)
+        f = e.bind_field({"a": 1.0, "b": 1.0, "c": 0.0})
+        assert e.bind_field({"a": 1.0, "b": 1.0, "c": -0.0}) is not f
 
 
 class TestSecondSolution:

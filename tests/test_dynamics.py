@@ -8,7 +8,8 @@ from spineq.dynamics import (BlochState, bloch_propagate,
                              bloch_vector_path, constant_field_propagator,
                              evolution_constant_direction, evolution_from_q,
                              field_from_q, hamiltonian_check, propagate,
-                             se_residual, stationary_solutions, CSV_HEADER)
+                             se_residual, stationary_solutions, CSV_HEADER,
+                             Trajectory)
 from spineq.errors import DomainError, IntegrationError, SpinEqError
 from spineq.fields import ConstField, parse_field_spec
 from spineq.numutil import fd_derivative
@@ -82,6 +83,27 @@ class TestPropagate:
         assert lines[0] == CSV_HEADER
         assert len(lines) == 12
         assert len(lines[1].split(",")) == 12
+
+    def test_csv_rows_format_each_value_as_before(self):
+        # the row format string against formatting value by value, with
+        # signed zeros and a non-finite field sample
+        import io
+        traj = propagate(parse_field_spec("F1 = 0.3; F3 = t"), Spinor(1, 1j), (-1, 1),
+                         1e-8, n_nodes=9)
+        fs = traj.field_samples.copy()
+        fs[0] = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(float("inf"), -1e-300)]
+        traj = Trajectory(traj.times, traj.states, fs, traj.est_error)
+        fh = io.StringIO()
+        traj.to_csv(fh)
+        want = [CSV_HEADER]
+        for t, v, f, n in zip(traj.times, traj.states, traj.field_samples, traj.norms()):
+            row = [t, v[0].real, v[0].imag, v[1].real, v[1].imag, f[0].real, f[0].imag,
+                   f[1].real, f[1].imag, f[2].real, f[2].imag, n]
+            want.append(",".join("%.16e" % x for x in row))
+        assert fh.getvalue() == "\n".join(want) + "\n"
+        first = fh.getvalue().splitlines()[1].split(",")
+        assert first[5] == first[8] == "-0.0000000000000000e+00"
+        assert first[9] == "inf"
 
 
 class TestStationary:

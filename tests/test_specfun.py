@@ -1,8 +1,12 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from spineq import _series_py, specfun
 from spineq.errors import DomainError
 from spineq.specfun import (SeriesResult, complex_gamma, gauss_2f1,
                             gauss_2f1_info, kummer_phi, kummer_phi_info,
@@ -18,7 +22,7 @@ def central_diff(f, z, h=1e-5):
 class TestBackends:
     def test_pure_python_twin_agrees(self, rng):
         # the compiled kernel and its fallback must be interchangeable
-        from spineq import _series_py
+        from spineq import _series_py, specfun
 
         try:
             from spineq import _series
@@ -37,6 +41,86 @@ class TestBackends:
             vp, np_, ep = _series_py.hyp1f1_series(a, c, z)
             assert nc == np_
             assert abs(vc - vp) <= 1e-14 * max(abs(vc), 1.0)
+
+
+def _bits(x):
+    return np.atleast_1d(np.asarray(x, dtype=complex)).view(np.int64).tolist()
+
+
+def _assert_grid_matches_scalar(grid, scalar, z):
+    values, terms, estimates = grid
+    for i, zi in enumerate(z):
+        value, n, est = scalar(complex(zi))
+        assert _bits(values[i]) == _bits(value), f"value at z = {zi!r}"
+        assert terms[i] == n, f"terms at z = {zi!r}"
+        assert _bits(estimates[i]) == _bits(est), f"estimate at z = {zi!r}"
+
+
+def _pfaff_image(theta):
+    z = cmath.exp(1j * theta)
+    return z / (z - 1.0)
+
+
+_unit = st.floats(-1, 1, allow_nan=False)  # hits +-0.0 and the ends
+_param = st.builds(complex, _unit, _unit)
+_gamma = st.builds(complex, st.floats(0.5, 2), _unit)
+
+
+class TestGridKernels:
+    """The grid kernels against the scalar loops, bit for bit."""
+
+    @given(_param, _param, _gamma,
+           st.lists(st.builds(complex, st.floats(-0.95, 0.95), st.floats(-0.3, 0.3)),
+                    min_size=1, max_size=8),
+           st.lists(st.floats(1.2, 5.0), max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_hyp2f1_grid(self, a, b, c, zs, thetas):
+        # Pfaff images of unit-circle points, as gauss_2f1 passes them on
+        z = np.array(zs + [0j, complex(-0.0, -0.0)] + [_pfaff_image(t) for t in thetas])
+        _assert_grid_matches_scalar(_series_py.hyp2f1_grid(a, b, c, z),
+                                    lambda x: _series_py.hyp2f1_series(a, b, c, x), z)
+
+    @given(_param, _gamma,
+           st.lists(st.builds(complex, st.floats(-6, 6), st.floats(-6, 6)),
+                    min_size=1, max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_hyp1f1_grid(self, a, c, zs):
+        z = np.array(zs + [complex(0.0, -0.0)])
+        _assert_grid_matches_scalar(_series_py.hyp1f1_grid(a, c, z),
+                                    lambda x: _series_py.hyp1f1_series(a, c, x), z)
+
+    def test_cap_hit_element(self):
+        # 2500j is where entry 16 on [-50, 50] runs out of terms
+        z = np.array([0.5j, 2500.100001j, -3.0])
+        grid = _series_py.hyp1f1_grid(0.5j, 0.5, z)
+        assert grid[1][1] == -1
+        _assert_grid_matches_scalar(grid, lambda x: _series_py.hyp1f1_series(0.5j, 0.5, x), z)
+        # F(1, 1; 1.5; 1) diverges: its terms fall off like k^-1/2
+        z = np.array([1.0, 0.25])
+        grid = _series_py.hyp2f1_grid(1, 1, 1.5, z)
+        assert grid[1][0] == -1
+        _assert_grid_matches_scalar(grid, lambda x: _series_py.hyp2f1_series(1, 1, 1.5, x), z)
+
+    def test_specfun_arrays_take_the_scalar_branches(self, monkeypatch):
+        # the grid kernels reproduce the pure-Python scalar kernels
+        monkeypatch.setattr(specfun, "_kernel", _series_py)
+        theta = np.linspace(1.2, 5.0, 7)
+        z = np.concatenate([np.exp(1j * theta), [0.3, -0.2j, 0.99j]]).astype(object)
+        a, b, c = 0.3 + 0.1j, -0.4j, 1.2 + 0.2j  # Re(c - a - b) > 0.05: slow series at 0.99j
+        got = gauss_2f1(a, b, c, z)
+        assert all(type(v) is complex for v in got)
+        assert _bits(got.tolist()) == _bits([gauss_2f1(a, b, c, x) for x in z])
+        got = kummer_phi(a, c, 4 * z)
+        assert _bits(got.tolist()) == _bits([kummer_phi(a, c, 4 * x) for x in z])
+        got = parabolic_d(a, 3 * z)
+        assert _bits(got.tolist()) == _bits([parabolic_d(a, 3 * x) for x in z])
+
+    def test_specfun_arrays_raise_the_scalar_errors(self):
+        z = np.array([0.5, 1.5 + 0j], dtype=object)
+        with pytest.raises(DomainError, match="branch cut"):
+            gauss_2f1(0.2, 0.3, 1.1, z)
+        with pytest.raises(DomainError):
+            gauss_2f1(1, 1, -3, z)
 
 
 class TestGauss2F1:
