@@ -1,5 +1,6 @@
-"""Benchmark the compiled series kernels against the pure-Python twin, and
-the pure-Python grid kernels against its scalar loops.
+"""Benchmark the compiled series kernels against the pure-Python twin, the
+pure-Python grid kernels against its scalar loops, and field sampling by
+array call against the per-node loop.
 
 Run:  python benchmarks/bench_series.py
 """
@@ -8,7 +9,8 @@ import time
 
 import numpy as np
 
-from spineq import _series_py
+from spineq import _series_py, catalog
+from spineq.fields import ExprField, field_callable, parse_field_spec
 
 try:
     from spineq import _series
@@ -30,6 +32,26 @@ def sweep_1f1(kernel, points):
         val, n, est = kernel.hyp1f1_series(a, c, z)
         acc += abs(val)
     return acc
+
+
+def catalog_dsl_fields(n_nodes):
+    """(callable, times) for each catalog field_dsl at its default parameters
+    on n_nodes of its default window, as propagate samples them."""
+    out = []
+    for e in catalog.entries():
+        p = e.merged(None)
+        t0, t1 = e.window_for(p)
+        spec = ExprField(parse_field_spec(e.field_dsl).defs, p)
+        out.append((field_callable(spec), np.linspace(t0, t1, n_nodes)))
+    return out
+
+
+def sample_per_node(fields):
+    return [np.array([fn(t) for t in times]) for fn, times in fields]
+
+
+def sample_array(fields):
+    return [fn(times) for fn, times in fields]
 
 
 def _bits(values):
@@ -107,6 +129,17 @@ def main():
         & (terms == [n for _, n, _ in scalar]))
     print(f"\ngrid vs scalar (2F1, one parameter set): {same} of {len(z_2f1)} "
           "values and term counts bit-identical")
+
+    # the array call must reproduce the per-node loop bit for bit
+    fields = catalog_dsl_fields(2001)
+    t_loop = timeit(sample_per_node, fields)
+    t_array = timeit(sample_array, fields)
+    print(f"\nfield sampling, {len(fields)} catalog DSLs x 2001 nodes: "
+          f"per node {t_loop * 1e3:.1f} ms, array call {t_array * 1e3:.1f} ms "
+          f"({t_loop / t_array:.1f}x)")
+    same = sum(a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+               for a, b in zip(sample_array(fields), sample_per_node(fields)))
+    print(f"array call vs per-node loop: {same} of {len(fields)} fields bit-identical")
 
     # agreement check between the two backends
     if _series is not None:

@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import DomainError, SingularityError, SpinEqError
 from .expr import compile_expr, parse_statements
+from .fields import CatalogField, field_callable
 from .specfun import (USING_COMPILED, gauss_2f1, kummer_phi, parabolic_d,
                       _elementwise, _is_nonpositive_integer)
 from .spinors import Spinor
@@ -779,7 +780,8 @@ def verify_entry(entry_id: int, params: dict | None = None,
     form is evaluated at all 5 n_points stencil nodes in one call on an
     object array of times, which gives the same bits as dynamics.se_residual
     node by node; if that call raises or is not finite, the node-by-node
-    path is replayed, so an error keeps its type, message and t.
+    path is replayed, so an error keeps its type, message and t.  The field
+    at the centre nodes is sampled in one call too, with the same bits.
     """
     e = entry(entry_id)
     p = e.merged(params)
@@ -787,11 +789,7 @@ def verify_entry(entry_id: int, params: dict | None = None,
     win = tuple(window) if window is not None else e.window_for(p)
     times = np.linspace(win[0], win[1], n_points)
 
-    f1, f3 = e.bind_field(p)
-
-    def f_fn(t):
-        return np.array([f1(t), 0j, f3(t)])
-
+    f_fn = field_callable(CatalogField(entry_id, p))
     stencils = [dynamics.stencil(t) for t in times]
     # the grid kernels give the pure-Python kernels' bits, so a build with
     # the compiled kernel stays on its per-node path
@@ -803,8 +801,8 @@ def verify_entry(entry_id: int, params: dict | None = None,
 
         residuals = [dynamics.se_residual(u_fn, f_fn, t) for t in times]
     else:
-        residuals = [dynamics.stencil_residual(u_t, f_fn(t), h)
-                     for u_t, t, (h, _) in zip(u, times, stencils)]
+        residuals = [dynamics.stencil_residual(u_t, F_t, h)
+                     for u_t, F_t, (h, _) in zip(u, f_fn(times), stencils)]
     residuals = np.array(residuals)
     return EntryReport(entry_id, p, win, times, residuals,
                        float(np.max(residuals)), e.flagged)
@@ -843,8 +841,6 @@ def scale_family(entry_id: int, alpha: float, beta: float, omega: float,
     directly in t the scaling is absorbed into (a, b, c), which requires
     phi0 = 0 except for entry 16.
     """
-    from .fields import CatalogField
-
     e = entry(entry_id)
     if omega == 0.0:
         raise DomainError("scale family requires omega != 0")

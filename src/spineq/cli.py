@@ -25,6 +25,7 @@ from .expr import compile_expr, parse_expr
 from .fields import field_callable, load_field_json
 from .reductions import ReductionPlan, reduce_field
 from .solutions import gauge_from_field, invert_field, invert_field_selfadjoint
+from .spinors import CVec3
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -337,7 +338,13 @@ def _cmd_reduce(args) -> int:
     plan = ReductionPlan.make(l, alpha_fn, adot_fn)
     times = np.linspace(window[0], window[1], args.nodes)
     field = field_callable(spec)
-    samples = np.array([reduce_field(field, plan, t).as_array() for t in times])
+    try:
+        rows = [CVec3.from_array(F) for F in field(times)]
+    except SpinEqError:
+        # node by node, so that an alpha pole before the field's first pole
+        # is the error raised
+        rows = [field] * len(times)
+    samples = np.array([reduce_field(F, plan, t).as_array() for F, t in zip(rows, times)])
     fh, close = _out_handle(args)
     try:
         _write_field_csv(fh, times, samples)
@@ -428,7 +435,7 @@ def run(argv) -> int:
                 raise _Validation(f"{args.command} needs --nodes >= "
                                   f"{MIN_NODES[args.command]}")
         return args.fn(args)
-    except (_Validation, DomainError, FieldParseError, FileNotFoundError) as exc:
+    except (_Validation, DomainError, FieldParseError, OSError) as exc:
         print(f"ERROR {EXIT_VALIDATION}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (AccuracyError, IntegrationError, SingularityError) as exc:

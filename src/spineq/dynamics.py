@@ -136,6 +136,8 @@ def propagate(spec: FieldSpec, V0, window, tol: float = 1e-10,
             raise DomainError(
                 f"window [{t0}, {t1}] contains declared field poles at {hits}")
     y0 = V0.as_array() if isinstance(V0, Spinor) else np.asarray(V0, dtype=complex)
+    if not np.isfinite(y0).all():
+        raise DomainError(f"initial state V0 = {y0} is not finite")
     field_fn = field_callable(spec, params)
     if t_eval is None:
         t_eval = np.linspace(t0, t1, n_nodes)
@@ -143,7 +145,7 @@ def propagate(spec: FieldSpec, V0, window, tol: float = 1e-10,
         t_eval = np.asarray(t_eval, dtype=float)
     # sampled before the solve, so a field singular at an output node fails
     # at once instead of after the solver has crawled up to its pole
-    fsamp = np.array([field_fn(t) for t in t_eval])
+    fsamp = field_fn(t_eval)
     from scipy.integrate import solve_ivp
 
     rt = max(tol / 4.0, 2.3e-14)
@@ -209,8 +211,7 @@ def field_from_q(times, q, F1: FieldSpec | None = None, unit: bool = False,
     if F1 is None:
         f1 = np.zeros_like(q)
     else:
-        fn = field_callable(F1, params)
-        f1 = np.array([fn(t) for t in times])
+        f1 = field_callable(F1, params)(times)
     if unit:
         if np.max(np.abs(q2 - 1.0)) > 1e-10:
             raise DomainError("unit branch requires q^2 = 1 to 1e-10 along the path")
@@ -292,8 +293,11 @@ def bloch_propagate(spec: FieldSpec, state0: BlochState, window,
     recovered by quadrature along the way.
     """
     n0 = np.asarray(state0.n, dtype=float)
-    if abs(np.linalg.norm(n0) - 1.0) > 1e-8:
+    # written so that a NaN component fails the test too
+    if not abs(np.linalg.norm(n0) - 1.0) <= 1e-8:
         raise DomainError("initial Bloch vector must be unit length")
+    if not (math.isfinite(state0.alpha) and 0.0 < state0.N < math.inf):
+        raise DomainError("initial alpha must be finite and N finite and positive")
     field_fn = field_callable(spec, params)
     t0, t1 = float(window[0]), float(window[1])
 

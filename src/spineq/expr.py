@@ -13,6 +13,11 @@ Grammar (statements separated by ';', trailing ';' allowed):
 Functions: sin cos tan cot sinh cosh tanh coth exp ln sqrt.  'i' is the
 imaginary unit, 't' the time variable; every other identifier is a free
 parameter supplied at evaluation time.
+
+A compiled expression takes one time t or a 1-D ndarray of times.  On an
+array the same AST runs on an object array of Python complex, so numpy
+applies CPython's complex operators and cmath element by element and each
+value has the bits of the scalar call.
 """
 
 from __future__ import annotations
@@ -20,6 +25,8 @@ from __future__ import annotations
 import cmath
 import operator
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import FieldParseError, SingularityError
 
@@ -57,6 +64,12 @@ SINGULARITY_THRESHOLD = 1e12
 
 _BINOPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
            "/": operator.truediv, "^": operator.pow}
+
+# the leaves of a compilation: how t enters, and the function table.  A grid
+# receives its times already as an object array of Python complex.
+_SCALAR_LEAVES = (complex, FUNCTIONS)
+_GRID_LEAVES = (lambda t: t,
+                {name: np.frompyfunc(fn, 1, 1) for name, fn in FUNCTIONS.items()})
 
 
 class ExprNode:
@@ -338,24 +351,25 @@ def free_parameters(node: ExprNode) -> set[str]:
     return out
 
 
-def _compile(node: ExprNode, params: dict[str, complex]):
+def _compile(node: ExprNode, params: dict[str, complex], leaves=_SCALAR_LEAVES):
     """Closure t -> complex for one subtree, with its parameters bound."""
+    t_leaf, functions = leaves
     if isinstance(node, Num):
         value = node.value
         return lambda t: value
     if isinstance(node, Var):
         if node.name == "t":
-            return complex  # t -> complex(t)
+            return t_leaf
         try:
             value = complex(params[node.name])
         except KeyError:
             raise FieldParseError(f"unknown identifier '{node.name}'") from None
         return lambda t: value
     if isinstance(node, Neg):
-        arg = _compile(node.arg, params)
+        arg = _compile(node.arg, params, leaves)
         return lambda t: -arg(t)
     if isinstance(node, Call):
-        fn, name, arg = FUNCTIONS[node.fn], node.fn, _compile(node.arg, params)
+        fn, name, arg = functions[node.fn], node.fn, _compile(node.arg, params, leaves)
 
         def call(t):
             x = arg(t)
@@ -367,7 +381,7 @@ def _compile(node: ExprNode, params: dict[str, complex]):
         return call
     if isinstance(node, BinOp):
         op, sym = _BINOPS[node.op], node.op
-        left, right = _compile(node.left, params), _compile(node.right, params)
+        left, right = _compile(node.left, params, leaves), _compile(node.right, params, leaves)
 
         def binop(t):
             x = left(t)
@@ -388,14 +402,47 @@ def compile_expr(node: ExprNode, params: dict[str, complex]):
     grammar, so repeated evaluation does not walk the tree again.  An
     identifier missing from params raises FieldParseError here; a pole
     raises SingularityError carrying t when the function is called.
+
+    The function also takes a 1-D ndarray of times and returns the complex
+    ndarray of values, with the bits of calling it at each time in turn; the
+    AST is compiled for arrays on the first such call.  If the array
+    evaluation raises, or a value is not finite or above
+    SINGULARITY_THRESHOLD, the times are replayed one by one, so the error
+    is the one the first failing time raises.
     """
     fn = _compile(node, params)
+    grid = None
+    ndarray = np.ndarray  # a cell, not a global: value is on the solver's hot path
 
-    def value(t) -> complex:
+    # no closure here refers to itself or to one that refers back, so that a
+    # binding is freed as soon as it is dropped, not by the cyclic collector
+    def scalar(t):
         v = fn(t)
         if not cmath.isfinite(v) or abs(v) > SINGULARITY_THRESHOLD:
             raise SingularityError(f"field component singular at t = {t}", t=t)
         return v
+
+    def value(t):
+        return on_grid(t) if isinstance(t, ndarray) else scalar(t)
+
+    def on_grid(times):
+        nonlocal grid
+        if grid is None:
+            grid = _compile(node, params, _GRID_LEAVES)
+        out = np.empty(times.shape, dtype=complex)
+        try:
+            # numpy would warn of the floating-point flags that CPython's
+            # arithmetic leaves set; the scalar path is silent
+            with np.errstate(all="ignore"):
+                out[...] = grid(np.array(times.astype(complex).tolist(), dtype=object))
+        except SingularityError:  # what the Call and BinOp closures raise
+            pass
+        else:
+            # abs is NaN or inf for every value that is not finite
+            if (np.abs(out) <= SINGULARITY_THRESHOLD).all():
+                return out
+        # the loop raises the error of the first failing time
+        return np.array([scalar(x) for x in times], dtype=complex)
 
     return value
 

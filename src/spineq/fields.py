@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as ex
-from .errors import DomainError, FieldParseError
+from .errors import DomainError, FieldParseError, SpinEqError
 from .spinors import CVec3
 
 __all__ = [
@@ -103,7 +103,8 @@ def eval_field(spec: FieldSpec, t: float, params: dict | None = None) -> CVec3:
 
     ``params`` supplies (or overrides) named parameters; evaluation at a
     pole raises SingularityError carrying t.  To evaluate one spec at many
-    times, bind it once with field_callable.
+    times, bind it once with field_callable and pass it the array of times:
+    the samples have the same bits as calling this at each time.
     """
     return CVec3.from_array(field_callable(spec, params)(t))
 
@@ -113,10 +114,15 @@ def field_callable(spec: FieldSpec, params: dict | None = None):
 
     Expression and catalog fields are compiled here, once, with their
     parameters bound (``params`` overrides the spec's own).
+
+    The callable also takes a 1-D ndarray of n times and returns the (n, 3)
+    complex samples, bit for bit those of calling it at each time in turn.
+    A pole raises the error of that per-node loop: the first node, and at
+    that node the first of F1, F2, F3.
     """
     if isinstance(spec, ConstField):
         vec = np.array(spec.value, dtype=complex)
-        return lambda t: vec
+        return lambda t: np.tile(vec, (len(t), 1)) if isinstance(t, np.ndarray) else vec
     if isinstance(spec, ExprField):
         merged = dict(spec.params)
         if params:
@@ -133,7 +139,21 @@ def field_callable(spec: FieldSpec, params: dict | None = None):
         f2 = _zero
     else:
         raise DomainError(f"not a field spec: {spec!r}")
-    return lambda t: np.array([f1(t), f2(t), f3(t)])
+
+    def sample(t):
+        if not isinstance(t, np.ndarray):
+            return np.array([f1(t), f2(t), f3(t)])
+        out = np.empty((len(t), 3), dtype=complex)
+        try:
+            for j, f in enumerate((f1, f2, f3)):
+                out[:, j] = f(t)
+        except SpinEqError:
+            # a later component can fail at an earlier node: the per-node
+            # loop raises the error that comes first
+            return np.array([[f1(x), f2(x), f3(x)] for x in t])
+        return out
+
+    return sample
 
 
 def _zero(t):
@@ -180,6 +200,8 @@ def load_field_json(source) -> FieldSpec:
                     doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FieldParseError(f"field document is not valid JSON: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise FieldParseError(f"field document is not UTF-8 text: {exc}") from None
     if not isinstance(doc, dict):
         raise FieldParseError("a field document must be a JSON object")
     kind = doc.get("kind")

@@ -233,6 +233,16 @@ class TestBlochReduce:
         assert np.max(np.abs(rows[:, 1] - 0.7)) <= 1e-9
         assert np.max(np.abs(rows[:, 5] - (0.4 - 0.65))) <= 1e-9
 
+    def test_reduce_reports_the_first_pole(self, tmp_path, capsys):
+        # the field is sampled in one call, but an alpha pole at an earlier
+        # node than the field's is still the error reported
+        path = tmp_path / "pole.json"
+        path.write_text(json.dumps({"kind": "expr", "defs": "F3 = 1/(t - 0.5)"}))
+        rc = run(["reduce", "--field", str(path), "--l", "0,0,1",
+                  "--alpha", "1/(t - 0.25)", "--window", "0", "1", "--nodes", "5"])
+        assert rc == 3
+        assert capsys.readouterr().err == "ERROR 3: '/' overflow/pole at t = 0.25\n"
+
 
 class TestColdStart:
     def test_scipy_integrate_loaded_only_by_a_solve(self, const_field, tmp_path):
@@ -295,3 +305,20 @@ class TestBoundaryDefects:
         p = _python(["-m", "spineq.cli", *argv], files, timeout=FAST_TIMEOUT_S)
         assert p.returncode == 2, p.stderr
         assert p.stderr.startswith("ERROR 2:")
+
+    @pytest.mark.parametrize("argv", [
+        ["propagate", "--field", "{dir}", "--v0", "1,0", "--window", "0", "1"],
+        ["propagate", "--field", "{latin1}", "--v0", "1,0", "--window", "0", "1"],
+        ["propagate", "--field", "{const}", "--v0", "1,0", "--window", "0", "1",
+         "--nodes", "3", "--out", "{dir}"],
+        ["propagate", "--field", "{const}", "--v0", "nan,0", "--window", "0", "1"],
+        ["invert", "--field", "{const}", "--v0", "1,0,inf,0", "--window", "0", "1"],
+        ["bloch", "--field", "{const}", "--n0", "nan,0,0", "--window", "0", "1"],
+    ], ids=["field-dir", "field-not-utf8", "out-dir", "v0-nan", "invert-v0-inf",
+            "bloch-n0-nan"])
+    def test_exits_2_in_process(self, tmp_path, const_field, capsys, argv):
+        latin1 = tmp_path / "latin1.json"
+        latin1.write_bytes('{"kind": "expr", "defs": "F1 = t", "note": "é"}'.encode("latin-1"))
+        paths = {"dir": str(tmp_path), "latin1": str(latin1), "const": const_field}
+        assert run([arg.format(**paths) for arg in argv]) == 2
+        assert capsys.readouterr().err.startswith("ERROR 2:")

@@ -11,7 +11,7 @@ from spineq.dynamics import (BlochState, bloch_propagate,
                              se_residual, stationary_solutions, CSV_HEADER,
                              Trajectory)
 from spineq.errors import DomainError, IntegrationError, SpinEqError
-from spineq.fields import ConstField, parse_field_spec
+from spineq.fields import ConstField, field_callable, parse_field_spec
 from spineq.numutil import fd_derivative
 from spineq.reductions import ReductionPlan, reduce_field, transform_matrix
 from spineq.spinors import (CVec3, Spinor, anticonjugate_arr, frame,
@@ -72,6 +72,11 @@ class TestPropagate:
     def test_tol_floor(self):
         with pytest.raises(DomainError):
             propagate(ConstField((0, 0, 1)), Spinor(1, 0), (0, 1), 1e-14)
+
+    @pytest.mark.parametrize("V0", [[math.nan, 0], [1, complex(0, math.inf)]])
+    def test_non_finite_start_rejected(self, V0):
+        with pytest.raises(DomainError, match="not finite"):
+            propagate(ConstField((0, 0, 1)), V0, (0, 1), 1e-10)
 
     def test_csv_export(self, tmp_path):
         traj = propagate(ConstField((0, 0, 1)), Spinor(1, 0), (0, 1), 1e-10,
@@ -160,6 +165,13 @@ class TestFieldFromQ:
         F = field_from_q(times, q, unit=True)
         want = np.tile([0, 0, w], (len(times), 1))
         assert_rel(F, want, 1e-8)
+
+    def test_source_field_comes_back_on_a_zero_path(self):
+        times = np.linspace(0, 1, 101)
+        spec = parse_field_spec("F1 = cos(t); F2 = 0.3i*t; F3 = exp(-t)")
+        fn = field_callable(spec)
+        F = field_from_q(times, np.zeros((101, 3), dtype=complex), F1=spec)
+        assert np.array_equal(F, np.array([fn(t) for t in times]))
 
     def test_branch_errors(self):
         times = np.linspace(0, 1, 101)
@@ -315,6 +327,18 @@ class TestBloch:
         with pytest.raises(DomainError):
             bloch_propagate(ConstField((0, 0, 1)),
                             BlochState(np.array([1.0, 1.0, 0]), 0.0, 1.0),
+                            (0, 1), 1e-10)
+
+    @pytest.mark.parametrize("n0, alpha, N", [
+        ([math.nan, 0, 0], 0.0, 1.0),
+        ([1.0, math.inf, 0], 0.0, 1.0),
+        ([1.0, 0, 0], math.nan, 1.0),
+        ([1.0, 0, 0], 0.0, math.inf),
+        ([1.0, 0, 0], 0.0, 0.0),
+    ])
+    def test_non_finite_start_rejected(self, n0, alpha, N):
+        with pytest.raises(DomainError):
+            bloch_propagate(ConstField((0, 0, 1)), BlochState(np.array(n0), alpha, N),
                             (0, 1), 1e-10)
 
 

@@ -1,13 +1,17 @@
+import cmath
+import gc
 import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spineq import catalog
-from spineq.errors import FieldParseError, SingularityError
-from spineq.expr import (BinOp, Call, Num, Var, eval_expr, parse_expr,
+from spineq import catalog, expr
+from spineq.errors import FieldParseError, SingularityError, SpinEqError
+from spineq.expr import (BinOp, Call, Neg, Num, Var, eval_expr, parse_expr,
                          print_expr)
 from spineq.fields import (CatalogField, ConstField, ExprField, dump_field_json,
                            eval_field, field_callable, load_field_json,
@@ -211,3 +215,124 @@ class TestCatalogFieldGolden:
                 f = bound(t)
                 for got in (catalog.entry_field(e.id, None, t), (f[0], f[2])):
                     assert [_hex(z) for z in got] == [_hex(z) for z in want], (eid, t)
+
+
+class _NoPerNodeCheck:
+    """expr's cmath with the scalar path's finite test made to fail, so that
+    an array call that falls back to the per-node loop is caught."""
+
+    def __getattr__(self, name):
+        return getattr(cmath, name)
+
+    @staticmethod
+    def isfinite(z):
+        raise AssertionError("the array call fell back to the per-node loop")
+
+
+def _assert_array_call_matches_loop(fn, times, monkeypatch):
+    """fn(times) against the per-node loop: the same bits without a fallback,
+    or the same error type, message and t.  True if the values matched."""
+    try:
+        want = np.array([fn(t) for t in times])
+    except SpinEqError as exc:
+        with pytest.raises(type(exc)) as got:
+            fn(times)
+        assert str(got.value) == str(exc)
+        assert got.value.t == exc.t
+        return False
+    with monkeypatch.context() as m:
+        m.setattr(expr, "cmath", _NoPerNodeCheck())
+        got = fn(times)
+    assert got.shape == want.shape == (len(times), 3)
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+    return True
+
+
+_finite = st.floats(-4, 4, allow_nan=False)  # hits +-0.0
+_leaf = st.one_of(
+    st.builds(Num, st.builds(complex, _finite, _finite)),
+    st.sampled_from([Var("t"), Var("t"), Var("a"), Var("b"), Num(complex(-0.0, 0.0))]))
+_ast = st.recursive(_leaf, lambda sub: st.one_of(
+    st.builds(Neg, sub),
+    st.builds(Call, st.sampled_from(sorted(expr.FUNCTIONS)), sub),
+    st.builds(BinOp, st.sampled_from(["+", "-", "*", "/", "^"]), sub, sub)),
+    max_leaves=12)
+
+
+class TestArrayCall:
+    """A field callable given an array of times returns the per-node loop's
+    samples bit for bit, or raises the per-node loop's error."""
+
+    @pytest.mark.parametrize("eid", range(1, 27))
+    def test_catalog_fields(self, eid, monkeypatch):
+        e = catalog.entry(eid)
+        rng = np.random.default_rng([eid, 5])
+        matched = 0
+        for p in [e.merged(None)] + [e.draw_params(rng) for _ in range(3)]:
+            t0, t1 = e.window_for(p)
+            specs = (CatalogField(eid, p), ExprField(parse_field_spec(e.field_dsl).defs, p))
+            for times in (np.linspace(t0, t1, 201), np.linspace(-t1, -t0, 51)):
+                for spec in specs:
+                    matched += _assert_array_call_matches_loop(field_callable(spec), times,
+                                                               monkeypatch)
+        assert matched >= 8  # both routes on the default window at least
+
+    @given(st.lists(st.one_of(_ast, st.none()), min_size=3, max_size=3),
+           st.builds(complex, _finite, _finite), st.builds(complex, _finite, _finite),
+           st.lists(st.floats(-3, 3, allow_nan=False), min_size=1, max_size=12))
+    @settings(max_examples=150, deadline=None)
+    def test_random_expressions(self, nodes, a, b, ts):
+        defs = tuple((comp, node) for comp, node in zip(("F1", "F2", "F3"), nodes)
+                     if node is not None)
+        with pytest.MonkeyPatch.context() as m:
+            _assert_array_call_matches_loop(field_callable(ExprField(defs, {"a": a, "b": b})),
+                                            np.array(ts + [0.0, -0.0]), m)
+
+    @pytest.mark.parametrize("text", ["1/(t - 0.5)", "3e12*t", "ln(t - 0.25)"])
+    def test_compiled_expression_errors_match_per_node(self, text):
+        fn = expr.compile_expr(parse_expr(text), {})
+        times = np.linspace(0, 1, 801)
+        with pytest.raises(SingularityError) as want:
+            [fn(t) for t in times]
+        with pytest.raises(SingularityError) as got:
+            fn(times)
+        assert (str(got.value), got.value.t) == (str(want.value), want.value.t)
+
+    def test_dropped_binding_needs_no_cyclic_collection(self):
+        # a binding per parameter set is made and dropped per op; a reference
+        # cycle would keep each one, with its compiled trees, until a full
+        # collection, which showed as a higher peak memory
+        spec = parse_field_spec("F1 = a*cos(t); F3 = 1/(t - 0.5)")
+        gc.collect()
+        gc.disable()
+        try:
+            for a in (0.5, 0.25):
+                fn = field_callable(spec, {"a": a})
+                fn(0.3)
+                fn(np.linspace(0, 0.4, 5))
+                try:
+                    fn(np.linspace(0, 1, 5))
+                except SingularityError:
+                    pass
+            del fn
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_const_field(self, monkeypatch):
+        fn = field_callable(ConstField((1.5, complex(-0.0, 2.0), 0j)))
+        assert _assert_array_call_matches_loop(fn, np.linspace(-1, 1, 7), monkeypatch)
+
+    @pytest.mark.parametrize("text, times, t_err", [
+        ("F3 = 1/(t - 0.5)", np.linspace(0, 1, 801), 0.5),
+        # F1 fails first on the array, but F3 fails at an earlier node
+        ("F1 = 1/(t - 0.75); F3 = ln(t - 0.25)", np.linspace(0, 1, 5), 0.25),
+        ("F1 = 0.5; F2 = 3e12*t", np.linspace(0, 1, 11), 0.4),
+        ("F3 = 1e200*t*1e200", np.linspace(-1, 1, 9), -1.0),  # inf, nothing raised
+    ], ids=["pole-on-node", "component-order", "above-threshold", "non-finite"])
+    def test_errors_match_per_node(self, text, times, t_err, monkeypatch):
+        fn = field_callable(parse_field_spec(text))
+        assert not _assert_array_call_matches_loop(fn, times, monkeypatch)
+        with pytest.raises(SingularityError) as got:
+            fn(times)
+        assert got.value.t == t_err
