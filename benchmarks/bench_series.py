@@ -1,6 +1,7 @@
-"""Benchmark the compiled series kernels against the pure-Python twin, the
-pure-Python grid kernels against its scalar loops, and field sampling by
-array call against the per-node loop.
+"""Benchmark the series kernels: the scalar loops, the grid kernels against
+the scalar loops, and field sampling by array call against the per-node
+loop; count the grid and array-call values that are bit-identical to the
+scalar ones.
 
 Run:  python benchmarks/bench_series.py
 """
@@ -11,11 +12,6 @@ import numpy as np
 
 from spineq import _series_py, catalog
 from spineq.fields import ExprField, field_callable, parse_field_spec
-
-try:
-    from spineq import _series
-except ImportError:
-    _series = None
 
 
 def sweep_2f1(kernel, points):
@@ -90,14 +86,8 @@ def main():
     rows = []
     t_py = timeit(sweep_2f1, _series_py, pts_2f1)
     rows.append(("2F1 series", "pure Python", t_py, 1.0))
-    if _series is not None:
-        t_c = timeit(sweep_2f1, _series, pts_2f1)
-        rows.append(("2F1 series", "compiled", t_c, t_py / t_c))
     t_py = timeit(sweep_1f1, _series_py, pts_1f1)
     rows.append(("1F1 series", "pure Python", t_py, 1.0))
-    if _series is not None:
-        t_c = timeit(sweep_1f1, _series, pts_1f1)
-        rows.append(("1F1 series", "compiled", t_c, t_py / t_c))
 
     # the grid kernels sum one parameter set over an array of z, as the
     # catalog's closed forms call them on a residual stencil
@@ -114,11 +104,9 @@ def main():
     rows.append(("1F1 one set", "pure Python", t_py, 1.0))
     rows.append(("1F1 one set", "grid", t_grid, t_py / t_grid))
 
-    print(f"{'kernel':<12} {'backend':<12} {'time (2000 evals)':>18} {'speedup':>9}")
-    for name, backend, t, speedup in rows:
-        print(f"{name:<12} {backend:<12} {t * 1e3:>15.2f} ms {speedup:>8.1f}x")
-    if _series is None:
-        print("\ncompiled kernels not available; showing pure Python only")
+    print(f"{'kernel':<12} {'method':<12} {'time (2000 evals)':>18} {'speedup':>9}")
+    for name, method, t, speedup in rows:
+        print(f"{name:<12} {method:<12} {t * 1e3:>15.2f} ms {speedup:>8.1f}x")
 
     # the grid kernels must reproduce the scalar loop bit for bit
     a, b, c, _ = pts_2f1[0]
@@ -140,15 +128,6 @@ def main():
     same = sum(a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
                for a, b in zip(sample_array(fields), sample_per_node(fields)))
     print(f"array call vs per-node loop: {same} of {len(fields)} fields bit-identical")
-
-    # agreement check between the two backends
-    if _series is not None:
-        worst = 0.0
-        for a, b, c, z in pts_2f1[:200]:
-            v1, _, _ = _series.hyp2f1_series(a, b, c, z)
-            v2, _, _ = _series_py.hyp2f1_series(a, b, c, z)
-            worst = max(worst, abs(v1 - v2) / max(abs(v1), 1e-300))
-        print(f"\nbackend agreement (2F1, 200 points): max rel diff {worst:.2e}")
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Pure-Python series kernels; same contract as the compiled spineq._series.
+"""Pure-Python series kernels: hyp2f1_series and hyp1f1_series.
 
 Both return (value, terms_used, relative_truncation_estimate); terms_used
 == -1 signals that the term cap was reached before convergence.
@@ -16,8 +16,6 @@ import numpy as np
 MAX_TERMS = 20000
 REL_EPS = 1e-16
 STREAK = 3
-
-COMPILED = False
 
 # the grid kernels take up to _BLOCK terms per vectorised step, fewer when
 # that many terms of all live elements would pass _BLOCK_SIZE (memory)

@@ -29,11 +29,11 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, SingularityError, SpinEqError
+from .errors import DomainError, SingularityError
 from .expr import compile_expr, parse_statements
 from .fields import CatalogField, field_callable
-from .specfun import (USING_COMPILED, gauss_2f1, kummer_phi, parabolic_d,
-                      _elementwise, _is_nonpositive_integer)
+from .numutil import grid_or_replay
+from .specfun import gauss_2f1, kummer_phi, parabolic_d, _elementwise, _is_nonpositive_integer
 from .spinors import Spinor
 from . import dynamics
 
@@ -95,6 +95,9 @@ class CatalogEntry:
         return [name for name, ok in self.constraints if not _holds(ok, params)]
 
     def check_params(self, params) -> None:
+        bad = [k for k, v in params.items() if not cmath.isfinite(v)]
+        if bad:
+            raise DomainError(f"entry {self.id} parameters not finite: {bad}")
         bad = self.failed_constraints(params)
         if bad:
             raise DomainError(f"entry {self.id} parameter constraints violated: {bad}")
@@ -125,7 +128,9 @@ class CatalogEntry:
 
     def solution_components(self, t: float, params: dict):
         try:
-            u1, u2 = self._solution(t, params)
+            # numpy warns of the non-finite values that the check below reports
+            with np.errstate(all="ignore"):
+                u1, u2 = self._solution(t, params)
         except (ZeroDivisionError, OverflowError):
             raise SingularityError(
                 f"entry {self.id} solution singular at t = {t}", t=t) from None
@@ -778,48 +783,31 @@ def verify_entry(entry_id: int, params: dict | None = None,
     Residual ||i u' - (sigma.F) u|| / max(||u||, 1e-30) with u' from a
     4th-order stencil, at n_points interior nodes of the window.  The closed
     form is evaluated at all 5 n_points stencil nodes in one call on an
-    object array of times, which gives the same bits as dynamics.se_residual
-    node by node; if that call raises or is not finite, the node-by-node
-    path is replayed, so an error keeps its type, message and t.  The field
-    at the centre nodes is sampled in one call too, with the same bits.
+    object array of times, and the field at the centre nodes in one call
+    too, which gives the same bits as dynamics.se_residual node by node; if
+    that raises or a residual is not finite, the node-by-node path is
+    replayed, so an error keeps its type, message and t.
     """
     e = entry(entry_id)
     p = e.merged(params)
     e.check_params(p)
     win = tuple(window) if window is not None else e.window_for(p)
     times = np.linspace(win[0], win[1], n_points)
-
     f_fn = field_callable(CatalogField(entry_id, p))
-    stencils = [dynamics.stencil(t) for t in times]
-    # the grid kernels give the pure-Python kernels' bits, so a build with
-    # the compiled kernel stays on its per-node path
-    u = None if USING_COMPILED else _stencil_solutions(e, [nodes for _, nodes in stencils], p)
-    if u is None:
-        def u_fn(t):
-            u1, u2 = e.solution_components(t, p)
-            return np.array([u1, u2])
 
-        residuals = [dynamics.se_residual(u_fn, f_fn, t) for t in times]
-    else:
-        residuals = [dynamics.stencil_residual(u_t, F_t, h)
-                     for u_t, F_t, (h, _) in zip(u, f_fn(times), stencils)]
-    residuals = np.array(residuals)
+    def on_grid(times):
+        steps, nodes = zip(*map(dynamics.stencil, times))
+        t = np.array(nodes, dtype=object).ravel()  # the np.float64 nodes themselves
+        u = np.stack([np.asarray(ui, dtype=complex) for ui in e._solution(t, p)], axis=-1)
+        return np.array([dynamics.stencil_residual(u_t, F_t, h) for u_t, F_t, h
+                         in zip(u.reshape(len(times), 5, 2), f_fn(times), steps)])
+
+    def u_fn(t):
+        return np.array(e.solution_components(t, p))
+
+    residuals = grid_or_replay(on_grid, lambda t: dynamics.se_residual(u_fn, f_fn, t), times)
     return EntryReport(entry_id, p, win, times, residuals,
                        float(np.max(residuals)), e.flagged)
-
-
-def _stencil_solutions(e: CatalogEntry, nodes, p: dict):
-    """The closed form at every stencil node, as an (n_points, 5, 2) complex
-    array; None if the grid evaluation raises or is not finite."""
-    t = np.empty(5 * len(nodes), dtype=object)
-    t[:] = [x for point in nodes for x in point]  # the np.float64 nodes themselves
-    try:
-        u = np.stack([np.asarray(ui, dtype=complex) for ui in e._solution(t, p)], axis=-1)
-    except (SpinEqError, ArithmeticError, ValueError):
-        return None  # the per-node replay raises the error itself
-    if not np.isfinite(u).all():
-        return None
-    return u.reshape(len(nodes), 5, 2)
 
 
 _T_ENTRY_SCALING = {

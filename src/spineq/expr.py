@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FieldParseError, SingularityError
+from .numutil import grid_or_replay
 
 __all__ = ["ExprNode", "Num", "Var", "Call", "BinOp", "Neg", "parse_expr",
            "parse_statements", "print_expr", "compile_expr", "eval_expr",
@@ -425,24 +426,18 @@ def compile_expr(node: ExprNode, params: dict[str, complex]):
     def value(t):
         return on_grid(t) if isinstance(t, ndarray) else scalar(t)
 
+    def array_call(times):
+        out = np.empty(times.shape, dtype=complex)  # a constant broadcasts
+        out[...] = grid(np.array(times.astype(complex).tolist(), dtype=object))
+        return out
+
     def on_grid(times):
         nonlocal grid
         if grid is None:
             grid = _compile(node, params, _GRID_LEAVES)
-        out = np.empty(times.shape, dtype=complex)
-        try:
-            # numpy would warn of the floating-point flags that CPython's
-            # arithmetic leaves set; the scalar path is silent
-            with np.errstate(all="ignore"):
-                out[...] = grid(np.array(times.astype(complex).tolist(), dtype=object))
-        except SingularityError:  # what the Call and BinOp closures raise
-            pass
-        else:
-            # abs is NaN or inf for every value that is not finite
-            if (np.abs(out) <= SINGULARITY_THRESHOLD).all():
-                return out
-        # the loop raises the error of the first failing time
-        return np.array([scalar(x) for x in times], dtype=complex)
+        # abs is NaN or inf for every value that is not finite
+        return grid_or_replay(array_call, scalar, times,
+                              ok=lambda v: np.abs(v) <= SINGULARITY_THRESHOLD)
 
     return value
 

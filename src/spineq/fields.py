@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as ex
-from .errors import DomainError, FieldParseError, SpinEqError
+from .errors import DomainError, FieldParseError
+from .numutil import grid_or_replay
 from .spinors import CVec3
 
 __all__ = [
@@ -140,18 +141,18 @@ def field_callable(spec: FieldSpec, params: dict | None = None):
     else:
         raise DomainError(f"not a field spec: {spec!r}")
 
+    def at(t):
+        return np.array([f1(t), f2(t), f3(t)])
+
+    def array_call(times):  # a constant component broadcasts
+        return np.stack([np.broadcast_to(f(times), times.shape) for f in (f1, f2, f3)], -1)
+
     def sample(t):
-        if not isinstance(t, np.ndarray):
-            return np.array([f1(t), f2(t), f3(t)])
-        out = np.empty((len(t), 3), dtype=complex)
-        try:
-            for j, f in enumerate((f1, f2, f3)):
-                out[:, j] = f(t)
-        except SpinEqError:
+        if isinstance(t, np.ndarray):
             # a later component can fail at an earlier node: the per-node
-            # loop raises the error that comes first
-            return np.array([[f1(x), f2(x), f3(x)] for x in t])
-        return out
+            # replay raises the error that comes first
+            return grid_or_replay(array_call, at, t)
+        return np.array([f1(t), f2(t), f3(t)])
 
     return sample
 

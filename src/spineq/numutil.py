@@ -1,14 +1,33 @@
-"""Finite-difference stencils and quadrature helpers used across the package."""
+"""Stencils, quadrature and the grid-or-replay rule used across the package."""
 
 import numpy as np
 
+from .errors import SpinEqError
+
 __all__ = [
+    "grid_or_replay",
     "fd_derivative",
     "fd_derivative_callable",
     "fd_second_derivative_callable",
     "cumulative_integral",
     "default_step",
 ]
+
+
+def grid_or_replay(grid, node, times, ok=np.isfinite):
+    """grid(times), one array call, if it returns values that all pass ok;
+    else node at each time in turn, which raises the error of the first
+    failing time with its type, message and t.  numpy's floating-point
+    warnings are silenced in the array call: the replay reports a failure."""
+    try:
+        with np.errstate(all="ignore"):
+            values = grid(times)
+    except (SpinEqError, ArithmeticError, ValueError):
+        pass
+    else:
+        if ok(values).all():
+            return values
+    return np.array([node(t) for t in times])
 
 
 def default_step(t, scale=1e-5):

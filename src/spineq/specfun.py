@@ -1,11 +1,10 @@
 """Complex-parameter special functions: Gauss 2F1, Kummer Phi, parabolic
 cylinder D_p, and the complex gamma function.
 
-The raw power-series summation lives in a compiled kernel
-(spineq._series, Cython) with a pure-Python twin (spineq._series_py);
-whichever is importable is selected here.  Everything else — domain
-handling, the Pfaff transformation used near the unit circle, the Lanczos
-gamma and the parabolic-cylinder reduction — is plain Python on top.
+The raw power-series summation lives in the pure-Python kernels of
+spineq._series_py.  Everything else — domain handling, the Pfaff
+transformation used near the unit circle, the Lanczos gamma and the
+parabolic-cylinder reduction — is plain Python on top.
 
 gauss_2f1, kummer_phi and parabolic_d also take an ndarray of z (an
 object array of Python numbers, as the catalog's closed forms build) and
@@ -24,17 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _series_py as _kernel_py
+from . import _series_py
 from .errors import AccuracyError, DomainError
 
-try:
-    from . import _series as _kernel
-except ImportError:  # compiled extension unavailable
-    _kernel = _kernel_py
+USING_COMPILED = False  # there is one series backend, the pure-Python one
 
-USING_COMPILED = bool(getattr(_kernel, "COMPILED", False))
-
-MAX_TERMS = _kernel.MAX_TERMS
+MAX_TERMS = _series_py.MAX_TERMS
 
 # direct series is used below this argument modulus; above it the engine
 # switches to the z -> z/(z-1) Pfaff transformation when that shrinks the
@@ -63,19 +57,21 @@ class SeriesResult:
 
 def _is_nonpositive_integer(z: complex, tol: float = 1e-14) -> bool:
     z = complex(z)
-    if abs(z.imag) > tol:
+    if abs(z.imag) > tol or not math.isfinite(z.real):
         return False
     r = round(z.real)
     return r <= 0 and abs(z.real - r) <= tol * max(1.0, abs(z.real))
 
 
 def _check_gamma_param(gamma: complex, name: str = "gamma"):
+    if not cmath.isfinite(gamma):
+        raise DomainError(f"{name} = {gamma} is not finite")
     if _is_nonpositive_integer(gamma):
         raise DomainError(f"{name} = {gamma} is a non-positive integer (series pole)")
 
 
 def _run_2f1(a, b, c, z) -> SeriesResult:
-    value, n, est = _kernel.hyp2f1_series(complex(a), complex(b), complex(c), complex(z))
+    value, n, est = _series_py.hyp2f1_series(complex(a), complex(b), complex(c), complex(z))
     if n < 0:
         raise AccuracyError(
             f"2F1 series did not converge within {MAX_TERMS} terms at z={z}"
@@ -156,9 +152,9 @@ def _gauss_2f1_grid(alpha, beta, gamma, z: np.ndarray) -> np.ndarray:
             pfaff.append(i)
             images.append(w)
     if direct.any():
-        out[direct] = _run_grid("2F1", _kernel_py.hyp2f1_grid, (alpha, beta, gamma), zc[direct])
+        out[direct] = _run_grid("2F1", _series_py.hyp2f1_grid, (alpha, beta, gamma), zc[direct])
     if pfaff:
-        inner = _run_grid("2F1", _kernel_py.hyp2f1_grid, (alpha, gamma - beta, gamma),
+        inner = _run_grid("2F1", _series_py.hyp2f1_grid, (alpha, gamma - beta, gamma),
                           np.array(images))
         out[pfaff] = [(1.0 - complex(zc[i])) ** (-alpha) * v for i, v in zip(pfaff, inner)]
     return out.reshape(np.shape(z))
@@ -174,7 +170,7 @@ def gauss_2f1(alpha: complex, beta: complex, gamma: complex, z: complex) -> comp
 def kummer_phi_info(alpha: complex, gamma: complex, z: complex) -> SeriesResult:
     """Confluent hypergeometric Phi(alpha, gamma; z) with metadata."""
     _check_gamma_param(gamma)
-    value, n, est = _kernel.hyp1f1_series(complex(alpha), complex(gamma), complex(z))
+    value, n, est = _series_py.hyp1f1_series(complex(alpha), complex(gamma), complex(z))
     if n < 0:
         raise AccuracyError(
             f"Kummer series did not converge within {MAX_TERMS} terms at z={z}"
@@ -186,7 +182,7 @@ def kummer_phi(alpha: complex, gamma: complex, z: complex) -> complex:
     """Phi(alpha, gamma; z); an ndarray z gives an object array."""
     if isinstance(z, np.ndarray):
         _check_gamma_param(gamma)
-        return _run_grid("Kummer", _kernel_py.hyp1f1_grid, (alpha, gamma),
+        return _run_grid("Kummer", _series_py.hyp1f1_grid, (alpha, gamma),
                          np.asarray(z, dtype=complex))
     return kummer_phi_info(alpha, gamma, z).value
 
@@ -209,6 +205,8 @@ _LANCZOS_C = (
 def complex_gamma(z: complex) -> complex:
     """Gamma(z) for complex z via the Lanczos approximation with reflection."""
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"gamma argument z = {z} is not finite")
     if _is_nonpositive_integer(z):
         raise DomainError(f"gamma pole at z = {z}")
     if z.real < 0.5:

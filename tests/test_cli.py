@@ -137,6 +137,22 @@ class TestVerify:
         assert len(doc["reports"]) == 26
         assert all(r["passed"] for r in doc["reports"])
 
+    def test_singular_window_reports_one_line(self, tmp_path):
+        p = _python(["-m", "spineq.cli", "verify", "--entry", "1", "--window", "0", "1"],
+                    tmp_path, timeout=30)
+        assert p.returncode == 3
+        assert len(p.stderr.splitlines()) == 1
+        assert p.stderr.startswith("ERROR 3:")
+
+    @pytest.mark.parametrize("entry, params", [
+        (16, "a=nan"), (16, "a=inf"), (16, "a=1e200"), (16, "a=1e308"),
+        (7, "c=nan"), (9, "c=nan"),
+    ])
+    def test_non_finite_parameter(self, capsys, entry, params):
+        rc = run(["verify", "--entry", str(entry), "--params", params])
+        assert rc in (2, 3)
+        assert capsys.readouterr().err.startswith(f"ERROR {rc}:")
+
     def test_needs_entry_or_all(self, capsys):
         assert run(["verify"]) == 2
 
