@@ -18,11 +18,12 @@ import numpy as np
 
 from . import catalog
 from .darboux import darboux_params_constant_f, darboux_apply, constant_f_solution
-from .dynamics import Trajectory, propagate, bloch_propagate, BlochState
+from .dynamics import MIN_TOL, Trajectory, propagate, bloch_propagate, BlochState
 from .errors import (AccuracyError, DomainError, FieldParseError,
                      IntegrationError, SingularityError, SpinEqError)
 from .expr import compile_expr, parse_expr
 from .fields import field_callable, load_field_json
+from .numutil import grid_or_replay
 from .reductions import ReductionPlan, reduce_field
 from .solutions import gauge_from_field, invert_field, invert_field_selfadjoint
 from .spinors import CVec3
@@ -33,11 +34,15 @@ EXIT_NUMERICAL = 3
 
 _FMT = "%.16e"
 
-TOL_MIN, TOL_MAX = 1e-13, 1e-3
+TOL_MIN, TOL_MAX = MIN_TOL, 1e-3
 
 # fewest --nodes per subcommand; invert and darboux run a 5-point stencil
 # over their trajectory
 MIN_NODES = {"propagate": 2, "bloch": 2, "reduce": 2, "invert": 5, "darboux": 5}
+# most --nodes and verify --points, checked before any array is allocated: a
+# count far past it fails in np.linspace with MemoryError, and 1e6 propagate
+# nodes already make a 280 MB CSV
+MAX_NODES = 10**6
 
 
 def _fmt(x: float) -> str:
@@ -95,6 +100,13 @@ def _check_tol(tol: float) -> float:
     if not (TOL_MIN <= tol <= TOL_MAX):
         raise _Validation(f"--tol must lie in [{TOL_MIN}, {TOL_MAX}]")
     return tol
+
+
+def _check_count(command: str, flag: str, n: int, least: int) -> None:
+    if n < least:
+        raise _Validation(f"{command} needs {flag} >= {least}")
+    if n > MAX_NODES:
+        raise _Validation(f"{command} needs {flag} <= {MAX_NODES}")
 
 
 def _check_window(window) -> tuple[float, float]:
@@ -161,8 +173,7 @@ def _verify_one(entry_id, params, window, n_points, tol):
 def _cmd_verify(args) -> int:
     params = _parse_params(args.params)
     window = _check_window(args.window) if args.window else None
-    if args.points < 1:
-        raise _Validation("verify needs --points >= 1")
+    _check_count("verify", "--points", args.points, 1)
     tol = args.tol if args.tol is not None else 1e-6
     if args.all:
         reports = [_verify_one(i, params, window, args.points, tol)
@@ -338,13 +349,12 @@ def _cmd_reduce(args) -> int:
     plan = ReductionPlan.make(l, alpha_fn, adot_fn)
     times = np.linspace(window[0], window[1], args.nodes)
     field = field_callable(spec)
-    try:
-        rows = [CVec3.from_array(F) for F in field(times)]
-    except SpinEqError:
-        # node by node, so that an alpha pole before the field's first pole
-        # is the error raised
-        rows = [field] * len(times)
-    samples = np.array([reduce_field(F, plan, t).as_array() for F, t in zip(rows, times)])
+    # the replay reduces node by node, so that an alpha pole before the
+    # field's first pole is the error raised
+    samples = grid_or_replay(
+        lambda ts: np.array([reduce_field(CVec3.from_array(F), plan, t).as_array()
+                             for F, t in zip(field(ts), ts)]),
+        lambda t: reduce_field(field, plan, t).as_array(), times)
     fh, close = _out_handle(args)
     try:
         _write_field_csv(fh, times, samples)
@@ -431,9 +441,7 @@ def run(argv) -> int:
         if args.command in MIN_NODES:
             if args.window is None:
                 raise _Validation(f"{args.command} needs --window T0 T1")
-            if args.nodes < MIN_NODES[args.command]:
-                raise _Validation(f"{args.command} needs --nodes >= "
-                                  f"{MIN_NODES[args.command]}")
+            _check_count(args.command, "--nodes", args.nodes, MIN_NODES[args.command])
         return args.fn(args)
     except (_Validation, DomainError, FieldParseError, OSError) as exc:
         print(f"ERROR {EXIT_VALIDATION}: {exc}", file=sys.stderr)

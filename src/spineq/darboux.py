@@ -22,9 +22,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, IntegrationError, SingularityError
+from .errors import DomainError, SingularityError
 from .dynamics import Trajectory, trajectory_se_residuals, _check_uniform
-from .numutil import fd_derivative_callable
+from .numutil import dop853, fd_derivative_callable
 from .spinors import SIGMA1, SIGMA2, SIGMA3, l_vector_arr, anticonjugate_arr
 
 __all__ = [
@@ -106,21 +106,14 @@ def darboux_params_mu_route(F3_fn, R: complex, mu0: float, window,
                             tol: float = 1e-10, n_nodes: int = 801) -> DarbouxParams:
     """Pair via the phase equation mu' = 2 (R sin mu - F3), with
     (alpha, beta) = (R cos mu, R sin mu).  Real R, F3 and mu assumed."""
-    from scipy.integrate import solve_ivp
-
     t0, t1 = float(window[0]), float(window[1])
     R = complex(R)
 
     def rhs(t, y):
         return [2.0 * (R.real * math.sin(y[0]) - float(F3_fn(t)))]
 
-    rt = max(tol / 4.0, 2.3e-14)
-    t_eval = np.linspace(t0, t1, n_nodes)
-    sol = solve_ivp(rhs, (t0, t1), [mu0], method="DOP853", rtol=rt, atol=rt,
-                    t_eval=t_eval, dense_output=True)
-    if not sol.success:
-        raise IntegrationError(f"mu integration failed: {sol.message}")
-    dense = sol.sol
+    dense = dop853(rhs, (t0, t1), [mu0], tol, np.linspace(t0, t1, n_nodes),
+                   "mu integration", dense_output=True).sol
 
     def mu(t):
         return float(dense(t)[0])

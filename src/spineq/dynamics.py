@@ -3,10 +3,8 @@
 propagate() is the package's independent numerical oracle: an adaptive
 high-order explicit Runge-Kutta integration (scipy DOP853, embedded error
 estimate) used everywhere a closed form needs residual verification.
-
-scipy.integrate is imported inside the functions that run a solver, so that
-importing the package (and every CLI call that solves nothing) does not pay
-for it.
+Every solve here runs through numutil.dop853, and every field solve starts
+with _sampled_field.
 """
 
 from __future__ import annotations
@@ -17,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, IntegrationError, SingularityError
-from .fields import FieldSpec, field_callable, split_kg
-from .numutil import fd_derivative
+from .errors import AccuracyError, DomainError
+from .fields import FieldSpec, field_callable
+from .numutil import dop853, fd_derivative
 from .spinors import CVec3, Spinor, eigenpairs, l_vector_arr, sigma_dot
 
 __all__ = [
@@ -107,23 +105,13 @@ class HamiltonianReport:
     t_stop: float
 
 
-def _rhs_factory(field_fn):
-    def rhs(t, y):
-        F = field_fn(t)
-        s = sigma_dot(F)
-        return -1j * (s @ y)
-
-    return rhs
-
-
-def propagate(spec: FieldSpec, V0, window, tol: float = 1e-10,
-              params: dict | None = None, n_nodes: int = 801,
-              t_eval=None) -> Trajectory:
-    """Adaptive propagation of the spin equation over [t0, t1].
-
-    V0 may be a Spinor or a length-2 complex sequence.  The returned grid
-    is t_eval if given, else n_nodes uniform nodes.
-    """
+def _sampled_field(spec: FieldSpec, window, tol: float, params: dict | None,
+                   t_eval):
+    """The checks every field solve makes before it starts: tol, the window
+    and the field's declared poles.  Returns the window as floats, the bound
+    field callable, the output nodes and the field sampled there, so a field
+    singular at a node fails at once instead of after the solver has crawled
+    up to its pole."""
     if tol < MIN_TOL:
         raise DomainError(f"tol = {tol} below the supported minimum {MIN_TOL}")
     t0, t1 = float(window[0]), float(window[1])
@@ -135,31 +123,28 @@ def propagate(spec: FieldSpec, V0, window, tol: float = 1e-10,
         if hits:
             raise DomainError(
                 f"window [{t0}, {t1}] contains declared field poles at {hits}")
+    field_fn = field_callable(spec, params)
+    t_eval = np.asarray(t_eval, dtype=float)
+    return (t0, t1), field_fn, t_eval, field_fn(t_eval)
+
+
+def propagate(spec: FieldSpec, V0, window, tol: float = 1e-10,
+              params: dict | None = None, n_nodes: int = 801,
+              t_eval=None) -> Trajectory:
+    """Adaptive propagation of the spin equation over [t0, t1].
+
+    V0 may be a Spinor or a length-2 complex sequence.  The returned grid
+    is t_eval if given, else n_nodes uniform nodes.
+    """
     y0 = V0.as_array() if isinstance(V0, Spinor) else np.asarray(V0, dtype=complex)
     if not np.isfinite(y0).all():
         raise DomainError(f"initial state V0 = {y0} is not finite")
-    field_fn = field_callable(spec, params)
     if t_eval is None:
-        t_eval = np.linspace(t0, t1, n_nodes)
-    else:
-        t_eval = np.asarray(t_eval, dtype=float)
-    # sampled before the solve, so a field singular at an output node fails
-    # at once instead of after the solver has crawled up to its pole
-    fsamp = field_fn(t_eval)
-    from scipy.integrate import solve_ivp
-
-    rt = max(tol / 4.0, 2.3e-14)
-    try:
-        sol = solve_ivp(_rhs_factory(field_fn), (t0, t1), y0, method="DOP853",
-                        rtol=rt, atol=rt, t_eval=t_eval, dense_output=False)
-    except SingularityError as exc:
-        raise IntegrationError(f"field singular during propagation: {exc}", t=exc.t) from exc
-    if not sol.success:
-        t_reached = sol.t[-1] if len(sol.t) else t0
-        raise IntegrationError(f"propagation failed near t = {t_reached}: {sol.message}",
-                               t=t_reached)
-    states = sol.y.T.copy()
-    return Trajectory(t_eval, states, fsamp, est_error=tol)
+        t_eval = np.linspace(window[0], window[1], n_nodes)
+    window, field_fn, t_eval, fsamp = _sampled_field(spec, window, tol, params, t_eval)
+    sol = dop853(lambda t, y: -1j * (sigma_dot(field_fn(t)) @ y), window, y0, tol,
+                 t_eval, "propagation")
+    return Trajectory(t_eval, sol.y.T.copy(), fsamp, est_error=tol)
 
 
 def constant_field_propagator(F, t: float) -> Mat2:
@@ -189,10 +174,6 @@ def _check_uniform(times):
     return times, float(dt[0])
 
 
-def _cross(a, b):
-    return np.cross(a, b)
-
-
 def field_from_q(times, q, F1: FieldSpec | None = None, unit: bool = False,
                  params: dict | None = None) -> np.ndarray:
     """External field generated by a transformation-vector path q(t).
@@ -216,13 +197,13 @@ def field_from_q(times, q, F1: FieldSpec | None = None, unit: bool = False,
         if np.max(np.abs(q2 - 1.0)) > 1e-10:
             raise DomainError("unit branch requires q^2 = 1 to 1e-10 along the path")
         qf1 = np.sum(q * f1, axis=1)
-        return _cross(q, qd) + 2.0 * q * qf1[:, None] - f1
+        return np.cross(q, qd) + 2.0 * q * qf1[:, None] - f1
     bad = np.abs(1.0 + q2) < 1e-12
     if np.any(bad):
         t_bad = times[np.argmax(bad)]
         raise DomainError(f"q^2 = -1 encountered at t = {t_bad}; branch undefined")
     qf1 = np.sum(q * f1, axis=1)
-    num = qd + _cross(q, qd) + 2.0 * _cross(q, f1) + 2.0 * q * qf1[:, None] \
+    num = qd + np.cross(q, qd) + 2.0 * np.cross(q, f1) + 2.0 * q * qf1[:, None] \
         - 2.0 * q2[:, None] * f1
     return num / (1.0 + q2)[:, None] + f1
 
@@ -298,12 +279,13 @@ def bloch_propagate(spec: FieldSpec, state0: BlochState, window,
         raise DomainError("initial Bloch vector must be unit length")
     if not (math.isfinite(state0.alpha) and 0.0 < state0.N < math.inf):
         raise DomainError("initial alpha must be finite and N finite and positive")
-    field_fn = field_callable(spec, params)
-    t0, t1 = float(window[0]), float(window[1])
+    window, field_fn, t_eval, _ = _sampled_field(
+        spec, window, tol, params, np.linspace(window[0], window[1], n_nodes))
 
     def rhs(t, y):
         n = y[:3]
-        K, G = split_kg(CVec3.from_array(field_fn(t)))
+        F = field_fn(t)
+        K, G = F.real, F.imag
         gn = G @ n
         ndot = 2.0 * (G - gn * n) + 2.0 * np.cross(K, n)
         rho2 = n[0] * n[0] + n[1] * n[1]
@@ -315,14 +297,8 @@ def bloch_propagate(spec: FieldSpec, state0: BlochState, window,
         adot = phidot_costheta - 2.0 * (K @ n)
         return np.array([ndot[0], ndot[1], ndot[2], adot, gn])
 
-    from scipy.integrate import solve_ivp
-
     y0 = np.array([n0[0], n0[1], n0[2], state0.alpha, math.log(state0.N)])
-    rt = max(tol / 4.0, 2.3e-14)
-    t_eval = np.linspace(t0, t1, n_nodes)
-    sol = solve_ivp(rhs, (t0, t1), y0, method="DOP853", rtol=rt, atol=rt, t_eval=t_eval)
-    if not sol.success:
-        raise IntegrationError(f"Bloch propagation failed: {sol.message}")
+    sol = dop853(rhs, window, y0, tol, t_eval, "Bloch propagation")
     n_path = sol.y[:3].T
     norms = np.linalg.norm(n_path, axis=1)
     drift = float(np.max(np.abs(norms - 1.0)))
@@ -360,15 +336,10 @@ def hamiltonian_check(f_fn, g_fn, q0: float, p0: float, window,
     near_pole.terminal = True
     near_pole.direction = -1
 
-    from scipy.integrate import solve_ivp
-
-    rt = max(tol / 4.0, 2.3e-14)
-    t_eval = np.linspace(t0, t1, n_nodes)
-    sol = solve_ivp(rhs, (t0, t1), [q0, p0], method="DOP853", rtol=rt, atol=rt,
-                    t_eval=t_eval, events=near_pole)
+    # a terminal event ends the solve with success still set
+    sol = dop853(rhs, (t0, t1), [q0, p0], tol, np.linspace(t0, t1, n_nodes),
+                 "canonical integration", events=near_pole)
     truncated = bool(sol.t_events[0].size)
-    if not sol.success and not truncated:
-        raise IntegrationError(f"canonical integration failed: {sol.message}")
     times = sol.t
     q, p = sol.y
     g_vals = np.array([float(g_fn(t)) for t in times])
@@ -389,10 +360,8 @@ def hamiltonian_check(f_fn, g_fn, q0: float, p0: float, window,
             s = math.copysign(1e-12, s if s != 0 else 1.0)
         return [-2.0 * g * math.sin(Phi), 2.0 * f - 2.0 * g * math.cos(Phi) * math.cos(th) / s]
 
-    sol_a = solve_ivp(rhs_angle, (t0, times[-1]), [theta0, Phi0], method="DOP853",
-                      rtol=rt, atol=rt, t_eval=times)
-    if not sol_a.success:
-        raise IntegrationError(f"angle-form integration failed: {sol_a.message}")
+    sol_a = dop853(rhs_angle, (t0, times[-1]), [theta0, Phi0], tol, times,
+                   "angle-form integration")
     theta, Phi = sol_a.y
     angle_mismatch = float(max(np.max(np.abs(q - np.cos(theta))), np.max(np.abs(p + Phi))))
 

@@ -9,7 +9,7 @@ import pytest
 
 import spineq
 from spineq import catalog
-from spineq.cli import _fmt, _verify_one, run
+from spineq.cli import MAX_NODES, _fmt, _verify_one, run
 from spineq.dynamics import CSV_HEADER
 
 SRC = str(Path(spineq.__file__).resolve().parent.parent)
@@ -249,6 +249,24 @@ class TestBlochReduce:
         assert np.max(np.abs(rows[:, 1] - 0.7)) <= 1e-9
         assert np.max(np.abs(rows[:, 5] - (0.4 - 0.65))) <= 1e-9
 
+    def test_bloch_pole_on_a_node_fails_fast(self, tmp_path):
+        # the field is sampled at the output nodes before the solve, so the
+        # solver never crawls up to the pole at t = 0.5
+        (tmp_path / "pole.json").write_text(
+            json.dumps({"kind": "expr", "defs": "F3 = 1/(t - 0.5)"}))
+        p = _python(["-m", "spineq.cli", "bloch", "--field", "pole.json", "--n0", "1,0,0",
+                     "--window", "0", "1"], tmp_path, timeout=FAST_TIMEOUT_S)
+        assert p.returncode == 3
+        assert p.stderr == "ERROR 3: '/' overflow/pole at t = 0.5\n"
+
+    def test_bloch_declared_pole_in_window(self, tmp_path, capsys):
+        path = tmp_path / "entry1.json"
+        path.write_text(json.dumps({"kind": "catalog", "defs": 1}))
+        assert run(["bloch", "--field", str(path), "--n0", "1,0,0",
+                    "--window", "-0.5", "0.5"]) == 2
+        assert capsys.readouterr().err == (
+            "ERROR 2: window [-0.5, 0.5] contains declared field poles at [0.0]\n")
+
     def test_reduce_reports_the_first_pole(self, tmp_path, capsys):
         # the field is sampled in one call, but an alpha pole at an earlier
         # node than the field's is still the error reported
@@ -337,4 +355,26 @@ class TestBoundaryDefects:
         latin1.write_bytes('{"kind": "expr", "defs": "F1 = t", "note": "é"}'.encode("latin-1"))
         paths = {"dir": str(tmp_path), "latin1": str(latin1), "const": const_field}
         assert run([arg.format(**paths) for arg in argv]) == 2
+        assert capsys.readouterr().err.startswith("ERROR 2:")
+
+    @pytest.mark.parametrize("argv", [
+        ["propagate", "--field", "{const}", "--v0", "1,0", "--window", "0", "1",
+         "--nodes", "{n}"],
+        ["invert", "--field", "{const}", "--v0", "1,0", "--window", "0", "1",
+         "--nodes", "{n}"],
+        ["bloch", "--field", "{const}", "--n0", "1,0,0", "--window", "0", "1",
+         "--nodes", "{n}"],
+        ["reduce", "--field", "{const}", "--l", "0,0,1", "--alpha", "t",
+         "--window", "0", "1", "--nodes", "{n}"],
+        ["darboux", "--params", "f=0.5;R=1", "--window", "0", "1", "--nodes", "{n}"],
+        ["verify", "--entry", "1", "--points", "{n}"],
+    ], ids=["propagate", "invert", "bloch", "reduce", "darboux", "verify"])
+    @pytest.mark.parametrize("n", [MAX_NODES + 1, 100_000_000_000])
+    def test_huge_node_count_allocates_nothing(self, const_field, capsys, monkeypatch,
+                                               argv, n):
+        def no_linspace(*args, **kwargs):
+            pytest.fail("np.linspace called for a rejected node count")
+
+        monkeypatch.setattr(np, "linspace", no_linspace)
+        assert run([arg.format(const=const_field, n=n) for arg in argv]) == 2
         assert capsys.readouterr().err.startswith("ERROR 2:")

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from spineq import numutil
+from spineq.darboux import darboux_params_mu_route
 from spineq.dynamics import (BlochState, bloch_propagate,
                              bloch_vector_path, constant_field_propagator,
                              evolution_constant_direction, evolution_from_q,
@@ -463,3 +465,24 @@ class TestConservationLaws:
                       for a, b in zip(cols[0].states, cols[1].states)])
         dets = np.array([np.linalg.det(Ri) for Ri in R])
         assert np.max(np.abs(dets - dets[0])) <= 1e-10
+
+
+class TestSolveBudget:
+    """Every solve runs through numutil.dop853 and so shares its work budget."""
+
+    SOLVES = {
+        "propagate": lambda: propagate(ConstField((0.3, 0, 1.0)), [1, 0], (0, 200)),
+        "bloch_propagate": lambda: bloch_propagate(
+            ConstField((0.3, 0, 1.0)), BlochState(np.array([1.0, 0, 0]), 0.0, 1.0),
+            (0, 200)),
+        "hamiltonian_check": lambda: hamiltonian_check(
+            lambda t: 0.4, lambda t: 0.7, 0.2, 0.3, (0, 200)),
+        "darboux_params_mu_route": lambda: darboux_params_mu_route(
+            lambda t: 0.3 + 0.1 * math.sin(t), 0.8, 0.4, (0, 200)),
+    }
+
+    @pytest.mark.parametrize("name", SOLVES)
+    def test_past_the_budget_raises(self, monkeypatch, name):
+        monkeypatch.setattr(numutil, "RHS_BUDGET", 1000)
+        with pytest.raises(IntegrationError, match="after 1000 right-hand-side calls"):
+            self.SOLVES[name]()
