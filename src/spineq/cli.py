@@ -23,7 +23,7 @@ from .errors import (AccuracyError, DomainError, FieldParseError,
                      IntegrationError, SingularityError, SpinEqError)
 from .expr import compile_expr, parse_expr
 from .fields import field_callable, load_field_json
-from .numutil import grid_or_replay
+from .numutil import E16, csv_rows, grid_or_replay
 from .reductions import ReductionPlan, reduce_field
 from .solutions import gauge_from_field, invert_field, invert_field_selfadjoint
 from .spinors import CVec3
@@ -31,8 +31,6 @@ from .spinors import CVec3
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
-
-_FMT = "%.16e"
 
 TOL_MIN, TOL_MAX = MIN_TOL, 1e-3
 
@@ -46,7 +44,7 @@ MAX_NODES = 10**6
 
 
 def _fmt(x: float) -> str:
-    return _FMT % x
+    return E16 % x
 
 
 def _json_dump(doc, fh):
@@ -126,9 +124,9 @@ def _out_handle(args):
 
 def _write_field_csv(fh, times, samples):
     fh.write("t,re_F1,im_F1,re_F2,im_F2,re_F3,im_F3\n")
-    for t, f in zip(times, samples):
-        row = [t, f[0].real, f[0].imag, f[1].real, f[1].imag, f[2].real, f[2].imag]
-        fh.write(",".join(_fmt(x) for x in row) + "\n")
+    fh.writelines(csv_rows([times, samples[:, 0].real, samples[:, 0].imag,
+                            samples[:, 1].real, samples[:, 1].imag,
+                            samples[:, 2].real, samples[:, 2].imag]))
 
 
 def _cmd_propagate(args) -> int:
@@ -142,9 +140,11 @@ def _cmd_propagate(args) -> int:
         if args.format == "csv":
             traj.to_csv(fh)
         else:
+            v = traj.states.ravel()
             doc = {
-                "times": [_fmt(t) for t in traj.times],
-                "states": [[_fmt(v.real), _fmt(v.imag)] for row in traj.states for v in row],
+                "times": "".join(csv_rows([traj.times])).split(),
+                "states": [pair.split(",") for pair in
+                           "".join(csv_rows([v.real, v.imag])).split()],
                 "est_error": _fmt(traj.est_error),
             }
             _json_dump(doc, fh)
@@ -325,10 +325,8 @@ def _cmd_bloch(args) -> int:
     fh, close = _out_handle(args)
     try:
         fh.write("t,n1,n2,n3,alpha,N\n")
-        for i, t in enumerate(path.times):
-            row = [t, path.n[i, 0], path.n[i, 1], path.n[i, 2],
-                   path.alpha[i], path.N[i]]
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+        fh.writelines(csv_rows([path.times, path.n[:, 0], path.n[:, 1], path.n[:, 2],
+                                path.alpha, path.N]))
     finally:
         if close:
             fh.close()

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import AccuracyError, DomainError
 from .fields import FieldSpec, field_callable
-from .numutil import dop853, fd_derivative
+from .numutil import csv_rows, dop853, fd_derivative
 from .spinors import CVec3, Spinor, eigenpairs, l_vector_arr, sigma_dot
 
 __all__ = [
@@ -44,8 +44,6 @@ Mat2 = np.ndarray  # 2x2 complex matrices are plain numpy arrays
 
 CSV_HEADER = "t,re_v1,im_v1,re_v2,im_v2,re_F1,im_F1,re_F2,im_F2,re_F3,im_F3,norm"
 
-_ROW_FMT = ",".join(["%.16e"] * 12) + "\n"  # one CSV row
-
 MIN_TOL = 1e-13
 
 
@@ -68,11 +66,10 @@ class Trajectory:
     def to_csv(self, fh) -> None:
         fh.write(CSV_HEADER + "\n")
         v, f = self.states, self.field_samples
-        table = np.column_stack([self.times, v[:, 0].real, v[:, 0].imag,
-                                 v[:, 1].real, v[:, 1].imag,
-                                 f[:, 0].real, f[:, 0].imag, f[:, 1].real, f[:, 1].imag,
-                                 f[:, 2].real, f[:, 2].imag, self.norms()])
-        fh.writelines(_ROW_FMT % tuple(row) for row in table.tolist())
+        fh.writelines(csv_rows([self.times, v[:, 0].real, v[:, 0].imag,
+                                v[:, 1].real, v[:, 1].imag,
+                                f[:, 0].real, f[:, 0].imag, f[:, 1].real, f[:, 1].imag,
+                                f[:, 2].real, f[:, 2].imag, self.norms()]))
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,15 @@
-"""Stencils, quadrature, the grid-or-replay rule and the one DOP853 driver
-used across the package."""
+"""Stencils, quadrature, the grid-or-replay rule, the one DOP853 driver and
+the one float formatter used across the package."""
 
 import numpy as np
 
 from .errors import IntegrationError, SingularityError, SpinEqError
 
 __all__ = [
+    "E16",
+    "E16_MARGIN",
+    "CSV_BLOCK_ROWS",
+    "csv_rows",
     "dop853",
     "RHS_BUDGET",
     "grid_or_replay",
@@ -15,6 +19,122 @@ __all__ = [
     "cumulative_integral",
     "default_step",
 ]
+
+# every float the package writes, CSV and JSON alike: 17 significant digits,
+# enough to read the same double back
+E16 = "%.16e"
+
+# rows formatted and written per block, so that the formatter's temporaries
+# (about 130 bytes a value) stay near 0.4 MB for a 12-column table however
+# long it is, each array under the 128 KB at which malloc turns to mmap
+CSV_BLOCK_ROWS = 256
+
+# 10**0 .. 10**27, exact in an x87 or quad long double: 5**27 < 2**63
+_POW10 = np.cumprod(np.r_[1, np.full(27, 10)].astype(np.longdouble))
+_P16, _P17 = _POW10[16], _POW10[16] * 10
+
+# twice the half ulp of a long double below 2**57; 2**-7 for the x87 format,
+# and 16 where long double is just a double, so that there every value takes
+# the exact fallback
+E16_MARGIN = float(2 * 2.0**55 * np.finfo(np.longdouble).eps)
+
+# the ASCII digits of 0000 .. 9999 as one 4-byte word each, and the exponent
+# field "e+dd" / "e-dd" of -99 .. 99 as one word at index e + 99
+_DIGITS = np.stack(np.meshgrid(*[np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)] * 4,
+                               indexing="ij"), axis=-1).reshape(10000, 4)
+_DIGIT_WORDS = _DIGITS.view(np.uint32).ravel()
+_EXP = np.arange(-99, 100)
+_EXP_WORDS = np.column_stack([np.full(_EXP.size, ord("e")),
+                              np.where(_EXP < 0, ord("-"), ord("+")),
+                              _DIGITS[abs(_EXP), 2:]]).astype(np.uint8).view(np.uint32).ravel()
+
+
+def _scaled(a, e):
+    """|x| * 10**(16 - e) in long double, rounded once: one factor is 1."""
+    k = 16 - e
+    return a * _POW10[np.clip(k, 0, 27)] / _POW10[np.clip(-k, 0, 27)]
+
+
+def _e16_digits(x):
+    """The fast path of _e16_block: per value of the float64 array x, whether
+    it is accepted, its 17 digits as an integer D and its exponent E.
+
+    With E = floor(log10 |x|), the 17 digits printf writes are D = round(s*),
+    s* = |x| * 10**(16 - E) exactly.  For |16 - E| <= 27 the power of ten is
+    exact in long double, so s, the product (or quotient) computed there, is
+    rounded once: |s - s*| <= ulp(s*) / 2 <= 2**55 * eps for s < 10**17 <
+    2**57, with eps = finfo(longdouble).eps.  D = rint(s) is then accepted
+    only if |s - D| < 1/2 - E16_MARGIN, E16_MARGIN = 2 * 2**55 * eps, which
+    puts s* strictly within 1/2 of D: D is the correctly rounded value and
+    s* no tie.  E is taken again where log10 lands across a power of ten (s
+    outside [10**16, 10**17)), which it does just below most of them; if the
+    rounding of s alone crossed 10**16, the text is the same
+    "1.0000000000000000e..." either way.  D = 10**17, a carry into the
+    exponent, would need a double within 5e-18 of a power of ten from below,
+    and none in this range is: such a D is rejected rather than carried.
+    The range of E keeps the accepted exponents at two digits; +-0.0 are
+    accepted with D = E = 0.
+    """
+    with np.errstate(all="ignore"):
+        a = np.abs(x)
+        e = np.floor(np.log10(a))
+        a = a.astype(np.longdouble)
+        finite = np.isfinite(e)          # not 0, inf or NaN
+        e = np.where(finite, e, 0).astype(np.int64)
+        s = _scaled(a, e)
+        move = finite & ((s < _P16) | (s >= _P17))
+        if move.any():
+            e[move] += np.where(s[move] < _P16, -1, 1)
+            s[move] = _scaled(a[move], e[move])
+        fast = (((s >= _P16) & (s < _P17)) | (a == 0)) & (np.abs(16 - e) <= 27)
+        s[~fast] = 0
+        d = (s + 0.5).astype(np.uint64)  # no tie is accepted, so round half up
+        fast &= (np.abs((s - d).astype(np.float64)) < 0.5 - E16_MARGIN) & (d < 10**17)
+    e[~fast] = 0
+    return fast, d, e
+
+
+def _e16_block(table):
+    """The CSV text of a 2-D float64 table, each value exactly as E16 % v
+    writes it, and the number of values that took the exact fallback.
+
+    The digits come from _e16_digits, in numpy; every value it rejects
+    (NaN, +-inf, subnormal or huge values, near-ties) is written with
+    E16 % v, the exact fallback.
+    """
+    rows, cols = table.shape
+    x = table.ravel()
+    fast, d, e = _e16_digits(x)
+    hi, lo = np.divmod(d, 10**8)
+    lead, hi = np.divmod(hi, 10**8)
+    # per value 7 words: NUL, sign, lead digit, "." | 4 x 4 digits | "e+dd" |
+    # separator; the NULs are dropped at the end
+    words = np.empty((x.size, 7), np.uint32)
+    b = words.view(np.uint8)
+    b[:, 0] = 0
+    b[:, 1] = np.signbit(x).view(np.uint8) * np.uint8(ord("-"))
+    b[:, 2] = lead + ord("0")
+    b[:, 3] = ord(".")
+    for col, group in enumerate((*np.divmod(hi, 10**4), *np.divmod(lo, 10**4)), 1):
+        words[:, col] = _DIGIT_WORDS[group]
+    words[:, 5] = _EXP_WORDS[e + 99]
+    words[:, 6] = 0
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        words[slow, :6] = np.array([E16 % v for v in x[slow].tolist()],
+                                   dtype="S24").view(np.uint32).reshape(-1, 6)
+    b = b.reshape(rows, cols, 28)
+    b[:, :, 24] = ord(",")
+    b[:, -1, 24] = ord("\n")
+    return str(b[b != 0].data, "ascii"), slow.size
+
+
+def csv_rows(columns):
+    """Yield the CSV text of the rows of ``columns`` (float arrays of one
+    length), CSV_BLOCK_ROWS rows per string, every value exactly as
+    ``E16 % v`` writes it."""
+    for i in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+        yield _e16_block(np.column_stack([c[i:i + CSV_BLOCK_ROWS] for c in columns]))[0]
 
 
 def grid_or_replay(grid, node, times, ok=np.isfinite):
@@ -44,18 +164,23 @@ def dop853(rhs, window, y0, tol, t_eval, what, **solve_ivp_kwargs):
     rtol = atol = max(tol / 4, 2.3e-14), sampled at t_eval.
 
     The one solve policy of the package.  A SingularityError out of rhs, a
-    failed solve and a solve past RHS_BUDGET right-hand-side calls each raise
-    IntegrationError naming ``what``.  scipy.integrate is imported here, so
-    that importing the package does not pay for it.
+    failed solve, a solve past RHS_BUDGET right-hand-side calls and a solve
+    that ends with non-finite states each raise IntegrationError naming
+    ``what``; a failed solve names the last time rhs was called at, where
+    the solver stopped.  numpy's floating-point warnings are silenced in the
+    solve, since those failures report it.  scipy.integrate is imported
+    here, so that importing the package does not pay for it.
     """
     from scipy.integrate import solve_ivp
 
     budget = RHS_BUDGET
     calls = 0
+    t_last = window[0]
 
     def counted(t, y):
-        nonlocal calls
+        nonlocal calls, t_last
         calls += 1
+        t_last = t
         if calls > budget:
             raise IntegrationError(f"{what} stopped at t = {t} after {budget} "
                                    "right-hand-side calls", t=t)
@@ -63,14 +188,19 @@ def dop853(rhs, window, y0, tol, t_eval, what, **solve_ivp_kwargs):
 
     rt = max(tol / 4.0, 2.3e-14)
     try:
-        sol = solve_ivp(counted, window, y0, method="DOP853", rtol=rt, atol=rt,
-                        t_eval=t_eval, **solve_ivp_kwargs)
+        with np.errstate(all="ignore"):
+            sol = solve_ivp(counted, window, y0, method="DOP853", rtol=rt, atol=rt,
+                            t_eval=t_eval, **solve_ivp_kwargs)
     except SingularityError as exc:
         raise IntegrationError(f"field singular during {what}: {exc}", t=exc.t) from exc
     if not sol.success:
-        t_reached = sol.t[-1] if len(sol.t) else window[0]
-        raise IntegrationError(f"{what} failed near t = {t_reached}: {sol.message}",
-                               t=t_reached)
+        raise IntegrationError(f"{what} failed near t = {t_last}: {sol.message}",
+                               t=t_last)
+    bad = ~np.isfinite(sol.y).all(axis=0)
+    if bad.any():
+        t_bad = sol.t[bad.argmax()]
+        raise IntegrationError(f"{what} reached non-finite states at t = {t_bad}",
+                               t=t_bad)
     return sol
 
 

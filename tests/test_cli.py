@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import spineq
-from spineq import catalog
+from spineq import catalog, cli, dynamics
 from spineq.cli import MAX_NODES, _fmt, _verify_one, run
 from spineq.dynamics import CSV_HEADER
 
@@ -276,6 +276,64 @@ class TestBlochReduce:
                   "--alpha", "1/(t - 0.25)", "--window", "0", "1", "--nodes", "5"])
         assert rc == 3
         assert capsys.readouterr().err == "ERROR 3: '/' overflow/pole at t = 0.25\n"
+
+
+def _per_value_rows(columns):
+    """The per-value row loop the CLI wrote its floats with before the
+    vectorised formatter."""
+    for row in zip(*columns):
+        yield ",".join(_fmt(x) for x in row) + "\n"
+
+
+class TestFloatText:
+    """Every CSV and JSON float is the text "%.16e" % v gives, value by
+    value, including values the formatter sends to its exact fallback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["bloch", "--field", "{expr}", "--n0", "1,0,0", "--window", "0", "5",
+         "--nodes", "1500"],
+        ["bloch", "--field", "{grow}", "--n0", "0,0,1", "--window", "0", "2000",
+         "--nodes", "201", "--tol", "1e-6"],
+        ["reduce", "--field", "{expr}", "--l", "1,0,0", "--alpha", "sin(t)",
+         "--window", "0", "5", "--nodes", "1500"],
+        ["reduce", "--field", "{expr}", "--l", "0,0,1", "--alpha", "2*t",
+         "--window", "0", "1e-200", "--nodes", "3"],
+        ["propagate", "--field", "{expr}", "--v0", "1,0,0,0", "--window", "0", "5",
+         "--nodes", "1500", "--format", "json"],
+        ["propagate", "--field", "{grow}", "--v0", "1,0", "--window", "0", "3000",
+         "--nodes", "201", "--tol", "1e-6", "--format", "json"],
+        ["propagate", "--field", "{grow}", "--v0", "1,0", "--window", "0", "3000",
+         "--nodes", "201", "--tol", "1e-6"],
+        ["invert", "--field", "{expr}", "--v0", "1,0,0,0", "--window", "0", "5",
+         "--nodes", "201"],
+        ["darboux", "--params", "f=0.5;R=1;phi0=0.1;eps=0.3", "--window", "0", "2",
+         "--nodes", "201"],
+    ], ids=["bloch", "bloch-large", "reduce", "reduce-tiny", "propagate-json",
+            "propagate-json-large", "propagate-csv-large", "invert", "darboux"])
+    def test_same_text_as_per_value_formatting(self, tmp_path, expr_field, capsys,
+                                               monkeypatch, argv):
+        grow = tmp_path / "grow.json"
+        grow.write_text(json.dumps({"kind": "const", "defs": [[0.3, 0], [0, 0], [1, 0.1]]}))
+        argv = [arg.format(expr=expr_field, grow=str(grow)) for arg in argv]
+        assert run(argv) == 0
+        got = capsys.readouterr().out
+        monkeypatch.setattr(cli, "csv_rows", _per_value_rows)
+        monkeypatch.setattr(dynamics, "csv_rows", _per_value_rows)
+        assert run(argv) == 0
+        want = capsys.readouterr().out
+        assert got.splitlines() == want.splitlines() and got == want
+
+    def test_failed_solve_reports_one_line_and_where_it_stopped(self, tmp_path):
+        # |V| grows like e^{0.1 t} and overflows near t = 7.4e3; the output
+        # nodes are 1.25e297 apart, so the last node reached is t = 0
+        (tmp_path / "grow.json").write_text(
+            json.dumps({"kind": "const", "defs": [[0.3, 0], [0, 0], [1, 0.1]]}))
+        p = _python(["-m", "spineq.cli", "propagate", "--field", "grow.json",
+                     "--v0", "1,0", "--window", "0", "1e300"], tmp_path, timeout=60)
+        assert p.returncode == 3
+        lines = p.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ERROR 3: propagation failed near t = ")
+        assert float(lines[0].split("t = ")[1].split(":")[0]) > 1000
 
 
 class TestColdStart:

@@ -1,5 +1,6 @@
 import cmath
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -486,3 +487,27 @@ class TestSolveBudget:
         monkeypatch.setattr(numutil, "RHS_BUDGET", 1000)
         with pytest.raises(IntegrationError, match="after 1000 right-hand-side calls"):
             self.SOLVES[name]()
+
+
+class TestSolveFailure:
+    def test_failure_reports_where_the_solver_stopped(self):
+        # V1 grows like e^{5t} and overflows near t = 142, far before the
+        # second output node at t = 5e299
+        with pytest.raises(IntegrationError, match="failed near t = 14") as info:
+            propagate(ConstField((0, 0, 1 + 5j)), [1, 0], (0, 1e300), n_nodes=3)
+        assert 100 < info.value.t < 150
+
+    def test_non_finite_states_raise(self, monkeypatch):
+        # a solve that reports success with non-finite states must not pass
+        # them on
+        import scipy.integrate
+
+        def finished_with_nan(fun, t_span, y0, t_eval=None, **kwargs):
+            y = np.ones((len(y0), len(t_eval)), dtype=complex)
+            y[0, 2:] = np.nan
+            return SimpleNamespace(t=t_eval, y=y, success=True, message="")
+
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", finished_with_nan)
+        with pytest.raises(IntegrationError, match="non-finite states at t = 0.5") as info:
+            propagate(ConstField((0, 0, 1)), [1, 0], (0, 1), n_nodes=5)
+        assert info.value.t == 0.5

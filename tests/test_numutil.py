@@ -1,0 +1,132 @@
+"""The one float formatter: every value exactly as "%.16e" % v writes it."""
+
+import tracemalloc
+from decimal import Decimal
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from spineq import numutil
+from spineq.dynamics import Trajectory
+from spineq.numutil import E16, csv_rows
+
+
+# texts are compared as lists of lines, whose first difference pytest
+# reports without diffing whole tables
+
+
+def _reference(columns):
+    """The row loop the formatter replaces, one line per row."""
+    return [",".join(E16 % v for v in row) for row in np.column_stack(columns).tolist()]
+
+
+def _lines(columns):
+    return "".join(csv_rows(columns)).split("\n")[:-1]
+
+
+def _tie(q, j):
+    """q / 2**j, exact, whose 18-digit decimal expansion ends in 5: halfway
+    between two 17-digit values."""
+    x = q / 2**j
+    digits = Decimal(x).as_tuple().digits
+    assert len(digits) == 18 and digits[-1] == 5
+    return x
+
+
+def _fixed_table():
+    values = [5e-324, np.finfo(float).max, 0.0, -0.0, np.inf, -np.inf, np.nan, 1.0]
+    for k in range(-320, 309):
+        p = float(f"1e{k}")
+        values += [p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)]
+    # q odd with q * 5**j an 18-digit integer: q / 2**j is a decimal tie
+    rng = np.random.default_rng(5)
+    for j in range(3, 26):
+        lo, hi = -(-10**17 // 5**j), min(10**18 // 5**j, 2**53)
+        values += [_tie(int(q) | 1, j) for q in rng.integers(lo, hi - 1, size=8)]
+    x = np.array(values)
+    return np.concatenate([x, -x])
+
+
+_bit_floats = st.integers(0, 2**64 - 1).map(
+    lambda b: float(np.array(b, dtype=np.uint64).view(np.float64)))
+_floats = st.one_of(_bit_floats, st.floats(), st.floats(1e-12, 1e45),
+                    st.floats(-1e45, -1e-12))
+
+
+class TestFormatter:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_floats, min_size=1, max_size=60), st.integers(1, 4))
+    def test_any_bits_as_percent_e(self, values, cols):
+        values += [0.0] * (-len(values) % cols)
+        table = np.array(values).reshape(-1, cols)
+        columns = list(table.T)
+        assert _lines(columns) == _reference(columns)
+
+    def test_fixed_table(self):
+        x = _fixed_table()
+        assert _lines([x]) == [E16 % v for v in x.tolist()]
+
+    def test_fixed_table_examples(self):
+        x = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, 1e-320, 1e308])
+        assert _lines([x]) == [
+            "-0.0000000000000000e+00", "0.0000000000000000e+00", "inf", "-inf",
+            "nan", "4.9406564584124654e-324", "9.9998886718268301e-321",
+            "1.0000000000000000e+308"]
+
+    def test_all_fallback_gives_the_same_text(self, monkeypatch):
+        x = _fixed_table()
+        table = np.random.default_rng(2).normal(size=(2001, 12))
+        monkeypatch.setattr(numutil, "E16_MARGIN", 0.5)
+        for columns in ([x], list(table.T)):
+            assert _lines(columns) == _reference(columns)
+        assert numutil._e16_block(table)[1] == table.size
+
+    def test_fast_path_carries_most_values(self):
+        # a broken fast path must not pass by sending everything to the
+        # exact fallback
+        table = np.random.default_rng(11).normal(size=(2001, 12))
+        text, slow = numutil._e16_block(table)
+        assert text.splitlines() == _reference(list(table.T))
+        assert slow / table.size < 0.10
+
+    def test_values_just_below_a_power_of_ten_take_the_fast_path(self):
+        # log10 rounds most of these up to the next integer; the exponent is
+        # taken again instead of sending them to the fallback.  Only
+        # 999999999999999.875, an exact decimal tie, falls back.
+        x = np.array([np.nextafter(float(f"1e{n}"), 0.0) for n in range(-10, 44)])
+        text, slow = numutil._e16_block(x[:, None])
+        assert text.splitlines() == _reference([x])
+        assert slow == 1
+
+    def test_rows_cross_block_boundaries(self):
+        n = 2 * numutil.CSV_BLOCK_ROWS + 3
+        columns = [np.linspace(-1, 1, n), np.geomspace(1e-3, 1e3, n)]
+        blocks = list(csv_rows(columns))
+        assert len(blocks) == 3
+        assert "".join(blocks).splitlines() == _reference(columns)
+        assert list(csv_rows([np.empty(0)])) == []
+
+
+class _NullWriter:
+    def write(self, text):
+        pass
+
+    def writelines(self, texts):
+        for _ in texts:
+            pass
+
+
+def test_to_csv_memory_is_bounded_by_the_row_block():
+    n = 100_001
+    rng = np.random.default_rng(4)
+    traj = Trajectory(np.linspace(0.0, 10.0, n),
+                      rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2)),
+                      rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3)), 1e-10)
+    tracemalloc.start()
+    try:
+        traj.to_csv(_NullWriter())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6
