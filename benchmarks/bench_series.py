@@ -1,9 +1,11 @@
 """Benchmark the series kernels: the scalar loops, the grid kernels against
 the scalar loops, and field sampling by array call against the per-node
 loop; count the grid and array-call values that are bit-identical to the
-scalar ones.  Then CSV writing: the per-row "%.16e" loop against the
-vectorised formatter, its fallback share, and the values it writes
-byte-identical to "%.16e" % v over random bit patterns.
+scalar ones.  Then the spin-equation residual of verify_entry: the
+per-point loop against dynamics.se_residuals on all rows at once, and the
+residuals that are bit-identical.  Then CSV writing: the per-row "%.16e"
+loop against the vectorised formatter, its fallback share, and the values
+it writes byte-identical to "%.16e" % v over random bit patterns.
 
 Run:  python benchmarks/bench_series.py
 """
@@ -12,9 +14,10 @@ import time
 
 import numpy as np
 
-from spineq import _series_py, catalog, numutil
-from spineq.fields import ExprField, field_callable, parse_field_spec
-from spineq.numutil import E16, csv_rows
+from spineq import _series_py, catalog, dynamics, numutil
+from spineq.fields import CatalogField, ExprField, field_callable, parse_field_spec
+from spineq.numutil import E16, central_difference, csv_rows, default_step
+from spineq.spinors import sigma_dot
 
 
 def sweep_2f1(kernel, points):
@@ -51,6 +54,33 @@ def sample_per_node(fields):
 
 def sample_array(fields):
     return [fn(times) for fn, times in fields]
+
+
+def residual_inputs(n_points):
+    """(du, F, u) of each catalog entry at its default parameters on n_points
+    nodes of its default window, as verify_entry builds them."""
+    out = []
+    for e in catalog.entries():
+        p = e.merged(None)
+        times = np.linspace(*e.window_for(p), n_points)
+        h = default_step(times)
+        nodes = np.stack([times - 2 * h, times - h, times + h, times + 2 * h, times], axis=1)
+        t = np.array(list(nodes.ravel()), dtype=object)
+        u = np.stack([np.asarray(ui, dtype=complex) for ui in e._solution(t, p)], axis=-1)
+        u = u.reshape(n_points, 5, 2)
+        du = central_difference(u[:, 0], u[:, 1], u[:, 2], u[:, 3], h[:, None])
+        out.append((du, field_callable(CatalogField(e.id, p))(times), u[:, 4]))
+    return out
+
+
+def residuals_per_point(inputs):
+    """The per-point residual loop verify_entry ran before se_residuals."""
+    return [np.array([np.linalg.norm(1j * d - sigma_dot(f) @ v) / max(np.linalg.norm(v), 1e-30)
+                      for d, f, v in zip(du, F, u)]) for du, F, u in inputs]
+
+
+def residuals_rows(inputs):
+    return [dynamics.se_residuals(du, F, u) for du, F, u in inputs]
 
 
 def _bits(values):
@@ -141,6 +171,16 @@ def main():
     same = sum(a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
                for a, b in zip(sample_array(fields), sample_per_node(fields)))
     print(f"array call vs per-node loop: {same} of {len(fields)} fields bit-identical")
+
+    # the residual step of verify_entry at 400 points, closed forms excluded
+    inputs = residual_inputs(400)
+    t_loop = timeit(residuals_per_point, inputs)
+    t_rows = timeit(residuals_rows, inputs)
+    same = sum(np.count_nonzero(a.view(np.int64) == b.view(np.int64))
+               for a, b in zip(residuals_rows(inputs), residuals_per_point(inputs)))
+    print(f"\nresiduals, {len(inputs)} entries x 400 points: per point "
+          f"{t_loop * 1e3:.1f} ms, se_residuals {t_rows * 1e3:.2f} ms "
+          f"({t_loop / t_rows:.0f}x); {same} of {400 * len(inputs)} bit-identical")
 
     # CSV writing, at the size propagate-mix writes
     table = rng.normal(size=(2001, 12))

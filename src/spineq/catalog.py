@@ -32,7 +32,7 @@ import numpy as np
 from .errors import DomainError, SingularityError
 from .expr import compile_expr, parse_statements
 from .fields import CatalogField, field_callable
-from .numutil import grid_or_replay
+from .numutil import central_difference, default_step, grid_or_replay
 from .specfun import gauss_2f1, kummer_phi, parabolic_d, _elementwise, _is_nonpositive_integer
 from .spinors import Spinor
 from . import dynamics
@@ -780,13 +780,13 @@ def verify_entry(entry_id: int, params: dict | None = None,
                  window: tuple | None = None, n_points: int = 50) -> EntryReport:
     """Residual-substitute the entry's closed form into the spin equation.
 
-    Residual ||i u' - (sigma.F) u|| / max(||u||, 1e-30) with u' from a
-    4th-order stencil, at n_points interior nodes of the window.  The closed
-    form is evaluated at all 5 n_points stencil nodes in one call on an
-    object array of times, and the field at the centre nodes in one call
-    too, which gives the same bits as dynamics.se_residual node by node; if
-    that raises or a residual is not finite, the node-by-node path is
-    replayed, so an error keeps its type, message and t.
+    dynamics.se_residual at n_points nodes of the window, all at once: the
+    closed form is evaluated at all 5 n_points stencil nodes in one call on
+    an object array of times, the field at the centre nodes in one call,
+    and dynamics.se_residuals takes all the rows, which gives the same bits
+    as se_residual node by node.  If that raises or a residual is not
+    finite, the node-by-node path is replayed, so an error keeps its type,
+    message and t.
     """
     e = entry(entry_id)
     p = e.merged(params)
@@ -796,11 +796,15 @@ def verify_entry(entry_id: int, params: dict | None = None,
     f_fn = field_callable(CatalogField(entry_id, p))
 
     def on_grid(times):
-        steps, nodes = zip(*map(dynamics.stencil, times))
-        t = np.array(nodes, dtype=object).ravel()  # the np.float64 nodes themselves
+        h = default_step(times)
+        nodes = np.stack([times - 2 * h, times - h, times + h, times + 2 * h, times], axis=1)
+        # np.float64 objects, the nodes se_residual passes: np.float64 ** complex
+        # does not round as float ** complex does
+        t = np.array(list(nodes.ravel()), dtype=object)
         u = np.stack([np.asarray(ui, dtype=complex) for ui in e._solution(t, p)], axis=-1)
-        return np.array([dynamics.stencil_residual(u_t, F_t, h) for u_t, F_t, h
-                         in zip(u.reshape(len(times), 5, 2), f_fn(times), steps)])
+        u = u.reshape(len(times), 5, 2)
+        du = central_difference(u[:, 0], u[:, 1], u[:, 2], u[:, 3], h[:, None])
+        return dynamics.se_residuals(du, f_fn(times), u[:, 4])
 
     def u_fn(t):
         return np.array(e.solution_components(t, p))

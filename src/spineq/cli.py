@@ -10,6 +10,7 @@ significant digits).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -17,7 +18,7 @@ import sys
 import numpy as np
 
 from . import catalog
-from .darboux import darboux_params_constant_f, darboux_apply, constant_f_solution
+from .darboux import darboux_params_constant_f, darboux_apply, constant_f_trajectory
 from .dynamics import MIN_TOL, Trajectory, propagate, bloch_propagate, BlochState
 from .errors import (AccuracyError, DomainError, FieldParseError,
                      IntegrationError, SingularityError, SpinEqError)
@@ -116,10 +117,14 @@ def _check_window(window) -> tuple[float, float]:
     return float(t0), float(t1)
 
 
-def _out_handle(args):
-    if args.out:
-        return open(args.out, "w", encoding="utf-8"), True
-    return sys.stdout, False
+@contextlib.contextmanager
+def _output(args):
+    """The file --out names, open for writing and closed on exit, or stdout."""
+    if not args.out:
+        yield sys.stdout
+        return
+    with open(args.out, "w", encoding="utf-8") as fh:
+        yield fh
 
 
 def _write_field_csv(fh, times, samples):
@@ -135,8 +140,7 @@ def _cmd_propagate(args) -> int:
     window = _check_window(args.window)
     tol = _check_tol(args.tol)
     traj = propagate(spec, v0, window, tol=tol, n_nodes=args.nodes)
-    fh, close = _out_handle(args)
-    try:
+    with _output(args) as fh:
         if args.format == "csv":
             traj.to_csv(fh)
         else:
@@ -148,9 +152,6 @@ def _cmd_propagate(args) -> int:
                 "est_error": _fmt(traj.est_error),
             }
             _json_dump(doc, fh)
-    finally:
-        if close:
-            fh.close()
     return EXIT_OK
 
 
@@ -178,8 +179,7 @@ def _cmd_verify(args) -> int:
     if args.all:
         reports = [_verify_one(i, params, window, args.points, tol)
                    for i in range(1, catalog.N_ENTRIES + 1)]
-        fh, close = _out_handle(args)
-        try:
+        with _output(args) as fh:
             if args.format == "json":
                 _json_dump({"reports": _round_reports(reports)}, fh)
             else:
@@ -188,20 +188,13 @@ def _cmd_verify(args) -> int:
                     status = "flagged" if r["flagged"] else ("pass" if r["passed"] else "FAIL")
                     fh.write(f"{r['entry']:>5} {_fmt(r['max_residual']):>16} "
                              f"{status:>8}  {r['label']}\n")
-        finally:
-            if close:
-                fh.close()
         bad = [r for r in reports if not r["passed"] and not r["flagged"]]
         return EXIT_NUMERICAL if bad else EXIT_OK
     if args.entry is None:
         raise _Validation("verify needs --entry <id> or --all")
     report = _verify_one(args.entry, params, window, args.points, tol)
-    fh, close = _out_handle(args)
-    try:
+    with _output(args) as fh:
         _json_dump(_round_reports([report])[0], fh)
-    finally:
-        if close:
-            fh.close()
     return EXIT_OK if (report["passed"] or report["flagged"]) else EXIT_NUMERICAL
 
 
@@ -228,8 +221,7 @@ def _cmd_invert(args) -> int:
         F = invert_field(traj, c=gauge_from_field(traj))
     true = traj.field_samples
     dev = float(np.max(np.abs(F - true)))
-    fh, close = _out_handle(args)
-    try:
+    with _output(args) as fh:
         if args.format == "csv":
             # recovered-field export shares the trajectory schema: the F
             # columns carry the recovered samples
@@ -238,9 +230,6 @@ def _cmd_invert(args) -> int:
             out.to_csv(fh)
         else:
             _json_dump({"max_deviation_from_input_field": _fmt(dev)}, fh)
-    finally:
-        if close:
-            fh.close()
     return EXIT_OK
 
 
@@ -255,18 +244,11 @@ def _cmd_darboux(args) -> int:
     eps = p.get("eps", 0.3 + 0j)
     window = _check_window(args.window)
     params = darboux_params_constant_f(f, R, phi0)
-    sol = constant_f_solution(f, eps, p.get("p", 1.0 + 0j), p.get("q", 1.0 + 0j))
-    times = np.linspace(window[0], window[1], args.nodes)
-    states = np.array([sol(t) for t in times])
-    fields = np.array([(eps, 0.0, f) for _ in times])
-    traj = Trajectory(times, states, fields, est_error=0.0)
+    traj = constant_f_trajectory(f, eps, p.get("p", 1.0 + 0j), p.get("q", 1.0 + 0j),
+                                 window, args.nodes)
     out = darboux_apply(traj, eps, params)
-    fh, close = _out_handle(args)
-    try:
+    with _output(args) as fh:
         out.to_csv(fh)
-    finally:
-        if close:
-            fh.close()
     descr = {
         "f": [f.real, f.imag],
         "R": [R.real, R.imag],
@@ -322,14 +304,10 @@ def _cmd_bloch(args) -> int:
         raise _Validation(f"--n0 must be x,y,z, got '{args.n0}'") from None
     path = bloch_propagate(spec, BlochState(n0, 0.0, 1.0), window, tol=tol,
                            n_nodes=args.nodes)
-    fh, close = _out_handle(args)
-    try:
+    with _output(args) as fh:
         fh.write("t,n1,n2,n3,alpha,N\n")
         fh.writelines(csv_rows([path.times, path.n[:, 0], path.n[:, 1], path.n[:, 2],
                                 path.alpha, path.N]))
-    finally:
-        if close:
-            fh.close()
     return EXIT_OK
 
 
@@ -353,12 +331,8 @@ def _cmd_reduce(args) -> int:
         lambda ts: np.array([reduce_field(CVec3.from_array(F), plan, t).as_array()
                              for F, t in zip(field(ts), ts)]),
         lambda t: reduce_field(field, plan, t).as_array(), times)
-    fh, close = _out_handle(args)
-    try:
+    with _output(args) as fh:
         _write_field_csv(fh, times, samples)
-    finally:
-        if close:
-            fh.close()
     return EXIT_OK
 
 
@@ -367,11 +341,14 @@ def _build_parser() -> argparse.ArgumentParser:
                                  description="Two-level spin equation toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, field_required=True):
+    def common(p, tol=True, fmt=True):
+        """--window, --out, --nodes, and --tol and --format where read."""
         p.add_argument("--window", nargs=2, type=float, metavar=("T0", "T1"))
-        p.add_argument("--tol", type=float, default=1e-10)
+        if tol:
+            p.add_argument("--tol", type=float, default=1e-10)
         p.add_argument("--out", type=str, default=None)
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        if fmt:
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--nodes", type=int, default=801)
 
     p = sub.add_parser("propagate", help="integrate the spin equation")
@@ -389,7 +366,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=None,
                    help="residual tolerance (default 1e-6)")
     p.add_argument("--out", type=str, default=None)
-    p.add_argument("--format", choices=("csv", "json", "table"), default="table")
+    p.add_argument("--format", choices=("json", "table"), default="table")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("invert", help="recover the field from a propagated solution")
@@ -402,7 +379,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("darboux", help="generate a Darboux partner pair")
     p.add_argument("--params", required=True,
                    help='e.g. "f=0.5;R=1;phi0=0.1;eps=0.3"')
-    common(p)
+    common(p, tol=False, fmt=False)
     p.set_defaults(fn=_cmd_darboux)
 
     p = sub.add_parser("catalog", help="inspect the exact-solution catalog")
@@ -413,7 +390,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bloch", help="propagate the Bloch direction form")
     p.add_argument("--field", required=True)
     p.add_argument("--n0", required=True, help="x,y,z unit vector")
-    common(p)
+    common(p, fmt=False)
     p.set_defaults(fn=_cmd_bloch)
 
     p = sub.add_parser("reduce", help="sample a reduced equivalent field")
@@ -421,7 +398,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", required=True, help="transform axis x,y,z")
     p.add_argument("--alpha", required=True, help="DSL expression in t")
     p.add_argument("--alpha-dot", dest="alpha_dot", default=None)
-    common(p)
+    common(p, tol=False, fmt=False)
     p.set_defaults(fn=_cmd_reduce)
 
     return ap

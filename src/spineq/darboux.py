@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DomainError, SingularityError
 from .dynamics import Trajectory, trajectory_se_residuals, _check_uniform
-from .numutil import dop853, fd_derivative_callable
+from .numutil import default_step, dop853, fd_derivative_callable
 from .spinors import SIGMA1, SIGMA2, SIGMA3, l_vector_arr, anticonjugate_arr
 
 __all__ = [
@@ -37,6 +37,7 @@ __all__ = [
     "intertwine_residual",
     "pair_equation_residual",
     "constant_f_solution",
+    "constant_f_trajectory",
     "constant_f_seed_trajectory",
 ]
 
@@ -250,8 +251,8 @@ def intertwine_residual(F3_fn, F3p_fn, params: DarbouxParams, t: float,
     f3p = complex(F3p_fn(t))
     r1 = SIGMA1 @ A - A @ SIGMA1 + SIGMA2 * (f3p - f3)
     if h is None:
-        h = 1e-6 * max(1.0, abs(t))
-    Adot = (A_of(t - 2 * h) - 8 * A_of(t - h) + 8 * A_of(t + h) - A_of(t + 2 * h)) / (12 * h)
+        h = default_step(t, 1e-6)
+    Adot = fd_derivative_callable(A_of, t, h)
     f3dot = complex(fd_derivative_callable(lambda s: complex(F3_fn(s)), t, h))
     r2 = SIGMA1 @ Adot + SIGMA2 @ A * f3p - SIGMA2 * f3dot - A @ SIGMA2 * f3
     return float(max(np.linalg.norm(r1), np.linalg.norm(r2)))
@@ -278,13 +279,20 @@ def constant_f_solution(f: complex, eps: complex, p: complex, q: complex):
     return sol
 
 
+def constant_f_trajectory(f: complex, eps: complex, p: complex, q: complex,
+                          window, n_nodes: int = 801) -> Trajectory:
+    """constant_f_solution(f, eps, p, q) on n_nodes uniform nodes of the
+    window, with its field rows (eps, 0, f)."""
+    sol = constant_f_solution(f, eps, p, q)
+    times = np.linspace(float(window[0]), float(window[1]), n_nodes)
+    states = np.array([sol(t) for t in times])
+    fields = np.array([(eps, 0.0, complex(f)) for _ in times])
+    return Trajectory(times, states, fields, est_error=0.0)
+
+
 def constant_f_seed_trajectory(f: complex, R: complex, phi0: complex,
                                window, n_nodes: int = 801) -> Trajectory:
     """Seed solution at eps0 = iR whose L-vector reproduces the closed-form
     constant-F3 pair with offset phi0 (amplitudes p = e^{-phi0}, q = e^{phi0})."""
-    eps0 = 1j * complex(R)
-    sol = constant_f_solution(f, eps0, cmath.exp(-phi0), cmath.exp(phi0))
-    times = np.linspace(float(window[0]), float(window[1]), n_nodes)
-    states = np.array([sol(t) for t in times])
-    fields = np.array([(eps0, 0.0, complex(f)) for _ in times])
-    return Trajectory(times, states, fields, est_error=0.0)
+    return constant_f_trajectory(f, 1j * complex(R), cmath.exp(-phi0), cmath.exp(phi0),
+                                 window, n_nodes)

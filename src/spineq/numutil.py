@@ -1,5 +1,5 @@
-"""Stencils, quadrature, the grid-or-replay rule, the one DOP853 driver and
-the one float formatter used across the package."""
+"""The central difference and its step, stencils, quadrature, the
+grid-or-replay rule, the one DOP853 driver and the one float formatter."""
 
 import numpy as np
 
@@ -13,6 +13,7 @@ __all__ = [
     "dop853",
     "RHS_BUDGET",
     "grid_or_replay",
+    "central_difference",
     "fd_derivative",
     "fd_derivative_callable",
     "fd_second_derivative_callable",
@@ -205,8 +206,20 @@ def dop853(rhs, window, y0, tol, t_eval, what, **solve_ivp_kwargs):
 
 
 def default_step(t, scale=1e-5):
-    """Step size h = scale * max(1, |t|) for difference stencils."""
+    """Step size h = scale * max(1, |t|) for difference stencils, at one time
+    or elementwise on an array of times.  One time keeps its own arithmetic:
+    a Python float t gives a Python float h, so the nodes t +- h stay Python
+    floats, and the closed forms evaluated there keep their bits."""
+    if np.ndim(t):
+        return scale * np.maximum(1.0, np.abs(t))
     return scale * max(1.0, abs(t))
+
+
+def central_difference(fm2, fm1, fp1, fp2, h):
+    """The 4th-order central first difference
+    (f(t-2h) - 8 f(t-h) + 8 f(t+h) - f(t+2h)) / 12h (Fornberg, Math. Comp. 51
+    (1988) 699), elementwise on samples of any shape."""
+    return (fm2 - 8 * fm1 + 8 * fp1 - fp2) / (12 * h)
 
 
 def fd_derivative(values, h):
@@ -219,7 +232,7 @@ def fd_derivative(values, h):
     if y.shape[0] < 5:
         raise ValueError("need at least 5 samples for the 4th-order stencil")
     d = np.empty_like(y, dtype=complex if np.iscomplexobj(y) else float)
-    d[2:-2] = (y[:-4] - 8 * y[1:-3] + 8 * y[3:-1] - y[4:]) / (12 * h)
+    d[2:-2] = central_difference(y[:-4], y[1:-3], y[3:-1], y[4:], h)
     d[0] = (-11 * y[0] + 18 * y[1] - 9 * y[2] + 2 * y[3]) / (6 * h)
     d[1] = (-2 * y[0] - 3 * y[1] + 6 * y[2] - y[3]) / (6 * h)
     d[-2] = (2 * y[-1] + 3 * y[-2] - 6 * y[-3] + y[-4]) / (6 * h)
@@ -250,9 +263,8 @@ def fd_derivative_callable(f, t, h=None):
     """
     if h is None:
         h = default_step(t)
-    fm2, fm1 = f(t - 2 * h), f(t - h)
-    fp1, fp2 = f(t + h), f(t + 2 * h)
-    return (np.asarray(fm2) - 8 * np.asarray(fm1) + 8 * np.asarray(fp1) - np.asarray(fp2)) / (12 * h)
+    nodes = (t - 2 * h, t - h, t + h, t + 2 * h)
+    return central_difference(*(np.asarray(f(s)) for s in nodes), h)
 
 
 def fd_second_derivative_callable(f, t, h=None):

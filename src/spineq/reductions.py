@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError
 from .fields import FieldSpec, eval_field
-from .numutil import fd_derivative_callable, fd_second_derivative_callable
+from .numutil import default_step, fd_derivative_callable, fd_second_derivative_callable
 from .spinors import CVec3, SIGMA1, SIGMA2, SIGMA3, Spinor, sigma_dot
 
 __all__ = [
@@ -190,8 +190,8 @@ def to_schrodinger_potentials(spec: FieldSpec, t: float,
     (2e-3 max(1, |t|)) or stencil roundoff eps/h^2 alone would eat the
     1e-6 accuracy target.
     """
-    h = 1e-5 * max(1.0, abs(t))
-    h2 = 2e-3 * max(1.0, abs(t))
+    h = default_step(t)
+    h2 = default_step(t, 2e-3)
 
     def comp(i):
         return lambda s: _field_at(spec, s, params)[i]

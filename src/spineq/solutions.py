@@ -52,7 +52,7 @@ def general_solution(V_traj: Trajectory, spec: FieldSpec | None,
 def _states_and_derivative(V_traj: Trajectory):
     times, h = _check_uniform(V_traj.times)
     states = V_traj.states
-    n2 = np.sum(np.abs(states) ** 2, axis=1)
+    n2 = V_traj.norms()
     if np.min(n2) <= 0.0:
         raise DomainError("trajectory norm vanishes on the window")
     vdot = fd_derivative(states, h)
@@ -115,7 +115,7 @@ def trajectory_angles(V_traj: Trajectory):
     (v1 = 0 or v2 = 0) make alpha/phi ill-conditioned there.
     """
     states = V_traj.states
-    N = np.sqrt(np.sum(np.abs(states) ** 2, axis=1))
+    N = np.sqrt(V_traj.norms())
     p1 = np.unwrap(np.angle(states[:, 0]))
     p2 = np.unwrap(np.angle(states[:, 1]))
     theta = 2.0 * np.arctan2(np.abs(states[:, 1]), np.abs(states[:, 0]))
@@ -157,7 +157,7 @@ def gauge_from_field(V_traj: Trajectory, F_samples=None) -> np.ndarray:
     """Gauge function c(t) whose inverse-problem field reproduces F:
     the L^{vbar,v} coefficient of F, c = (F . L^{v,vbar}) / (2 (V,V)^2)."""
     states = V_traj.states
-    n2 = np.sum(np.abs(states) ** 2, axis=1)
+    n2 = V_traj.norms()
     F = V_traj.field_samples if F_samples is None else np.asarray(F_samples, dtype=complex)
     vbar = anticonjugate_arr(states)
     L_v_vb = l_vector_arr(states, vbar)

@@ -335,6 +335,39 @@ class TestFloatText:
         assert len(lines) == 1 and lines[0].startswith("ERROR 3: propagation failed near t = ")
         assert float(lines[0].split("t = ")[1].split(":")[0]) > 1000
 
+    def test_norm_past_double_range_is_inf_without_warning(self, tmp_path):
+        # |V| reaches ~1e208 in the window, so (V,V) is past the double range:
+        # the norm column holds inf, and stderr stays empty
+        (tmp_path / "grow.json").write_text(
+            json.dumps({"kind": "const", "defs": [[0.3, 0], [0, 0], [1, 0.1]]}))
+        p = _python(["-m", "spineq.cli", "propagate", "--field", "grow.json",
+                     "--v0", "1,0", "--window", "0", "5000", "--nodes", "201",
+                     "--tol", "1e-6"], tmp_path, timeout=60)
+        assert p.returncode == 0 and p.stderr == ""
+        assert sum(line.endswith(",inf") for line in p.stdout.splitlines()) == 52
+
+
+class TestOptions:
+    """Each option is declared only where its subcommand reads it: an
+    option that would be ignored is an argparse error."""
+
+    @pytest.mark.parametrize("argv", [
+        ["darboux", "--params", "f=0.5;R=1", "--window", "0", "1", "--tol", "1e-8"],
+        ["darboux", "--params", "f=0.5;R=1", "--window", "0", "1", "--format", "csv"],
+        ["reduce", "--field", "{const}", "--l", "0,0,1", "--alpha", "t",
+         "--window", "0", "1", "--tol", "1e-8"],
+        ["reduce", "--field", "{const}", "--l", "0,0,1", "--alpha", "t",
+         "--window", "0", "1", "--format", "json"],
+        ["bloch", "--field", "{const}", "--n0", "1,0,0", "--window", "0", "1",
+         "--format", "csv"],
+        ["verify", "--entry", "1", "--format", "csv"],
+    ], ids=["darboux-tol", "darboux-format", "reduce-tol", "reduce-format",
+            "bloch-format", "verify-format-csv"])
+    def test_option_not_read_exits_2(self, const_field, capsys, argv):
+        assert run([arg.format(const=const_field) for arg in argv]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err
+
 
 class TestColdStart:
     def test_scipy_integrate_loaded_only_by_a_solve(self, const_field, tmp_path):

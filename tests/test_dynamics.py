@@ -11,8 +11,8 @@ from spineq.dynamics import (BlochState, bloch_propagate,
                              bloch_vector_path, constant_field_propagator,
                              evolution_constant_direction, evolution_from_q,
                              field_from_q, hamiltonian_check, propagate,
-                             se_residual, stationary_solutions, CSV_HEADER,
-                             Trajectory)
+                             se_residual, se_residuals, stationary_solutions,
+                             CSV_HEADER, Trajectory)
 from spineq.errors import DomainError, IntegrationError, SpinEqError
 from spineq.fields import ConstField, field_callable, parse_field_spec
 from spineq.numutil import fd_derivative
@@ -112,6 +112,33 @@ class TestPropagate:
         first = fh.getvalue().splitlines()[1].split(",")
         assert first[5] == first[8] == "-0.0000000000000000e+00"
         assert first[9] == "inf"
+
+
+class TestResiduals:
+    """se_residuals, on arrays, against the per-row formula it replaced,
+    kept here as the reference: the same bits, row for row."""
+
+    @staticmethod
+    def per_row(du, F, u):
+        return np.array([np.linalg.norm(1j * d - sigma_dot(f) @ v) / max(np.linalg.norm(v), 1e-30)
+                         for d, f, v in zip(du, F, u)])
+
+    @pytest.mark.parametrize("n", [1, 7, 400])
+    def test_bit_identical_to_per_row_formula(self, n):
+        rng = np.random.default_rng([n, 10])
+
+        def draw(cols, lo, hi):
+            # one magnitude per row, so that squares stay within the double range
+            scale = 10.0 ** rng.uniform(lo, hi, size=(n, 1))
+            return scale * (rng.normal(size=(n, cols)) + 1j * rng.normal(size=(n, cols)))
+
+        u = draw(2, -150, 150)
+        du = draw(2, -150, 150)
+        F = draw(3, -3, 3)
+        got = se_residuals(du, F, u)
+        want = self.per_row(du, F, u)
+        assert got.shape == (n,)
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
 class TestStationary:
