@@ -16,7 +16,7 @@ import numpy as np
 
 from spineq import _series_py, catalog, dynamics, numutil
 from spineq.fields import CatalogField, ExprField, field_callable, parse_field_spec
-from spineq.numutil import E16, central_difference, csv_rows, default_step
+from spineq.numutil import E16, central_difference, csv_rows, default_step, stencil_nodes
 from spineq.spinors import sigma_dot
 
 
@@ -64,7 +64,7 @@ def residual_inputs(n_points):
         p = e.merged(None)
         times = np.linspace(*e.window_for(p), n_points)
         h = default_step(times)
-        nodes = np.stack([times - 2 * h, times - h, times + h, times + 2 * h, times], axis=1)
+        nodes = np.stack([*stencil_nodes(times, h), times], axis=1)
         t = np.array(list(nodes.ravel()), dtype=object)
         u = np.stack([np.asarray(ui, dtype=complex) for ui in e._solution(t, p)], axis=-1)
         u = u.reshape(n_points, 5, 2)

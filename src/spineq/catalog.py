@@ -32,7 +32,7 @@ import numpy as np
 from .errors import DomainError, SingularityError
 from .expr import compile_expr, parse_statements
 from .fields import CatalogField, field_callable
-from .numutil import central_difference, default_step, grid_or_replay
+from .numutil import central_difference, default_step, grid_or_replay, stencil_nodes
 from .specfun import gauss_2f1, kummer_phi, parabolic_d, _elementwise, _is_nonpositive_integer
 from .spinors import Spinor
 from . import dynamics
@@ -797,7 +797,7 @@ def verify_entry(entry_id: int, params: dict | None = None,
 
     def on_grid(times):
         h = default_step(times)
-        nodes = np.stack([times - 2 * h, times - h, times + h, times + 2 * h, times], axis=1)
+        nodes = np.stack([*stencil_nodes(times, h), times], axis=1)
         # np.float64 objects, the nodes se_residual passes: np.float64 ** complex
         # does not round as float ** complex does
         t = np.array(list(nodes.ravel()), dtype=object)

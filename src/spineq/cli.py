@@ -341,20 +341,17 @@ def _build_parser() -> argparse.ArgumentParser:
                                  description="Two-level spin equation toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, tol=True, fmt=True):
-        """--window, --out, --nodes, and --tol and --format where read."""
+    def common(p):
         p.add_argument("--window", nargs=2, type=float, metavar=("T0", "T1"))
-        if tol:
-            p.add_argument("--tol", type=float, default=1e-10)
         p.add_argument("--out", type=str, default=None)
-        if fmt:
-            p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--nodes", type=int, default=801)
 
     p = sub.add_parser("propagate", help="integrate the spin equation")
     p.add_argument("--field", required=True)
     p.add_argument("--v0", required=True, help="re,im,re,im initial spinor")
     common(p)
+    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(fn=_cmd_propagate)
 
     p = sub.add_parser("verify", help="residual-verify catalog entries")
@@ -374,12 +371,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v0", required=True)
     p.add_argument("--selfadjoint", action="store_true")
     common(p)
+    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(fn=_cmd_invert)
 
     p = sub.add_parser("darboux", help="generate a Darboux partner pair")
     p.add_argument("--params", required=True,
                    help='e.g. "f=0.5;R=1;phi0=0.1;eps=0.3"')
-    common(p, tol=False, fmt=False)
+    common(p)
     p.set_defaults(fn=_cmd_darboux)
 
     p = sub.add_parser("catalog", help="inspect the exact-solution catalog")
@@ -390,7 +389,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bloch", help="propagate the Bloch direction form")
     p.add_argument("--field", required=True)
     p.add_argument("--n0", required=True, help="x,y,z unit vector")
-    common(p, fmt=False)
+    common(p)
+    p.add_argument("--tol", type=float, default=1e-10)
     p.set_defaults(fn=_cmd_bloch)
 
     p = sub.add_parser("reduce", help="sample a reduced equivalent field")
@@ -398,7 +398,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", required=True, help="transform axis x,y,z")
     p.add_argument("--alpha", required=True, help="DSL expression in t")
     p.add_argument("--alpha-dot", dest="alpha_dot", default=None)
-    common(p, tol=False, fmt=False)
+    common(p)
     p.set_defaults(fn=_cmd_reduce)
 
     return ap

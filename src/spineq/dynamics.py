@@ -391,13 +391,13 @@ def se_residuals(du, F, u) -> np.ndarray:
     du, F, u = (np.asarray(a, dtype=complex) for a in (du, F, u))
     S = np.ascontiguousarray(sigma_dot(F.T).transpose(2, 0, 1))
     r = 1j * du - np.matmul(S, u[:, :, None])[:, :, 0]
-    # row norms as np.linalg.norm takes them, bit for bit: sqrt(re.re + im.im),
-    # each dot a stacked matmul on norm's dot kernel.  The elementwise sum
-    # re0^2 + re1^2 + im0^2 + im1^2 rounds differently: it moves the last bit
-    # of ~15% of random norms and of ~14% of verify_entry's residuals
-    x = np.stack([r, u])[..., None, :]
+    # row norms bit for bit as np.linalg.norm: sqrt(re.re + im.im), each dot a stacked
+    # matmul on norm's dot kernel; the elementwise sum re0^2 + re1^2 + im0^2 + im1^2
+    # moves the last bit of ~15% of random norms and of ~14% of verify_entry's residuals
+    x = np.stack([r, u])
     re, im = x.real, x.imag
-    norm_r, norm_u = np.sqrt(np.matmul(re, re.mT) + np.matmul(im, im.mT))[..., 0, 0]
+    norm_r, norm_u = np.sqrt(np.matmul(re[..., None, :], re[..., :, None])
+                             + np.matmul(im[..., None, :], im[..., :, None]))[..., 0, 0]
     return norm_r / np.maximum(norm_u, 1e-30)
 
 

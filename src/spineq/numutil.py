@@ -14,6 +14,7 @@ __all__ = [
     "RHS_BUDGET",
     "grid_or_replay",
     "central_difference",
+    "stencil_nodes",
     "fd_derivative",
     "fd_derivative_callable",
     "fd_second_derivative_callable",
@@ -215,10 +216,14 @@ def default_step(t, scale=1e-5):
     return scale * max(1.0, abs(t))
 
 
+def stencil_nodes(t, h):
+    """Side nodes t-2h, t-h, t+h, t+2h of the 4th-order stencils, in central_difference's order."""
+    return t - 2 * h, t - h, t + h, t + 2 * h
+
+
 def central_difference(fm2, fm1, fp1, fp2, h):
-    """The 4th-order central first difference
-    (f(t-2h) - 8 f(t-h) + 8 f(t+h) - f(t+2h)) / 12h (Fornberg, Math. Comp. 51
-    (1988) 699), elementwise on samples of any shape."""
+    """The 4th-order central first difference (f(t-2h) - 8 f(t-h) + 8 f(t+h) - f(t+2h)) / 12h
+    (Fornberg, Math. Comp. 51 (1988) 699), elementwise on samples of any shape."""
     return (fm2 - 8 * fm1 + 8 * fp1 - fp2) / (12 * h)
 
 
@@ -257,23 +262,18 @@ def fd_second_derivative(values, h):
 
 
 def fd_derivative_callable(f, t, h=None):
-    """4th-order central difference of a callable at one point.
-
-    Works for scalar or array-valued f.
-    """
+    """4th-order central difference of a scalar- or array-valued callable at t."""
     if h is None:
         h = default_step(t)
-    nodes = (t - 2 * h, t - h, t + h, t + 2 * h)
-    return central_difference(*(np.asarray(f(s)) for s in nodes), h)
+    return central_difference(*(np.asarray(f(s)) for s in stencil_nodes(t, h)), h)
 
 
 def fd_second_derivative_callable(f, t, h=None):
     """4th-order central second difference of a callable at one point."""
     if h is None:
         h = default_step(t)
-    fm2, fm1 = np.asarray(f(t - 2 * h)), np.asarray(f(t - h))
-    f0 = np.asarray(f(t))
-    fp1, fp2 = np.asarray(f(t + h)), np.asarray(f(t + 2 * h))
+    m2, m1, p1, p2 = stencil_nodes(t, h)
+    fm2, fm1, f0, fp1, fp2 = (np.asarray(f(s)) for s in (m2, m1, t, p1, p2))
     return (-fm2 + 16 * fm1 - 30 * f0 + 16 * fp1 - fp2) / (12 * h * h)
 
 
