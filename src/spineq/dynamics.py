@@ -1,10 +1,13 @@
 """Propagation and evolution-operator machinery for i dV/dt = (sigma.F) V.
 
 propagate() is the package's independent numerical oracle: an adaptive
-high-order explicit Runge-Kutta integration (scipy DOP853, embedded error
-estimate) used everywhere a closed form needs residual verification.
-Every solve here runs through numutil.dop853, and every field solve starts
-with _sampled_field.
+high-order explicit Runge-Kutta integration (DOP853 with its embedded error
+estimate, the package's own transcription of scipy's, bit for bit) used
+everywhere a closed form needs residual verification.  Every solve here
+runs through numutil.dop853, and every field solve starts with
+_sampled_field.  scipy is imported only by evolution_constant_direction
+(scipy.integrate.quad) and by a hamiltonian_check that reaches its pole
+(scipy.optimize.brentq locates the event).
 """
 
 from __future__ import annotations
@@ -318,6 +321,8 @@ def hamiltonian_check(f_fn, g_fn, q0: float, p0: float, window,
     if not abs(q0) < 1.0:
         raise DomainError("|q0| must be < 1")
     t0, t1 = float(window[0]), float(window[1])
+    if t1 == t0:
+        raise DomainError("window must satisfy t1 != t0")
 
     def rhs(t, y):
         q, p = y
@@ -331,13 +336,12 @@ def hamiltonian_check(f_fn, g_fn, q0: float, p0: float, window,
     def near_pole(t, y):
         return 1.0 - abs(y[0]) - 1e-6
 
-    near_pole.terminal = True
     near_pole.direction = -1
 
-    # a terminal event ends the solve with success still set
+    # the terminal event ends the solve with success still set
     sol = dop853(rhs, (t0, t1), [q0, p0], tol, np.linspace(t0, t1, n_nodes),
-                 "canonical integration", events=near_pole)
-    truncated = bool(sol.t_events[0].size)
+                 "canonical integration", event=near_pole)
+    truncated = sol.t_event is not None
     times = sol.t
     q, p = sol.y
     g_vals = np.array([float(g_fn(t)) for t in times])

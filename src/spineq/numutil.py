@@ -14,6 +14,7 @@ __all__ = [
     "RHS_BUDGET",
     "grid_or_replay",
     "central_difference",
+    "central_second_difference",
     "stencil_nodes",
     "fd_derivative",
     "fd_derivative_callable",
@@ -161,43 +162,41 @@ def grid_or_replay(grid, node, times, ok=np.isfinite):
 RHS_BUDGET = 10**6
 
 
-def dop853(rhs, window, y0, tol, t_eval, what, **solve_ivp_kwargs):
-    """Integrate y' = rhs(t, y) over window with scipy's DOP853 at
-    rtol = atol = max(tol / 4, 2.3e-14), sampled at t_eval.
+def dop853(rhs, window, y0, tol, t_eval, what, dense_output=False, event=None):
+    """Integrate y' = rhs(t, y) over window with DOP853 at
+    rtol = atol = max(tol / 4, 2.3e-14), sampled at t_eval; with
+    dense_output, the result's ``sol`` gives y at any time, and a terminal
+    ``event`` stops the solve where it crosses zero (see _dop853.solve).
 
     The one solve policy of the package.  A SingularityError out of rhs, a
     failed solve, a solve past RHS_BUDGET right-hand-side calls and a solve
     that ends with non-finite states each raise IntegrationError naming
     ``what``; a failed solve names the last time rhs was called at, where
     the solver stopped.  numpy's floating-point warnings are silenced in the
-    solve, since those failures report it.  scipy.integrate is imported
-    here, so that importing the package does not pay for it.
+    solve, since those failures report it.  The result also counts the
+    solver's work: nfev, n_accepted, n_rejected and min_step.
+
+    The stepper is the package's own transcription of scipy's DOP853, bit
+    for bit the same; it is imported here, so that importing the package
+    does not pay for it, and it needs no scipy.integrate, whose import
+    costs more than a typical solve.
     """
-    from scipy.integrate import solve_ivp
+    from . import _dop853
 
     budget = RHS_BUDGET
-    calls = 0
-    t_last = window[0]
-
-    def counted(t, y):
-        nonlocal calls, t_last
-        calls += 1
-        t_last = t
-        if calls > budget:
-            raise IntegrationError(f"{what} stopped at t = {t} after {budget} "
-                                   "right-hand-side calls", t=t)
-        return rhs(t, y)
-
     rt = max(tol / 4.0, 2.3e-14)
     try:
         with np.errstate(all="ignore"):
-            sol = solve_ivp(counted, window, y0, method="DOP853", rtol=rt, atol=rt,
-                            t_eval=t_eval, **solve_ivp_kwargs)
+            sol = _dop853.solve(rhs, window, y0, rt, rt, t_eval, dense_output, event,
+                                max_nfev=budget)
     except SingularityError as exc:
         raise IntegrationError(f"field singular during {what}: {exc}", t=exc.t) from exc
+    except _dop853.BudgetExceeded as exc:
+        raise IntegrationError(f"{what} stopped at t = {exc.t} after {budget} "
+                               "right-hand-side calls", t=exc.t) from None
     if not sol.success:
-        raise IntegrationError(f"{what} failed near t = {t_last}: {sol.message}",
-                               t=t_last)
+        raise IntegrationError(f"{what} failed near t = {sol.t_last}: {sol.message}",
+                               t=sol.t_last)
     bad = ~np.isfinite(sol.y).all(axis=0)
     if bad.any():
         t_bad = sol.t[bad.argmax()]
@@ -225,6 +224,13 @@ def central_difference(fm2, fm1, fp1, fp2, h):
     """The 4th-order central first difference (f(t-2h) - 8 f(t-h) + 8 f(t+h) - f(t+2h)) / 12h
     (Fornberg, Math. Comp. 51 (1988) 699), elementwise on samples of any shape."""
     return (fm2 - 8 * fm1 + 8 * fp1 - fp2) / (12 * h)
+
+
+def central_second_difference(fm2, fm1, f0, fp1, fp2, h):
+    """The 4th-order central second difference
+    (-f(t-2h) + 16 f(t-h) - 30 f(t) + 16 f(t+h) - f(t+2h)) / 12h^2,
+    elementwise on samples of any shape."""
+    return (-fm2 + 16 * fm1 - 30 * f0 + 16 * fp1 - fp2) / (12 * h * h)
 
 
 def fd_derivative(values, h):
@@ -255,7 +261,7 @@ def fd_second_derivative(values, h):
     if y.shape[0] < 5:
         raise ValueError("need at least 5 samples for the 4th-order stencil")
     d = np.empty_like(y, dtype=complex if np.iscomplexobj(y) else float)
-    d[2:-2] = (-y[:-4] + 16 * y[1:-3] - 30 * y[2:-2] + 16 * y[3:-1] - y[4:]) / (12 * h * h)
+    d[2:-2] = central_second_difference(y[:-4], y[1:-3], y[2:-2], y[3:-1], y[4:], h)
     d[0] = d[1] = d[2]
     d[-1] = d[-2] = d[-3]
     return d
@@ -273,8 +279,7 @@ def fd_second_derivative_callable(f, t, h=None):
     if h is None:
         h = default_step(t)
     m2, m1, p1, p2 = stencil_nodes(t, h)
-    fm2, fm1, f0, fp1, fp2 = (np.asarray(f(s)) for s in (m2, m1, t, p1, p2))
-    return (-fm2 + 16 * fm1 - 30 * f0 + 16 * fp1 - fp2) / (12 * h * h)
+    return central_second_difference(*(np.asarray(f(s)) for s in (m2, m1, t, p1, p2)), h)
 
 
 def cumulative_integral(y, x):

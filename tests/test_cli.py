@@ -370,16 +370,19 @@ class TestOptions:
 
 
 class TestColdStart:
-    def test_scipy_integrate_loaded_only_by_a_solve(self, const_field, tmp_path):
+    def test_no_solve_imports_scipy_integrate(self, const_field, tmp_path):
+        # the solver is the package's own DOP853; importing scipy.integrate
+        # would cost a solving command more than the solve itself
         code = (
             "import sys, spineq, spineq.cli\n"
-            "assert 'scipy.integrate' not in sys.modules\n"
-            f"rc = spineq.cli.run(['propagate', '--field', {const_field!r}, '--v0', '1,0',"
-            " '--window', '0', '1', '--nodes', '5', '--out', 'traj.csv'])\n"
-            "assert rc == 0\n"
-            "assert 'scipy.integrate' in sys.modules\n"
+            "common = ['--field', sys.argv[1], '--window', '0', '1', '--nodes', '5']\n"
+            "for argv in (['propagate', '--v0', '1,0', '--out', 'traj.csv'],\n"
+            "             ['invert', '--v0', '1,0,0.3,0.2', '--out', 'field.csv'],\n"
+            "             ['bloch', '--n0', '1,0,0', '--out', 'bloch.csv']):\n"
+            "    assert spineq.cli.run(argv + common) == 0, argv\n"
+            "    assert 'scipy.integrate' not in sys.modules, argv\n"
         )
-        p = _python(["-c", code], tmp_path, timeout=30)
+        p = _python(["-c", code, const_field], tmp_path, timeout=30)
         assert p.returncode == 0, p.stderr
 
 

@@ -397,6 +397,10 @@ class TestHamiltonianForm:
                                 (0, 2), 1e-11, n_nodes=2001)
         assert rep.theta_eq_residual <= 1e-5
 
+    def test_empty_window_rejected(self):
+        with pytest.raises(DomainError, match="t1 != t0"):
+            hamiltonian_check(lambda t: 0.4, lambda t: 0.7, 0.2, 0.3, (1, 1))
+
     def test_pole_truncation_flag(self):
         # strong constant drive pushes q to +-1
         rep = hamiltonian_check(lambda t: 2.0, lambda t: 1e-3, 0.0, 0.5,
@@ -527,14 +531,14 @@ class TestSolveFailure:
     def test_non_finite_states_raise(self, monkeypatch):
         # a solve that reports success with non-finite states must not pass
         # them on
-        import scipy.integrate
+        from spineq import _dop853
 
-        def finished_with_nan(fun, t_span, y0, t_eval=None, **kwargs):
+        def finished_with_nan(fun, t_span, y0, rtol, atol, t_eval, *args, **kwargs):
             y = np.ones((len(y0), len(t_eval)), dtype=complex)
             y[0, 2:] = np.nan
             return SimpleNamespace(t=t_eval, y=y, success=True, message="")
 
-        monkeypatch.setattr(scipy.integrate, "solve_ivp", finished_with_nan)
+        monkeypatch.setattr(_dop853, "solve", finished_with_nan)
         with pytest.raises(IntegrationError, match="non-finite states at t = 0.5") as info:
             propagate(ConstField((0, 0, 1)), [1, 0], (0, 1), n_nodes=5)
         assert info.value.t == 0.5
