@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, SingularityError
-from .expr import compile_expr, parse_statements
+from .expr import FieldCode, compile_expr, parse_statements
 from .fields import CatalogField, field_callable
 from .numutil import central_difference, default_step, grid_or_replay, stencil_nodes
 from .specfun import gauss_2f1, kummer_phi, parabolic_d, _elementwise, _is_nonpositive_integer
@@ -103,28 +103,18 @@ class CatalogEntry:
             raise DomainError(f"entry {self.id} parameter constraints violated: {bad}")
 
     @cached_property
-    def _field_defs(self) -> dict:
+    def field_defs(self) -> dict:
+        """field_dsl parsed: component name -> AST."""
         return parse_statements(self.field_dsl)
 
     def bind_field(self, params: dict):
         """field_dsl compiled with params bound: the functions t -> F1 and
-        t -> F3, each raising SingularityError carrying t at a pole.
-
-        The last binding is kept, so repeated one-shot calls with the same
-        parameters compile once; only one is kept, so fresh parameters
-        cannot pile up."""
-        key = tuple(sorted((k, repr(v)) for k, v in params.items()))
-        last = self.__dict__.get("_last_binding")
-        if last is not None and last[0] == key:
-            return last[1]
-        fns = tuple(compile_expr(self._field_defs[comp], params) for comp in ("F1", "F3"))
-        self.__dict__["_last_binding"] = (key, fns)
-        return fns
+        t -> F3, each raising SingularityError carrying t at a pole."""
+        return tuple(compile_expr(self.field_defs[comp], params) for comp in ("F1", "F3"))
 
     def field_components(self, t: float, params: dict):
         """(F1, F3) at one time t; bind_field once to evaluate at many."""
-        f1, f3 = self.bind_field(params)
-        return f1(t), f3(t)
+        return FieldCode((self.field_defs["F1"], self.field_defs["F3"]), params)(t)
 
     def solution_components(self, t: float, params: dict):
         try:
@@ -684,7 +674,10 @@ _RAW = [
      (0.2, 1.1), _P_ZERO, (("w != 0", _w_nonzero), ("a^2 + b^2 != 0", _a2b2_nonzero)),
      "F1 = a/sinh(w*t + p0); F3 = b*coth(w*t + p0) + c"),
     (16, "F1 = a, F3 = b t + c", "t", _sol_16, (0.2, 2.0), (),
-     (("b != 0", _b_nonzero),),
+     # the order -i a^2/(2b) of D_p: past the double range it reaches
+     # parabolic_d as NaN, which would name the gamma function, not a or b
+     (("b != 0", _b_nonzero),
+      ("a^2/b finite", lambda p: not _b_nonzero(p) or cmath.isfinite(p["a"] * p["a"] / p["b"]))),
      "F1 = a; F3 = b*t + c"),
     (17, "F1 = a, F3 = b/t + c", "t", _sol_17, (0.2, 2.0), _POLE_T0,
      (("b != 0", _b_nonzero), ("a^2 + c^2 != 0", _a2c2_nonzero),

@@ -5,9 +5,9 @@ high-order explicit Runge-Kutta integration (DOP853 with its embedded error
 estimate, the package's own transcription of scipy's, bit for bit) used
 everywhere a closed form needs residual verification.  Every solve here
 runs through numutil.dop853, and every field solve starts with
-_sampled_field.  scipy is imported only by evolution_constant_direction
-(scipy.integrate.quad) and by a hamiltonian_check that reaches its pole
-(scipy.optimize.brentq locates the event).
+_sampled_field; the event of hamiltonian_check is rooted by the package's
+transcription of scipy's brentq.  scipy is imported only by
+evolution_constant_direction (scipy.integrate.quad).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AccuracyError, DomainError
-from .fields import FieldSpec, field_callable
+from .fields import FieldSpec, bind_field, field_callable
 from .numutil import csv_rows, dop853, fd_derivative, fd_derivative_callable
 from .spinors import CVec3, Spinor, eigenpairs, l_vector_arr, sigma_dot
 
@@ -124,9 +124,9 @@ def _sampled_field(spec: FieldSpec, window, tol: float, params: dict | None,
         if hits:
             raise DomainError(
                 f"window [{t0}, {t1}] contains declared field poles at {hits}")
-    field_fn = field_callable(spec, params)
+    field_fn, rhs = bind_field(spec, params)
     t_eval = np.asarray(t_eval, dtype=float)
-    return (t0, t1), field_fn, t_eval, field_fn(t_eval)
+    return (t0, t1), field_fn, rhs, t_eval, field_fn(t_eval)
 
 
 def propagate(spec: FieldSpec, V0, window, tol: float = 1e-10,
@@ -142,9 +142,8 @@ def propagate(spec: FieldSpec, V0, window, tol: float = 1e-10,
         raise DomainError(f"initial state V0 = {y0} is not finite")
     if t_eval is None:
         t_eval = np.linspace(window[0], window[1], n_nodes)
-    window, field_fn, t_eval, fsamp = _sampled_field(spec, window, tol, params, t_eval)
-    sol = dop853(lambda t, y: -1j * (sigma_dot(field_fn(t)) @ y), window, y0, tol,
-                 t_eval, "propagation")
+    window, _, rhs, t_eval, fsamp = _sampled_field(spec, window, tol, params, t_eval)
+    sol = dop853(rhs, window, y0, tol, t_eval, "propagation")
     return Trajectory(t_eval, sol.y.T.copy(), fsamp, est_error=tol)
 
 
@@ -280,7 +279,7 @@ def bloch_propagate(spec: FieldSpec, state0: BlochState, window,
         raise DomainError("initial Bloch vector must be unit length")
     if not (math.isfinite(state0.alpha) and 0.0 < state0.N < math.inf):
         raise DomainError("initial alpha must be finite and N finite and positive")
-    window, field_fn, t_eval, _ = _sampled_field(
+    window, field_fn, _, t_eval, _ = _sampled_field(
         spec, window, tol, params, np.linspace(window[0], window[1], n_nodes))
 
     def rhs(t, y):

@@ -14,17 +14,22 @@ Functions: sin cos tan cot sinh cosh tanh coth exp ln sqrt.  'i' is the
 imaginary unit, 't' the time variable; every other identifier is a free
 parameter supplied at evaluation time.
 
-A compiled expression takes one time t or a 1-D ndarray of times.  On an
-array the same AST runs on an object array of Python complex, so numpy
-applies CPython's complex operators and cmath element by element and each
-value has the bits of the scalar call.
+ASTs compile to straight-line Python (FieldCode), every number and
+parameter bound as a generated name, so no input text reaches the source.
+One code object runs on a time t, as a Python complex, with cmath bound,
+and on an object array of times with np.frompyfunc's cmath, where numpy
+applies CPython's complex operators element by element: each value has the
+bits of the scalar call.  A failure is replayed through a checked variant
+that names the failing operator and t.
 """
 
 from __future__ import annotations
 
 import cmath
-import operator
+import functools
+import types
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,45 +37,20 @@ from .errors import FieldParseError, SingularityError
 from .numutil import grid_or_replay
 
 __all__ = ["ExprNode", "Num", "Var", "Call", "BinOp", "Neg", "parse_expr",
-           "parse_statements", "print_expr", "compile_expr", "eval_expr",
+           "parse_statements", "print_expr", "FieldCode", "compile_expr", "eval_expr",
            "free_parameters", "FUNCTIONS"]
 
 
-def _cot(z):
-    return cmath.cos(z) / cmath.sin(z)
-
-
-def _coth(z):
-    return cmath.cosh(z) / cmath.sinh(z)
-
-
-FUNCTIONS = {
-    "sin": cmath.sin,
-    "cos": cmath.cos,
-    "tan": cmath.tan,
-    "cot": _cot,
-    "sinh": cmath.sinh,
-    "cosh": cmath.cosh,
-    "tanh": cmath.tanh,
-    "coth": _coth,
-    "exp": cmath.exp,
-    "ln": cmath.log,
-    "sqrt": cmath.sqrt,
-}
-
-_RESERVED = set(FUNCTIONS) | {"i", "t"}
+FUNCTIONS = {"sin": cmath.sin, "cos": cmath.cos, "tan": cmath.tan,
+             "cot": lambda z: cmath.cos(z) / cmath.sin(z),
+             "sinh": cmath.sinh, "cosh": cmath.cosh, "tanh": cmath.tanh,
+             "coth": lambda z: cmath.cosh(z) / cmath.sinh(z),
+             "exp": cmath.exp, "ln": cmath.log, "sqrt": cmath.sqrt}
 
 # magnitudes above this are treated as a pole hit during evaluation
 SINGULARITY_THRESHOLD = 1e12
 
-_BINOPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-           "/": operator.truediv, "^": operator.pow}
-
-# the leaves of a compilation: how t enters, and the function table.  A grid
-# receives its times already as an object array of Python complex.
-_SCALAR_LEAVES = (complex, FUNCTIONS)
-_GRID_LEAVES = (lambda t: t,
-                {name: np.frompyfunc(fn, 1, 1) for name, fn in FUNCTIONS.items()})
+_PY_OPS = {"+": "+", "-": "-", "*": "*", "/": "/", "^": "**"}  # DSL -> Python
 
 
 class ExprNode:
@@ -105,30 +85,25 @@ class Neg(ExprNode):
     arg: ExprNode
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # NUM IMAG IDENT OP LPAREN RPAREN EQ SEMI EOF
     text: str
     line: int
     col: int
 
 
+_PUNCTUATION = {"(": "LPAREN", ")": "RPAREN", "=": "EQ", ";": "SEMI",
+                **dict.fromkeys("+-*/^", "OP")}
+
+
 def _tokenize(text: str) -> list[_Token]:
-    toks = []
-    i, line, col = 0, 1, 1
-    n = len(text)
+    toks, i, line, col, n = [], 0, 1, 1, len(text)
     while i < n:
         ch = text[i]
-        if ch == "\n":
+        if ch in " \t\r\n":
             i += 1
-            line += 1
-            col = 1
+            line, col = (line + 1, 1) if ch == "\n" else (line, col + 1)
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        start_col = col
         if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
             j = i
             while j < n and (text[j].isdigit() or text[j] == "."):
@@ -143,37 +118,21 @@ def _tokenize(text: str) -> list[_Token]:
             try:
                 float(lit)
             except ValueError:
-                raise FieldParseError(f"bad number literal '{lit}'", line, start_col)
-            if j < n and text[j] == "i":
-                toks.append(_Token("IMAG", lit, line, start_col))
-                j += 1
-            else:
-                toks.append(_Token("NUM", lit, line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
+                raise FieldParseError(f"bad number literal '{lit}'", line, col)
+            kind = "IMAG" if j < n and text[j] == "i" else "NUM"
+            j += kind == "IMAG"
+        elif ch.isalpha() or ch == "_":
             j = i
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            toks.append(_Token("IDENT", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in "+-*/^":
-            toks.append(_Token("OP", ch, line, start_col))
-        elif ch == "(":
-            toks.append(_Token("LPAREN", ch, line, start_col))
-        elif ch == ")":
-            toks.append(_Token("RPAREN", ch, line, start_col))
-        elif ch == "=":
-            toks.append(_Token("EQ", ch, line, start_col))
-        elif ch == ";":
-            toks.append(_Token("SEMI", ch, line, start_col))
+            kind, lit = "IDENT", text[i:j]
+        elif ch in _PUNCTUATION:
+            kind, lit, j = _PUNCTUATION[ch], ch, i + 1
         else:
-            raise FieldParseError(f"unexpected character '{ch}'", line, start_col)
-        i += 1
-        col += 1
+            raise FieldParseError(f"unexpected character '{ch}'", line, col)
+        toks.append(_Token(kind, lit, line, col))
+        col += j - i
+        i = j
     toks.append(_Token("EOF", "", line, col))
     return toks
 
@@ -271,10 +230,7 @@ def parse_statements(text: str) -> dict[str, ExprNode]:
     """Parse 'F1|F2|F3 = expr' statements into a component -> AST map."""
     parser = _Parser(_tokenize(text))
     defs: dict[str, ExprNode] = {}
-    while True:
-        tok = parser.peek()
-        if tok.kind == "EOF":
-            break
+    while (tok := parser.peek()).kind != "EOF":
         if tok.kind == "SEMI":
             parser.next()
             continue
@@ -334,114 +290,156 @@ def print_expr(node: ExprNode) -> str:
 
 def free_parameters(node: ExprNode) -> set[str]:
     """Names of free parameters (identifiers other than 't')."""
-    out: set[str] = set()
-
-    def walk(n):
-        if isinstance(n, Var):
-            if n.name != "t":
-                out.add(n.name)
-        elif isinstance(n, Call):
-            walk(n.arg)
-        elif isinstance(n, Neg):
-            walk(n.arg)
-        elif isinstance(n, BinOp):
-            walk(n.left)
-            walk(n.right)
-
-    walk(node)
-    return out
+    return {leaf.name for leaf in _generate((node,))[3] if isinstance(leaf, Var)}
 
 
-def _compile(node: ExprNode, params: dict[str, complex], leaves=_SCALAR_LEAVES):
-    """Closure t -> complex for one subtree, with its parameters bound."""
-    t_leaf, functions = leaves
-    if isinstance(node, Num):
-        value = node.value
-        return lambda t: value
-    if isinstance(node, Var):
-        if node.name == "t":
-            return t_leaf
+def _generate(nodes):
+    """The ops of a tuple of ASTs (None for a zero) in the grammar's order:
+    (expression, message) pairs, the k-th assigned to _k, the message what
+    its failure raises (None: a negation cannot fail); the names of the
+    values, the j-th complete after ends[j] ops; and the leaves _c0, _c1,
+    ... stand for, a number or a parameter's Var."""
+    ops, leaves, slots, results, ends = [], [], {}, [], []
+    for node in nodes:
+        results.append(_walk(Num(0j) if node is None else node, ops, leaves, slots))
+        ends.append(len(ops))
+    return ops, results, ends, leaves
+
+
+def _walk(n, ops, leaves, slots):
+    """The name of n's value, its ops appended.  (Not a closure: one that
+    calls itself is a cycle, freed only by the cyclic collector.)"""
+    if isinstance(n, Var) and n.name == "t":
+        return "t"
+    if isinstance(n, (Num, Var)):
+        key = n.name if isinstance(n, Var) else len(leaves)
+        if key not in slots:
+            slots[key] = f"_c{len(leaves)}"
+            leaves.append(n if isinstance(n, Var) else n.value)
+        return slots[key]
+    if isinstance(n, Neg):
+        op = "-" + _walk(n.arg, ops, leaves, slots), None
+    elif isinstance(n, Call) and n.fn in FUNCTIONS:
+        op = f"{n.fn}({_walk(n.arg, ops, leaves, slots)})", f"{n.fn} pole"
+    elif isinstance(n, BinOp) and n.op in _PY_OPS:
+        left = _walk(n.left, ops, leaves, slots)
+        right = _walk(n.right, ops, leaves, slots)
+        op = f"{left} {_PY_OPS[n.op]} {right}", f"'{n.op}' overflow/pole"
+    else:
+        raise TypeError(f"not an ExprNode: {n!r}")
+    ops.append(op)
+    return f"_{len(ops) - 1}"
+
+
+def _source(ops, results, ends, checked=False):
+    """def f(t) doing the ops; checked: def f(at), on t = complex(at), with
+    a failure of an op or a value raising SingularityError naming it and at."""
+    lines, done = ["def f(at):", "    t = complex(at)"] if checked else ["def f(t):"], 0
+    for result, end in zip(results, ends):
+        for k, (expr, what) in enumerate(ops[done:end], done):
+            if checked and what:
+                lines += ["    try:", f"        _{k} = {expr}", "    except _FAILS:",
+                          f"        _pole({what!r}, at)"]
+            else:
+                lines.append(f"    _{k} = {expr}")
+        lines += [f"    if not isfinite({result}) or abs({result}) > _LIMIT:",
+                  "        _pole('field component singular', at)"] if checked else []
+        done = end
+    return "\n".join(lines + [f"    return {', '.join(results)},"])
+
+
+@functools.lru_cache(maxsize=256)
+def _function_code(source):
+    """A generated function's code object: a compile costs about 0.2 ms,
+    and fields of one shape with other numbers share their source."""
+    return compile(source, "<spineq.expr generated>", "exec").co_consts[0]
+
+
+def _pole(what, t):
+    raise SingularityError(f"{what} at t = {t}", t=t) from None
+
+
+# the globals of generated code besides its _c names: cmath's functions for
+# one time, np.frompyfunc's for an object array of times, and the names the
+# checked variant adds
+_SCALAR = {"__builtins__": {}, **FUNCTIONS}
+_GRID = {**_SCALAR, **{name: np.frompyfunc(fn, 1, 1) for name, fn in FUNCTIONS.items()}}
+_CHECKED = {**_SCALAR, "complex": complex, "abs": abs, "isfinite": cmath.isfinite,
+            "_LIMIT": SINGULARITY_THRESHOLD, "_pole": _pole,
+            "_FAILS": (ValueError, OverflowError, ZeroDivisionError)}
+
+# ids of ASTs -> (the ASTs, keeping the ids theirs, numbers and parameter
+# names by _c name, code object)
+_PLANS = {}
+
+
+def _plan(nodes):
+    key = tuple(map(id, nodes))
+    if key not in _PLANS:
+        ops, results, ends, leaves = _generate(nodes)
+        names = [f"_c{k}" for k in range(len(leaves))]
+        if len(_PLANS) == 128:
+            del _PLANS[next(iter(_PLANS))]
+        _PLANS[key] = (nodes, {c: v for c, v in zip(names, leaves) if not isinstance(v, Var)},
+                       [(c, v.name) for c, v in zip(names, leaves) if isinstance(v, Var)],
+                       _function_code(_source(ops, results, ends)))
+    return _PLANS[key]
+
+
+class FieldCode:
+    """The code of a tuple of ASTs (None for a zero), params bound.
+    fast(t), t a Python complex, returns the values unchecked.  Called at t,
+    it returns them if each is finite and at most SINGULARITY_THRESHOLD in
+    modulus, else checked(t) raises the first failure's SingularityError.
+    grid(times) returns the (n, len(nodes)) values at a 1-D ndarray of
+    times, bit for bit the calls at each time, or the first failure."""
+
+    def __init__(self, nodes, params):
+        self._nodes, numbers, names, self._code = _plan(tuple(nodes))
+        self._consts = dict(numbers)
+        for const, name in names:
+            try:
+                self._consts[const] = complex(params[name])
+            except KeyError:
+                raise FieldParseError(f"unknown identifier '{name}'") from None
+        self.fast = types.FunctionType(self._code, {**_SCALAR, **self._consts})
+
+    def __call__(self, t):
         try:
-            value = complex(params[node.name])
-        except KeyError:
-            raise FieldParseError(f"unknown identifier '{node.name}'") from None
-        return lambda t: value
-    if isinstance(node, Neg):
-        arg = _compile(node.arg, params, leaves)
-        return lambda t: -arg(t)
-    if isinstance(node, Call):
-        fn, name, arg = functions[node.fn], node.fn, _compile(node.arg, params, leaves)
+            values = self.fast(complex(t))
+            if all(cmath.isfinite(v) and abs(v) <= SINGULARITY_THRESHOLD for v in values):
+                return values
+        except (ArithmeticError, ValueError):
+            pass
+        return self.checked(t)
 
-        def call(t):
-            x = arg(t)
-            try:
-                return fn(x)
-            except (ValueError, OverflowError, ZeroDivisionError):
-                raise SingularityError(f"{name} pole at t = {t}", t=t) from None
+    def checked(self, t):
+        code = _function_code(_source(*_generate(self._nodes)[:3], checked=True))
+        return types.FunctionType(code, {**_CHECKED, **self._consts})(t)
 
-        return call
-    if isinstance(node, BinOp):
-        op, sym = _BINOPS[node.op], node.op
-        left, right = _compile(node.left, params, leaves), _compile(node.right, params, leaves)
+    def grid(self, times):
+        return grid_or_replay(self._array_call, lambda t: np.array(self(t)), times,
+                              ok=lambda v: np.abs(v) <= SINGULARITY_THRESHOLD)
 
-        def binop(t):
-            x = left(t)
-            y = right(t)
-            try:
-                return op(x, y)
-            except (ZeroDivisionError, OverflowError, ValueError):
-                raise SingularityError(f"'{sym}' overflow/pole at t = {t}", t=t) from None
-
-        return binop
-    raise TypeError(f"not an ExprNode: {node!r}")
+    def _array_call(self, times):
+        # numpy applies CPython's complex operators and cmath element by
+        # element to the object array of Python complex; a constant broadcasts
+        fn = types.FunctionType(self._code, {**_GRID, **self._consts})
+        out = np.empty((len(times), len(self._nodes)), dtype=complex)
+        for k, v in enumerate(fn(np.array(times.astype(complex).tolist(), dtype=object))):
+            out[:, k] = v
+        return out
 
 
 def compile_expr(node: ExprNode, params: dict[str, complex]):
-    """Bind an AST's parameters once and return a function t -> complex.
-
-    Every node becomes a closure doing the complex arithmetic of the
-    grammar, so repeated evaluation does not walk the tree again.  An
-    identifier missing from params raises FieldParseError here; a pole
-    raises SingularityError carrying t when the function is called.
-
-    The function also takes a 1-D ndarray of times and returns the complex
-    ndarray of values, with the bits of calling it at each time in turn; the
-    AST is compiled for arrays on the first such call.  If the array
-    evaluation raises, or a value is not finite or above
-    SINGULARITY_THRESHOLD, the times are replayed one by one, so the error
-    is the one the first failing time raises.
-    """
-    fn = _compile(node, params)
-    grid = None
-    ndarray = np.ndarray  # a cell, not a global: value is on the solver's hot path
-
-    # no closure here refers to itself or to one that refers back, so that a
-    # binding is freed as soon as it is dropped, not by the cyclic collector
-    def scalar(t):
-        v = fn(t)
-        if not cmath.isfinite(v) or abs(v) > SINGULARITY_THRESHOLD:
-            raise SingularityError(f"field component singular at t = {t}", t=t)
-        return v
-
-    def value(t):
-        return on_grid(t) if isinstance(t, ndarray) else scalar(t)
-
-    def array_call(times):
-        out = np.empty(times.shape, dtype=complex)  # a constant broadcasts
-        out[...] = grid(np.array(times.astype(complex).tolist(), dtype=object))
-        return out
-
-    def on_grid(times):
-        nonlocal grid
-        if grid is None:
-            grid = _compile(node, params, _GRID_LEAVES)
-        # abs is NaN or inf for every value that is not finite
-        return grid_or_replay(array_call, scalar, times,
-                              ok=lambda v: np.abs(v) <= SINGULARITY_THRESHOLD)
-
-    return value
+    """Bind an AST's parameters once (a missing one raises FieldParseError)
+    and return its FieldCode as t -> complex, raising SingularityError at a
+    pole; given a 1-D ndarray of times it returns their values, bit for bit
+    the calls at each time, or raises the first failing time's error."""
+    code = FieldCode((node,), params)
+    return lambda t: code.grid(t)[:, 0] if isinstance(t, np.ndarray) else code(t)[0]
 
 
 def eval_expr(node: ExprNode, t: float, params: dict[str, complex]) -> complex:
     """Evaluate an AST at time t; poles surface as SingularityError."""
-    return compile_expr(node, params)(t)
+    return FieldCode((node,), params)(t)[0]

@@ -21,8 +21,7 @@ import numpy as np
 
 from . import expr as ex
 from .errors import DomainError, FieldParseError
-from .numutil import grid_or_replay
-from .spinors import CVec3
+from .spinors import CVec3, sigma_dot
 
 __all__ = [
     "ConstField",
@@ -33,9 +32,13 @@ __all__ = [
     "eval_field",
     "split_kg",
     "field_callable",
+    "bind_field",
     "load_field_json",
     "dump_field_json",
 ]
+
+# abs(z) <= _LIMIT is False for a z that is not finite, too
+_LIMIT = ex.SINGULARITY_THRESHOLD
 
 
 @dataclass(frozen=True)
@@ -113,56 +116,67 @@ def eval_field(spec: FieldSpec, t: float, params: dict | None = None) -> CVec3:
 def field_callable(spec: FieldSpec, params: dict | None = None):
     """Bind a spec to a plain t -> ndarray(3) callable for integrators.
 
-    Expression and catalog fields are compiled here, once, with their
-    parameters bound (``params`` overrides the spec's own).
+    Expression and catalog fields run their generated code
+    (expr.FieldCode), with their parameters bound (``params`` overrides
+    the spec's own).
 
     The callable also takes a 1-D ndarray of n times and returns the (n, 3)
     complex samples, bit for bit those of calling it at each time in turn.
     A pole raises the error of that per-node loop: the first node, and at
     that node the first of F1, F2, F3.
     """
+    return bind_field(spec, params)[0]
+
+
+def bind_field(spec: FieldSpec, params: dict | None = None):
+    """(field_callable(spec, params), rhs): rhs(t, y) is the right-hand side
+    -1j (sigma.F(t)) y of the spin equation, with the bits of
+    -1j * (sigma_dot(field(t)) @ y) and the same SingularityError at a pole.
+    Its three components are Python complex from one call of the generated
+    code, checked as a field sample is; the 2x2 product stays numpy's
+    matmul, since a product in Python arithmetic rounds differently."""
     if isinstance(spec, ConstField):
         vec = np.array(spec.value, dtype=complex)
-        return lambda t: np.tile(vec, (len(t), 1)) if isinstance(t, np.ndarray) else vec
+        S = sigma_dot(vec)
+        return ((lambda t: np.tile(vec, (len(t), 1)) if isinstance(t, np.ndarray) else vec),
+                lambda t, y: -1j * (S @ y))
     if isinstance(spec, ExprField):
+        nodes = tuple(spec.component(comp) for comp in ("F1", "F2", "F3"))
         merged = dict(spec.params)
-        if params:
-            merged.update(params)
-        f1, f2, f3 = (_compile_component(spec.component(comp), merged)
-                      for comp in ("F1", "F2", "F3"))
     elif isinstance(spec, CatalogField):
         from . import catalog
 
-        merged = spec.merged_params()
-        if params:
-            merged.update(params)
-        f1, f3 = catalog.entry(spec.entry_id).bind_field(merged)
-        f2 = _zero
+        e = catalog.entry(spec.entry_id)
+        nodes = (e.field_defs["F1"], None, e.field_defs["F3"])
+        merged = e.merged(spec.params)
     else:
         raise DomainError(f"not a field spec: {spec!r}")
-
-    def at(t):
-        return np.array([f1(t), f2(t), f3(t)])
-
-    def array_call(times):  # a constant component broadcasts
-        return np.stack([np.broadcast_to(f(times), times.shape) for f in (f1, f2, f3)], -1)
+    if params:
+        merged.update(params)
+    code = ex.FieldCode(nodes, merged)
+    fast, checked = code.fast, code.checked
+    # sigma.F, refilled by each call: four stores cost a third of a new array
+    S = np.empty((2, 2), dtype=complex)
+    s = S.reshape(4)
 
     def sample(t):
-        if isinstance(t, np.ndarray):
-            # a later component can fail at an earlier node: the per-node
-            # replay raises the error that comes first
-            return grid_or_replay(array_call, at, t)
-        return np.array([f1(t), f2(t), f3(t)])
+        return code.grid(t) if isinstance(t, np.ndarray) else np.array(code(t))
 
-    return sample
+    def rhs(t, y):
+        try:
+            f1, f2, f3 = fast(complex(t))
+            ok = abs(f1) <= _LIMIT and abs(f2) <= _LIMIT and abs(f3) <= _LIMIT
+        except (ArithmeticError, ValueError):
+            ok = False
+        if not ok:  # not finite, above the limit or raised: the checked replay raises
+            f1, f2, f3 = checked(t)
+        s[0] = f3
+        s[1] = f1 - 1j * f2
+        s[2] = f1 + 1j * f2
+        s[3] = -f3
+        return -1j * (S @ y)
 
-
-def _zero(t):
-    return 0j
-
-
-def _compile_component(node, params):
-    return _zero if node is None else ex.compile_expr(node, params)
+    return sample, rhs
 
 
 def split_kg(F: CVec3):

@@ -184,18 +184,6 @@ class TestGridVerification:
 
 
 class TestBindField:
-    def test_last_binding_is_reused(self):
-        e = catalog.entry(5)
-        p = dict(e.default_params)
-        f = e.bind_field(p)
-        assert e.bind_field(dict(reversed(list(p.items())))) is f
-        q = dict(p, c=0.4)
-        g = e.bind_field(q)
-        assert g is not f and e.bind_field(q) is g
-        # one binding per entry: p is compiled again
-        assert e.bind_field(p) is not f
-        assert [fn(0.7) for fn in e.bind_field(p)] == [fn(0.7) for fn in f]
-
     def test_signed_zero_is_a_different_binding(self):
         e = catalog.entry(16)
         f = e.bind_field({"a": 1.0, "b": 1.0, "c": 0.0})

@@ -153,6 +153,13 @@ class TestVerify:
         assert rc in (2, 3)
         assert capsys.readouterr().err.startswith(f"ERROR {rc}:")
 
+    @pytest.mark.parametrize("params", ["a=1e200", "a=1e308"])
+    def test_overflowing_derived_parameter_is_named(self, capsys, params):
+        # finite a, but the order -i a^2/(2b) of D_p is not
+        assert run(["verify", "--entry", "16", "--params", params]) == 2
+        assert capsys.readouterr().err == \
+            "ERROR 2: entry 16 parameter constraints violated: ['a^2/b finite']\n"
+
     def test_needs_entry_or_all(self, capsys):
         assert run(["verify"]) == 2
 
@@ -383,6 +390,18 @@ class TestColdStart:
             "    assert 'scipy.integrate' not in sys.modules, argv\n"
         )
         p = _python(["-c", code, const_field], tmp_path, timeout=30)
+        assert p.returncode == 0, p.stderr
+
+
+    def test_event_root_imports_no_scipy_optimize(self, tmp_path):
+        # the event is rooted by the package's own brentq; scipy.optimize
+        # would cost the truncated solve half a second and 45 MB
+        code = ("import math, sys\n"
+                "from spineq.dynamics import hamiltonian_check\n"
+                "rep = hamiltonian_check(lambda t: 0.0, lambda t: 1.0, 0.5, -math.pi / 2, (0, 5))\n"
+                "assert rep.truncated\n"
+                "assert 'scipy.optimize' not in sys.modules\n")
+        p = _python(["-c", code], tmp_path, timeout=30)
         assert p.returncode == 0, p.stderr
 
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 from scipy.integrate._ivp import dop853_coefficients
+from scipy.optimize import brentq as scipy_brentq
 
 from spineq import _dop853, catalog, darboux, dynamics, numutil
 from spineq.dynamics import BlochState, bloch_propagate, hamiltonian_check, propagate
@@ -146,6 +147,48 @@ def test_terminal_event_matches_scipy(solves):
     assert bits([sol.t_event]) == bits(ref.t_events[0])
     assert_same(ref, sol)
     assert sol.t[-1] < 0.53 and rep.t_stop == sol.t[-1]
+
+
+def test_event_root_is_scipys_brentq(monkeypatch):
+    # the root of the event above, found on the step's interpolant
+    roots = []
+
+    def both(f, a, b, xtol, rtol):
+        calls = []
+        root = brentq(lambda x: calls.append(x) or f(x), a, b, xtol, rtol)
+        ref, info = scipy_brentq(f, a, b, xtol=xtol, rtol=rtol, full_output=True)
+        roots.append((root.hex(), len(calls), ref.hex(), info.function_calls))
+        return root
+
+    brentq = _dop853.brentq
+    monkeypatch.setattr(_dop853, "brentq", both)
+    assert hamiltonian_check(lambda t: 0.0, lambda t: 1.0, 0.5, -math.pi / 2, (0, 5)).truncated
+    (root, calls, ref, ref_calls), = roots
+    assert (root, calls) == (ref, ref_calls)
+
+
+@pytest.mark.parametrize("f, a, b", [
+    (lambda x: x ** 3 - 2 * x - 5, 2, 3),
+    (lambda x: math.cos(x) - x, 0, 1),
+    (lambda x: math.exp(x) - 10, 0, 5),
+    (lambda x: math.atan(x - 0.3), -10, 30),   # extrapolation steps
+    (lambda x: 1 / (x - 0.5) if x != 0.5 else 1.0, 0, 1),   # a pole, no root
+    (lambda x: x - 1, 0, 1),                   # a root at an end
+    (lambda x: (x - 1e-3) ** 5, -1, 2),        # no convergence in 100 steps
+    (lambda x: x * x + 1, -1, 1),              # no sign change
+    (lambda x: math.nan if x > 0.7 else x - 0.8, 0, 1),
+], ids=["cubic", "cos", "exp", "atan", "pole", "end", "flat", "same-sign", "nan"])
+@pytest.mark.parametrize("xtol, rtol", [(4 * _dop853.EPS, 4 * _dop853.EPS), (2e-12, 1e-10)])
+def test_brentq_is_scipys(f, a, b, xtol, rtol):
+    def outcome(solve, **kw):
+        calls = []
+        try:
+            root = solve(lambda x: calls.append(x) or f(x), a, b, xtol=xtol, rtol=rtol, **kw)
+        except (ValueError, RuntimeError) as exc:
+            return type(exc), str(exc), calls
+        return root.hex(), calls
+
+    assert outcome(_dop853.brentq) == outcome(scipy_brentq)
 
 
 def test_overflow_failure_matches_scipy(solves):

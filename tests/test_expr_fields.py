@@ -2,21 +2,23 @@ import cmath
 import gc
 import json
 import math
+import operator
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spineq import catalog, expr
 from spineq.errors import FieldParseError, SingularityError, SpinEqError
 from spineq.expr import (BinOp, Call, Neg, Num, Var, eval_expr, parse_expr,
                          print_expr)
-from spineq.fields import (CatalogField, ConstField, ExprField, dump_field_json,
-                           eval_field, field_callable, load_field_json,
-                           parse_field_spec, split_kg)
-from spineq.spinors import CVec3
+from spineq.fields import (CatalogField, ConstField, ExprField, bind_field,
+                           dump_field_json, eval_field, field_callable,
+                           load_field_json, parse_field_spec, split_kg)
+from spineq.spinors import CVec3, sigma_dot
 
 from conftest import assert_rel
 
@@ -336,3 +338,160 @@ class TestArrayCall:
         with pytest.raises(SingularityError) as got:
             fn(times)
         assert got.value.t == t_err
+
+
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+        "^": operator.pow}
+
+
+def _reference(node, t, params):
+    """The DSL's meaning, by walking the tree as the closures the generated
+    code replaced did: the value at one time t, or the SingularityError of
+    the first operation that fails or of a value that is not finite or
+    above the threshold."""
+    def ev(n):
+        if isinstance(n, Num):
+            return n.value
+        if isinstance(n, Var):
+            return complex(t) if n.name == "t" else complex(params[n.name])
+        if isinstance(n, Neg):
+            return -ev(n.arg)
+        if isinstance(n, Call):
+            x = ev(n.arg)
+            try:
+                return expr.FUNCTIONS[n.fn](x)
+            except (ValueError, OverflowError, ZeroDivisionError):
+                raise SingularityError(f"{n.fn} pole at t = {t}", t=t) from None
+        x, y = ev(n.left), ev(n.right)
+        try:
+            return _OPS[n.op](x, y)
+        except (ValueError, OverflowError, ZeroDivisionError):
+            raise SingularityError(f"'{n.op}' overflow/pole at t = {t}", t=t) from None
+
+    v = ev(node)
+    if not cmath.isfinite(v) or abs(v) > expr.SINGULARITY_THRESHOLD:
+        raise SingularityError(f"field component singular at t = {t}", t=t)
+    return v
+
+
+def _outcome(fn, *args):
+    """The bits of fn's value, or its error's type, message and t."""
+    try:
+        v = np.asarray(fn(*args), dtype=complex)
+    except SpinEqError as exc:
+        return type(exc), str(exc), exc.t
+    return v.shape, v.reshape(-1).view(np.int64).tolist()
+
+
+_times = st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0, math.pi / 2, 1e-300])
+                  | st.floats(-3, 3, allow_nan=False), min_size=1, max_size=8)
+
+
+class TestGeneratedCode:
+    """The generated code against a tree walk: the same bits, the same errors."""
+
+    @given(_ast, st.builds(complex, _finite, _finite), st.builds(complex, _finite, _finite),
+           _times)
+    @example(parse_expr("1/t + cot(t) - ln(t)"), 1j, 2, [0.5, 0.0])
+    @example(parse_expr("tan(a*t) ^ (2 - 3i) / sqrt(t) - coth(b*t)"), 1, -0.0, [1e-300, 0.0])
+    @example(parse_expr("exp(exp(t*a)) - sinh(b) * cosh(-t) + tanh(t) - sin(t)*cos(t)"),
+             700, 1, [1.0, -1.0])
+    @settings(max_examples=300, deadline=None)
+    def test_scalar_and_grid_match_the_tree_walk(self, node, a, b, ts):
+        params = {"a": a, "b": b}
+        fn = expr.compile_expr(node, params)
+        want = [_outcome(_reference, node, t, params) for t in ts]
+        assert [_outcome(fn, t) for t in ts] == want
+        assert [_outcome(expr.eval_expr, node, t, params) for t in ts] == want
+        errors = [w for w in want if w[0] is SingularityError]
+        got = _outcome(fn, np.array(ts))
+        if errors:
+            assert got == errors[0]
+        else:
+            values = np.array([_reference(node, t, params) for t in ts])
+            assert got == _outcome(lambda: values)
+
+    def test_signed_zeros_keep_their_own_code(self):
+        # 0 and -0 are equal numbers and equal ASTs, but -0*t has a -0.0
+        # imaginary part at t = 1: each AST must keep its own numbers
+        for text in ("0*t", "-0*t", "0*t"):
+            node = parse_expr(text)
+            assert _outcome(expr.compile_expr(node, {}), 1.0) == \
+                _outcome(_reference, node, 1.0, {})
+
+    def test_fields_of_one_shape_share_one_code_object(self, monkeypatch):
+        text = "F1 = a*sin(w*t); F3 = b + 1/t"
+        first = expr.FieldCode([parse_field_spec(text).component("F1")], {"a": 1, "w": 2})
+        again = expr.FieldCode([parse_field_spec(text).component("F1")], {"a": 3, "w": 4})
+        assert again.fast.__code__ is first.fast.__code__
+        # a bound AST is not generated again: binding it costs its parameters
+        node = parse_expr("c*cos(t) + d")
+        expr.compile_expr(node, {"c": 1, "d": 2})
+        monkeypatch.setattr(expr, "_generate", None)
+        assert expr.compile_expr(node, {"c": 2, "d": 0})(0.0) == 2
+
+    # builtins, keywords of the generated code and the generated names
+    HOSTILE = ["exec", "eval", "__import__", "open", "__builtins__", "complex", "abs",
+               "isfinite", "f", "at", "_0", "_c0", "_c1", "_pole", "_FAILS", "_LIMIT"]
+
+    @given(st.lists(st.sampled_from(HOSTILE), min_size=1, max_size=4, unique=True),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_no_input_text_reaches_the_source(self, names, seed):
+        rng = np.random.default_rng(seed)
+        terms = [f"{name}*{fn}({rng.integers(1, 9)}.{rng.integers(0, 99)}*t + {name})"
+                 for name, fn in zip(names, rng.choice(sorted(expr.FUNCTIONS), len(names)))]
+        text = "F1 = " + " - ".join(terms) + "; F3 = 7.25e-3i ^ t"
+        spec = parse_field_spec(text)
+        params = {name: complex(rng.uniform(0.1, 1), rng.uniform(-1, 1)) for name in names}
+        nodes = tuple(spec.component(c) for c in ("F1", "F2", "F3"))
+        ops, results, ends, _ = expr._generate(nodes)
+        allowed = {"def", "return", "try", "except", "if", "not", "or", "f", "t", "at",
+                   "complex", "abs", "isfinite", "_pole", "_FAILS", "_LIMIT", *expr.FUNCTIONS}
+        for checked in (False, True):
+            code = expr._source(ops, results, ends, checked)
+            # the messages are the generator's own text; then no name is
+            # the input's and no number is written out
+            code = re.sub(r"\"'[-+*/^]' overflow/pole\"|'\w+ pole'|'field component singular'",
+                          "", code)
+            code = re.sub(r"\b_c?\d+\b", "", code)
+            assert set(re.findall(r"[A-Za-z_]\w*", code)) <= allowed
+            assert not re.search(r"\d", code)
+        fn = field_callable(ExprField(spec.defs, params))
+        for t in (0.3, 1.7):
+            want = [_reference(n, t, params) if n is not None else 0j for n in nodes]
+            assert fn(t).view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
+
+
+class TestFusedRhs:
+    @pytest.mark.parametrize("eid", range(1, 27))
+    def test_rhs_is_sigma_dot_matmul_bit_for_bit(self, eid):
+        # the catalog's fields are real at real parameters, where a product
+        # in Python arithmetic would round as matmul does; complex
+        # parameters and an F2 make sigma.F complex, where it would not
+        e = catalog.entry(eid)
+        rng = np.random.default_rng([eid, 12])
+        defs = parse_field_spec(e.field_dsl + "; F2 = a*sin(t)").defs
+        for p in [e.merged(None)] + [e.draw_params(rng) for _ in range(3)]:
+            t0, t1 = e.window_for(p)
+            twisted = {k: v * cmath.exp(0.3j) if k in "abc" else v for k, v in p.items()}
+            for spec in (CatalogField(eid, p), ExprField(parse_field_spec(e.field_dsl).defs, p),
+                         CatalogField(eid, twisted), ExprField(defs, twisted)):
+                field, rhs = bind_field(spec)
+                for t in rng.uniform(t0, t1, 20):
+                    y = rng.normal(size=2) * 10.0 ** rng.uniform(-3, 3, 2) \
+                        + 1j * rng.normal(size=2)
+                    want = -1j * (sigma_dot(field(t)) @ y)
+                    assert rhs(t, y).view(np.int64).tolist() == want.view(np.int64).tolist()
+
+    @pytest.mark.parametrize("text, t", [
+        ("F3 = 1/(t - 0.5)", 0.5), ("F1 = ln(t)", 0.0), ("F2 = 3e12*t", 0.5),
+        ("F1 = 1/(t - 0.5); F3 = ln(t - 0.5)", 0.5), ("F1 = 1e200*t*1e200", 1.0),
+    ])
+    def test_rhs_fails_as_the_field_does(self, text, t):
+        field, rhs = bind_field(parse_field_spec(text))
+        with pytest.raises(SingularityError) as want:
+            field(t)
+        with pytest.raises(SingularityError) as got:
+            rhs(t, np.array([1, 0j]))
+        assert (str(got.value), got.value.t) == (str(want.value), want.value.t)
