@@ -1,7 +1,8 @@
 """Benchmark the series kernels: the scalar loops, the grid kernels against
-the scalar loops, and field sampling by array call against the per-node
-loop; count the grid and array-call values that are bit-identical to the
-scalar ones.  Then the spin-equation residual of verify_entry: the
+the scalar loops, two parameter sets on one stencil grid summed in two
+passes and in one, and field sampling by array call against the per-node
+loop; count the grid, one-pass and array-call values that are
+bit-identical to the scalar, two-pass and per-node ones.  Then the spin-equation residual of verify_entry: the
 per-point loop against dynamics.se_residuals on all rows at once, and the
 residuals that are bit-identical.  Then CSV writing: the per-row "%.16e"
 loop against the vectorised formatter, its fallback share, and the values
@@ -160,6 +161,23 @@ def main():
         & (terms == [n for _, n, _ in scalar]))
     print(f"\ngrid vs scalar (2F1, one parameter set): {same} of {len(z_2f1)} "
           "values and term counts bit-identical")
+
+    # a closed form's two series on one stencil grid: 50 points of entry 9's
+    # window, 5 nodes each, at z = tanh(t)^2, in a pass each or in one pass
+    times = np.linspace(*catalog.entry(9).default_window, 50)
+    z_grid = np.tanh(np.stack(stencil_nodes(times, default_step(times)) + (times,))).ravel() ** 2
+    sets = [(a, b, c), (a + 1, b + 1, c + 1)]
+    jobs = [(_series_py.hyp2f1_coefficient(*s), z_grid.astype(complex)) for s in sets]
+    t_two = timeit(lambda: [_series_py.hyp2f1_grid(*s, z_grid) for s in sets], repeat=20)
+    t_one = timeit(_series_py._grid_series, jobs, repeat=20)
+    two = [_series_py.hyp2f1_grid(*s, z_grid) for s in sets]
+    one = _series_py._grid_series(jobs)
+    same = sum(np.count_nonzero((_bits(v1) == _bits(v2)).all(axis=1) & (n1 == n2)
+                                & (_bits(e1) == _bits(e2)).all(axis=1))
+               for (v1, n1, e1), (v2, n2, e2) in zip(one, two))
+    print(f"\n2F1, 2 sets x {z_grid.size} stencil nodes: two passes {t_two * 1e3:.2f} ms, "
+          f"one pass {t_one * 1e3:.2f} ms ({t_two / t_one:.2f}x); {same} of "
+          f"{2 * z_grid.size} values, term counts and estimates bit-identical")
 
     # the array call must reproduce the per-node loop bit for bit
     fields = catalog_dsl_fields(2001)

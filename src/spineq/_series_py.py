@@ -3,12 +3,17 @@
 Both return (value, terms_used, relative_truncation_estimate); terms_used
 == -1 signals that the term cap was reached before convergence.
 
-hyp2f1_grid and hyp1f1_grid sum the same series at every element of an
-array of z at once and return arrays of the three.  They reproduce the
-scalar loops here bit for bit: the term coefficient is the same Python
-complex, the complex products are CPython's (xr*yr - xi*yi, xr*yi + xi*yr)
-on float64 real/imaginary pairs, abs is hypot, and each element keeps its
-own STREAK count and MAX_TERMS cap, leaving the active set when it stops.
+_grid_series sums the same series at every element of arrays of z at once.
+It takes a list of jobs, each a term coefficient k -> c_k (hyp2f1_coefficient,
+hyp1f1_coefficient) with an array of z, sums all of them in one pass over
+blocks of terms, and returns the three arrays of each job; hyp2f1_grid and
+hyp1f1_grid are its one-job calls.  Every element reproduces the scalar loop
+here bit for bit: the term coefficient is the same Python complex, the
+complex products are CPython's (xr*yr - xi*yi, xr*yi + xi*yr) on float64
+real/imaginary pairs, abs is hypot, and each element keeps its own STREAK
+count and MAX_TERMS cap, leaving the active set when it stops.  So a job
+gets the same bits in a pass of its own as beside other jobs, unless a job
+before it has a term that overflowed: then it is left out (None).
 """
 
 import numpy as np
@@ -17,7 +22,7 @@ MAX_TERMS = 20000
 REL_EPS = 1e-16
 STREAK = 3
 
-# the grid kernels take up to _BLOCK terms per vectorised step, fewer when
+# the grid kernel takes up to _BLOCK terms per vectorised step, fewer when
 # that many terms of all live elements would pass _BLOCK_SIZE (memory)
 _BLOCK = 16
 _BLOCK_SIZE = 16384
@@ -65,41 +70,68 @@ def hyp1f1_series(a, c, z):
     return total, n_used, abs(term) / max(abs(total), 1e-300)
 
 
+def hyp2f1_coefficient(a, b, c):
+    """k -> the factor of term k+1 over term k of hyp2f1_series, but z."""
+    return lambda k: (a + k) * (b + k) / ((c + k) * (k + 1.0))
+
+
+def hyp1f1_coefficient(a, c):
+    """k -> the factor of term k+1 over term k of hyp1f1_series, but z."""
+    return lambda k: (a + k) / ((c + k) * (k + 1.0))
+
+
 def hyp2f1_grid(a, b, c, z):
     """hyp2f1_series at every element of the complex array z."""
-    return _grid_series(lambda k: (a + k) * (b + k) / ((c + k) * (k + 1.0)), z)
+    return _grid_series([(hyp2f1_coefficient(a, b, c), z)])[0]
 
 
 def hyp1f1_grid(a, c, z):
     """hyp1f1_series at every element of the complex array z."""
-    return _grid_series(lambda k: (a + k) / ((c + k) * (k + 1.0)), z)
+    return _grid_series([(hyp1f1_coefficient(a, c), z)])[0]
 
 
-def _grid_series(coefficient, z):
-    """The scalar loop at every element of z, up to _BLOCK terms at a time.
+def _grid_series(jobs):
+    """The scalar loop at every element of every job's z, as a list of
+    (values, terms, estimates), one per (coefficient, z) job.
 
-    Only the term recurrence and the partial sums run term by term; the
-    magnitudes and the STREAK test then cover the whole block at once.  An
-    element that ends inside a block has a few terms computed past its end,
-    which are never read.
+    All jobs run in one pass, up to _BLOCK terms at a time.  Only the term
+    recurrence and the partial sums run term by term; the magnitudes and
+    the STREAK test then cover the whole block at once.  The elements of a
+    job stay contiguous among the live ones, so that each job multiplies
+    its own slice by its own coefficients.  An element that ends inside a
+    block has a few terms computed past its end, which are never read.
+
+    The jobs are read in order, up to the first with an element over the
+    cap (specfun raises there).  An element whose term is not finite can no
+    longer converge (every later term is not finite either), so once one is
+    seen in a block where a magnitude overflows, which is where such a term
+    first appears, the jobs after its own leave the pass and return None.
     """
-    z = np.asarray(z, dtype=complex)
-    n = z.size
-    zz = np.stack([z.real.ravel(), z.imag.ravel()])  # [re, im] of z
+    zs = [np.asarray(z, dtype=complex) for _, z in jobs]
+    sizes = [z.size for z in zs]
+    n = sum(sizes)
+    flat = np.concatenate([z.ravel() for z in zs]) if zs else np.empty(0, dtype=complex)
+    zz = np.stack([flat.real, flat.imag])  # [re, im] of z
     term, total = np.zeros((2, n)), np.zeros((2, n))  # [re, im] of each
     term[0] = total[0] = 1.0
     # whether abs(term) < REL_EPS * abs(total) held at the two last terms
     tail = np.zeros((2, n), dtype=bool)
     live = np.arange(n)
+    owner = np.repeat(np.arange(len(jobs)), sizes)  # the job of each live element
+    slices = _job_slices(owner, len(jobs))
+    last_job = len(jobs) - 1  # the jobs after it have left the pass
     sums = np.empty((2, n))
     terms = np.full(n, -1, dtype=np.int64)
     estimates = np.empty(n)
     k0 = 0
     with np.errstate(all="ignore"):
         while live.size and k0 < MAX_TERMS:
-            kb = min(_BLOCK, max(4, _BLOCK_SIZE // live.size), MAX_TERMS - k0)
-            cf = np.array([coefficient(k) for k in range(k0, k0 + kb)])
-            block = _block_terms(_times_z(cf, zz), term, total)
+            kb = min(_BLOCK, max(1, _BLOCK_SIZE // live.size), MAX_TERMS - k0)
+            x = np.empty((kb,) + zz.shape)
+            for j, s, e in slices:
+                cf = np.array([jobs[j][0](k) for k in range(k0, k0 + kb)])
+                _times_z(cf, zz[:, s:e], x[:, :, s:e])
+            block = _block_terms(x, term, total)
             term, total = block[-1].copy()
             small, overflow = _small_terms(block)
             small = np.concatenate([tail, small])
@@ -110,33 +142,52 @@ def _grid_series(coefficient, z):
             if overflow is not None and np.count_nonzero(
                     overflow & (np.arange(kb)[:, None] <= last)):
                 raise OverflowError("absolute value too large")  # as CPython's abs
-            if np.count_nonzero(done):
-                j, idx = last[done], live[done]
-                ends = block[j, :, :, np.flatnonzero(done)]  # [element, term/total, re/im]
-                sums[:, idx] = ends[:, 1].T
-                terms[idx] = k0 + j + 1
-                estimates[idx] = _estimate(ends[:, 0].T, ends[:, 1].T)
-                keep = ~done
+            leave = done
+            if overflow is not None:
+                # a magnitude overflowed: an element whose term is no longer
+                # finite cannot converge, and the caller stops at its job
+                bad = ~done & ~np.isfinite(term).all(axis=0)
+                if bad.any():
+                    last_job = min(last_job, int(owner[bad].min()))
+                    leave = done | (owner > last_job)
+            if np.count_nonzero(leave):
+                keep = ~leave
+                if np.count_nonzero(done):
+                    j, idx = last[done], live[done]
+                    ends = block[j, :, :, np.flatnonzero(done)]  # [element, term/total, re/im]
+                    sums[:, idx] = ends[:, 1].T
+                    terms[idx] = k0 + j + 1
+                    estimates[idx] = _estimate(ends[:, 0].T, ends[:, 1].T)
                 live, zz, term, total = live[keep], zz[:, keep], term[:, keep], total[:, keep]
-                small = small[:, keep]
+                small, owner = small[:, keep], owner[keep]
+                slices = _job_slices(owner, len(jobs))
             tail = small[-2:]
             k0 += kb
-            del block  # before the next one is allocated
+            del x, block  # before the next ones are allocated
         sums[:, live] = total
         estimates[live] = _estimate(term, total)
     values = np.empty(n, dtype=complex)
     values.real, values.imag = sums
-    return values.reshape(z.shape), terms.reshape(z.shape), estimates.reshape(z.shape)
+    cuts = np.cumsum(sizes)[:-1]
+    return [None if j > last_job else (v.reshape(z.shape), m.reshape(z.shape), r.reshape(z.shape))
+            for j, (z, v, m, r) in enumerate(
+                zip(zs, *(np.split(a, cuts) for a in (values, terms, estimates))))]
 
 
-def _times_z(cf, zz):
-    """cf[k] * z for each coefficient, as [k, re/im, element], each product
-    as CPython multiplies complex numbers, (xr*yr - xi*yi, xr*yi + xi*yr)."""
+def _job_slices(owner, n_jobs):
+    """(job, start, stop) of each job with live elements, for the sorted
+    job index of each live element."""
+    stops = np.cumsum(np.bincount(owner, minlength=n_jobs)).tolist()
+    starts = [0] + stops[:-1]
+    return [(j, s, e) for j, (s, e) in enumerate(zip(starts, stops)) if e > s]
+
+
+def _times_z(cf, zz, out):
+    """cf[k] * z for each coefficient into out, as [k, re/im, element], each
+    product as CPython multiplies complex numbers, (xr*yr - xi*yi, xr*yi + xi*yr)."""
     cr, ci = cf.real[:, None], cf.imag[:, None]
-    x = np.empty((len(cf),) + zz.shape)
-    np.subtract(cr * zz[0], ci * zz[1], out=x[:, 0])
-    np.add(cr * zz[1], ci * zz[0], out=x[:, 1])
-    return x
+    np.subtract(cr * zz[0], ci * zz[1], out=out[:, 0])
+    np.add(cr * zz[1], ci * zz[0], out=out[:, 1])
 
 
 def _block_terms(x, term, total):

@@ -1,5 +1,8 @@
+import hashlib
+import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -181,6 +184,65 @@ class TestGridVerification:
             warnings.simplefilter("error")
             with pytest.raises(SingularityError):
                 catalog.verify_entry(1, window=(0, 1))
+
+
+GOLDEN = Path(__file__).with_name("verify_residuals_golden.json")
+
+
+class TestClosedFormsOnArrays:
+    """Each closed form on an object array of times, its two series summed
+    in one grid pass, against solution_components node by node."""
+
+    @pytest.mark.parametrize("eid", range(1, 27))
+    def test_bit_identical_to_per_node(self, eid):
+        e = catalog.entry(eid)
+        rng = np.random.default_rng([eid, 5])
+        for p in [e.merged(None)] + [e.draw_params(rng) for _ in range(3)]:
+            times = np.linspace(*e.window_for(p), 23)
+            got = e._solution(np.array(list(times), dtype=object), p)
+            want = np.array([e.solution_components(t, p) for t in times])
+            for i, g in enumerate(got):
+                assert np.asarray(g, dtype=complex).view(np.int64).tolist() == \
+                    want[:, i].copy().view(np.int64).tolist(), f"entry {eid} params {p}"
+
+    def test_residuals_as_recorded(self):
+        # recorded before the two series of each closed form shared a pass
+        golden = json.loads(GOLDEN.read_text())["entries"]
+        assert sorted(map(int, golden)) == list(range(1, catalog.N_ENTRIES + 1))
+        for eid, rows in golden.items():
+            for row in rows:
+                p = {k: float.fromhex(v) for k, v in row["params"].items()}
+                rep = catalog.verify_entry(int(eid), p, n_points=50)
+                assert float(rep.max_residual).hex() == row["max"], f"entry {eid} {p}"
+                assert hashlib.sha256(rep.residuals.astype("<f8").tobytes()).hexdigest() \
+                    == row["sha256"], f"entry {eid} {p}"
+
+
+class TestOverflowingParameters:
+    """A finite parameter whose square is not is an input error that names
+    the parameter, not a fault of a special function."""
+
+    @pytest.mark.parametrize("eid", range(1, 27))
+    @pytest.mark.parametrize("a", [1e200, 1e308])
+    def test_named(self, eid, a):
+        e = catalog.entry(eid)
+        p = e.merged({"a": a})
+        with pytest.raises(DomainError) as got:
+            catalog.verify_entry(eid, {"a": a})
+        failed = e.failed_constraints(p)
+        if failed:  # the entry's own constraints come first (16: ['a^2/b finite'])
+            assert str(got.value) == f"entry {eid} parameter constraints violated: {failed}"
+        else:
+            assert str(got.value) == \
+                f"entry {eid} parameters too large, squares not finite: ['a']"
+        with pytest.raises(DomainError):
+            catalog.entry_solution(eid, {"a": a}, e.window_for(p)[0])
+
+    def test_every_parameter_is_checked(self):
+        with pytest.raises(DomainError, match=r"squares not finite: \['b', 'w'\]"):
+            catalog.entry_solution(4, {"b": -1e160, "w": 1e155j}, 0.5)
+        assert catalog.entry(16).failed_constraints(
+            catalog.entry(16).merged({"a": 1e200})) == ["a^2/b finite"]
 
 
 class TestBindField:

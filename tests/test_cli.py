@@ -160,6 +160,13 @@ class TestVerify:
         assert capsys.readouterr().err == \
             "ERROR 2: entry 16 parameter constraints violated: ['a^2/b finite']\n"
 
+    @pytest.mark.parametrize("entry", range(1, 27))
+    def test_overflowing_parameter_is_an_input_error(self, capsys, entry):
+        for params in ("a=1e200", "a=1e308"):
+            assert run(["verify", "--entry", str(entry), "--params", params]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"ERROR 2: entry {entry} parameter") and "'a" in err
+
     def test_needs_entry_or_all(self, capsys):
         assert run(["verify"]) == 2
 

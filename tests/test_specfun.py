@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spineq import _series_py
-from spineq.errors import DomainError
+from spineq.errors import AccuracyError, DomainError
 from spineq.specfun import (SeriesResult, complex_gamma, gauss_2f1,
-                            gauss_2f1_info, kummer_phi, kummer_phi_info,
-                            parabolic_d, reciprocal_gamma)
+                            gauss_2f1_info, gauss_2f1_many, kummer_phi,
+                            kummer_phi_info, kummer_phi_many, parabolic_d,
+                            parabolic_d_many, reciprocal_gamma)
 
 from conftest import assert_rel
 
@@ -95,6 +96,193 @@ class TestGridKernels:
             gauss_2f1(0.2, 0.3, 1.1, z)
         with pytest.raises(DomainError):
             gauss_2f1(1, 1, -3, z)
+
+
+# a job of the grid kernel: the series ("2F1" or "1F1"), its parameters and its z
+_SERIES = {"2F1": (_series_py.hyp2f1_coefficient, _series_py.hyp2f1_series),
+           "1F1": (_series_py.hyp1f1_coefficient, _series_py.hyp1f1_series)}
+_z_2f1 = st.one_of(st.builds(complex, st.floats(-0.95, 0.95), st.floats(-0.3, 0.3)),
+                   st.floats(1.2, 5.0).map(_pfaff_image))
+_job = st.one_of(
+    st.tuples(st.just("2F1"), st.tuples(_param, _param, _gamma),
+              st.lists(_z_2f1, min_size=1, max_size=6)),
+    st.tuples(st.just("1F1"), st.tuples(_param, _gamma),
+              st.lists(st.builds(complex, st.floats(-6, 6), st.floats(-6, 6)),
+                       min_size=1, max_size=6)))
+
+# where F(1; 1; z) = e^z overflows in the scalar loop, and Phi(0.5i; 0.5; z)
+# and Phi(0.3; 1.2; z) run out of terms instead
+_Z_OVERFLOW = 800 * cmath.exp(0.6j)
+_Z_CAP = 2500.100001j  # Phi(0.5i; 0.5; z) runs out of terms (entry 16 on [-50, 50])
+
+
+def _kernel_jobs(specs):
+    return [(_SERIES[kind][0](*params), np.array(z, dtype=complex)) for kind, params, z in specs]
+
+
+def _assert_jobs_match(specs):
+    """One pass over all jobs against a pass per job and the scalar loop,
+    bit for bit in values, term counts and estimates, for every job up to
+    the first with an element over the cap; the jobs after it may be left
+    out (None)."""
+    jobs = _kernel_jobs(specs)
+    got = _series_py._grid_series(jobs)
+    assert len(got) == len(jobs)
+    for i, ((kind, params, _), job, result) in enumerate(zip(specs, jobs, got)):
+        if result is None:
+            assert any((r[1] < 0).any() for r in got[:i]), "left out before a cap"
+            continue
+        for got_part, alone_part in zip(result, _series_py._grid_series([job])[0]):
+            assert _bits(got_part) == _bits(alone_part)
+        _assert_grid_matches_scalar(result, lambda x: _SERIES[kind][1](*params, x), job[1])
+    return got
+
+
+def _outcome(fn):
+    """What fn returns, as bits, or the type and message of what it raises."""
+    try:
+        return [_bits(v.tolist() if isinstance(v, np.ndarray) else v) for v in fn()]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestGridJobs:
+    """Several series summed in one pass of the grid kernel, each as it
+    would be alone and as the scalar loop sums it."""
+
+    @given(st.lists(_job, min_size=1, max_size=4))
+    @settings(max_examples=40, deadline=None)
+    def test_jobs_match_alone_and_scalar(self, specs):
+        _assert_jobs_match(specs)
+
+    def test_unequal_sizes_and_an_early_end_beside_a_slow_job(self):
+        # Phi at 0 ends in its first block; 2F1 at 0.94 takes hundreds of terms
+        got = _assert_jobs_match([
+            ("1F1", (0.3, 1.2), [0j]),
+            ("2F1", (0.4 + 0.2j, 1.1, 1.7 - 0.3j), [0.94, -0.93 + 0.2j, 0.3]),
+            ("1F1", (0.8 - 0.4j, 1.9), [0.1, -2.0, 3j, 5 - 5j, 0.5]),
+            ("2F1", (0.9 + 0.8j, 0.2 - 0.5j, 0.8 - 0.5j), [_pfaff_image(1.3)])])
+        assert got[0][1].tolist() == [3]
+        assert max(got[1][1]) > 16 * 8
+
+    def test_cap_beside_converging_jobs(self):
+        # F(1, 1; 1.5; 1) diverges with finite terms; at _Z_CAP the terms
+        # of Phi overflow to inf, so that job comes last
+        got = _assert_jobs_match([
+            ("1F1", (0.3, 1.2), [0.1]),
+            ("2F1", (1, 1, 1.5), [1.0, 0.25]),
+            ("2F1", (0.2, 0.3, 1.1), [0.5]),
+            ("1F1", (0.5j, 0.5), [0.5j, _Z_CAP, -3.0])])
+        assert [(r[1] < 0).tolist() for r in got] == [
+            [False], [True, False], [False], [False, True, False]]
+
+    def test_nan_estimates(self):
+        got = _assert_jobs_match([
+            ("1F1", (0.3, 1.2), [0.5, complex(math.nan, 0.0), complex(math.inf, 1.0)]),
+            ("2F1", (0.2, 0.3, 1.1), [complex(0.1, math.nan), 0.2])])
+        assert np.isnan(got[0][2][1:]).all() and np.isnan(got[1][2][0])
+        assert got[0][1][1:].tolist() == [-1, -1]
+
+    @pytest.mark.parametrize("first", [True, False])
+    def test_overflow_raised_as_the_scalar_loop_raises_it(self, first):
+        with pytest.raises(OverflowError) as want:
+            _series_py.hyp1f1_series(1.0, 1.0, _Z_OVERFLOW)
+        specs = [("1F1", (1.0, 1.0), [0.5, _Z_OVERFLOW]), ("1F1", (0.2, 1.1), [1.0, 2j])]
+        with pytest.raises(OverflowError) as got:
+            _series_py._grid_series(_kernel_jobs(specs if first else specs[::-1]))
+        assert str(got.value) == str(want.value)
+
+    def test_jobs_after_a_diverging_term_are_left_out(self):
+        # at z = 1e300 the second term overflows to inf, and NaN follows
+        specs = [("1F1", (0.3, 1.2), [0.5, 2.0]),
+                 ("1F1", (0.3, 1.2), [1.0, 1e300]),
+                 ("1F1", (0.2, 1.1), [1.0])]
+        got = _assert_jobs_match(specs)
+        assert got[2] is None and got[1][1].tolist()[1] == -1
+        assert None not in _assert_jobs_match([specs[0], specs[2], specs[1]])
+        # the cap with finite terms, and a NaN argument (no magnitude
+        # overflows), leave no job out
+        for z in (1.0, complex(math.inf, 1.0)):
+            assert None not in _assert_jobs_match([("2F1", (1, 1, 1.5), [z]), specs[2]])
+
+
+class TestManyForms:
+    """gauss_2f1_many, kummer_phi_many and parabolic_d_many against the
+    one-set calls made in order: the same bits, or the same error."""
+
+    def test_values_match_the_one_set_calls(self):
+        theta = np.linspace(1.2, 5.0, 7)
+        z = np.concatenate([np.exp(1j * theta), [0.3, -0.2j, 0.99j]]).astype(object)
+        sets = [(0.3 + 0.1j, -0.4j, 1.2 + 0.2j), (1.3 + 0.1j, -0.4j, 1.2 + 0.2j),
+                (0.3 + 0.1j, 0.6 - 0.4j, 2.2 + 0.2j), (0.5, 0.25, 1.5)]
+        for zz in (z, z[3], z.reshape(2, 5)):
+            for n in (1, 2, 4):
+                assert _outcome(lambda: gauss_2f1_many(sets[:n], zz)) == \
+                    _outcome(lambda: [gauss_2f1(*s, zz) for s in sets[:n]])
+            k_sets = [(a, c) for a, _, c in sets]
+            assert _outcome(lambda: kummer_phi_many(k_sets, 4 * zz)) == \
+                _outcome(lambda: [kummer_phi(*s, 4 * zz) for s in k_sets])
+            ps = [0.3 + 0.1j, -0.7 - 0.1j, 1.5j]
+            assert _outcome(lambda: parabolic_d_many(ps, 3 * zz)) == \
+                _outcome(lambda: [parabolic_d(p, 3 * zz) for p in ps])
+
+    def test_one_pass_for_all_sets(self, monkeypatch):
+        passes = []
+        grid = _series_py._grid_series
+        monkeypatch.setattr(_series_py, "_grid_series",
+                            lambda jobs, **kw: passes.append(len(jobs)) or grid(jobs, **kw))
+        z = np.array([0.3, -0.2j, np.exp(2j)], dtype=object)  # 2 direct, 1 Pfaff image
+        gauss_2f1_many([(0.3, 0.2, 1.2), (1.3, 0.2, 1.2)], z)
+        kummer_phi_many([(0.3, 1.2), (1.3, 1.2)], z)
+        parabolic_d_many([0.3, -0.7], z)
+        assert passes == [4, 2, 4]
+
+    # Re(c - a - b) = 0.06 at |z| = 1 near z = 1: the slow direct series,
+    # which runs out of terms; Re(c - a - b) = 3.5 converges
+    _SLOW = np.exp(0.1j)
+
+    @pytest.mark.parametrize("fn, sets, z", [
+        # the first set over the cap, a bad gamma in the second
+        (gauss_2f1, [(1, 1, 2.06), (1, 1, -2)], [0.3, _SLOW]),
+        (kummer_phi, [(0.5j, 0.5), (1, -2)], [0.5, _Z_CAP]),
+        # a bad gamma in the first set
+        (gauss_2f1, [(1, 1, -2), (1, 1, 2.06)], [0.3, _SLOW]),
+        (kummer_phi, [(1, math.nan), (0.5j, 0.5)], [0.5, _Z_CAP]),
+        # the second set outside the domain, where the first converges
+        (gauss_2f1, [(0.2, 0.3, 4.0), (0.2, 0.3, 0.5)], [0.3, _SLOW]),
+        # a branch cut, for every set
+        (gauss_2f1, [(0.2, 0.3, 1.1), (0.3, 0.3, 1.1)], [0.5, 1.5]),
+        # over the cap in the first set, an overflow in the second, and back
+        (kummer_phi, [(0.5j, 0.5), (1.0, 1.0)], [0.5, _Z_OVERFLOW]),
+        (kummer_phi, [(1.0, 1.0), (0.5j, 0.5)], [0.5, _Z_OVERFLOW]),
+        (kummer_phi, [(0.3, 1.2), (1.0, 1.0), (0.5j, 0.5)], [0.5, _Z_OVERFLOW]),
+        # the second set over the cap: the first is still summed
+        (gauss_2f1, [(0.2, 0.3, 4.0), (1, 1, 2.06)], [0.3, _SLOW]),
+        # parabolic_d: a NaN order after one whose series runs out of terms
+        (parabolic_d, [(0.5,), (math.nan,)], [0.5, 71.0 * cmath.exp(0.25j * math.pi)]),
+        (parabolic_d, [(0.5,), (math.nan,)], [0.5, 2.0]),
+    ])
+    def test_errors_match_the_one_set_calls(self, fn, sets, z):
+        many = {gauss_2f1: gauss_2f1_many, kummer_phi: kummer_phi_many,
+                parabolic_d: lambda sets, z: parabolic_d_many([p for p, in sets], z)}[fn]
+        for zz in (np.array(z, dtype=object), z[-1]):
+            want = _outcome(lambda: [fn(*s, zz) for s in sets])
+            assert isinstance(want, tuple), "each case fails"
+            assert _outcome(lambda: many(sets, zz)) == want
+
+    def test_error_cases_fail_as_described(self):
+        # the scenarios above, checked on the one-set calls
+        with pytest.raises(AccuracyError):
+            gauss_2f1(1, 1, 2.06, self._SLOW)
+        assert cmath.isfinite(gauss_2f1(0.2, 0.3, 4.0, self._SLOW))
+        with pytest.raises(DomainError, match="outside the supported domain"):
+            gauss_2f1(0.2, 0.3, 0.5, self._SLOW)
+        with pytest.raises(AccuracyError):
+            kummer_phi(0.5j, 0.5, _Z_OVERFLOW)
+        with pytest.raises(OverflowError):
+            kummer_phi(1.0, 1.0, _Z_OVERFLOW)
+        with pytest.raises(AccuracyError):
+            parabolic_d(0.5, 71.0 * cmath.exp(0.25j * math.pi))
 
 
 class TestGauss2F1:
