@@ -39,7 +39,6 @@ from .numutil import central_difference, default_step, grid_or_replay, stencil_n
 from .specfun import (gauss_2f1_many, kummer_phi_many, parabolic_d_many, _elementwise,
                       _is_nonpositive_integer)
 from .spinors import Spinor
-from . import dynamics
 
 __all__ = [
     "CatalogEntry",
@@ -602,12 +601,18 @@ def _b_nonzero(p):
     return abs(p["b"]) > 1e-12
 
 
+def _squares_sum_nonzero(x, y):
+    # a sum past the double range (inf, or NaN from inf - inf) is not zero:
+    # check_params' squares check then names the parameter that is too large
+    return not abs(x * x + y * y) <= 1e-12
+
+
 def _a2b2_nonzero(p):
-    return abs(p["a"] ** 2 + p["b"] ** 2) > 1e-12
+    return _squares_sum_nonzero(p["a"], p["b"])
 
 
 def _a2c2_nonzero(p):
-    return abs(p["a"] ** 2 + p["c"] ** 2) > 1e-12
+    return _squares_sum_nonzero(p["a"], p["c"])
 
 
 def _w_nonzero(p):
@@ -790,6 +795,8 @@ def verify_entry(entry_id: int, params: dict | None = None,
     finite, the node-by-node path is replayed, so an error keeps its type,
     message and t.
     """
+    # here, not at module level: catalog list and show need no dynamics
+    from . import dynamics
     e = entry(entry_id)
     p = e.merged(params)
     e.check_params(p)

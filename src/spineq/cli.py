@@ -5,6 +5,11 @@ Errors are reported on stderr as ``ERROR <code>: message`` with exit code
 2 for validation problems and 3 for numerical failures; identical
 invocations produce byte-identical output (floats printed with 17
 significant digits).
+
+At module level this file imports only the standard library and
+``errors``; each ``_cmd_*`` imports the modules it runs, so an invocation
+loads only what its subcommand needs, and argument checks that fail exit
+before numpy is loaded.
 """
 
 from __future__ import annotations
@@ -13,27 +18,17 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import sys
 
-import numpy as np
-
-from . import catalog
-from .darboux import darboux_params_constant_f, darboux_apply, constant_f_trajectory
-from .dynamics import MIN_TOL, Trajectory, propagate, bloch_propagate, BlochState
 from .errors import (AccuracyError, DomainError, FieldParseError,
                      IntegrationError, SingularityError, SpinEqError)
-from .expr import compile_expr, parse_expr
-from .fields import field_callable, load_field_json
-from .numutil import E16, csv_rows, grid_or_replay
-from .reductions import ReductionPlan, reduce_field
-from .solutions import gauge_from_field, invert_field, invert_field_selfadjoint
-from .spinors import CVec3
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
-TOL_MIN, TOL_MAX = MIN_TOL, 1e-3
+TOL_MAX = 1e-3
 
 # fewest --nodes per subcommand; invert and darboux run a 5-point stencil
 # over their trajectory
@@ -45,7 +40,16 @@ MAX_NODES = 10**6
 
 
 def _fmt(x: float) -> str:
+    from .numutil import E16
     return E16 % x
+
+
+def csv_rows(columns):
+    """numutil.csv_rows, imported on first call.  The subcommands call it
+    by this module's name, so replacing it here changes what all of them
+    write."""
+    from . import numutil
+    return numutil.csv_rows(columns)
 
 
 def _json_dump(doc, fh):
@@ -83,6 +87,7 @@ def _parse_params(text: str | None) -> dict:
 
 
 def _parse_v0(text: str) -> np.ndarray:
+    import numpy as np
     parts = text.split(",")
     try:
         if len(parts) == 2:
@@ -96,8 +101,9 @@ def _parse_v0(text: str) -> np.ndarray:
 
 
 def _check_tol(tol: float) -> float:
-    if not (TOL_MIN <= tol <= TOL_MAX):
-        raise _Validation(f"--tol must lie in [{TOL_MIN}, {TOL_MAX}]")
+    from .dynamics import MIN_TOL
+    if not (MIN_TOL <= tol <= TOL_MAX):
+        raise _Validation(f"--tol must lie in [{MIN_TOL}, {TOL_MAX}]")
     return tol
 
 
@@ -135,6 +141,8 @@ def _write_field_csv(fh, times, samples):
 
 
 def _cmd_propagate(args) -> int:
+    from .dynamics import propagate
+    from .fields import load_field_json
     spec = load_field_json(args.field)
     v0 = _parse_v0(args.v0)
     window = _check_window(args.window)
@@ -156,6 +164,7 @@ def _cmd_propagate(args) -> int:
 
 
 def _verify_one(entry_id, params, window, n_points, tol):
+    from . import catalog
     rep = catalog.verify_entry(entry_id, params=params or None,
                                window=window, n_points=n_points)
     e = catalog.entry(entry_id)
@@ -177,6 +186,7 @@ def _cmd_verify(args) -> int:
     _check_count("verify", "--points", args.points, 1)
     tol = args.tol if args.tol is not None else 1e-6
     if args.all:
+        from . import catalog
         reports = [_verify_one(i, params, window, args.points, tol)
                    for i in range(1, catalog.N_ENTRIES + 1)]
         with _output(args) as fh:
@@ -210,6 +220,10 @@ def _round_reports(reports):
 
 
 def _cmd_invert(args) -> int:
+    import numpy as np
+    from .dynamics import Trajectory, propagate
+    from .fields import load_field_json
+    from .solutions import gauge_from_field, invert_field, invert_field_selfadjoint
     spec = load_field_json(args.field)
     v0 = _parse_v0(args.v0)
     window = _check_window(args.window)
@@ -234,6 +248,7 @@ def _cmd_invert(args) -> int:
 
 
 def _cmd_darboux(args) -> int:
+    from .darboux import constant_f_trajectory, darboux_apply, darboux_params_constant_f
     p = _parse_params(args.params)
     for key in ("f", "R"):
         if key not in p:
@@ -266,6 +281,7 @@ def _cmd_darboux(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
+    from . import catalog
     if args.action == "list":
         doc = [{"id": e.id, "label": e.label, "params": list(e.param_names),
                 "flagged": e.flagged}
@@ -293,6 +309,9 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_bloch(args) -> int:
+    import numpy as np
+    from .dynamics import BlochState, bloch_propagate
+    from .fields import load_field_json
     spec = load_field_json(args.field)
     window = _check_window(args.window)
     tol = _check_tol(args.tol)
@@ -312,6 +331,12 @@ def _cmd_bloch(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    import numpy as np
+    from .expr import compile_expr, parse_expr
+    from .fields import field_callable, load_field_json
+    from .numutil import grid_or_replay
+    from .reductions import ReductionPlan, reduce_field
+    from .spinors import CVec3
     spec = load_field_json(args.field)
     window = _check_window(args.window)
     try:
@@ -430,6 +455,10 @@ def run(argv) -> int:
 
 
 def main() -> None:
+    # numpy's OpenBLAS starts one worker thread per core when it loads, and
+    # they spin on CPU, while the CLI only puts 2x2 and n x 2 arrays through
+    # BLAS; a value set in the environment wins
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.exit(run(sys.argv[1:]))
 
 

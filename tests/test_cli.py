@@ -167,6 +167,27 @@ class TestVerify:
             err = capsys.readouterr().err
             assert err.startswith(f"ERROR 2: entry {entry} parameter") and "'a" in err
 
+    @pytest.mark.parametrize("entry, other", [(1, "b"), (2, "b"), (3, "b"), (6, "c"),
+                                              (8, "c"), (13, "c"), (15, "b"), (17, "c")])
+    def test_overflowing_sum_of_squares_is_not_zero(self, capsys, entry, other):
+        # the constraint a^2 + other^2 != 0 holds when the sum is inf, or NaN
+        # from inf - inf; the squares check then names the parameters
+        for params, names in (("a=1e200", ["a"]),
+                              (f"a=1e200;{other}=0,1e200", ["a", other])):
+            assert run(["verify", "--entry", str(entry), "--params", params]) == 2
+            assert capsys.readouterr().err == (f"ERROR 2: entry {entry} parameters too "
+                                               f"large, squares not finite: {names}\n")
+
+    @pytest.mark.parametrize("entry, params, constraint", [
+        (2, "a=0;b=0", "a^2 + b^2 != 0"), (2, "a=1;b=0,1", "a^2 + b^2 != 0"),
+        (17, "a=0;c=0", "a^2 + c^2 != 0"),
+    ])
+    def test_zero_sum_of_squares_is_a_violated_constraint(self, capsys, entry, params,
+                                                          constraint):
+        assert run(["verify", "--entry", str(entry), "--params", params]) == 2
+        assert capsys.readouterr().err == \
+            f"ERROR 2: entry {entry} parameter constraints violated: ['{constraint}']\n"
+
     def test_needs_entry_or_all(self, capsys):
         assert run(["verify"]) == 2
 
@@ -410,6 +431,67 @@ class TestColdStart:
                 "assert 'scipy.optimize' not in sys.modules\n")
         p = _python(["-c", code], tmp_path, timeout=30)
         assert p.returncode == 0, p.stderr
+
+    # cli.main() on the arguments after the code, in a new interpreter; on
+    # exit it writes the OPENBLAS_NUM_THREADS it leaves and the numpy and
+    # spineq modules imported to report.json
+    MAIN = ("import json, os, sys\n"
+            "from spineq import cli\n"
+            "try:\n"
+            "    cli.main()\n"
+            "finally:\n"
+            "    with open('report.json', 'w') as fh:\n"
+            "        json.dump({'blas': os.environ.get('OPENBLAS_NUM_THREADS'),\n"
+            "                   'modules': [m for m in sys.modules\n"
+            "                               if m.split('.')[0] in ('numpy', 'spineq')]}, fh)\n")
+
+    def _main(self, argv, cwd):
+        p = _python(["-c", self.MAIN, *argv], cwd, timeout=30)
+        return p, json.loads((cwd / "report.json").read_text())
+
+    def test_import_spineq_loads_no_numpy(self, tmp_path):
+        code = "import sys, spineq\nassert 'numpy' not in sys.modules, sorted(sys.modules)\n"
+        p = _python(["-c", code], tmp_path, timeout=30)
+        assert p.returncode == 0, p.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["propagate", "--field", "const.json", "--v0", "1,0", "--window", "0", "1",
+         "--nodes", "0"],
+        ["propagate", "--field", "const.json", "--v0", "1,0"],
+        ["invert", "--field", "const.json", "--v0", "1,0", "--window", "0", "1",
+         "--nodes", "3"],
+    ], ids=["nodes-0", "no-window", "invert-nodes-3"])
+    def test_rejected_arguments_exit_before_numpy(self, tmp_path, const_field, argv):
+        p, report = self._main(argv, tmp_path)
+        assert p.returncode == 2 and p.stdout == ""
+        assert p.stderr.startswith("ERROR 2:") and len(p.stderr.splitlines()) == 1
+        assert "numpy" not in report["modules"], report["modules"]
+
+    def test_expr_propagate_loads_no_catalog(self, tmp_path, expr_field):
+        p, report = self._main(["propagate", "--field", expr_field, "--v0", "1,0",
+                                "--window", "0", "1", "--nodes", "5"], tmp_path)
+        assert p.returncode == 0, p.stderr
+        loaded = set(report["modules"])
+        assert "spineq.dynamics" in loaded
+        assert not loaded & {"spineq.catalog", "spineq.specfun", "spineq._series_py"}
+
+    @pytest.mark.parametrize("preset, want", [(None, "1"), ("3", "3")])
+    def test_blas_threads_default_to_one(self, tmp_path, monkeypatch, preset, want):
+        # numpy's OpenBLAS reads the variable when it loads; the CLI's 2x2 and
+        # n x 2 products leave its worker threads idle
+        if preset is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
+        p, report = self._main(["catalog", "list"], tmp_path)
+        assert p.returncode == 0, p.stderr
+        assert report["blas"] == want
+        assert "numpy" in report["modules"]
+
+    def test_run_leaves_blas_threads_alone(self, monkeypatch, capsys):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        assert run(["catalog", "list"]) == 0
+        assert "OPENBLAS_NUM_THREADS" not in os.environ
 
 
 class TestBoundaryDefects:
