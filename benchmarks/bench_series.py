@@ -1,12 +1,13 @@
-"""Benchmark the series kernels: the scalar loops, the grid kernels against
-the scalar loops, two parameter sets on one stencil grid summed in two
-passes and in one, and field sampling by array call against the per-node
-loop; count the grid, one-pass and array-call values that are
-bit-identical to the scalar, two-pass and per-node ones.  Then the spin-equation residual of verify_entry: the
-per-point loop against dynamics.se_residuals on all rows at once, and the
-residuals that are bit-identical.  Then CSV writing: the per-row "%.16e"
-loop against the vectorised formatter, its fallback share, and the values
-it writes byte-identical to "%.16e" % v over random bit patterns.
+"""Benchmark the series kernels of spineq.specfun: the scalar loop, the
+grid kernel against the scalar loop, two parameter sets on one stencil grid
+summed in two passes and in one, and field sampling by array call against
+the per-node loop; count the grid, one-pass and array-call values that are
+bit-identical to the scalar, two-pass and per-node ones.  Then the
+spin-equation residual of verify_entry: the per-point loop against
+dynamics.se_residuals on all rows at once, and the residuals that are
+bit-identical.  Then CSV writing: the per-row "%.16e" loop against the
+vectorised formatter, its fallback share, and the values it writes
+byte-identical to "%.16e" % v over random bit patterns.
 
 Run:  python benchmarks/bench_series.py
 """
@@ -15,26 +16,37 @@ import time
 
 import numpy as np
 
-from spineq import _series_py, catalog, dynamics, numutil
+from spineq import catalog, dynamics, numutil
 from spineq.fields import CatalogField, ExprField, field_callable, parse_field_spec
 from spineq.numutil import E16, central_difference, csv_rows, default_step, stencil_nodes
+from spineq.specfun import _grid_series, _hyp1f1_coefficient, _hyp2f1_coefficient, _series
 from spineq.spinors import sigma_dot
 
 
-def sweep_2f1(kernel, points):
+def sweep_2f1(points):
     acc = 0.0
     for a, b, c, z in points:
-        val, n, est = kernel.hyp2f1_series(a, b, c, z)
+        val, n, est = _series(_hyp2f1_coefficient(a, b, c), z)
         acc += abs(val)
     return acc
 
 
-def sweep_1f1(kernel, points):
+def sweep_1f1(points):
     acc = 0.0
     for a, c, z in points:
-        val, n, est = kernel.hyp1f1_series(a, c, z)
+        val, n, est = _series(_hyp1f1_coefficient(a, c), z)
         acc += abs(val)
     return acc
+
+
+def grid_2f1(a, b, c, z):
+    """The grid kernel on one 2F1 job."""
+    return _grid_series([(_hyp2f1_coefficient(a, b, c), z)])[0]
+
+
+def grid_1f1(a, c, z):
+    """The grid kernel on one 1F1 job."""
+    return _grid_series([(_hyp1f1_coefficient(a, c), z)])[0]
 
 
 def catalog_dsl_fields(n_nodes):
@@ -128,23 +140,23 @@ def main():
     ]
 
     rows = []
-    t_py = timeit(sweep_2f1, _series_py, pts_2f1)
+    t_py = timeit(sweep_2f1, pts_2f1)
     rows.append(("2F1 series", "pure Python", t_py, 1.0))
-    t_py = timeit(sweep_1f1, _series_py, pts_1f1)
+    t_py = timeit(sweep_1f1, pts_1f1)
     rows.append(("1F1 series", "pure Python", t_py, 1.0))
 
-    # the grid kernels sum one parameter set over an array of z, as the
-    # catalog's closed forms call them on a residual stencil
+    # the grid kernel sums one parameter set over an array of z, as the
+    # catalog's closed forms call it on a residual stencil
     a, b, c, _ = pts_2f1[0]
     z_2f1 = np.array([z for *_, z in pts_2f1])
-    t_py = timeit(sweep_2f1, _series_py, [(a, b, c, z) for z in z_2f1])
-    t_grid = timeit(_series_py.hyp2f1_grid, a, b, c, z_2f1)
+    t_py = timeit(sweep_2f1, [(a, b, c, z) for z in z_2f1])
+    t_grid = timeit(grid_2f1, a, b, c, z_2f1)
     rows.append(("2F1 one set", "pure Python", t_py, 1.0))
     rows.append(("2F1 one set", "grid", t_grid, t_py / t_grid))
     a, c, _ = pts_1f1[0]
     z_1f1 = np.array([z for *_, z in pts_1f1])
-    t_py = timeit(sweep_1f1, _series_py, [(a, c, z) for z in z_1f1])
-    t_grid = timeit(_series_py.hyp1f1_grid, a, c, z_1f1)
+    t_py = timeit(sweep_1f1, [(a, c, z) for z in z_1f1])
+    t_grid = timeit(grid_1f1, a, c, z_1f1)
     rows.append(("1F1 one set", "pure Python", t_py, 1.0))
     rows.append(("1F1 one set", "grid", t_grid, t_py / t_grid))
 
@@ -152,10 +164,10 @@ def main():
     for name, method, t, speedup in rows:
         print(f"{name:<12} {method:<12} {t * 1e3:>15.2f} ms {speedup:>8.1f}x")
 
-    # the grid kernels must reproduce the scalar loop bit for bit
+    # the grid kernel must reproduce the scalar loop bit for bit
     a, b, c, _ = pts_2f1[0]
-    values, terms, _ = _series_py.hyp2f1_grid(a, b, c, z_2f1)
-    scalar = [_series_py.hyp2f1_series(a, b, c, complex(z)) for z in z_2f1]
+    values, terms, _ = grid_2f1(a, b, c, z_2f1)
+    scalar = [_series(_hyp2f1_coefficient(a, b, c), complex(z)) for z in z_2f1]
     same = np.count_nonzero(
         (_bits(values) == _bits([v for v, _, _ in scalar])).all(axis=1)
         & (terms == [n for _, n, _ in scalar]))
@@ -167,11 +179,11 @@ def main():
     times = np.linspace(*catalog.entry(9).default_window, 50)
     z_grid = np.tanh(np.stack(stencil_nodes(times, default_step(times)) + (times,))).ravel() ** 2
     sets = [(a, b, c), (a + 1, b + 1, c + 1)]
-    jobs = [(_series_py.hyp2f1_coefficient(*s), z_grid.astype(complex)) for s in sets]
-    t_two = timeit(lambda: [_series_py.hyp2f1_grid(*s, z_grid) for s in sets], repeat=20)
-    t_one = timeit(_series_py._grid_series, jobs, repeat=20)
-    two = [_series_py.hyp2f1_grid(*s, z_grid) for s in sets]
-    one = _series_py._grid_series(jobs)
+    jobs = [(_hyp2f1_coefficient(*s), z_grid.astype(complex)) for s in sets]
+    t_two = timeit(lambda: [grid_2f1(*s, z_grid) for s in sets], repeat=20)
+    t_one = timeit(_grid_series, jobs, repeat=20)
+    two = [grid_2f1(*s, z_grid) for s in sets]
+    one = _grid_series(jobs)
     same = sum(np.count_nonzero((_bits(v1) == _bits(v2)).all(axis=1) & (n1 == n2)
                                 & (_bits(e1) == _bits(e2)).all(axis=1))
                for (v1, n1, e1), (v2, n2, e2) in zip(one, two))

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import spineq
 from spineq import catalog, cli, dynamics
@@ -106,6 +111,19 @@ class TestPropagate:
         assert rc == 2
 
 
+# a verify parameter: 0 or +-1e-3 ... +-1e6, on a log scale
+_param_value = st.one_of(st.just(0.0), st.builds(lambda sign, e: sign * 10.0 ** e,
+                                                 st.sampled_from([1.0, -1.0]), st.floats(-3, 6)))
+
+
+@st.composite
+def _verify_argv(draw):
+    e = catalog.entry(draw(st.integers(1, catalog.N_ENTRIES)))
+    names = draw(st.lists(st.sampled_from(e.param_names), min_size=1, unique=True))
+    params = ";".join(f"{k}={draw(_param_value)!r}" for k in names)
+    return ["verify", "--entry", str(e.id), "--params", params]
+
+
 class TestVerify:
     def test_single_entry(self, capsys):
         rc = run(["verify", "--entry", "16", "--window", "0.2", "2.0",
@@ -187,6 +205,24 @@ class TestVerify:
         assert run(["verify", "--entry", str(entry), "--params", params]) == 2
         assert capsys.readouterr().err == \
             f"ERROR 2: entry {entry} parameter constraints violated: ['{constraint}']\n"
+
+    @given(_verify_argv())
+    @example(["verify", "--entry", "16", "--params", "a=30"])
+    @example(["verify", "--entry", "12", "--params", "a=1000;b=0.001;c=2;w=2"])
+    @settings(max_examples=100, deadline=None)
+    def test_random_parameters_keep_the_contract(self, argv):
+        # states past 1e154 once overflowed the residual's squared norms: a
+        # numpy warning on stderr and a "nan" residual
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run(argv)
+        assert rc in (0, 2, 3)
+        assert [str(w.message) for w in caught] == []
+        assert all(line.startswith(f"ERROR {rc}:") for line in err.getvalue().splitlines())
+        if not err.getvalue():
+            assert json.loads(out.getvalue())["max_residual"] != "nan"
 
     def test_needs_entry_or_all(self, capsys):
         assert run(["verify"]) == 2
@@ -473,7 +509,7 @@ class TestColdStart:
         assert p.returncode == 0, p.stderr
         loaded = set(report["modules"])
         assert "spineq.dynamics" in loaded
-        assert not loaded & {"spineq.catalog", "spineq.specfun", "spineq._series_py"}
+        assert not loaded & {"spineq.catalog", "spineq.specfun"}
 
     @pytest.mark.parametrize("preset, want", [(None, "1"), ("3", "3")])
     def test_blas_threads_default_to_one(self, tmp_path, monkeypatch, preset, want):

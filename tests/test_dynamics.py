@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -139,6 +140,25 @@ class TestResiduals:
         want = self.per_row(du, F, u)
         assert got.shape == (n,)
         assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+    @pytest.mark.parametrize("exponent", [160, 200, 300])
+    def test_rows_past_the_square_range_scale_out(self, exponent):
+        # the squared norms overflow; the relative residual does not depend
+        # on the scale, so the rows scaled down give it to rounding
+        rng = np.random.default_rng([exponent, 11])
+        u, du = (rng.normal(size=(50, 2)) + 1j * rng.normal(size=(50, 2)) for _ in range(2))
+        F = rng.normal(size=(50, 3)) + 1j * rng.normal(size=(50, 3))
+        big = 10.0 ** (exponent - 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = se_residuals(big * du, F, big * u)
+        np.testing.assert_allclose(got, se_residuals(du, F, u), rtol=1e-14)
+
+    def test_non_finite_rows_stay_non_finite(self):
+        u = np.array([[1.0, 2.0], [np.inf, 1.0], [1e200, 1.0]], dtype=complex)
+        du = np.array([[0.5, 1.0], [1.0, 1.0], [1e200, np.nan]], dtype=complex)
+        got = se_residuals(du, np.ones((3, 3)), u)
+        assert np.isfinite(got).tolist() == [True, False, False]
 
 
 class TestStationary:

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spineq import _series_py
+from spineq import specfun
 from spineq.errors import AccuracyError, DomainError
-from spineq.specfun import (SeriesResult, complex_gamma, gauss_2f1,
+from spineq.specfun import (SeriesResult, _grid_series, _hyp1f1_coefficient,
+                            _hyp2f1_coefficient, _series, complex_gamma, gauss_2f1,
                             gauss_2f1_info, gauss_2f1_many, kummer_phi,
                             kummer_phi_info, kummer_phi_many, parabolic_d,
                             parabolic_d_many, reciprocal_gamma)
@@ -22,6 +23,11 @@ def central_diff(f, z, h=1e-5):
 
 def _bits(x):
     return np.atleast_1d(np.asarray(x, dtype=complex)).view(np.int64).tolist()
+
+
+def _grid(coefficient, z):
+    """The grid kernel on one job."""
+    return _grid_series([(coefficient, z)])[0]
 
 
 def _assert_grid_matches_scalar(grid, scalar, z):
@@ -54,8 +60,8 @@ class TestGridKernels:
     def test_hyp2f1_grid(self, a, b, c, zs, thetas):
         # Pfaff images of unit-circle points, as gauss_2f1 passes them on
         z = np.array(zs + [0j, complex(-0.0, -0.0)] + [_pfaff_image(t) for t in thetas])
-        _assert_grid_matches_scalar(_series_py.hyp2f1_grid(a, b, c, z),
-                                    lambda x: _series_py.hyp2f1_series(a, b, c, x), z)
+        _assert_grid_matches_scalar(_grid(_hyp2f1_coefficient(a, b, c), z),
+                                    lambda x: _series(_hyp2f1_coefficient(a, b, c), x), z)
 
     @given(_param, _gamma,
            st.lists(st.builds(complex, st.floats(-6, 6), st.floats(-6, 6)),
@@ -63,20 +69,20 @@ class TestGridKernels:
     @settings(max_examples=60, deadline=None)
     def test_hyp1f1_grid(self, a, c, zs):
         z = np.array(zs + [complex(0.0, -0.0)])
-        _assert_grid_matches_scalar(_series_py.hyp1f1_grid(a, c, z),
-                                    lambda x: _series_py.hyp1f1_series(a, c, x), z)
+        _assert_grid_matches_scalar(_grid(_hyp1f1_coefficient(a, c), z),
+                                    lambda x: _series(_hyp1f1_coefficient(a, c), x), z)
 
     def test_cap_hit_element(self):
         # 2500j is where entry 16 on [-50, 50] runs out of terms
         z = np.array([0.5j, 2500.100001j, -3.0])
-        grid = _series_py.hyp1f1_grid(0.5j, 0.5, z)
+        grid = _grid(_hyp1f1_coefficient(0.5j, 0.5), z)
         assert grid[1][1] == -1
-        _assert_grid_matches_scalar(grid, lambda x: _series_py.hyp1f1_series(0.5j, 0.5, x), z)
+        _assert_grid_matches_scalar(grid, lambda x: _series(_hyp1f1_coefficient(0.5j, 0.5), x), z)
         # F(1, 1; 1.5; 1) diverges: its terms fall off like k^-1/2
         z = np.array([1.0, 0.25])
-        grid = _series_py.hyp2f1_grid(1, 1, 1.5, z)
+        grid = _grid(_hyp2f1_coefficient(1, 1, 1.5), z)
         assert grid[1][0] == -1
-        _assert_grid_matches_scalar(grid, lambda x: _series_py.hyp2f1_series(1, 1, 1.5, x), z)
+        _assert_grid_matches_scalar(grid, lambda x: _series(_hyp2f1_coefficient(1, 1, 1.5), x), z)
 
     def test_specfun_arrays_take_the_scalar_branches(self):
         theta = np.linspace(1.2, 5.0, 7)
@@ -99,8 +105,7 @@ class TestGridKernels:
 
 
 # a job of the grid kernel: the series ("2F1" or "1F1"), its parameters and its z
-_SERIES = {"2F1": (_series_py.hyp2f1_coefficient, _series_py.hyp2f1_series),
-           "1F1": (_series_py.hyp1f1_coefficient, _series_py.hyp1f1_series)}
+_SERIES = {"2F1": _hyp2f1_coefficient, "1F1": _hyp1f1_coefficient}
 _z_2f1 = st.one_of(st.builds(complex, st.floats(-0.95, 0.95), st.floats(-0.3, 0.3)),
                    st.floats(1.2, 5.0).map(_pfaff_image))
 _job = st.one_of(
@@ -117,7 +122,7 @@ _Z_CAP = 2500.100001j  # Phi(0.5i; 0.5; z) runs out of terms (entry 16 on [-50, 
 
 
 def _kernel_jobs(specs):
-    return [(_SERIES[kind][0](*params), np.array(z, dtype=complex)) for kind, params, z in specs]
+    return [(_SERIES[kind](*params), np.array(z, dtype=complex)) for kind, params, z in specs]
 
 
 def _assert_jobs_match(specs):
@@ -126,15 +131,15 @@ def _assert_jobs_match(specs):
     the first with an element over the cap; the jobs after it may be left
     out (None)."""
     jobs = _kernel_jobs(specs)
-    got = _series_py._grid_series(jobs)
+    got = _grid_series(jobs)
     assert len(got) == len(jobs)
     for i, ((kind, params, _), job, result) in enumerate(zip(specs, jobs, got)):
         if result is None:
             assert any((r[1] < 0).any() for r in got[:i]), "left out before a cap"
             continue
-        for got_part, alone_part in zip(result, _series_py._grid_series([job])[0]):
+        for got_part, alone_part in zip(result, _grid_series([job])[0]):
             assert _bits(got_part) == _bits(alone_part)
-        _assert_grid_matches_scalar(result, lambda x: _SERIES[kind][1](*params, x), job[1])
+        _assert_grid_matches_scalar(result, lambda x: _series(_SERIES[kind](*params), x), job[1])
     return got
 
 
@@ -186,10 +191,10 @@ class TestGridJobs:
     @pytest.mark.parametrize("first", [True, False])
     def test_overflow_raised_as_the_scalar_loop_raises_it(self, first):
         with pytest.raises(OverflowError) as want:
-            _series_py.hyp1f1_series(1.0, 1.0, _Z_OVERFLOW)
+            _series(_hyp1f1_coefficient(1.0, 1.0), _Z_OVERFLOW)
         specs = [("1F1", (1.0, 1.0), [0.5, _Z_OVERFLOW]), ("1F1", (0.2, 1.1), [1.0, 2j])]
         with pytest.raises(OverflowError) as got:
-            _series_py._grid_series(_kernel_jobs(specs if first else specs[::-1]))
+            _grid_series(_kernel_jobs(specs if first else specs[::-1]))
         assert str(got.value) == str(want.value)
 
     def test_jobs_after_a_diverging_term_are_left_out(self):
@@ -228,8 +233,8 @@ class TestManyForms:
 
     def test_one_pass_for_all_sets(self, monkeypatch):
         passes = []
-        grid = _series_py._grid_series
-        monkeypatch.setattr(_series_py, "_grid_series",
+        grid = _grid_series
+        monkeypatch.setattr(specfun, "_grid_series",
                             lambda jobs, **kw: passes.append(len(jobs)) or grid(jobs, **kw))
         z = np.array([0.3, -0.2j, np.exp(2j)], dtype=object)  # 2 direct, 1 Pfaff image
         gauss_2f1_many([(0.3, 0.2, 1.2), (1.3, 0.2, 1.2)], z)
@@ -415,6 +420,15 @@ class TestComplexGamma:
                 complex_gamma(z)
         assert reciprocal_gamma(0) == 0
         assert reciprocal_gamma(-3) == 0
+
+    @pytest.mark.parametrize("fn, args, z", [
+        (complex_gamma, (171.5,), 171.5), (complex_gamma, (200,), 200),
+        (complex_gamma, (-200.5,), -200.5), (reciprocal_gamma, (-200.5,), -200.5),
+        (parabolic_d, (-500, 1.0), 250.5)])
+    def test_overflow_is_an_accuracy_error(self, fn, args, z):
+        # the caller's z, not the reflected 1 - z; not a bare OverflowError
+        with pytest.raises(AccuracyError, match=rf"gamma at z = \({z}\+0j\) overflows"):
+            fn(*args)
 
     @pytest.mark.parametrize("fn, args", [
         (complex_gamma, (math.nan,)), (complex_gamma, (math.inf,)),
