@@ -8,7 +8,8 @@ Library layout:
 * reductions  — field-equivalence transforms and the Schrodinger reduction
 * dynamics    — numerical oracle, evolution operators, Bloch and canonical forms
 * solutions   — general solution by quadrature, inverse problem
-* catalog     — the 26 exact (field, solution) families
+* catalog     — the 26 exact (field, solution) families: the table, no numpy
+* closed_forms — their closed-form solutions and residual verification
 * darboux     — structure-preserving Darboux transformation
 * cli         — the ``spineq`` command
 
@@ -44,7 +45,7 @@ _EXPORTS = {
                 "darboux_from_seed", "darboux_params_constant_f"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = frozenset(_EXPORTS) | {"expr", "numutil"}
+_SUBMODULES = frozenset(_EXPORTS) | {"closed_forms", "expr", "numutil"}
 
 __all__ = sorted(_MODULE_OF)
 

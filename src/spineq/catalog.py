@@ -9,17 +9,11 @@ by residual substitution into the spin equation.  An entry that fails
 verification after its transcription has been double-checked is shipped
 with ``flagged`` set rather than silently altered.
 
-Entries 1-3 and 16-18 are written directly in t; the others use the
-phase phi = w t + p0 with parameters w (frequency) and p0 (offset).
-
-The closed forms take one time t or an object array of times: every
-operation then applies element by element with the scalar's own Python
-or numpy-scalar arithmetic, and the special functions sum their series for
-all elements at once, so each element has the bits of the scalar call.
-Both components are built from series on the same argument, and each
-closed form hands them to one call of gauss_2f1_many, kummer_phi_many or
-parabolic_d_many, which sums them all in one grid pass.  verify_entry uses
-this to evaluate a whole residual stencil in one call.
+This module is the table and runs on the standard library alone: listing
+and showing the entries, checking their parameters and windows and finding
+their poles load no numpy.  The closed forms live in closed_forms, with
+the numerical half of verify_entry, and load on the first solution or
+verification; the field's code loads from expr on its first evaluation.
 """
 
 from __future__ import annotations
@@ -28,17 +22,15 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import TYPE_CHECKING
 
-import numpy as np
-
+from ._numbers import is_nonpositive_integer
 from .errors import DomainError, SingularityError
-from .expr import FieldCode, compile_expr, parse_statements
-from .fields import CatalogField, field_callable
-from .numutil import central_difference, default_step, grid_or_replay, stencil_nodes
-from .specfun import (gauss_2f1_many, kummer_phi_many, parabolic_d_many, _elementwise,
-                      _is_nonpositive_integer)
-from .spinors import Spinor
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .spinors import Spinor
 
 __all__ = [
     "CatalogEntry",
@@ -53,13 +45,6 @@ __all__ = [
 ]
 
 N_ENTRIES = 26
-
-# cmath, element by element on an array, so that the _sol_N closed forms
-# run unchanged on an object array of times as well as on one time
-_sqrt = _elementwise(cmath.sqrt)
-_exp = _elementwise(cmath.exp)
-_sin = _elementwise(cmath.sin)
-_tanh = _elementwise(cmath.tanh)
 
 
 def _holds(constraint, params) -> bool:
@@ -78,7 +63,6 @@ class CatalogEntry:
     default_params: dict[str, complex]
     default_window: tuple[float, float]
     field_dsl: str  # the one definition of the field
-    _solution: Callable
     # pole descriptors: ("periodic", period, offset) / ("point", phi) in phi,
     # or ("origin",) in t
     pole_spec: tuple = ()
@@ -114,18 +98,28 @@ class CatalogEntry:
     @cached_property
     def field_defs(self) -> dict:
         """field_dsl parsed: component name -> AST."""
+        from .expr import parse_statements
         return parse_statements(self.field_dsl)
 
     def bind_field(self, params: dict):
         """field_dsl compiled with params bound: the functions t -> F1 and
         t -> F3, each raising SingularityError carrying t at a pole."""
+        from .expr import compile_expr
         return tuple(compile_expr(self.field_defs[comp], params) for comp in ("F1", "F3"))
 
     def field_components(self, t: float, params: dict):
         """(F1, F3) at one time t; bind_field once to evaluate at many."""
+        from .expr import FieldCode
         return FieldCode((self.field_defs["F1"], self.field_defs["F3"]), params)(t)
 
+    @cached_property
+    def _solution(self):
+        """The closed form, (t, params) -> (u1, u2), from closed_forms."""
+        from .closed_forms import solution
+        return solution(self.id)
+
     def solution_components(self, t: float, params: dict):
+        import numpy as np
         try:
             # numpy warns of the non-finite values that the check below reports
             with np.errstate(all="ignore"):
@@ -210,385 +204,6 @@ class EntryReport:
     flagged: str | None
 
 
-def _phi(t, p):
-    return p["w"] * t + p["p0"]
-
-
-# ---------------------------------------------------------------------------
-# entries written directly in t
-# ---------------------------------------------------------------------------
-
-def _sol_1(t, p):
-    a, b, c = p["a"], p["b"], p["c"]
-    g = 1j * c
-    s = _sqrt(a * a + b * b)
-    z = 1j * t * t * s
-    al = 0.5 * g * (1.0 + b / s)
-    e = _exp(-0.5 * z)
-    c1 = a * t ** (g + 2) * e
-    f1, f2 = kummer_phi_many([(al + 1, g + 2), (al, g)], z)
-    return c1 * f1, 2.0 * (1j - c) * t ** g * e * f2
-
-
-def _sol_2(t, p):
-    a, b, c = p["a"], p["b"], p["c"]
-    s = _sqrt(a * a + b * b)
-    z = 1j * c * t * t
-    al = 0.5j * (s + b)
-    g = 1.0 + 1j * s
-    e = _exp(-0.5 * z)
-    c1 = -a * t ** (g - 1) * e
-    f1, f2 = kummer_phi_many([(al, g), (al + 1, g)], z)
-    return c1 * f1, (s + b) * t ** (g - 1) * e * f2
-
-
-def _sol_3(t, p):
-    a, b, c = p["a"], p["b"], p["c"]
-    s = _sqrt(a * a + b * b)
-    z = 2j * c * t
-    al = 1j * (s + b)
-    g = 1.0 + 2j * s
-    e = _exp(-0.5 * z)
-    pref = t ** (0.5 * (g - 1)) * e
-    c1 = -a * pref
-    f1, f2 = kummer_phi_many([(al, g), (1 + al, g)], z)
-    # second-component coefficient is sqrt(a^2+b^2)+b (as in the sibling
-    # family _sol_2); the printed -ia fails residual substitution
-    return c1 * f1, (s + b) * pref * f2
-
-
-def _sol_16(t, p):
-    a, b, c = p["a"], p["b"], p["c"]
-    sb = _sqrt(b)
-    z = (1 + 1j) * (b * t + c) / sb
-    mu = -1j * a * a / (2 * b)
-    d1, d2 = parabolic_d_many([mu, mu - 1], z)
-    return 2 * sb * d1, (1 + 1j) * a * d2
-
-
-def _sol_17(t, p):
-    a, b, c = p["a"], p["b"], p["c"]
-    s = _sqrt(a * a + c * c)
-    z = 2j * t * s
-    g = -1j * b
-    al = g * (1.0 - c / s)
-    e = _exp(-0.5 * z)
-    c1 = (1 - 2j * b) * t ** g * e
-    f1, f2 = kummer_phi_many([(al, 2 * g), (al + 1, 2 * g + 2)], z)
-    return c1 * f1, -1j * a * t ** (g + 1) * e * f2
-
-
-def _sol_18(t, p):
-    a, b, c = p["a"], p["b"], p["c"]
-    z = 1j * c * t * t
-    al = 1j * a * a / (4 * c)
-    g = 0.5 - 1j * b
-    e = _exp(-0.5 * z)
-    c1 = (2 * b + 1j) * t ** (g - 0.5) * e
-    f1, f2 = kummer_phi_many([(al, g), (al + 1, g + 1)], z)
-    return c1 * f1, a * t ** (g + 0.5) * e * f2
-
-
-# ---------------------------------------------------------------------------
-# entries in phi = w t + p0
-# ---------------------------------------------------------------------------
-
-def _sol_4(t, p):
-    a, b, c, w = p["a"], p["b"], p["c"], p["w"]
-    ph = _phi(t, p)
-    z = _sin(ph) ** 2
-    mu = 0.25j / w * _sqrt(a * a + (b + c) ** 2)
-    nu = 0.25j / w * _sqrt(a * a + (b - c) ** 2)
-    al = mu + nu - 0.5j * b / w
-    be = mu + nu + 0.5j * b / w
-    g = 1 + 2 * mu
-    pref = z ** mu * (1 - z) ** nu
-    c1 = -a * pref
-    f1, f2 = gauss_2f1_many([(al + 1, be, g), (al, be + 1, g)], z)
-    return c1 * f1, (-4j * w * mu + b + c) * pref * f2
-
-
-def _sol_5(t, p):
-    a, b, c, w = p["a"], p["b"], p["c"], p["w"]
-    ph = _phi(t, p)
-    z = _sin(ph) ** 2
-    mu = -0.5j * c / w
-    nu = 0.5j / w * _sqrt(a * a + b * b)
-    lam = 0.5j / w * _sqrt(a * a + (b - c) ** 2)
-    al = nu + mu + lam
-    be = nu + mu - lam
-    c1 = 2 * (c + 1j * w) * z ** mu * (1 - z) ** nu
-    f1, f2 = gauss_2f1_many([(al, be, 2 * mu), (al + 1, be + 1, 2 * mu + 2)], z)
-    return c1 * f1, a * z ** (mu + 1) * (1 - z) ** nu * f2
-
-
-def _sol_6(t, p):
-    a, b, c, w = p["a"], p["b"], p["c"], p["w"]
-    ph = _phi(t, p)
-    z = _sin(ph) ** 2
-    mu = 0.5j / w * _sqrt(a * a + c * c)
-    nu = -0.5j * b / w
-    al = mu - 0.5j * c / w
-    be = 0.5 + mu + 2 * nu + 0.5j * c / w
-    c1 = -a * z ** mu * (1 - z) ** (nu + 0.5)
-    f1, f2 = gauss_2f1_many([(al + 1, be, 2 * mu + 1), (al, be, 2 * mu + 1)], z)
-    return c1 * f1, (_sqrt(a * a + c * c) + c) * z ** mu * (1 - z) ** nu * f2
-
-
-def _sol_7(t, p):
-    a, b, c, w = p["a"], p["b"], p["c"], p["w"]
-    ph = _phi(t, p)
-    z = -_exp(-2j * ph)
-    mu = (c - 1j * b) / (2 * w)
-    nu = 1j / w * _sqrt(a * a + b * b)
-    al = 0.5 + c / w + nu
-    be = nu - 1j * b / w
-    g = 0.5 + 2 * mu
-    c1 = (w + 2 * c - 2j * b) * z ** mu * (1 - z) ** nu
-    f1, f2 = gauss_2f1_many([(al, be, g), (al, be + 1, g + 1)], z)
-    # -2ia, not the printed +2ia: the sign is fixed by residual substitution
-    # and matches the component ratio of the hyperbolic sibling _sol_24
-    return c1 * f1, -2j * a * z ** (mu + 0.5) * (1 - z) ** nu * f2
-
-
-def _sol_8(t, p):
-    a, b, c, w = p["a"], p["b"], p["c"], p["w"]
-    ph = _phi(t, p)
-    z = _tanh(ph) ** 2
-    mu = 0.5j / w * _sqrt(a * a + c * c)
-    nu = 0.5j * (b + c) / w
-    be = mu + 0.5j * c / w
-    al = 0.5 + 1j * b / w + be
-    g = 2 * mu + 1
-    c1 = -a * z ** mu * (1 - z) ** nu
-    f1, f2 = gauss_2f1_many([(al, be, g), (al, be + 1, g)], z)
-    # the source's "-2i w mu a + c" reads as (-2i w mu + c) = sqrt(a^2+c^2)+c
-    # (pattern of _sol_6); the grouping with a stray factor a fails residual
-    return c1 * f1, (-2j * w * mu + c) * z ** mu * (1 - z) ** (nu + 0.5) * f2
-
-
-def _sol_9(t, p):
-    a, b, c, w = p["a"], p["b"], p["c"], p["w"]
-    ph = _phi(t, p)
-    z = _tanh(ph) ** 2
-    mu = -0.5j * c / w
-    nu = 0.5j * (b + c) / w
-    lam = 0.5 / w * _sqrt(a * a - b * b)
-    al = 0.5j * b / w + lam
-    be = 0.5j * b / w - lam
-    g = 0.5 - 1j * c / w
-    c1 = (2 * c + 1j * w) * z ** mu * (1 - z) ** nu
-    f1, f2 = gauss_2f1_many([(al, be, g), (al + 1, be + 1, g + 1)], z)
-    return c1 * f1, a * z ** (mu + 0.5) * (1 - z) ** (nu + 0.5) * f2
-
-
-def _sol_10(t, p):
-    a, b, c, w = p["a"], p["b"], p["c"], p["w"]
-    ph = _phi(t, p)
-    z = _tanh(ph) ** 2
-    mu = 0.25j / w * _sqrt(a * a + (b + c) ** 2)
-    lam = 0.25j / w * _sqrt(a * a + (b - c) ** 2)
-    nu = 0.5j * b / w
-    al = mu + nu + lam
-    be = mu + nu - lam
-    g = 1 + 2 * mu
-    c1 = -a * z ** mu * (1 - z) ** nu
-    f1, f2 = gauss_2f1_many([(al, be, g), (al + 1, be + 1, g)], z)
-    return c1 * f1, (-4j * w * mu + b + c) * z ** mu * (1 - z) ** (nu + 1) * f2
-
-
-def _sol_11(t, p):
-    a, b, c, w = p["a"], p["b"], p["c"], p["w"]
-    ph = _phi(t, p)
-    ep = _exp(ph)
-    z = ((ep + 1j) / (ep - 1j)) ** 2
-    mu = 0.5 / w * _sqrt(a * a + (c - 1j * b) ** 2)
-    lam = 0.5 / w * _sqrt(a * a + (c + 1j * b) ** 2)
-    nu = 1j * b / w
-    al = mu + nu + lam
-    be = mu + nu - lam
-    g = 1 + 2 * mu
-    c1 = a * z ** mu * (1 - z) ** nu
-    f1, f2 = gauss_2f1_many([(al, be, g), (al + 1, be + 1, g)], z)
-    return c1 * f1, (2 * w * mu - c + 1j * b) * z ** mu * (1 - z) ** (nu + 1) * f2
-
-
-def _sol_12(t, p):
-    a, b, c, w = p["a"], p["b"], p["c"], p["w"]
-    ph = _phi(t, p)
-    z = _tanh(ph) ** 2
-    mu = -0.5j * c / w
-    nu = 0.5j / w * _sqrt(a * a + (b + c) ** 2)
-    lam = 0.5j / w * _sqrt(a * a + b * b)
-    al = mu + nu + lam
-    be = mu + nu - lam
-    g = 2 * mu
-    c1 = 2 * (c + 1j * w) * z ** mu * (1 - z) ** nu
-    f1, f2 = gauss_2f1_many([(al, be, g), (al + 1, be + 1, g + 2)], z)
-    return c1 * f1, a * z ** (mu + 1) * (1 - z) ** nu * f2
-
-
-def _sol_13(t, p):
-    a, b, c, w = p["a"], p["b"], p["c"], p["w"]
-    ph = _phi(t, p)
-    z = _tanh(ph) ** 2
-    mu = 0.5j / w * _sqrt(a * a + c * c)
-    nu = 0.5j / w * _sqrt(a * a + (b + c) ** 2)
-    al = mu + nu + 0.5j * b / w
-    be = mu + nu - 0.5j * b / w
-    g = 1 + 2 * mu
-    c1 = -a * z ** mu * (1 - z) ** nu
-    f1, f2 = gauss_2f1_many([(al + 1, be, g), (al, be + 1, g)], z)
-    # -2i w mu + c = sqrt(a^2+c^2) + c (pattern of _sol_6/_sol_8); the
-    # printed 2 w mu + c drops the -i and fails residual substitution
-    return c1 * f1, (-2j * w * mu + c) * z ** mu * (1 - z) ** nu * f2
-
-
-def _sol_14(t, p):
-    a, b, c, w = p["a"], p["b"], p["c"], p["w"]
-    ph = _phi(t, p)
-    z = 0.5 * (1 - _tanh(ph))
-    mu = 0.5j * (b + c) / w
-    nu = 0.5j * (b - c) / w
-    lam = _sqrt(a * a - b * b) / w
-    al = mu + nu + lam
-    be = mu + nu - lam
-    g = 0.5 + 2 * mu
-    c1 = (2 * b + 2 * c - 1j * w) * z ** mu * (1 - z) ** nu
-    f1, f2 = gauss_2f1_many([(al, be, g), (al + 1, be + 1, g + 1)], z)
-    return c1 * f1, 2 * a * z ** (mu + 0.5) * (1 - z) ** (nu + 0.5) * f2
-
-
-def _sol_15(t, p):
-    a, b, c, w = p["a"], p["b"], p["c"], p["w"]
-    ph = _phi(t, p)
-    z = 1 - _exp(-2 * ph)
-    mu = 1j / w * _sqrt(a * a + b * b)
-    nu = 0.5j * (b + c) / w
-    al = 0.5 + mu + 1j * c / w
-    be = mu + 1j * b / w
-    g = 1 + 2 * mu
-    c1 = -a * z ** mu * (1 - z) ** nu
-    f1, f2 = gauss_2f1_many([(al, be, g), (al, be + 1, g)], z)
-    return c1 * f1, (-1j * w * mu + b) * z ** mu * (1 - z) ** (nu + 0.5) * f2
-
-
-def _sol_19(t, p):
-    a, b, c, w = p["a"], p["b"], p["c"], p["w"]
-    ph = _phi(t, p)
-    z = _sin(ph) ** 2
-    mu = -0.25j * (b + c) / w
-    nu = 0.25j * (c - b) / w
-    g = 0.5 + 2 * mu
-    al = 0.5 / w * (_sqrt(a * a - b * b) - 1j * b)
-    be = -0.5 / w * (_sqrt(a * a - b * b) + 1j * b)
-    c1 = (b + c + 1j * w) * z ** mu * (1 - z) ** nu
-    f1, f2 = gauss_2f1_many([(al, be, g), (al + 1, be + 1, g + 1)], z)
-    return c1 * f1, a * z ** (mu + 0.5) * (1 - z) ** (nu + 0.5) * f2
-
-
-def _sol_20(t, p):
-    a, b, c, w = p["a"], p["b"], p["c"], p["w"]
-    ph = _phi(t, p)
-    z = _sin(ph) ** 2
-    mu = -0.5j * c / w
-    nu = 0.5j * b / w
-    lam = 0.5 / w * _sqrt(a * a - (b - c) ** 2)
-    al = mu + nu + lam
-    be = mu + nu - lam
-    g = 0.5 + 2 * mu
-    c1 = (2 * c + 1j * w) * z ** mu * (1 - z) ** nu
-    f1, f2 = gauss_2f1_many([(al, be, g), (al + 1, be + 1, g + 1)], z)
-    return c1 * f1, a * z ** (mu + 0.5) * (1 - z) ** (nu + 0.5) * f2
-
-
-def _sol_21(t, p):
-    a, b, c, w = p["a"], p["b"], p["c"], p["w"]
-    ph = _phi(t, p)
-    z = -_exp(-2j * ph)
-    mu = 0.5 / w * _sqrt(a * a + (c - 1j * b) ** 2)
-    lam = 0.5 / w * _sqrt(a * a + (c + 1j * b) ** 2)
-    nu = 1j * b / w
-    al = mu + nu + lam
-    be = mu + nu - lam
-    g = 1 + 2 * mu
-    c1 = a * z ** mu * (1 - z) ** nu
-    f1, f2 = gauss_2f1_many([(al, be, g), (al + 1, be + 1, g)], z)
-    return c1 * f1, (2 * w * mu - c + 1j * b) * z ** mu * (1 - z) ** (nu + 1) * f2
-
-
-def _sol_22(t, p):
-    a, b, c, w = p["a"], p["b"], p["c"], p["w"]
-    ph = _phi(t, p)
-    z = _tanh(ph) ** 2
-    mu = -0.5j * c / w
-    nu = 0.5j / w * _sqrt(a * a + (b + c) ** 2)
-    g = 0.5 + 2 * mu
-    al = g + nu + 0.5j * (b + c) / w
-    be = nu - 0.5j * (b + c) / w
-    c1 = (2 * c + 1j * w) * z ** mu * (1 - z) ** nu
-    f1, f2 = gauss_2f1_many([(al, be, g), (al, be + 1, g + 1)], z)
-    return c1 * f1, a * z ** (mu + 0.5) * (1 - z) ** nu * f2
-
-
-def _sol_23(t, p):
-    a, b, c, w = p["a"], p["b"], p["c"], p["w"]
-    ph = _phi(t, p)
-    z = _tanh(ph) ** 2
-    mu = -0.25j * (b + c) / w
-    nu = 0.5j / w * _sqrt(a * a + b * b)
-    al = 0.5 + nu - 0.5j * c / w
-    be = nu - 0.5j * b / w
-    g = 0.5 + 2 * mu
-    c1 = (b + c + 1j * w) * z ** mu * (1 - z) ** nu
-    f1, f2 = gauss_2f1_many([(al, be, g), (al, be + 1, g + 1)], z)
-    return c1 * f1, a * z ** (mu + 0.5) * (1 - z) ** nu * f2
-
-
-def _sol_24(t, p):
-    a, b, c, w = p["a"], p["b"], p["c"], p["w"]
-    ph = _phi(t, p)
-    ep = _exp(ph)
-    z = ((ep + 1j) / (ep - 1j)) ** 2
-    mu = (c - 1j * b) / (2 * w)
-    nu = 1j / w * _sqrt(a * a + b * b)
-    al = 0.5 + nu + c / w
-    be = nu - 1j * b / w
-    g = 0.5 + 2 * mu
-    c1 = (2 * b + 2j * c + 1j * w) * z ** mu * (1 - z) ** nu
-    f1, f2 = gauss_2f1_many([(al, be, g), (al, be + 1, g + 1)], z)
-    return c1 * f1, 2 * a * z ** (mu + 0.5) * (1 - z) ** nu * f2
-
-
-def _sol_25(t, p):
-    a, b, c, w = p["a"], p["b"], p["c"], p["w"]
-    ph = _phi(t, p)
-    z = 0.5 * (1 - _tanh(ph))
-    mu = 0.5j / w * _sqrt(a * a + (b + c) ** 2)
-    nu = 0.5j / w * _sqrt(a * a + (b - c) ** 2)
-    al = mu + nu + 1j * b / w
-    be = mu + nu - 1j * b / w
-    g = 1 + 2 * mu
-    c1 = a * z ** mu * (1 - z) ** nu
-    f1, f2 = gauss_2f1_many([(al + 1, be, g), (al, be + 1, g)], z)
-    return c1 * f1, -(2j * w * mu + b + c) * z ** mu * (1 - z) ** nu * f2
-
-
-def _sol_26(t, p):
-    a, b, c, w = p["a"], p["b"], p["c"], p["w"]
-    ph = _phi(t, p)
-    z = 1 - _exp(-2 * ph)
-    mu = -1j * b / w
-    nu = 0.5j / w * _sqrt(a * a + (b + c) ** 2)
-    lam = 0.5j / w * _sqrt(a * a + (b - c) ** 2)
-    al = nu - 1j * b / w + lam
-    be = nu - 1j * b / w - lam
-    g = -2j * b / w
-    c1 = 2 * (2 * b + 1j * w) * z ** mu * (1 - z) ** nu
-    f1, f2 = gauss_2f1_many([(al, be, g), (al + 1, be + 1, g + 2)], z)
-    return c1 * f1, a * z ** (mu + 1) * (1 - z) ** nu * f2
-
-
 # ---------------------------------------------------------------------------
 # assembly
 # ---------------------------------------------------------------------------
@@ -634,99 +249,99 @@ _P_ZERO = (("point", 0.0),)                          # sinh/coth: only phi = 0
 
 
 _RAW = [
-    (1, "F1 = a t, F3 = b t + c/t", "t", _sol_1, (0.2, 1.4), _POLE_T0,
+    (1, "F1 = a t, F3 = b t + c/t", "t", (0.2, 1.4), _POLE_T0,
      (("c != 0", _c_nonzero), ("a^2 + b^2 != 0", _a2b2_nonzero),
       ("i c not a non-positive integer",
-       lambda p: not _is_nonpositive_integer(1j * p["c"]))),
+       lambda p: not is_nonpositive_integer(1j * p["c"]))),
      "F1 = a*t; F3 = b*t + c/t"),
-    (2, "F1 = a/t, F3 = b/t + c t", "t", _sol_2, (0.2, 1.4), _POLE_T0,
+    (2, "F1 = a/t, F3 = b/t + c t", "t", (0.2, 1.4), _POLE_T0,
      (("a^2 + b^2 != 0", _a2b2_nonzero),),
      "F1 = a/t; F3 = b/t + c*t"),
-    (3, "F1 = a/t, F3 = b/t + c", "t", _sol_3, (0.2, 1.4), _POLE_T0,
+    (3, "F1 = a/t, F3 = b/t + c", "t", (0.2, 1.4), _POLE_T0,
      (("a^2 + b^2 != 0", _a2b2_nonzero),),
      "F1 = a/t; F3 = b/t + c"),
-    (4, "F1 = a/sin 2phi, F3 = (b cos 2phi + c)/sin 2phi", "phi", _sol_4,
+    (4, "F1 = a/sin 2phi, F3 = (b cos 2phi + c)/sin 2phi", "phi",
      (0.2, 1.2), _P_SIN2, (("w != 0", _w_nonzero),),
      "F1 = a/sin(2*(w*t + p0)); F3 = (b*cos(2*(w*t + p0)) + c)/sin(2*(w*t + p0))"),
-    (5, "F1 = a tan phi, F3 = b tan phi + c cot phi", "phi", _sol_5,
+    (5, "F1 = a tan phi, F3 = b tan phi + c cot phi", "phi",
      (0.2, 1.2), _P_TANCOT,
      (("w != 0", _w_nonzero), ("c != 0", _c_nonzero),
       ("2mu = -ic/w not a non-positive integer",
-       lambda p: not _is_nonpositive_integer(-1j * p["c"] / p["w"]))),
+       lambda p: not is_nonpositive_integer(-1j * p["c"] / p["w"]))),
      "F1 = a*tan(w*t + p0); F3 = b*tan(w*t + p0) + c*cot(w*t + p0)"),
-    (6, "F1 = a/sin phi, F3 = b tan phi + c cot phi", "phi", _sol_6,
+    (6, "F1 = a/sin phi, F3 = b tan phi + c cot phi", "phi",
      (0.2, 1.2), _P_TANCOT, (("w != 0", _w_nonzero), ("a^2 + c^2 != 0", _a2c2_nonzero)),
      "F1 = a/sin(w*t + p0); F3 = b*tan(w*t + p0) + c*cot(w*t + p0)"),
-    (7, "F1 = a/cos phi, F3 = b tan phi + c", "phi", _sol_7,
+    (7, "F1 = a/cos phi, F3 = b tan phi + c", "phi",
      (0.2, 0.9), _P_TAN, (("w != 0", _w_nonzero),),
      "F1 = a/cos(w*t + p0); F3 = b*tan(w*t + p0) + c"),
-    (8, "F1 = a/sinh phi, F3 = b tanh phi + c coth phi", "phi", _sol_8,
+    (8, "F1 = a/sinh phi, F3 = b tanh phi + c coth phi", "phi",
      (0.2, 1.5), _P_ZERO, (("w != 0", _w_nonzero), ("a^2 + c^2 != 0", _a2c2_nonzero)),
      "F1 = a/sinh(w*t + p0); F3 = b*tanh(w*t + p0) + c*coth(w*t + p0)"),
-    (9, "F1 = a/cosh phi, F3 = b tanh phi + c coth phi", "phi", _sol_9,
+    (9, "F1 = a/cosh phi, F3 = b tanh phi + c coth phi", "phi",
      (0.2, 1.5), _P_ZERO, (("w != 0", _w_nonzero),),
      "F1 = a/cosh(w*t + p0); F3 = b*tanh(w*t + p0) + c*coth(w*t + p0)"),
-    (10, "F1 = a/sinh 2phi, F3 = (b cosh 2phi + c)/sinh 2phi", "phi", _sol_10,
+    (10, "F1 = a/sinh 2phi, F3 = (b cosh 2phi + c)/sinh 2phi", "phi",
      (0.2, 1.5), _P_ZERO, (("w != 0", _w_nonzero),),
      "F1 = a/sinh(2*(w*t + p0)); F3 = (b*cosh(2*(w*t + p0)) + c)/sinh(2*(w*t + p0))"),
-    (11, "F1 = a/cosh phi, F3 = (b sinh phi + c)/cosh phi", "phi", _sol_11,
+    (11, "F1 = a/cosh phi, F3 = (b sinh phi + c)/cosh phi", "phi",
      (0.2, 1.1), (), (("w != 0", _w_nonzero),),
      "F1 = a/cosh(w*t + p0); F3 = (b*sinh(w*t + p0) + c)/cosh(w*t + p0)"),
-    (12, "F1 = a tanh phi, F3 = b tanh phi + c coth phi", "phi", _sol_12,
+    (12, "F1 = a tanh phi, F3 = b tanh phi + c coth phi", "phi",
      (0.2, 1.5), _P_ZERO,
      (("w != 0", _w_nonzero), ("c != 0", _c_nonzero),
       ("2mu = -ic/w not a non-positive integer",
-       lambda p: not _is_nonpositive_integer(-1j * p["c"] / p["w"]))),
+       lambda p: not is_nonpositive_integer(-1j * p["c"] / p["w"]))),
      "F1 = a*tanh(w*t + p0); F3 = b*tanh(w*t + p0) + c*coth(w*t + p0)"),
-    (13, "F1 = a coth phi, F3 = b tanh phi + c coth phi", "phi", _sol_13,
+    (13, "F1 = a coth phi, F3 = b tanh phi + c coth phi", "phi",
      (0.2, 1.5), _P_ZERO, (("w != 0", _w_nonzero), ("a^2 + c^2 != 0", _a2c2_nonzero)),
      "F1 = a*coth(w*t + p0); F3 = b*tanh(w*t + p0) + c*coth(w*t + p0)"),
-    (14, "F1 = a/cosh phi, F3 = b tanh phi + c", "phi", _sol_14,
+    (14, "F1 = a/cosh phi, F3 = b tanh phi + c", "phi",
      (0.2, 2.0), (), (("w != 0", _w_nonzero),),
      "F1 = a/cosh(w*t + p0); F3 = b*tanh(w*t + p0) + c"),
-    (15, "F1 = a/sinh phi, F3 = b coth phi + c", "phi", _sol_15,
+    (15, "F1 = a/sinh phi, F3 = b coth phi + c", "phi",
      (0.2, 1.1), _P_ZERO, (("w != 0", _w_nonzero), ("a^2 + b^2 != 0", _a2b2_nonzero)),
      "F1 = a/sinh(w*t + p0); F3 = b*coth(w*t + p0) + c"),
-    (16, "F1 = a, F3 = b t + c", "t", _sol_16, (0.2, 2.0), (),
+    (16, "F1 = a, F3 = b t + c", "t", (0.2, 2.0), (),
      # the order -i a^2/(2b) of D_p: past the double range it reaches
      # parabolic_d as NaN, which would name the gamma function, not a or b
      (("b != 0", _b_nonzero),
       ("a^2/b finite", lambda p: not _b_nonzero(p) or cmath.isfinite(p["a"] * p["a"] / p["b"]))),
      "F1 = a; F3 = b*t + c"),
-    (17, "F1 = a, F3 = b/t + c", "t", _sol_17, (0.2, 2.0), _POLE_T0,
+    (17, "F1 = a, F3 = b/t + c", "t", (0.2, 2.0), _POLE_T0,
      (("b != 0", _b_nonzero), ("a^2 + c^2 != 0", _a2c2_nonzero),
       ("-2ib not a non-positive integer",
-       lambda p: not _is_nonpositive_integer(-2j * p["b"]))),
+       lambda p: not is_nonpositive_integer(-2j * p["b"]))),
      "F1 = a; F3 = b/t + c"),
-    (18, "F1 = a, F3 = b/t + c t", "t", _sol_18, (0.2, 2.0), _POLE_T0,
+    (18, "F1 = a, F3 = b/t + c t", "t", (0.2, 2.0), _POLE_T0,
      (("c != 0", _c_nonzero),),
      "F1 = a; F3 = b/t + c*t"),
-    (19, "F1 = a, F3 = (b cos 2phi + c)/sin 2phi", "phi", _sol_19,
+    (19, "F1 = a, F3 = (b cos 2phi + c)/sin 2phi", "phi",
      (0.2, 1.2), _P_SIN2, (("w != 0", _w_nonzero),),
      "F1 = a; F3 = (b*cos(2*(w*t + p0)) + c)/sin(2*(w*t + p0))"),
-    (20, "F1 = a, F3 = b tan phi + c cot phi", "phi", _sol_20,
+    (20, "F1 = a, F3 = b tan phi + c cot phi", "phi",
      (0.2, 1.2), _P_TANCOT, (("w != 0", _w_nonzero),),
      "F1 = a; F3 = b*tan(w*t + p0) + c*cot(w*t + p0)"),
-    (21, "F1 = a, F3 = b tan phi + c", "phi", _sol_21,
+    (21, "F1 = a, F3 = b tan phi + c", "phi",
      (0.2, 0.9), _P_TAN, (("w != 0", _w_nonzero),),
      "F1 = a; F3 = b*tan(w*t + p0) + c"),
-    (22, "F1 = a, F3 = b tanh phi + c coth phi", "phi", _sol_22,
+    (22, "F1 = a, F3 = b tanh phi + c coth phi", "phi",
      (0.2, 1.5), _P_ZERO, (("w != 0", _w_nonzero),),
      "F1 = a; F3 = b*tanh(w*t + p0) + c*coth(w*t + p0)"),
-    (23, "F1 = a, F3 = (b cosh 2phi + c)/sinh 2phi", "phi", _sol_23,
+    (23, "F1 = a, F3 = (b cosh 2phi + c)/sinh 2phi", "phi",
      (0.2, 1.5), _P_ZERO, (("w != 0", _w_nonzero),),
      "F1 = a; F3 = (b*cosh(2*(w*t + p0)) + c)/sinh(2*(w*t + p0))"),
-    (24, "F1 = a, F3 = (b sinh phi + c)/cosh phi", "phi", _sol_24,
+    (24, "F1 = a, F3 = (b sinh phi + c)/cosh phi", "phi",
      (0.2, 1.1), (), (("w != 0", _w_nonzero),),
      "F1 = a; F3 = (b*sinh(w*t + p0) + c)/cosh(w*t + p0)"),
-    (25, "F1 = a, F3 = b tanh phi + c", "phi", _sol_25,
+    (25, "F1 = a, F3 = b tanh phi + c", "phi",
      (0.2, 2.0), (), (("w != 0", _w_nonzero),),
      "F1 = a; F3 = b*tanh(w*t + p0) + c"),
-    (26, "F1 = a, F3 = b coth phi + c", "phi", _sol_26,
+    (26, "F1 = a, F3 = b coth phi + c", "phi",
      (0.2, 1.1), _P_ZERO,
      (("w != 0", _w_nonzero), ("b != 0", _b_nonzero),
       ("-2ib/w not a non-positive integer",
-       lambda p: not _is_nonpositive_integer(-2j * p["b"] / p["w"]))),
+       lambda p: not is_nonpositive_integer(-2j * p["b"] / p["w"]))),
      "F1 = a; F3 = b*coth(w*t + p0) + c"),
 ]
 
@@ -743,7 +358,7 @@ _NOTES = {
 }
 
 _ENTRIES: dict[int, CatalogEntry] = {}
-for (eid, label, kind, sfn, window, poles, cons, dsl) in _RAW:
+for (eid, label, kind, window, poles, cons, dsl) in _RAW:
     defaults = dict(_DEF_ABC if kind == "t" else _DEF_PHI)
     if eid == 16:
         defaults = {"a": 1.0, "b": 1.0, "c": 0.0}
@@ -751,7 +366,7 @@ for (eid, label, kind, sfn, window, poles, cons, dsl) in _RAW:
         id=eid, label=label, kind=kind,
         param_names=_T_PARAMS if kind == "t" else _PHI_PARAMS,
         default_params=defaults, default_window=window, field_dsl=dsl,
-        _solution=sfn, pole_spec=poles, constraints=cons,
+        pole_spec=poles, constraints=cons,
         notes=_NOTES.get(eid),
     )
 
@@ -776,6 +391,7 @@ def entry_field(entry_id: int, params: dict | None, t: float):
 
 def entry_solution(entry_id: int, params: dict | None, t: float) -> Spinor:
     """Closed-form solution spinor of an entry at time t."""
+    from .spinors import Spinor
     e = entry(entry_id)
     p = e.merged(params)
     e.check_params(p)
@@ -785,42 +401,17 @@ def entry_solution(entry_id: int, params: dict | None, t: float) -> Spinor:
 
 def verify_entry(entry_id: int, params: dict | None = None,
                  window: tuple | None = None, n_points: int = 50) -> EntryReport:
-    """Residual-substitute the entry's closed form into the spin equation.
-
-    dynamics.se_residual at n_points nodes of the window, all at once: the
-    closed form is evaluated at all 5 n_points stencil nodes in one call on
-    an object array of times, the field at the centre nodes in one call,
-    and dynamics.se_residuals takes all the rows, which gives the same bits
-    as se_residual node by node.  If that raises or a residual is not
-    finite, the node-by-node path is replayed, so an error keeps its type,
-    message and t.
-    """
-    # here, not at module level: catalog list and show need no dynamics
-    from . import dynamics
+    """Residual-substitute the entry's closed form into the spin equation:
+    dynamics.se_residual at n_points nodes of the window, all at once
+    (closed_forms.residuals).  The entry and its parameters are checked
+    first, before numpy loads."""
     e = entry(entry_id)
     p = e.merged(params)
     e.check_params(p)
     win = tuple(window) if window is not None else e.window_for(p)
-    times = np.linspace(win[0], win[1], n_points)
-    f_fn = field_callable(CatalogField(entry_id, p))
-
-    def on_grid(times):
-        h = default_step(times)
-        nodes = np.stack([*stencil_nodes(times, h), times], axis=1)
-        # np.float64 objects, the nodes se_residual passes: np.float64 ** complex
-        # does not round as float ** complex does
-        t = np.array(list(nodes.ravel()), dtype=object)
-        u = np.stack([np.asarray(ui, dtype=complex) for ui in e._solution(t, p)], axis=-1)
-        u = u.reshape(len(times), 5, 2)
-        du = central_difference(u[:, 0], u[:, 1], u[:, 2], u[:, 3], h[:, None])
-        return dynamics.se_residuals(du, f_fn(times), u[:, 4])
-
-    def u_fn(t):
-        return np.array(e.solution_components(t, p))
-
-    residuals = grid_or_replay(on_grid, lambda t: dynamics.se_residual(u_fn, f_fn, t), times)
-    return EntryReport(entry_id, p, win, times, residuals,
-                       float(np.max(residuals)), e.flagged)
+    from .closed_forms import residuals
+    times, res = residuals(e, p, win, n_points)
+    return EntryReport(entry_id, p, win, times, res, float(res.max()), e.flagged)
 
 
 _T_ENTRY_SCALING = {
@@ -859,4 +450,5 @@ def scale_family(entry_id: int, alpha: float, beta: float, omega: float,
         na, nb, nc = _T_ENTRY_SCALING[entry_id](alpha, beta, omega, a, b, c)
         new = {"a": na, "b": nb, "c": nc}
     e.check_params(e.merged(new))
+    from .fields import CatalogField
     return CatalogField(entry_id, new)

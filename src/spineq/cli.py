@@ -6,10 +6,12 @@ Errors are reported on stderr as ``ERROR <code>: message`` with exit code
 invocations produce byte-identical output (floats printed with 17
 significant digits).
 
-At module level this file imports only the standard library and
-``errors``; each ``_cmd_*`` imports the modules it runs, so an invocation
-loads only what its subcommand needs, and argument checks that fail exit
-before numpy is loaded.
+At module level this file imports only the standard library, ``errors``
+and ``_numbers``.  Each ``_cmd_*`` checks its arguments first, on plain
+Python numbers, and then imports the modules it runs, so an invocation
+loads only what its subcommand needs.  numpy loads only where something is
+computed: ``catalog list`` and ``catalog show`` (the catalog's table) and
+every argument or field document these checks reject exit without it.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import math
 import os
 import sys
 
+from ._numbers import E16, MIN_TOL
 from .errors import (AccuracyError, DomainError, FieldParseError,
                      IntegrationError, SingularityError, SpinEqError)
 
@@ -40,7 +43,6 @@ MAX_NODES = 10**6
 
 
 def _fmt(x: float) -> str:
-    from .numutil import E16
     return E16 % x
 
 
@@ -86,22 +88,30 @@ def _parse_params(text: str | None) -> dict:
     return out
 
 
-def _parse_v0(text: str) -> np.ndarray:
-    import numpy as np
+def _parse_v0(text: str) -> list[complex]:
     parts = text.split(",")
     try:
         if len(parts) == 2:
-            return np.array([float(parts[0]), float(parts[1])], dtype=complex)
+            return [complex(float(parts[0])), complex(float(parts[1]))]
         if len(parts) == 4:
-            return np.array([complex(float(parts[0]), float(parts[1])),
-                             complex(float(parts[2]), float(parts[3]))])
+            return [complex(float(parts[0]), float(parts[1])),
+                    complex(float(parts[2]), float(parts[3]))]
     except ValueError:
         pass
     raise _Validation(f"--v0 must be re,im,re,im (or re,re), got '{text}'")
 
 
+def _parse_xyz(text: str, flag: str) -> list[float]:
+    try:
+        values = [float(x) for x in text.split(",")]
+        if len(values) == 3:
+            return values
+    except ValueError:
+        pass
+    raise _Validation(f"{flag} must be x,y,z, got '{text}'")
+
+
 def _check_tol(tol: float) -> float:
-    from .dynamics import MIN_TOL
     if not (MIN_TOL <= tol <= TOL_MAX):
         raise _Validation(f"--tol must lie in [{MIN_TOL}, {TOL_MAX}]")
     return tol
@@ -141,12 +151,12 @@ def _write_field_csv(fh, times, samples):
 
 
 def _cmd_propagate(args) -> int:
-    from .dynamics import propagate
     from .fields import load_field_json
     spec = load_field_json(args.field)
     v0 = _parse_v0(args.v0)
     window = _check_window(args.window)
     tol = _check_tol(args.tol)
+    from .dynamics import propagate
     traj = propagate(spec, v0, window, tol=tol, n_nodes=args.nodes)
     with _output(args) as fh:
         if args.format == "csv":
@@ -220,14 +230,15 @@ def _round_reports(reports):
 
 
 def _cmd_invert(args) -> int:
-    import numpy as np
-    from .dynamics import Trajectory, propagate
     from .fields import load_field_json
-    from .solutions import gauge_from_field, invert_field, invert_field_selfadjoint
     spec = load_field_json(args.field)
     v0 = _parse_v0(args.v0)
     window = _check_window(args.window)
     tol = _check_tol(args.tol)
+    import numpy as np
+
+    from .dynamics import Trajectory, propagate
+    from .solutions import gauge_from_field, invert_field, invert_field_selfadjoint
     traj = propagate(spec, v0, window, tol=tol, n_nodes=args.nodes)
     if args.selfadjoint:
         F = invert_field_selfadjoint(traj)
@@ -248,7 +259,6 @@ def _cmd_invert(args) -> int:
 
 
 def _cmd_darboux(args) -> int:
-    from .darboux import constant_f_trajectory, darboux_apply, darboux_params_constant_f
     p = _parse_params(args.params)
     for key in ("f", "R"):
         if key not in p:
@@ -258,6 +268,7 @@ def _cmd_darboux(args) -> int:
     phi0 = p.get("phi0", 0j)
     eps = p.get("eps", 0.3 + 0j)
     window = _check_window(args.window)
+    from .darboux import constant_f_trajectory, darboux_apply, darboux_params_constant_f
     params = darboux_params_constant_f(f, R, phi0)
     traj = constant_f_trajectory(f, eps, p.get("p", 1.0 + 0j), p.get("q", 1.0 + 0j),
                                  window, args.nodes)
@@ -309,19 +320,15 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_bloch(args) -> int:
-    import numpy as np
-    from .dynamics import BlochState, bloch_propagate
     from .fields import load_field_json
     spec = load_field_json(args.field)
     window = _check_window(args.window)
     tol = _check_tol(args.tol)
-    try:
-        n0 = np.array([float(x) for x in args.n0.split(",")])
-        if n0.shape != (3,):
-            raise ValueError
-    except ValueError:
-        raise _Validation(f"--n0 must be x,y,z, got '{args.n0}'") from None
-    path = bloch_propagate(spec, BlochState(n0, 0.0, 1.0), window, tol=tol,
+    n0 = _parse_xyz(args.n0, "--n0")
+    import numpy as np
+
+    from .dynamics import BlochState, bloch_propagate
+    path = bloch_propagate(spec, BlochState(np.array(n0), 0.0, 1.0), window, tol=tol,
                            n_nodes=args.nodes)
     with _output(args) as fh:
         fh.write("t,n1,n2,n3,alpha,N\n")
@@ -331,23 +338,20 @@ def _cmd_bloch(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    import numpy as np
     from .expr import compile_expr, parse_expr
-    from .fields import field_callable, load_field_json
+    from .fields import load_field_json
+    spec = load_field_json(args.field)
+    window = _check_window(args.window)
+    l = _parse_xyz(args.l, "--l")
+    alpha_fn = compile_expr(parse_expr(args.alpha), {})
+    adot_fn = compile_expr(parse_expr(args.alpha_dot), {}) if args.alpha_dot else None
+    import numpy as np
+
+    from .fields import field_callable
     from .numutil import grid_or_replay
     from .reductions import ReductionPlan, reduce_field
     from .spinors import CVec3
-    spec = load_field_json(args.field)
-    window = _check_window(args.window)
-    try:
-        l = np.array([float(x) for x in args.l.split(",")], dtype=complex)
-        if l.shape != (3,):
-            raise ValueError
-    except ValueError:
-        raise _Validation(f"--l must be x,y,z, got '{args.l}'") from None
-    alpha_fn = compile_expr(parse_expr(args.alpha), {})
-    adot_fn = compile_expr(parse_expr(args.alpha_dot), {}) if args.alpha_dot else None
-    plan = ReductionPlan.make(l, alpha_fn, adot_fn)
+    plan = ReductionPlan.make(np.array(l, dtype=complex), alpha_fn, adot_fn)
     times = np.linspace(window[0], window[1], args.nodes)
     field = field_callable(spec)
     # the replay reduces node by node, so that an alpha pole before the

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._numbers import MIN_TOL
 from .errors import AccuracyError, DomainError
 from .fields import FieldSpec, bind_field, field_callable
 from .numutil import csv_rows, dop853, fd_derivative, fd_derivative_callable
@@ -45,8 +46,6 @@ __all__ = [
 Mat2 = np.ndarray  # 2x2 complex matrices are plain numpy arrays
 
 CSV_HEADER = "t,re_v1,im_v1,re_v2,im_v2,re_F1,im_F1,re_F2,im_F2,re_F3,im_F3,norm"
-
-MIN_TOL = 1e-13
 
 
 @dataclass(frozen=True)

@@ -21,20 +21,22 @@ and on an object array of times with np.frompyfunc's cmath, where numpy
 applies CPython's complex operators element by element: each value has the
 bits of the scalar call.  A failure is replayed through a checked variant
 that names the failing operator and t.
+
+Parsing and the scalar code need the standard library alone; numpy and
+numutil load on the first grid call, so that a field document the CLI
+rejects is rejected before numpy loads.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
+import sys
 import types
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import FieldParseError, SingularityError
-from .numutil import grid_or_replay
 
 __all__ = ["ExprNode", "Num", "Var", "Call", "BinOp", "Neg", "parse_expr",
            "parse_statements", "print_expr", "FieldCode", "compile_expr", "eval_expr",
@@ -360,13 +362,24 @@ def _pole(what, t):
 
 
 # the globals of generated code besides its _c names: cmath's functions for
-# one time, np.frompyfunc's for an object array of times, and the names the
-# checked variant adds
+# one time, np.frompyfunc's for an object array of times (_grid_globals),
+# and the names the checked variant adds
 _SCALAR = {"__builtins__": {}, **FUNCTIONS}
-_GRID = {**_SCALAR, **{name: np.frompyfunc(fn, 1, 1) for name, fn in FUNCTIONS.items()}}
 _CHECKED = {**_SCALAR, "complex": complex, "abs": abs, "isfinite": cmath.isfinite,
             "_LIMIT": SINGULARITY_THRESHOLD, "_pole": _pole,
             "_FAILS": (ValueError, OverflowError, ZeroDivisionError)}
+
+@functools.cache
+def _grid_globals():
+    import numpy as np
+    return {**_SCALAR, **{name: np.frompyfunc(fn, 1, 1) for name, fn in FUNCTIONS.items()}}
+
+
+def _is_ndarray(t) -> bool:
+    # numpy is loaded if an ndarray exists, so t is none while it is not
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(t, np.ndarray)
+
 
 # ids of ASTs -> (the ASTs, keeping the ids theirs, numbers and parameter
 # names by _c name, code object)
@@ -418,13 +431,17 @@ class FieldCode:
         return types.FunctionType(code, {**_CHECKED, **self._consts})(t)
 
     def grid(self, times):
+        import numpy as np
+
+        from .numutil import grid_or_replay
         return grid_or_replay(self._array_call, lambda t: np.array(self(t)), times,
                               ok=lambda v: np.abs(v) <= SINGULARITY_THRESHOLD)
 
     def _array_call(self, times):
         # numpy applies CPython's complex operators and cmath element by
         # element to the object array of Python complex; a constant broadcasts
-        fn = types.FunctionType(self._code, {**_GRID, **self._consts})
+        import numpy as np
+        fn = types.FunctionType(self._code, {**_grid_globals(), **self._consts})
         out = np.empty((len(times), len(self._nodes)), dtype=complex)
         for k, v in enumerate(fn(np.array(times.astype(complex).tolist(), dtype=object))):
             out[:, k] = v
@@ -437,7 +454,7 @@ def compile_expr(node: ExprNode, params: dict[str, complex]):
     pole; given a 1-D ndarray of times it returns their values, bit for bit
     the calls at each time, or raises the first failing time's error."""
     code = FieldCode((node,), params)
-    return lambda t: code.grid(t)[:, 0] if isinstance(t, np.ndarray) else code(t)[0]
+    return lambda t: code.grid(t)[:, 0] if _is_ndarray(t) else code(t)[0]
 
 
 def eval_expr(node: ExprNode, t: float, params: dict[str, complex]) -> complex:

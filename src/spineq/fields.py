@@ -10,18 +10,22 @@ The JSON envelope (used by the CLI) is
 ``{"kind": "expr"|"catalog"|"const", "defs": ..., "params": {name: [re, im]}}``
 where "expr" carries a DSL string, "catalog" an entry id, and "const" a
 list of three [re, im] pairs.
+
+Loading and parsing a document needs neither numpy nor spinors: a field
+the CLI rejects is rejected before either loads.  Evaluation imports them.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import expr as ex
 from .errors import DomainError, FieldParseError
-from .spinors import CVec3, sigma_dot
+
+if TYPE_CHECKING:
+    from .spinors import CVec3
 
 __all__ = [
     "ConstField",
@@ -110,6 +114,7 @@ def eval_field(spec: FieldSpec, t: float, params: dict | None = None) -> CVec3:
     times, bind it once with field_callable and pass it the array of times:
     the samples have the same bits as calling this at each time.
     """
+    from .spinors import CVec3
     return CVec3.from_array(field_callable(spec, params)(t))
 
 
@@ -135,7 +140,9 @@ def bind_field(spec: FieldSpec, params: dict | None = None):
     Its three components are Python complex from one call of the generated
     code, checked as a field sample is; the 2x2 product stays numpy's
     matmul, since a product in Python arithmetic rounds differently."""
+    import numpy as np
     if isinstance(spec, ConstField):
+        from .spinors import sigma_dot
         vec = np.array(spec.value, dtype=complex)
         S = sigma_dot(vec)
         return ((lambda t: np.tile(vec, (len(t), 1)) if isinstance(t, np.ndarray) else vec),
@@ -181,6 +188,8 @@ def bind_field(spec: FieldSpec, params: dict | None = None):
 
 def split_kg(F: CVec3):
     """Real and imaginary parts K, G of the field, K + iG = F exactly."""
+    import numpy as np
+    from .spinors import CVec3
     a = F.as_array() if isinstance(F, CVec3) else np.asarray(F, dtype=complex)
     return a.real.copy(), a.imag.copy()
 

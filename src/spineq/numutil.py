@@ -3,6 +3,7 @@ grid-or-replay rule, the one DOP853 driver and the one float formatter."""
 
 import numpy as np
 
+from ._numbers import E16
 from .errors import IntegrationError, SingularityError, SpinEqError
 
 __all__ = [
@@ -22,10 +23,6 @@ __all__ = [
     "cumulative_integral",
     "default_step",
 ]
-
-# every float the package writes, CSV and JSON alike: 17 significant digits,
-# enough to read the same double back
-E16 = "%.16e"
 
 # rows formatted and written per block, so that the formatter's temporaries
 # (about 130 bytes a value) stay near 0.4 MB for a 12-column table however

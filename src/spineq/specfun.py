@@ -46,6 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._numbers import is_nonpositive_integer
 from .errors import AccuracyError, DomainError
 
 # always False, as there is one series backend; kept because the benchmark
@@ -89,18 +90,10 @@ class SeriesResult:
     truncation_estimate: float
 
 
-def _is_nonpositive_integer(z: complex, tol: float = 1e-14) -> bool:
-    z = complex(z)
-    if abs(z.imag) > tol or not math.isfinite(z.real):
-        return False
-    r = round(z.real)
-    return r <= 0 and abs(z.real - r) <= tol * max(1.0, abs(z.real))
-
-
 def _check_gamma_param(gamma: complex, name: str = "gamma"):
     if not cmath.isfinite(gamma):
         raise DomainError(f"{name} = {gamma} is not finite")
-    if _is_nonpositive_integer(gamma):
+    if is_nonpositive_integer(gamma):
         raise DomainError(f"{name} = {gamma} is a non-positive integer (series pole)")
 
 
@@ -475,7 +468,7 @@ def complex_gamma(z: complex) -> complex:
     z = complex(z)
     if not cmath.isfinite(z):
         raise DomainError(f"gamma argument z = {z} is not finite")
-    if _is_nonpositive_integer(z):
+    if is_nonpositive_integer(z):
         raise DomainError(f"gamma pole at z = {z}")
     try:
         return _lanczos_gamma(z)
@@ -498,10 +491,17 @@ def _lanczos_gamma(z: complex) -> complex:
 
 
 def reciprocal_gamma(z: complex) -> complex:
-    """1/Gamma(z); zero at the poles of Gamma."""
-    if _is_nonpositive_integer(z):
+    """1/Gamma(z); zero at the poles of Gamma.  Where |Gamma(z)| is below
+    the double range (|Im z| in the hundreds) it is AccuracyError."""
+    if is_nonpositive_integer(z):
         return 0j
-    return 1.0 / complex_gamma(z)
+    g = complex_gamma(z)
+    # Gamma underflowed to 0, or to a subnormal whose reciprocal overflows
+    if g:
+        r = 1.0 / g
+        if cmath.isfinite(r):
+            return r
+    raise AccuracyError(f"gamma at z = {complex(z)} underflows in the Lanczos formula")
 
 
 _exp = _elementwise(cmath.exp)

@@ -206,6 +206,13 @@ class TestVerify:
         assert capsys.readouterr().err == \
             f"ERROR 2: entry {entry} parameter constraints violated: ['{constraint}']\n"
 
+    def test_underflowed_gamma_is_not_a_singularity(self, capsys):
+        # the order -i a^2/(2b) = -5000i of D_p puts its gamma weights past
+        # the double range; the solution is not singular at the first node
+        assert run(["verify", "--entry", "16", "--params", "a=100"]) == 3
+        assert capsys.readouterr().err == \
+            "ERROR 3: gamma at z = (0.5+2500j) underflows in the Lanczos formula\n"
+
     @given(_verify_argv())
     @example(["verify", "--entry", "16", "--params", "a=30"])
     @example(["verify", "--entry", "12", "--params", "a=1000;b=0.001;c=2;w=2"])
@@ -519,7 +526,7 @@ class TestColdStart:
             monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
         else:
             monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
-        p, report = self._main(["catalog", "list"], tmp_path)
+        p, report = self._main(["verify", "--entry", "1", "--points", "5"], tmp_path)
         assert p.returncode == 0, p.stderr
         assert report["blas"] == want
         assert "numpy" in report["modules"]

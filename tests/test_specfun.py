@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -429,6 +430,19 @@ class TestComplexGamma:
         # the caller's z, not the reflected 1 - z; not a bare OverflowError
         with pytest.raises(AccuracyError, match=rf"gamma at z = \({z}\+0j\) overflows"):
             fn(*args)
+
+    @pytest.mark.parametrize("z", [0.5 + 1000j, 0.5 - 700j, 3 + 2500j])
+    def test_reciprocal_of_an_underflowed_gamma_is_an_accuracy_error(self, z):
+        # |Gamma(z)| ~ e^{-pi |Im z| / 2} leaves the double range: not a bare
+        # ZeroDivisionError, nor an infinite reciprocal
+        assert complex_gamma(z) == 0
+        with pytest.raises(AccuracyError, match=rf"gamma at z = {re.escape(str(z))} underflows"):
+            reciprocal_gamma(z)
+
+    def test_reciprocal_near_the_underflow_is_finite(self):
+        # Gamma(0.5 + 300i) ~ 5e-205 is still a normal double
+        r = reciprocal_gamma(0.5 + 300j)
+        assert cmath.isfinite(r) and abs(r) > 1e204
 
     @pytest.mark.parametrize("fn, args", [
         (complex_gamma, (math.nan,)), (complex_gamma, (math.inf,)),
