@@ -1,9 +1,9 @@
 """The 26 exact (field, solution) families for fields F = (F1, 0, F3).
 
-Each entry packages the field, defined once by its DSL text (field_dsl),
-the closed-form solution spinor built from hypergeometric / Kummer /
-parabolic-cylinder functions, its auxiliary parameter definitions, pole
-set, parameter constraints, and a default verification window.  Entries
+Each entry packages the field, defined once by its DSL text (field_dsl)
+that also gives its poles, the closed-form solution spinor built from
+hypergeometric / Kummer / parabolic-cylinder functions, its auxiliary
+parameter definitions, constraints and a default verification window.  Entries
 are transcriptions of published formulas; verify_entry() checks each one
 by residual substitution into the spin equation.  An entry that fails
 verification after its transcription has been double-checked is shipped
@@ -13,13 +13,12 @@ This module is the table and runs on the standard library alone: listing
 and showing the entries, checking their parameters and windows and finding
 their poles load no numpy.  The closed forms live in closed_forms, with
 the numerical half of verify_entry, and load on the first solution or
-verification; the field's code loads from expr on its first evaluation.
+verification; expr loads on the first evaluation of a field or its poles.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -62,10 +61,7 @@ class CatalogEntry:
     param_names: tuple[str, ...]
     default_params: dict[str, complex]
     default_window: tuple[float, float]
-    field_dsl: str  # the one definition of the field
-    # pole descriptors: ("periodic", period, offset) / ("point", phi) in phi,
-    # or ("origin",) in t
-    pole_spec: tuple = ()
+    field_dsl: str  # the one definition of the field, its poles included
     constraints: tuple = ()
     flagged: str | None = None
     notes: str | None = None
@@ -149,32 +145,9 @@ class CatalogEntry:
         return (lo, hi) if lo < hi else (hi, lo)
 
     def poles(self, params: dict, window) -> list[float]:
-        """Field poles inside [t0, t1], sorted."""
-        t0, t1 = float(window[0]), float(window[1])
-        out = []
-        if self.kind == "t":
-            if ("origin",) in self.pole_spec and t0 <= 0.0 <= t1:
-                out.append(0.0)
-            return out
-        w = complex(params.get("w", 1.0)).real
-        p0 = complex(params.get("p0", 0.0)).real
-        if w == 0.0:
-            return out
-        for spec in self.pole_spec:
-            if spec[0] == "point":
-                t = (spec[1] - p0) / w
-                if t0 <= t <= t1:
-                    out.append(t)
-                continue
-            _, period, offset = spec
-            # t = (offset + k*period - p0) / w
-            k_lo = math.floor((t0 * w + p0 - offset) / period) - 1
-            k_hi = math.ceil((t1 * w + p0 - offset) / period) + 1
-            for k in range(k_lo, k_hi + 1):
-                t = (offset + k * period - p0) / w
-                if t0 <= t <= t1:
-                    out.append(t)
-        return sorted(set(out))
+        """Field poles inside [t0, t1], sorted, read off field_dsl (expr.poles)."""
+        from .expr import poles
+        return poles((self.field_defs["F1"], self.field_defs["F3"]), params, window)
 
     def draw_params(self, rng: np.random.Generator) -> dict:
         """Random parameters satisfying this entry's constraints."""
@@ -240,106 +213,96 @@ _DEF_PHI = {"a": 1.0, "b": 0.5, "c": 0.3, "w": 1.0, "p0": 0.0}
 _T_PARAMS = ("a", "b", "c")
 _PHI_PARAMS = ("a", "b", "c", "w", "p0")
 
-_POLE_T0 = (("origin",),)
-_P_SIN2 = (("periodic", math.pi / 2, 0.0),)          # zeros of sin(2 phi)
-_P_TAN = (("periodic", math.pi, math.pi / 2),)       # poles of tan
-_P_COT = (("periodic", math.pi, 0.0),)               # poles of cot
-_P_TANCOT = _P_TAN + _P_COT
-_P_ZERO = (("point", 0.0),)                          # sinh/coth: only phi = 0
-
 
 _RAW = [
-    (1, "F1 = a t, F3 = b t + c/t", "t", (0.2, 1.4), _POLE_T0,
+    (1, "F1 = a t, F3 = b t + c/t", "t", (0.2, 1.4),
      (("c != 0", _c_nonzero), ("a^2 + b^2 != 0", _a2b2_nonzero),
       ("i c not a non-positive integer",
        lambda p: not is_nonpositive_integer(1j * p["c"]))),
      "F1 = a*t; F3 = b*t + c/t"),
-    (2, "F1 = a/t, F3 = b/t + c t", "t", (0.2, 1.4), _POLE_T0,
+    (2, "F1 = a/t, F3 = b/t + c t", "t", (0.2, 1.4),
      (("a^2 + b^2 != 0", _a2b2_nonzero),),
      "F1 = a/t; F3 = b/t + c*t"),
-    (3, "F1 = a/t, F3 = b/t + c", "t", (0.2, 1.4), _POLE_T0,
+    (3, "F1 = a/t, F3 = b/t + c", "t", (0.2, 1.4),
      (("a^2 + b^2 != 0", _a2b2_nonzero),),
      "F1 = a/t; F3 = b/t + c"),
     (4, "F1 = a/sin 2phi, F3 = (b cos 2phi + c)/sin 2phi", "phi",
-     (0.2, 1.2), _P_SIN2, (("w != 0", _w_nonzero),),
+     (0.2, 1.2), (("w != 0", _w_nonzero),),
      "F1 = a/sin(2*(w*t + p0)); F3 = (b*cos(2*(w*t + p0)) + c)/sin(2*(w*t + p0))"),
     (5, "F1 = a tan phi, F3 = b tan phi + c cot phi", "phi",
-     (0.2, 1.2), _P_TANCOT,
-     (("w != 0", _w_nonzero), ("c != 0", _c_nonzero),
+     (0.2, 1.2), (("w != 0", _w_nonzero), ("c != 0", _c_nonzero),
       ("2mu = -ic/w not a non-positive integer",
        lambda p: not is_nonpositive_integer(-1j * p["c"] / p["w"]))),
      "F1 = a*tan(w*t + p0); F3 = b*tan(w*t + p0) + c*cot(w*t + p0)"),
     (6, "F1 = a/sin phi, F3 = b tan phi + c cot phi", "phi",
-     (0.2, 1.2), _P_TANCOT, (("w != 0", _w_nonzero), ("a^2 + c^2 != 0", _a2c2_nonzero)),
+     (0.2, 1.2), (("w != 0", _w_nonzero), ("a^2 + c^2 != 0", _a2c2_nonzero)),
      "F1 = a/sin(w*t + p0); F3 = b*tan(w*t + p0) + c*cot(w*t + p0)"),
     (7, "F1 = a/cos phi, F3 = b tan phi + c", "phi",
-     (0.2, 0.9), _P_TAN, (("w != 0", _w_nonzero),),
+     (0.2, 0.9), (("w != 0", _w_nonzero),),
      "F1 = a/cos(w*t + p0); F3 = b*tan(w*t + p0) + c"),
     (8, "F1 = a/sinh phi, F3 = b tanh phi + c coth phi", "phi",
-     (0.2, 1.5), _P_ZERO, (("w != 0", _w_nonzero), ("a^2 + c^2 != 0", _a2c2_nonzero)),
+     (0.2, 1.5), (("w != 0", _w_nonzero), ("a^2 + c^2 != 0", _a2c2_nonzero)),
      "F1 = a/sinh(w*t + p0); F3 = b*tanh(w*t + p0) + c*coth(w*t + p0)"),
     (9, "F1 = a/cosh phi, F3 = b tanh phi + c coth phi", "phi",
-     (0.2, 1.5), _P_ZERO, (("w != 0", _w_nonzero),),
+     (0.2, 1.5), (("w != 0", _w_nonzero),),
      "F1 = a/cosh(w*t + p0); F3 = b*tanh(w*t + p0) + c*coth(w*t + p0)"),
     (10, "F1 = a/sinh 2phi, F3 = (b cosh 2phi + c)/sinh 2phi", "phi",
-     (0.2, 1.5), _P_ZERO, (("w != 0", _w_nonzero),),
+     (0.2, 1.5), (("w != 0", _w_nonzero),),
      "F1 = a/sinh(2*(w*t + p0)); F3 = (b*cosh(2*(w*t + p0)) + c)/sinh(2*(w*t + p0))"),
     (11, "F1 = a/cosh phi, F3 = (b sinh phi + c)/cosh phi", "phi",
-     (0.2, 1.1), (), (("w != 0", _w_nonzero),),
+     (0.2, 1.1), (("w != 0", _w_nonzero),),
      "F1 = a/cosh(w*t + p0); F3 = (b*sinh(w*t + p0) + c)/cosh(w*t + p0)"),
     (12, "F1 = a tanh phi, F3 = b tanh phi + c coth phi", "phi",
-     (0.2, 1.5), _P_ZERO,
-     (("w != 0", _w_nonzero), ("c != 0", _c_nonzero),
+     (0.2, 1.5), (("w != 0", _w_nonzero), ("c != 0", _c_nonzero),
       ("2mu = -ic/w not a non-positive integer",
        lambda p: not is_nonpositive_integer(-1j * p["c"] / p["w"]))),
      "F1 = a*tanh(w*t + p0); F3 = b*tanh(w*t + p0) + c*coth(w*t + p0)"),
     (13, "F1 = a coth phi, F3 = b tanh phi + c coth phi", "phi",
-     (0.2, 1.5), _P_ZERO, (("w != 0", _w_nonzero), ("a^2 + c^2 != 0", _a2c2_nonzero)),
+     (0.2, 1.5), (("w != 0", _w_nonzero), ("a^2 + c^2 != 0", _a2c2_nonzero)),
      "F1 = a*coth(w*t + p0); F3 = b*tanh(w*t + p0) + c*coth(w*t + p0)"),
     (14, "F1 = a/cosh phi, F3 = b tanh phi + c", "phi",
-     (0.2, 2.0), (), (("w != 0", _w_nonzero),),
+     (0.2, 2.0), (("w != 0", _w_nonzero),),
      "F1 = a/cosh(w*t + p0); F3 = b*tanh(w*t + p0) + c"),
     (15, "F1 = a/sinh phi, F3 = b coth phi + c", "phi",
-     (0.2, 1.1), _P_ZERO, (("w != 0", _w_nonzero), ("a^2 + b^2 != 0", _a2b2_nonzero)),
+     (0.2, 1.1), (("w != 0", _w_nonzero), ("a^2 + b^2 != 0", _a2b2_nonzero)),
      "F1 = a/sinh(w*t + p0); F3 = b*coth(w*t + p0) + c"),
-    (16, "F1 = a, F3 = b t + c", "t", (0.2, 2.0), (),
+    (16, "F1 = a, F3 = b t + c", "t", (0.2, 2.0),
      # the order -i a^2/(2b) of D_p: past the double range it reaches
      # parabolic_d as NaN, which would name the gamma function, not a or b
      (("b != 0", _b_nonzero),
       ("a^2/b finite", lambda p: not _b_nonzero(p) or cmath.isfinite(p["a"] * p["a"] / p["b"]))),
      "F1 = a; F3 = b*t + c"),
-    (17, "F1 = a, F3 = b/t + c", "t", (0.2, 2.0), _POLE_T0,
+    (17, "F1 = a, F3 = b/t + c", "t", (0.2, 2.0),
      (("b != 0", _b_nonzero), ("a^2 + c^2 != 0", _a2c2_nonzero),
       ("-2ib not a non-positive integer",
        lambda p: not is_nonpositive_integer(-2j * p["b"]))),
      "F1 = a; F3 = b/t + c"),
-    (18, "F1 = a, F3 = b/t + c t", "t", (0.2, 2.0), _POLE_T0,
+    (18, "F1 = a, F3 = b/t + c t", "t", (0.2, 2.0),
      (("c != 0", _c_nonzero),),
      "F1 = a; F3 = b/t + c*t"),
     (19, "F1 = a, F3 = (b cos 2phi + c)/sin 2phi", "phi",
-     (0.2, 1.2), _P_SIN2, (("w != 0", _w_nonzero),),
+     (0.2, 1.2), (("w != 0", _w_nonzero),),
      "F1 = a; F3 = (b*cos(2*(w*t + p0)) + c)/sin(2*(w*t + p0))"),
     (20, "F1 = a, F3 = b tan phi + c cot phi", "phi",
-     (0.2, 1.2), _P_TANCOT, (("w != 0", _w_nonzero),),
+     (0.2, 1.2), (("w != 0", _w_nonzero),),
      "F1 = a; F3 = b*tan(w*t + p0) + c*cot(w*t + p0)"),
     (21, "F1 = a, F3 = b tan phi + c", "phi",
-     (0.2, 0.9), _P_TAN, (("w != 0", _w_nonzero),),
+     (0.2, 0.9), (("w != 0", _w_nonzero),),
      "F1 = a; F3 = b*tan(w*t + p0) + c"),
     (22, "F1 = a, F3 = b tanh phi + c coth phi", "phi",
-     (0.2, 1.5), _P_ZERO, (("w != 0", _w_nonzero),),
+     (0.2, 1.5), (("w != 0", _w_nonzero),),
      "F1 = a; F3 = b*tanh(w*t + p0) + c*coth(w*t + p0)"),
     (23, "F1 = a, F3 = (b cosh 2phi + c)/sinh 2phi", "phi",
-     (0.2, 1.5), _P_ZERO, (("w != 0", _w_nonzero),),
+     (0.2, 1.5), (("w != 0", _w_nonzero),),
      "F1 = a; F3 = (b*cosh(2*(w*t + p0)) + c)/sinh(2*(w*t + p0))"),
     (24, "F1 = a, F3 = (b sinh phi + c)/cosh phi", "phi",
-     (0.2, 1.1), (), (("w != 0", _w_nonzero),),
+     (0.2, 1.1), (("w != 0", _w_nonzero),),
      "F1 = a; F3 = (b*sinh(w*t + p0) + c)/cosh(w*t + p0)"),
     (25, "F1 = a, F3 = b tanh phi + c", "phi",
-     (0.2, 2.0), (), (("w != 0", _w_nonzero),),
+     (0.2, 2.0), (("w != 0", _w_nonzero),),
      "F1 = a; F3 = b*tanh(w*t + p0) + c"),
     (26, "F1 = a, F3 = b coth phi + c", "phi",
-     (0.2, 1.1), _P_ZERO,
-     (("w != 0", _w_nonzero), ("b != 0", _b_nonzero),
+     (0.2, 1.1), (("w != 0", _w_nonzero), ("b != 0", _b_nonzero),
       ("-2ib/w not a non-positive integer",
        lambda p: not is_nonpositive_integer(-2j * p["b"] / p["w"]))),
      "F1 = a; F3 = b*coth(w*t + p0) + c"),
@@ -358,7 +321,7 @@ _NOTES = {
 }
 
 _ENTRIES: dict[int, CatalogEntry] = {}
-for (eid, label, kind, window, poles, cons, dsl) in _RAW:
+for (eid, label, kind, window, cons, dsl) in _RAW:
     defaults = dict(_DEF_ABC if kind == "t" else _DEF_PHI)
     if eid == 16:
         defaults = {"a": 1.0, "b": 1.0, "c": 0.0}
@@ -366,8 +329,7 @@ for (eid, label, kind, window, poles, cons, dsl) in _RAW:
         id=eid, label=label, kind=kind,
         param_names=_T_PARAMS if kind == "t" else _PHI_PARAMS,
         default_params=defaults, default_window=window, field_dsl=dsl,
-        pole_spec=poles, constraints=cons,
-        notes=_NOTES.get(eid),
+        constraints=cons, notes=_NOTES.get(eid),
     )
 
 

@@ -17,6 +17,7 @@ every argument or field document these checks reject exit without it.
 from __future__ import annotations
 
 import argparse
+import cmath
 import contextlib
 import json
 import math
@@ -150,12 +151,21 @@ def _write_field_csv(fh, times, samples):
                             samples[:, 2].real, samples[:, 2].imag]))
 
 
-def _cmd_propagate(args) -> int:
-    from .fields import load_field_json
+def _propagation_inputs(args):
+    """propagate's and invert's inputs, checked in the CLI's then propagate's order."""
+    from .fields import check_poles, load_field_json
     spec = load_field_json(args.field)
     v0 = _parse_v0(args.v0)
     window = _check_window(args.window)
     tol = _check_tol(args.tol)
+    if not all(map(cmath.isfinite, v0)):
+        raise _Validation(f"initial state V0 = {args.v0} is not finite")
+    check_poles(spec, window)
+    return spec, v0, window, tol
+
+
+def _cmd_propagate(args) -> int:
+    spec, v0, window, tol = _propagation_inputs(args)
     from .dynamics import propagate
     traj = propagate(spec, v0, window, tol=tol, n_nodes=args.nodes)
     with _output(args) as fh:
@@ -230,11 +240,7 @@ def _round_reports(reports):
 
 
 def _cmd_invert(args) -> int:
-    from .fields import load_field_json
-    spec = load_field_json(args.field)
-    v0 = _parse_v0(args.v0)
-    window = _check_window(args.window)
-    tol = _check_tol(args.tol)
+    spec, v0, window, tol = _propagation_inputs(args)
     import numpy as np
 
     from .dynamics import Trajectory, propagate
@@ -320,11 +326,15 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_bloch(args) -> int:
-    from .fields import load_field_json
+    from .fields import check_poles, load_field_json
     spec = load_field_json(args.field)
     window = _check_window(args.window)
     tol = _check_tol(args.tol)
     n0 = _parse_xyz(args.n0, "--n0")
+    # bloch_propagate's first checks, in its order
+    if not abs(math.hypot(*n0) - 1.0) <= 1e-8:
+        raise _Validation("initial Bloch vector must be unit length")
+    check_poles(spec, window)
     import numpy as np
 
     from .dynamics import BlochState, bloch_propagate
@@ -345,6 +355,11 @@ def _cmd_reduce(args) -> int:
     l = _parse_xyz(args.l, "--l")
     alpha_fn = compile_expr(parse_expr(args.alpha), {})
     adot_fn = compile_expr(parse_expr(args.alpha_dot), {}) if args.alpha_dot else None
+    # ReductionPlan.make's checks
+    if not all(map(math.isfinite, l)):
+        raise _Validation("transform axis must be finite")
+    if not any(l):
+        raise _Validation("transform axis must be nonzero")
     import numpy as np
 
     from .fields import field_callable

@@ -1,9 +1,10 @@
 """The closed-form solutions of the 26 catalog entries, and the residual
 check verify_entry runs on them.
 
-catalog holds the table (fields, parameters, constraints, windows, poles)
-and imports this module on the first solution it needs, so that listing or
-showing the catalog, or rejecting an entry's parameters, loads no numpy.
+catalog holds the table (fields, whose ASTs give the poles, parameters,
+constraints, windows) and imports this module on the first solution it
+needs, so that listing or showing the catalog, or rejecting an entry's
+parameters, loads no numpy.
 
 _sol_N is the closed form of entry N, a transcription of the published
 formula.  Entries 1-3 and 16-18 are written directly in t; the others use

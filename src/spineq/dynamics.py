@@ -20,7 +20,7 @@ import numpy as np
 
 from ._numbers import MIN_TOL
 from .errors import AccuracyError, DomainError
-from .fields import FieldSpec, bind_field, field_callable
+from .fields import FieldSpec, bind_field, check_poles, field_callable
 from .numutil import csv_rows, dop853, fd_derivative, fd_derivative_callable
 from .spinors import CVec3, Spinor, eigenpairs, l_vector_arr, sigma_dot
 
@@ -108,22 +108,17 @@ class HamiltonianReport:
 def _sampled_field(spec: FieldSpec, window, tol: float, params: dict | None,
                    t_eval):
     """The checks every field solve makes before it starts: tol, the window
-    and the field's declared poles.  Returns the window as floats, the bound
-    field callable, the output nodes and the field sampled there, so a field
-    singular at a node fails at once instead of after the solver has crawled
-    up to its pole."""
+    and the poles the field's ASTs declare (fields.check_poles).  Returns the
+    window as floats, the bound field callable, the output nodes and the
+    field sampled there, so that a field singular at a node, at a pole
+    expr.poles does not read, fails at once, not after a crawl up to it."""
     if tol < MIN_TOL:
         raise DomainError(f"tol = {tol} below the supported minimum {MIN_TOL}")
     t0, t1 = float(window[0]), float(window[1])
     if not t1 > t0:
         raise DomainError("window must satisfy t1 > t0")
-    declared = getattr(spec, "poles", None)
-    if callable(declared):
-        hits = declared((t0, t1))
-        if hits:
-            raise DomainError(
-                f"window [{t0}, {t1}] contains declared field poles at {hits}")
-    field_fn, rhs = bind_field(spec, params)
+    field_fn, rhs = bind_field(spec, params)  # an unbound parameter raises here
+    check_poles(spec, (t0, t1), params)
     t_eval = np.asarray(t_eval, dtype=float)
     return (t0, t1), field_fn, rhs, t_eval, field_fn(t_eval)
 

@@ -31,16 +31,17 @@ from __future__ import annotations
 
 import cmath
 import functools
+import math
 import sys
 import types
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import FieldParseError, SingularityError
+from .errors import DomainError, FieldParseError, SingularityError
 
 __all__ = ["ExprNode", "Num", "Var", "Call", "BinOp", "Neg", "parse_expr",
            "parse_statements", "print_expr", "FieldCode", "compile_expr", "eval_expr",
-           "free_parameters", "FUNCTIONS"]
+           "free_parameters", "poles", "FUNCTIONS"]
 
 
 FUNCTIONS = {"sin": cmath.sin, "cos": cmath.cos, "tan": cmath.tan,
@@ -293,6 +294,65 @@ def print_expr(node: ExprNode) -> str:
 def free_parameters(node: ExprNode) -> set[str]:
     """Names of free parameters (identifiers other than 't')."""
     return {leaf.name for leaf in _generate((node,))[3] if isinstance(leaf, Var)}
+
+
+# f(z) = 0 at real z = c + k*period, k an integer (period 0: z = c alone), for
+# what poles() reads; None stands for z itself, _DIVIDES for tan, cot, coth
+_ZEROS = {None: (0.0, 0.0), "sinh": (0.0, 0.0), "sin": (0.0, math.pi),
+          "cos": (math.pi / 2, math.pi)}
+_DIVIDES = {"tan": "cos", "cot": "sin", "coth": "sinh"}
+
+
+def poles(nodes, params, window) -> list[float]:
+    """The poles in the window [t0, t1] of a tuple of ASTs (None for a zero)
+    with params bound, sorted: the exact zeros of a divisor, or of what tan,
+    cot or coth divide by, that is an affine alpha t + beta (alpha, beta real)
+    or sin, cos or sinh of one.  Any other divisor declares nothing; its
+    poles still raise SingularityError when the field is evaluated there."""
+    t0, t1 = float(window[0]), float(window[1])
+    found, stack = set(), [node for node in nodes if node is not None]
+    while stack:
+        n = stack.pop()
+        stack += [getattr(n, k) for k in ("left", "right", "arg") if hasattr(n, k)]
+        if isinstance(n, Call) and n.fn in _DIVIDES:
+            f, arg = _DIVIDES[n.fn], n.arg
+        elif isinstance(n, BinOp) and n.op == "/":
+            f, arg = (n.right.fn, n.right.arg) if isinstance(n.right, Call) else (None, n.right)
+        else:
+            continue
+        form = _affine(arg, params) if f in _ZEROS else None
+        if not (form and form[0] and math.isfinite(form[0] + form[1])):
+            continue
+        (c, period), (a, b) = _ZEROS[f], form
+        ks = (0,)
+        if period:
+            lo, hi = sorted((a * t0 + b, a * t1 + b))
+            if not (hi - lo) / period < 1e5:  # rather than list them all
+                raise DomainError(f"window [{t0}, {t1}] holds over 1e5 field poles")
+            ks = range(math.floor((lo - c) / period) - 1, math.ceil((hi - c) / period) + 2)
+        found.update(t for k in ks if t0 <= (t := (c + k * period - b) / a) <= t1)
+    return sorted(found)
+
+
+def _affine(n, params):
+    """(alpha, beta), both real, if n is alpha t + beta with params bound."""
+    if isinstance(n, Var) and n.name == "t":
+        return 1.0, 0.0
+    if isinstance(n, (Num, Var)):
+        value = n.value if isinstance(n, Num) else params.get(n.name)
+        return None if value is None or complex(value).imag else (0.0, complex(value).real)
+    if isinstance(n, Neg):
+        arg = _affine(n.arg, params)
+        return arg and (-arg[0], -arg[1])
+    if not (isinstance(n, BinOp) and (left := _affine(n.left, params))
+            and (right := _affine(n.right, params))):
+        return None
+    (a1, b1), (a2, b2) = left, right
+    if n.op in "+-":
+        return (a1 + a2, b1 + b2) if n.op == "+" else (a1 - a2, b1 - b2)
+    if n.op == "*" and not (a1 and a2):  # exact: a zero alpha's products are zeros
+        return a1 * b2 + b1 * a2, b1 * b2
+    return (a1 / b2, b1 / b2) if n.op == "/" and not a2 and b2 else None
 
 
 def _generate(nodes):

@@ -11,8 +11,9 @@ The JSON envelope (used by the CLI) is
 where "expr" carries a DSL string, "catalog" an entry id, and "const" a
 list of three [re, im] pairs.
 
-Loading and parsing a document needs neither numpy nor spinors: a field
-the CLI rejects is rejected before either loads.  Evaluation imports them.
+Loading and parsing a document and checking a window for the poles its
+ASTs declare (check_poles) need neither numpy nor spinors: a field the CLI
+rejects is rejected before either loads.  Evaluation imports them.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ __all__ = [
     "split_kg",
     "field_callable",
     "bind_field",
+    "check_poles",
     "load_field_json",
     "dump_field_json",
 ]
@@ -48,9 +50,6 @@ _LIMIT = ex.SINGULARITY_THRESHOLD
 @dataclass(frozen=True)
 class ConstField:
     value: tuple[complex, complex, complex]
-
-    def poles(self, window):
-        return []
 
 
 @dataclass(frozen=True)
@@ -73,27 +72,11 @@ class ExprField:
     def text(self) -> str:
         return "; ".join(f"{comp} = {ex.print_expr(node)}" for comp, node in self.defs)
 
-    def poles(self, window):
-        # expression fields detect poles at evaluation time only
-        return []
-
 
 @dataclass(frozen=True)
 class CatalogField:
     entry_id: int
     params: dict[str, complex] = field(default_factory=dict)
-
-    def poles(self, window):
-        from . import catalog
-
-        return catalog.entry(self.entry_id).poles(self.merged_params(), window)
-
-    def merged_params(self):
-        from . import catalog
-
-        merged = dict(catalog.entry(self.entry_id).default_params)
-        merged.update(self.params)
-        return merged
 
 
 FieldSpec = ConstField | ExprField | CatalogField
@@ -121,9 +104,9 @@ def eval_field(spec: FieldSpec, t: float, params: dict | None = None) -> CVec3:
 def field_callable(spec: FieldSpec, params: dict | None = None):
     """Bind a spec to a plain t -> ndarray(3) callable for integrators.
 
-    Expression and catalog fields run their generated code
-    (expr.FieldCode), with their parameters bound (``params`` overrides
-    the spec's own).
+    Every spec runs its generated code (expr.FieldCode), a constant one as
+    three numbers, with its parameters bound (``params`` overrides the
+    spec's own).
 
     The callable also takes a 1-D ndarray of n times and returns the (n, 3)
     complex samples, bit for bit those of calling it at each time in turn.
@@ -141,26 +124,7 @@ def bind_field(spec: FieldSpec, params: dict | None = None):
     code, checked as a field sample is; the 2x2 product stays numpy's
     matmul, since a product in Python arithmetic rounds differently."""
     import numpy as np
-    if isinstance(spec, ConstField):
-        from .spinors import sigma_dot
-        vec = np.array(spec.value, dtype=complex)
-        S = sigma_dot(vec)
-        return ((lambda t: np.tile(vec, (len(t), 1)) if isinstance(t, np.ndarray) else vec),
-                lambda t, y: -1j * (S @ y))
-    if isinstance(spec, ExprField):
-        nodes = tuple(spec.component(comp) for comp in ("F1", "F2", "F3"))
-        merged = dict(spec.params)
-    elif isinstance(spec, CatalogField):
-        from . import catalog
-
-        e = catalog.entry(spec.entry_id)
-        nodes = (e.field_defs["F1"], None, e.field_defs["F3"])
-        merged = e.merged(spec.params)
-    else:
-        raise DomainError(f"not a field spec: {spec!r}")
-    if params:
-        merged.update(params)
-    code = ex.FieldCode(nodes, merged)
+    code = ex.FieldCode(*_nodes(spec, params))
     fast, checked = code.fast, code.checked
     # sigma.F, refilled by each call: four stores cost a third of a new array
     S = np.empty((2, 2), dtype=complex)
@@ -184,6 +148,37 @@ def bind_field(spec: FieldSpec, params: dict | None = None):
         return -1j * (S @ y)
 
     return sample, rhs
+
+
+def _nodes(spec, params):
+    """(F1, F2, F3) of a spec as ASTs (None for a zero) and their parameters:
+    an entry's defaults, the spec's own, then params."""
+    if isinstance(spec, ConstField):
+        nodes = tuple(ex.Num(complex(v)) for v in spec.value)
+        merged = {}
+    elif isinstance(spec, ExprField):
+        nodes = tuple(spec.component(comp) for comp in ("F1", "F2", "F3"))
+        merged = dict(spec.params)
+    elif isinstance(spec, CatalogField):
+        from . import catalog
+
+        e = catalog.entry(spec.entry_id)
+        nodes = (e.field_defs["F1"], None, e.field_defs["F3"])
+        merged = e.merged(spec.params)
+    else:
+        raise DomainError(f"not a field spec: {spec!r}")
+    if params:
+        merged.update(params)
+    return nodes, merged
+
+
+def check_poles(spec: FieldSpec, window, params: dict | None = None) -> None:
+    """Raise DomainError if the window (t0, t1), floats, holds a pole that the
+    field's ASTs declare (expr.poles) with the parameters bind_field binds."""
+    hits = ex.poles(*_nodes(spec, params), window)
+    if hits:
+        raise DomainError(
+            f"window [{window[0]}, {window[1]}] contains declared field poles at {hits}")
 
 
 def split_kg(F: CVec3):

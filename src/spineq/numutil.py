@@ -248,22 +248,6 @@ def fd_derivative(values, h):
     return d
 
 
-def fd_second_derivative(values, h):
-    """Second derivative of samples on a uniform grid along axis 0.
-
-    4th-order central stencil; the two nodes at each end reuse their
-    neighbours' values (consumers should discard the edges).
-    """
-    y = np.asarray(values)
-    if y.shape[0] < 5:
-        raise ValueError("need at least 5 samples for the 4th-order stencil")
-    d = np.empty_like(y, dtype=complex if np.iscomplexobj(y) else float)
-    d[2:-2] = central_second_difference(y[:-4], y[1:-3], y[2:-2], y[3:-1], y[4:], h)
-    d[0] = d[1] = d[2]
-    d[-1] = d[-2] = d[-3]
-    return d
-
-
 def fd_derivative_callable(f, t, h=None):
     """4th-order central difference of a scalar- or array-valued callable at t."""
     if h is None:

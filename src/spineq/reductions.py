@@ -49,6 +49,8 @@ class ReductionPlan:
     @staticmethod
     def make(l, alpha, alpha_dot=None) -> "ReductionPlan":
         lv = l.as_array() if isinstance(l, CVec3) else np.asarray(l, dtype=complex)
+        if not np.isfinite(lv).all():
+            raise DomainError("transform axis must be finite")
         l2 = lv @ lv
         scale = np.max(np.abs(lv))
         if scale == 0:

@@ -10,7 +10,7 @@ import pytest
 from spineq import catalog
 from spineq.dynamics import Trajectory, se_residual, trajectory_se_residuals
 from spineq.errors import AccuracyError, DomainError, SingularityError
-from spineq.fields import CatalogField, eval_field
+from spineq.fields import CatalogField, eval_field, field_callable
 from spineq.solutions import general_solution
 
 from conftest import assert_rel
@@ -90,6 +90,52 @@ class TestEntryAccess:
         p["w"] = 2.0
         poles = catalog.entry(20).poles(p, (0.0, 2.4))
         assert_rel(np.array(poles), np.array(want) / 2, 1e-12)
+
+
+# the poles the catalog's hand-written pole tables gave (captured before the
+# poles were read off field_dsl): 26 entries at their defaults and 3 draws,
+# w > 0, in 4 windows each, as float.hex
+POLES_GOLDEN = json.loads(Path(__file__).with_name("catalog_poles_golden.json").read_text())
+
+
+class TestPoles:
+    def test_bit_identical_to_the_hand_written_tables(self):
+        cases = POLES_GOLDEN["cases"]
+        assert len(cases) == 26 * 4 * 4
+        for case in cases:
+            e = catalog.entry(case["entry"])
+            p = {k: complex(*v) for k, v in case["params"].items()}
+            got = [float.hex(t) for t in e.poles(p, tuple(case["window"]))]
+            assert got == case["poles"], case
+
+    # entries with a pole of each shape: sin 2phi, tan + cot, cos, sinh,
+    # sinh 2phi, coth
+    @pytest.mark.parametrize("eid", [4, 5, 7, 8, 10, 26])
+    @pytest.mark.parametrize("w", [1.5, -1.5])
+    @pytest.mark.parametrize("p0", [0.7, -0.7])
+    def test_every_pole_declared_whatever_the_signs(self, eid, w, p0):
+        e = catalog.entry(eid)
+        p = e.merged({"w": w, "p0": p0})
+        window = (-10.0, 10.0)
+        poles = np.array(e.poles(p, window))
+        assert len(poles) > 0
+        for t in poles:
+            with pytest.raises(SingularityError):
+                e.field_components(t, p)
+        # independently: on a grid of step 1e-3 the field exceeds 100 in
+        # modulus next to every declared pole and nowhere else
+        times = np.linspace(*window, 20001)
+        large = times[np.max(np.abs(field_callable(CatalogField(eid, p))(times)), axis=1) > 100]
+        assert np.min(np.abs(large[:, None] - poles[None, :]), axis=1).max() < 1e-2
+        assert np.min(np.abs(poles[:, None] - large[None, :]), axis=1).max() < 1e-3
+
+    def test_negative_frequency_wide_window(self):
+        e = catalog.entry(5)
+        p = e.merged({"w": -1.5, "p0": -0.7})
+        assert len(e.poles(p, (-10, 10))) == 19
+        # the phase -1.5 t - 0.7 falls through -pi/2 at t = 0.5805...
+        assert_rel(np.array(e.poles(p, (0, 4.8))),
+                   (np.array([-1, -2, -3, -4, -5]) * math.pi / 2 + 0.7) / -1.5, 1e-15)
 
 
 class TestResiduals:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -16,6 +17,8 @@ import spineq
 from spineq import catalog, cli, dynamics
 from spineq.cli import MAX_NODES, _fmt, _verify_one, run
 from spineq.dynamics import CSV_HEADER
+
+from conftest import run_cli_refusing
 
 SRC = str(Path(spineq.__file__).resolve().parent.parent)
 # a rejected input must be reported quickly: interpreter start and import
@@ -329,9 +332,10 @@ class TestBlochReduce:
 
     def test_bloch_pole_on_a_node_fails_fast(self, tmp_path):
         # the field is sampled at the output nodes before the solve, so the
-        # solver never crawls up to the pole at t = 0.5
+        # solver never crawls up to the pole at t = 0.5, which expr.poles does
+        # not declare: the divisor is not affine
         (tmp_path / "pole.json").write_text(
-            json.dumps({"kind": "expr", "defs": "F3 = 1/(t - 0.5)"}))
+            json.dumps({"kind": "expr", "defs": "F3 = 1/(t*t - 0.25)"}))
         p = _python(["-m", "spineq.cli", "bloch", "--field", "pole.json", "--n0", "1,0,0",
                      "--window", "0", "1"], tmp_path, timeout=FAST_TIMEOUT_S)
         assert p.returncode == 3
@@ -623,3 +627,98 @@ class TestBoundaryDefects:
         monkeypatch.setattr(np, "linspace", no_linspace)
         assert run([arg.format(const=const_field, n=n) for arg in argv]) == 2
         assert capsys.readouterr().err.startswith("ERROR 2:")
+
+
+class TestRejectedBeforeNumpy:
+    """A declared pole, a non-finite --v0 and a zero or non-finite --l exit 2
+    before numpy loads, reported as the library reports them; with two
+    faults, the one the library checks first."""
+
+    FILES = {
+        "entry5.json": {"kind": "catalog", "defs": 5},
+        "entry5_neg.json": {"kind": "catalog", "defs": 5,
+                            "params": {"w": [-1.5, 0], "p0": [-0.7, 0]}},
+        "affine.json": {"kind": "expr", "defs": "F3 = 1/(t - 0.505)"},
+        "tan.json": {"kind": "expr", "defs": "F3 = tan(3*t)"},
+        "smooth.json": {"kind": "expr", "defs": "F3 = 0.5"},
+    }
+    POLE_5 = "ERROR 2: window [0.2, 2.0] contains declared field poles at [1.5707963267948966]\n"
+    CASES = {
+        "propagate-pole": (["propagate", "--field", "entry5.json", "--v0", "1,0",
+                            "--window", "0.2", "2"], POLE_5),
+        "invert-pole": (["invert", "--field", "entry5.json", "--v0", "1,0",
+                         "--window", "0.2", "2"], POLE_5),
+        "bloch-pole": (["bloch", "--field", "entry5.json", "--n0", "0,0,1",
+                        "--window", "0.2", "2"], POLE_5),
+        "affine-pole": (["propagate", "--field", "affine.json", "--v0", "1,0",
+                         "--window", "0", "1", "--nodes", "3"],
+                        "ERROR 2: window [0.0, 1.0] contains declared field poles at [0.505]\n"),
+        "tan-pole": (["bloch", "--field", "tan.json", "--n0", "1,0,0",
+                      "--window", "0", "1", "--nodes", "3"],
+                     "ERROR 2: window [0.0, 1.0] contains declared field poles at "
+                     "[0.5235987755982988]\n"),
+        "v0-nan": (["propagate", "--field", "smooth.json", "--v0", "nan,0",
+                    "--window", "0", "1"], "ERROR 2: initial state V0 = nan,0 is not finite\n"),
+        "invert-v0-inf": (["invert", "--field", "smooth.json", "--v0", "1,0,inf,0",
+                           "--window", "0", "1"],
+                          "ERROR 2: initial state V0 = 1,0,inf,0 is not finite\n"),
+        "l-zero": (["reduce", "--field", "smooth.json", "--l", "0,-0,0", "--alpha", "t",
+                    "--window", "0", "1"], "ERROR 2: transform axis must be nonzero\n"),
+        "l-nan": (["reduce", "--field", "smooth.json", "--l", "nan,0,1", "--alpha", "t",
+                   "--window", "0", "1"], "ERROR 2: transform axis must be finite\n"),
+        "l-inf": (["reduce", "--field", "smooth.json", "--l", "0,-inf,0", "--alpha", "t",
+                   "--window", "0", "1"], "ERROR 2: transform axis must be finite\n"),
+        # two faults: propagate checks V0 before the poles, the CLI its --tol
+        # before both, bloch_propagate its n0 before the poles, and reduce
+        # parses --alpha before ReductionPlan.make checks the axis
+        "v0-nan-and-pole": (["propagate", "--field", "entry5.json", "--v0", "nan,0",
+                             "--window", "0.2", "2"],
+                            "ERROR 2: initial state V0 = nan,0 is not finite\n"),
+        "tol-and-v0-nan": (["propagate", "--field", "entry5.json", "--v0", "nan,0",
+                            "--window", "0.2", "2", "--tol", "1e-15"],
+                           "ERROR 2: --tol must lie in [1e-13, 0.001]\n"),
+        "n0-and-pole": (["bloch", "--field", "entry5.json", "--n0", "1,1,0",
+                         "--window", "0.2", "2"],
+                        "ERROR 2: initial Bloch vector must be unit length\n"),
+        "alpha-and-l": (["reduce", "--field", "smooth.json", "--l", "0,0,0", "--alpha", "t +",
+                         "--window", "0", "1"],
+                        "ERROR 2: unexpected 'end of input' (line 1, col 4)\n"),
+    }
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("rejected")
+        for name, doc in self.FILES.items():
+            (path / name).write_text(json.dumps(doc))
+        return path
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_exits_2_without_numpy(self, files, name):
+        argv, stderr = self.CASES[name]
+        p = run_cli_refusing("numpy", argv, files)
+        assert (p.returncode, p.stdout, p.stderr) == (2, "", stderr)
+        assert p.refused == []
+
+    @pytest.mark.parametrize("name", ["propagate-pole", "bloch-pole", "v0-nan", "l-nan"])
+    def test_same_report_in_process(self, files, monkeypatch, capsys, name):
+        monkeypatch.chdir(files)
+        argv, stderr = self.CASES[name]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == stderr
+
+    @pytest.mark.parametrize("field, window", [("affine.json", ("0", "1")),
+                                               ("tan.json", ("0", "1")),
+                                               ("entry5_neg.json", ("-10", "10"))])
+    def test_pole_between_nodes_fails_fast(self, files, monkeypatch, capsys, field, window):
+        # at 3 nodes no node is a pole: the solver once crawled up to it
+        # for seconds and exited 3
+        monkeypatch.chdir(files)
+        start = time.perf_counter()
+        rc = run(["propagate", "--field", field, "--v0", "1,0", "--window", *window,
+                  "--nodes", "3"])
+        assert time.perf_counter() - start < 0.5
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "contains declared field poles at" in err
+        if field == "entry5_neg.json":
+            assert err.split("poles at")[1].count(",") == 18  # all 19 poles

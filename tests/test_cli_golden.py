@@ -84,7 +84,7 @@ CASES = {
 # the spineq modules each subcommand may load on these paths
 _BASE = {"spineq", "spineq.cli", "spineq.errors", "spineq._numbers"}
 MODULES = {
-    "catalog": _BASE | {"spineq.catalog"},
+    "catalog": _BASE | {"spineq.catalog", "spineq.expr"},
     "verify": _BASE | {"spineq.catalog"},
     "darboux": _BASE,
     **dict.fromkeys(("propagate", "invert", "bloch", "reduce"),

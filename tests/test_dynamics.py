@@ -14,8 +14,10 @@ from spineq.dynamics import (BlochState, bloch_propagate,
                              field_from_q, hamiltonian_check, propagate,
                              se_residual, se_residuals, stationary_solutions,
                              CSV_HEADER, Trajectory)
-from spineq.errors import DomainError, IntegrationError, SpinEqError
-from spineq.fields import ConstField, field_callable, parse_field_spec
+from spineq.errors import (DomainError, FieldParseError, IntegrationError, SingularityError,
+                           SpinEqError)
+from spineq.fields import (CatalogField, ConstField, ExprField, check_poles, field_callable,
+                           parse_field_spec)
 from spineq.numutil import fd_derivative
 from spineq.reductions import ReductionPlan, reduce_field, transform_matrix
 from spineq.spinors import (CVec3, Spinor, anticonjugate_arr, frame,
@@ -113,6 +115,51 @@ class TestPropagate:
         first = fh.getvalue().splitlines()[1].split(",")
         assert first[5] == first[8] == "-0.0000000000000000e+00"
         assert first[9] == "inf"
+
+
+class TestDeclaredPoles:
+    def test_params_override_is_checked(self):
+        # the pole of entry 20 moves from pi/2 to pi/4 at w = 2, whether w is
+        # the spec's own or propagate's override
+        for spec, params in ((CatalogField(20, {"w": 2.0}), None),
+                             (CatalogField(20), {"w": 2.0})):
+            with pytest.raises(DomainError) as ei:
+                propagate(spec, [1, 0], (0.2, 1.5), params=params, n_nodes=7)
+            assert str(ei.value) == (
+                "window [0.2, 1.5] contains declared field poles at [0.7853981633974483]")
+        with pytest.raises(DomainError, match="declared field poles"):
+            bloch_propagate(CatalogField(20), BlochState(np.array([1.0, 0, 0]), 0.0, 1.0),
+                            (0.2, 1.5), params={"w": 2.0}, n_nodes=7)
+
+    @pytest.mark.parametrize("text, pole", [("F3 = 1/(t - 0.505)", 0.505),
+                                            ("F3 = tan(3*t)", math.pi / 6),
+                                            ("F1 = 2/sinh(0.5 - t/4)", 2.0),
+                                            ("F3 = cot(-(2*t - 1))", 0.5)])
+    def test_dsl_poles_are_declared(self, text, pole):
+        with pytest.raises(DomainError) as ei:
+            propagate(parse_field_spec(text), [1, 0], (0.0, 1.0) if pole < 1 else (1, 3),
+                      n_nodes=3)
+        assert str(ei.value).endswith(f"poles at [{pole!r}]")
+
+    def test_unbound_parameter_is_a_parse_error(self):
+        # the field's code names the first unbound parameter before the
+        # pole check could read a divisor
+        spec = parse_field_spec("F3 = q/t + 1/(t - r)")
+        with pytest.raises(FieldParseError, match="unknown identifier 'q'"):
+            propagate(spec, [1, 0], (-1, 1), n_nodes=5)
+        # a divisor with an unbound parameter declares nothing
+        check_poles(ExprField(parse_field_spec("F3 = 1/(t - r)").defs), (-1.0, 1.0))
+
+    def test_const_field_runs_the_generated_code(self):
+        check_poles(ConstField((0, 0, 1)), (-1.0, 1.0))
+        # its samples are the values themselves, and a value that is not
+        # finite raises at once, as in a DSL field, where the solver once
+        # spent its whole budget of right-hand-side calls on NaN
+        times = np.linspace(0, 1, 4)
+        value = (0.3 + 0.1j, -0.0, 1.1 - 0.05j)
+        assert np.array_equal(field_callable(ConstField(value))(times), np.tile(value, (4, 1)))
+        with pytest.raises(SingularityError, match="field component singular at t = 0.0"):
+            propagate(ConstField((math.nan, 0, 1)), [1, 0], (0, 1), n_nodes=3)
 
 
 class TestResiduals:
