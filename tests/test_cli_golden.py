@@ -1,4 +1,4 @@
-"""CLI invocations that compute nothing: byte-for-byte output, and no numpy.
+"""The CLI's output, byte for byte, against recorded goldens.
 
 `catalog list`, `catalog show` and every rejected-input class are run as
 ``python -m spineq.cli`` with numpy refused (conftest.run_cli_refusing).
@@ -6,16 +6,26 @@ Each must write exactly the stdout, stderr and exit code recorded in
 cli_golden.json, which were captured before these paths were made
 numpy-free, load only the spineq modules its subcommand declares below, and
 write no stderr line but its one ``ERROR 2:`` report.
+
+The subcommands that compute (propagate, invert, bloch, reduce, darboux and
+verify) are run in process through ``cli.run``.  Each must return the exit
+code and write the stdout, by length and sha256, that cli_outputs_golden.json
+records, and write nothing to stderr.
 """
 
+import contextlib
+import hashlib
+import io
 import json
 from pathlib import Path
 
 import pytest
 
 from conftest import run_cli_refusing
+from spineq import cli
 
 GOLDEN = json.loads((Path(__file__).with_name("cli_golden.json")).read_text())
+OUTPUTS = json.loads((Path(__file__).with_name("cli_outputs_golden.json")).read_text())
 
 # field documents the cases read, written into the working directory
 FILES = {
@@ -27,6 +37,7 @@ FILES = {
     "unknown_param.json": {"kind": "expr", "defs": "F1 = k*t", "params": {}},
     "malformed.json": '{"kind": "expr", "defs": "F1 = t"',
     "no_defs.json": {"kind": "expr", "params": {}},
+    "const.json": {"kind": "const", "defs": [[0.3, 0], [0, 0.1], [1, 0]]},
 }
 
 _PROP = ["propagate", "--field", "expr.json", "--v0", "1,0"]
@@ -128,3 +139,49 @@ def test_refused_import_is_reported(workdir):
     run = run_cli_refusing("numpy", ["verify", "--entry", "1", "--points", "5"], workdir)
     assert run.returncode == 1 and "import of numpy refused" in run.stderr
     assert run.refused[0] == "numpy"
+
+
+# name -> argv of the invocations that compute, each on a window with no pole
+_W = ["--window", "0.2", "1.5", "--nodes", "101"]
+OUTPUT_CASES = {
+    **{f"propagate-{kind}-{fmt}": ["propagate", "--field", f"{kind}.json", "--v0", "1,0,0.5,0.5",
+                                   *_W, "--format", fmt]
+       for kind in ("expr", "catalog", "const") for fmt in ("csv", "json")},
+    **{f"{name}-{fmt}": ["invert", "--field", "expr.json", "--v0", "1,0", *flags, *_W,
+                         "--format", fmt]
+       for name, flags in (("invert", []), ("invert-selfadjoint", ["--selfadjoint"]))
+       for fmt in ("csv", "json")},
+    **{f"bloch-{kind}": ["bloch", "--field", f"{kind}.json", "--n0", "0.6,0,0.8", *_W]
+       for kind in ("expr", "catalog")},
+    "reduce": ["reduce", "--field", "expr.json", "--l", "0,0,1", "--alpha", "0.3*t^2", *_W],
+    "reduce-alpha-dot": ["reduce", "--field", "expr.json", "--l", "0.6,0,0.8",
+                         "--alpha", "sin(t)", "--alpha-dot", "cos(t)", *_W],
+    "darboux": ["darboux", "--params", "f=0.5;R=1;phi0=0.1;eps=0.3", *_W],
+    "verify-all-table": ["verify", "--all"],
+    "verify-all-json": ["verify", "--all", "--format", "json"],
+    "verify-entry-16": ["verify", "--entry", "16", "--points", "400"],
+}
+
+
+def run_in_process(argv, cwd):
+    """(exit code, stdout bytes, stderr text) of ``cli.run(argv)`` in cwd."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.chdir(cwd), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    return code, out.getvalue().encode(), err.getvalue()
+
+
+def test_outputs_golden_covers_every_case():
+    assert sorted(OUTPUTS) == sorted(OUTPUT_CASES)
+    for name, argv in OUTPUT_CASES.items():
+        assert OUTPUTS[name]["argv"] == argv, name
+
+
+@pytest.mark.parametrize("name", list(OUTPUT_CASES))
+def test_computed_output_is_golden(workdir, name):
+    code, stdout, stderr = run_in_process(OUTPUT_CASES[name], workdir)
+    want = OUTPUTS[name]
+    assert (code, len(stdout), hashlib.sha256(stdout).hexdigest()) == (
+        want["exit"], want["stdout_bytes"], want["stdout_sha256"])
+    assert stderr == ""
