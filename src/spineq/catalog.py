@@ -97,14 +97,9 @@ class CatalogEntry:
         from .expr import parse_statements
         return parse_statements(self.field_dsl)
 
-    def bind_field(self, params: dict):
-        """field_dsl compiled with params bound: the functions t -> F1 and
-        t -> F3, each raising SingularityError carrying t at a pole."""
-        from .expr import compile_expr
-        return tuple(compile_expr(self.field_defs[comp], params) for comp in ("F1", "F3"))
-
     def field_components(self, t: float, params: dict):
-        """(F1, F3) at one time t; bind_field once to evaluate at many."""
+        """(F1, F3) at one time t; fields.field_callable(CatalogField(id,
+        params)) evaluates the field at many."""
         from .expr import FieldCode
         return FieldCode((self.field_defs["F1"], self.field_defs["F3"]), params)(t)
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DomainError, SingularityError
 from .dynamics import Trajectory, trajectory_se_residuals, _check_uniform
-from .numutil import default_step, dop853, fd_derivative_callable
+from .numutil import default_step, dop853, fd_derivative_callable, solve_window
 from .spinors import SIGMA1, SIGMA2, SIGMA3, l_vector_arr, anticonjugate_arr
 
 __all__ = [
@@ -107,7 +107,7 @@ def darboux_params_mu_route(F3_fn, R: complex, mu0: float, window,
                             tol: float = 1e-10, n_nodes: int = 801) -> DarbouxParams:
     """Pair via the phase equation mu' = 2 (R sin mu - F3), with
     (alpha, beta) = (R cos mu, R sin mu).  Real R, F3 and mu assumed."""
-    t0, t1 = float(window[0]), float(window[1])
+    t0, t1 = solve_window(window, tol)
     R = complex(R)
 
     def rhs(t, y):

@@ -4,9 +4,10 @@ propagate() is the package's independent numerical oracle: an adaptive
 high-order explicit Runge-Kutta integration (DOP853 with its embedded error
 estimate, the package's own transcription of scipy's, bit for bit) used
 everywhere a closed form needs residual verification.  Every solve here
-runs through numutil.dop853, and every field solve starts with
-_sampled_field; the event of hamiltonian_check is rooted by the package's
-transcription of scipy's brentq.  scipy is imported only by
+checks its window and tol with numutil.solve_window and runs through
+numutil.dop853, and every field solve starts with _sampled_field; the
+event of hamiltonian_check is rooted by the package's transcription of
+scipy's brentq.  scipy is imported only by
 evolution_constant_direction (scipy.integrate.quad).
 """
 
@@ -21,7 +22,7 @@ import numpy as np
 from ._numbers import MIN_TOL
 from .errors import AccuracyError, DomainError
 from .fields import FieldSpec, bind_field, check_poles, field_callable
-from .numutil import csv_rows, dop853, fd_derivative, fd_derivative_callable
+from .numutil import csv_rows, dop853, fd_derivative, fd_derivative_callable, solve_window
 from .spinors import CVec3, Spinor, eigenpairs, l_vector_arr, sigma_dot
 
 __all__ = [
@@ -63,9 +64,6 @@ class Trajectory:
         with np.errstate(over="ignore"):
             return np.sum(np.abs(self.states) ** 2, axis=1)
 
-    def state_at(self, i: int) -> Spinor:
-        return Spinor.from_array(self.states[i])
-
     def to_csv(self, fh) -> None:
         fh.write(CSV_HEADER + "\n")
         v, f = self.states, self.field_samples
@@ -105,27 +103,29 @@ class HamiltonianReport:
     t_stop: float
 
 
-def _sampled_field(spec: FieldSpec, window, tol: float, params: dict | None,
-                   t_eval):
-    """The checks every field solve makes before it starts: tol, the window
-    and the poles the field's ASTs declare (fields.check_poles).  Returns the
-    window as floats, the bound field callable, the output nodes and the
-    field sampled there, so that a field singular at a node, at a pole
-    expr.poles does not read, fails at once, not after a crawl up to it."""
+def _sampled_field(spec: FieldSpec, window, tol: float, n_nodes: int, t_eval=None):
+    """The checks every field solve makes before it starts: the window and
+    tol (numutil.solve_window, then the minimum tol and the order), and the
+    poles the field's ASTs declare (fields.check_poles).  Returns the window
+    as floats, the bound field callable, the output nodes (t_eval, or
+    n_nodes uniform ones) and the field sampled there, so that a field
+    singular at a node, at a pole expr.poles does not read, fails at once,
+    not after a crawl up to it."""
+    t0, t1 = solve_window(window, tol)
     if tol < MIN_TOL:
         raise DomainError(f"tol = {tol} below the supported minimum {MIN_TOL}")
-    t0, t1 = float(window[0]), float(window[1])
     if not t1 > t0:
         raise DomainError("window must satisfy t1 > t0")
-    field_fn, rhs = bind_field(spec, params)  # an unbound parameter raises here
-    check_poles(spec, (t0, t1), params)
+    field_fn, rhs = bind_field(spec)  # an unbound parameter raises here
+    check_poles(spec, (t0, t1))
+    if t_eval is None:
+        t_eval = np.linspace(t0, t1, n_nodes)
     t_eval = np.asarray(t_eval, dtype=float)
     return (t0, t1), field_fn, rhs, t_eval, field_fn(t_eval)
 
 
 def propagate(spec: FieldSpec, V0, window, tol: float = 1e-10,
-              params: dict | None = None, n_nodes: int = 801,
-              t_eval=None) -> Trajectory:
+              n_nodes: int = 801, t_eval=None) -> Trajectory:
     """Adaptive propagation of the spin equation over [t0, t1].
 
     V0 may be a Spinor or a length-2 complex sequence.  The returned grid
@@ -134,9 +134,7 @@ def propagate(spec: FieldSpec, V0, window, tol: float = 1e-10,
     y0 = V0.as_array() if isinstance(V0, Spinor) else np.asarray(V0, dtype=complex)
     if not np.isfinite(y0).all():
         raise DomainError(f"initial state V0 = {y0} is not finite")
-    if t_eval is None:
-        t_eval = np.linspace(window[0], window[1], n_nodes)
-    window, _, rhs, t_eval, fsamp = _sampled_field(spec, window, tol, params, t_eval)
+    window, _, rhs, t_eval, fsamp = _sampled_field(spec, window, tol, n_nodes, t_eval)
     sol = dop853(rhs, window, y0, tol, t_eval, "propagation")
     return Trajectory(t_eval, sol.y.T.copy(), fsamp, est_error=tol)
 
@@ -168,8 +166,7 @@ def _check_uniform(times):
     return times, float(dt[0])
 
 
-def field_from_q(times, q, F1: FieldSpec | None = None, unit: bool = False,
-                 params: dict | None = None) -> np.ndarray:
+def field_from_q(times, q, F1: FieldSpec | None = None, unit: bool = False) -> np.ndarray:
     """External field generated by a transformation-vector path q(t).
 
     q is sampled on a uniform grid, shape (n, 3) complex; derivatives are
@@ -186,7 +183,7 @@ def field_from_q(times, q, F1: FieldSpec | None = None, unit: bool = False,
     if F1 is None:
         f1 = np.zeros_like(q)
     else:
-        f1 = field_callable(F1, params)(times)
+        f1 = field_callable(F1)(times)
     if unit:
         if np.max(np.abs(q2 - 1.0)) > 1e-10:
             raise DomainError("unit branch requires q^2 = 1 to 1e-10 along the path")
@@ -260,8 +257,7 @@ def evolution_constant_direction(q_fn, lam: complex, t: float,
 
 
 def bloch_propagate(spec: FieldSpec, state0: BlochState, window,
-                    tol: float = 1e-10, params: dict | None = None,
-                    n_nodes: int = 801) -> BlochPath:
+                    tol: float = 1e-10, n_nodes: int = 801) -> BlochPath:
     """Integrate the direction/phase/amplitude form of the dynamics.
 
     n follows dn/dt = 2[G - (G.n) n] + 2[K x n]; alpha and ln N are
@@ -273,8 +269,7 @@ def bloch_propagate(spec: FieldSpec, state0: BlochState, window,
         raise DomainError("initial Bloch vector must be unit length")
     if not (math.isfinite(state0.alpha) and 0.0 < state0.N < math.inf):
         raise DomainError("initial alpha must be finite and N finite and positive")
-    window, field_fn, _, t_eval, _ = _sampled_field(
-        spec, window, tol, params, np.linspace(window[0], window[1], n_nodes))
+    window, field_fn, _, t_eval, _ = _sampled_field(spec, window, tol, n_nodes)
 
     def rhs(t, y):
         n = y[:3]
@@ -313,7 +308,7 @@ def hamiltonian_check(f_fn, g_fn, q0: float, p0: float, window,
     """
     if not abs(q0) < 1.0:
         raise DomainError("|q0| must be < 1")
-    t0, t1 = float(window[0]), float(window[1])
+    t0, t1 = solve_window(window, tol)
     if t1 == t0:
         raise DomainError("window must satisfy t1 != t0")
 

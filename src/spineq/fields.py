@@ -11,6 +11,11 @@ The JSON envelope (used by the CLI) is
 where "expr" carries a DSL string, "catalog" an entry id, and "const" a
 list of three [re, im] pairs.
 
+A field's parameters are its spec's: an ExprField's ``params``, or a
+CatalogField's over its entry's defaults.  Evaluate a field with other
+values through another spec, ``ExprField(defs, p)``, ``CatalogField(id, p)``
+or ``dataclasses.replace(spec, params=p)``.
+
 Loading and parsing a document and checking a window for the poles its
 ASTs declare (check_poles) need neither numpy nor spinors: a field the CLI
 rejects is rejected before either loads.  Evaluation imports them.
@@ -89,42 +94,41 @@ def parse_field_spec(text: str) -> ExprField:
     return ExprField(ordered)
 
 
-def eval_field(spec: FieldSpec, t: float, params: dict | None = None) -> CVec3:
+def eval_field(spec: FieldSpec, t: float) -> CVec3:
     """Evaluate a field spec at time t.
 
-    ``params`` supplies (or overrides) named parameters; evaluation at a
-    pole raises SingularityError carrying t.  To evaluate one spec at many
-    times, bind it once with field_callable and pass it the array of times:
-    the samples have the same bits as calling this at each time.
+    Evaluation at a pole raises SingularityError carrying t.  To evaluate
+    one spec at many times, bind it once with field_callable and pass it the
+    array of times: the samples have the same bits as calling this at each
+    time.
     """
     from .spinors import CVec3
-    return CVec3.from_array(field_callable(spec, params)(t))
+    return CVec3.from_array(field_callable(spec)(t))
 
 
-def field_callable(spec: FieldSpec, params: dict | None = None):
+def field_callable(spec: FieldSpec):
     """Bind a spec to a plain t -> ndarray(3) callable for integrators.
 
     Every spec runs its generated code (expr.FieldCode), a constant one as
-    three numbers, with its parameters bound (``params`` overrides the
-    spec's own).
+    three numbers, with its spec's parameters bound.
 
     The callable also takes a 1-D ndarray of n times and returns the (n, 3)
     complex samples, bit for bit those of calling it at each time in turn.
     A pole raises the error of that per-node loop: the first node, and at
     that node the first of F1, F2, F3.
     """
-    return bind_field(spec, params)[0]
+    return bind_field(spec)[0]
 
 
-def bind_field(spec: FieldSpec, params: dict | None = None):
-    """(field_callable(spec, params), rhs): rhs(t, y) is the right-hand side
+def bind_field(spec: FieldSpec):
+    """(field_callable(spec), rhs): rhs(t, y) is the right-hand side
     -1j (sigma.F(t)) y of the spin equation, with the bits of
     -1j * (sigma_dot(field(t)) @ y) and the same SingularityError at a pole.
     Its three components are Python complex from one call of the generated
     code, checked as a field sample is; the 2x2 product stays numpy's
     matmul, since a product in Python arithmetic rounds differently."""
     import numpy as np
-    code = ex.FieldCode(*_nodes(spec, params))
+    code = ex.FieldCode(*_nodes(spec))
     fast, checked = code.fast, code.checked
     # sigma.F, refilled by each call: four stores cost a third of a new array
     S = np.empty((2, 2), dtype=complex)
@@ -150,32 +154,25 @@ def bind_field(spec: FieldSpec, params: dict | None = None):
     return sample, rhs
 
 
-def _nodes(spec, params):
+def _nodes(spec):
     """(F1, F2, F3) of a spec as ASTs (None for a zero) and their parameters:
-    an entry's defaults, the spec's own, then params."""
+    an entry's defaults, then the spec's own."""
     if isinstance(spec, ConstField):
-        nodes = tuple(ex.Num(complex(v)) for v in spec.value)
-        merged = {}
-    elif isinstance(spec, ExprField):
-        nodes = tuple(spec.component(comp) for comp in ("F1", "F2", "F3"))
-        merged = dict(spec.params)
-    elif isinstance(spec, CatalogField):
+        return tuple(ex.Num(complex(v)) for v in spec.value), {}
+    if isinstance(spec, ExprField):
+        return tuple(spec.component(comp) for comp in ("F1", "F2", "F3")), spec.params
+    if isinstance(spec, CatalogField):
         from . import catalog
 
         e = catalog.entry(spec.entry_id)
-        nodes = (e.field_defs["F1"], None, e.field_defs["F3"])
-        merged = e.merged(spec.params)
-    else:
-        raise DomainError(f"not a field spec: {spec!r}")
-    if params:
-        merged.update(params)
-    return nodes, merged
+        return (e.field_defs["F1"], None, e.field_defs["F3"]), e.merged(spec.params)
+    raise DomainError(f"not a field spec: {spec!r}")
 
 
-def check_poles(spec: FieldSpec, window, params: dict | None = None) -> None:
+def check_poles(spec: FieldSpec, window) -> None:
     """Raise DomainError if the window (t0, t1), floats, holds a pole that the
     field's ASTs declare (expr.poles) with the parameters bind_field binds."""
-    hits = ex.poles(*_nodes(spec, params), window)
+    hits = ex.poles(*_nodes(spec), window)
     if hits:
         raise DomainError(
             f"window [{window[0]}, {window[1]}] contains declared field poles at {hits}")

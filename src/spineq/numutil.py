@@ -1,10 +1,12 @@
 """The central difference and its step, stencils, quadrature, the
 grid-or-replay rule, the one DOP853 driver and the one float formatter."""
 
+import math
+
 import numpy as np
 
 from ._numbers import E16
-from .errors import IntegrationError, SingularityError, SpinEqError
+from .errors import DomainError, IntegrationError, SingularityError, SpinEqError
 
 __all__ = [
     "E16",
@@ -12,6 +14,7 @@ __all__ = [
     "CSV_BLOCK_ROWS",
     "csv_rows",
     "dop853",
+    "solve_window",
     "RHS_BUDGET",
     "grid_or_replay",
     "central_difference",
@@ -157,6 +160,20 @@ def grid_or_replay(grid, node, times, ok=np.isfinite):
 # cross (say [0, 1e300]) fails instead of spinning.  The unit constant field
 # takes about 4.0e5 over [0, 1e4] at tol 1e-10, and 9.4e5 at tol 1e-13.
 RHS_BUDGET = 10**6
+
+
+def solve_window(window, tol):
+    """The window's ends as floats, once they and tol are checked finite.
+
+    Each solver calls it first, before it builds an array from the window:
+    a solve over an infinite window, or at a NaN or infinite tol, would spin
+    until RHS_BUDGET runs out."""
+    t0, t1 = float(window[0]), float(window[1])
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise DomainError(f"window [{t0}, {t1}] is not finite")
+    if not math.isfinite(tol):
+        raise DomainError(f"tol = {tol} is not finite")
+    return t0, t1
 
 
 def dop853(rhs, window, y0, tol, t_eval, what, dense_output=False, event=None):

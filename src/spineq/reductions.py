@@ -75,18 +75,17 @@ class ReductionPlan:
         )
 
 
-def _field_at(spec, t, params):
+def _field_at(spec, t):
     """Evaluate a FieldSpec, CVec3, or plain callable at t."""
     if callable(spec) and not isinstance(spec, CVec3):
         out = spec(t)
         return out.as_array() if isinstance(out, CVec3) else np.asarray(out, dtype=complex)
     if isinstance(spec, CVec3):
         return spec.as_array()
-    return eval_field(spec, t, params).as_array()
+    return eval_field(spec, t).as_array()
 
 
-def reduce_field(Fprime: FieldSpec, plan: ReductionPlan, t: float,
-                 params: dict | None = None) -> CVec3:
+def reduce_field(Fprime: FieldSpec, plan: ReductionPlan, t: float) -> CVec3:
     """Field equivalent to Fprime under the plan's exponential transform.
 
     l^2 = 1:  F = [F' - l (F'.l)] cos 2a + [F' x l] sin 2a + l (F'.l - a')
@@ -94,7 +93,7 @@ def reduce_field(Fprime: FieldSpec, plan: ReductionPlan, t: float,
 
     Fprime may be a FieldSpec or a plain t -> 3-vector callable.
     """
-    fp = _field_at(Fprime, t, params)
+    fp = _field_at(Fprime, t)
     lv = plan.l
     a = complex(plan.alpha(t))
     ad = plan.alpha_dot_at(t)
@@ -166,8 +165,7 @@ def sigma_map_field(F, which: SigmaMap) -> CVec3:
     return CVec3(*table[which])
 
 
-def reparametrize_time(spec: FieldSpec, T, t: float, Tdot=None,
-                       params: dict | None = None) -> CVec3:
+def reparametrize_time(spec: FieldSpec, T, t: float, Tdot=None) -> CVec3:
     """Field seen in the new time variable: F'(t) = F(T(t)) T'(t)."""
     if Tdot is not None:
         td = complex(Tdot(t))
@@ -177,12 +175,11 @@ def reparametrize_time(spec: FieldSpec, T, t: float, Tdot=None,
         raise DomainError(f"reparameterization must have real nonzero derivative at t = {t}")
     if td.real < 0.0:
         raise DomainError(f"reparameterization is decreasing at t = {t} (non-monotone window)")
-    F = _field_at(spec, float(complex(T(t)).real), params)
+    F = _field_at(spec, float(complex(T(t)).real))
     return CVec3.from_array(F * td.real)
 
 
-def to_schrodinger_potentials(spec: FieldSpec, t: float,
-                              params: dict | None = None):
+def to_schrodinger_potentials(spec: FieldSpec, t: float):
     """Complex potentials (V1, V2) of the decoupled second-order equations
     psi_s'' - V_s psi_s = 0 obtained from the component form.
 
@@ -196,9 +193,9 @@ def to_schrodinger_potentials(spec: FieldSpec, t: float,
     h2 = default_step(t, 2e-3)
 
     def comp(i):
-        return lambda s: _field_at(spec, s, params)[i]
+        return lambda s: _field_at(spec, s)[i]
 
-    F = _field_at(spec, t, params)
+    F = _field_at(spec, t)
     f1, f2, f3 = F
     a_vals = {}
     for s_idx in (1, 2):

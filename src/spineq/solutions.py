@@ -6,7 +6,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
-from .fields import FieldSpec
 from .dynamics import Trajectory, _check_uniform
 from .numutil import cumulative_integral, fd_derivative
 from .spinors import anticonjugate_arr, l_vector_arr
@@ -22,17 +21,14 @@ __all__ = [
 ]
 
 
-def general_solution(V_traj: Trajectory, spec: FieldSpec | None,
-                     alpha0: complex, beta0: complex,
-                     params: dict | None = None) -> Trajectory:
+def general_solution(V_traj: Trajectory, alpha0: complex, beta0: complex) -> Trajectory:
     """Second solution built from a particular one by quadrature.
 
     Y = [alpha0 + 2 beta0 Int (V,V)^-2 (L^{v,vbar} . G) dt] V
         + beta0 (V,V)^-1 Vbar
 
-    The integral starts at the first trajectory node.  spec is unused
-    beyond documentation (the trajectory carries its field samples) and
-    may be None.
+    The integral starts at the first trajectory node; G is the imaginary
+    part of the trajectory's own field samples.
     """
     times, _ = _check_uniform(V_traj.times)
     states = V_traj.states

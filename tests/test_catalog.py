@@ -177,13 +177,13 @@ def _per_node_residuals(eid, params=None, window=None, n_points=50):
     e = catalog.entry(eid)
     p = e.merged(params)
     win = tuple(window) if window is not None else e.window_for(p)
-    f1, f3 = e.bind_field(p)
 
     def u_fn(t):
         return np.array(e.solution_components(t, p))
 
     def f_fn(t):
-        return np.array([f1(t), 0j, f3(t)])
+        f1, f3 = e.field_components(t, p)
+        return np.array([f1, 0j, f3])
 
     return np.array([se_residual(u_fn, f_fn, t)
                      for t in np.linspace(win[0], win[1], n_points)])
@@ -291,18 +291,11 @@ class TestOverflowingParameters:
             catalog.entry(16).merged({"a": 1e200})) == ["a^2/b finite"]
 
 
-class TestBindField:
-    def test_signed_zero_is_a_different_binding(self):
-        e = catalog.entry(16)
-        f = e.bind_field({"a": 1.0, "b": 1.0, "c": 0.0})
-        assert e.bind_field({"a": 1.0, "b": 1.0, "c": -0.0}) is not f
-
-
 class TestSecondSolution:
     @pytest.mark.parametrize("eid", range(1, 27))
     def test_general_solution_is_independent(self, eid):
         traj = entry_trajectory(eid, n_nodes=1201)
-        out = general_solution(traj, None, 0.0, 1.0)
+        out = general_solution(traj, 0.0, 1.0)
         res = trajectory_se_residuals(out)
         assert np.max(res[2:-2]) <= 1e-6, f"entry {eid}"
         wronskian = np.abs(traj.states[:, 0] * out.states[:, 1]

@@ -163,11 +163,10 @@ OUTPUT_CASES = {
 }
 
 
-def run_in_process(argv, cwd):
-    """(exit code, stdout bytes, stderr text) of ``cli.run(argv)`` in cwd."""
+def run_in_process(argv):
+    """(exit code, stdout bytes, stderr text) of ``cli.run(argv)``."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.chdir(cwd), contextlib.redirect_stdout(out), \
-            contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.run(argv)
     return code, out.getvalue().encode(), err.getvalue()
 
@@ -179,8 +178,9 @@ def test_outputs_golden_covers_every_case():
 
 
 @pytest.mark.parametrize("name", list(OUTPUT_CASES))
-def test_computed_output_is_golden(workdir, name):
-    code, stdout, stderr = run_in_process(OUTPUT_CASES[name], workdir)
+def test_computed_output_is_golden(workdir, monkeypatch, name):
+    monkeypatch.chdir(workdir)
+    code, stdout, stderr = run_in_process(OUTPUT_CASES[name])
     want = OUTPUTS[name]
     assert (code, len(stdout), hashlib.sha256(stdout).hexdigest()) == (
         want["exit"], want["stdout_bytes"], want["stdout_sha256"])

@@ -1,5 +1,6 @@
 import cmath
 import math
+import time
 import warnings
 from types import SimpleNamespace
 
@@ -119,17 +120,16 @@ class TestPropagate:
 
 class TestDeclaredPoles:
     def test_params_override_is_checked(self):
-        # the pole of entry 20 moves from pi/2 to pi/4 at w = 2, whether w is
-        # the spec's own or propagate's override
-        for spec, params in ((CatalogField(20, {"w": 2.0}), None),
-                             (CatalogField(20), {"w": 2.0})):
-            with pytest.raises(DomainError) as ei:
-                propagate(spec, [1, 0], (0.2, 1.5), params=params, n_nodes=7)
-            assert str(ei.value) == (
-                "window [0.2, 1.5] contains declared field poles at [0.7853981633974483]")
+        # the pole of entry 20 moves from pi/2 to pi/4 when the spec's w = 2
+        # overrides the entry's default
+        spec = CatalogField(20, {"w": 2.0})
+        with pytest.raises(DomainError) as ei:
+            propagate(spec, [1, 0], (0.2, 1.5), n_nodes=7)
+        assert str(ei.value) == (
+            "window [0.2, 1.5] contains declared field poles at [0.7853981633974483]")
         with pytest.raises(DomainError, match="declared field poles"):
-            bloch_propagate(CatalogField(20), BlochState(np.array([1.0, 0, 0]), 0.0, 1.0),
-                            (0.2, 1.5), params={"w": 2.0}, n_nodes=7)
+            bloch_propagate(spec, BlochState(np.array([1.0, 0, 0]), 0.0, 1.0),
+                            (0.2, 1.5), n_nodes=7)
 
     @pytest.mark.parametrize("text, pole", [("F3 = 1/(t - 0.505)", 0.505),
                                             ("F3 = tan(3*t)", math.pi / 6),
@@ -585,6 +585,48 @@ class TestSolveBudget:
         monkeypatch.setattr(numutil, "RHS_BUDGET", 1000)
         with pytest.raises(IntegrationError, match="after 1000 right-hand-side calls"):
             self.SOLVES[name]()
+
+
+class TestSolveInputs:
+    """Each solver checks its window and tol with numutil.solve_window before
+    it builds an array: a non-finite one raises DomainError at once, where
+    the solve would spin until the budget ran out."""
+
+    SOLVES = {
+        "propagate": lambda w, tol: propagate(ConstField((1, 0, 0.5)), [1, 0], w, tol=tol,
+                                              n_nodes=5),
+        "bloch_propagate": lambda w, tol: bloch_propagate(
+            ConstField((1, 0, 0.5)), BlochState(np.array([1.0, 0, 0]), 0.0, 1.0), w,
+            tol=tol, n_nodes=5),
+        "hamiltonian_check": lambda w, tol: hamiltonian_check(
+            lambda t: 0.4, lambda t: 0.7, 0.2, 0.3, w, tol=tol, n_nodes=5),
+        "darboux_params_mu_route": lambda w, tol: darboux_params_mu_route(
+            lambda t: 0.3, 0.8, 0.4, w, tol=tol, n_nodes=5),
+    }
+    INPUTS = {
+        "t1-inf": ((0.0, math.inf), 1e-10, r"window \[0.0, inf\] is not finite"),
+        "t0-nan": ((math.nan, 1.0), 1e-10, r"window \[nan, 1.0\] is not finite"),
+        "tol-nan": ((0.0, 1.0), math.nan, "tol = nan is not finite"),
+        "tol-inf": ((0.0, 1.0), math.inf, "tol = inf is not finite"),
+    }
+
+    @pytest.mark.parametrize("case", INPUTS)
+    @pytest.mark.parametrize("name", SOLVES)
+    def test_non_finite_input_raises_at_once(self, capsys, name, case):
+        window, tol, message = self.INPUTS[case]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            start = time.perf_counter()
+            with pytest.raises(DomainError, match=message):
+                self.SOLVES[name](window, tol)
+            elapsed = time.perf_counter() - start
+        assert elapsed < 0.1
+        assert caught == []
+        assert capsys.readouterr() == ("", "")
+
+    def test_hamiltonian_check_still_runs_backward(self):
+        rep = hamiltonian_check(lambda t: 0.4, lambda t: 0.7, 0.2, 0.3, (1.0, 0.0), n_nodes=5)
+        assert rep.times[0] == 1.0 and rep.times[-1] == 0.0
 
 
 class TestSolveFailure:

@@ -32,17 +32,17 @@ def _hex(z: complex):
 class TestParser:
     def test_linear_plus_inverse(self):
         spec = parse_field_spec("F1 = a; F3 = b*t + c/t")
-        f = eval_field(spec, 2.0, {"a": 1.0, "b": 2.0, "c": 4.0})
+        f = eval_field(ExprField(spec.defs, {"a": 1.0, "b": 2.0, "c": 4.0}), 2.0)
         assert_rel(f.as_array(), [1.0, 0.0, 6.0], 1e-15)
 
     def test_omitted_components_default_to_zero(self):
         spec = parse_field_spec("F3 = 2*t")
-        f = eval_field(spec, 1.5, {})
+        f = eval_field(spec, 1.5)
         assert_rel(f.as_array(), [0, 0, 3.0], 1e-15)
 
     def test_complex_literal(self):
         spec = parse_field_spec("F1 = 1+2i")
-        assert eval_field(spec, 0.0, {}).x == 1 + 2j
+        assert eval_field(spec, 0.0).x == 1 + 2j
 
     def test_imaginary_unit(self):
         assert eval_expr(parse_expr("i*i"), 0.0, {}) == -1
@@ -137,7 +137,7 @@ class TestEval:
     def test_cot_pole(self):
         spec = parse_field_spec("F3 = cot(t)")
         with pytest.raises(SingularityError) as ei:
-            eval_field(spec, 0.0, {})
+            eval_field(spec, 0.0)
         assert ei.value.t == 0.0
 
     def test_free_parameters(self):
@@ -309,7 +309,7 @@ class TestArrayCall:
         gc.disable()
         try:
             for a in (0.5, 0.25):
-                fn = field_callable(spec, {"a": a})
+                fn = field_callable(ExprField(spec.defs, {"a": a}))
                 fn(0.3)
                 fn(np.linspace(0, 0.4, 5))
                 try:

@@ -1,4 +1,5 @@
 import importlib
+import inspect
 
 import pytest
 
@@ -49,3 +50,12 @@ def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'nope'"):
         spineq.nope
     assert not hasattr(spineq, "nope")
+
+
+def test_no_field_function_takes_params():
+    # a field's parameters are its spec's: `params` is an entry's parameter
+    # set in the catalog, and the pair (alpha, beta), a DarbouxParams, in darboux
+    takes = sorted(name for name in PUBLIC_NAMES
+                   if inspect.isfunction(f := getattr(spineq, name))
+                   and "params" in inspect.signature(f).parameters)
+    assert takes == ["darboux_apply", "darboux_field", "entry_solution", "verify_entry"]

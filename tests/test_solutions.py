@@ -41,7 +41,7 @@ class TestGeneralSolution:
     def test_identity_coefficients(self):
         traj = propagate(ConstField((0.3, 0.1, 0.8)), np.array([1.0, 0.2j]),
                          (0, 2), 1e-12, n_nodes=201)
-        out = general_solution(traj, None, 1.0, 0.0)
+        out = general_solution(traj, 1.0, 0.0)
         assert np.max(np.abs(out.states - traj.states)) == 0.0
 
     def test_real_field_anticonjugate_branch(self):
@@ -51,7 +51,7 @@ class TestGeneralSolution:
                            np.zeros_like(times, dtype=complex)], axis=1)
         fields = np.tile([0.0, 0.0, f], (len(times), 1)).astype(complex)
         traj = make_traj(times, states, fields)
-        out = general_solution(traj, None, 0.0, 1.0)
+        out = general_solution(traj, 0.0, 1.0)
         want = np.stack([np.zeros_like(times, dtype=complex),
                          np.exp(1j * f * times)], axis=1)
         assert_rel(out.states, want, 1e-12)
@@ -59,14 +59,14 @@ class TestGeneralSolution:
     def test_complex_field_second_solution(self):
         spec = ConstField((0.0, 0.0, 1j))
         traj = propagate(spec, np.array([1.0, 0.4]), (0, 2), 1e-12, n_nodes=1201)
-        out = general_solution(traj, spec, 0.3 + 0.2j, 1.1 - 0.4j)
+        out = general_solution(traj, 0.3 + 0.2j, 1.1 - 0.4j)
         res = trajectory_se_residuals(out)
         assert np.max(res[2:-2]) <= 1e-6
 
     def test_independence_wronskian(self):
         spec = ConstField((0.4, 0.0, 0.9j))
         traj = propagate(spec, np.array([1.0, 0.3]), (0, 2), 1e-12, n_nodes=1201)
-        out = general_solution(traj, spec, 0.0, 1.0)
+        out = general_solution(traj, 0.0, 1.0)
         w = (traj.states[:, 0] * out.states[:, 1]
              - traj.states[:, 1] * out.states[:, 0])
         assert np.min(np.abs(w)) > 1e-3
@@ -75,7 +75,7 @@ class TestGeneralSolution:
         times = np.linspace(0, 1, 11)
         states = np.zeros((11, 2), dtype=complex)
         with pytest.raises(DomainError):
-            general_solution(make_traj(times, states), None, 1.0, 0.0)
+            general_solution(make_traj(times, states), 1.0, 0.0)
 
 
 class TestInvertField:
