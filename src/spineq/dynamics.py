@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,12 +117,38 @@ def _sampled_field(spec: FieldSpec, window, tol: float, n_nodes: int, t_eval=Non
         raise DomainError(f"tol = {tol} below the supported minimum {MIN_TOL}")
     if not t1 > t0:
         raise DomainError("window must satisfy t1 > t0")
+    t_eval = _output_nodes((t0, t1), n_nodes, t_eval)
     field_fn, rhs = bind_field(spec)  # an unbound parameter raises here
     check_poles(spec, (t0, t1))
-    if t_eval is None:
-        t_eval = np.linspace(t0, t1, n_nodes)
-    t_eval = np.asarray(t_eval, dtype=float)
     return (t0, t1), field_fn, rhs, t_eval, field_fn(t_eval)
+
+
+def _output_nodes(window, n_nodes: int, t_eval=None) -> np.ndarray:
+    """The output nodes of a solve over window = (t0, t1): t_eval, which
+    must be 1-D, finite, strictly increasing and inside the window, or else
+    n_nodes uniform ones, at least 2 as on the command line.  DomainError
+    names the input that fails, which the solver would otherwise reject with
+    a bare ValueError, or answer with no nodes at all."""
+    t0, t1 = window
+    if t_eval is None:
+        if isinstance(n_nodes, bool) or not isinstance(n_nodes, numbers.Integral) \
+                or n_nodes < 2:
+            raise DomainError(f"n_nodes = {n_nodes!r} must be an integer >= 2")
+        return np.linspace(t0, t1, n_nodes)
+    try:
+        t_eval = np.asarray(t_eval, dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError("t_eval must be an array of real times") from None
+    if t_eval.ndim != 1 or t_eval.size == 0:
+        raise DomainError(f"t_eval must be a non-empty 1-D array, not of shape {t_eval.shape}")
+    if not np.isfinite(t_eval).all():
+        raise DomainError("t_eval has a time that is not finite")
+    if not (np.diff(t_eval) > 0).all():
+        raise DomainError("t_eval must be strictly increasing")
+    if t_eval[0] < min(t0, t1) or t_eval[-1] > max(t0, t1):
+        raise DomainError(f"t_eval [{t_eval[0]}, {t_eval[-1]}] is not within the "
+                          f"window [{t0}, {t1}]")
+    return t_eval
 
 
 def propagate(spec: FieldSpec, V0, window, tol: float = 1e-10,
@@ -327,7 +354,7 @@ def hamiltonian_check(f_fn, g_fn, q0: float, p0: float, window,
     near_pole.direction = -1
 
     # the terminal event ends the solve with success still set
-    sol = dop853(rhs, (t0, t1), [q0, p0], tol, np.linspace(t0, t1, n_nodes),
+    sol = dop853(rhs, (t0, t1), [q0, p0], tol, _output_nodes((t0, t1), n_nodes),
                  "canonical integration", event=near_pole)
     truncated = sol.t_event is not None
     times = sol.t

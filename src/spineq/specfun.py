@@ -6,7 +6,9 @@ at one z, _grid_series at every element of arrays of z.  Each series is
 given by its term coefficient k -> c_k, the factor of term k+1 over term k
 but z (_hyp2f1_coefficient, _hyp1f1_coefficient), which both loops take.
 They return (value, terms_used, relative_truncation_estimate); terms_used
-== -1 signals that the term cap was reached before convergence.
+== -1 signals that the term cap was reached before convergence, or that a
+term is not finite, which ends the sum at once since NaN and inf never pass
+the stop test.
 Everything else — domain handling, the Pfaff transformation used near the
 unit circle, the Lanczos gamma and the parabolic-cylinder reduction — is
 plain Python on top.
@@ -16,10 +18,17 @@ z, sums all of them in one pass over blocks of terms, and returns the three
 arrays of each job.  Every element reproduces the scalar loop bit for bit:
 the term coefficient is the same Python complex, the complex products are
 CPython's (xr*yr - xi*yi, xr*yi + xi*yr) on float64 real/imaginary pairs,
-abs is hypot, and each element keeps its own STREAK count and MAX_TERMS
-cap, leaving the active set when it stops.  So a job gets the same bits in
-a pass of its own as beside other jobs, unless a job before it has a term
-that overflowed: then it is left out (None).
+and each element keeps its own STREAK count and MAX_TERMS cap, leaving the
+active set when it stops.  So a job gets the same bits in a pass of its own
+as beside other jobs, unless a job before it has a term that overflowed:
+then it is left out (None).  The stop test abs(term) < REL_EPS * abs(total)
+makes the scalar loop's decisions from squared magnitudes re**2 + im**2:
+a ratio of squares more than 1e-12 (relative) away from REL_EPS**2 settles
+it, about a thousand times the rounding the two ways can differ by, and
+only the ratios inside that margin take hypot, as abs does.  A block whose
+squares leave [2**-900, 2**900] (or are NaN) takes hypot whole, which keeps
+abs's OverflowError and its NaN.  Each pass allocates its block arrays
+once, as views of two workspaces that every block reuses.
 
 gauss_2f1, kummer_phi and parabolic_d also take an ndarray of z (an
 object array of Python numbers, as the catalog's closed forms build) and
@@ -61,6 +70,12 @@ STREAK = 3
 # that many terms of all live elements would pass _BLOCK_SIZE (memory)
 _BLOCK = 16
 _BLOCK_SIZE = 16384
+
+# the squared stop test (_small_terms): its margin around REL_EPS**2, and
+# the range of squared magnitudes in which it holds
+_Q_SMALL = REL_EPS * REL_EPS * (1.0 - 1e-12)
+_Q_LARGE = REL_EPS * REL_EPS * (1.0 + 1e-12)
+_SQ_MIN, _SQ_MAX = 2.0 ** -900, 2.0 ** 900
 
 # direct series is used below this argument modulus; above it the engine
 # switches to the z -> z/(z-1) Pfaff transformation when that shrinks the
@@ -119,13 +134,16 @@ def _series(coefficient, z: complex):
     for k in range(MAX_TERMS):
         term *= coefficient(k) * z
         total += term
-        if abs(term) < REL_EPS * abs(total):
+        mag = abs(term)
+        if mag < REL_EPS * abs(total):
             streak += 1
             if streak >= STREAK:
                 n_used = k + 1
                 break
         else:
             streak = 0
+            if not mag < math.inf:  # NaN or inf: no later term is finite
+                break
     return total, n_used, abs(term) / max(abs(total), 1e-300)
 
 
@@ -145,127 +163,188 @@ def _grid_series(jobs):
     (values, terms, estimates), one per (coefficient, z) job.
 
     All jobs run in one pass, up to _BLOCK terms at a time.  Only the term
-    recurrence and the partial sums run term by term; the magnitudes and
-    the STREAK test then cover the whole block at once.  The elements of a
-    job stay contiguous among the live ones, so that each job multiplies
-    its own slice by its own coefficients.  An element that ends inside a
-    block has a few terms computed past its end, which are never read.
+    recurrence and the partial sums run term by term; the stop test
+    (_small_terms) and the STREAK count then cover the whole block at once.
+    Each element takes its own job's coefficients, gathered once per block.
+    An element that ends inside a block has a few terms computed past its
+    end, which are never read.
 
-    The jobs are read in order, up to the first with an element over the
-    cap (_job_values raises there).  An element whose term is not finite can no
-    longer converge (every later term is not finite either), so once one is
-    seen in a block where a magnitude overflows, which is where such a term
-    first appears, the jobs after its own leave the pass and return None.
+    The block arrays are views of workspaces allocated once per call, for
+    the most steps * elements that a block can hold: one of four times that
+    holds the block's terms and partial sums, where each step's z times its
+    coefficient waits in the place of the step's partial sum until it is
+    used; one of three times that holds the squared magnitudes.  Together
+    they are below the per-block arrays (x, block and hypot magnitudes) of
+    the kernel that took hypot over every block.
+
+    An element whose term is not finite ends there, over the cap (terms -1),
+    as the scalar loop does: NaN and inf never pass the stop test.  The jobs
+    are read in order, up to the first with an element over the cap
+    (_job_values raises there), so once a term overflows to inf the jobs
+    after its own leave the pass and return None.
     """
     zs = [np.asarray(z, dtype=complex) for _, z in jobs]
     sizes = [z.size for z in zs]
     n = sum(sizes)
     flat = np.concatenate([z.ravel() for z in zs]) if zs else np.empty(0, dtype=complex)
     zz = np.stack([flat.real, flat.imag])  # [re, im] of z
-    term, total = np.zeros((2, n)), np.zeros((2, n))  # [re, im] of each
-    term[0] = total[0] = 1.0
+    carry = np.zeros((2, 2, n))  # the last term and partial sum, [term/total, re/im, element]
+    carry[:, 0] = 1.0
     # whether abs(term) < REL_EPS * abs(total) held at the two last terms
     tail = np.zeros((2, n), dtype=bool)
     live = np.arange(n)
     owner = np.repeat(np.arange(len(jobs)), sizes)  # the job of each live element
-    slices = _job_slices(owner, len(jobs))
+    coefficients, which = _live_jobs(jobs, owner)
     last_job = len(jobs) - 1  # the jobs after it have left the pass
-    sums = np.empty((2, n))
+    # each element's term and partial sum where it ended, [term/total, re/im, element]
+    final = np.empty((2, 2, n))
     terms = np.full(n, -1, dtype=np.int64)
-    estimates = np.empty(n)
+    room = min(_BLOCK * n, max(_BLOCK_SIZE, n))  # the most steps * elements of a block
+    block_buf, squares = np.empty(4 * room), np.empty(3 * room)
+    small_buf = np.empty(room + 2 * n, dtype=bool)
     k0 = 0
     with np.errstate(all="ignore"):
         while live.size and k0 < MAX_TERMS:
-            kb = min(_BLOCK, max(1, _BLOCK_SIZE // live.size), MAX_TERMS - k0)
-            x = np.empty((kb,) + zz.shape)
-            for j, s, e in slices:
-                cf = np.array([jobs[j][0](k) for k in range(k0, k0 + kb)])
-                _times_z(cf, zz[:, s:e], x[:, :, s:e])
-            block = _block_terms(x, term, total)
-            term, total = block[-1].copy()
-            small, overflow = _small_terms(block)
-            small = np.concatenate([tail, small])
-            # three small terms in a row end the sum, as STREAK does
-            stop = small[2:] & small[1:-1] & small[:-2]
-            done = stop.any(axis=0)
-            last = np.where(done, stop.argmax(axis=0), kb - 1)
-            if overflow is not None and np.count_nonzero(
-                    overflow & (np.arange(kb)[:, None] <= last)):
-                raise OverflowError("absolute value too large")  # as CPython's abs
-            leave = done
-            if overflow is not None:
-                # a magnitude overflowed: an element whose term is no longer
-                # finite cannot converge, and the caller stops at its job
-                bad = ~done & ~np.isfinite(term).all(axis=0)
-                if bad.any():
-                    last_job = min(last_job, int(owner[bad].min()))
-                    leave = done | (owner > last_job)
-            if np.count_nonzero(leave):
-                keep = ~leave
-                if np.count_nonzero(done):
-                    j, idx = last[done], live[done]
-                    ends = block[j, :, :, np.flatnonzero(done)]  # [element, term/total, re/im]
-                    sums[:, idx] = ends[:, 1].T
-                    terms[idx] = k0 + j + 1
-                    estimates[idx] = _estimate(ends[:, 0].T, ends[:, 1].T)
-                live, zz, term, total = live[keep], zz[:, keep], term[:, keep], total[:, keep]
-                small, owner = small[:, keep], owner[keep]
-                slices = _job_slices(owner, len(jobs))
-            tail = small[-2:]
+            m = live.size
+            kb = min(_BLOCK, max(1, _BLOCK_SIZE // m), MAX_TERMS - k0)
+            block = block_buf[:4 * kb * m].reshape(kb, 2, 2, m)
+            cf = np.array([[c(k) for c in coefficients] for k in range(k0, k0 + kb)], dtype=complex)
+            cf = cf.view(float).reshape(kb, -1, 2).transpose(0, 2, 1)  # [k, re/im, job]
+            # x[j], the coefficient of step j times z, is kept where step j's partial sum goes
+            x = block[:, 1]
+            _times_z(cf.take(which, 2), zz, x, block[:, 0])
+            _block_terms(x, carry, block)
+            small = small_buf[:(kb + 2) * m].reshape(kb + 2, m)
+            small[:2] = tail
+            mags = _small_terms(block, squares, small[2:])
+            # three small terms in a row end the sum, as STREAK does, and a
+            # term that is not finite ends it over the cap
+            ends = small[2:] & small[1:-1] & small[:-2]
+            if mags is not None:
+                diverged = ~(mags[:, 0] < np.inf)
+                ends |= diverged
+            done = np.flatnonzero(ends.any(axis=0))
+            last = ends[:, done].argmax(axis=0)  # the step at which each one ends
+            used = k0 + last + 1
+            if mags is not None:
+                # abs raises at a step the scalar loop reaches: up to its
+                # end at an element done, every step at the others
+                reach = np.full(m, kb - 1)
+                reach[done] = last
+                if np.count_nonzero(_overflows(block, mags) & (np.arange(kb)[:, None] <= reach)):
+                    raise OverflowError("absolute value too large")  # as CPython's abs
+                over_cap = diverged[last, done]
+                used[over_cap] = -1
+                inf = done[over_cap & (mags[last, 0, done] == np.inf)]
+                if inf.size:  # a term overflowed: the caller stops at its job
+                    last_job = min(last_job, int(owner[inf].min()))
+            if done.size:
+                idx = live[done]
+                final[:, :, idx] = block[last, :, :, done].transpose(1, 2, 0)
+                terms[idx] = used
+            if done.size or owner[-1] > last_job:  # owner is sorted
+                keep = owner <= last_job
+                keep[done] = False
+                keep = np.flatnonzero(keep)
+                live, zz, carry, owner = (live.take(keep), zz.take(keep, 1),
+                                          block[-1].take(keep, 2), owner.take(keep))
+                tail = small[-2:].take(keep, 1)
+                coefficients, which = _live_jobs(jobs, owner)
+            else:
+                carry, tail = block[-1].copy(), small[-2:].copy()
             k0 += kb
-            del x, block  # before the next ones are allocated
-        sums[:, live] = total
-        estimates[live] = _estimate(term, total)
+        final[:, :, live] = carry
+        estimates = _estimate(*final)
     values = np.empty(n, dtype=complex)
-    values.real, values.imag = sums
+    values.real, values.imag = final[1]
     cuts = np.cumsum(sizes)[:-1]
     return [None if j > last_job else (v.reshape(z.shape), m.reshape(z.shape), r.reshape(z.shape))
             for j, (z, v, m, r) in enumerate(
                 zip(zs, *(np.split(a, cuts) for a in (values, terms, estimates))))]
 
 
-def _job_slices(owner, n_jobs):
-    """(job, start, stop) of each job with live elements, for the sorted
-    job index of each live element."""
-    stops = np.cumsum(np.bincount(owner, minlength=n_jobs)).tolist()
-    starts = [0] + stops[:-1]
-    return [(j, s, e) for j, (s, e) in enumerate(zip(starts, stops)) if e > s]
+def _live_jobs(jobs, owner):
+    """The term coefficients of the jobs with live elements, in order, and
+    the index among them of each live element's job, for the sorted job
+    index of each live element."""
+    counts = np.bincount(owner, minlength=len(jobs))
+    present = np.flatnonzero(counts)
+    return [jobs[j][0] for j in present.tolist()], np.repeat(np.arange(present.size), counts[present])
 
 
-def _times_z(cf, zz, out):
-    """cf[k] * z for each coefficient into out, as [k, re/im, element], each
-    product as CPython multiplies complex numbers, (xr*yr - xi*yi, xr*yi + xi*yr)."""
-    cr, ci = cf.real[:, None], cf.imag[:, None]
-    np.subtract(cr * zz[0], ci * zz[1], out=out[:, 0])
-    np.add(cr * zz[1], ci * zz[0], out=out[:, 1])
+def _times_z(cf, zz, out, prods):
+    """Each element's coefficients times its z into out, as [k, re/im,
+    element] like cf, each product as CPython multiplies complex numbers,
+    (xr*yr - xi*yi, xr*yi + xi*yr); prods, of out's shape, holds two
+    products of parts at a time."""
+    np.multiply(cf, zz, prods)
+    np.subtract(prods[:, 0], prods[:, 1], out[:, 0])
+    np.multiply(cf, zz[::-1], prods)
+    np.add(prods[:, 0], prods[:, 1], out[:, 1])
 
 
-def _block_terms(x, term, total):
+def _block_terms(x, carry, block):
     """The term and partial sum after each step term *= x[j], total += term,
-    as [step, term/total, re/im, element], multiplied as in _times_z."""
-    block = np.empty((len(x), 2) + term.shape)
-    prods = np.empty((2,) + term.shape)  # part i of x[j] times part j of the term
-    x_parts, prev = x[:, :, None], term[None]
-    for j in range(len(x)):
-        np.multiply(x_parts[j], prev, out=prods)
-        term = block[j, 0]
-        np.subtract(prods[0, 0], prods[1, 1], out=term[0])
-        np.add(prods[0, 1], prods[1, 0], out=term[1])
-        total = np.add(total, term, out=block[j, 1])
-        prev = term[None]
-    return block
+    from carry's, into block as [step, term/total, re/im, element],
+    multiplied as in _times_z.  x may be block[:, 1]: x[j] is read before
+    the partial sum of step j is written over it."""
+    prods = np.empty(carry.shape)  # part i of x[j] times part j of the term
+    p00, p11, p01, p10 = prods[0, 0], prods[1, 1], prods[0, 1], prods[1, 0]
+    term, total = carry
+    for x_parts, step, re, im, step_total in zip(
+            x[:, :, None], block[:, 0], block[:, 0, 0], block[:, 0, 1], block[:, 1]):
+        np.multiply(x_parts, term, prods)
+        np.subtract(p00, p11, re)
+        np.add(p01, p10, im)
+        total = np.add(total, step, step_total)
+        term = step
 
 
-def _small_terms(block):
+def _small_terms(block, squares, small):
     """abs(term) < REL_EPS * abs(total) at every step and element of a block,
-    and where that abs raises OverflowError, as CPython's does when hypot
-    overflows on finite parts (None if nowhere)."""
-    mags = np.hypot(block[:, :, 0], block[:, :, 1])  # [step, |term| / |total|, element]
-    small = mags[:, 0] < REL_EPS * mags[:, 1]
-    inf = np.isinf(mags)
-    if not inf.any():
-        return small, None
-    return small, (inf & np.isfinite(block).all(axis=2)).any(axis=1)
+    into small as [step, element].  Returns None if the squared magnitudes
+    decided it, or else the hypot magnitudes as [step, term/total, element].
+
+    With s = re**2 + im**2, a ratio q = s_term / s_total below
+    REL_EPS**2 (1 - 1e-12) is small and one above REL_EPS**2 (1 + 1e-12) is
+    not: q is at most a few units in the last place off the exact ratio of
+    squares, and hypot and REL_EPS * abs(total) one unit each, so the two
+    tests cannot disagree outside a band some hundreds of times narrower.
+    Only the ratios inside the margin take hypot.  That holds while the
+    squares keep their relative error: every s_total at least 2**-900 and
+    every s at most 2**900, none NaN.  A term square near REL_EPS**2 times
+    such a total is still normal, and one that underflows is far below it.
+    A block outside that range takes hypot whole, as abs does, NaN and inf
+    included.  The flat array squares, of at least three times the block's
+    steps * elements, holds the squares.
+    """
+    kb, m = len(block), block.shape[-1]
+    km = kb * m
+    # the parts of the terms squared, then of the totals, each pair summed in place
+    np.square(block[:, 0], squares[:2 * km].reshape(2, kb, m).transpose(1, 0, 2))
+    np.add(squares[:km], squares[km:2 * km], squares[:km])
+    np.square(block[:, 1], squares[km:3 * km].reshape(2, kb, m).transpose(1, 0, 2))
+    np.add(squares[km:2 * km], squares[2 * km:3 * km], squares[km:2 * km])
+    s = squares[:2 * km].reshape(2, kb, m)  # [term/total, step, element]
+    if s.max() <= _SQ_MAX and s[1].min() >= _SQ_MIN:
+        q = np.divide(s[0], s[1], squares[2 * km:3 * km].reshape(kb, m))
+        np.less(q, _Q_SMALL, small)
+        maybe = q <= _Q_LARGE
+        if np.count_nonzero(maybe) != np.count_nonzero(small):
+            k, e = np.nonzero(maybe != small)
+            mags = np.hypot(block[k, :, 0, e], block[k, :, 1, e])  # [ratio, term/total]
+            small[k, e] = mags[:, 0] < REL_EPS * mags[:, 1]
+        return None
+    mags = np.hypot(block[:, :, 0], block[:, :, 1])
+    np.less(mags[:, 0], REL_EPS * mags[:, 1], small)
+    return mags
+
+
+def _overflows(block, mags):
+    """Where abs(term) or abs(total) raises OverflowError, as [step,
+    element], from a block and its hypot magnitudes: CPython's abs raises
+    where hypot overflows on finite parts."""
+    return (np.isinf(mags) & np.isfinite(block).all(axis=2)).any(axis=1)
 
 
 def _estimate(term, total):

@@ -216,6 +216,13 @@ class TestVerify:
         assert capsys.readouterr().err == \
             "ERROR 3: gamma at z = (0.5+2500j) underflows in the Lanczos formula\n"
 
+    def test_overflowing_orders_exit_3(self, capsys):
+        # the Kummer terms of entry 1 at a = 1e150 are inf from the second
+        # on; the series stops there (test_specfun counts the terms)
+        assert run(["verify", "--entry", "1", "--params", "a=1e150"]) == 3
+        assert capsys.readouterr().err == ("ERROR 3: Kummer series did not converge within "
+                                           "20000 terms at z=3.99920004e+148j\n")
+
     @given(_verify_argv())
     @example(["verify", "--entry", "16", "--params", "a=30"])
     @example(["verify", "--entry", "12", "--params", "a=1000;b=0.001;c=2;w=2"])

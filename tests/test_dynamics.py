@@ -587,6 +587,29 @@ class TestSolveBudget:
             self.SOLVES[name]()
 
 
+# the three solvers on a node grid, and grids each one rejects
+_GRIDS = {
+    "propagate": lambda **grid: propagate(ConstField((1, 0, 0.5)), [1, 0], (0, 1), **grid),
+    "bloch_propagate": lambda **grid: bloch_propagate(
+        ConstField((1, 0, 0.5)), BlochState(np.array([1.0, 0, 0]), 0.0, 1.0), (0, 1),
+        **grid),
+    "hamiltonian_check": lambda **grid: hamiltonian_check(
+        lambda t: 0.4, lambda t: 0.7, 0.2, 0.3, (0, 1), **grid),
+}
+_BAD_GRIDS = {
+    "no-nodes": ({"n_nodes": 0}, r"n_nodes = 0 must be an integer >= 2"),
+    "one-node": ({"n_nodes": 1}, r"n_nodes = 1 must be an integer >= 2"),
+    "fractional": ({"n_nodes": 2.5}, r"n_nodes = 2.5 must be an integer >= 2"),
+    "t-eval-outside": ({"t_eval": [0.0, 2.0]},
+                       r"t_eval \[0.0, 2.0\] is not within the window \[0.0, 1.0\]"),
+    "t-eval-unsorted": ({"t_eval": [0.5, 0.2, 0.7]}, "t_eval must be strictly increasing"),
+    "t-eval-repeated": ({"t_eval": [0.2, 0.2]}, "t_eval must be strictly increasing"),
+    "t-eval-nan": ({"t_eval": [0.2, math.nan]}, "t_eval has a time that is not finite"),
+    "t-eval-2d": ({"t_eval": [[0.2, 0.5]]}, r"not of shape \(1, 2\)"),
+    "t-eval-empty": ({"t_eval": []}, r"not of shape \(0,\)"),
+}
+
+
 class TestSolveInputs:
     """Each solver checks its window and tol with numutil.solve_window before
     it builds an array: a non-finite one raises DomainError at once, where
@@ -623,6 +646,20 @@ class TestSolveInputs:
         assert elapsed < 0.1
         assert caught == []
         assert capsys.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("name, case", [
+        (name, case) for name in _GRIDS for case in _BAD_GRIDS
+        if name == "propagate" or "t_eval" not in _BAD_GRIDS[case][0]])  # only it takes t_eval
+    def test_bad_node_grid_raises_domain_error(self, name, case):
+        grid, message = _BAD_GRIDS[case]
+        with pytest.raises(DomainError, match=message):
+            _GRIDS[name](**grid)
+
+    def test_good_node_grids_still_run(self):
+        assert _GRIDS["propagate"](t_eval=[0.0, 0.5, 1.0]).times.tolist() == [0, 0.5, 1]
+        assert _GRIDS["propagate"](t_eval=[0.25]).states.shape == (1, 2)
+        for name in _GRIDS:
+            assert len(_GRIDS[name](n_nodes=np.int64(2)).times) == 2
 
     def test_hamiltonian_check_still_runs_backward(self):
         rep = hamiltonian_check(lambda t: 0.4, lambda t: 0.7, 0.2, 0.3, (1.0, 0.0), n_nodes=5)

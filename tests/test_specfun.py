@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from spineq import specfun
 from spineq.errors import AccuracyError, DomainError
-from spineq.specfun import (SeriesResult, _grid_series, _hyp1f1_coefficient,
-                            _hyp2f1_coefficient, _series, complex_gamma, gauss_2f1,
-                            gauss_2f1_info, gauss_2f1_many, kummer_phi,
-                            kummer_phi_info, kummer_phi_many, parabolic_d,
+from spineq.specfun import (REL_EPS, SeriesResult, _grid_series, _hyp1f1_coefficient,
+                            _hyp2f1_coefficient, _overflows, _series, _small_terms,
+                            complex_gamma, gauss_2f1, gauss_2f1_info, gauss_2f1_many,
+                            kummer_phi, kummer_phi_info, kummer_phi_many, parabolic_d,
                             parabolic_d_many, reciprocal_gamma)
 
 from conftest import assert_rel
@@ -210,6 +210,152 @@ class TestGridJobs:
         # overflows), leave no job out
         for z in (1.0, complex(math.inf, 1.0)):
             assert None not in _assert_jobs_match([("2F1", (1, 1, 1.5), [z]), specs[2]])
+
+
+def _block(terms, totals):
+    """A kernel block, [step, term/total, re/im, element], from complex
+    arrays of terms and totals as [step, element]."""
+    terms, totals = np.asarray(terms, dtype=complex), np.asarray(totals, dtype=complex)
+    return np.stack([np.stack([terms.real, terms.imag], axis=1),
+                     np.stack([totals.real, totals.imag], axis=1)], axis=1)
+
+
+def _abs_rule(block):
+    """The scalar loop's stop test at every [step, element] of a block, by
+    CPython's abs, and where that abs raises OverflowError."""
+    kb, m = block.shape[0], block.shape[-1]
+    small, over = np.zeros((kb, m), dtype=bool), np.zeros((kb, m), dtype=bool)
+    for k in range(kb):
+        for e in range(m):
+            term, total = (complex(*block[k, i, :, e]) for i in (0, 1))
+            try:
+                small[k, e] = abs(term) < REL_EPS * abs(total)
+            except OverflowError:
+                over[k, e] = True
+    return small, over
+
+
+def _assert_stop_test(block):
+    """_small_terms and _overflows on a block, decision by decision against
+    CPython's abs; True where the squared magnitudes decided the block."""
+    kb, m = block.shape[0], block.shape[-1]
+    small = np.empty((kb, m), dtype=bool)
+    with np.errstate(all="ignore"):  # as the kernel runs it
+        mags = _small_terms(block, np.empty(3 * kb * m), small)
+        over = np.zeros((kb, m), dtype=bool) if mags is None else _overflows(block, mags)
+    want_small, want_over = _abs_rule(block)
+    assert over.tolist() == want_over.tolist()
+    # where abs raises, the kernel raises before it reads the decision
+    assert small[~over].tolist() == want_small[~over].tolist()
+    return mags is None
+
+
+def _near_eps(rng, magnitudes, u):
+    """Totals of the given magnitudes and terms at REL_EPS (1 + u) of them,
+    in random directions, as [step, element]."""
+    total = magnitudes * np.exp(2j * np.pi * rng.random(magnitudes.shape))
+    term = np.abs(total) * REL_EPS * (1 + u) * np.exp(2j * np.pi * rng.random(u.shape))
+    return term, total
+
+
+class TestStopTest:
+    """The kernel's stop test from squared magnitudes against the scalar
+    loop's abs(term) < REL_EPS * abs(total), decision by decision."""
+
+    def test_ratios_at_the_margin(self, rng):
+        ulp = 2.0 ** -52
+        u = np.concatenate([rng.uniform(-1e-11, 1e-11, 320), rng.uniform(-2e-12, 2e-12, 320),
+                            rng.uniform(-8 * ulp, 8 * ulp, 320), np.arange(-16, 16) * ulp])
+        u = u.reshape(16, -1)
+        term, total = _near_eps(rng, 10.0 ** rng.uniform(-3, 3, u.shape), u)
+        block = _block(term, total)
+        assert _assert_stop_test(block)
+        small, _ = _abs_rule(block)
+        # the ratios within a few roundings of REL_EPS go both ways
+        close = np.abs(u) < 4 * ulp
+        assert small[close].any() and not small[close].all()
+
+    @pytest.mark.parametrize("scale", [2.0 ** 450, 2.0 ** 449.9999, 2.0 ** 450.0001,
+                                       2.0 ** -450, 2.0 ** -449.9999, 2.0 ** -450.0001])
+    def test_totals_at_the_range_ends(self, rng, scale):
+        u = np.concatenate([rng.uniform(-1e-11, 1e-11, 40), np.arange(-8, 8) * 2.0 ** -52,
+                            rng.uniform(-1, 3, 40)]).reshape(4, -1)
+        term, total = _near_eps(rng, scale * rng.uniform(0.9, 1.1, u.shape), u)
+        _assert_stop_test(_block(term, total))
+
+    def test_squares_decide_in_range_and_hypot_outside(self, rng):
+        u = rng.uniform(-1e-11, 1e-11, (2, 8))
+        for scale, squares in ((2.0 ** 440, True), (2.0 ** -440, True),
+                               (2.0 ** 460, False), (2.0 ** -460, False)):
+            term, total = _near_eps(rng, np.full(u.shape, scale), u)
+            assert _assert_stop_test(_block(term, total)) is squares
+
+    def test_subnormal_terms_and_zero_totals(self):
+        tiny = 5e-324
+        terms = [[tiny, complex(tiny, tiny), 1e-310, complex(0, -1e-315), 0j, 0j, 1e-300],
+                 [1e-151, 1e-151j, 3e-153, tiny, 1e-310, 0j, 1e-140]]
+        totals = [[1.0, 1j, 1.0, -1.0, 1.0, 1.0, 1.0],
+                  [1e-135, 1e-135j, 2.0 ** -450, 2.0 ** -450, 2.0 ** -450, 2.0 ** -450,
+                   1e-124]]
+        assert _assert_stop_test(_block(terms, totals))
+        # a zero total, or one whose square underflows, takes hypot
+        for zero in (0j, complex(-0.0, 0.0), 1e-200, complex(tiny, 0.0)):
+            assert not _assert_stop_test(_block([[tiny, 0j, 1.0]], [[zero, zero, zero]]))
+
+    def test_nan_and_inf_parts(self):
+        nan, inf = math.nan, math.inf
+        odd = [complex(nan, 0.0), complex(0.0, nan), complex(inf, nan), complex(nan, -inf),
+               complex(inf, 1.0), complex(1.0, -inf), complex(nan, nan), complex(inf, inf)]
+        n = len(odd)
+        for terms, totals in ((odd, [1.0] * n), ([1e-20] * n, odd), (odd, odd[::-1]),
+                              ([1e-20] * n, [1.0] * (n - 1) + [complex(nan, 1.0)])):
+            assert not _assert_stop_test(_block([terms], [totals]))
+
+    def test_finite_parts_whose_hypot_overflows(self):
+        # hypot(1e308, 1e308) = 1.41e308 is still finite
+        big = 1.3e308
+        cases = [complex(big, big), complex(-big, big), complex(big, 0.0), complex(1e308, 1e308)]
+        n = len(cases)
+        for terms, totals in ((cases, [1.0] * n), ([1.0] * n, cases), (cases, cases),
+                              ([1e-20] * n, [complex(big, 1.0)] * n)):
+            assert not _assert_stop_test(_block([terms], [totals]))
+        _, over = _abs_rule(_block([cases], [[1.0] * n]))
+        assert over.tolist() == [[True, True, False, False]]
+
+
+class TestNonFiniteTerms:
+    """A term that is not finite ends its sum at once, over the cap."""
+
+    @staticmethod
+    def _counted(coefficient, calls):
+        def counted(k):
+            calls.append(k)
+            return coefficient(k)
+        return counted
+
+    @pytest.mark.parametrize("z", [1e300, complex(math.nan, 0.0), complex(math.inf, 1.0)])
+    def test_scalar_and_grid_end_at_once(self, z):
+        calls = []
+        coefficient = self._counted(_hyp1f1_coefficient(0.3, 1.2), calls)
+        value, n, est = _series(coefficient, z)
+        assert n == -1 and len(calls) <= 2
+        calls.clear()
+        grid = _grid(coefficient, np.array([z, 0.5]))
+        assert grid[1].tolist()[0] == -1 and len(calls) <= specfun._BLOCK
+        _assert_grid_matches_scalar(grid, lambda x: _series(_hyp1f1_coefficient(0.3, 1.2), x),
+                                    [z, 0.5])
+
+    def test_overflowing_orders_fail_fast(self, monkeypatch):
+        # a = 1e150 on entry 1: the Kummer terms are inf from the second on
+        from spineq import catalog
+        calls = []
+        kummer = specfun._hyp1f1_coefficient
+        monkeypatch.setattr(specfun, "_hyp1f1_coefficient",
+                            lambda a, c: self._counted(kummer(a, c), calls))
+        with pytest.raises(AccuracyError, match=re.escape(
+                "Kummer series did not converge within 20000 terms at z=3.99920004e+148j")):
+            catalog.verify_entry(1, {"a": 1e150})
+        assert 0 < len(calls) <= 4 * specfun._BLOCK
 
 
 class TestManyForms:
