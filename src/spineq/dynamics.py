@@ -131,8 +131,7 @@ def _output_nodes(window, n_nodes: int, t_eval=None) -> np.ndarray:
     a bare ValueError, or answer with no nodes at all."""
     t0, t1 = window
     if t_eval is None:
-        if isinstance(n_nodes, bool) or not isinstance(n_nodes, numbers.Integral) \
-                or n_nodes < 2:
+        if not (isinstance(n_nodes, numbers.Integral) and n_nodes >= 2):
             raise DomainError(f"n_nodes = {n_nodes!r} must be an integer >= 2")
         return np.linspace(t0, t1, n_nodes)
     try:

@@ -188,6 +188,7 @@ def _grid_series(jobs):
     n = sum(sizes)
     flat = np.concatenate([z.ravel() for z in zs]) if zs else np.empty(0, dtype=complex)
     zz = np.stack([flat.real, flat.imag])  # [re, im] of z
+    del flat
     carry = np.zeros((2, 2, n))  # the last term and partial sum, [term/total, re/im, element]
     carry[:, 0] = 1.0
     # whether abs(term) < REL_EPS * abs(total) held at the two last terms
@@ -210,9 +211,12 @@ def _grid_series(jobs):
             block = block_buf[:4 * kb * m].reshape(kb, 2, 2, m)
             cf = np.array([[c(k) for c in coefficients] for k in range(k0, k0 + kb)], dtype=complex)
             cf = cf.view(float).reshape(kb, -1, 2).transpose(0, 2, 1)  # [k, re/im, job]
+            # each element's coefficients, in the squares' workspace until they are
+            # used (mode "clip" writes there unbuffered; the indices are in range)
+            cf = cf.take(which, 2, squares[:2 * kb * m].reshape(kb, 2, m), "clip")
             # x[j], the coefficient of step j times z, is kept where step j's partial sum goes
             x = block[:, 1]
-            _times_z(cf.take(which, 2), zz, x, block[:, 0])
+            _times_z(cf, zz, x, block[:, 0])
             _block_terms(x, carry, block)
             small = small_buf[:(kb + 2) * m].reshape(kb + 2, m)
             small[:2] = tail
@@ -246,15 +250,19 @@ def _grid_series(jobs):
                 keep = owner <= last_job
                 keep[done] = False
                 keep = np.flatnonzero(keep)
-                live, zz, carry, owner = (live.take(keep), zz.take(keep, 1),
-                                          block[-1].take(keep, 2), owner.take(keep))
+                # one at a time, so that each old array goes before the next new one
+                live = live.take(keep)
+                zz = zz.take(keep, 1)
+                carry = block[-1].take(keep, 2)
+                owner = owner.take(keep)
                 tail = small[-2:].take(keep, 1)
                 coefficients, which = _live_jobs(jobs, owner)
             else:
                 carry, tail = block[-1].copy(), small[-2:].copy()
             k0 += kb
         final[:, :, live] = carry
-        estimates = _estimate(*final)
+        del block_buf, squares, small_buf  # before the results are assembled
+        estimates = _estimate(final)
     values = np.empty(n, dtype=complex)
     values.real, values.imag = final[1]
     cuts = np.cumsum(sizes)[:-1]
@@ -347,10 +355,11 @@ def _overflows(block, mags):
     return (np.isinf(mags) & np.isfinite(block).all(axis=2)).any(axis=1)
 
 
-def _estimate(term, total):
-    """abs(term) / max(abs(total), 1e-300) for [re, im] pairs, with the
-    positive NaN that CPython's abs gives when a part is NaN."""
-    mags = np.hypot([term[0], total[0]], [term[1], total[1]])
+def _estimate(ends):
+    """abs(term) / max(abs(total), 1e-300) for ends = [term/total, re/im,
+    element], with the positive NaN that CPython's abs gives when a part is
+    NaN."""
+    mags = np.hypot(ends[:, 0], ends[:, 1])
     mags[np.isnan(mags)] = np.nan
     return mags[0] / np.maximum(mags[1], 1e-300)
 
