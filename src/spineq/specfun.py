@@ -169,13 +169,12 @@ def _grid_series(jobs):
     An element that ends inside a block has a few terms computed past its
     end, which are never read.
 
-    The block arrays are views of workspaces allocated once per call, for
-    the most steps * elements that a block can hold: one of four times that
-    holds the block's terms and partial sums, where each step's z times its
-    coefficient waits in the place of the step's partial sum until it is
-    used; one of three times that holds the squared magnitudes.  Together
-    they are below the per-block arrays (x, block and hypot magnitudes) of
-    the kernel that took hypot over every block.
+    The block arrays are views of two workspaces allocated once per call,
+    for the most steps * elements that a block can hold: one of four times
+    that holds the block's terms and partial sums, where each step's z times
+    its coefficient waits in the place of the step's partial sum until it is
+    used; one of three times that holds the block's coefficients, gathered
+    per element, and then its squared magnitudes.
 
     An element whose term is not finite ends there, over the cap (terms -1),
     as the scalar loop does: NaN and inf never pass the stop test.  The jobs
