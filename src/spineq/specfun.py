@@ -163,8 +163,12 @@ def _grid_series(jobs):
     (values, terms, estimates), one per (coefficient, z) job.
 
     All jobs run in one pass, up to _BLOCK terms at a time.  Only the term
-    recurrence and the partial sums run term by term; the stop test
-    (_small_terms) and the STREAK count then cover the whole block at once.
+    recurrence and the partial sums run term by term; the stop test and the
+    STREAK count then cover the whole block at once.  The stop test
+    (_small_terms) compares squared magnitudes, s_term / s_total against
+    REL_EPS**2 with a relative margin of 1e-12 either side, and takes hypot
+    only for the ratios inside the margin, or for the whole block where a
+    total's square is below 2**-900, a square above 2**900 or one is NaN.
     Each element takes its own job's coefficients, gathered once per block.
     An element that ends inside a block has a few terms computed past its
     end, which are never read.
