@@ -7,8 +7,7 @@ everywhere a closed form needs residual verification.  Every solve here
 checks its window and tol with numutil.solve_window and runs through
 numutil.dop853, and every field solve starts with _sampled_field; the
 event of hamiltonian_check is rooted by the package's transcription of
-scipy's brentq.  scipy is imported only by
-evolution_constant_direction (scipy.integrate.quad).
+scipy's brentq.
 """
 
 from __future__ import annotations
@@ -23,7 +22,8 @@ import numpy as np
 from ._numbers import MIN_TOL
 from .errors import AccuracyError, DomainError
 from .fields import FieldSpec, bind_field, check_poles, field_callable
-from .numutil import csv_rows, dop853, fd_derivative, fd_derivative_callable, solve_window
+from .numutil import (csv_rows, dop853, fd_derivative, fd_derivative_callable,
+                      gauss_kronrod, solve_window)
 from .spinors import CVec3, Spinor, eigenpairs, l_vector_arr, sigma_dot
 
 __all__ = [
@@ -135,6 +135,8 @@ def _output_nodes(window, n_nodes: int, t_eval=None) -> np.ndarray:
             raise DomainError(f"n_nodes = {n_nodes!r} must be an integer >= 2")
         return np.linspace(t0, t1, n_nodes)
     try:
+        if np.iscomplexobj(t_eval):  # the float cast would warn and drop the imaginary parts
+            raise TypeError
         t_eval = np.asarray(t_eval, dtype=float)
     except (TypeError, ValueError):
         raise DomainError("t_eval must be an array of real times") from None
@@ -264,20 +266,16 @@ def evolution_constant_direction(q_fn, lam: complex, t: float,
                                  quad_tol: float = 1e-12) -> Mat2:
     """Evolution operator for F = q(t) (sin(lam), 0, cos(lam)).
 
-    Uses w(t) = integral of q from 0 to t (adaptive quadrature) in
+    Uses w(t) = integral of q from 0 to t (numutil.gauss_kronrod) in
     R = cos(w) I - i (sigma_1 sin(lam) + sigma_3 cos(lam)) sin(w); the
     phase is the integral function w(t), which is what solves the
-    evolution equation for non-constant q.
+    evolution equation for non-constant q.  A non-finite t raises DomainError.
     """
-    from scipy.integrate import quad
-
-    def part(fn):
-        val, err = quad(fn, 0.0, t, epsabs=quad_tol, epsrel=quad_tol, limit=400)
-        if not math.isfinite(val) or err > max(1e-8, 100 * quad_tol * max(1.0, abs(val))):
-            raise AccuracyError(f"quadrature for the phase failed (err = {err})")
-        return val
-
-    w = part(lambda s: complex(q_fn(s)).real) + 1j * part(lambda s: complex(q_fn(s)).imag)
+    if not math.isfinite(t):
+        raise DomainError(f"t = {t} is not finite")
+    w, err = gauss_kronrod(q_fn, 0.0, t, quad_tol)
+    if not cmath.isfinite(w) or err > max(1e-8, 100 * quad_tol * max(1.0, abs(w))):
+        raise AccuracyError(f"quadrature for the phase failed (err = {err})")
     axis = np.array([cmath.sin(lam), 0.0, cmath.cos(lam)], dtype=complex)
     return np.eye(2, dtype=complex) * cmath.cos(w) - 1j * cmath.sin(w) * sigma_dot(axis)
 

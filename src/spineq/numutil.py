@@ -1,6 +1,8 @@
 """The central difference and its step, stencils, quadrature, the
 grid-or-replay rule, the one DOP853 driver and the one float formatter."""
 
+import cmath
+import heapq
 import math
 
 import numpy as np
@@ -24,6 +26,7 @@ __all__ = [
     "fd_derivative_callable",
     "fd_second_derivative_callable",
     "cumulative_integral",
+    "gauss_kronrod",
     "default_step",
 ]
 
@@ -192,8 +195,7 @@ def dop853(rhs, window, y0, tol, t_eval, what, dense_output=False, event=None):
 
     The stepper is the package's own transcription of scipy's DOP853, bit
     for bit the same; it is imported here, so that importing the package
-    does not pay for it, and it needs no scipy.integrate, whose import
-    costs more than a typical solve.
+    does not pay for it.
     """
     from . import _dop853
 
@@ -281,21 +283,81 @@ def fd_second_derivative_callable(f, t, h=None):
 
 
 def cumulative_integral(y, x):
-    """Cumulative integral of samples, zero at the first node.
-
-    Simpson-based; falls back to the trapezoid rule for very short inputs.
-    """
-    y = np.asarray(y)
-    x = np.asarray(x)
-    if len(x) < 3:
-        out = np.zeros_like(y)
-        if len(x) == 2:
-            out[1] = 0.5 * (y[0] + y[1]) * (x[1] - x[0])
-        return out
-    from scipy.integrate import cumulative_simpson
-
+    """Cumulative integral of samples y at the increasing nodes x, zero at the
+    first node, one pass for each part of a complex y: bit for bit scipy
+    1.17's cumulative_simpson(y, x=x, initial=0.0), which takes the Simpson
+    integral of the first of each pair of intervals over the triple of nodes
+    it begins, and of the second and the last over the triple it ends
+    (Cartwright, J. Math. Sci. Math. Educ. 12 (2017) 1); below 3 nodes the
+    trapezoid rule."""
+    y, dx = np.asarray(y), np.diff(np.asarray(x, dtype=float))
     if np.iscomplexobj(y):
-        re = cumulative_simpson(y.real, x=x, initial=0.0)
-        im = cumulative_simpson(y.imag, x=x, initial=0.0)
-        return re + 1j * im
-    return cumulative_simpson(y, x=x, initial=0.0)
+        return cumulative_integral(y.real, x) + 1j * cumulative_integral(y.imag, x)
+    y = y.astype(float)
+
+    def begun(y, dx):
+        x21, x32 = dx[:-1], dx[1:]
+        x21_x31 = x21 / (x21 + x32)
+        x21x21_x31x32 = x21_x31 * (x21 / x32)
+        return x21 / 6 * ((3 - x21_x31) * y[:-2] + (3 + x21x21_x31x32 + x21_x31) * y[1:-1]
+                          + -x21x21_x31x32 * y[2:])
+
+    if len(y) < 3:
+        parts = dx * (y[1:] + y[:-1]) / 2.0
+    else:
+        parts, ended = np.empty(len(dx)), begun(y[::-1], dx[::-1])[::-1]
+        parts[:-1:2], parts[1::2], parts[-1] = begun(y, dx)[::2], ended[::2], ended[-1]
+    # the leading 0.0 gives scipy's sums plus its initial 0.0: no -0.0
+    return np.cumsum(np.r_[0.0, parts])[:len(y)]  # no nodes, no sums
+
+
+# QUADPACK's qk15 (Piessens, de Doncker-Kapenga, Uberhuber & Kahaner,
+# Springer 1983) to double: the Kronrod nodes in (0, 1), their weights and
+# the centre's, and the Gauss weights of _XK[1], _XK[3], _XK[5] and the centre
+_XK = (0.9914553711208126, 0.9491079123427585, 0.8648644233597691, 0.7415311855993945,
+       0.5860872354676911, 0.4058451513773972, 0.20778495500789848)
+_WK = (0.022935322010529224, 0.06309209262997856, 0.10479001032225019, 0.14065325971552592,
+       0.1690047266392679, 0.19035057806478542, 0.20443294007529889, 0.20948214108472782)
+_WG = (0.1294849661688697, 0.27970539148927664, 0.3818300505051189, 0.4179591836734694)
+QUAD_INTERVALS = 400
+
+
+def gauss_kronrod(f, a, b, tol):
+    """The integral of the complex function f from a to b and its error
+    estimate by QUADPACK's QAG: the subinterval of largest |K15 - G7| is
+    halved until the estimates sum to at most tol * max(1, |integral|) or
+    QUAD_INTERVALS subintervals are reached; the caller judges the estimate.
+    An f that fails (ArithmeticError, ValueError) or is not finite at a node
+    raises SingularityError there.  (dop853 on w' = f takes thousands of
+    calls on an oscillatory f and crawls to RHS_BUDGET at a pole.)"""
+    def node(s):
+        try:
+            v = complex(f(s))
+            if cmath.isfinite(v):
+                return v
+        except (ArithmeticError, ValueError) as exc:
+            v = exc
+        raise SingularityError(f"integrand fails at s = {s}: {v}", t=s)
+
+    def rule(lo, hi):  # K15 over [lo, hi] and |K15 - G7|
+        c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        fc = node(c)
+        k, g = _WK[7] * fc, _WG[3] * fc
+        for j, x in enumerate(_XK):
+            pair = node(c - h * x) + node(c + h * x)
+            k += _WK[j] * pair
+            if j % 2:
+                g += _WG[j // 2] * pair
+        return h * k, abs(h * (k - g))
+
+    val, err = rule(a, b)
+    heap = [(-err, a, b, val)]
+    while err > tol * max(1.0, abs(val)) and len(heap) < QUAD_INTERVALS:
+        minus_e, lo, hi, part = heapq.heappop(heap)
+        mid = 0.5 * (lo + hi)
+        (v1, e1), (v2, e2) = rule(lo, mid), rule(mid, hi)
+        heapq.heappush(heap, (-e1, lo, mid, v1))
+        heapq.heappush(heap, (-e2, mid, hi, v2))
+        val, err = val + v1 + v2 - part, err + e1 + e2 + minus_e
+    # the running sums drift; the result is summed afresh, as QAG does
+    return sum(v for *_, v in heap), sum(-e for e, *_ in heap)

@@ -15,8 +15,8 @@ from spineq.dynamics import (BlochState, bloch_propagate,
                              field_from_q, hamiltonian_check, propagate,
                              se_residual, se_residuals, stationary_solutions,
                              CSV_HEADER, Trajectory)
-from spineq.errors import (DomainError, FieldParseError, IntegrationError, SingularityError,
-                           SpinEqError)
+from spineq.errors import (AccuracyError, DomainError, FieldParseError, IntegrationError,
+                           SingularityError, SpinEqError)
 from spineq.fields import (CatalogField, ConstField, ExprField, check_poles, field_callable,
                            parse_field_spec)
 from spineq.numutil import fd_derivative
@@ -375,6 +375,39 @@ class TestEvolutionConstantDirection:
             res = 1j * Rd - sigma_dot(F_fn(t)) @ R_fn(t)
             assert np.linalg.norm(res) <= 1e-8
 
+    @staticmethod
+    def _raises_quietly(capsys, error, q, t):
+        """evolution_constant_direction(q, 0.4, t) raises error, with no
+        warning and nothing on stdout or stderr; returns the error."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(error) as info:
+                evolution_constant_direction(q, 0.4, t)
+        assert caught == []
+        assert capsys.readouterr() == ("", "")
+        return info.value
+
+    def test_pole_raises_singularity_at_the_node(self, capsys):
+        # the first rule's centre is the pole
+        err = self._raises_quietly(capsys, SingularityError, lambda s: 1 / (s - 0.5), 1.0)
+        assert err.t == 0.5
+
+    def test_overflowing_q_raises_singularity_at_the_node(self, capsys):
+        err = self._raises_quietly(capsys, SingularityError, lambda s: math.exp(s * s), 30.0)
+        assert 26.7 < err.t < 30  # math.exp overflows past sqrt(709.78)
+
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+    def test_non_finite_t_raises_domain_error(self, capsys, t):
+        self._raises_quietly(capsys, DomainError, lambda s: 1.0, t)
+
+    def test_nan_q_raises_singularity(self, capsys):
+        err = self._raises_quietly(capsys, SingularityError, lambda s: math.nan, 1.0)
+        assert err.t == 0.5
+
+    def test_unresolved_phase_raises_accuracy_error(self, capsys):
+        # 400 intervals of 0.25 each hold 400 periods of cos(1e4 s)
+        self._raises_quietly(capsys, AccuracyError, lambda s: math.cos(1e4 * s), 100.0)
+
 
 class TestBloch:
     def test_precession_about_z(self):
@@ -654,6 +687,16 @@ class TestSolveInputs:
         grid, message = _BAD_GRIDS[case]
         with pytest.raises(DomainError, match=message):
             _GRIDS[name](**grid)
+
+    @pytest.mark.parametrize("t_eval", [np.array([0.1j, 0.2j]), [0.1j, 0.2j]],
+                             ids=["array", "list"])
+    def test_complex_t_eval_is_rejected_as_such(self, capsys, t_eval):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DomainError, match="t_eval must be an array of real times"):
+                _GRIDS["propagate"](t_eval=t_eval)
+        assert caught == []
+        assert capsys.readouterr() == ("", "")
 
     def test_good_node_grids_still_run(self):
         assert _GRIDS["propagate"](t_eval=[0.0, 0.5, 1.0]).times.tolist() == [0, 0.5, 1]

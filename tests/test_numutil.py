@@ -1,11 +1,16 @@
-"""The one float formatter: every value exactly as "%.16e" % v writes it."""
+"""The one float formatter: every value exactly as "%.16e" % v writes it;
+the package's quadratures against scipy's."""
 
+import cmath
+import math
 import tracemalloc
 from decimal import Decimal
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import cumulative_simpson, quad
 
 from spineq import numutil
 from spineq.dynamics import Trajectory
@@ -130,3 +135,57 @@ def test_to_csv_memory_is_bounded_by_the_row_block():
     finally:
         tracemalloc.stop()
     assert peak <= 8e6
+
+
+# scipy is the independent oracle of the package's own quadratures
+# (the test extra installs it; the package never imports it)
+
+# (q, t): the integrands of the phase integral w(t) = int_0^t q(s) ds
+_INTEGRANDS = {
+    "constant": (lambda s: 0.9, 1.3),
+    "linear": (lambda s: 2 * s, 0.8),
+    "linear-backward": (lambda s: 2 * s, -0.8),
+    "chirp": (lambda s: cmath.exp(3j * s) * (1 + 0.2j * s), 5.0),
+    "damped-cosine": (lambda s: math.cos(7 * s) / (1 + s * s), 20.0),
+    "lorentzian": (lambda s: 1 / (1 + 100 * (s - 20) ** 2), 40.0),
+    "sine-squared": (lambda s: math.sin(s) ** 2, 100.0),
+    "root-abs": (lambda s: math.sqrt(abs(s)), 2.0),
+    "empty": (lambda s: 1.0, 0.0),
+    "oscillating-backward": (lambda s: cmath.exp(2.5j * s), -4.0),
+}
+
+
+@pytest.mark.parametrize("case", _INTEGRANDS)
+def test_gauss_kronrod_agrees_with_quad(case):
+    q, t = _INTEGRANDS[case]
+    w, err = numutil.gauss_kronrod(q, 0.0, t, 1e-12)
+    want = complex(*(quad(lambda s: part(complex(q(s))), 0.0, t, epsabs=1e-12,
+                          epsrel=1e-12, limit=400)[0]
+                     for part in (lambda z: z.real, lambda z: z.imag)))
+    assert abs(w - want) <= 1e-12 * max(1.0, abs(w))
+    assert err <= 1e-12 * max(1.0, abs(w))
+
+
+def _grids():
+    rng = np.random.default_rng(20)
+    for n in [*range(2, 40), 101, 1001, 2001]:
+        for scale in (1e-5, 1.0, 1e5):
+            uniform = np.linspace(-1.0, 2.0, n)
+            uneven = np.cumsum(rng.uniform(0.01, 1.0, n)) - 3.0
+            for x in (uniform, uneven):
+                y = scale * (rng.normal(size=n) + 1j * rng.normal(size=n))
+                yield x, y
+        signed_zeros = np.empty(n, complex)  # scipy's sums hold no -0.0
+        signed_zeros.real, signed_zeros.imag = rng.choice([-0.0, 0.0, 1.0], (2, n))
+        yield uneven, signed_zeros
+
+
+def test_cumulative_integral_is_scipys_simpson_bit_for_bit():
+    for x, y in _grids():
+        for values in (y.real, y):
+            got = numutil.cumulative_integral(values, x)
+            want = cumulative_simpson(values.real, x=x, initial=0.0)
+            if np.iscomplexobj(values):
+                want = want + 1j * cumulative_simpson(values.imag, x=x, initial=0.0)
+            assert got.dtype == want.dtype
+            assert (got.view(np.int64) == want.view(np.int64)).all(), len(x)

@@ -77,6 +77,25 @@ class TestGeneralSolution:
         with pytest.raises(DomainError):
             general_solution(make_traj(times, states), 1.0, 0.0)
 
+    @pytest.mark.parametrize("field, v0, n", [((0.0, 0.0, 1j), [1.0, 0.4], 1201),
+                                              ((0.4, 0.0, 0.9j), [1.0, 0.3], 1201)])
+    def test_bits_of_scipys_simpson(self, field, v0, n):
+        # the formula with scipy's cumulative_simpson, pass by pass: the
+        # package's Simpson sum is a transcription of it
+        from scipy.integrate import cumulative_simpson
+
+        traj = propagate(ConstField(field), np.array(v0), (0, 2), 1e-12, n_nodes=n)
+        alpha0, beta0 = 0.3 + 0.2j, 1.1 - 0.4j
+        out = general_solution(traj, alpha0, beta0)
+        n2 = traj.norms()
+        vbar = anticonjugate_arr(traj.states)
+        f = np.sum(l_vector_arr(traj.states, vbar) * traj.field_samples.imag, axis=1) / n2 ** 2
+        integral = (cumulative_simpson(f.real, x=traj.times, initial=0.0)
+                    + 1j * cumulative_simpson(f.imag, x=traj.times, initial=0.0))
+        alpha = alpha0 + 2.0 * beta0 * integral
+        want = alpha[:, None] * traj.states + (beta0 / n2)[:, None] * vbar
+        assert (out.states.view(np.int64) == want.view(np.int64)).all()
+
 
 class TestInvertField:
     def test_stationary_north_pole(self):
