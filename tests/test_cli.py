@@ -459,6 +459,32 @@ class TestOptions:
 
 
 class TestColdStart:
+    def test_no_solve_imports_scipy_integrate(self, const_field, tmp_path):
+        # the solver is the package's own DOP853; importing scipy.integrate
+        # would cost a solving command more than the solve itself
+        code = (
+            "import sys, spineq, spineq.cli\n"
+            "common = ['--field', sys.argv[1], '--window', '0', '1', '--nodes', '5']\n"
+            "for argv in (['propagate', '--v0', '1,0', '--out', 'traj.csv'],\n"
+            "             ['invert', '--v0', '1,0,0.3,0.2', '--out', 'field.csv'],\n"
+            "             ['bloch', '--n0', '1,0,0', '--out', 'bloch.csv']):\n"
+            "    assert spineq.cli.run(argv + common) == 0, argv\n"
+            "    assert 'scipy.integrate' not in sys.modules, argv\n"
+        )
+        p = _python(["-c", code, const_field], tmp_path, timeout=30)
+        assert p.returncode == 0, p.stderr
+
+    def test_event_root_imports_no_scipy_optimize(self, tmp_path):
+        # the event is rooted by the package's own brentq; scipy.optimize
+        # would cost the truncated solve half a second and 45 MB
+        code = ("import math, sys\n"
+                "from spineq.dynamics import hamiltonian_check\n"
+                "rep = hamiltonian_check(lambda t: 0.0, lambda t: 1.0, 0.5, -math.pi / 2, (0, 5))\n"
+                "assert rep.truncated\n"
+                "assert 'scipy.optimize' not in sys.modules\n")
+        p = _python(["-c", code], tmp_path, timeout=30)
+        assert p.returncode == 0, p.stderr
+
     # cli.main() on the arguments after the code, in a new interpreter; on
     # exit it writes the OPENBLAS_NUM_THREADS it leaves and the numpy and
     # spineq modules imported to report.json
