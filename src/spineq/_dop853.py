@@ -16,9 +16,10 @@ typical solve; this module needs numpy alone.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
+
+from ._numbers import record
 
 EPS = np.finfo(float).eps
 
@@ -512,7 +513,7 @@ def brentq(f, xa, xb, xtol, rtol, maxiter=100):
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
-@dataclass
+@record
 class Solution:
     """The outcome of solve.
 

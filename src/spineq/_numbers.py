@@ -3,10 +3,12 @@
 The catalog's table and parameter constraints and the CLI's argument checks
 run before numpy loads, so that an invocation that computes nothing never
 pays for it; the definitions they have in common with specfun, numutil and
-dynamics live here, on the standard library alone.
+dynamics live here, on the standard library alone, with the record
+decorator that defines the package's record classes.
 """
 
 import math
+import operator
 
 # every float the package writes, CSV and JSON alike: 17 significant digits,
 # enough to read the same double back
@@ -24,3 +26,71 @@ def is_nonpositive_integer(z: complex, tol: float = 1e-14) -> bool:
         return False
     r = round(z.real)
     return r <= 0 and abs(z.real - r) <= tol * max(1.0, abs(z.real))
+
+
+class default_factory:
+    """A record field's default that is made anew for each instance, as in
+    ``params: dict = default_factory(dict)``."""
+
+    def __init__(self, make):
+        self.make = make
+
+
+def record(cls):
+    """Make cls a frozen record of the fields its own annotations name, in
+    order, each defaulting to its class attribute if it has one.
+
+    cls gains __init__ (by position or keyword), __eq__ (records of one
+    class with equal field tuples), __hash__ of the field tuple, __repr__ as
+    ``Name(a=..., b=...)`` and a __setattr__ and __delattr__ that refuse.
+    Instances keep their __dict__, so functools.cached_property works.  The
+    methods are closures: dataclasses would compile them from source, and
+    import inspect to do so, which costs about 9 ms of every invocation.
+    """
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    defaults = {k: cls.__dict__[k] for k in names if k in cls.__dict__}
+    n, name = len(names), cls.__qualname__
+    get = operator.attrgetter(*names)
+    values = get if n > 1 else lambda self: (get(self),)
+
+    def bind(args, kwargs):
+        if len(args) > n:
+            raise TypeError(f"{name}() takes {n} arguments but {len(args)} were given")
+        args = list(args)
+        for k in names[len(args):]:
+            if k in kwargs:
+                args.append(kwargs.pop(k))
+            elif k in defaults:
+                d = defaults[k]
+                args.append(d.make() if isinstance(d, default_factory) else d)
+            else:
+                raise TypeError(f"{name}() missing argument {k!r}")
+        if kwargs:
+            raise TypeError(f"{name}() got an unexpected argument {next(iter(kwargs))!r}")
+        return args
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != n:
+            args = bind(args, kwargs)
+        d = self.__dict__
+        for k, v in zip(names, args):
+            d[k] = v
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __repr__(self):
+        return f"{name}({', '.join(f'{k}={v!r}' for k, v in zip(names, values(self)))})"
+
+    def __setattr__(self, k, v):
+        raise AttributeError(f"cannot assign to field {k!r} of a {name} record")
+
+    def __delattr__(self, k):
+        raise AttributeError(f"cannot delete field {k!r} of a {name} record")
+
+    cls.__init__, cls.__eq__, cls.__repr__ = __init__, __eq__, __repr__
+    cls.__hash__ = lambda self: hash(values(self))
+    cls.__setattr__, cls.__delattr__ = __setattr__, __delattr__
+    return cls

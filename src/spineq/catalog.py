@@ -19,12 +19,11 @@ verification; expr loads on the first evaluation of a field or its poles.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
 
-from ._numbers import is_nonpositive_integer
-from .errors import DomainError, SingularityError
+from ._numbers import is_nonpositive_integer, record
+from .errors import DomainError, SingularityError, SpinEqError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -53,7 +52,7 @@ def _holds(constraint, params) -> bool:
         return False
 
 
-@dataclass(frozen=True)
+@record
 class CatalogEntry:
     id: int
     label: str
@@ -111,6 +110,8 @@ class CatalogEntry:
 
     def solution_components(self, t: float, params: dict):
         import numpy as np
+        if not cmath.isfinite(t):
+            raise DomainError(f"entry {self.id} solution: t = {t} is not finite")
         try:
             # numpy warns of the non-finite values that the check below reports
             with np.errstate(all="ignore"):
@@ -118,6 +119,11 @@ class CatalogEntry:
         except (ZeroDivisionError, OverflowError):
             raise SingularityError(
                 f"entry {self.id} solution singular at t = {t}", t=t) from None
+        except SpinEqError:
+            raise
+        except ValueError as exc:  # cmath's: entry 21 at t = 1e308 takes exp(-inf j)
+            raise DomainError(
+                f"entry {self.id} solution undefined at t = {t}: {exc}") from None
         if not (cmath.isfinite(u1) and cmath.isfinite(u2)):
             raise SingularityError(
                 f"entry {self.id} solution singular at t = {t}", t=t)
@@ -161,7 +167,7 @@ class CatalogEntry:
         raise DomainError(f"could not draw valid parameters for entry {self.id}")
 
 
-@dataclass(frozen=True)
+@record
 class EntryReport:
     entry_id: int
     params: dict

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
+from ._numbers import record
 from .errors import DomainError, SingularityError
 from .dynamics import Trajectory, trajectory_se_residuals, _check_uniform
 from .numutil import default_step, dop853, fd_derivative_callable, solve_window
@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class DarbouxParams:
     """The pair (alpha(t), beta(t)) with its conserved constant R.
 

@@ -15,16 +15,15 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
-from ._numbers import MIN_TOL
+from ._numbers import MIN_TOL, record
 from .errors import AccuracyError, DomainError
 from .fields import FieldSpec, bind_field, check_poles, field_callable
 from .numutil import (csv_rows, dop853, fd_derivative, fd_derivative_callable,
                       gauss_kronrod, solve_window)
-from .spinors import CVec3, Spinor, eigenpairs, l_vector_arr, sigma_dot
+from .spinors import CVec3, Spinor, eigenpairs, l_vector_arr, real_quotient, sigma_dot
 
 __all__ = [
     "Trajectory",
@@ -50,7 +49,7 @@ Mat2 = np.ndarray  # 2x2 complex matrices are plain numpy arrays
 CSV_HEADER = "t,re_v1,im_v1,re_v2,im_v2,re_F1,im_F1,re_F2,im_F2,re_F3,im_F3,norm"
 
 
-@dataclass(frozen=True)
+@record
 class Trajectory:
     """Sampled solution: times, spinor states, field samples, error bound."""
 
@@ -74,14 +73,14 @@ class Trajectory:
                                 f[:, 2].real, f[:, 2].imag, self.norms()]))
 
 
-@dataclass(frozen=True)
+@record
 class BlochState:
     n: np.ndarray   # real unit 3-vector
     alpha: float
     N: float
 
 
-@dataclass(frozen=True)
+@record
 class BlochPath:
     times: np.ndarray
     n: np.ndarray       # (k, 3) real, renormalized
@@ -90,7 +89,7 @@ class BlochPath:
     drift: float        # max | |n|-1 | before renormalization
 
 
-@dataclass(frozen=True)
+@record
 class HamiltonianReport:
     times: np.ndarray
     q: np.ndarray
@@ -168,14 +167,34 @@ def propagate(spec: FieldSpec, V0, window, tol: float = 1e-10,
 
 
 def constant_field_propagator(F, t: float) -> Mat2:
-    """exp(-i t sigma.F) for a constant field F."""
+    """exp(-i t sigma.F) = cos(k t) I - i (sin(k t) / k) sigma.F, k^2 = F.F,
+    for a constant field F.  A non-finite F or t, or a propagator past the
+    double range (|Im k t| above about 710), raises DomainError."""
     Fv = F.as_array() if isinstance(F, CVec3) else np.asarray(F, dtype=complex)
-    s = sigma_dot(Fv)
-    f2 = Fv @ Fv
-    if abs(f2) < 1e-300:
-        return np.eye(2, dtype=complex) - 1j * t * s
-    lam = cmath.sqrt(f2)
-    return np.eye(2, dtype=complex) * cmath.cos(lam * t) - 1j * cmath.sin(lam * t) / lam * s
+    if not (np.isfinite(Fv).all() and cmath.isfinite(t)):
+        raise DomainError(f"propagator of F = {Fv} over t = {t}: not finite")
+    # the test of U below reports an overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = sigma_dot(Fv)
+        f2 = Fv @ Fv
+        if cmath.isfinite(f2):
+            lam = cmath.sqrt(f2) if abs(f2) >= 1e-300 else 0
+        else:  # F.F overflows: k from F / max|F_i|, scaled back
+            scale = float(np.max(np.abs(Fv)))
+            Fs = real_quotient(Fv, scale)
+            lam = cmath.sqrt(Fs @ Fs) * scale
+        try:
+            if lam == 0:
+                U = np.eye(2, dtype=complex) - 1j * t * s
+            else:
+                U = (np.eye(2, dtype=complex) * cmath.cos(lam * t)
+                     - 1j * cmath.sin(lam * t) / lam * s)
+        except (OverflowError, ValueError):
+            U = None
+    if U is None or not np.isfinite(U).all():
+        raise DomainError(f"propagator of F = {Fv} over t = {t} is past the double "
+                          f"range (k t = {lam * t})")
+    return U
 
 
 def stationary_solutions(F):
@@ -269,15 +288,21 @@ def evolution_constant_direction(q_fn, lam: complex, t: float,
     Uses w(t) = integral of q from 0 to t (numutil.gauss_kronrod) in
     R = cos(w) I - i (sigma_1 sin(lam) + sigma_3 cos(lam)) sin(w); the
     phase is the integral function w(t), which is what solves the
-    evolution equation for non-constant q.  A non-finite t raises DomainError.
+    evolution equation for non-constant q.  A non-finite t, or an operator
+    past the double range (|Im w| or |Im lam| above about 710), raises
+    DomainError.
     """
     if not math.isfinite(t):
         raise DomainError(f"t = {t} is not finite")
     w, err = gauss_kronrod(q_fn, 0.0, t, quad_tol)
     if not cmath.isfinite(w) or err > max(1e-8, 100 * quad_tol * max(1.0, abs(w))):
         raise AccuracyError(f"quadrature for the phase failed (err = {err})")
-    axis = np.array([cmath.sin(lam), 0.0, cmath.cos(lam)], dtype=complex)
-    return np.eye(2, dtype=complex) * cmath.cos(w) - 1j * cmath.sin(w) * sigma_dot(axis)
+    try:
+        axis = np.array([cmath.sin(lam), 0.0, cmath.cos(lam)], dtype=complex)
+        return np.eye(2, dtype=complex) * cmath.cos(w) - 1j * cmath.sin(w) * sigma_dot(axis)
+    except OverflowError:
+        raise DomainError(f"evolution operator past the double range at t = {t} "
+                          f"(phase w = {w}, lam = {lam})") from None
 
 
 def bloch_propagate(spec: FieldSpec, state0: BlochState, window,

@@ -34,9 +34,9 @@ import functools
 import math
 import sys
 import types
-from dataclasses import dataclass
 from typing import NamedTuple
 
+from ._numbers import record
 from .errors import DomainError, FieldParseError, SingularityError
 
 __all__ = ["ExprNode", "Num", "Var", "Call", "BinOp", "Neg", "parse_expr",
@@ -60,30 +60,30 @@ class ExprNode:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Num(ExprNode):
     value: complex
 
 
-@dataclass(frozen=True)
+@record
 class Var(ExprNode):
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class Call(ExprNode):
     fn: str
     arg: ExprNode
 
 
-@dataclass(frozen=True)
+@record
 class BinOp(ExprNode):
     op: str
     left: ExprNode
     right: ExprNode
 
 
-@dataclass(frozen=True)
+@record
 class Neg(ExprNode):
     arg: ExprNode
 

@@ -13,8 +13,8 @@ list of three [re, im] pairs.
 
 A field's parameters are its spec's: an ExprField's ``params``, or a
 CatalogField's over its entry's defaults.  Evaluate a field with other
-values through another spec, ``ExprField(defs, p)``, ``CatalogField(id, p)``
-or ``dataclasses.replace(spec, params=p)``.
+values through another spec, ``ExprField(spec.defs, p)`` or
+``CatalogField(spec.entry_id, p)``.
 
 Loading and parsing a document and checking a window for the poles its
 ASTs declare (check_poles) need neither numpy nor spinors: a field the CLI
@@ -24,10 +24,10 @@ rejects is rejected before either loads.  Evaluation imports them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from . import expr as ex
+from ._numbers import default_factory, record
 from .errors import DomainError, FieldParseError
 
 if TYPE_CHECKING:
@@ -52,15 +52,15 @@ __all__ = [
 _LIMIT = ex.SINGULARITY_THRESHOLD
 
 
-@dataclass(frozen=True)
+@record
 class ConstField:
     value: tuple[complex, complex, complex]
 
 
-@dataclass(frozen=True)
+@record
 class ExprField:
     defs: tuple[tuple[str, ex.ExprNode], ...]  # ("F1", ast), ... missing -> 0
-    params: dict[str, complex] = field(default_factory=dict)
+    params: dict[str, complex] = default_factory(dict)
 
     def component(self, name):
         for comp, node in self.defs:
@@ -78,10 +78,10 @@ class ExprField:
         return "; ".join(f"{comp} = {ex.print_expr(node)}" for comp, node in self.defs)
 
 
-@dataclass(frozen=True)
+@record
 class CatalogField:
     entry_id: int
-    params: dict[str, complex] = field(default_factory=dict)
+    params: dict[str, complex] = default_factory(dict)
 
 
 FieldSpec = ConstField | ExprField | CatalogField

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import cmath
 import enum
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
+from ._numbers import record
 from .errors import DomainError
 from .fields import FieldSpec, eval_field
 from .numutil import default_step, fd_derivative_callable, fd_second_derivative_callable
@@ -36,7 +36,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class ReductionPlan:
     """Axis l (normalized so l^2 is exactly 1, or flagged null when l^2 = 0)
     together with the rotation angle alpha(t) and its derivative."""

@@ -51,11 +51,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from ._numbers import is_nonpositive_integer
+from ._numbers import is_nonpositive_integer, record
 from .errors import AccuracyError, DomainError
 
 # always False, as there is one series backend; kept because the benchmark
@@ -98,7 +97,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class SeriesResult:
     value: complex
     terms_used: int

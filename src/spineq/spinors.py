@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._numbers import record
 from .errors import DomainError
 
 __all__ = [
@@ -42,7 +42,7 @@ SIGMA = (SIGMA1, SIGMA2, SIGMA3)
 ID2 = np.eye(2, dtype=complex)
 
 
-@dataclass(frozen=True)
+@record
 class Spinor:
     v1: complex
     v2: complex
@@ -73,7 +73,7 @@ class Spinor:
         return Spinor(-self.v1, -self.v2)
 
 
-@dataclass(frozen=True)
+@record
 class CVec3:
     x: complex
     y: complex
@@ -115,7 +115,7 @@ class CVec3:
         return CVec3(-self.x, -self.y, -self.z)
 
 
-@dataclass(frozen=True)
+@record
 class AngleRep:
     """Polar form of a spinor: overall amplitude N, total phase alpha and
     Bloch angles theta in [0, pi], phi."""
@@ -126,11 +126,17 @@ class AngleRep:
     phi: float
 
 
-@dataclass(frozen=True)
+@record
 class EigenPair:
     lam: complex
     vector: Spinor
     degenerate: bool = False
+
+
+def real_quotient(a, s: float) -> np.ndarray:
+    """The complex array a over the real s, part by part: numpy's complex
+    division by a real rounds (1e308 + 0j) / 1e308 to 1 - 2**-53."""
+    return (np.ascontiguousarray(a, dtype=complex).view(float) / s).view(complex)
 
 
 def sigma_dot(p) -> np.ndarray:
@@ -260,6 +266,13 @@ def eigenpairs(a) -> list[EigenPair]:
             EigenPair(0j, Spinor(1, 0), degenerate=True),
             EigenPair(0j, Spinor(0, 1), degenerate=True),
         ]
+    if not math.isfinite(scale):
+        raise DomainError(f"eigenpairs of sigma . a: a = {av} is not finite")
+    if not 1e-150 < scale < 1e150:
+        # the squares below would overflow or underflow: sigma . (a / scale)
+        # has the eigenvectors of sigma . a and its eigenvalues over scale
+        return [EigenPair(p.lam * scale, p.vector, p.degenerate)
+                for p in eigenpairs(real_quotient(av, scale))]
     asq = a1 * a1 + a2 * a2 + a3 * a3
     if abs(asq) <= 1e-14 * scale * scale:
         cand = [np.array([1j * a2 - a1, a3]), np.array([a3, a1 + 1j * a2])]

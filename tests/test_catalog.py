@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 
 from spineq import catalog
 from spineq.dynamics import Trajectory, se_residual, trajectory_se_residuals
-from spineq.errors import AccuracyError, DomainError, SingularityError
+from spineq.errors import AccuracyError, DomainError, SingularityError, SpinEqError
 from spineq.fields import CatalogField, eval_field, field_callable
 from spineq.solutions import general_solution
 
@@ -289,6 +290,33 @@ class TestOverflowingParameters:
             catalog.entry_solution(4, {"b": -1e160, "w": 1e155j}, 0.5)
         assert catalog.entry(16).failed_constraints(
             catalog.entry(16).merged({"a": 1e200})) == ["a^2/b finite"]
+
+
+class TestSolutionTimes:
+    """A time a closed form cannot take is an input error that names the
+    entry and t, not cmath's bare ValueError."""
+
+    @pytest.mark.parametrize("eid", range(1, 27))
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+    def test_non_finite_t_is_rejected_first(self, eid, t):
+        with pytest.raises(DomainError, match=f"entry {eid} solution: t = {t} is not finite"):
+            catalog.entry_solution(eid, None, t)
+
+    @pytest.mark.parametrize("t", [1e308, -1e308])
+    def test_domain_error_of_a_closed_form_names_entry_and_t(self, t):
+        # entry 21 takes exp(-2i phi) with phi past the double range
+        want = re.escape(f"entry 21 solution undefined at t = {t}: ")
+        with pytest.raises(DomainError, match=want):
+            catalog.entry_solution(21, None, t)
+
+    @pytest.mark.parametrize("eid", range(1, 27))
+    def test_every_entry_at_the_double_range_is_finite_or_typed(self, eid):
+        for t in (1e308, -1e308):
+            try:
+                u = catalog.entry_solution(eid, None, t)
+            except SpinEqError:
+                continue
+            assert np.isfinite(u.as_array()).all()
 
 
 class TestSecondSolution:

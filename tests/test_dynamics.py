@@ -238,6 +238,71 @@ class TestStationary:
             assert worst <= 1e-9
 
 
+    @pytest.mark.parametrize("F, lam", [((1e308, 0, 1), 1e308),
+                                        ((-1e308, 1e308, 0), 1.4142135623730951e308),
+                                        ((3e-200, 0, 4e-200), 5e-200)])
+    def test_squares_past_the_double_range(self, F, lam):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (l1, v1), (l2, v2) = stationary_solutions(F)
+        assert abs(l1 - lam) <= 4e-16 * lam and abs(l2 + lam) <= 4e-16 * lam
+        S = sigma_dot(np.array(F, dtype=complex))
+        for l, v in ((l1, v1), (l2, v2)):
+            va = v.as_array()
+            assert np.max(np.abs(S @ va - l * va)) <= 1e-15 * abs(l)
+
+    @pytest.mark.parametrize("F", [(np.inf, 0, 1), (0, np.nan, 0)])
+    def test_non_finite_field_raises_domain_error(self, F):
+        with pytest.raises(DomainError, match="not finite"):
+            stationary_solutions(F)
+
+
+class TestConstantFieldPropagator:
+    @pytest.mark.parametrize("F, t", [((1000j, 0, 1), 1.0), ((1, 0, 1), 1000j),
+                                      ((1e308, 0, 1), 10.0), ((1e308, 1e308j, 0), 1.0)])
+    def test_past_the_double_range_raises_domain_error(self, F, t):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="past the double range"):
+                constant_field_propagator(F, t)
+
+    @pytest.mark.parametrize("F, t", [((np.inf, 0, 1), 1.0), ((1, 0, 1), np.nan)])
+    def test_non_finite_input_raises_domain_error(self, F, t):
+        with pytest.raises(DomainError, match="not finite"):
+            constant_field_propagator(F, t)
+
+    def test_overflowing_square_is_scaled(self):
+        mpmath = pytest.importorskip("mpmath")
+        F = (1e308, 0, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            U = constant_field_propagator(F, 1.0)
+        assert np.max(np.abs(U.conj().T @ U - np.eye(2))) <= 1e-15
+        with mpmath.workprec(200):
+            Fm = [mpmath.mpf(x) for x in F]
+            k = mpmath.sqrt(sum(x * x for x in Fm))
+            c, sk = mpmath.cos(k), mpmath.sin(k) / k
+            S = sigma_dot(np.array(F, dtype=complex))
+            want = np.array([[complex(c * (i == j) - 1j * sk * mpmath.mpc(S[i, j]))
+                              for j in range(2)] for i in range(2)])
+        assert np.max(np.abs(U - want)) <= 1e-15
+
+    @pytest.mark.parametrize("F, t", [((0.3, 0.1j, 1), 0.7), ((1, 1j, 0), 2.0),
+                                      ((1e-200, 0, 0), 2.0), ((2, -1, 0.5j), -1.5),
+                                      ((1e150, 0, 1e150), 1e-150)])
+    def test_ordinary_input_keeps_its_bits(self, F, t):
+        Fv = np.asarray(F, dtype=complex)
+        s, f2 = sigma_dot(Fv), Fv @ Fv
+        if abs(f2) < 1e-300:
+            want = np.eye(2, dtype=complex) - 1j * t * s
+        else:
+            lam = cmath.sqrt(f2)
+            want = (np.eye(2, dtype=complex) * cmath.cos(lam * t)
+                    - 1j * cmath.sin(lam * t) / lam * s)
+        got = constant_field_propagator(F, t)
+        assert got.tobytes() == want.tobytes()
+
+
 class TestFieldFromQ:
     def test_zero_path(self):
         times = np.linspace(0, 1, 101)
@@ -407,6 +472,10 @@ class TestEvolutionConstantDirection:
     def test_unresolved_phase_raises_accuracy_error(self, capsys):
         # 400 intervals of 0.25 each hold 400 periods of cos(1e4 s)
         self._raises_quietly(capsys, AccuracyError, lambda s: math.cos(1e4 * s), 100.0)
+
+    def test_phase_past_the_double_range_raises_domain_error(self, capsys):
+        err = self._raises_quietly(capsys, DomainError, lambda s: 1000j, 1.0)
+        assert "past the double range at t = 1.0" in str(err)
 
 
 class TestBloch:
