@@ -45,7 +45,8 @@ def record(cls):
     ``Name(a=..., b=...)`` and a __setattr__ and __delattr__ that refuse.
     Instances keep their __dict__, so functools.cached_property works.  The
     methods are closures: dataclasses would compile them from source, and
-    import inspect to do so, which costs about 9 ms of every invocation.
+    import inspect to do so, which took 7 to 9 ms of every CLI invocation
+    on a 2-vCPU host.
     """
     names = tuple(cls.__dict__.get("__annotations__", ()))
     defaults = {k: cls.__dict__[k] for k in names if k in cls.__dict__}
@@ -85,10 +86,10 @@ def record(cls):
         return f"{name}({', '.join(f'{k}={v!r}' for k, v in zip(names, values(self)))})"
 
     def __setattr__(self, k, v):
-        raise AttributeError(f"cannot assign to field {k!r} of a {name} record")
+        raise AttributeError(f"cannot assign {k!r}: a {name} record is frozen")
 
     def __delattr__(self, k):
-        raise AttributeError(f"cannot delete field {k!r} of a {name} record")
+        raise AttributeError(f"cannot delete {k!r}: a {name} record is frozen")
 
     cls.__init__, cls.__eq__, cls.__repr__ = __init__, __eq__, __repr__
     cls.__hash__ = lambda self: hash(values(self))
