@@ -8,7 +8,6 @@ decorator that defines the package's record classes.
 """
 
 import math
-import operator
 
 # every float the package writes, CSV and JSON alike: 17 significant digits,
 # enough to read the same double back
@@ -48,34 +47,31 @@ def record(cls):
     import inspect to do so, which took 7 to 9 ms of every CLI invocation
     on a 2-vCPU host.
     """
-    names = tuple(cls.__dict__.get("__annotations__", ()))
+    # cls.__annotations__, not cls.__dict__: from Python 3.14 on (PEP 649) a
+    # class namespace holds __annotate__, and the attribute evaluates it
+    names = tuple(cls.__annotations__)
     defaults = {k: cls.__dict__[k] for k in names if k in cls.__dict__}
     n, name = len(names), cls.__qualname__
-    get = operator.attrgetter(*names)
-    values = get if n > 1 else lambda self: (get(self),)
 
-    def bind(args, kwargs):
+    def values(self):
+        d = self.__dict__
+        return tuple([d[k] for k in names])
+
+    def __init__(self, *args, **kwargs):
         if len(args) > n:
             raise TypeError(f"{name}() takes {n} arguments but {len(args)} were given")
-        args = list(args)
+        d = self.__dict__
+        d.update(zip(names, args))
         for k in names[len(args):]:
             if k in kwargs:
-                args.append(kwargs.pop(k))
+                d[k] = kwargs.pop(k)
             elif k in defaults:
-                d = defaults[k]
-                args.append(d.make() if isinstance(d, default_factory) else d)
+                v = defaults[k]
+                d[k] = v.make() if isinstance(v, default_factory) else v
             else:
                 raise TypeError(f"{name}() missing argument {k!r}")
         if kwargs:
             raise TypeError(f"{name}() got an unexpected argument {next(iter(kwargs))!r}")
-        return args
-
-    def __init__(self, *args, **kwargs):
-        if kwargs or len(args) != n:
-            args = bind(args, kwargs)
-        d = self.__dict__
-        for k, v in zip(names, args):
-            d[k] = v
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -115,7 +115,7 @@ class CatalogEntry:
         try:
             # numpy warns of the non-finite values that the check below reports
             with np.errstate(all="ignore"):
-                u1, u2 = self._solution(t, params)
+                u = self._solution(t, params)
         except (ZeroDivisionError, OverflowError):
             raise SingularityError(
                 f"entry {self.id} solution singular at t = {t}", t=t) from None
@@ -124,6 +124,7 @@ class CatalogEntry:
         except ValueError as exc:  # cmath's: entry 21 at t = 1e308 takes exp(-inf j)
             raise DomainError(
                 f"entry {self.id} solution undefined at t = {t}: {exc}") from None
+        u1, u2 = u
         if not (cmath.isfinite(u1) and cmath.isfinite(u2)):
             raise SingularityError(
                 f"entry {self.id} solution singular at t = {t}", t=t)

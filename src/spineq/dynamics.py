@@ -21,8 +21,8 @@ import numpy as np
 from ._numbers import MIN_TOL, record
 from .errors import AccuracyError, DomainError
 from .fields import FieldSpec, bind_field, check_poles, field_callable
-from .numutil import (csv_rows, dop853, fd_derivative, fd_derivative_callable,
-                      gauss_kronrod, solve_window)
+from .numutil import (central_difference, csv_rows, default_step, dop853, fd_derivative,
+                      gauss_kronrod, solve_window, stencil_nodes)
 from .spinors import CVec3, Spinor, eigenpairs, l_vector_arr, real_quotient, sigma_dot
 
 __all__ = [
@@ -466,8 +466,16 @@ def se_residual(u_fn, field_fn, t: float, h: float | None = None) -> float:
     unless given.  u_fn is called at t-2h, t-h, t+h, t+2h and t, then
     field_fn at t.
     """
-    du = fd_derivative_callable(lambda s: np.asarray(u_fn(s), dtype=complex), t, h)
-    u = u_fn(t)
+    h = default_step(t) if h is None else h
+    side = [np.asarray(u_fn(s), dtype=complex) for s in stencil_nodes(t, h)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        du = central_difference(*side, h)
+    u = np.asarray(u_fn(t), dtype=complex)
+    # past |u| ~ 1e306 the difference overflows: a finite stencil is taken
+    # again scaled by its largest |component|, as in se_residuals
+    if not np.isfinite(du).all() and np.isfinite(side).all():
+        scale = np.abs(np.concatenate([*side, u]).view(float)).max()
+        du, u = central_difference(*(v / scale for v in side), h), u / scale
     return float(se_residuals([du], [field_fn(t)], [u])[0])
 
 

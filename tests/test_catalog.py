@@ -318,6 +318,15 @@ class TestSolutionTimes:
                 continue
             assert np.isfinite(u.as_array()).all()
 
+    def test_a_malformed_closed_form_is_not_an_input_error(self, monkeypatch):
+        # only the closed form's own ValueError is the caller's t; one that
+        # returns three components is a fault of the program
+        entry = catalog.entry(1)
+        monkeypatch.setitem(entry.__dict__, "_solution", lambda t, params: (1, 2, 3))
+        with pytest.raises(ValueError, match="too many values to unpack") as info:
+            entry.solution_components(0.5, {})
+        assert not isinstance(info.value, SpinEqError)
+
 
 class TestSecondSolution:
     @pytest.mark.parametrize("eid", range(1, 27))

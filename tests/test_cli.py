@@ -241,6 +241,18 @@ class TestVerify:
         if not err.getvalue():
             assert json.loads(out.getvalue())["max_residual"] != "nan"
 
+    def test_state_past_the_difference_range_next_to_a_pole(self):
+        # entry 24 reaches |u| ~ 3e306 at a node before its pole at 1.0449:
+        # the residual's central difference overflowed there, a numpy warning
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run(["verify", "--entry", "24", "--params",
+                      "a=0.0;b=316.22776601683796;c=316.22776601683796"])
+        assert rc == 3 and [str(w.message) for w in caught] == []
+        assert err.getvalue().startswith("ERROR 3: entry 24 solution singular at t = 1.0448")
+
     def test_needs_entry_or_all(self, capsys):
         assert run(["verify"]) == 2
 

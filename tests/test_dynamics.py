@@ -4,6 +4,7 @@ import time
 import warnings
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -207,6 +208,22 @@ class TestResiduals:
         got = se_residuals(du, np.ones((3, 3)), u)
         assert np.isfinite(got).tolist() == [True, False, False]
 
+    @pytest.mark.parametrize("c", [1e306, 1e308])
+    def test_stencil_past_the_difference_range_scales_out(self, c):
+        # u = c exp(-i t) (1, 0) solves the equation in F = (0, 0, 1); the
+        # central difference of c-sized values overflows
+        def u_fn(t, c=c):
+            return c * cmath.exp(-1j * t) * np.array([1, 0])
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [se_residual(u_fn, lambda t: np.array([0, 0, 1]), t) for t in (0.0, 0.3, -2.0)]
+        want = [se_residual(lambda t: u_fn(t, 1.0), lambda t: np.array([0, 0, 1]), t)
+                for t in (0.0, 0.3, -2.0)]
+        # both are the difference's truncation error, about 1e-11
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+        assert max(got) <= 1e-9
+
 
 class TestStationary:
     def test_z_field(self):
@@ -236,7 +253,6 @@ class TestStationary:
             worst = max(se_residual(u_fn, lambda t: F.as_array(), t)
                         for t in np.linspace(0, 2, 7))
             assert worst <= 1e-9
-
 
     @pytest.mark.parametrize("F, lam", [((1e308, 0, 1), 1e308),
                                         ((-1e308, 1e308, 0), 1.4142135623730951e308),
@@ -272,7 +288,6 @@ class TestConstantFieldPropagator:
             constant_field_propagator(F, t)
 
     def test_overflowing_square_is_scaled(self):
-        mpmath = pytest.importorskip("mpmath")
         F = (1e308, 0, 1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
