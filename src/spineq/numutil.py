@@ -31,18 +31,19 @@ __all__ = [
 ]
 
 # rows formatted and written per block, so that the formatter's temporaries
-# (about 130 bytes a value) stay near 0.4 MB for a 12-column table however
+# (about 115 bytes a value) stay near 0.4 MB for a 12-column table however
 # long it is, each array under the 128 KB at which malloc turns to mmap
 CSV_BLOCK_ROWS = 256
 
-# 10**0 .. 10**27, exact in an x87 or quad long double: 5**27 < 2**63
-_POW10 = np.cumprod(np.r_[1, np.full(27, 10)].astype(np.longdouble))
-_P16, _P17 = _POW10[16], _POW10[16] * 10
+# a bound on the error of p + r in _e16_digits: 2**-49 each for the part of
+# 10**k beyond ph + pl, for rounding |x| * pl and for rounding r
+E16_MARGIN = 2.0**-47
 
-# twice the half ulp of a long double below 2**57; 2**-7 for the x87 format,
-# and 16 where long double is just a double, so that there every value takes
-# the exact fallback
-E16_MARGIN = float(2 * 2.0**55 * np.finfo(np.longdouble).eps)
+# row e + 100, e = -100 .. 100: 10**(16 - e) = n / d as ph + pl, ph the double
+# nearest it and pl the double nearest the rest (int / int rounds once)
+_TEN = np.array([(i / j, (n * j - i * d) / (d * j))
+                 for n, d in [(10**max(k, 0), 10**max(-k, 0)) for k in range(116, -85, -1)]
+                 for i, j in [(n / d).as_integer_ratio()]])
 
 # the ASCII digits of 0000 .. 9999 as one 4-byte word each, and the exponent
 # field "e+dd" / "e-dd" of -99 .. 99 as one word at index e + 99
@@ -55,47 +56,57 @@ _EXP_WORDS = np.column_stack([np.full(_EXP.size, ord("e")),
                               _DIGITS[abs(_EXP), 2:]]).astype(np.uint8).view(np.uint32).ravel()
 
 
-def _scaled(a, e):
-    """|x| * 10**(16 - e) in long double, rounded once: one factor is 1."""
-    k = 16 - e
-    return a * _POW10[np.clip(k, 0, 27)] / _POW10[np.clip(-k, 0, 27)]
+def _digits_at(a, e):
+    """a * 10**(16 - e) as p + r (see _e16_digits): D = p + rint(r) and f = r - rint(r)."""
+    ph, pl = _TEN.take(e + 100, axis=0, mode="clip").T
+    v = np.stack([a, ph])
+    c = v * 134217729.0
+    ah, hh = hi = c - (c - v)  # Veltkamp's split, 2**27 + 1: 26 bits each
+    al, hl = v - hi
+    p = a * ph
+    # Dekker's TwoProduct: a * ph - p, exact; then a * pl
+    r = (((ah * hh - p) + ah * hl + al * hh) + al * hl) + a * pl
+    n = np.rint(r)
+    return p.astype(np.int64) + n.astype(np.int64), r - n
 
 
 def _e16_digits(x):
     """The fast path of _e16_block: per value of the float64 array x, whether
     it is accepted, its 17 digits as an integer D and its exponent E.
 
-    With E = floor(log10 |x|), the 17 digits printf writes are D = round(s*),
-    s* = |x| * 10**(16 - E) exactly.  For |16 - E| <= 27 the power of ten is
-    exact in long double, so s, the product (or quotient) computed there, is
-    rounded once: |s - s*| <= ulp(s*) / 2 <= 2**55 * eps for s < 10**17 <
-    2**57, with eps = finfo(longdouble).eps.  D = rint(s) is then accepted
-    only if |s - D| < 1/2 - E16_MARGIN, E16_MARGIN = 2 * 2**55 * eps, which
-    puts s* strictly within 1/2 of D: D is the correctly rounded value and
-    s* no tie.  E is taken again where log10 lands across a power of ten (s
-    outside [10**16, 10**17)), which it does just below most of them; if the
-    rounding of s alone crossed 10**16, the text is the same
-    "1.0000000000000000e..." either way.  D = 10**17, a carry into the
-    exponent, would need a double within 5e-18 of a power of ten from below,
-    and none in this range is: such a D is rejected rather than carried.
-    The range of E keeps the accepted exponents at two digits; +-0.0 are
-    accepted with D = E = 0.
+    With E = floor(log10 |x|), printf writes the 17 digits D = round(s*),
+    s* = |x| * 10**(16 - E) exactly.  _digits_at forms s* as p + r in
+    float64: 10**(16 - E) is held as ph + pl to within 2**-106 ph, p =
+    fl(|x| ph) and r is the exact rest of |x| ph (Veltkamp's split and
+    Dekker's TwoProduct, Numer. Math. 18 (1971) 224) plus fl(|x| pl).  For
+    p < 2**57, as for every accepted D < 10**17, |x| pl < 16 and |r| < 24,
+    so the rest of 10**(16 - E), the rounding of |x| pl and that of r each
+    err by at most 2**-49: |s* - p - r| < E16_MARGIN.  p > 2**53 is an
+    integer, and D = p + rint(r) is accepted only if f = r - rint(r) has
+    |f| < 1/2 - E16_MARGIN: s* is then strictly within 1/2 of D, D is
+    correctly rounded and s* no tie.  D is also accepted only below 10**17
+    and for s* > 10**16 - 1/20, where printf, if it takes the exponent
+    E - 1, rounds 10 s* up to 10**17 and writes "1.0000000000000000e" with
+    E all the same.  E is taken again where log10 lands across a power of
+    ten, as it does just below most of them; a carry to 10**17 is rejected.
+    |E| <= 99 keeps the exponent at two digits; +-0.0 are accepted with
+    D = E = 0.
     """
     with np.errstate(all="ignore"):
         a = np.abs(x)
         e = np.floor(np.log10(a))
-        a = a.astype(np.longdouble)
         finite = np.isfinite(e)          # not 0, inf or NaN
         e = np.where(finite, e, 0).astype(np.int64)
-        s = _scaled(a, e)
-        move = finite & ((s < _P16) | (s >= _P17))
+        d, f = _digits_at(a, e)
+        below = d - 10**16 + f <= E16_MARGIN - 0.05
+        move = finite & (below | (d >= 10**17))
         if move.any():
-            e[move] += np.where(s[move] < _P16, -1, 1)
-            s[move] = _scaled(a[move], e[move])
-        fast = (((s >= _P16) & (s < _P17)) | (a == 0)) & (np.abs(16 - e) <= 27)
-        s[~fast] = 0
-        d = (s + 0.5).astype(np.uint64)  # no tie is accepted, so round half up
-        fast &= (np.abs((s - d).astype(np.float64)) < 0.5 - E16_MARGIN) & (d < 10**17)
+            e[move] += np.where(below[move], -1, 1)
+            d[move], f[move] = _digits_at(a[move], e[move])
+        fast = (finite & (np.abs(e) <= 99) & (d < 10**17)
+                & (d - 10**16 + f > E16_MARGIN - 0.05)) | (a == 0)
+        fast &= np.abs(f) < 0.5 - E16_MARGIN
+    d[~fast] = 0
     e[~fast] = 0
     return fast, d, e
 
@@ -105,34 +116,38 @@ def _e16_block(table):
     writes it, and the number of values that took the exact fallback.
 
     The digits come from _e16_digits, in numpy; every value it rejects
-    (NaN, +-inf, subnormal or huge values, near-ties) is written with
-    E16 % v, the exact fallback.
+    (NaN, +-inf, magnitudes outside [1e-99, 1e100), ties and near-ties) is
+    written with E16 % v, the exact fallback.
     """
     rows, cols = table.shape
     x = table.ravel()
     fast, d, e = _e16_digits(x)
-    hi, lo = np.divmod(d, 10**8)
-    lead, hi = np.divmod(hi, 10**8)
-    # per value 7 words: NUL, sign, lead digit, "." | 4 x 4 digits | "e+dd" |
-    # separator; the NULs are dropped at the end
-    words = np.empty((x.size, 7), np.uint32)
-    b = words.view(np.uint8)
-    b[:, 0] = 0
-    b[:, 1] = np.signbit(x).view(np.uint8) * np.uint8(ord("-"))
-    b[:, 2] = lead + ord("0")
-    b[:, 3] = ord(".")
-    for col, group in enumerate((*np.divmod(hi, 10**4), *np.divmod(lo, 10**4)), 1):
-        words[:, col] = _DIGIT_WORDS[group]
-    words[:, 5] = _EXP_WORDS[e + 99]
-    words[:, 6] = 0
+    d = d.view(np.uint64)  # uint64 // a constant is numpy's fastest division
+    lead = d // 10**16
+    d -= lead * 10**16
+    # per value 25 bytes: sign or NUL | lead digit, "." | 4 words of 4
+    # digits | "e+dd" | NUL | separator; a fallback text fills up to 24
+    # bytes; the NULs are dropped at the end
+    b = np.empty((x.size, 25), np.uint8)
+    b[:, 0] = np.signbit(x).view(np.uint8) * np.uint8(ord("-"))
+    b[:, 1] = lead + ord("0")
+    b[:, 2] = ord(".")
+    words = b[:, 3:23].view(np.uint32)
+    for col, div in enumerate((10**12, 10**8, 10**4)):
+        group = d // div
+        d -= group * div
+        words[:, col] = _DIGIT_WORDS.take(group)
+    words[:, 3] = _DIGIT_WORDS.take(d)
+    words[:, 4] = _EXP_WORDS.take(e + 99)
+    b[:, 23] = 0
     slow = np.flatnonzero(~fast)
     if slow.size:
-        words[slow, :6] = np.array([E16 % v for v in x[slow].tolist()],
-                                   dtype="S24").view(np.uint32).reshape(-1, 6)
-    b = b.reshape(rows, cols, 28)
+        b[slow, :24] = np.array([E16 % v for v in x[slow].tolist()],
+                                dtype="S24").view(np.uint8).reshape(-1, 24)
+    b = b.reshape(rows, cols, 25)
     b[:, :, 24] = ord(",")
     b[:, -1, 24] = ord("\n")
-    return str(b[b != 0].data, "ascii"), slow.size
+    return str(b.tobytes().translate(None, b"\0"), "ascii"), slow.size
 
 
 def csv_rows(columns):

@@ -111,6 +111,18 @@ def _check_gamma_param(gamma: complex, name: str = "gamma"):
         raise DomainError(f"{name} = {gamma} is a non-positive integer (series pole)")
 
 
+def _check_finite_z(name, z):
+    """DomainError naming the first element of z, a complex number or
+    ndarray, that is not finite: a series there would run to the term cap
+    and report that rather than the argument."""
+    if isinstance(z, np.ndarray):
+        bad = ~np.isfinite(z)
+        if bad.any():
+            raise DomainError(f"{name} argument z = {z.flat[bad.argmax()]} is not finite")
+    elif not cmath.isfinite(z):
+        raise DomainError(f"{name} argument z = {z} is not finite")
+
+
 def _hyp2f1_coefficient(a, b, c):
     """k -> the factor of term k+1 over term k of 2F1(a, b; c; z), but z."""
     a, b, c = complex(a), complex(b), complex(c)
@@ -509,6 +521,7 @@ def gauss_2f1(alpha: complex, beta: complex, gamma: complex, z: complex) -> comp
 def kummer_phi_info(alpha: complex, gamma: complex, z: complex) -> SeriesResult:
     """Confluent hypergeometric Phi(alpha, gamma; z) with metadata."""
     _check_gamma_param(gamma)
+    _check_finite_z("Kummer", complex(z))
     return _run("Kummer", _hyp1f1_coefficient(alpha, gamma), z)
 
 
@@ -519,8 +532,13 @@ def _kummer_values(z):
     if not isinstance(z, np.ndarray):
         return lambda jobs: (kummer_phi_info(alpha, gamma, z).value for alpha, gamma in jobs)
     zc = np.asarray(z, dtype=complex)
-    return lambda jobs: _job_values("Kummer", [
-        (_hyp1f1_coefficient(alpha, gamma), zc) for alpha, gamma in jobs])
+
+    def values(jobs):
+        if jobs:  # checked as the scalar calls check it: after each set's gamma
+            _check_finite_z("Kummer", zc)
+        return _job_values("Kummer", [(_hyp1f1_coefficient(alpha, gamma), zc)
+                                      for alpha, gamma in jobs])
+    return values
 
 
 def kummer_phi_many(sets, z) -> list:
@@ -602,7 +620,9 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 def parabolic_d_many(ps, z) -> list:
     """[parabolic_d(p, z) for p in ps]; with an ndarray z, the two Kummer
     series of every p are summed in one grid pass."""
-    z = _objects(np.asarray(z, dtype=complex)) if isinstance(z, np.ndarray) else complex(z)
+    z = np.asarray(z, dtype=complex) if isinstance(z, np.ndarray) else complex(z)
+    _check_finite_z("parabolic_d", z)
+    z = _objects(z) if isinstance(z, np.ndarray) else z
     zz = 0.5 * z * z
 
     def plan(p):

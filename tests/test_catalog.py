@@ -318,6 +318,12 @@ class TestSolutionTimes:
                 continue
             assert np.isfinite(u.as_array()).all()
 
+    @pytest.mark.parametrize("eid, t", [(16, 1e200), (17, 1e308), (18, 1e200)])
+    def test_a_confluent_argument_past_the_double_range_is_an_input_error(self, eid, t):
+        # the closed form hands the Kummer series a z that is not finite
+        with pytest.raises(DomainError, match=r"^Kummer argument z = \S+ is not finite$"):
+            catalog.entry_solution(eid, None, t)
+
     def test_a_malformed_closed_form_is_not_an_input_error(self, monkeypatch):
         # only the closed form's own ValueError is the caller's t; one that
         # returns three components is a fault of the program

@@ -438,6 +438,38 @@ class TestManyForms:
             parabolic_d(0.5, 71.0 * cmath.exp(0.25j * math.pi))
 
 
+class TestNonFiniteArgument:
+    """A NaN or infinite z is an input error that names it, not a series
+    that runs to the term cap and reports that."""
+
+    @pytest.mark.parametrize("z", [math.nan, complex(0.0, math.inf), -math.inf,
+                                   complex(math.inf, math.nan)])
+    def test_each_call_names_the_argument(self, z):
+        text = re.escape(str(complex(z)))
+        for name, call in (("Kummer", lambda: kummer_phi(0.5, 1.5, z)),
+                           ("Kummer", lambda: kummer_phi_info(0.5, 1.5, z)),
+                           ("Kummer", lambda: kummer_phi_many([(0.5, 1.5)], np.array([z]))),
+                           ("parabolic_d", lambda: parabolic_d(0.3j, z)),
+                           ("parabolic_d", lambda: parabolic_d_many([0.3j], np.array([z])))):
+            with pytest.raises(DomainError, match=f"^{name} argument z = {text} is not finite$"):
+                call()
+
+    def test_an_array_names_its_first_bad_element(self):
+        z = np.array([0.5, 2.0, complex(math.nan, 1.0), math.inf])
+        for call in (lambda: kummer_phi_many([(0.5, 1.5), (0.2, 0.5)], z),
+                     lambda: parabolic_d_many([0.3, 0.5], z)):
+            with pytest.raises(DomainError, match=re.escape("z = (nan+1j) is not finite")):
+                call()
+
+    @pytest.mark.parametrize("sets", [[(1, -2), (0.5, 1.5)], [(0.5, 1.5), (1, -2)]])
+    def test_errors_match_the_one_set_calls(self, sets):
+        # a bad gamma in a set is reported before z, as each set's own call reports it
+        for z in (np.array([0.5, math.nan]), math.nan):
+            want = _outcome(lambda: [kummer_phi(*s, z) for s in sets])
+            assert want[0] is DomainError
+            assert _outcome(lambda: kummer_phi_many(sets, z)) == want
+
+
 class TestGauss2F1:
     def test_at_zero(self):
         assert gauss_2f1(0.3 + 1j, -0.7, 1.5, 0.0) == 1.0
