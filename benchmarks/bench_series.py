@@ -223,7 +223,7 @@ def main():
           f"{t_loop / t_fmt:>8.1f}x {slow / table.size:>8.1%}")
 
     # every value byte-identical to "%.16e" % v, most of them through the
-    # exact fallback: a uniform exponent lands in the fast range 9% of the time
+    # exact fallback: a uniform exponent lands in the fast range 32% of the time
     same = total = slow = 0
     for seed in range(10):
         bits = np.random.default_rng([seed, 9]).integers(

@@ -2,6 +2,7 @@
 grid-or-replay rule, the one DOP853 driver and the one float formatter."""
 
 import cmath
+import functools
 import heapq
 import math
 
@@ -39,11 +40,16 @@ CSV_BLOCK_ROWS = 256
 # 10**k beyond ph + pl, for rounding |x| * pl and for rounding r
 E16_MARGIN = 2.0**-47
 
-# row e + 100, e = -100 .. 100: 10**(16 - e) = n / d as ph + pl, ph the double
-# nearest it and pl the double nearest the rest (int / int rounds once)
-_TEN = np.array([(i / j, (n * j - i * d) / (d * j))
-                 for n, d in [(10**max(k, 0), 10**max(-k, 0)) for k in range(116, -85, -1)]
-                 for i, j in [(n / d).as_integer_ratio()]])
+
+@functools.cache
+def _powers_of_ten():
+    """Row e + 100, e = -100 .. 100: 10**(16 - e) = n / d as ph + pl, ph the
+    double nearest it and pl the double nearest the rest (int / int rounds
+    once); built on the first call, so that the import does not pay for it."""
+    return np.array([(i / j, (n * j - i * d) / (d * j))
+                     for n, d in [(10**max(k, 0), 10**max(-k, 0)) for k in range(116, -85, -1)]
+                     for i, j in [(n / d).as_integer_ratio()]])
+
 
 # the ASCII digits of 0000 .. 9999 as one 4-byte word each, and the exponent
 # field "e+dd" / "e-dd" of -99 .. 99 as one word at index e + 99
@@ -58,7 +64,7 @@ _EXP_WORDS = np.column_stack([np.full(_EXP.size, ord("e")),
 
 def _digits_at(a, e):
     """a * 10**(16 - e) as p + r (see _e16_digits): D = p + rint(r) and f = r - rint(r)."""
-    ph, pl = _TEN.take(e + 100, axis=0, mode="clip").T
+    ph, pl = _powers_of_ten().take(e + 100, axis=0, mode="clip").T
     v = np.stack([a, ph])
     c = v * 134217729.0
     ah, hh = hi = c - (c - v)  # Veltkamp's split, 2**27 + 1: 26 bits each
@@ -106,8 +112,7 @@ def _e16_digits(x):
         fast = (finite & (np.abs(e) <= 99) & (d < 10**17)
                 & (d - 10**16 + f > E16_MARGIN - 0.05)) | (a == 0)
         fast &= np.abs(f) < 0.5 - E16_MARGIN
-    d[~fast] = 0
-    e[~fast] = 0
+    d[~fast] = e[~fast] = 0
     return fast, d, e
 
 
@@ -125,9 +130,8 @@ def _e16_block(table):
     d = d.view(np.uint64)  # uint64 // a constant is numpy's fastest division
     lead = d // 10**16
     d -= lead * 10**16
-    # per value 25 bytes: sign or NUL | lead digit, "." | 4 words of 4
-    # digits | "e+dd" | NUL | separator; a fallback text fills up to 24
-    # bytes; the NULs are dropped at the end
+    # per value 25 bytes: sign or NUL | lead digit, "." | 4 words of 4 digits | "e+dd" |
+    # NUL | separator; a fallback text fills up to 24 bytes; the NULs are dropped at the end
     b = np.empty((x.size, 25), np.uint8)
     b[:, 0] = np.signbit(x).view(np.uint8) * np.uint8(ord("-"))
     b[:, 1] = lead + ord("0")

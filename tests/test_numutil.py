@@ -2,6 +2,7 @@
 the package's quadratures against scipy's."""
 
 import cmath
+import io
 import math
 import tracemalloc
 from decimal import Decimal
@@ -37,6 +38,12 @@ def _tie(q, j):
     digits = Decimal(x).as_tuple().digits
     assert len(digits) == 18 and digits[-1] == 5
     return x
+
+
+def _ties(x):
+    """How many values of x are decimal ties, as _tie checks them."""
+    return sum(len(d) == 18 and d[-1] == 5
+               for d in (Decimal(v).as_tuple().digits for v in np.ravel(x).tolist()))
 
 
 def _fixed_table():
@@ -103,6 +110,55 @@ class TestFormatter:
         text, slow = numutil._e16_block(x[:, None])
         assert text.splitlines() == _reference([x])
         assert slow == 1
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        x = np.array([float(f"1e{k}") for k in range(-99, 100)])
+        x = np.concatenate([x, np.nextafter(x, 0.0), np.nextafter(x, np.inf)])
+        assert _lines([x]) == _reference([x])
+        assert _lines([-x]) == _reference([-x])
+
+    def test_two_and_three_digit_exponents(self):
+        # the fast path writes two exponent digits; the fallback writes three
+        x = np.array([np.nextafter(1e100, 0.0), 1e-99, 1e100, np.nextafter(1e-99, 0.0)])
+        x = np.concatenate([x, -x])
+        assert _lines([x]) == _reference([x])
+        assert [len(line) for line in _lines([x])] == [22, 22, 23, 23, 23, 23, 24, 24]
+        assert numutil._e16_block(x[:, None])[1] == 4
+
+    def test_scaled_value_next_to_a_digit_boundary(self):
+        # |x| * 10**(16 - E) within 2 of 10**16 or 10**17, at each exponent,
+        # and the doubles either side
+        x = np.array([float(f"{d}e{e - 16}") for e in range(-99, 100)
+                      for d in (*range(10**16 - 2, 10**16 + 3), *range(10**17 - 2, 10**17))])
+        x = np.concatenate([x, np.nextafter(x, 0.0), np.nextafter(x, np.inf)])
+        assert _lines([x]) == _reference([x])
+
+    def test_fast_path_takes_all_but_ties_over_the_exponent_range(self):
+        rng = np.random.default_rng(12)
+        table = 10.0 ** rng.uniform(-99, 99, size=(2001, 12)) * rng.choice([-1.0, 1.0], (2001, 12))
+        text, slow = numutil._e16_block(table)
+        assert text.splitlines() == _reference(list(table.T))
+        assert slow == _ties(table)
+
+    def test_fast_path_takes_all_but_ties_of_a_trajectory(self):
+        # a 2001-row table as propagate writes it: zero imaginary parts of a
+        # real field and of real components, and values that decay below 1e-11
+        t = np.linspace(0.0, 40.0, 2001)
+        decay = np.exp(-t)
+        traj = Trajectory(t, np.column_stack([np.cos(t) * decay, 1j * np.sin(t) * decay]),
+                          np.column_stack([np.cos(2 * t), 1e-12 * np.sin(t), 0.5 + 0 * t]) + 0j,
+                          1e-6)
+        v, f = traj.states, traj.field_samples
+        columns = [t, v[:, 0].real, v[:, 0].imag, v[:, 1].real, v[:, 1].imag, f[:, 0].real,
+                   f[:, 0].imag, f[:, 1].real, f[:, 1].imag, f[:, 2].real, f[:, 2].imag,
+                   traj.norms()]
+        buf = io.StringIO()
+        traj.to_csv(buf)
+        assert buf.getvalue().splitlines()[1:] == _reference(columns)
+        table = np.column_stack(columns)
+        assert (table == 0).sum() >= 5 * 2001
+        assert ((table != 0) & (np.abs(table) < 1e-11)).sum() > 4000
+        assert numutil._e16_block(table)[1] == _ties(table)
 
     def test_rows_cross_block_boundaries(self):
         n = 2 * numutil.CSV_BLOCK_ROWS + 3
