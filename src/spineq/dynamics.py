@@ -23,7 +23,8 @@ from .errors import AccuracyError, DomainError
 from .fields import FieldSpec, bind_field, check_poles, field_callable
 from .numutil import (central_difference, csv_rows, default_step, dop853, fd_derivative,
                       gauss_kronrod, solve_window, stencil_nodes)
-from .spinors import CVec3, Spinor, eigenpairs, l_vector_arr, real_quotient, sigma_dot
+from .spinors import (CVec3, ID2, Spinor, eigenpairs, l_vector_arr, real_quotient, sigma_dot,
+                      sigma_exp)
 
 __all__ = [
     "Trajectory",
@@ -167,15 +168,13 @@ def propagate(spec: FieldSpec, V0, window, tol: float = 1e-10,
 
 
 def constant_field_propagator(F, t: float) -> Mat2:
-    """exp(-i t sigma.F) = cos(k t) I - i (sin(k t) / k) sigma.F, k^2 = F.F,
-    for a constant field F.  A non-finite F or t, or a propagator past the
-    double range (|Im k t| above about 710), raises DomainError."""
+    """exp(-i t sigma.F) for a constant field F (spinors.sigma_exp, with
+    k^2 = F.F).  A non-finite F or t, or a propagator past the double range
+    (|Im k t| above about 710), raises DomainError."""
     Fv = F.as_array() if isinstance(F, CVec3) else np.asarray(F, dtype=complex)
     if not (np.isfinite(Fv).all() and cmath.isfinite(t)):
         raise DomainError(f"propagator of F = {Fv} over t = {t}: not finite")
-    # the test of U below reports an overflow
     with np.errstate(over="ignore", invalid="ignore"):
-        s = sigma_dot(Fv)
         f2 = Fv @ Fv
         if cmath.isfinite(f2):
             lam = cmath.sqrt(f2) if abs(f2) >= 1e-300 else 0
@@ -183,18 +182,8 @@ def constant_field_propagator(F, t: float) -> Mat2:
             scale = float(np.max(np.abs(Fv)))
             Fs = real_quotient(Fv, scale)
             lam = cmath.sqrt(Fs @ Fs) * scale
-        try:
-            if lam == 0:
-                U = np.eye(2, dtype=complex) - 1j * t * s
-            else:
-                U = (np.eye(2, dtype=complex) * cmath.cos(lam * t)
-                     - 1j * cmath.sin(lam * t) / lam * s)
-        except (OverflowError, ValueError):
-            U = None
-    if U is None or not np.isfinite(U).all():
-        raise DomainError(f"propagator of F = {Fv} over t = {t} is past the double "
-                          f"range (k t = {lam * t})")
-    return U
+    return sigma_exp(Fv, lam, t, lambda: f"propagator of F = {Fv} over t = {t} is past "
+                                         f"the double range (k t = {lam * t})")
 
 
 def stationary_solutions(F):
@@ -259,7 +248,6 @@ def evolution_from_q(times, q, q0=None, unit: bool = False) -> np.ndarray:
     q0 = np.asarray(q0, dtype=complex)
     if np.max(np.abs(q[0] - q0)) > 1e-10:
         raise DomainError("q(t0) must equal q0")
-    eye = np.eye(2, dtype=complex)
     out = np.empty((len(times), 2, 2), dtype=complex)
     if unit:
         if abs(q0 @ q0 - 1.0) > 1e-10:
@@ -271,13 +259,13 @@ def evolution_from_q(times, q, q0=None, unit: bool = False) -> np.ndarray:
     q02 = q0 @ q0
     if abs(1.0 + q02) < 1e-12:
         raise DomainError("q0^2 = -1; branch undefined")
-    m0 = eye + 1j * sigma_dot(q0)
+    m0 = ID2 + 1j * sigma_dot(q0)
     for i in range(len(times)):
         qi2 = q[i] @ q[i]
         if abs(1.0 + qi2) < 1e-12:
             raise DomainError(f"q^2 = -1 encountered at t = {times[i]}")
         denom = cmath.sqrt((1.0 + qi2) * (1.0 + q02))
-        out[i] = (eye - 1j * sigma_dot(q[i])) @ m0 / denom
+        out[i] = (ID2 - 1j * sigma_dot(q[i])) @ m0 / denom
     return out
 
 
@@ -285,24 +273,21 @@ def evolution_constant_direction(q_fn, lam: complex, t: float,
                                  quad_tol: float = 1e-12) -> Mat2:
     """Evolution operator for F = q(t) (sin(lam), 0, cos(lam)).
 
-    Uses w(t) = integral of q from 0 to t (numutil.gauss_kronrod) in
-    R = cos(w) I - i (sigma_1 sin(lam) + sigma_3 cos(lam)) sin(w); the
-    phase is the integral function w(t), which is what solves the
-    evolution equation for non-constant q.  A non-finite t, or an operator
-    past the double range (|Im w| or |Im lam| above about 710), raises
-    DomainError.
+    R = exp(-i w sigma.axis) (spinors.sigma_exp with k = 1) for the unit
+    axis (sin(lam), 0, cos(lam)) and the phase w(t), the integral of q from
+    0 to t (numutil.gauss_kronrod), which is what solves the evolution
+    equation for non-constant q.  A non-finite t, or an operator past the
+    double range (|Im w| or |Im lam| above about 710), raises DomainError.
     """
     if not math.isfinite(t):
         raise DomainError(f"t = {t} is not finite")
     w, err = gauss_kronrod(q_fn, 0.0, t, quad_tol)
     if not cmath.isfinite(w) or err > max(1e-8, 100 * quad_tol * max(1.0, abs(w))):
         raise AccuracyError(f"quadrature for the phase failed (err = {err})")
-    try:
-        axis = np.array([cmath.sin(lam), 0.0, cmath.cos(lam)], dtype=complex)
-        return np.eye(2, dtype=complex) * cmath.cos(w) - 1j * cmath.sin(w) * sigma_dot(axis)
-    except OverflowError:
-        raise DomainError(f"evolution operator past the double range at t = {t} "
-                          f"(phase w = {w}, lam = {lam})") from None
+    with np.errstate(over="ignore", invalid="ignore"):  # sigma_exp reports an overflow
+        axis = np.array([np.sin(lam), 0.0, np.cos(lam)], dtype=complex)
+    return sigma_exp(axis, 1, w, lambda: f"evolution operator past the double range at "
+                                         f"t = {t} (phase w = {w}, lam = {lam})")
 
 
 def bloch_propagate(spec: FieldSpec, state0: BlochState, window,

@@ -21,7 +21,7 @@ from ._numbers import record
 from .errors import DomainError
 from .fields import FieldSpec, eval_field
 from .numutil import default_step, fd_derivative_callable, fd_second_derivative_callable
-from .spinors import CVec3, SIGMA1, SIGMA2, SIGMA3, Spinor, sigma_dot
+from .spinors import CVec3, ID2, SIGMA1, SIGMA2, SIGMA3, Spinor, sigma_exp
 
 __all__ = [
     "ReductionPlan",
@@ -91,30 +91,32 @@ def reduce_field(Fprime: FieldSpec, plan: ReductionPlan, t: float) -> CVec3:
     l^2 = 1:  F = [F' - l (F'.l)] cos 2a + [F' x l] sin 2a + l (F'.l - a')
     l^2 = 0:  F = F' + 2a [F' x l] + l [2 a^2 (F'.l) - a']
 
-    Fprime may be a FieldSpec or a plain t -> 3-vector callable.
+    Fprime may be a FieldSpec or a plain t -> 3-vector callable.  A
+    reduced field that is not finite (alpha past the double range, say)
+    raises DomainError, with no warning.
     """
     fp = _field_at(Fprime, t)
     lv = plan.l
     a = complex(plan.alpha(t))
     ad = plan.alpha_dot_at(t)
-    fl = fp @ lv
-    if plan.null:
-        out = fp + 2.0 * a * np.cross(fp, lv) + lv * (2.0 * a * a * fl - ad)
-    else:
-        out = ((fp - lv * fl) * cmath.cos(2 * a)
-               + np.cross(fp, lv) * cmath.sin(2 * a)
-               + lv * (fl - ad))
+    with np.errstate(over="ignore", invalid="ignore"):
+        fl = fp @ lv
+        if plan.null:
+            out = fp + 2.0 * a * np.cross(fp, lv) + lv * (2.0 * a * a * fl - ad)
+        else:
+            out = ((fp - lv * fl) * np.cos(2 * a)
+                   + np.cross(fp, lv) * np.sin(2 * a)
+                   + lv * (fl - ad))
+    if not np.isfinite(out).all():
+        raise DomainError(f"reduced field at t = {t} (alpha = {a}) is not finite")
     return CVec3.from_array(out)
 
 
 def transform_matrix(plan: ReductionPlan, t: float) -> np.ndarray:
-    """T(t) = exp[i alpha (sigma.l)] in closed form."""
+    """T(t) = exp[i alpha (sigma.l)] (spinors.sigma_exp at time -alpha)."""
     a = complex(plan.alpha(t))
-    s = sigma_dot(plan.l)
-    eye = np.eye(2, dtype=complex)
-    if plan.null:
-        return eye + 1j * a * s
-    return eye * cmath.cos(a) + 1j * cmath.sin(a) * s
+    return sigma_exp(plan.l, 0 if plan.null else 1, -a,
+                     lambda: f"transform matrix at t = {t} (alpha = {a}) is not finite")
 
 
 def transform_solution(V: Spinor, plan: ReductionPlan, t: float) -> Spinor:
@@ -138,7 +140,7 @@ class SigmaMap(enum.Enum):
 
 
 _SIGMA_MAP_MATRIX = {
-    SigmaMap.XY: (np.eye(2) + 1j * SIGMA1) / np.sqrt(2.0),
+    SigmaMap.XY: (ID2 + 1j * SIGMA1) / np.sqrt(2.0),
     SigmaMap.FLIP3: SIGMA1,
     SigmaMap.FLIP1: SIGMA3,
     SigmaMap.FLIP13: SIGMA2,

@@ -623,7 +623,13 @@ def parabolic_d_many(ps, z) -> list:
     z = np.asarray(z, dtype=complex) if isinstance(z, np.ndarray) else complex(z)
     _check_finite_z("parabolic_d", z)
     z = _objects(z) if isinstance(z, np.ndarray) else z
-    zz = 0.5 * z * z
+    with np.errstate(over="ignore", invalid="ignore"):
+        zz = 0.5 * z * z
+    # the Kummer series take z*z/2: where it overflows, name the caller's z
+    big = ~np.isfinite(np.asarray(zz, dtype=complex))
+    if big.any():
+        raise DomainError(f"parabolic_d argument z = {np.asarray(z).flat[big.argmax()]}: "
+                          f"z*z/2 is past the double range")
 
     def plan(p):
         p = complex(p)

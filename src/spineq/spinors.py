@@ -22,6 +22,7 @@ __all__ = [
     "EigenPair",
     "SIGMA",
     "sigma_dot",
+    "sigma_exp",
     "inner",
     "anticonjugate",
     "l_vector",
@@ -147,6 +148,26 @@ def sigma_dot(p) -> np.ndarray:
     return np.array(
         [[p[2], p[0] - 1j * p[1]], [p[0] + 1j * p[1], -p[2]]], dtype=complex
     )
+
+
+def sigma_exp(F, k: complex, t: complex, error) -> np.ndarray:
+    """exp(-i t sigma.F) = cos(k t) I - i (sin(k t) / k) sigma.F for a
+    constant 3-vector F with F.F = k^2, and exactly I - i t sigma.F at
+    k = 0 (a nilpotent sigma.F included).  The caller passes k: for a unit
+    axis with a large imaginary part, F.F in floating point is far from 1.
+    A result past the double range raises DomainError(error()), with no
+    warning; error is called only then, so its formatting costs nothing."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            if k == 0:
+                U = ID2 - 1j * t * sigma_dot(F)
+            else:
+                U = ID2 * cmath.cos(k * t) - 1j * cmath.sin(k * t) / k * sigma_dot(F)
+        except (OverflowError, ValueError):
+            U = None
+    if U is None or not np.isfinite(U).all():
+        raise DomainError(error())
+    return U
 
 
 def inner(U: Spinor, V: Spinor) -> complex:

@@ -378,6 +378,20 @@ class TestBlochReduce:
         assert rc == 3
         assert capsys.readouterr().err == "ERROR 3: '/' overflow/pole at t = 0.25\n"
 
+    @pytest.mark.parametrize("F, alpha, shown", [((1, 0, 1), "400*i", "400j"),
+                                                 ((10, 0, 1), "355*i", "355j")])
+    def test_reduced_field_past_double_range_is_one_error_line(self, tmp_path, F, alpha,
+                                                               shown):
+        # cos(2 alpha) overflows at 800i; at 710i it is finite, but times
+        # F1 = 10 the field is not: neither is a traceback, a warning or inf
+        (tmp_path / "f.json").write_text(
+            json.dumps({"kind": "const", "defs": [[x, 0] for x in F]}))
+        p = _python(["-m", "spineq.cli", "reduce", "--field", "f.json", "--l", "0,0,1",
+                     "--alpha", alpha, "--window", "0", "1", "--nodes", "3"],
+                    tmp_path, timeout=60)
+        assert (p.returncode, p.stdout) == (2, "")
+        assert p.stderr == f"ERROR 2: reduced field at t = 0.0 (alpha = {shown}) is not finite\n"
+
 
 def _per_value_rows(columns):
     """The per-value row loop the CLI wrote its floats with before the

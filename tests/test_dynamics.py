@@ -455,6 +455,28 @@ class TestEvolutionConstantDirection:
             res = 1j * Rd - sigma_dot(F_fn(t)) @ R_fn(t)
             assert np.linalg.norm(res) <= 1e-8
 
+    @pytest.mark.parametrize("lam", [0.3 + 5j, 0.3 + 20j])
+    def test_complex_lam_matches_mpmath_expm(self, lam):
+        # the axis (sin lam, 0, cos lam) squares to 1, but not in floating
+        # point: at 0.3 + 20i it evaluates to about -8 - 1.6i
+        R = evolution_constant_direction(lambda s: 0.9, lam, 0.7)
+        with mpmath.workdps(60):
+            lm = mpmath.mpc(lam)
+            S = mpmath.matrix([[mpmath.cos(lm), mpmath.sin(lm)],
+                               [mpmath.sin(lm), -mpmath.cos(lm)]])
+            want = mpmath.expm(-1j * mpmath.mpf(0.9) * mpmath.mpf(0.7) * S)
+            want = np.array([[complex(want[i, j]) for j in range(2)] for i in range(2)])
+        assert np.max(np.abs(R - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_lam_past_the_double_range_raises_domain_error(self, capsys):
+        # sin(lam) and cos(lam) overflow: neither an OverflowError nor a warning
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DomainError, match="past the double range at t = 1.0"):
+                evolution_constant_direction(lambda s: 1.0, 0.3 + 800j, 1.0)
+        assert caught == []
+        assert capsys.readouterr() == ("", "")
+
     @staticmethod
     def _raises_quietly(capsys, error, q, t):
         """evolution_constant_direction(q, 0.4, t) raises error, with no

@@ -16,6 +16,18 @@ from spineq.spinors import CVec3, Spinor
 from conftest import assert_rel
 
 
+def _raises_quietly(capsys, call):
+    """call() raises DomainError, with no warning and nothing on stdout or
+    stderr; returns the error."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DomainError) as info:
+            call()
+    assert caught == []
+    assert capsys.readouterr() == ("", "")
+    return info.value
+
+
 def rabi_spec(f, Omega, F3):
     return parse_field_spec(
         f"F1 = {f}*cos({Omega}*t); F2 = {f}*sin({Omega}*t); F3 = {F3}")
@@ -98,6 +110,16 @@ class TestReduceField:
         with pytest.raises(DomainError):
             ReductionPlan.make(CVec3(0, 0, 0), lambda t: 0.0)
 
+    @pytest.mark.parametrize("F, l, alpha", [((1, 0, 1), (0, 0, 1), 400j),
+                                             ((10, 0, 1), (0, 0, 1), 355j),
+                                             ((1, 0, 1), (1, 1j, 0), 1e200)])
+    def test_past_the_double_range_raises_domain_error(self, capsys, F, l, alpha):
+        # cos(2 alpha) overflows at 800i; at 710i it is finite, but times
+        # F1 = 10 it is not; on the null branch alpha^2 overflows
+        plan = ReductionPlan.make(l, lambda t: alpha, lambda t: 0.0)
+        err = _raises_quietly(capsys, lambda: reduce_field(CVec3(*F), plan, 0.5))
+        assert str(err) == f"reduced field at t = 0.5 (alpha = {complex(alpha)}) is not finite"
+
 
 class TestTransformSolution:
     def test_identity(self):
@@ -116,6 +138,15 @@ class TestTransformSolution:
         got = transform_solution(Spinor(0, 1), plan, 0.0)
         # sigma.(1, i, 0) = [[0, 2], [0, 0]]; T = I + i alpha sigma.l
         assert_rel(got.as_array(), [2j, 1], 1e-15)
+
+    @pytest.mark.parametrize("l, alpha", [((0, 0, 1), 1000j), ((1, 1j, 0), 1e308),
+                                          ((0, 0, 1), math.nan), ((0, 0, 1), math.inf)])
+    def test_past_the_double_range_raises_domain_error(self, capsys, l, alpha):
+        plan = ReductionPlan.make(l, lambda t: alpha, lambda t: 0.0)
+        for call in (lambda: transform_matrix(plan, 0.5),
+                     lambda: transform_solution(Spinor(1, 0), plan, 0.5)):
+            err = _raises_quietly(capsys, call)
+            assert str(err) == f"transform matrix at t = 0.5 (alpha = {complex(alpha)}) is not finite"
 
     def test_transformed_pair_solves_reduced_equation(self):
         # V = T V' with V' a constant-field solution: residual of (F, V)

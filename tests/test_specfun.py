@@ -1,6 +1,7 @@
 import cmath
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -460,6 +461,19 @@ class TestNonFiniteArgument:
                      lambda: parabolic_d_many([0.3, 0.5], z)):
             with pytest.raises(DomainError, match=re.escape("z = (nan+1j) is not finite")):
                 call()
+
+    @pytest.mark.parametrize("z", [1e200, 1e160, 2e155j])
+    def test_an_overflowing_series_argument_names_z(self, z):
+        # the Kummer series take z*z/2, past the double range here: the
+        # error names the caller's z, with no warning, not z*z/2 = inf
+        text = re.escape(str(complex(z)))
+        for call in (lambda: parabolic_d(0.3j, z),
+                     lambda: parabolic_d_many([0.3j], np.array([0.5, z]))):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DomainError, match=f"^parabolic_d argument z = {text}: "
+                                                      r"z\*z/2 is past the double range$"):
+                    call()
 
     @pytest.mark.parametrize("sets", [[(1, -2), (0.5, 1.5)], [(0.5, 1.5), (1, -2)]])
     def test_errors_match_the_one_set_calls(self, sets):

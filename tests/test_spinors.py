@@ -1,6 +1,8 @@
 import cmath
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 from spineq.errors import DomainError
 from spineq.spinors import (AngleRep, CVec3, Spinor, anticonjugate, decompose,
                             eigenpairs, frame, from_angles, inner, l_vector,
-                            sigma_apply, sigma_dot, to_angles,
+                            sigma_apply, sigma_dot, sigma_exp, to_angles,
                             vector_from_eigenvectors)
 
 from conftest import assert_rel, rand_cvec3, rand_spinor
@@ -233,6 +235,36 @@ class TestSigmaApply:
                 * (1.0 / V.norm2())
             assert_rel(direct.as_array(), via.as_array(), 1e-12,
                        scale=1 + math.sqrt(direct.norm2()))
+
+
+class TestSigmaExp:
+    @staticmethod
+    def _unused():
+        raise AssertionError("error text asked for on success")
+
+    def test_null_vector_is_linear_in_t(self):
+        # sigma.(1, i, 0) = [[0, 2], [0, 0]] squares to zero
+        U = sigma_exp(np.array([1, 1j, 0]), 0, 0.7 - 0.2j, self._unused)
+        assert (U == [[1, -1.4j - 0.4], [0, 1]]).all()
+
+    def test_matches_mpmath_expm(self):
+        F = np.array([0.3 + 0.1j, -0.5, 0.8j])
+        k = cmath.sqrt(F @ F)
+        U = sigma_exp(F, k, 1.3, self._unused)
+        with mpmath.workdps(40):
+            want = mpmath.expm(-1.3j * mpmath.matrix(sigma_dot(F).tolist()))
+            want = np.array([[complex(want[i, j]) for j in range(2)] for i in range(2)])
+        assert_rel(U, want, 1e-14)
+
+    @pytest.mark.parametrize("F, k, t", [((0, 0, 1), 1, 1000j), ((1, 1j, 0), 0, 1e308),
+                                         ((1.7e308, 0, 0), 0.5, 2.0), ((1, 0, 0), 1, math.nan)])
+    def test_past_the_double_range_raises_the_callers_error(self, capsys, F, k, t):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DomainError, match="^the caller's text$"):
+                sigma_exp(np.array(F, dtype=complex), k, t, lambda: "the caller's text")
+        assert caught == []
+        assert capsys.readouterr() == ("", "")
 
 
 class TestDecompose:
