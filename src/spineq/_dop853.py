@@ -6,10 +6,14 @@ Differential Equations I*, 2nd ed., Sec. II.10).  This is a transcription of
 scipy.integrate's DOP853 and of the parts of scipy's driver around it that
 the package needs (scipy's ``integrate/_ivp``, BSD licence): the same tableau
 decimals, the same initial step, step-size control, error norm and dense
-output, and the same t_eval bookkeeping, numpy call for numpy call, so that a
-solve returns the bits scipy's DOP853 returns, in t, y and the number of
-right-hand-side calls.  An event is rooted by a transcription of scipy's
-brentq (scipy.optimize, also BSD), with the same bits and the same calls.
+output, and the same t_eval bookkeeping, with the same arithmetic, operand
+for operand, so that a solve returns the bits scipy's DOP853 returns, in t,
+y and the number of right-hand-side calls.  It makes fewer numpy calls to
+get there: the tableau is cast to the state's dtype once per solve, where
+np.dot would cast a row on every call, and the error norm is
+np.linalg.norm's own fast path without its checks.  An event is rooted by a
+transcription of scipy's brentq (scipy.optimize, also BSD), with the same
+bits and the same calls.
 Importing scipy.integrate costs about 0.54 s and 48 MB, scipy.optimize
 about 0.49 s and 45 MB (Python 3.11, scipy 1.17, 2 vCPU), more than a
 typical solve; this module needs numpy alone.
@@ -251,9 +255,17 @@ class BudgetExceeded(Exception):
         self.t = t
 
 
+def _norm2(x):
+    """np.linalg.norm(x) of a 1-D float or complex x, by numpy's own fast
+    path for it, operation for operation, without its checks."""
+    if x.dtype.kind == "c":
+        return np.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+    return np.sqrt(x.dot(x))
+
+
 def norm(x):
     """The RMS norm of the error estimates."""
-    return np.linalg.norm(x) / x.size ** 0.5
+    return _norm2(x) / x.size ** 0.5
 
 
 def select_initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
@@ -280,32 +292,6 @@ def select_initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
     return min(100 * h0, h1, interval_length)
 
 
-def rk_step(fun, t, y, f, h, K):
-    """One step of size h from (t, y) with f = fun(t, y): the new state and
-    its derivative, the stages left in the rows of K."""
-    K[0] = f
-    for s, a, c in _STAGES:
-        dy = np.dot(K[:s].T, a) * h
-        K[s] = fun(t + c * h, y + dy)
-    y_new = y + h * np.dot(K[:-1].T, B)
-    f_new = fun(t + h, y_new)
-    K[-1] = f_new
-    return y_new, f_new
-
-
-def estimate_error_norm(K, h, scale):
-    """The error norm of a step: the 5th-order estimate, damped by the
-    3rd-order one, in units of scale."""
-    err5 = np.dot(K.T, E5) / scale
-    err3 = np.dot(K.T, E3) / scale
-    err5_norm_2 = np.linalg.norm(err5)**2
-    err3_norm_2 = np.linalg.norm(err3)**2
-    if err5_norm_2 == 0 and err3_norm_2 == 0:
-        return 0.0
-    denom = err5_norm_2 + 0.01 * err3_norm_2
-    return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
-
-
 class Interpolant:
     """The 7th-degree dense output over one step from (t_old, y_old) to t."""
 
@@ -324,12 +310,10 @@ class Interpolant:
         else:
             x = x[:, None]
             y = np.zeros((len(x), len(self.y_old)), dtype=self.y_old.dtype)
+        x1 = 1 - x
         for i, f in enumerate(reversed(self.F)):
             y += f
-            if i % 2 == 0:
-                y *= x
-            else:
-                y *= 1 - x
+            y *= x1 if i % 2 else x
         y += self.y_old
         return y.T
 
@@ -384,8 +368,20 @@ class _Stepper:
         self.f = fun(t0, y0)
         self.h_abs = select_initial_step(fun, t0, y0, t_bound, self.f, self.direction,
                                          rtol, atol)
-        self.K_extended = np.empty((N_STAGES_EXTENDED, y0.size), dtype=y0.dtype)
-        self.K = self.K_extended[:N_STAGES + 1]
+        K = self.K_extended = np.empty((N_STAGES_EXTENDED, y0.size), dtype=y0.dtype)
+        self.K = K[:N_STAGES + 1]
+        # the tableau as this solve uses it: each row with the stages it
+        # weighs, K[:s].T, and cast to the state's dtype as np.dot would cast
+        # it on every call (a real state keeps real rows), so that each dot
+        # gets the same operands
+        def row(a):
+            return np.asarray(a, dtype=y0.dtype)
+
+        self.stages = [(s, K[:s].T, row(a), c) for s, a, c in _STAGES]
+        self.extra_stages = [(s, K[:s].T, row(a), c) for s, a, c in _EXTRA_STAGES]
+        self.KB = K[:N_STAGES].T, row(B)
+        self.KT = self.K.T
+        self.E3, self.E5, self.D = row(E3), row(E5), row(D)
         self.t_old = self.y_old = self.h_previous = None
         self.n_accepted = self.n_rejected = 0
         self.min_step = np.inf
@@ -400,7 +396,7 @@ class _Stepper:
         y = self.y
         rtol = self.rtol
         atol = self.atol
-        floor = 10 * np.abs(np.nextafter(t, self.direction * np.inf) - t)
+        floor = 10 * abs(math.nextafter(t, self.direction * math.inf) - t)
         h_abs = floor if self.h_abs < floor else self.h_abs
         step_accepted = False
         step_rejected = False
@@ -413,9 +409,9 @@ class _Stepper:
                 t_new = self.t_bound
             h = t_new - t
             h_abs = np.abs(h)
-            y_new, f_new = rk_step(self.fun, t, y, self.f, h, self.K)
+            y_new, f_new = self.rk_step(t, y, h)
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error_norm = estimate_error_norm(self.K, h, scale)
+            error_norm = self.estimate_error_norm(h, scale)
             if error_norm < 1:
                 if error_norm == 0:
                     factor = MAX_FACTOR
@@ -440,14 +436,39 @@ class _Stepper:
         self.f = f_new
         return True
 
+    def rk_step(self, t, y, h):
+        """One step of size h from (t, y), where self.f = fun(t, y): the new
+        state and its derivative, the stages left in the rows of K."""
+        fun, K = self.fun, self.K
+        K[0] = self.f
+        for s, Ks, a, c in self.stages:
+            dy = np.dot(Ks, a) * h
+            K[s] = fun(t + c * h, y + dy)
+        y_new = y + h * np.dot(*self.KB)
+        f_new = fun(t + h, y_new)
+        K[-1] = f_new
+        return y_new, f_new
+
+    def estimate_error_norm(self, h, scale):
+        """The error norm of a step: the 5th-order estimate, damped by the
+        3rd-order one, in units of scale."""
+        err5 = np.dot(self.KT, self.E5) / scale
+        err3 = np.dot(self.KT, self.E3) / scale
+        err5_norm_2 = _norm2(err5)**2
+        err3_norm_2 = _norm2(err3)**2
+        if err5_norm_2 == 0 and err3_norm_2 == 0:
+            return 0.0
+        denom = err5_norm_2 + 0.01 * err3_norm_2
+        return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
+
     def dense_output(self):
         """The interpolant of the last step; three more calls of fun."""
         if self.t == self.t_old:
             return _Constant(self.y)
         K = self.K_extended
         h = self.h_previous
-        for s, a, c in _EXTRA_STAGES:
-            dy = np.dot(K[:s].T, a) * h
+        for s, Ks, a, c in self.extra_stages:
+            dy = np.dot(Ks, a) * h
             K[s] = self.fun(self.t_old + c * h, self.y_old + dy)
         F = np.empty((INTERPOLATOR_POWER, self.y.size), dtype=self.y_old.dtype)
         f_old = K[0]
@@ -455,7 +476,7 @@ class _Stepper:
         F[0] = delta_y
         F[1] = h * f_old - delta_y
         F[2] = 2 * delta_y - h * (self.f + f_old)
-        F[3:] = h * np.dot(D, K)
+        F[3:] = h * np.dot(self.D, K)
         return Interpolant(self.t_old, self.t, self.y_old, F)
 
 
@@ -580,6 +601,7 @@ def solve(fun, t_span, y0, rtol, atol, t_eval, dense_output=False, event=None, *
 
     nfev = 0
     t_last = t0
+    dt = y0.dtype
 
     def counted(t, y):
         nonlocal nfev, t_last
@@ -587,7 +609,9 @@ def solve(fun, t_span, y0, rtol, atol, t_eval, dense_output=False, event=None, *
         if nfev == max_nfev:
             raise BudgetExceeded(t)
         nfev += 1
-        return np.asarray(fun(t, y), dtype=dtype)
+        f = fun(t, y)
+        # np.asarray would return such an f itself
+        return f if type(f) is np.ndarray and f.dtype is dt else np.asarray(f, dtype=dtype)
 
     stepper = _Stepper(counted, t0, y0, tf, rtol, atol)
     ts, ys, interpolants, ti = [], [], [], [t0]

@@ -290,6 +290,13 @@ def evolution_constant_direction(q_fn, lam: complex, t: float,
                                          f"t = {t} (phase w = {w}, lam = {lam})")
 
 
+def _cross(a1, a2, a3, b1, b2, b3):
+    """a x b of two real 3-vectors given as floats, with the bits of
+    np.cross, which also forms each component as one product minus another;
+    np.cross itself spends most of its time on axis bookkeeping."""
+    return a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1
+
+
 def bloch_propagate(spec: FieldSpec, state0: BlochState, window,
                     tol: float = 1e-10, n_nodes: int = 801) -> BlochPath:
     """Integrate the direction/phase/amplitude form of the dynamics.
@@ -306,19 +313,28 @@ def bloch_propagate(spec: FieldSpec, state0: BlochState, window,
     window, field_fn, _, t_eval, _ = _sampled_field(spec, window, tol, n_nodes)
 
     def rhs(t, y):
+        # float64 arithmetic on Python floats, operation for operation what
+        # numpy's elementwise version did; the two dots stay numpy's, whose
+        # BLAS may sum in another order
         n = y[:3]
         F = field_fn(t)
         K, G = F.real, F.imag
-        gn = G @ n
-        ndot = 2.0 * (G - gn * n) + 2.0 * np.cross(K, n)
-        rho2 = n[0] * n[0] + n[1] * n[1]
+        gn = float(G @ n)
+        kn = float(K @ n)
+        n1, n2, n3 = n.tolist()
+        g1, g2, g3 = G.tolist()
+        c1, c2, c3 = _cross(*K.tolist(), n1, n2, n3)
+        d1 = 2.0 * (g1 - gn * n1) + 2.0 * c1
+        d2 = 2.0 * (g2 - gn * n2) + 2.0 * c2
+        d3 = 2.0 * (g3 - gn * n3) + 2.0 * c3
+        rho2 = n1 * n1 + n2 * n2
         if rho2 < 1e-24:
             phidot_costheta = 0.0  # pole gauge: phi undefined, contribution -> 0
         else:
-            phidot = (n[0] * ndot[1] - n[1] * ndot[0]) / rho2
-            phidot_costheta = phidot * n[2]
-        adot = phidot_costheta - 2.0 * (K @ n)
-        return np.array([ndot[0], ndot[1], ndot[2], adot, gn])
+            phidot = (n1 * d2 - n2 * d1) / rho2
+            phidot_costheta = phidot * n3
+        adot = phidot_costheta - 2.0 * kn
+        return np.array([d1, d2, d3, adot, gn])
 
     y0 = np.array([n0[0], n0[1], n0[2], state0.alpha, math.log(state0.N)])
     sol = dop853(rhs, window, y0, tol, t_eval, "Bloch propagation")

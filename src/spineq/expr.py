@@ -307,8 +307,10 @@ def poles(nodes, params, window) -> list[float]:
     """The poles in the window [t0, t1] of a tuple of ASTs (None for a zero)
     with params bound, sorted: the exact zeros of a divisor, or of what tan,
     cot or coth divide by, that is an affine alpha t + beta (alpha, beta real)
-    or sin, cos or sinh of one.  Any other divisor declares nothing; its
-    poles still raise SingularityError when the field is evaluated there."""
+    or sin, cos or sinh of one.  A divisor c*X, X*c or X/c, c a real, finite
+    and nonzero constant, has the zeros of X.  Any other divisor declares
+    nothing; its poles still raise SingularityError when the field is
+    evaluated there."""
     t0, t1 = float(window[0]), float(window[1])
     found, stack = set(), [node for node in nodes if node is not None]
     while stack:
@@ -317,7 +319,8 @@ def poles(nodes, params, window) -> list[float]:
         if isinstance(n, Call) and n.fn in _DIVIDES:
             f, arg = _DIVIDES[n.fn], n.arg
         elif isinstance(n, BinOp) and n.op == "/":
-            f, arg = (n.right.fn, n.right.arg) if isinstance(n.right, Call) else (None, n.right)
+            d = _unscaled(n.right, params)
+            f, arg = (d.fn, d.arg) if isinstance(d, Call) else (None, d)
         else:
             continue
         form = _affine(arg, params) if f in _ZEROS else None
@@ -332,6 +335,23 @@ def poles(nodes, params, window) -> list[float]:
             ks = range(math.floor((lo - c) / period) - 1, math.ceil((hi - c) / period) + 2)
         found.update(t for k in ks if t0 <= (t := (c + k * period - b) / a) <= t1)
     return sorted(found)
+
+
+def _unscaled(n, params):
+    """X for n = c*X, X*c or X/c, as often as n has that form, where c is a
+    constant with a real, finite and nonzero value (its alpha is 0); else n."""
+    def scale(c):
+        form = _affine(c, params)
+        return form and not form[0] and form[1] and math.isfinite(form[1])
+
+    while isinstance(n, BinOp):
+        if n.op == "*" and scale(n.left):
+            n = n.right
+        elif n.op in "*/" and scale(n.right):
+            n = n.left
+        else:
+            return n
+    return n
 
 
 def _affine(n, params):

@@ -125,8 +125,9 @@ def bind_field(spec: FieldSpec):
     -1j (sigma.F(t)) y of the spin equation, with the bits of
     -1j * (sigma_dot(field(t)) @ y) and the same SingularityError at a pole.
     Its three components are Python complex from one call of the generated
-    code, checked as a field sample is; the 2x2 product stays numpy's
-    matmul, since a product in Python arithmetic rounds differently."""
+    code, checked as a field sample is.  The 2x2 product is numpy's, as
+    S.dot(y): it has the bits of S @ y, from the same BLAS kernel at half
+    the call cost, while a product in Python arithmetic rounds differently."""
     import numpy as np
     code = ex.FieldCode(*_nodes(spec))
     fast, checked = code.fast, code.checked
@@ -149,7 +150,7 @@ def bind_field(spec: FieldSpec):
         s[1] = f1 - 1j * f2
         s[2] = f1 + 1j * f2
         s[3] = -f3
-        return -1j * (S @ y)
+        return -1j * S.dot(y)
 
     return sample, rhs
 
@@ -171,11 +172,23 @@ def _nodes(spec):
 
 def check_poles(spec: FieldSpec, window) -> None:
     """Raise DomainError if the window (t0, t1), floats, holds a pole that the
-    field's ASTs declare (expr.poles) with the parameters bind_field binds."""
-    hits = ex.poles(*_nodes(spec), window)
+    field's ASTs declare (expr.poles) with the parameters bind_field binds.
+
+    A spec keeps the window and a copy of the params of its last check that
+    passed, and a repeat of that check returns without walking the ASTs: a
+    propagate, invert or bloch invocation checks in the CLI, before numpy
+    loads, and again in the solve's prologue."""
+    nodes = _nodes(spec)
+    params = getattr(spec, "params", None)
+    key = float(window[0]), float(window[1]), None if params is None else dict(params)
+    memo = spec.__dict__  # a record's fields are frozen, its __dict__ is not
+    if memo.get("_poles_clear") == key:
+        return
+    hits = ex.poles(*nodes, window)
     if hits:
         raise DomainError(
             f"window [{window[0]}, {window[1]}] contains declared field poles at {hits}")
+    memo["_poles_clear"] = key
 
 
 def split_kg(F: CVec3):

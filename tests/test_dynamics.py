@@ -1,14 +1,16 @@
 import cmath
+import json
 import math
 import time
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import mpmath
 import numpy as np
 import pytest
 
-from spineq import numutil
+from spineq import catalog, dynamics, expr, numutil
 from spineq.darboux import darboux_params_mu_route
 from spineq.dynamics import (BlochState, bloch_propagate,
                              bloch_vector_path, constant_field_propagator,
@@ -161,6 +163,27 @@ class TestDeclaredPoles:
         assert np.array_equal(field_callable(ConstField(value))(times), np.tile(value, (4, 1)))
         with pytest.raises(SingularityError, match="field component singular at t = 0.0"):
             propagate(ConstField((math.nan, 0, 1)), [1, 0], (0, 1), n_nodes=3)
+
+    def test_repeat_check_walks_once_and_a_changed_spec_again(self, monkeypatch):
+        walks = []
+        poles = expr.poles
+        monkeypatch.setattr(expr, "poles", lambda *a: walks.append(a) or poles(*a))
+        spec = ExprField(parse_field_spec("F3 = 1/(t - r)").defs, {"r": 5.0})
+        check_poles(spec, (0.0, 1.0))
+        propagate(spec, [1, 0], (0, 1), n_nodes=3)  # the same check: no second walk
+        assert len(walks) == 1
+        # its params changed in place since: checked again
+        spec.params["r"] = 0.5
+        with pytest.raises(DomainError, match=r"declared field poles at \[0.5\]"):
+            propagate(spec, [1, 0], (0, 1), n_nodes=3)
+        # an equal spec that is another object, and another window, walk too
+        other = ExprField(spec.defs, {"r": 5.0})
+        check_poles(other, (0.0, 1.0))
+        check_poles(other, (0.0, 2.0))
+        with pytest.raises(DomainError, match="declared field poles"):
+            bloch_propagate(ExprField(spec.defs, {"r": 1.5}),
+                            BlochState(np.array([1.0, 0, 0]), 0.0, 1.0), (0, 2), n_nodes=3)
+        assert len(walks) == 5
 
 
 class TestResiduals:
@@ -577,6 +600,26 @@ class TestBloch:
             bloch_propagate(ConstField((0, 0, 1)), BlochState(np.array(n0), alpha, N),
                             (0, 1), 1e-10)
 
+    def test_cross_is_np_cross_bit_for_bit(self):
+        # the right-hand side's K x n in Python floats, against np.cross on
+        # 10**4 seeded pairs with signed zeros, subnormals, infinities and
+        # NaN; a NaN compares as a NaN, any other value by its bits
+        rng = np.random.default_rng(20241019)
+        shape = (2, 10 ** 4, 3)
+        a, b = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+        special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, math.inf,
+                            -math.inf, math.nan, 1.0, -1.0])
+        for v in (a, b):
+            mask = rng.random(v.shape) < 0.3
+            v[mask] = rng.choice(special, mask.sum())
+        with np.errstate(all="ignore"):
+            want = np.array([np.cross(x, y) for x, y in zip(a, b)])
+        got = np.array([dynamics._cross(*x, *y) for x, y in zip(a.tolist(), b.tolist())])
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+        assert np.signbit(want[want == 0]).any()  # the draw makes signed zeros
+
 
 class TestHamiltonianForm:
     def test_zero_coupling(self):
@@ -837,3 +880,33 @@ class TestSolveFailure:
         with pytest.raises(IntegrationError, match="non-finite states at t = 0.5") as info:
             propagate(ConstField((0, 0, 1)), [1, 0], (0, 1), n_nodes=5)
         assert info.value.t == 0.5
+
+
+SOLVER_WORK = json.loads(Path(__file__).with_name("solver_stats_golden.json").read_text())
+
+
+@pytest.mark.parametrize("eid", range(1, catalog.N_ENTRIES + 1))
+def test_solver_work_is_unchanged(monkeypatch, eid):
+    """Each entry's propagate and bloch solves at its default parameters and
+    window take the steps, right-hand-side calls and smallest step recorded
+    in solver_stats_golden.json, with the same types, as they did before the
+    stepper's per-call numpy work was cut."""
+    sols = []
+
+    def record(*args, **kwargs):
+        sols.append(numutil.dop853(*args, **kwargs))
+        return sols[-1]
+
+    monkeypatch.setattr(dynamics, "dop853", record)
+    e = catalog.entry(eid)
+    window = e.window_for(e.merged(None))
+    propagate(CatalogField(eid, {}), [1, 0.5j], window, 1e-10, n_nodes=101)
+    bloch_propagate(CatalogField(eid, {}), BlochState(np.array([0.6, 0.0, 0.8]), 0.0, 1.0),
+                    window, 1e-10, n_nodes=201)
+    want = [c for c in SOLVER_WORK["cases"] if c["entry"] == eid]
+    got = [{"entry": eid, "solve": name, "nfev": sol.nfev, "n_accepted": sol.n_accepted,
+            "n_rejected": sol.n_rejected, "min_step": float(sol.min_step).hex(),
+            "types": [type(getattr(sol, k)).__name__ for k in
+                      ("nfev", "n_accepted", "n_rejected", "min_step", "t_last")]}
+           for name, sol in zip(("propagate", "bloch"), sols)]
+    assert got == want

@@ -145,6 +145,36 @@ class TestEval:
         assert spec.free_parameters() == {"a", "w", "b"}
 
 
+
+class TestScaledDivisorPoles:
+    """A divisor c*X, X*c or X/c, c a real, finite and nonzero number or
+    parameter, declares the poles of X; any other c declares nothing."""
+
+    @staticmethod
+    def poles(text, params=None, window=(0.0, 1.0)):
+        return expr.poles((parse_expr(text),), params or {}, window)
+
+    @pytest.mark.parametrize("text", ["1/(0.5*sin(t - 0.505))", "1/(sin(t - 0.505)*0.5)",
+                                      "1/(sin(t - 0.505)/4)", "1/(2*(3*sin(t - 0.505)))",
+                                      "1/(-2*sin(t - 0.505))", "1/((1 + 0i)*sin(t - 0.505))",
+                                      "1/(0.5*(t - 0.505))"])
+    def test_real_factor_is_read(self, text):
+        assert self.poles(text) == [0.505]
+
+    @pytest.mark.parametrize("text", ["1/(0*sin(t - 0.505))", "1/(sin(t - 0.505)/0)",
+                                      "1/(2i*sin(t - 0.505))", "1/((1 + 1i)*sin(t - 0.505))",
+                                      "1/(1e200*1e200*sin(t - 0.505))", "1/(t*sin(t - 0.505))"])
+    def test_other_factor_declares_nothing(self, text):
+        assert self.poles(text) == []
+
+    def test_parameter_factor(self):
+        text, window = "1/(b*sin(t))", (-1.0, 4.0)
+        assert self.poles(text, {"b": 2.0}, window) == [0.0, math.pi]
+        assert self.poles(text, {"b": -0.25 + 0j}, window) == [0.0, math.pi]
+        for b in (0.0, -0.0, 1j, 0.5 + 0.5j, math.inf, math.nan):
+            assert self.poles(text, {"b": b}, window) == []
+        assert self.poles(text, {}, window) == []  # unbound
+
 class TestSplitKG:
     def test_basic(self):
         K, G = split_kg(CVec3(1 + 2j, 0, 3))
@@ -483,6 +513,28 @@ class TestFusedRhs:
                         + 1j * rng.normal(size=2)
                     want = -1j * (sigma_dot(field(t)) @ y)
                     assert rhs(t, y).view(np.int64).tolist() == want.view(np.int64).tolist()
+
+    def test_dot_is_matmul_bit_for_bit(self):
+        # the right-hand side's S.dot(y) against S @ y on 10**5 seeded 2x2
+        # complex products with signed zeros, subnormals, infinities and NaN
+        # in their parts; a NaN compares as a NaN, any other value by its bits
+        rng = np.random.default_rng(20241019)
+        n = 10 ** 5
+        special = np.array([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 1e308, math.inf,
+                            -math.inf, math.nan])
+        S, y = (rng.standard_normal(shape) * 10.0 ** rng.integers(-150, 150, shape)
+                for shape in ((n, 2, 2, 2), (n, 2, 2)))
+        for parts in (S, y):
+            mask = rng.random(parts.shape) < 0.2
+            parts[mask] = rng.choice(special, mask.sum())
+        S, y = S.view(complex)[..., 0], y.view(complex)[..., 0]
+        assert np.signbit(S.real[S.real == 0]).any() and np.signbit(y.imag[y.imag == 0]).any()
+        with np.errstate(all="ignore"):
+            got = np.array([a.dot(b) for a, b in zip(S, y)]).view(float)
+            want = np.array([a @ b for a, b in zip(S, y)]).view(float)
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
 
     @pytest.mark.parametrize("text, t", [
         ("F3 = 1/(t - 0.5)", 0.5), ("F1 = ln(t)", 0.0), ("F2 = 3e12*t", 0.5),
