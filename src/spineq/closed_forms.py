@@ -145,9 +145,10 @@ def _sol_5(t, p):
     lam = 0.5j / w * _sqrt(a * a + (b - c) ** 2)
     al = nu + mu + lam
     be = nu + mu - lam
-    c1 = 2 * (c + 1j * w) * z ** mu * (1 - z) ** nu
+    qn = (1 - z) ** nu
+    c1 = 2 * (c + 1j * w) * z ** mu * qn
     f1, f2 = gauss_2f1_many([(al, be, 2 * mu), (al + 1, be + 1, 2 * mu + 2)], z)
-    return c1 * f1, a * z ** (mu + 1) * (1 - z) ** nu * f2
+    return c1 * f1, a * z ** (mu + 1) * qn * f2
 
 
 def _sol_6(t, p):
@@ -158,9 +159,10 @@ def _sol_6(t, p):
     nu = -0.5j * b / w
     al = mu - 0.5j * c / w
     be = 0.5 + mu + 2 * nu + 0.5j * c / w
-    c1 = -a * z ** mu * (1 - z) ** (nu + 0.5)
+    zm = z ** mu
+    c1 = -a * zm * (1 - z) ** (nu + 0.5)
     f1, f2 = gauss_2f1_many([(al + 1, be, 2 * mu + 1), (al, be, 2 * mu + 1)], z)
-    return c1 * f1, (_sqrt(a * a + c * c) + c) * z ** mu * (1 - z) ** nu * f2
+    return c1 * f1, (_sqrt(a * a + c * c) + c) * zm * (1 - z) ** nu * f2
 
 
 def _sol_7(t, p):
@@ -172,11 +174,12 @@ def _sol_7(t, p):
     al = 0.5 + c / w + nu
     be = nu - 1j * b / w
     g = 0.5 + 2 * mu
-    c1 = (w + 2 * c - 2j * b) * z ** mu * (1 - z) ** nu
+    qn = (1 - z) ** nu
+    c1 = (w + 2 * c - 2j * b) * z ** mu * qn
     f1, f2 = gauss_2f1_many([(al, be, g), (al, be + 1, g + 1)], z)
     # -2ia, not the printed +2ia: the sign is fixed by residual substitution
     # and matches the component ratio of the hyperbolic sibling _sol_24
-    return c1 * f1, -2j * a * z ** (mu + 0.5) * (1 - z) ** nu * f2
+    return c1 * f1, -2j * a * z ** (mu + 0.5) * qn * f2
 
 
 def _sol_8(t, p):
@@ -188,11 +191,12 @@ def _sol_8(t, p):
     be = mu + 0.5j * c / w
     al = 0.5 + 1j * b / w + be
     g = 2 * mu + 1
-    c1 = -a * z ** mu * (1 - z) ** nu
+    zm = z ** mu
+    c1 = -a * zm * (1 - z) ** nu
     f1, f2 = gauss_2f1_many([(al, be, g), (al, be + 1, g)], z)
     # the source's "-2i w mu a + c" reads as (-2i w mu + c) = sqrt(a^2+c^2)+c
     # (pattern of _sol_6); the grouping with a stray factor a fails residual
-    return c1 * f1, (-2j * w * mu + c) * z ** mu * (1 - z) ** (nu + 0.5) * f2
+    return c1 * f1, (-2j * w * mu + c) * zm * (1 - z) ** (nu + 0.5) * f2
 
 
 def _sol_9(t, p):
@@ -220,9 +224,10 @@ def _sol_10(t, p):
     al = mu + nu + lam
     be = mu + nu - lam
     g = 1 + 2 * mu
-    c1 = -a * z ** mu * (1 - z) ** nu
+    zm = z ** mu
+    c1 = -a * zm * (1 - z) ** nu
     f1, f2 = gauss_2f1_many([(al, be, g), (al + 1, be + 1, g)], z)
-    return c1 * f1, (-4j * w * mu + b + c) * z ** mu * (1 - z) ** (nu + 1) * f2
+    return c1 * f1, (-4j * w * mu + b + c) * zm * (1 - z) ** (nu + 1) * f2
 
 
 def _sol_11(t, p):
@@ -236,9 +241,10 @@ def _sol_11(t, p):
     al = mu + nu + lam
     be = mu + nu - lam
     g = 1 + 2 * mu
-    c1 = a * z ** mu * (1 - z) ** nu
+    zm = z ** mu
+    c1 = a * zm * (1 - z) ** nu
     f1, f2 = gauss_2f1_many([(al, be, g), (al + 1, be + 1, g)], z)
-    return c1 * f1, (2 * w * mu - c + 1j * b) * z ** mu * (1 - z) ** (nu + 1) * f2
+    return c1 * f1, (2 * w * mu - c + 1j * b) * zm * (1 - z) ** (nu + 1) * f2
 
 
 def _sol_12(t, p):
@@ -251,9 +257,10 @@ def _sol_12(t, p):
     al = mu + nu + lam
     be = mu + nu - lam
     g = 2 * mu
-    c1 = 2 * (c + 1j * w) * z ** mu * (1 - z) ** nu
+    qn = (1 - z) ** nu
+    c1 = 2 * (c + 1j * w) * z ** mu * qn
     f1, f2 = gauss_2f1_many([(al, be, g), (al + 1, be + 1, g + 2)], z)
-    return c1 * f1, a * z ** (mu + 1) * (1 - z) ** nu * f2
+    return c1 * f1, a * z ** (mu + 1) * qn * f2
 
 
 def _sol_13(t, p):
@@ -265,11 +272,13 @@ def _sol_13(t, p):
     al = mu + nu + 0.5j * b / w
     be = mu + nu - 0.5j * b / w
     g = 1 + 2 * mu
-    c1 = -a * z ** mu * (1 - z) ** nu
+    zm = z ** mu
+    qn = (1 - z) ** nu
+    c1 = -a * zm * qn
     f1, f2 = gauss_2f1_many([(al + 1, be, g), (al, be + 1, g)], z)
     # -2i w mu + c = sqrt(a^2+c^2) + c (pattern of _sol_6/_sol_8); the
     # printed 2 w mu + c drops the -i and fails residual substitution
-    return c1 * f1, (-2j * w * mu + c) * z ** mu * (1 - z) ** nu * f2
+    return c1 * f1, (-2j * w * mu + c) * zm * qn * f2
 
 
 def _sol_14(t, p):
@@ -296,9 +305,10 @@ def _sol_15(t, p):
     al = 0.5 + mu + 1j * c / w
     be = mu + 1j * b / w
     g = 1 + 2 * mu
-    c1 = -a * z ** mu * (1 - z) ** nu
+    zm = z ** mu
+    c1 = -a * zm * (1 - z) ** nu
     f1, f2 = gauss_2f1_many([(al, be, g), (al, be + 1, g)], z)
-    return c1 * f1, (-1j * w * mu + b) * z ** mu * (1 - z) ** (nu + 0.5) * f2
+    return c1 * f1, (-1j * w * mu + b) * zm * (1 - z) ** (nu + 0.5) * f2
 
 
 def _sol_19(t, p):
@@ -340,9 +350,10 @@ def _sol_21(t, p):
     al = mu + nu + lam
     be = mu + nu - lam
     g = 1 + 2 * mu
-    c1 = a * z ** mu * (1 - z) ** nu
+    zm = z ** mu
+    c1 = a * zm * (1 - z) ** nu
     f1, f2 = gauss_2f1_many([(al, be, g), (al + 1, be + 1, g)], z)
-    return c1 * f1, (2 * w * mu - c + 1j * b) * z ** mu * (1 - z) ** (nu + 1) * f2
+    return c1 * f1, (2 * w * mu - c + 1j * b) * zm * (1 - z) ** (nu + 1) * f2
 
 
 def _sol_22(t, p):
@@ -354,9 +365,10 @@ def _sol_22(t, p):
     g = 0.5 + 2 * mu
     al = g + nu + 0.5j * (b + c) / w
     be = nu - 0.5j * (b + c) / w
-    c1 = (2 * c + 1j * w) * z ** mu * (1 - z) ** nu
+    qn = (1 - z) ** nu
+    c1 = (2 * c + 1j * w) * z ** mu * qn
     f1, f2 = gauss_2f1_many([(al, be, g), (al, be + 1, g + 1)], z)
-    return c1 * f1, a * z ** (mu + 0.5) * (1 - z) ** nu * f2
+    return c1 * f1, a * z ** (mu + 0.5) * qn * f2
 
 
 def _sol_23(t, p):
@@ -368,9 +380,10 @@ def _sol_23(t, p):
     al = 0.5 + nu - 0.5j * c / w
     be = nu - 0.5j * b / w
     g = 0.5 + 2 * mu
-    c1 = (b + c + 1j * w) * z ** mu * (1 - z) ** nu
+    qn = (1 - z) ** nu
+    c1 = (b + c + 1j * w) * z ** mu * qn
     f1, f2 = gauss_2f1_many([(al, be, g), (al, be + 1, g + 1)], z)
-    return c1 * f1, a * z ** (mu + 0.5) * (1 - z) ** nu * f2
+    return c1 * f1, a * z ** (mu + 0.5) * qn * f2
 
 
 def _sol_24(t, p):
@@ -383,9 +396,10 @@ def _sol_24(t, p):
     al = 0.5 + nu + c / w
     be = nu - 1j * b / w
     g = 0.5 + 2 * mu
-    c1 = (2 * b + 2j * c + 1j * w) * z ** mu * (1 - z) ** nu
+    qn = (1 - z) ** nu
+    c1 = (2 * b + 2j * c + 1j * w) * z ** mu * qn
     f1, f2 = gauss_2f1_many([(al, be, g), (al, be + 1, g + 1)], z)
-    return c1 * f1, 2 * a * z ** (mu + 0.5) * (1 - z) ** nu * f2
+    return c1 * f1, 2 * a * z ** (mu + 0.5) * qn * f2
 
 
 def _sol_25(t, p):
@@ -397,9 +411,11 @@ def _sol_25(t, p):
     al = mu + nu + 1j * b / w
     be = mu + nu - 1j * b / w
     g = 1 + 2 * mu
-    c1 = a * z ** mu * (1 - z) ** nu
+    zm = z ** mu
+    qn = (1 - z) ** nu
+    c1 = a * zm * qn
     f1, f2 = gauss_2f1_many([(al + 1, be, g), (al, be + 1, g)], z)
-    return c1 * f1, -(2j * w * mu + b + c) * z ** mu * (1 - z) ** nu * f2
+    return c1 * f1, -(2j * w * mu + b + c) * zm * qn * f2
 
 
 def _sol_26(t, p):
@@ -412,9 +428,10 @@ def _sol_26(t, p):
     al = nu - 1j * b / w + lam
     be = nu - 1j * b / w - lam
     g = -2j * b / w
-    c1 = 2 * (2 * b + 1j * w) * z ** mu * (1 - z) ** nu
+    qn = (1 - z) ** nu
+    c1 = 2 * (2 * b + 1j * w) * z ** mu * qn
     f1, f2 = gauss_2f1_many([(al, be, g), (al + 1, be + 1, g + 2)], z)
-    return c1 * f1, a * z ** (mu + 1) * (1 - z) ** nu * f2
+    return c1 * f1, a * z ** (mu + 1) * qn * f2
 
 
 def solution(entry_id: int):

@@ -36,10 +36,16 @@ return an object array of Python complex values.  gauss_2f1_many and
 kummer_phi_many take several parameter sets for one z, as each closed form
 needs two series on the same argument, and return one value (or object
 array) per set.  On an array, each element of each set takes the branch
-the scalar call would take; each series becomes a job (the direct and the
-Pfaff-image elements of a 2F1 set are one job each), and the jobs of all
-sets are summed in one pass of _grid_series, so the values carry the bits
-of the scalar loop.  The one-set gauss_2f1 and kummer_phi are the
+the scalar call would take.  For 2F1 the branches are planned once per
+array of z, as numpy masks that all sets share (_pfaff_branches): the
+image w = z/(z-1) is each element's own CPython division, on an object
+array, and the prefactor (1-z)^(-alpha) is one object-array power per
+distinct alpha; a set adds only its test of Re(gamma - alpha - beta), and
+a set that fails calls _pfaff_image at its first failing element, which
+raises the scalar call's error.  Each series becomes a job (the direct and
+the Pfaff-image elements of a 2F1 set are one job each), and the jobs of
+all sets are summed in one pass of _grid_series, so the values carry the
+bits of the scalar loop.  The one-set gauss_2f1 and kummer_phi are the
 many-forms with one set, and parabolic_d sums its two Kummer series in one
 pass.  Errors are those of the scalar call at some failing element, not
 necessarily the first one, and come in the order of the sets: the
@@ -389,6 +395,11 @@ def _elementwise(fn):
     return lambda x: ufunc(x) if isinstance(x, np.ndarray) else fn(x)
 
 
+def _slow_series_ok(alpha, beta, gamma) -> bool:
+    """Whether the slow direct series may be taken on |z| <= 1 + 1e-12."""
+    return (complex(gamma) - alpha - beta).real > 0.05
+
+
 def _pfaff_image(alpha, beta, gamma, z: complex):
     """Branch for |z| above the direct radius: the Pfaff image z/(z-1), or
     None for the slow direct series; DomainError outside both."""
@@ -397,7 +408,7 @@ def _pfaff_image(alpha, beta, gamma, z: complex):
     w = z / (z - 1.0)
     if abs(w) <= _DIRECT_RADIUS:
         return w
-    if abs(z) <= 1.0 + 1e-12 and (complex(gamma) - alpha - beta).real > 0.05:
+    if abs(z) <= 1.0 + 1e-12 and _slow_series_ok(alpha, beta, gamma):
         return None
     raise DomainError(
         f"2F1 argument z = {z} outside the supported domain "
@@ -481,36 +492,80 @@ def gauss_2f1_many(sets, z) -> list:
     if not isinstance(z, np.ndarray):
         return [gauss_2f1_info(alpha, beta, gamma, z).value for alpha, beta, gamma in sets]
     zc = np.asarray(z, dtype=complex).ravel()
-    far = np.flatnonzero(~(np.hypot(zc.real, zc.imag) <= _DIRECT_RADIUS)).tolist()
+    image, images, base, fail, gated = _pfaff_branches(zc)
+    direct = np.ones(zc.size, dtype=bool)
+    direct[image] = False
+    direct = np.flatnonzero(direct)
+    powers = {}
+
+    def prefactor(alpha):
+        # (1 - z)^(-alpha) at the images, once per alpha; keyed by its type and
+        # bits, as two alphas that differ in the sign of a zero part compare equal
+        key = type(alpha), np.complex128(complex(alpha)).tobytes()
+        if key not in powers:
+            exponent = np.empty((), dtype=object)
+            exponent[()] = -alpha  # the scalar call's own exponent object
+            powers[key] = np.power(base, exponent)
+        return powers[key]
 
     def plan(alpha, beta, gamma):
         _check_gamma_param(gamma)
-        direct = np.ones(zc.size, dtype=bool)
-        pfaff, images = [], []
-        for i in far:
-            w = _pfaff_image(alpha, beta, gamma, complex(zc[i]))
-            if w is not None:
-                direct[i] = False
-                pfaff.append(i)
-                images.append(w)
+        first = fail
+        if gated < first and not _slow_series_ok(alpha, beta, gamma):
+            first = gated
+        if first < zc.size:
+            _pfaff_image(alpha, beta, gamma, complex(zc[first]))  # raises the scalar call's error
         jobs = []
-        if direct.any():
+        if direct.size:
             jobs.append((_hyp2f1_coefficient(alpha, beta, gamma), zc[direct]))
-        if pfaff:
+        if image.size:
             # Pfaff: F(a,b;c;z) = (1-z)^(-a) F(a, c-b; c; z/(z-1))
-            jobs.append((_hyp2f1_coefficient(alpha, gamma - beta, gamma), np.array(images)))
+            jobs.append((_hyp2f1_coefficient(alpha, gamma - beta, gamma), images))
 
         def assemble(values):
             out = np.empty(zc.size, dtype=object)
-            if direct.any():
+            if direct.size:
                 out[direct] = next(values)
-            if pfaff:
-                out[pfaff] = [(1.0 - complex(zc[i])) ** (-alpha) * v
-                              for i, v in zip(pfaff, next(values))]
+            if image.size:
+                inner = next(values)  # a series error comes before the prefactor's
+                out[image] = prefactor(alpha) * inner
             return out.reshape(np.shape(z))
         return jobs, assemble
 
     return _in_order(plan, sets, lambda jobs: _job_values("2F1", jobs))
+
+
+def _pfaff_branches(zc):
+    """The branches _pfaff_image takes on the complex array zc, for every
+    parameter set at once, as (image, images, base, fail, gated):
+
+    - image, the indices of the elements that take the Pfaff image;
+    - images, their w = z / (z - 1.0), each by CPython's own division;
+    - base, their 1.0 - z, as an object array of Python complex;
+    - fail, the first index at which every set fails (on the cut, or where
+      |w| and |z| are both too large or NaN), or zc.size;
+    - gated, the first index that takes the slow direct series where
+      _slow_series_ok holds and fails otherwise, or zc.size.
+
+    np.hypot is the hypot of CPython's abs, with the same inf and NaN, so
+    the masks decide as abs does.  Where abs(z) would raise OverflowError,
+    |z| is past 1 + 1e-12 and the element fails.  abs(w) cannot raise at
+    |z| <= 1 + 1e-12: there |z - 1| >= 2**-53, or Re z = 1 and CPython's
+    w = 1 - i/Im z has a part that is inf or the modulus.
+    """
+    with np.errstate(all="ignore"):
+        mag = np.hypot(zc.real, zc.imag)
+        far = np.flatnonzero(~(mag <= _DIRECT_RADIUS))
+        cut = (zc.imag[far] == 0.0) & (zc.real[far] >= 1.0)
+        rest = far[~cut]
+        z = _objects(zc[rest])
+        wc = (z / (z - 1.0)).astype(complex)
+        inside = np.hypot(wc.real, wc.imag) <= _DIRECT_RADIUS
+        slow = ~inside & (mag[rest] <= 1.0 + 1e-12)
+    failing = np.concatenate([far[cut], rest[~inside & ~slow]])
+    fail = int(failing.min()) if failing.size else zc.size
+    gated = int(rest[slow][0]) if slow.any() else zc.size
+    return rest[inside], wc[inside], 1.0 - z[inside], fail, gated
 
 
 def gauss_2f1(alpha: complex, beta: complex, gamma: complex, z: complex) -> complex:

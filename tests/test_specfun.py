@@ -439,6 +439,150 @@ class TestManyForms:
             parabolic_d(0.5, 71.0 * cmath.exp(0.25j * math.pi))
 
 
+def _straddle(inside, lo, hi):
+    """Adjacent floats (x, y) between lo and hi, inside(x) and not inside(y),
+    by bisection, for inside(lo) true and inside(hi) false."""
+    while math.nextafter(lo, hi) != hi:
+        mid = lo + (hi - lo) / 2
+        if mid in (lo, hi):
+            mid = math.nextafter(lo, hi)
+        lo, hi = (mid, hi) if inside(mid) else (lo, mid)
+    return lo, hi
+
+
+def _across(inside, lo, hi, point):
+    """The two points point(x) and point(y) either side of a decision."""
+    return [point(x) for x in _straddle(inside, lo, hi)]
+
+
+def _w_across(r):
+    """The two points z = r e^(i theta) either side of |z/(z-1)| = 0.95."""
+    def point(theta):
+        return r * cmath.exp(1j * theta)
+    return _across(lambda t: abs(point(t) / (point(t) - 1.0)) <= 0.95, math.pi, 0.5, point)
+
+
+_ONE_UP, _ONE_DOWN = math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0)
+_R_SLOW = 1.0 + 1e-12  # the slow direct series is taken up to this |z|
+
+# arguments either side of each branch decision of a 2F1 at |z| > 0.95
+_PLANNER_Z = [
+    # the cut [1, inf), with the imaginary part +-0.0 and the real part 1 +- ulp
+    complex(1.0, 0.0), complex(1.0, -0.0), complex(_ONE_UP, 0.0), complex(_ONE_DOWN, -0.0),
+    complex(1.5, -0.0), complex(1.0, 5e-324), complex(1.0, -1e-300),
+    # |z| = 0.95 +- ulp: direct, then the slow series (Re z > 0) or the image (Re z < 0)
+    *_across(lambda x: abs(complex(x, 0.0)) <= 0.95, 0.5, 1.0, lambda x: complex(x, 0.0)),
+    *_across(lambda x: abs(complex(x, 0.3)) <= 0.95, 0.0, 1.0, lambda x: complex(x, 0.3)),
+    *_across(lambda x: abs(complex(x, -0.3)) <= 0.95, 0.0, -1.0, lambda x: complex(x, -0.3)),
+    # |z| = 1 + 1e-12 +- ulp: the slow series or outside (|w| > 0.95), or the image
+    *_across(lambda x: abs(complex(x, 5e-324)) <= _R_SLOW, 0.5, 2.0,
+             lambda x: complex(x, 5e-324)),
+    *_across(lambda x: abs(complex(x, 0.3)) <= _R_SLOW, 0.0, 2.0, lambda x: complex(x, 0.3)),
+    *_across(lambda y: abs(complex(0.14, y)) <= _R_SLOW, 0.0, -2.0, lambda y: complex(0.14, y)),
+    # |z/(z-1)| = 0.95 +- ulp: the image, then the slow series (|z| = 1) or outside
+    *_w_across(1.0), *_w_across(1.05),
+    # NaN and inf parts, and an |z| that abs cannot take
+    complex(math.nan, 0.0), complex(0.0, math.nan), complex(math.inf, 0.0),
+    complex(-math.inf, 0.0), complex(math.inf, 1.0), complex(1.0, -math.inf),
+    complex(math.nan, math.inf), complex(-math.inf, math.nan), complex(1.5e308, 1.5e308),
+    # plain arguments: direct, and two images
+    0.3 + 0j, -0.2j, cmath.exp(2j), -1.0 + 0j,
+]
+
+
+def _gamma_at(a, b, side):
+    """gamma with Re(gamma - a - b) just above (side > 0) or at most 0.05."""
+    return complex(_straddle(lambda g: not (complex(g, 0.1) - a - b).real > 0.05,
+                             0.0, 2.0)[side > 0], 0.1)
+
+
+_PA, _PB = 0.3 + 0.1j, 0.2 - 0.4j
+_PLANNER_SETS = [
+    # Re(gamma - alpha - beta) either side of 0.05, and a set sharing their alpha
+    (_PA, _PB, _gamma_at(_PA, _PB, 1)), (_PA, _PB, _gamma_at(_PA, _PB, -1)),
+    (_PA, _PB + 1, 6.5 + 0.1j),
+    # alphas that compare equal but differ in the sign of a zero part
+    (complex(0.0, 0.3), 0.2, 6.0), (complex(-0.0, 0.3), 0.2, 6.0),
+    (complex(0.4, 0.0), -0.2j, 6.0), (complex(0.4, -0.0), -0.2j, 6.0),
+    # a gamma pole, for every argument
+    (0.5, 0.25, -2.0),
+]
+
+
+def _scalar_outcome(sets, z):
+    """gauss_2f1_many(sets, z) by gauss_2f1 at each complex(z_i), made in
+    order: the bits of every set, or the error of the first set that fails.
+    That error is the one at its first element whose branch fails (a
+    DomainError or an OverflowError of abs), if any, since a set's branches
+    are all planned before its series are summed; else the one at its first
+    element over the term cap (these sets' Pfaff images all converge)."""
+    out = []
+    for s in sets:
+        got = [_outcome(lambda: [gauss_2f1(*s, complex(zi))]) for zi in z]
+        errors = [g for g in got if isinstance(g, tuple)]
+        if errors:
+            return ([e for e in errors if e[0] is not AccuracyError] or errors)[0]
+        out.append([bits for g in got for bits in g[0]])
+    return out
+
+
+class TestArrayPlanner:
+    """gauss_2f1_many on an array takes each branch decision once per
+    argument array, with masks, and must still match the scalar call at
+    every element, bit for bit and error for error."""
+
+    def test_the_arguments_reach_every_outcome(self):
+        outcomes = [_outcome(lambda: [gauss_2f1(*s, x)])
+                    for s in _PLANNER_SETS[:2] for x in _PLANNER_Z]
+        messages = " ".join(o[1] for o in outcomes if isinstance(o, tuple))
+        for text in ("branch cut", "outside the supported domain", "did not converge",
+                     "absolute value too large"):
+            assert text in messages
+        assert sum(isinstance(o, list) for o in outcomes) > 20
+
+    @given(st.lists(st.sampled_from(_PLANNER_Z), min_size=1, max_size=5),
+           st.lists(st.sampled_from(_PLANNER_SETS), min_size=1, max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_many_against_the_scalar_calls(self, z, sets):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _outcome(lambda: gauss_2f1_many(sets, np.array(z, dtype=object)))
+        assert got == _scalar_outcome(sets, z)
+
+    def test_each_set_at_each_argument_and_at_all_at_once(self):
+        for s in _PLANNER_SETS:
+            for z in [[x] for x in _PLANNER_Z] + [_PLANNER_Z]:
+                assert _outcome(lambda: gauss_2f1_many([s], np.array(z, dtype=object))) == \
+                    _scalar_outcome([s], z)
+
+    def test_a_plan_calls_the_scalar_branch_only_to_fail(self, monkeypatch):
+        calls = []
+        branch = specfun._pfaff_image
+        monkeypatch.setattr(specfun, "_pfaff_image",
+                            lambda *args: calls.append(args) or branch(*args))
+        # direct, two images, the slow series at |z| = 0.96 (with Re(c-a-b) > 0.05)
+        z = np.array([0.3, cmath.exp(2j), -1.0, 0.96, cmath.exp(2.5j)], dtype=object)
+        ok, outside = (0.3, 0.2, 1.2), (0.3, 0.2, 0.5)
+        gauss_2f1_many([ok, (1.3, 0.2, 6.2)], z)
+        assert calls == []
+        with pytest.raises(DomainError, match="outside the supported domain"):
+            gauss_2f1_many([ok, outside, outside], z)
+        assert calls == [(0.3, 0.2, 0.5, 0.96 + 0j)]
+
+    def test_one_power_per_alpha(self, monkeypatch):
+        powers = []
+        power = np.power
+        monkeypatch.setattr(specfun.np, "power",
+                            lambda *args: powers.append(args[1][()]) or power(*args))
+        z = np.array([cmath.exp(2j), -1.0, 0.3], dtype=object)
+        a, b = complex(0.0, 0.3), complex(-0.0, 0.3)
+        got = gauss_2f1_many([(a, 0.2, 6.0), (a, 1.2, 7.0), (b, 0.2, 6.0), (a, 0.2, 6.0)], z)
+        assert [(x.real, x.imag) for x in powers] == [(-0.0, -0.3), (0.0, -0.3)]
+        assert [math.copysign(1, x.real) for x in powers] == [-1.0, 1.0]
+        for s, values in zip([(a, 0.2, 6.0), (a, 1.2, 7.0), (b, 0.2, 6.0)], got):
+            assert _bits(values.tolist()) == _bits([gauss_2f1(*s, x) for x in z])
+
+
 class TestNonFiniteArgument:
     """A NaN or infinite z is an input error that names it, not a series
     that runs to the term cap and reports that."""
