@@ -97,10 +97,11 @@ class CatalogEntry:
         return parse_statements(self.field_dsl)
 
     def field_components(self, t: float, params: dict):
-        """(F1, F3) at one time t; fields.field_callable(CatalogField(id,
-        params)) evaluates the field at many."""
+        """(F1, F3) at one time t, from the (F1, 0, F3) code that
+        fields.field_callable(CatalogField(id, params)) runs."""
         from .expr import FieldCode
-        return FieldCode((self.field_defs["F1"], self.field_defs["F3"]), params)(t)
+        nodes = self.field_defs["F1"], None, self.field_defs["F3"]
+        return FieldCode(nodes, params).scalar(t)[::2]
 
     @cached_property
     def _solution(self):
@@ -346,7 +347,7 @@ def entries() -> list[CatalogEntry]:
 
 
 def entry_field(entry_id: int, params: dict | None, t: float):
-    """Field (F1, 0, F3) of an entry at time t."""
+    """Field components (F1, F3) of an entry at time t; F2 is zero."""
     e = entry(entry_id)
     p = e.merged(params)
     e.check_params(p)

@@ -41,6 +41,9 @@ __all__ = [
     "constant_f_seed_trajectory",
 ]
 
+INPUT_RESIDUAL = 1e-5  # darboux_apply's largest SE residual of its input trajectory
+L3_REL_FLOOR = 1e-8  # darboux_from_seed's zero of L3: |L3| at most this times its largest
+
 
 @record
 class DarbouxParams:
@@ -131,34 +134,31 @@ def darboux_field(F3_fn, params: DarbouxParams, t: float) -> complex:
     return 2.0 * complex(params.beta(t)) - complex(F3_fn(t))
 
 
-def pair_equation_residual(F3_fn, params: DarbouxParams, t: float,
-                           h: float | None = None) -> float:
+def pair_equation_residual(F3_fn, params: DarbouxParams, t: float) -> float:
     """Max residual of alpha' = 2 beta (F3 - beta), beta' = -2 alpha (F3 - beta)
-    at t, with derivatives by central differences."""
-    ad = complex(fd_derivative_callable(lambda s: complex(params.alpha(s)), t, h))
-    bd = complex(fd_derivative_callable(lambda s: complex(params.beta(s)), t, h))
+    at t, with derivatives by central differences (numutil.default_step)."""
+    ad = complex(fd_derivative_callable(lambda s: complex(params.alpha(s)), t))
+    bd = complex(fd_derivative_callable(lambda s: complex(params.beta(s)), t))
     a, b = params.pair(t)
     gap = complex(F3_fn(t)) - b
     return max(abs(ad - 2.0 * b * gap), abs(bd + 2.0 * a * gap))
 
 
-def darboux_apply(V_traj: Trajectory, eps: complex, params: DarbouxParams,
-                  check_residual: float | None = 1e-5) -> Trajectory:
+def darboux_apply(V_traj: Trajectory, eps: complex, params: DarbouxParams) -> Trajectory:
     """Apply V' = [alpha - i (eps sigma_1 + beta sigma_3)] V along a trajectory.
 
     The input must solve the SE with field (eps, 0, F3) where F3 is the
-    trajectory's third field sample; that precondition is residual-checked
-    unless check_residual is None.  The returned trajectory carries the
-    partner field (eps, 0, 2 beta - F3).
+    trajectory's third field sample; that precondition is checked, the
+    largest residual off the two end nodes at most INPUT_RESIDUAL.  The
+    returned trajectory carries the partner field (eps, 0, 2 beta - F3).
     """
     times, _ = _check_uniform(V_traj.times)
-    if check_residual is not None:
-        res = trajectory_se_residuals(V_traj)
-        worst = float(np.max(res[2:-2])) if len(res) > 4 else float(np.max(res))
-        if worst > check_residual:
-            raise DomainError(
-                f"input trajectory does not solve its spin equation "
-                f"(residual {worst:.3e} > {check_residual:.0e})")
+    res = trajectory_se_residuals(V_traj)
+    worst = float(np.max(res[2:-2])) if len(res) > 4 else float(np.max(res))
+    if worst > INPUT_RESIDUAL:
+        raise DomainError(
+            f"input trajectory does not solve its spin equation "
+            f"(residual {worst:.3e} > {INPUT_RESIDUAL:.0e})")
     eps = complex(eps)
     out_states = np.empty_like(V_traj.states)
     out_fields = np.empty_like(V_traj.field_samples)
@@ -171,13 +171,13 @@ def darboux_apply(V_traj: Trajectory, eps: complex, params: DarbouxParams,
     return Trajectory(times, out_states, out_fields, V_traj.est_error)
 
 
-def darboux_from_seed(V_seed: Trajectory, eps0: complex,
-                      l3_rel_floor: float = 1e-8) -> DarbouxParams:
+def darboux_from_seed(V_seed: Trajectory, eps0: complex) -> DarbouxParams:
     """Build (alpha, beta) from a seed solution at eps0 via its L-vector:
 
     L = (Vbar, sigma V),  alpha = -eps0 L2/L3,  beta = -eps0 L1/L3,
 
-    giving alpha^2 + beta^2 = -eps0^2.  Zeros of L3 truncate the window to
+    giving alpha^2 + beta^2 = -eps0^2.  Zeros of L3 (nodes where |L3| is
+    at most L3_REL_FLOOR times its largest value) truncate the window to
     the largest clean subinterval; the crossing locations are recorded.
     If no usable subwindow remains a DomainError is raised.
     """
@@ -188,7 +188,7 @@ def darboux_from_seed(V_seed: Trajectory, eps0: complex,
     scale = float(np.max(np.abs(l3)))
     if scale == 0.0:
         raise DomainError("L3 vanishes identically along the seed")
-    good = np.abs(l3) > l3_rel_floor * scale
+    good = np.abs(l3) > L3_REL_FLOOR * scale
     crossings = []
     if not np.all(good):
         # largest contiguous run of usable nodes
@@ -232,15 +232,14 @@ def darboux_from_seed(V_seed: Trajectory, eps0: complex,
     )
 
 
-def intertwine_residual(F3_fn, F3p_fn, params: DarbouxParams, t: float,
-                        h: float | None = None) -> float:
+def intertwine_residual(F3_fn, F3p_fn, params: DarbouxParams, t: float) -> float:
     """Max matrix-norm residual of the two intertwining relations
 
     sigma1 A - A sigma1 + sigma2 (F3' - F3) = 0
     sigma1 A' + sigma2 A F3' - sigma2 F3'(dot) - A sigma2 F3 = 0
 
     with A = alpha + i (F3 - beta) sigma3 and time derivatives by central
-    differences.
+    differences, step numutil.default_step(t, 1e-6).
     """
     def A_of(s):
         a, b = params.pair(s)
@@ -250,8 +249,7 @@ def intertwine_residual(F3_fn, F3p_fn, params: DarbouxParams, t: float,
     f3 = complex(F3_fn(t))
     f3p = complex(F3p_fn(t))
     r1 = SIGMA1 @ A - A @ SIGMA1 + SIGMA2 * (f3p - f3)
-    if h is None:
-        h = default_step(t, 1e-6)
+    h = default_step(t, 1e-6)
     Adot = fd_derivative_callable(A_of, t, h)
     f3dot = complex(fd_derivative_callable(lambda s: complex(F3_fn(s)), t, h))
     r2 = SIGMA1 @ Adot + SIGMA2 @ A * f3p - SIGMA2 * f3dot - A @ SIGMA2 * f3

@@ -49,6 +49,8 @@ Mat2 = np.ndarray  # 2x2 complex matrices are plain numpy arrays
 
 CSV_HEADER = "t,re_v1,im_v1,re_v2,im_v2,re_F1,im_F1,re_F2,im_F2,re_F3,im_F3,norm"
 
+PHASE_QUAD_TOL = 1e-12  # evolution_constant_direction's tolerance for the phase w
+
 
 @record
 class Trajectory:
@@ -269,20 +271,20 @@ def evolution_from_q(times, q, q0=None, unit: bool = False) -> np.ndarray:
     return out
 
 
-def evolution_constant_direction(q_fn, lam: complex, t: float,
-                                 quad_tol: float = 1e-12) -> Mat2:
+def evolution_constant_direction(q_fn, lam: complex, t: float) -> Mat2:
     """Evolution operator for F = q(t) (sin(lam), 0, cos(lam)).
 
     R = exp(-i w sigma.axis) (spinors.sigma_exp with k = 1) for the unit
     axis (sin(lam), 0, cos(lam)) and the phase w(t), the integral of q from
-    0 to t (numutil.gauss_kronrod), which is what solves the evolution
-    equation for non-constant q.  A non-finite t, or an operator past the
-    double range (|Im w| or |Im lam| above about 710), raises DomainError.
+    0 to t (numutil.gauss_kronrod at tolerance PHASE_QUAD_TOL), which is
+    what solves the evolution equation for non-constant q.  A non-finite t,
+    or an operator past the double range (|Im w| or |Im lam| above about
+    710), raises DomainError.
     """
     if not math.isfinite(t):
         raise DomainError(f"t = {t} is not finite")
-    w, err = gauss_kronrod(q_fn, 0.0, t, quad_tol)
-    if not cmath.isfinite(w) or err > max(1e-8, 100 * quad_tol * max(1.0, abs(w))):
+    w, err = gauss_kronrod(q_fn, 0.0, t, PHASE_QUAD_TOL)
+    if not cmath.isfinite(w) or err > max(1e-8, 100 * PHASE_QUAD_TOL * max(1.0, abs(w))):
         raise AccuracyError(f"quadrature for the phase failed (err = {err})")
     with np.errstate(over="ignore", invalid="ignore"):  # sigma_exp reports an overflow
         axis = np.array([np.sin(lam), 0.0, np.cos(lam)], dtype=complex)
@@ -460,14 +462,13 @@ def _residual_norms(S, du, u):
                    + np.matmul(im[..., None, :], im[..., :, None]))[..., 0, 0]
 
 
-def se_residual(u_fn, field_fn, t: float, h: float | None = None) -> float:
+def se_residual(u_fn, field_fn, t: float) -> float:
     """Relative residual ||i u' - (sigma.F) u|| / max(||u||, 1e-30) at t.
 
-    u' by the central difference with step h, numutil.default_step(t)
-    unless given.  u_fn is called at t-2h, t-h, t+h, t+2h and t, then
-    field_fn at t.
+    u' by the central difference with step h = numutil.default_step(t).
+    u_fn is called at t-2h, t-h, t+h, t+2h and t, then field_fn at t.
     """
-    h = default_step(t) if h is None else h
+    h = default_step(t)
     side = [np.asarray(u_fn(s), dtype=complex) for s in stencil_nodes(t, h)]
     with np.errstate(over="ignore", invalid="ignore"):
         du = central_difference(*side, h)

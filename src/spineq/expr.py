@@ -16,11 +16,11 @@ parameter supplied at evaluation time.
 
 ASTs compile to straight-line Python (FieldCode), every number and
 parameter bound as a generated name, so no input text reaches the source.
-One code object runs on a time t, as a Python complex, with cmath bound,
-and on an object array of times with np.frompyfunc's cmath, where numpy
-applies CPython's complex operators element by element: each value has the
-bits of the scalar call.  A failure is replayed through a checked variant
-that names the failing operator and t.
+One checked function runs at a time t: a failing operation or a value
+not finite or above SINGULARITY_THRESHOLD raises, naming the operator and
+t.  The same operations unchecked run on an object array of times with
+np.frompyfunc's cmath, where numpy applies CPython's complex operators
+element by element: each value has the bits of the call at its time.
 
 Parsing and the scalar code need the standard library alone; numpy and
 numutil load on the first grid call, so that a field document the CLI
@@ -414,8 +414,8 @@ def _walk(n, ops, leaves, slots):
 
 
 def _source(ops, results, ends, checked=False):
-    """def f(t) doing the ops; checked: def f(at), on t = complex(at), with
-    a failure of an op or a value raising SingularityError naming it and at."""
+    """def f(t) doing the ops, for a grid; checked: def f(at), on t =
+    complex(at), a failing op or value raising SingularityError naming it and at."""
     lines, done = ["def f(at):", "    t = complex(at)"] if checked else ["def f(t):"], 0
     for result, end in zip(results, ends):
         for k, (expr, what) in enumerate(ops[done:end], done):
@@ -441,18 +441,17 @@ def _pole(what, t):
     raise SingularityError(f"{what} at t = {t}", t=t) from None
 
 
-# the globals of generated code besides its _c names: cmath's functions for
-# one time, np.frompyfunc's for an object array of times (_grid_globals),
-# and the names the checked variant adds
-_SCALAR = {"__builtins__": {}, **FUNCTIONS}
-_CHECKED = {**_SCALAR, "complex": complex, "abs": abs, "isfinite": cmath.isfinite,
-            "_LIMIT": SINGULARITY_THRESHOLD, "_pole": _pole,
+# the globals of generated code besides its _c names: cmath's functions and
+# the checks' names for one time, np.frompyfunc's functions for an object
+# array of times (_grid_globals)
+_CHECKED = {"__builtins__": {}, **FUNCTIONS, "complex": complex, "abs": abs,
+            "isfinite": cmath.isfinite, "_LIMIT": SINGULARITY_THRESHOLD, "_pole": _pole,
             "_FAILS": (ValueError, OverflowError, ZeroDivisionError)}
 
 @functools.cache
 def _grid_globals():
     import numpy as np
-    return {**_SCALAR, **{name: np.frompyfunc(fn, 1, 1) for name, fn in FUNCTIONS.items()}}
+    return {"__builtins__": {}, **{k: np.frompyfunc(f, 1, 1) for k, f in FUNCTIONS.items()}}
 
 
 def _is_ndarray(t) -> bool:
@@ -462,7 +461,8 @@ def _is_ndarray(t) -> bool:
 
 
 # ids of ASTs -> (the ASTs, keeping the ids theirs, numbers and parameter
-# names by _c name, code object)
+# names by _c name, sources of the checked function for one time and of the
+# grid's, each compiled on first use: verify samples grids alone)
 _PLANS = {}
 
 
@@ -475,53 +475,47 @@ def _plan(nodes):
             del _PLANS[next(iter(_PLANS))]
         _PLANS[key] = (nodes, {c: v for c, v in zip(names, leaves) if not isinstance(v, Var)},
                        [(c, v.name) for c, v in zip(names, leaves) if isinstance(v, Var)],
-                       _function_code(_source(ops, results, ends)))
+                       _source(ops, results, ends, checked=True), _source(ops, results, ends))
     return _PLANS[key]
 
 
 class FieldCode:
     """The code of a tuple of ASTs (None for a zero), params bound.
-    fast(t), t a Python complex, returns the values unchecked.  Called at t,
-    it returns them if each is finite and at most SINGULARITY_THRESHOLD in
-    modulus, else checked(t) raises the first failure's SingularityError.
+    scalar(t) returns the values at a time t as Python complex, or raises
+    the SingularityError of the first operation or value that fails.
     grid(times) returns the (n, len(nodes)) values at a 1-D ndarray of
-    times, bit for bit the calls at each time, or the first failure."""
+    times, bit for bit the calls at each time, or raises the first failure;
+    sample(t) is grid(t) for an ndarray t, else scalar(t) as an ndarray."""
 
     def __init__(self, nodes, params):
-        self._nodes, numbers, names, self._code = _plan(tuple(nodes))
+        self._nodes, numbers, names, self._checked, self._grid = _plan(tuple(nodes))
         self._consts = dict(numbers)
         for const, name in names:
             try:
                 self._consts[const] = complex(params[name])
             except KeyError:
                 raise FieldParseError(f"unknown identifier '{name}'") from None
-        self.fast = types.FunctionType(self._code, {**_SCALAR, **self._consts})
 
-    def __call__(self, t):
-        try:
-            values = self.fast(complex(t))
-            if all(cmath.isfinite(v) and abs(v) <= SINGULARITY_THRESHOLD for v in values):
-                return values
-        except (ArithmeticError, ValueError):
-            pass
-        return self.checked(t)
+    @functools.cached_property
+    def scalar(self):
+        return types.FunctionType(_function_code(self._checked), {**_CHECKED, **self._consts})
 
-    def checked(self, t):
-        code = _function_code(_source(*_generate(self._nodes)[:3], checked=True))
-        return types.FunctionType(code, {**_CHECKED, **self._consts})(t)
+    def sample(self, t):
+        import numpy as np
+        return self.grid(t) if isinstance(t, np.ndarray) else np.array(self.scalar(t))
 
     def grid(self, times):
         import numpy as np
 
         from .numutil import grid_or_replay
-        return grid_or_replay(self._array_call, lambda t: np.array(self(t)), times,
+        return grid_or_replay(self._array_call, self.sample, times,
                               ok=lambda v: np.abs(v) <= SINGULARITY_THRESHOLD)
 
     def _array_call(self, times):
         # numpy applies CPython's complex operators and cmath element by
         # element to the object array of Python complex; a constant broadcasts
         import numpy as np
-        fn = types.FunctionType(self._code, {**_grid_globals(), **self._consts})
+        fn = types.FunctionType(_function_code(self._grid), {**_grid_globals(), **self._consts})
         out = np.empty((len(times), len(self._nodes)), dtype=complex)
         for k, v in enumerate(fn(np.array(times.astype(complex).tolist(), dtype=object))):
             out[:, k] = v
@@ -534,9 +528,9 @@ def compile_expr(node: ExprNode, params: dict[str, complex]):
     pole; given a 1-D ndarray of times it returns their values, bit for bit
     the calls at each time, or raises the first failing time's error."""
     code = FieldCode((node,), params)
-    return lambda t: code.grid(t)[:, 0] if _is_ndarray(t) else code(t)[0]
+    return lambda t: code.grid(t)[:, 0] if _is_ndarray(t) else code.scalar(t)[0]
 
 
 def eval_expr(node: ExprNode, t: float, params: dict[str, complex]) -> complex:
     """Evaluate an AST at time t; poles surface as SingularityError."""
-    return FieldCode((node,), params)(t)[0]
+    return FieldCode((node,), params).scalar(t)[0]

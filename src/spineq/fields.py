@@ -48,9 +48,6 @@ __all__ = [
     "dump_field_json",
 ]
 
-# abs(z) <= _LIMIT is False for a z that is not finite, too
-_LIMIT = ex.SINGULARITY_THRESHOLD
-
 
 @record
 class ConstField:
@@ -117,42 +114,35 @@ def field_callable(spec: FieldSpec):
     A pole raises the error of that per-node loop: the first node, and at
     that node the first of F1, F2, F3.
     """
-    return bind_field(spec)[0]
+    return ex.FieldCode(*_nodes(spec)).sample
 
 
 def bind_field(spec: FieldSpec):
     """(field_callable(spec), rhs): rhs(t, y) is the right-hand side
     -1j (sigma.F(t)) y of the spin equation, with the bits of
     -1j * (sigma_dot(field(t)) @ y) and the same SingularityError at a pole.
-    Its three components are Python complex from one call of the generated
-    code, checked as a field sample is.  The 2x2 product is numpy's, as
-    S.dot(y): it has the bits of S @ y, from the same BLAS kernel at half
-    the call cost, while a product in Python arithmetic rounds differently."""
+    Its three components are Python complex from one call of the field's
+    checked function for one time, expr.FieldCode.scalar, compiled here
+    (a field_callable that samples only grids never compiles it).  The 2x2
+    product is numpy's, as S.dot(y): it has the bits of S @ y, from the same
+    BLAS kernel at half the call cost; a product in Python arithmetic rounds
+    differently."""
     import numpy as np
     code = ex.FieldCode(*_nodes(spec))
-    fast, checked = code.fast, code.checked
+    field = code.scalar
     # sigma.F, refilled by each call: four stores cost a third of a new array
     S = np.empty((2, 2), dtype=complex)
     s = S.reshape(4)
 
-    def sample(t):
-        return code.grid(t) if isinstance(t, np.ndarray) else np.array(code(t))
-
     def rhs(t, y):
-        try:
-            f1, f2, f3 = fast(complex(t))
-            ok = abs(f1) <= _LIMIT and abs(f2) <= _LIMIT and abs(f3) <= _LIMIT
-        except (ArithmeticError, ValueError):
-            ok = False
-        if not ok:  # not finite, above the limit or raised: the checked replay raises
-            f1, f2, f3 = checked(t)
+        f1, f2, f3 = field(t)
         s[0] = f3
         s[1] = f1 - 1j * f2
         s[2] = f1 + 1j * f2
         s[3] = -f3
         return -1j * S.dot(y)
 
-    return sample, rhs
+    return code.sample, rhs
 
 
 def _nodes(spec):

@@ -20,6 +20,8 @@ __all__ = [
     "trajectory_angles",
 ]
 
+NORM_TOL = 1e-8  # invert_field_selfadjoint's largest relative variation of (V,V)
+
 
 def general_solution(V_traj: Trajectory, alpha0: complex, beta0: complex) -> Trajectory:
     """Second solution built from a particular one by quadrature.
@@ -86,14 +88,15 @@ def invert_field(V_traj: Trajectory, c=None) -> np.ndarray:
     return F
 
 
-def invert_field_selfadjoint(V_traj: Trajectory, norm_tol: float = 1e-8) -> np.ndarray:
-    """Unique real field recovered from a constant-norm trajectory.
+def invert_field_selfadjoint(V_traj: Trajectory) -> np.ndarray:
+    """Unique real field recovered from a trajectory whose (V,V) is
+    constant to NORM_TOL of its largest value.
 
     F = i [2 (V,V)]^-1 (L^{v,v'} - L^{v',v})
     """
     times, states, vdot, n2 = _states_and_derivative(V_traj)
     scale = float(np.max(n2))
-    if np.max(n2) - np.min(n2) > norm_tol * scale:
+    if np.max(n2) - np.min(n2) > NORM_TOL * scale:
         raise DomainError(
             "self-adjoint recovery requires (V,V) constant along the trajectory "
             f"(relative variation {(np.max(n2) - np.min(n2)) / scale:.3e})"

@@ -693,7 +693,11 @@ def parabolic_d_many(ps, z) -> list:
         def assemble(values):
             term1 = w1 * next(values)
             term2 = _SQRT_2PI * z * reciprocal_gamma(-0.5 * p) * next(values)
-            return 2.0 ** (0.5 * p) * _exp(-0.25 * z * z) * (term1 - term2)
+            try:
+                scale = 2.0 ** (0.5 * p)
+            except OverflowError:
+                raise DomainError(f"parabolic_d order p = {p}: 2**(p/2) is not finite") from None
+            return scale * _exp(-0.25 * z * z) * (term1 - term2)
         return [(-0.5 * p, 0.5), (0.5 * (1.0 - p), 1.5)], assemble
 
     return _in_order(plan, [(p,) for p in ps], _kummer_values(zz))

@@ -369,8 +369,8 @@ class TestBlochReduce:
             "ERROR 2: window [-0.5, 0.5] contains declared field poles at [0.0]\n")
 
     def test_reduce_reports_the_first_pole(self, tmp_path, capsys):
-        # the field is sampled in one call, but an alpha pole at an earlier
-        # node than the field's is still the error reported
+        # the field and alpha are evaluated node by node, so an alpha pole
+        # at an earlier node than the field's is the error reported
         path = tmp_path / "pole.json"
         path.write_text(json.dumps({"kind": "expr", "defs": "F3 = 1/(t - 0.5)"}))
         rc = run(["reduce", "--field", str(path), "--l", "0,0,1",

@@ -4,7 +4,9 @@ import json
 import math
 import operator
 import re
+import types
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from spineq import catalog, expr
 from spineq.errors import FieldParseError, SingularityError, SpinEqError
 from spineq.expr import (BinOp, Call, Neg, Num, Var, eval_expr, parse_expr,
                          print_expr)
-from spineq.fields import (CatalogField, ConstField, ExprField, bind_field,
+from spineq.fields import (CatalogField, ConstField, ExprField, _nodes, bind_field,
                            dump_field_json, eval_field, field_callable,
                            load_field_json, parse_field_spec, split_kg)
 from spineq.spinors import CVec3, sigma_dot
@@ -249,16 +251,10 @@ class TestCatalogFieldGolden:
                     assert [_hex(z) for z in got] == [_hex(z) for z in want], (eid, t)
 
 
-class _NoPerNodeCheck:
-    """expr's cmath with the scalar path's finite test made to fail, so that
-    an array call that falls back to the per-node loop is caught."""
-
-    def __getattr__(self, name):
-        return getattr(cmath, name)
-
-    @staticmethod
-    def isfinite(z):
-        raise AssertionError("the array call fell back to the per-node loop")
+def _no_per_node_call(code, t):
+    """FieldCode's sample at one time, made to fail, so that an array call
+    that falls back to the per-node loop is caught."""
+    raise AssertionError("the array call fell back to the per-node loop")
 
 
 def _assert_array_call_matches_loop(fn, times, monkeypatch):
@@ -273,7 +269,7 @@ def _assert_array_call_matches_loop(fn, times, monkeypatch):
         assert got.value.t == exc.t
         return False
     with monkeypatch.context() as m:
-        m.setattr(expr, "cmath", _NoPerNodeCheck())
+        m.setattr(expr.FieldCode, "sample", _no_per_node_call)
         got = fn(times)
     assert got.shape == want.shape == (len(times), 3)
     assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
@@ -453,12 +449,30 @@ class TestGeneratedCode:
         text = "F1 = a*sin(w*t); F3 = b + 1/t"
         first = expr.FieldCode([parse_field_spec(text).component("F1")], {"a": 1, "w": 2})
         again = expr.FieldCode([parse_field_spec(text).component("F1")], {"a": 3, "w": 4})
-        assert again.fast.__code__ is first.fast.__code__
+        assert again.scalar.__code__ is first.scalar.__code__
         # a bound AST is not generated again: binding it costs its parameters
         node = parse_expr("c*cos(t) + d")
         expr.compile_expr(node, {"c": 1, "d": 2})
         monkeypatch.setattr(expr, "_generate", None)
         assert expr.compile_expr(node, {"c": 2, "d": 0})(0.0) == 2
+
+    def test_an_entry_field_runs_the_code_of_its_binding(self, monkeypatch):
+        # entry_field evaluates the (F1, None, F3) shape that bind_field
+        # compiles: each entry's field is compiled once per process
+        made = []
+
+        def function_type(code, namespace):
+            made.append(code)
+            return types.FunctionType(code, namespace)
+
+        monkeypatch.setattr(expr, "types", SimpleNamespace(FunctionType=function_type))
+        for eid in range(1, 27):
+            e = catalog.entry(eid)
+            t = sum(e.window_for(e.merged(None))) / 2
+            made.clear()
+            catalog.entry_field(eid, None, t)
+            field_callable(CatalogField(eid))(t)
+            assert len(made) == 2 and made[0] is made[1], eid
 
     # builtins, keywords of the generated code and the generated names
     HOSTILE = ["exec", "eval", "__import__", "open", "__builtins__", "complex", "abs",
@@ -539,11 +553,24 @@ class TestFusedRhs:
     @pytest.mark.parametrize("text, t", [
         ("F3 = 1/(t - 0.5)", 0.5), ("F1 = ln(t)", 0.0), ("F2 = 3e12*t", 0.5),
         ("F1 = 1/(t - 0.5); F3 = ln(t - 0.5)", 0.5), ("F1 = 1e200*t*1e200", 1.0),
+        # F1 is not finite; F3's division, later in the code, fails too
+        ("F1 = 1e200*t*1e200; F3 = 1/(t - 1)", 1.0),
+        pytest.param(CatalogField(9), 0.0, id="catalog-coth-pole"),
+        pytest.param(CatalogField(5), catalog.entry(5).poles(catalog.entry(5).merged(None),
+                                                             (-2, 0))[0], id="catalog-tan-pole"),
+        pytest.param(CatalogField(1, {"c": complex(math.nan)}), 0.5, id="catalog-nan-param"),
+        pytest.param(ExprField(parse_field_spec("F2 = a*sin(t)").defs, {"a": math.nan}), 0.5,
+                     id="expr-nan-param"),
     ])
     def test_rhs_fails_as_the_field_does(self, text, t):
-        field, rhs = bind_field(parse_field_spec(text))
+        spec = parse_field_spec(text) if isinstance(text, str) else text
+        field, rhs = bind_field(spec)
         with pytest.raises(SingularityError) as want:
             field(t)
         with pytest.raises(SingularityError) as got:
             rhs(t, np.array([1, 0j]))
-        assert (str(got.value), got.value.t) == (str(want.value), want.value.t)
+        nodes, params = _nodes(spec)
+        with pytest.raises(SingularityError) as walk:  # component by component
+            [_reference(node, t, params) for node in nodes if node is not None]
+        assert (str(got.value), got.value.t) == (str(want.value), want.value.t) \
+            == (str(walk.value), walk.value.t)

@@ -784,7 +784,8 @@ class TestComplexGamma:
     @pytest.mark.parametrize("fn, args", [
         (complex_gamma, (math.nan,)), (complex_gamma, (math.inf,)),
         (reciprocal_gamma, (math.nan,)), (parabolic_d, (math.nan, 1)),
-        (gauss_2f1, (1, 1, math.nan, 0.1)), (kummer_phi, (1, math.inf, 0.1))])
+        (gauss_2f1, (1, 1, math.nan, 0.1)), (kummer_phi, (1, math.inf, 0.1)),
+        (parabolic_d, (1e308, 0))])  # a finite order whose 2**(p/2) is not
     def test_non_finite_argument_rejected(self, fn, args):
         # not the bare ValueError or OverflowError of rounding it
         with pytest.raises(DomainError, match="not finite"):
