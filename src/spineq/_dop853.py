@@ -10,10 +10,15 @@ output, and the same t_eval bookkeeping, with the same arithmetic, operand
 for operand, so that a solve returns the bits scipy's DOP853 returns, in t,
 y and the number of right-hand-side calls.  It makes fewer numpy calls to
 get there: the tableau is cast to the state's dtype once per solve, where
-np.dot would cast a row on every call, and the error norm is
-np.linalg.norm's own fast path without its checks.  An event is rooted by a
-transcription of scipy's brentq (scipy.optimize, also BSD), with the same
-bits and the same calls.
+np.dot would cast a row on every call; the stages take ndarray.dot, np.dot's
+routine without its dispatcher, times h as the state's scalar, the value
+numpy would cast a float h to; and the error norm is np.linalg.norm's own
+fast path without its checks.  The t_eval nodes are sampled in one pass
+after the last step (sample_nodes), each through its own step's dense
+output: the loop keeps a step's interpolant only if the step holds nodes,
+so a solve keeps at most min(steps, nodes) of them (all of them with
+dense_output).  An event is rooted by a transcription of scipy's brentq
+(scipy.optimize, also BSD), with the same bits and the same calls.
 Importing scipy.integrate costs about 0.54 s and 48 MB, scipy.optimize
 about 0.49 s and 45 MB (Python 3.11, scipy 1.17, 2 vCPU), more than a
 typical solve; this module needs numpy alone.
@@ -302,20 +307,15 @@ class Interpolant:
         self.y_old = y_old
 
     def __call__(self, t):
-        """y at one time, shape (n,), or at a 1-D array of times, (n, m)."""
-        t = np.asarray(t)
+        """y at one time t, shape (n,)."""
         x = (t - self.t_old) / self.h
-        if t.ndim == 0:
-            y = np.zeros_like(self.y_old)
-        else:
-            x = x[:, None]
-            y = np.zeros((len(x), len(self.y_old)), dtype=self.y_old.dtype)
         x1 = 1 - x
+        y = np.zeros_like(self.y_old)
         for i, f in enumerate(reversed(self.F)):
             y += f
             y *= x1 if i % 2 else x
         y += self.y_old
-        return y.T
+        return y
 
 
 class _Constant:
@@ -325,8 +325,40 @@ class _Constant:
         self.y = y
 
     def __call__(self, t):
-        t = np.asarray(t)
-        return self.y if t.ndim == 0 else np.repeat(self.y[:, None], t.size, axis=1)
+        return self.y
+
+
+def sample_nodes(steps):
+    """The nodes of a solve and y at them, shape (n, len(t)), from the
+    (nodes, interpolant) of each step that holds nodes, in the solve's order.
+
+    One Horner pass over every node at once, each node through the
+    elementwise operations, on the operands, of its step's interpolant: x
+    from its step's t_old and h, y from zeros (0 + -0 is +0, as there), the
+    rows of F added in reverse and each sum times x or 1 - x in turn, then
+    y_old.  A t_eval of float64 or integer times gets the bits of scipy's
+    step by step sampling; a narrower float does not, since scipy subtracts
+    the first step's t_old, a Python float, in that narrower type.
+    """
+    t = np.concatenate([nodes for nodes, _ in steps])
+    first = steps[0][1]
+    if type(first) is _Constant:   # a window of length zero: its one step
+        return t, np.repeat(first.y[:, None], t.size, axis=1)
+    interpolants = [sol for _, sol in steps]
+    idx = np.repeat(np.arange(len(steps)), [nodes.size for nodes, _ in steps])
+    # the interpolants' F and y_old are read only now, after the loop: each
+    # step made them as fresh arrays, which no later step writes
+    F = np.stack([sol.F for sol in interpolants], axis=1)   # (row, step, n)
+    t_old = np.array([sol.t_old for sol in interpolants])
+    h = np.array([sol.h for sol in interpolants])
+    x = ((t - t_old.take(idx)) / h.take(idx))[:, None]
+    x1 = 1 - x
+    y = np.zeros((t.size, F.shape[2]), dtype=F.dtype)
+    for i, f in enumerate(F[::-1]):
+        y += f.take(idx, 0)
+        y *= x1 if i % 2 else x
+    y += np.stack([sol.y_old for sol in interpolants]).take(idx, 0)
+    return t, y.T
 
 
 class DenseSolution:
@@ -379,9 +411,12 @@ class _Stepper:
 
         self.stages = [(s, K[:s].T, row(a), c) for s, a, c in _STAGES]
         self.extra_stages = [(s, K[:s].T, row(a), c) for s, a, c in _EXTRA_STAGES]
-        self.KB = K[:N_STAGES].T, row(B)
+        self.KB, self.B = K[:N_STAGES].T, row(B)
         self.KT = self.K.T
         self.E3, self.E5, self.D = row(E3), row(E5), row(D)
+        # h as the state's scalar: the value numpy's promotion casts a
+        # Python float h to before it multiplies an array of the state
+        self.scalar = y0.dtype.type
         self.t_old = self.y_old = self.h_previous = None
         self.n_accepted = self.n_rejected = 0
         self.min_step = np.inf
@@ -440,11 +475,12 @@ class _Stepper:
         """One step of size h from (t, y), where self.f = fun(t, y): the new
         state and its derivative, the stages left in the rows of K."""
         fun, K = self.fun, self.K
+        hs = self.scalar(h)
         K[0] = self.f
         for s, Ks, a, c in self.stages:
-            dy = np.dot(Ks, a) * h
+            dy = Ks.dot(a) * hs
             K[s] = fun(t + c * h, y + dy)
-        y_new = y + h * np.dot(*self.KB)
+        y_new = y + hs * self.KB.dot(self.B)
         f_new = fun(t + h, y_new)
         K[-1] = f_new
         return y_new, f_new
@@ -452,8 +488,8 @@ class _Stepper:
     def estimate_error_norm(self, h, scale):
         """The error norm of a step: the 5th-order estimate, damped by the
         3rd-order one, in units of scale."""
-        err5 = np.dot(self.KT, self.E5) / scale
-        err3 = np.dot(self.KT, self.E3) / scale
+        err5 = self.KT.dot(self.E5) / scale
+        err3 = self.KT.dot(self.E3) / scale
         err5_norm_2 = _norm2(err5)**2
         err3_norm_2 = _norm2(err3)**2
         if err5_norm_2 == 0 and err3_norm_2 == 0:
@@ -467,16 +503,17 @@ class _Stepper:
             return _Constant(self.y)
         K = self.K_extended
         h = self.h_previous
+        hs = self.scalar(h)
         for s, Ks, a, c in self.extra_stages:
-            dy = np.dot(Ks, a) * h
+            dy = Ks.dot(a) * hs
             K[s] = self.fun(self.t_old + c * h, self.y_old + dy)
         F = np.empty((INTERPOLATOR_POWER, self.y.size), dtype=self.y_old.dtype)
         f_old = K[0]
         delta_y = self.y - self.y_old
         F[0] = delta_y
-        F[1] = h * f_old - delta_y
-        F[2] = 2 * delta_y - h * (self.f + f_old)
-        F[3:] = h * np.dot(self.D, K)
+        F[1] = hs * f_old - delta_y
+        F[2] = 2 * delta_y - hs * (self.f + f_old)
+        F[3:] = hs * self.D.dot(K)
         return Interpolant(self.t_old, self.t, self.y_old, F)
 
 
@@ -614,7 +651,7 @@ def solve(fun, t_span, y0, rtol, atol, t_eval, dense_output=False, event=None, *
         return f if type(f) is np.ndarray and f.dtype is dt else np.asarray(f, dtype=dtype)
 
     stepper = _Stepper(counted, t0, y0, tf, rtol, atol)
-    ts, ys, interpolants, ti = [], [], [], [t0]
+    steps, interpolants, ti = [], [], [t0]
     if event is not None:
         direction = getattr(event, "direction", 0)
         g = event(t0, y0)
@@ -651,14 +688,13 @@ def solve(fun, t_span, y0, rtol, atol, t_eval, dense_output=False, event=None, *
         if t_eval_step.size > 0:
             if sol is None:
                 sol = stepper.dense_output()
-            ts.append(t_eval_step)
-            ys.append(sol(t_eval_step))
+            steps.append((t_eval_step, sol))
             t_eval_i = t_eval_i_new
         if dense_output:
             ti.append(t)
 
-    if ts:
-        t, y = np.hstack(ts), np.hstack(ys)
+    if steps:
+        t, y = sample_nodes(steps)
     else:
         t, y = np.empty(0), np.empty((y0.size, 0), dtype)
     return Solution(t, y, DenseSolution(ti, interpolants) if dense_output else None,

@@ -424,8 +424,13 @@ def _source(ops, results, ends, checked=False):
                           f"        _pole({what!r}, at)"]
             else:
                 lines.append(f"    _{k} = {expr}")
-        lines += [f"    if not isfinite({result}) or abs({result}) > _LIMIT:",
-                  "        _pole('field component singular', at)"] if checked else []
+        # isfinite first, as abs of a NaN part can raise from a stale errno;
+        # abs of a finite value whose modulus passes the double range raises
+        # OverflowError, and that value is singular too
+        singular = "_pole('field component singular', at)"
+        lines += ["    try:", f"        if not isfinite({result}) or abs({result}) > _LIMIT:",
+                  f"            {singular}", "    except _FAILS:", f"        {singular}"
+                  ] if checked else []
         done = end
     return "\n".join(lines + [f"    return {', '.join(results)},"])
 

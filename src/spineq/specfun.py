@@ -635,9 +635,11 @@ def complex_gamma(z: complex) -> complex:
         raise DomainError(f"gamma pole at z = {z}")
     try:
         return _lanczos_gamma(z)
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         # t ** (z + 0.5) or the reflection's sin(pi z): Gamma(171.5) = 9.5e307
-        # is in range, but its power of t is not
+        # is in range, but its power of t is not; at |Im z| near 1e308 the
+        # power's phase is not finite, which CPython's complex power reports
+        # as ZeroDivisionError
         raise AccuracyError(f"gamma at z = {z} overflows in the Lanczos formula") from None
 
 

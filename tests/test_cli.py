@@ -113,6 +113,14 @@ class TestPropagate:
                   "--window", "0", "1"])
         assert rc == 2
 
+    def test_field_value_past_double_range_is_one_error_line(self, tmp_path, capsys):
+        # each part is finite, but the modulus, which abs cannot take, is not
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"kind": "expr", "defs": "F1 = 1.5e308 + 1.5e308*i"}))
+        assert run(["propagate", "--field", str(path), "--v0", "1,0,0,0",
+                    "--window", "0", "1", "--nodes", "3"]) == 3
+        assert capsys.readouterr().err == "ERROR 3: field component singular at t = 0.0\n"
+
 
 # a verify parameter: 0 or +-1e-3 ... +-1e6, on a log scale
 _param_value = st.one_of(st.just(0.0), st.builds(lambda sign, e: sign * 10.0 ** e,

@@ -99,6 +99,47 @@ def test_backward_window_matches_scipy(solves):
     assert_same(ref, numutil.dop853(rhs, (t1, t0), y0, tol, t_eval[::-1], "propagation"))
 
 
+def _propagation(solves, eid):
+    """The right-hand side, window and initial state of entry eid's
+    propagation on its default window."""
+    e = catalog.entry(eid)
+    propagate(CatalogField(eid, {}), [1, 0.5j], e.window_for(e.merged(None)), n_nodes=3)
+    ((rhs, window, y0, _, _, _), _), = solves
+    return rhs, window, y0
+
+
+@pytest.mark.parametrize("eid", [5, 16])
+def test_nodes_on_every_step_end_match_scipy(solves, eid):
+    # the start and each step's end: a node on a step boundary is sampled in
+    # the earlier step, at the end of its interpolant
+    rhs, window, y0 = _propagation(solves, eid)
+    ends = scipy_solve(rhs, window, y0, 1e-10, None, dense_output=True).sol.ts
+    sol = numutil.dop853(rhs, window, y0, 1e-10, ends, "propagation")
+    assert_same(scipy_solve(rhs, window, y0, 1e-10, ends), sol)
+    assert sol.t.size == sol.n_accepted + 1
+
+
+@pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+@pytest.mark.parametrize("eid", [1, 21])
+def test_hundreds_of_nodes_per_step_match_scipy(solves, eid, backward):
+    rhs, (t0, t1), y0 = _propagation(solves, eid)
+    if backward:
+        t0, t1 = t1, t0
+    t_eval = np.linspace(t0, t1, 2001)
+    sol = numutil.dop853(rhs, (t0, t1), y0, 1e-6, t_eval, "propagation")
+    assert_same(scipy_solve(rhs, (t0, t1), y0, 1e-6, t_eval), sol)
+    assert t_eval.size / sol.n_accepted > 300
+
+
+@pytest.mark.parametrize("where", [0.0, 0.37, 1.0])
+def test_single_node_matches_scipy(solves, where):
+    rhs, (t0, t1), y0 = _propagation(solves, 9)
+    t_eval = np.array([t0 + where * (t1 - t0)])
+    sol = numutil.dop853(rhs, (t0, t1), y0, 1e-10, t_eval, "propagation")
+    assert_same(scipy_solve(rhs, (t0, t1), y0, 1e-10, t_eval), sol)
+    assert sol.y.shape == (2, 1)
+
+
 def test_bloch_matches_scipy(solves):
     spec = ConstField((0.3 + 0.2j, 0.1, 1.0 - 0.4j))
     bloch_propagate(spec, BlochState(np.array([0.6, 0.0, 0.8]), 0.1, 2.0), (0, 4),

@@ -395,7 +395,9 @@ def _reference(node, t, params):
             raise SingularityError(f"'{n.op}' overflow/pole at t = {t}", t=t) from None
 
     v = ev(node)
-    if not cmath.isfinite(v) or abs(v) > expr.SINGULARITY_THRESHOLD:
+    # math.hypot, not abs: a finite v whose modulus passes the double range
+    # is singular, where abs raises OverflowError
+    if not cmath.isfinite(v) or math.hypot(v.real, v.imag) > expr.SINGULARITY_THRESHOLD:
         raise SingularityError(f"field component singular at t = {t}", t=t)
     return v
 
@@ -555,6 +557,8 @@ class TestFusedRhs:
         ("F1 = 1/(t - 0.5); F3 = ln(t - 0.5)", 0.5), ("F1 = 1e200*t*1e200", 1.0),
         # F1 is not finite; F3's division, later in the code, fails too
         ("F1 = 1e200*t*1e200; F3 = 1/(t - 1)", 1.0),
+        # each part finite, the modulus past the double range
+        ("F1 = 1.5e308 + 1.5e308*i", 0.5),
         pytest.param(CatalogField(9), 0.0, id="catalog-coth-pole"),
         pytest.param(CatalogField(5), catalog.entry(5).poles(catalog.entry(5).merged(None),
                                                              (-2, 0))[0], id="catalog-tan-pole"),

@@ -768,6 +768,16 @@ class TestComplexGamma:
         with pytest.raises(AccuracyError, match=rf"gamma at z = \({z}\+0j\) overflows"):
             fn(*args)
 
+    @pytest.mark.parametrize("fn, args, z", [
+        (complex_gamma, (0.5 - 5e307j,), 0.5 - 5e307j),
+        (complex_gamma, (1e308 + 1e308j,), 1e308 + 1e308j),
+        (parabolic_d, (1e308j, 0), 0.5 - 5e307j)])
+    def test_infinite_phase_is_an_accuracy_error(self, fn, args, z):
+        # the phase of t ** (z + 0.5) is not finite; CPython's complex power
+        # reports that as a bare ZeroDivisionError
+        with pytest.raises(AccuracyError, match=rf"gamma at z = {re.escape(str(z))} overflows"):
+            fn(*args)
+
     @pytest.mark.parametrize("z", [0.5 + 1000j, 0.5 - 700j, 3 + 2500j])
     def test_reciprocal_of_an_underflowed_gamma_is_an_accuracy_error(self, z):
         # |Gamma(z)| ~ e^{-pi |Im z| / 2} leaves the double range: not a bare
