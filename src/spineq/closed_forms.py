@@ -14,6 +14,16 @@ The closed forms take one time t or an object array of times: every
 operation then applies element by element with the scalar's own Python
 or numpy-scalar arithmetic, and the special functions sum their series for
 all elements at once, so each element has the bits of the scalar call.
+One operation is taken on a typed array instead: the power of the time
+nodes, t ** e with a complex e (_tpow, entries 1-3, 17 and 18), one numpy
+power over the nodes as complex128.  Its bits hold because a node's own
+np.float64 ** e is numpy's scalar complex power, which computes what the
+array power computes, and its np.complex128 results are the per-node
+type; tests/test_catalog.py's TestNodePowers checks both.  No other
+operation is taken on a typed array: numpy's array products may fuse into
+FMAs and its array quotients use its own division, so neither has the
+bits of the scalar arithmetic a node takes.
+
 Both components are built from series on the same argument, and each
 closed form hands them to one call of gauss_2f1_many, kummer_phi_many or
 parabolic_d_many, which sums them all in one grid pass.  residuals uses
@@ -38,6 +48,21 @@ _sin = _elementwise(cmath.sin)
 _tanh = _elementwise(cmath.tanh)
 
 
+def _tpow(t, e):
+    """t ** e, at one time t or on an object array of np.float64 times, as
+    residuals builds them.  On the array, a complex e takes one numpy power
+    over the times as complex128, returned as np.complex128 objects: each
+    element's np.float64 ** e is that same complex power, so the bits and
+    the type, and hence every later product, are those of the per-element
+    power.  A real e stays per element: np.float64 ** float is a real power,
+    of another type, and NaN at a negative time where the complex one is not.
+    """
+    if isinstance(t, np.ndarray) and isinstance(e, complex):
+        powers = np.power(t.astype(complex), e)
+        return np.array(list(powers.ravel()), dtype=object).reshape(t.shape)
+    return t ** e
+
+
 def _phi(t, p):
     return p["w"] * t + p["p0"]
 
@@ -53,9 +78,9 @@ def _sol_1(t, p):
     z = 1j * t * t * s
     al = 0.5 * g * (1.0 + b / s)
     e = _exp(-0.5 * z)
-    c1 = a * t ** (g + 2) * e
+    c1 = a * _tpow(t, g + 2) * e
     f1, f2 = kummer_phi_many([(al + 1, g + 2), (al, g)], z)
-    return c1 * f1, 2.0 * (1j - c) * t ** g * e * f2
+    return c1 * f1, 2.0 * (1j - c) * _tpow(t, g) * e * f2
 
 
 def _sol_2(t, p):
@@ -65,9 +90,10 @@ def _sol_2(t, p):
     al = 0.5j * (s + b)
     g = 1.0 + 1j * s
     e = _exp(-0.5 * z)
-    c1 = -a * t ** (g - 1) * e
+    tg = _tpow(t, g - 1)
+    c1 = -a * tg * e
     f1, f2 = kummer_phi_many([(al, g), (al + 1, g)], z)
-    return c1 * f1, (s + b) * t ** (g - 1) * e * f2
+    return c1 * f1, (s + b) * tg * e * f2
 
 
 def _sol_3(t, p):
@@ -77,7 +103,7 @@ def _sol_3(t, p):
     al = 1j * (s + b)
     g = 1.0 + 2j * s
     e = _exp(-0.5 * z)
-    pref = t ** (0.5 * (g - 1)) * e
+    pref = _tpow(t, 0.5 * (g - 1)) * e
     c1 = -a * pref
     f1, f2 = kummer_phi_many([(al, g), (1 + al, g)], z)
     # second-component coefficient is sqrt(a^2+b^2)+b (as in the sibling
@@ -101,9 +127,9 @@ def _sol_17(t, p):
     g = -1j * b
     al = g * (1.0 - c / s)
     e = _exp(-0.5 * z)
-    c1 = (1 - 2j * b) * t ** g * e
+    c1 = (1 - 2j * b) * _tpow(t, g) * e
     f1, f2 = kummer_phi_many([(al, 2 * g), (al + 1, 2 * g + 2)], z)
-    return c1 * f1, -1j * a * t ** (g + 1) * e * f2
+    return c1 * f1, -1j * a * _tpow(t, g + 1) * e * f2
 
 
 def _sol_18(t, p):
@@ -112,9 +138,9 @@ def _sol_18(t, p):
     al = 1j * a * a / (4 * c)
     g = 0.5 - 1j * b
     e = _exp(-0.5 * z)
-    c1 = (2 * b + 1j) * t ** (g - 0.5) * e
+    c1 = (2 * b + 1j) * _tpow(t, g - 0.5) * e
     f1, f2 = kummer_phi_many([(al, g), (al + 1, g + 1)], z)
-    return c1 * f1, a * t ** (g + 0.5) * e * f2
+    return c1 * f1, a * _tpow(t, g + 0.5) * e * f2
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spineq import catalog
+from spineq import catalog, closed_forms
 from spineq.dynamics import Trajectory, se_residual, trajectory_se_residuals
 from spineq.errors import AccuracyError, DomainError, SingularityError, SpinEqError
 from spineq.fields import CatalogField, eval_field, field_callable
@@ -263,6 +263,29 @@ class TestClosedFormsOnArrays:
                 assert float(rep.max_residual).hex() == row["max"], f"entry {eid} {p}"
                 assert hashlib.sha256(rep.residuals.astype("<f8").tobytes()).hexdigest() \
                     == row["sha256"], f"entry {eid} {p}"
+
+
+class TestNodePowers:
+    """closed_forms._tpow on an object array of np.float64 times, as
+    verify_entry builds them, against np.float64(t) ** e at each time, bit
+    for bit and type for type, with numpy's warnings off as grid_or_replay
+    runs it.  A complex e takes one numpy power over the array.  The class
+    that differs under that power is the real e: np.float64 ** float is a
+    real power, so a real e keeps the per-element power."""
+
+    NODES = [0.0, -0.0, -2.5, -1.0, 1e-300, 1e300, 0.7, 3.0]
+
+    @pytest.mark.parametrize("e", [
+        0, 1, -1, 2, -2, 3, -7, 0.5, -0.5,  # real
+        1.5j, -2.3j, 0j,  # complex, real part zero
+        0.5 - 1.7j, -1.5 + 0.3j, 2 + 0j, -7 + 0j, 0.5 + 0j,  # complex, real part nonzero
+    ], ids=repr)
+    def test_bit_identical_to_per_node(self, e):
+        with np.errstate(all="ignore"):
+            got = closed_forms._tpow(np.array([np.float64(x) for x in self.NODES], dtype=object), e)
+            want = [np.float64(x) ** e for x in self.NODES]
+        assert [type(v) for v in got] == [type(v) for v in want]
+        assert [np.asarray(v).tobytes() for v in got] == [np.asarray(v).tobytes() for v in want]
 
 
 class TestOverflowingParameters:

@@ -324,6 +324,63 @@ class TestStopTest:
         assert over.tolist() == [[True, True, False, False]]
 
 
+class TestBlockLength:
+    """The grid kernel gives the same values, term counts, estimates and
+    errors at any block length: each element keeps its own STREAK count and
+    cap, and the streak carries across blocks."""
+
+    BLOCKS = sorted({1, 7, 16, specfun._BLOCK})
+    CASES = [
+        # TestGridKernels' arguments: the direct disc, the signed zeros and the
+        # Pfaff images of unit-circle points; the 1F1 square
+        [("2F1", (0.3 + 0.1j, -0.4j, 1.2 + 0.2j),
+          [0.9, -0.93 + 0.2j, 0.3j, 0j, complex(-0.0, -0.0)]
+          + [_pfaff_image(t) for t in (1.2, 3.0, 5.0)])],
+        [("1F1", (-0.7 + 1.0j, 1.9 - 0.3j), [6 + 6j, -6 - 1j, 2.5, -0.5j, complex(0.0, -0.0)])],
+        # test_cap_hit_element's: terms that overflow to inf, and a cap with
+        # finite terms
+        [("1F1", (0.5j, 0.5), [0.5j, _Z_CAP, -3.0])],
+        [("2F1", (1, 1, 1.5), [1.0, 0.25])],
+        # jobs in one pass, the last one left out after a term overflows
+        [("1F1", (0.3, 1.2), [0.1, 0j]), ("2F1", (1, 1, 1.5), [1.0, 0.25]),
+         ("1F1", (0.5j, 0.5), [_Z_CAP]), ("2F1", (0.2, 0.3, 1.1), [0.5])],
+        # more elements than _BLOCK_SIZE lets a block take _BLOCK terms of
+        [("1F1", (0.3 - 0.2j, 1.2),
+          list(np.random.default_rng(28).uniform(-6, 6, (1200, 2)) @ [1, 1j]))],
+        # abs of a term past the double range
+        [("1F1", (1.0, 1.0), [0.5, _Z_OVERFLOW]), ("1F1", (0.2, 1.1), [1.0, 2j])],
+    ]
+
+    @staticmethod
+    def _kernel(specs):
+        try:
+            return [None if r is None else [_bits(r[0]), r[1].tolist(), _bits(r[2])]
+                    for r in _grid_series(_kernel_jobs(specs))]
+        except OverflowError as exc:
+            return type(exc), str(exc)
+
+    @staticmethod
+    def _many_forms():
+        z = np.array([0.3, cmath.exp(0.5j), _Z_CAP / 2], dtype=object)
+        # over the cap with finite terms (the slow series on |z| = 1), and at
+        # a term that is not finite
+        return [_outcome(lambda: [gauss_2f1(0.5, 0.5, 1.06, z[:2])]),
+                _outcome(lambda: [kummer_phi(0.5j, 0.5, 2 * z[::2])]),
+                _outcome(lambda: [kummer_phi(0.3, 1.2, 8 * z[:2])])]
+
+    def test_same_outcome_at_every_block_length(self, monkeypatch):
+        got = {}
+        for block in self.BLOCKS:
+            monkeypatch.setattr(specfun, "_BLOCK", block)
+            got[block] = [self._kernel(specs) for specs in self.CASES], self._many_forms()
+        for block in self.BLOCKS:
+            assert got[block] == got[16], f"_BLOCK = {block}"
+        kernel, errors = got[16]
+        assert kernel[-1][0] is OverflowError and kernel[4][3] is None
+        assert errors[0][0] is errors[1][0] is AccuracyError and isinstance(errors[2], list)
+        assert "did not converge" in errors[0][1] and "not finite" in errors[1][1]
+
+
 class TestNonFiniteTerms:
     """A term that is not finite ends its sum at once, over the cap."""
 
@@ -347,6 +404,20 @@ class TestNonFiniteTerms:
         _assert_grid_matches_scalar(_grid(_hyp1f1_coefficient(0.3, 1.2), z),
                                     lambda x: _series(_hyp1f1_coefficient(0.3, 1.2), x), z)
 
+    def test_the_error_tells_a_term_not_finite_from_the_cap(self):
+        # Phi(0.5i; 0.5; z) at _Z_CAP ends at an inf term; F(1, 1; 1.5; 1)
+        # runs to the cap with finite terms
+        for name, coefficient, z, text in [
+                ("Kummer", _hyp1f1_coefficient(0.5j, 0.5), _Z_CAP,
+                 f"Kummer series has a term that is not finite at z={_Z_CAP}"),
+                ("2F1", _hyp2f1_coefficient(1, 1, 1.5), 1 + 0j,
+                 "2F1 series did not converge within 20000 terms at z=(1+0j)")]:
+            with pytest.raises(AccuracyError) as scalar:
+                specfun._run(name, coefficient, z)
+            with pytest.raises(AccuracyError) as grid:
+                list(specfun._job_values(name, [(coefficient, np.array([0.5, z]))]))
+            assert str(scalar.value) == str(grid.value) == text
+
     def test_overflowing_orders_fail_fast(self, monkeypatch):
         # a = 1e150 on entry 1: the Kummer terms are inf from the second on
         from spineq import catalog
@@ -355,7 +426,7 @@ class TestNonFiniteTerms:
         monkeypatch.setattr(specfun, "_hyp1f1_coefficient",
                             lambda a, c: self._counted(kummer(a, c), calls))
         with pytest.raises(AccuracyError, match=re.escape(
-                "Kummer series did not converge within 20000 terms at z=3.99920004e+148j")):
+                "Kummer series has a term that is not finite at z=3.99920004e+148j")):
             catalog.verify_entry(1, {"a": 1e150})
         assert 0 < len(calls) <= 4 * specfun._BLOCK
 
