@@ -17,14 +17,14 @@ E16 = "%.16e"
 MIN_TOL = 1e-13
 
 
-def is_nonpositive_integer(z: complex, tol: float = 1e-14) -> bool:
-    """Whether z is 0, -1, -2, ... to a relative tol: a pole of Gamma, and
+def is_nonpositive_integer(z: complex) -> bool:
+    """Whether z is 0, -1, -2, ... to a relative 1e-14: a pole of Gamma, and
     of a series whose lower parameter it is."""
     z = complex(z)
-    if abs(z.imag) > tol or not math.isfinite(z.real):
+    if abs(z.imag) > 1e-14 or not math.isfinite(z.real):
         return False
     r = round(z.real)
-    return r <= 0 and abs(z.real - r) <= tol * max(1.0, abs(z.real))
+    return r <= 0 and abs(z.real - r) <= 1e-14 * max(1.0, abs(z.real))
 
 
 class default_factory:

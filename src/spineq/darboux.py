@@ -24,7 +24,7 @@ import numpy as np
 from ._numbers import record
 from .errors import DomainError, SingularityError
 from .dynamics import Trajectory, trajectory_se_residuals, _check_uniform
-from .numutil import default_step, dop853, fd_derivative_callable, solve_window
+from .numutil import default_step, dop853, fd_derivative_callable, real_number, solve_window
 from .spinors import SIGMA1, SIGMA2, SIGMA3, l_vector_arr, anticonjugate_arr
 
 __all__ = [
@@ -107,17 +107,23 @@ def darboux_params_constant_f(f: complex, R: complex, phi0: complex) -> DarbouxP
 
 
 def darboux_params_mu_route(F3_fn, R: complex, mu0: float, window,
-                            tol: float = 1e-10, n_nodes: int = 801) -> DarbouxParams:
+                            tol: float = 1e-10) -> DarbouxParams:
     """Pair via the phase equation mu' = 2 (R sin mu - F3), with
-    (alpha, beta) = (R cos mu, R sin mu).  Real R, F3 and mu assumed."""
+    (alpha, beta) = (R cos mu, R sin mu), from the dense output of one
+    solve over the window.  R and mu0 must be finite and real, and so must
+    the values of F3: one that is not raises DomainError naming it."""
+    r, mu0 = real_number("R", R), real_number("mu0", mu0)
+    for name, v in (("R", r), ("mu0", mu0)):
+        if not math.isfinite(v):
+            raise DomainError(f"{name} = {v} is not finite")
     t0, t1 = solve_window(window, tol)
     R = complex(R)
 
     def rhs(t, y):
-        return [2.0 * (R.real * math.sin(y[0]) - float(F3_fn(t)))]
+        return [2.0 * (r * math.sin(y[0]) - real_number("F3(t)", F3_fn(t), t))]
 
-    dense = dop853(rhs, (t0, t1), [mu0], tol, np.linspace(t0, t1, n_nodes),
-                   "mu integration", dense_output=True).sol
+    # no output nodes: the pair reads only the dense output
+    dense = dop853(rhs, (t0, t1), [mu0], tol, (), "mu integration", dense_output=True).sol
 
     def mu(t):
         return float(dense(t)[0])

@@ -22,7 +22,7 @@ from ._numbers import MIN_TOL, record
 from .errors import AccuracyError, DomainError
 from .fields import FieldSpec, bind_field, check_poles, field_callable
 from .numutil import (central_difference, csv_rows, default_step, dop853, fd_derivative,
-                      gauss_kronrod, solve_window, stencil_nodes)
+                      gauss_kronrod, real_number, solve_window, stencil_nodes)
 from .spinors import (CVec3, ID2, Spinor, eigenpairs, l_vector_arr, real_quotient, sigma_dot,
                       sigma_exp)
 
@@ -237,19 +237,16 @@ def field_from_q(times, q, F1: FieldSpec | None = None, unit: bool = False) -> n
     return num / (1.0 + q2)[:, None] + f1
 
 
-def evolution_from_q(times, q, q0=None, unit: bool = False) -> np.ndarray:
-    """Evolution-operator path R(t) built algebraically from q(t), R(0) = I.
+def evolution_from_q(times, q, *, unit: bool = False) -> np.ndarray:
+    """Evolution-operator path R(t) built algebraically from q(t), R(t0) = I
+    at the first node, q0 = q(t0).
 
     Solves the SE whose field is field_from_q(times, q, F1=None, unit=unit).
     Returns an (n, 2, 2) complex array.
     """
     times, _ = _check_uniform(times)
     q = np.asarray(q, dtype=complex)
-    if q0 is None:
-        q0 = q[0]
-    q0 = np.asarray(q0, dtype=complex)
-    if np.max(np.abs(q[0] - q0)) > 1e-10:
-        raise DomainError("q(t0) must equal q0")
+    q0 = q[0]
     out = np.empty((len(times), 2, 2), dtype=complex)
     if unit:
         if abs(q0 @ q0 - 1.0) > 1e-10:
@@ -356,18 +353,28 @@ def hamiltonian_check(f_fn, g_fn, q0: float, p0: float, window,
     equivalent angle form integrated independently.
 
     |q| -> 1 is a coordinate singularity; the window is truncated there
-    and the report flags it.
+    and the report flags it.  q0, p0 and the values of f and g must be
+    real: one that is not raises DomainError naming it.
     """
+    q0, p0 = real_number("q0", q0), real_number("p0", p0)
     if not abs(q0) < 1.0:
         raise DomainError("|q0| must be < 1")
+    if not math.isfinite(p0):
+        raise DomainError(f"p0 = {p0} is not finite")
     t0, t1 = solve_window(window, tol)
     if t1 == t0:
         raise DomainError("window must satisfy t1 != t0")
 
+    def g_at(t):
+        return real_number("g(t)", g_fn(t), t)
+
+    def f_at(t):
+        return real_number("f(t)", f_fn(t), t)
+
     def rhs(t, y):
         q, p = y
-        g = float(g_fn(t))
-        f = float(f_fn(t))
+        g = g_at(t)
+        f = f_at(t)
         root = math.sqrt(max(1.0 - q * q, 1e-300))
         dq = -2.0 * g * root * math.sin(p)
         dp = 2.0 * g * q * math.cos(p) / root - 2.0 * f
@@ -384,8 +391,8 @@ def hamiltonian_check(f_fn, g_fn, q0: float, p0: float, window,
     truncated = sol.t_event is not None
     times = sol.t
     q, p = sol.y
-    g_vals = np.array([float(g_fn(t)) for t in times])
-    f_vals = np.array([float(f_fn(t)) for t in times])
+    g_vals = np.array([g_at(t) for t in times])
+    f_vals = np.array([f_at(t) for t in times])
     H = 2.0 * g_vals * np.sqrt(np.maximum(1.0 - q * q, 0.0)) * np.cos(p) + 2.0 * q * f_vals
 
     # independent integration of the angle form:
@@ -395,8 +402,8 @@ def hamiltonian_check(f_fn, g_fn, q0: float, p0: float, window,
 
     def rhs_angle(t, y):
         th, Phi = y
-        g = float(g_fn(t))
-        f = float(f_fn(t))
+        g = g_at(t)
+        f = f_at(t)
         s = math.sin(th)
         if abs(s) < 1e-12:
             s = math.copysign(1e-12, s if s != 0 else 1.0)

@@ -162,23 +162,11 @@ def _nodes(spec):
 
 def check_poles(spec: FieldSpec, window) -> None:
     """Raise DomainError if the window (t0, t1), floats, holds a pole that the
-    field's ASTs declare (expr.poles) with the parameters bind_field binds.
-
-    A spec keeps the window and a copy of the params of its last check that
-    passed, and a repeat of that check returns without walking the ASTs: a
-    propagate, invert or bloch invocation checks in the CLI, before numpy
-    loads, and again in the solve's prologue."""
-    nodes = _nodes(spec)
-    params = getattr(spec, "params", None)
-    key = float(window[0]), float(window[1]), None if params is None else dict(params)
-    memo = spec.__dict__  # a record's fields are frozen, its __dict__ is not
-    if memo.get("_poles_clear") == key:
-        return
-    hits = ex.poles(*nodes, window)
+    field's ASTs declare (expr.poles) with the parameters bind_field binds."""
+    hits = ex.poles(*_nodes(spec), window)
     if hits:
         raise DomainError(
             f"window [{window[0]}, {window[1]}] contains declared field poles at {hits}")
-    memo["_poles_clear"] = key
 
 
 def split_kg(F: CVec3):

@@ -26,6 +26,7 @@ __all__ = [
     "fd_derivative",
     "fd_derivative_callable",
     "fd_second_derivative_callable",
+    "real_number",
     "cumulative_integral",
     "gauss_kronrod",
     "default_step",
@@ -184,6 +185,16 @@ def grid_or_replay(grid, node, times, ok=np.isfinite):
 RHS_BUDGET = 10**6
 
 
+def real_number(name, v, t=None):
+    """v as a float if it is real (a complex v with imaginary part 0 too),
+    else DomainError naming it, at the time t if given, where float() warns
+    and drops a numpy complex's imaginary part or raises a bare TypeError."""
+    v = complex(v)
+    if v.imag != 0:
+        raise DomainError(f"{name} = {v} is not real" + ("" if t is None else f" at t = {t}"))
+    return v.real
+
+
 def solve_window(window, tol):
     """The window's ends as floats, once they and tol are checked finite.
 
@@ -276,7 +287,7 @@ def fd_derivative(values, h):
     """
     y = np.asarray(values)
     if y.shape[0] < 5:
-        raise ValueError("need at least 5 samples for the 4th-order stencil")
+        raise DomainError(f"{y.shape[0]} samples: the 4th-order stencil needs at least 5")
     d = np.empty_like(y, dtype=complex if np.iscomplexobj(y) else float)
     d[2:-2] = central_difference(y[:-4], y[1:-3], y[3:-1], y[4:], h)
     d[0] = (-11 * y[0] + 18 * y[1] - 9 * y[2] + 2 * y[3]) / (6 * h)

@@ -152,12 +152,13 @@ def field_square_from_angles(V_traj: Trajectory) -> np.ndarray:
     return 0.25 * (td ** 2 + pd ** 2 + ad ** 2 - 2.0 * ad * pd * np.cos(theta))
 
 
-def gauge_from_field(V_traj: Trajectory, F_samples=None) -> np.ndarray:
-    """Gauge function c(t) whose inverse-problem field reproduces F:
-    the L^{vbar,v} coefficient of F, c = (F . L^{v,vbar}) / (2 (V,V)^2)."""
+def gauge_from_field(V_traj: Trajectory) -> np.ndarray:
+    """Gauge function c(t) whose inverse-problem field reproduces the
+    trajectory's field samples F: the L^{vbar,v} coefficient of F,
+    c = (F . L^{v,vbar}) / (2 (V,V)^2)."""
     states = V_traj.states
     n2 = V_traj.norms()
-    F = V_traj.field_samples if F_samples is None else np.asarray(F_samples, dtype=complex)
+    F = V_traj.field_samples
     vbar = anticonjugate_arr(states)
     L_v_vb = l_vector_arr(states, vbar)
     return np.sum(F * L_v_vb, axis=1) / (2.0 * n2 ** 2)

@@ -119,11 +119,11 @@ class SeriesResult:
     truncation_estimate: float
 
 
-def _check_gamma_param(gamma: complex, name: str = "gamma"):
+def _check_gamma_param(gamma: complex):
     if not cmath.isfinite(gamma):
-        raise DomainError(f"{name} = {gamma} is not finite")
+        raise DomainError(f"gamma = {gamma} is not finite")
     if is_nonpositive_integer(gamma):
-        raise DomainError(f"{name} = {gamma} is a non-positive integer (series pole)")
+        raise DomainError(f"gamma = {gamma} is a non-positive integer (series pole)")
 
 
 def _check_finite_z(name, z):

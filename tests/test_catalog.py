@@ -213,7 +213,7 @@ class TestGridVerification:
     @pytest.mark.parametrize("eid, window, error", [
         (1, (0, 1), SingularityError),  # t ** (i c) at t = 0
         (7, (0.5, 3), DomainError),     # 2F1 argument where no branch applies
-        (16, (-50, 50), AccuracyError),  # Kummer series over the term cap
+        (16, (-50, 50), AccuracyError),  # a Kummer term that is not finite
     ])
     def test_errors_match_per_node(self, eid, window, error):
         with pytest.raises(error) as got:

@@ -765,25 +765,7 @@ class TestRejectedBeforeNumpy:
 
 
 class TestPoleWalk:
-    """The CLI checks a field's declared poles before numpy loads, and the
-    solve's prologue does not walk its ASTs a second time."""
-
-    SMOOTH = {"kind": "expr", "defs": "F1 = 1; F3 = 0.5*cos(t)"}
-
-    @pytest.mark.parametrize("argv", [
-        ["propagate", "--v0", "1,0"],
-        ["invert", "--v0", "1,0"],
-        ["bloch", "--n0", "0,0,1"],
-    ], ids=lambda argv: argv[0])
-    def test_one_walk_per_invocation(self, tmp_path, monkeypatch, capsys, argv):
-        (tmp_path / "f.json").write_text(json.dumps(self.SMOOTH))
-        monkeypatch.chdir(tmp_path)
-        walks = []
-        poles = spineq.expr.poles
-        monkeypatch.setattr(spineq.expr, "poles", lambda *a: walks.append(a) or poles(*a))
-        assert run([argv[0], "--field", "f.json", *argv[1:], "--window", "0", "1",
-                    "--nodes", "5"]) == 0
-        assert len(walks) == 1
+    """The CLI checks a field's declared poles before numpy loads."""
 
     def test_scaled_sine_divisor_fails_fast(self, tmp_path, monkeypatch, capsys):
         # a constant factor on the divisor once hid the pole: the solver

@@ -112,8 +112,7 @@ class TestMuRoute:
     def test_matches_direct_route(self, const_params):
         a0, b0 = const_params.pair(0.0)
         mu0 = math.atan2(b0.real, a0.real)
-        params = darboux_params_mu_route(lambda t: F, R, mu0, (0.0, 2.0),
-                                         tol=1e-12, n_nodes=801)
+        params = darboux_params_mu_route(lambda t: F, R, mu0, (0.0, 2.0), tol=1e-12)
         for t in TS:
             a, b = params.pair(t)
             aw, bw = const_params.pair(t)

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from spineq.dynamics import Trajectory, propagate, se_residual, trajectory_se_residuals
+from spineq.darboux import darboux_apply, darboux_params_constant_f
+from spineq.dynamics import (Trajectory, field_from_q, propagate, se_residual,
+                             trajectory_se_residuals)
 from spineq.errors import DomainError
 from spineq.fields import ConstField, parse_field_spec
 from spineq.solutions import (field_square_from_angles, gauge_from_field,
@@ -35,6 +37,25 @@ def trig_field_spec(rng, complex_field):
                 parts.append(f"{c:.6f}i*cos({m}*t)")
         terms.append(f"{comp} = " + " + ".join(parts))
     return parse_field_spec("; ".join(terms))
+
+
+# the public functions that differentiate a trajectory's samples with the
+# 4th-order stencil (numutil.fd_derivative)
+_STENCIL_CALLERS = {
+    "invert_field": invert_field,
+    "invert_field_selfadjoint": invert_field_selfadjoint,
+    "invert_field_angles": invert_field_angles,
+    "darboux_apply": lambda traj: darboux_apply(traj, 1.0,
+                                                darboux_params_constant_f(0.5, 1.0, 0.1)),
+    "field_from_q": lambda traj: field_from_q(traj.times, traj.states[:, [0, 1, 1]]),
+}
+
+
+@pytest.mark.parametrize("name", _STENCIL_CALLERS)
+def test_too_few_nodes_for_the_stencil_raise_domain_error(name):
+    traj = propagate(ConstField((1, 0, 0.5)), [1, 0], (0, 1), n_nodes=3)
+    with pytest.raises(DomainError, match="3 samples: the 4th-order stencil needs at least 5"):
+        _STENCIL_CALLERS[name](traj)
 
 
 class TestGeneralSolution:

@@ -75,7 +75,8 @@ class TestGridKernels:
                                     lambda x: _series(_hyp1f1_coefficient(a, c), x), z)
 
     def test_cap_hit_element(self):
-        # 2500j is where entry 16 on [-50, 50] runs out of terms
+        # 2500j is where entry 16 on [-50, 50] fails: a term of its Kummer
+        # series overflows to inf, far below the term cap
         z = np.array([0.5j, 2500.100001j, -3.0])
         grid = _grid(_hyp1f1_coefficient(0.5j, 0.5), z)
         assert grid[1][1] == -1
@@ -117,10 +118,12 @@ _job = st.one_of(
               st.lists(st.builds(complex, st.floats(-6, 6), st.floats(-6, 6)),
                        min_size=1, max_size=6)))
 
-# where F(1; 1; z) = e^z overflows in the scalar loop, and Phi(0.5i; 0.5; z)
-# and Phi(0.3; 1.2; z) run out of terms instead
+# where F(1; 1; z) = e^z overflows in the scalar loop, and the terms of
+# Phi(0.5i; 0.5; z) and Phi(0.3; 1.2; z) overflow to inf instead
 _Z_OVERFLOW = 800 * cmath.exp(0.6j)
-_Z_CAP = 2500.100001j  # Phi(0.5i; 0.5; z) runs out of terms (entry 16 on [-50, 50])
+# where a term of Phi(0.5i; 0.5; z) overflows to inf (entry 16 on [-50, 50]):
+# the sum ends there, not at the term cap
+_Z_CAP = 2500.100001j
 
 
 def _kernel_jobs(specs):
@@ -467,7 +470,8 @@ class TestManyForms:
     _SLOW = np.exp(0.1j)
 
     @pytest.mark.parametrize("fn, sets, z", [
-        # the first set over the cap, a bad gamma in the second
+        # the first set fails (2F1 at the term cap, Phi at a term that is
+        # not finite), a bad gamma in the second
         (gauss_2f1, [(1, 1, 2.06), (1, 1, -2)], [0.3, _SLOW]),
         (kummer_phi, [(0.5j, 0.5), (1, -2)], [0.5, _Z_CAP]),
         # a bad gamma in the first set
@@ -477,13 +481,13 @@ class TestManyForms:
         (gauss_2f1, [(0.2, 0.3, 4.0), (0.2, 0.3, 0.5)], [0.3, _SLOW]),
         # a branch cut, for every set
         (gauss_2f1, [(0.2, 0.3, 1.1), (0.3, 0.3, 1.1)], [0.5, 1.5]),
-        # over the cap in the first set, an overflow in the second, and back
+        # an inf term in the first set, an overflow in the second, and back
         (kummer_phi, [(0.5j, 0.5), (1.0, 1.0)], [0.5, _Z_OVERFLOW]),
         (kummer_phi, [(1.0, 1.0), (0.5j, 0.5)], [0.5, _Z_OVERFLOW]),
         (kummer_phi, [(0.3, 1.2), (1.0, 1.0), (0.5j, 0.5)], [0.5, _Z_OVERFLOW]),
         # the second set over the cap: the first is still summed
         (gauss_2f1, [(0.2, 0.3, 4.0), (1, 1, 2.06)], [0.3, _SLOW]),
-        # parabolic_d: a NaN order after one whose series runs out of terms
+        # parabolic_d: a NaN order after one whose series has an inf term
         (parabolic_d, [(0.5,), (math.nan,)], [0.5, 71.0 * cmath.exp(0.25j * math.pi)]),
         (parabolic_d, [(0.5,), (math.nan,)], [0.5, 2.0]),
     ])
