@@ -17,13 +17,13 @@ fast path without its checks.  The t_eval nodes are sampled in one pass
 after the last step (sample_nodes), each through its own step's dense
 output: the loop keeps a step's interpolant only if the step holds nodes,
 so a solve keeps at most min(steps, nodes) of them (all of them with
-dense_output).  An event is rooted by a transcription of scipy's brentq
-(scipy.optimize, also BSD), with the same bits and the same calls.  Unlike
-scipy's driver, solve does not check its input: each solver checks its own
-before it calls numutil.dop853.
-Importing scipy.integrate costs about 0.54 s and 48 MB, scipy.optimize
-about 0.49 s and 45 MB (Python 3.11, scipy 1.17, 2 vCPU), more than a
-typical solve; this module needs numpy alone.
+dense_output).  A terminal event is not rooted: the solve stops after the
+step across which g falls through zero, and keeps that step's nodes up to
+the first where g, on the node's state, is below zero.  Unlike scipy's
+driver, solve does not check its input: each solver checks its own before
+it calls numutil.dop853, and none solves over a window of length zero.
+Importing scipy.integrate costs about 0.54 s and 48 MB (Python 3.11, scipy
+1.17, 2 vCPU), more than a typical solve; this module needs numpy alone.
 """
 
 import math
@@ -31,8 +31,6 @@ import math
 import numpy as np
 
 from ._numbers import record
-
-EPS = np.finfo(float).eps
 
 # step-size control: the factor from the error's asymptotics is multiplied by
 # SAFETY and kept within [MIN_FACTOR, MAX_FACTOR]
@@ -279,8 +277,6 @@ def select_initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
     """The first step size of Hairer, Norsett & Wanner, Sec. II.4, as scipy
     computes it: one extra call of fun, and never beyond t_bound."""
     interval_length = abs(t_bound - t0)
-    if interval_length == 0.0:
-        return 0.0
     scale = atol + np.abs(y0) * rtol
     d0 = norm(y0 / scale)
     d1 = norm(f0 / scale)
@@ -327,16 +323,6 @@ def _horner(rows, x, y_old):
     return y
 
 
-class _Constant:
-    """The interpolant of a window of length zero."""
-
-    def __init__(self, y):
-        self.y = y
-
-    def __call__(self, t):
-        return self.y
-
-
 def sample_nodes(steps):
     """The nodes of a solve and y at them, shape (n, len(t)), from the
     (nodes, interpolant) of each step that holds nodes, in the solve's order.
@@ -349,9 +335,6 @@ def sample_nodes(steps):
     narrower type.
     """
     t = np.concatenate([nodes for nodes, _ in steps])
-    first = steps[0][1]
-    if type(first) is _Constant:   # a window of length zero: its one step
-        return t, np.repeat(first.y[:, None], t.size, axis=1)
     interpolants = [sol for _, sol in steps]
     idx = np.repeat(np.arange(len(steps)), [nodes.size for nodes, _ in steps])
     # the interpolants' F and y_old are read only now, after the loop: each
@@ -397,7 +380,7 @@ class _Stepper:
         self.t = t0
         self.y = y0
         self.t_bound = t_bound
-        self.direction = np.sign(t_bound - t0) if t_bound != t0 else 1
+        self.direction = np.sign(t_bound - t0)
         self.rtol = rtol
         self.atol = atol
         self.f = fun(t0, y0)
@@ -425,12 +408,9 @@ class _Stepper:
         self.min_step = np.inf
 
     def step(self):
-        """Take one accepted step, or none if the window has length zero;
-        False if the step size fell below ten spacings of floats at t."""
+        """Take one accepted step; False if the step size fell below ten
+        spacings of floats at t."""
         t = self.t
-        if t == self.t_bound:
-            self.t_old = t
-            return True
         y = self.y
         rtol = self.rtol
         atol = self.atol
@@ -502,8 +482,6 @@ class _Stepper:
 
     def dense_output(self):
         """The interpolant of the last step; three more calls of fun."""
-        if self.t == self.t_old:
-            return _Constant(self.y)
         K = self.K_extended
         h = self.h_previous
         hs = self.scalar(h)
@@ -520,80 +498,23 @@ class _Stepper:
         return Interpolant(self.t_old, self.t, self.y_old, F)
 
 
-def brentq(f, xa, xb, xtol, rtol):
-    """The zero of f in [xa, xb], where f changes sign, as
-    scipy.optimize.brentq returns it from these arguments and its default
-    maxiter, 100: scipy's C brentq, operation for operation, with its calls
-    of f and its errors."""
-    def fx(x):
-        v = float(f(x))
-        if math.isnan(v):
-            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
-        return v
-
-    xpre, xcur = float(xa), float(xb)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = fx(xpre), fx(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(100):
-        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        # the tolerance is 2 delta
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            bound = abs(spre) if abs(spre) < 3 * abs(sbis) - delta else 3 * abs(sbis) - delta
-            if 2 * abs(stry) < bound:  # a good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = fx(xcur)
-    raise RuntimeError("Failed to converge after 100 iterations.")
-
-
 @record
 class Solution:
     """The outcome of solve.
 
     t, y: the t_eval nodes reached and the states there, shape (n, len(t));
-    sol: the DenseSolution, if asked for; t_event: where the event stopped
-    the solve, or None; status: 0 at the window's end, 1 at the event, -1
-    for a step size below the spacing of floats, with message the text
-    scipy gives; nfev: right-hand-side calls, dense output included;
-    n_accepted, n_rejected: steps taken and trial steps refused; min_step:
-    the smallest step taken (the last one, cut at the window's end,
-    included; inf if none); t_last: the time of the last right-hand-side
-    call, where a failed solve stopped.
+    sol: the DenseSolution, if asked for; status: 0 at the window's end, 1
+    at the event, -1 for a step size below the spacing of floats, with
+    message the text scipy gives; nfev: right-hand-side calls, dense output
+    included; n_accepted, n_rejected: steps taken and trial steps refused;
+    min_step: the smallest step taken (the last one, cut at the window's
+    end, included; inf if none); t_last: the time of the last
+    right-hand-side call, where a failed solve stopped.
     """
 
     t: np.ndarray
     y: np.ndarray
     sol: DenseSolution | None
-    t_event: float | None
     status: int
     message: str
     nfev: int
@@ -613,14 +534,19 @@ def solve(fun, t_span, y0, rtol, atol, t_eval, dense_output=False, event=None, *
     or complex), bit for bit as scipy.integrate's driver does with
     method="DOP853" and these rtol, atol, t_eval, dense_output and event.
 
-    event, if given, is a terminal event g(t, y): the solve stops where g
-    crosses zero in the sense of ``event.direction`` (> 0 upwards, < 0
-    downwards, 0 or absent either way), found by brentq on the step's
-    interpolant.  A call of fun past max_nfev raises BudgetExceeded.
+    event, if given, is a terminal event g(t, y) that falls through zero:
+    the solve stops with status 1 after the first step whose g falls from
+    >= 0 to <= 0, and keeps that step's nodes up to the first where g, on
+    the node's state, is below zero.  scipy roots g on the step's
+    interpolant and keeps the nodes up to the root: the same nodes, unless
+    g changes sign more than once in the step or a node lies within the
+    root's tolerance, 4 eps (1 + |t|), of it; and where the crossing step
+    holds no node, 3 more calls of fun.  A call of fun past max_nfev raises
+    BudgetExceeded.
 
-    The input is the caller's to check, where scipy's driver checks it: y0
-    finite, and t_eval 1-D, inside t_span and sorted in the direction of the
-    solve (empty for no output nodes).
+    The input is the caller's to check, where scipy's driver checks it: t_span
+    of nonzero length, y0 finite, and t_eval 1-D, inside t_span and sorted in
+    the direction of the solve (empty for no output nodes).
     """
     t0, tf = map(float, t_span)
     t_eval = np.asarray(t_eval)
@@ -652,9 +578,7 @@ def solve(fun, t_span, y0, rtol, atol, t_eval, dense_output=False, event=None, *
     stepper = _Stepper(counted, t0, y0, tf, rtol, atol)
     steps, interpolants, ti = [], [], [t0]
     if event is not None:
-        direction = getattr(event, "direction", 0)
         g = event(t0, y0)
-    t_event = None
     status = None
     while status is None:
         if not stepper.step():
@@ -662,18 +586,14 @@ def solve(fun, t_span, y0, rtol, atol, t_eval, dense_output=False, event=None, *
             break
         if stepper.direction * (stepper.t - tf) >= 0:
             status = 0
-        t_old, t, y = stepper.t_old, stepper.t, stepper.y
+        t = stepper.t
         sol = stepper.dense_output() if dense_output else None
         if dense_output:
             interpolants.append(sol)
 
         if event is not None:
-            g_new = event(t, y)
-            if direction >= 0 and g <= 0 <= g_new or direction <= 0 and g >= 0 >= g_new:
-                if sol is None:
-                    sol = stepper.dense_output()
-                t_event = t = brentq(lambda s: event(s, sol(s)), t_old, t,
-                                     xtol=4 * EPS, rtol=4 * EPS)
+            g_new = event(t, stepper.y)
+            if g >= 0 >= g_new:
                 status = 1
             g = g_new
 
@@ -696,6 +616,12 @@ def solve(fun, t_span, y0, rtol, atol, t_eval, dense_output=False, event=None, *
         t, y = sample_nodes(steps)
     else:
         t, y = np.empty(0), np.empty((y0.size, 0), dtype)
+    if status == 1:
+        # the crossing step is the last: its nodes are the last t_eval_step.size
+        for i in range(t.size - t_eval_step.size, t.size):
+            if event(t[i], y[:, i]) < 0:
+                t, y = t[:i], y[:, :i]
+                break
     return Solution(t, y, DenseSolution(ti, interpolants) if dense_output else None,
-                    t_event, status, MESSAGES[status], nfev, stepper.n_accepted,
+                    status, MESSAGES[status], nfev, stepper.n_accepted,
                     stepper.n_rejected, stepper.min_step, t_last)

@@ -110,13 +110,14 @@ def darboux_params_mu_route(F3_fn, R: complex, mu0: float, window,
                             tol: float = 1e-10) -> DarbouxParams:
     """Pair via the phase equation mu' = 2 (R sin mu - F3), with
     (alpha, beta) = (R cos mu, R sin mu), from the dense output of one
-    solve over the window.  R and mu0 must be finite and real, and so must
-    the values of F3: one that is not raises DomainError naming it."""
+    solve over the window, which must have nonzero length.  R and mu0 must
+    be finite and real, and so must the values of F3: one that is not
+    raises DomainError naming it.  mu, alpha and beta answer only within
+    the window, either end included: a time outside it raises DomainError,
+    where the end step's polynomial would be extrapolated."""
     r, mu0 = real_number("R", R), real_number("mu0", mu0)
-    for name, v in (("R", r), ("mu0", mu0)):
-        if not math.isfinite(v):
-            raise DomainError(f"{name} = {v} is not finite")
     t0, t1 = solve_window(window, tol)
+    lo, hi = min(t0, t1), max(t0, t1)
     R = complex(R)
 
     def rhs(t, y):
@@ -126,6 +127,8 @@ def darboux_params_mu_route(F3_fn, R: complex, mu0: float, window,
     dense = dop853(rhs, (t0, t1), [mu0], tol, (), "mu integration", dense_output=True).sol
 
     def mu(t):
+        if not lo <= t <= hi:
+            raise DomainError(f"t = {t} is outside the window [{t0}, {t1}] of the mu route")
         return float(dense(t)[0])
 
     return DarbouxParams(
@@ -142,7 +145,9 @@ def darboux_field(F3_fn, params: DarbouxParams, t: float) -> complex:
 
 def pair_equation_residual(F3_fn, params: DarbouxParams, t: float) -> float:
     """Max residual of alpha' = 2 beta (F3 - beta), beta' = -2 alpha (F3 - beta)
-    at t, with derivatives by central differences (numutil.default_step)."""
+    at t, with derivatives by central differences (numutil.default_step).
+    The stencil reaches t +- 2h: for a mu-route pair, t within 2h of an end
+    of its window raises DomainError."""
     ad = complex(fd_derivative_callable(lambda s: complex(params.alpha(s)), t))
     bd = complex(fd_derivative_callable(lambda s: complex(params.beta(s)), t))
     a, b = params.pair(t)
@@ -245,7 +250,9 @@ def intertwine_residual(F3_fn, F3p_fn, params: DarbouxParams, t: float) -> float
     sigma1 A' + sigma2 A F3' - sigma2 F3'(dot) - A sigma2 F3 = 0
 
     with A = alpha + i (F3 - beta) sigma3 and time derivatives by central
-    differences, step numutil.default_step(t, 1e-6).
+    differences, step numutil.default_step(t, 1e-6).  The stencil reaches
+    t +- 2h: for a mu-route pair, t within 2h of an end of its window
+    raises DomainError.
     """
     def A_of(s):
         a, b = params.pair(s)

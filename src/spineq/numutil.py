@@ -186,34 +186,43 @@ RHS_BUDGET = 10**6
 
 
 def real_number(name, v, t=None):
-    """v as a float if it is real (a complex v with imaginary part 0 too),
-    else DomainError naming it, at the time t if given, where float() warns
-    and drops a numpy complex's imaginary part or raises a bare TypeError."""
+    """v as a float if it is real (a complex v with imaginary part 0 too)
+    and finite, else DomainError naming it, at the time t if given, where
+    float() warns and drops a numpy complex's imaginary part or raises a
+    bare TypeError, and a solve on a NaN crawls to RHS_BUDGET."""
     v = complex(v)
+    at = "" if t is None else f" at t = {t}"
     if v.imag != 0:
-        raise DomainError(f"{name} = {v} is not real" + ("" if t is None else f" at t = {t}"))
+        raise DomainError(f"{name} = {v} is not real" + at)
+    if not math.isfinite(v.real):
+        raise DomainError(f"{name} = {v.real} is not finite" + at)
     return v.real
 
 
 def solve_window(window, tol):
-    """The window's ends as floats, once they and tol are checked finite.
+    """The window's ends as floats, once they and tol are checked finite
+    and the ends checked distinct.
 
     Each solver calls it first, before it builds an array from the window:
     a solve over an infinite window, or at a NaN or infinite tol, would spin
-    until RHS_BUDGET runs out."""
+    until RHS_BUDGET runs out, and the stepper takes no window of length
+    zero."""
     t0, t1 = float(window[0]), float(window[1])
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise DomainError(f"window [{t0}, {t1}] is not finite")
     if not math.isfinite(tol):
         raise DomainError(f"tol = {tol} is not finite")
+    if t1 == t0:
+        raise DomainError("window must satisfy t1 != t0")
     return t0, t1
 
 
 def dop853(rhs, window, y0, tol, t_eval, what, dense_output=False, event=None):
-    """Integrate y' = rhs(t, y) over window with DOP853 at
-    rtol = atol = max(tol / 4, 2.3e-14), sampled at t_eval; with
-    dense_output, the result's ``sol`` gives y at any time, and a terminal
-    ``event`` stops the solve where it crosses zero (see _dop853.solve).
+    """Integrate y' = rhs(t, y) over window, of nonzero length (see
+    solve_window), with DOP853 at rtol = atol = max(tol / 4, 2.3e-14),
+    sampled at t_eval; with dense_output, the result's ``sol`` gives y at
+    any time, and a terminal ``event`` stops the solve, with status 1, after
+    the step across which it falls through zero (see _dop853.solve).
 
     The one solve policy of the package.  A SingularityError out of rhs, a
     failed solve, a solve past RHS_BUDGET right-hand-side calls and a solve

@@ -508,17 +508,6 @@ class TestColdStart:
         p = _python(["-c", code, const_field], tmp_path, timeout=30)
         assert p.returncode == 0, p.stderr
 
-    def test_event_root_imports_no_scipy_optimize(self, tmp_path):
-        # the event is rooted by the package's own brentq; scipy.optimize
-        # would cost the truncated solve half a second and 45 MB
-        code = ("import math, sys\n"
-                "from spineq.dynamics import hamiltonian_check\n"
-                "rep = hamiltonian_check(lambda t: 0.0, lambda t: 1.0, 0.5, -math.pi / 2, (0, 5))\n"
-                "assert rep.truncated\n"
-                "assert 'scipy.optimize' not in sys.modules\n")
-        p = _python(["-c", code], tmp_path, timeout=30)
-        assert p.returncode == 0, p.stderr
-
     # cli.main() on the arguments after the code, in a new interpreter; on
     # exit it writes the OPENBLAS_NUM_THREADS it leaves and the numpy and
     # spineq modules imported to report.json

@@ -127,6 +127,10 @@ class TestMuRoute:
                     for t in np.linspace(0.1, 1.9, 7))
         assert worst <= 1e-6
 
+    def test_zero_length_window_is_refused(self):
+        with pytest.raises(DomainError, match="t1 != t0"):
+            darboux_params_mu_route(lambda t: 0.3, 0.8, 0.4, (1, 1))
+
 
 class TestApply:
     def test_generated_solution_residual(self, const_params):

@@ -11,11 +11,10 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 from scipy.integrate._ivp import dop853_coefficients
-from scipy.optimize import brentq as scipy_brentq
 
 from spineq import _dop853, catalog, darboux, dynamics, numutil
 from spineq.dynamics import BlochState, bloch_propagate, hamiltonian_check, propagate
-from spineq.errors import IntegrationError
+from spineq.errors import DomainError, IntegrationError
 from spineq.fields import CatalogField, ConstField
 
 
@@ -189,71 +188,70 @@ def test_mu_route_dense_output_matches_scipy(solves):
         assert params.mu(t) == float(ref.sol(t)[0])
 
 
-def test_empty_window_matches_scipy(solves):
-    params = darboux.darboux_params_mu_route(lambda t: 0.3, 0.8, 0.4, (1, 1))
-    ((rhs, window, y0, tol, t_eval, _), sol), = solves
-    ref = scipy_solve(rhs, window, y0, tol, t_eval, dense_output=True)
-    # no node is reached: scipy returns empty lists, the package arrays of shape (n, 0)
-    assert len(ref.t) == len(ref.y) == 0 and sol.t.shape == (0,) and sol.y.shape == (1, 0)
-    assert (sol.nfev, sol.status, sol.message) == (ref.nfev, ref.status, ref.message)
-    assert bits(sol.sol(1.0)) == bits(ref.sol(1.0)) and params.mu(1.0) == 0.4
+@pytest.mark.parametrize("window", [(0.0, 2.0), (2.0, 0.0)], ids=["forward", "backward"])
+def test_mu_route_answers_only_within_its_window(solves, window):
+    # at both ends mu is the dense output; a time past either end raises,
+    # where the end step's polynomial would answer mu(6) = -2085 on (0, 2)
+    params = darboux.darboux_params_mu_route(lambda t: 0.3 + 0.1 * math.sin(t), 0.8, 0.4,
+                                             window, tol=1e-12)
+    (_, sol), = solves
+    for end in window:
+        assert params.mu(end) == float(sol.sol(end)[0])
+    for t in (math.nextafter(0.0, -1.0), math.nextafter(2.0, 3.0), 6.0, math.nan):
+        for f in (params.mu, params.alpha, params.beta):
+            with pytest.raises(DomainError, match="outside the window"):
+                f(t)
 
 
-def test_terminal_event_matches_scipy(solves):
-    # q' = 2 sqrt(1 - q^2) from p = -pi/2: q = sin(2t + pi/6) reaches the pole near t = 0.52
-    rep = hamiltonian_check(lambda t: 0.0, lambda t: 1.0, 0.5, -math.pi / 2, (0, 5),
-                            n_nodes=801)
+def _node_past_root(s):
+    """A drive to the pole whose crossing step holds a node past the root;
+    s = -1 reverses time."""
+    a, b, c = -0.00016864694516316718, -0.00028028423985490243, 0.7620403150218904
+    d, e = -1.7855025921457197, -0.430045185260749
+    return (lambda t: a + b * math.sin(c * s * t), lambda t: d + e * math.cos(s * t),
+            -0.3591419892941625, s * 1.5703001555116094,
+            (s * -0.5048496242693603, s * 3.09692914840012), 1e-6, 401)
+
+
+# (f, g, q0, p0, window, tol, n_nodes): q' = 2 sqrt(1 - q^2) from p = -pi/2
+# (+pi/2 backward), q = sin(2|t| + pi/6), reaches the pole near |t| = 0.52;
+# slow drives to it; and a solve whose event comes before its second node
+_TRUNCATED = {
+    "sine-801": (lambda t: 0.0, lambda t: 1.0, 0.5, -math.pi / 2, (0, 5), 1e-10, 801),
+    "sine-801-backward": (lambda t: 0.0, lambda t: 1.0, 0.5, math.pi / 2, (0, -5), 1e-10, 801),
+    "sine-4001": (lambda t: 0.0, lambda t: 1.0, 0.5, -math.pi / 2, (0, 5), 1e-8, 4001),
+    "sine-4001-backward": (lambda t: 0.0, lambda t: 1.0, 0.5, math.pi / 2, (0, -5), 1e-8, 4001),
+    "drive-101": (lambda t: 1e-4 * math.sin(t), lambda t: 0.7 + 0.3 * math.cos(t), -0.3,
+                  math.pi / 2 + 1e-4, (0, 4), 1e-10, 101),
+    "drive-101-backward": (lambda t: 1e-4 * math.sin(t), lambda t: 0.7 + 0.3 * math.cos(t),
+                           -0.3, -math.pi / 2 + 1e-4, (1, -3), 1e-10, 101),
+    "node-past-root": _node_past_root(1),
+    "node-past-root-backward": _node_past_root(-1),
+    "one-node": (lambda t: -0.0009252960676574985,
+                 lambda t: -1.6905871615537926 - 1.880825565050287e-05 * math.sin(t),
+                 -0.9680704389257996, -1.570249615954165, (0.0, 2.2846487775497524),
+                 1.554259223623244e-11, 23),
+}
+
+
+@pytest.mark.parametrize("case", _TRUNCATED)
+def test_terminal_event_matches_scipy(solves, case):
+    f, g, q0, p0, window, tol, n_nodes = _TRUNCATED[case]
+    rep = hamiltonian_check(f, g, q0, p0, window, tol, n_nodes=n_nodes)
     assert rep.truncated
-    ((rhs, window, y0, tol, t_eval, kwargs), sol), (_, angle) = solves
+    (rhs, window, y0, tol, t_eval, kwargs), sol = solves[0]
     event = kwargs["event"]
-    event.terminal = True  # scipy's flag; the package's event is always terminal
+    # scipy's flags; the package's event is always terminal, and falls
+    event.terminal, event.direction = True, -1
     ref = scipy_solve(rhs, window, y0, tol, t_eval, event=event)
     assert ref.status == 1 and ref.t_events[0].size == 1
-    assert bits([sol.t_event]) == bits(ref.t_events[0])
-    assert_same(ref, sol)
-    assert sol.t[-1] < 0.53 and rep.t_stop == sol.t[-1]
-
-
-def test_event_root_is_scipys_brentq(monkeypatch):
-    # the root of the event above, found on the step's interpolant
-    roots = []
-
-    def both(f, a, b, xtol, rtol):
-        calls = []
-        root = brentq(lambda x: calls.append(x) or f(x), a, b, xtol, rtol)
-        ref, info = scipy_brentq(f, a, b, xtol=xtol, rtol=rtol, full_output=True)
-        roots.append((root.hex(), len(calls), ref.hex(), info.function_calls))
-        return root
-
-    brentq = _dop853.brentq
-    monkeypatch.setattr(_dop853, "brentq", both)
-    assert hamiltonian_check(lambda t: 0.0, lambda t: 1.0, 0.5, -math.pi / 2, (0, 5)).truncated
-    (root, calls, ref, ref_calls), = roots
-    assert (root, calls) == (ref, ref_calls)
-
-
-@pytest.mark.parametrize("f, a, b", [
-    (lambda x: x ** 3 - 2 * x - 5, 2, 3),
-    (lambda x: math.cos(x) - x, 0, 1),
-    (lambda x: math.exp(x) - 10, 0, 5),
-    (lambda x: math.atan(x - 0.3), -10, 30),   # extrapolation steps
-    (lambda x: 1 / (x - 0.5) if x != 0.5 else 1.0, 0, 1),   # a pole, no root
-    (lambda x: x - 1, 0, 1),                   # a root at an end
-    (lambda x: (x - 1e-3) ** 5, -1, 2),        # no convergence in 100 steps
-    (lambda x: x * x + 1, -1, 1),              # no sign change
-    (lambda x: math.nan if x > 0.7 else x - 0.8, 0, 1),
-], ids=["cubic", "cos", "exp", "atan", "pole", "end", "flat", "same-sign", "nan"])
-@pytest.mark.parametrize("xtol, rtol", [(4 * _dop853.EPS, 4 * _dop853.EPS), (2e-12, 1e-10)])
-def test_brentq_is_scipys(f, a, b, xtol, rtol):
-    def outcome(solve, **kw):
-        calls = []
-        try:
-            root = solve(lambda x: calls.append(x) or f(x), a, b, xtol=xtol, rtol=rtol, **kw)
-        except (ValueError, RuntimeError) as exc:
-            return type(exc), str(exc), calls
-        return root.hex(), calls
-
-    assert outcome(_dop853.brentq) == outcome(scipy_brentq)
+    assert bits(sol.t) == bits(ref.t)
+    assert bits(sol.y) == bits(ref.y)
+    assert (sol.status, sol.message) == (ref.status, ref.message)
+    # scipy builds the crossing step's dense output to root the event, even
+    # where the step holds no node
+    assert sol.nfev in (ref.nfev, ref.nfev - 3)
+    assert rep.t_stop == sol.t[-1]
 
 
 def test_overflow_failure_matches_scipy(solves):

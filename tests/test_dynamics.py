@@ -644,6 +644,21 @@ class TestHamiltonianForm:
         with pytest.raises(DomainError, match="t1 != t0"):
             hamiltonian_check(lambda t: 0.4, lambda t: 0.7, 0.2, 0.3, (1, 1))
 
+    def test_event_before_the_second_node(self):
+        # the event fires in the first step, before t = 0.104: the angle form
+        # is not solved, over a window that would have length zero
+        def g(t):
+            return -1.6905871615537926 - 1.880825565050287e-05 * math.sin(t)
+
+        rep = hamiltonian_check(lambda t: -0.0009252960676574985, g, -0.9680704389257996,
+                                -1.570249615954165, (0.0, 2.2846487775497524),
+                                1.554259223623244e-11, n_nodes=23)
+        assert rep.truncated and rep.t_stop == 0.0
+        assert rep.times.tolist() == [0.0] and rep.q.tolist() == [-0.9680704389257996]
+        assert rep.theta.tolist() == [math.acos(-0.9680704389257996)]
+        assert rep.Phi.tolist() == [1.570249615954165]
+        assert rep.angle_mismatch <= 1e-15 and math.isnan(rep.theta_eq_residual)
+
     def test_pole_truncation_flag(self):
         # strong constant drive pushes q to +-1
         rep = hamiltonian_check(lambda t: 2.0, lambda t: 1e-3, 0.0, 0.5,
@@ -816,6 +831,14 @@ class TestSolveInputs:
             lambda t: 0.0, lambda t: 1.0, 0.5, math.nan, (0, 1)), "p0 = nan is not finite"),
         "hamiltonian-p0-inf": (lambda: hamiltonian_check(
             lambda t: 0.0, lambda t: 1.0, 0.5, math.inf, (0, 1)), "p0 = inf is not finite"),
+        "hamiltonian-q0-nan": (lambda: hamiltonian_check(
+            lambda t: 0.0, lambda t: 1.0, math.nan, 0.3, (0, 1)), "q0 = nan is not finite"),
+        "hamiltonian-f-nan": (lambda: hamiltonian_check(
+            lambda t: math.nan, lambda t: 1.0, 0.5, 0.3, (0, 1)),
+            r"f\(t\) = nan is not finite at t = 0.0"),
+        "hamiltonian-g-inf": (lambda: hamiltonian_check(
+            lambda t: 0.3, lambda t: math.inf, 0.5, 0.3, (0, 1)),
+            r"g\(t\) = inf is not finite at t = 0.0"),
         "hamiltonian-q0-complex": (lambda: hamiltonian_check(
             lambda t: 0.0, lambda t: 1.0, 0.5 + 0.1j, 0.3, (0, 1)),
             r"q0 = \(0.5\+0.1j\) is not real"),
@@ -832,6 +855,8 @@ class TestSolveInputs:
         "mu-route-F3-complex": (lambda: darboux_params_mu_route(
             lambda t: 0.3 + 0.1j, 0.8, 0.4, (0, 2)),
             r"F3\(t\) = \(0.3\+0.1j\) is not real at t = 0.0"),
+        "mu-route-F3-nan": (lambda: darboux_params_mu_route(
+            lambda t: math.nan, 0.8, 0.4, (0, 2)), r"F3\(t\) = nan is not finite at t = 0.0"),
         "mu-route-R-nan": (lambda: darboux_params_mu_route(
             lambda t: 0.3, math.nan, 0.4, (0, 2)), "R = nan is not finite"),
         "mu-route-R-complex": (lambda: darboux_params_mu_route(
