@@ -19,11 +19,12 @@ verification; expr loads on the first evaluation of a field or its poles.
 from __future__ import annotations
 
 import cmath
+import math
 from functools import cached_property
 from typing import TYPE_CHECKING
 
 from ._numbers import is_nonpositive_integer, record
-from .errors import DomainError, SingularityError, SpinEqError
+from .errors import AccuracyError, DomainError, SingularityError, SpinEqError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -110,6 +111,12 @@ class CatalogEntry:
         return solution(self.id)
 
     def solution_components(self, t: float, params: dict):
+        """(u1, u2) at one time t.  An arithmetic failure of the closed form
+        is a SingularityError within rounding of a pole the field declares
+        (_at_pole), else an AccuracyError naming it: far out, say at
+        t = 1e20, a power of an underflowed 0 or an overflow is no pole.  A
+        value that is not finite is a SingularityError: a closed form can
+        have poles the field has not (entry 24 at a = 0)."""
         import numpy as np
         if not cmath.isfinite(t):
             raise DomainError(f"entry {self.id} solution: t = {t} is not finite")
@@ -117,7 +124,10 @@ class CatalogEntry:
             # numpy warns of the non-finite values that the check below reports
             with np.errstate(all="ignore"):
                 u = self._solution(t, params)
-        except (ZeroDivisionError, OverflowError):
+        except (ZeroDivisionError, OverflowError) as exc:
+            if not self._at_pole(t, params):
+                raise AccuracyError(f"entry {self.id} solution failed at t = {t}, "
+                                    f"away from a field pole: {exc}") from None
             raise SingularityError(
                 f"entry {self.id} solution singular at t = {t}", t=t) from None
         except SpinEqError:
@@ -151,6 +161,15 @@ class CatalogEntry:
         """Field poles inside [t0, t1], sorted, read off field_dsl (expr.poles)."""
         from .expr import poles
         return poles((self.field_defs["F1"], self.field_defs["F3"]), params, window)
+
+    def _at_pole(self, t: float, params: dict) -> bool:
+        """Whether a declared field pole lies within 4 ulp of t, the rounding
+        of a pole's time; true too where the poles lie denser than that."""
+        d = 4 * math.ulp(t)
+        try:
+            return bool(self.poles(params, (t - d, t + d)))
+        except DomainError:  # over 1e5 poles in the 8 ulp
+            return True
 
     def draw_params(self, rng: np.random.Generator) -> dict:
         """Random parameters satisfying this entry's constraints."""

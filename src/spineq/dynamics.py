@@ -49,6 +49,7 @@ Mat2 = np.ndarray  # 2x2 complex matrices are plain numpy arrays
 
 CSV_HEADER = "t,re_v1,im_v1,re_v2,im_v2,re_F1,im_F1,re_F2,im_F2,re_F3,im_F3,norm"
 
+POLE_BAND = 1e-6  # hamiltonian_check stops where 1 - |q| falls below this
 PHASE_QUAD_TOL = 1e-12  # evolution_constant_direction's tolerance for the phase w
 
 
@@ -352,13 +353,15 @@ def hamiltonian_check(f_fn, g_fn, q0: float, p0: float, window,
     H = 2 g sqrt(1-q^2) cos p + 2 q f, and verify it against the
     equivalent angle form integrated independently.
 
-    |q| -> 1 is a coordinate singularity; the window is truncated there
-    and the report flags it.  q0, p0 and the values of f and g must be
+    |q| -> 1 is a coordinate singularity; the window is truncated where
+    1 - |q| falls below POLE_BAND and the report flags it.  A start inside
+    that band, 1 - |q0| < POLE_BAND, raises DomainError: the truncating
+    event could not fall there.  q0, p0 and the values of f and g must be
     real and finite: one that is not raises DomainError naming it.
     """
     q0, p0 = real_number("q0", q0), real_number("p0", p0)
-    if not abs(q0) < 1.0:
-        raise DomainError("|q0| must be < 1")
+    if not 1.0 - abs(q0) >= POLE_BAND:
+        raise DomainError(f"1 - |q0| must be at least {POLE_BAND}, got q0 = {q0}")
     t0, t1 = solve_window(window, tol)
 
     def g_at(t):
@@ -377,7 +380,7 @@ def hamiltonian_check(f_fn, g_fn, q0: float, p0: float, window,
         return [dq, dp]
 
     def near_pole(t, y):
-        return 1.0 - abs(y[0]) - 1e-6
+        return 1.0 - abs(y[0]) - POLE_BAND
 
     # the terminal event ends the solve with success still set
     sol = dop853(rhs, (t0, t1), [q0, p0], tol, _output_nodes((t0, t1), n_nodes),

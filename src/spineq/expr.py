@@ -14,8 +14,11 @@ Functions: sin cos tan cot sinh cosh tanh coth exp ln sqrt.  'i' is the
 imaginary unit, 't' the time variable; every other identifier is a free
 parameter supplied at evaluation time.
 
-ASTs compile to straight-line Python (FieldCode), every number and
-parameter bound as a generated name, so no input text reaches the source.
+ASTs compile to straight-line Python (FieldCode), one assignment per
+distinct operation: a subtree that recurs is computed once, and cot and
+coth are the quotients cos/sin and cosh/sinh, sharing those factors.  Every
+number and parameter is bound as a generated name, so no input text
+reaches the source.
 One checked function runs at a time t: a failing operation or a value
 not finite or above SINGULARITY_THRESHOLD raises, naming the operator and
 t.  The same operations unchecked run on an object array of times with
@@ -32,6 +35,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import struct
 import sys
 import types
 from typing import NamedTuple
@@ -376,11 +380,12 @@ def _affine(n, params):
 
 
 def _generate(nodes):
-    """The ops of a tuple of ASTs (None for a zero) in the grammar's order:
-    (expression, message) pairs, the k-th assigned to _k, the message what
-    its failure raises (None: a negation cannot fail); the names of the
-    values, the j-th complete after ends[j] ops; and the leaves _c0, _c1,
-    ... stand for, a number or a parameter's Var."""
+    """The ops of a tuple of ASTs (None for a zero) in the grammar's order,
+    each distinct operation once: (expression, message) pairs, the k-th
+    assigned to _k, the message what its failure raises (None: a negation
+    cannot fail); the names of the values, the j-th complete after ends[j]
+    ops; and the leaves _c0, _c1, ... stand for, a number or a parameter's
+    Var."""
     ops, leaves, slots, results, ends = [], [], {}, [], []
     for node in nodes:
         results.append(_walk(Num(0j) if node is None else node, ops, leaves, slots))
@@ -388,19 +393,33 @@ def _generate(nodes):
     return ops, results, ends, leaves
 
 
+# cot and coth as the quotients FUNCTIONS computes, so that their sin, cos,
+# sinh and cosh are shared with other uses and no op calls a lambda
+_QUOTIENTS = {"cot": ("cos", "sin"), "coth": ("cosh", "sinh")}
+
+
 def _walk(n, ops, leaves, slots):
-    """The name of n's value, its ops appended.  (Not a closure: one that
-    calls itself is a cycle, freed only by the cyclic collector.)"""
+    """The name of n's value, its ops appended where slots, keyed by a
+    leaf's name or exact value or an op's expression text, has none yet:
+    the same text does the same operation on the same operands, so a repeat
+    takes the first one's name, and its message, since it fails only where
+    the first has failed.  (Not a closure: one that calls itself is a
+    cycle, freed only by the cyclic collector.)"""
     if isinstance(n, Var) and n.name == "t":
         return "t"
     if isinstance(n, (Num, Var)):
-        key = n.name if isinstance(n, Var) else len(leaves)
+        # a number by its bits, so that 0 and -0 keep their own slots
+        key = n.name if isinstance(n, Var) else struct.pack("2d", n.value.real, n.value.imag)
         if key not in slots:
             slots[key] = f"_c{len(leaves)}"
             leaves.append(n if isinstance(n, Var) else n.value)
         return slots[key]
     if isinstance(n, Neg):
         op = "-" + _walk(n.arg, ops, leaves, slots), None
+    elif isinstance(n, Call) and n.fn in _QUOTIENTS:
+        arg, what = _walk(n.arg, ops, leaves, slots), f"{n.fn} pole"
+        num, den = (_add(f"{f}({arg})", what, ops, slots) for f in _QUOTIENTS[n.fn])
+        op = f"{num} / {den}", what
     elif isinstance(n, Call) and n.fn in FUNCTIONS:
         op = f"{n.fn}({_walk(n.arg, ops, leaves, slots)})", f"{n.fn} pole"
     elif isinstance(n, BinOp) and n.op in _PY_OPS:
@@ -409,8 +428,15 @@ def _walk(n, ops, leaves, slots):
         op = f"{left} {_PY_OPS[n.op]} {right}", f"'{n.op}' overflow/pole"
     else:
         raise TypeError(f"not an ExprNode: {n!r}")
-    ops.append(op)
-    return f"_{len(ops) - 1}"
+    return _add(*op, ops, slots)
+
+
+def _add(expr, what, ops, slots):
+    """The name of the op expr: a new _k if slots has none for its text."""
+    if expr not in slots:
+        ops.append((expr, what))
+        slots[expr] = f"_{len(ops) - 1}"
+    return slots[expr]
 
 
 def _source(ops, results, ends, checked=False):

@@ -332,6 +332,19 @@ class TestSolutionTimes:
         with pytest.raises(DomainError, match=want):
             catalog.entry_solution(21, None, t)
 
+    @pytest.mark.parametrize("eid", [14, 15, 22, 23, 24, 25, 26])
+    def test_an_arithmetic_failure_away_from_a_pole_is_no_singularity(self, eid):
+        # at t = 1e20 a closed form takes 0.0 to a complex power or overflows
+        # where the field declares no pole; at a declared pole it still is one
+        e = catalog.entry(eid)
+        assert e.poles(e.merged(None), (1e19, 1e21)) == []
+        want = re.escape(f"entry {eid} solution failed at t = 1e+20, away from a field pole: ")
+        with pytest.raises(AccuracyError, match=want):
+            catalog.entry_solution(eid, None, 1e20)
+        if e.poles(e.merged(None), (-1, 1)) == [0.0]:
+            with pytest.raises(SingularityError, match=f"entry {eid} solution singular"):
+                catalog.entry_solution(eid, None, 0.0)
+
     @pytest.mark.parametrize("eid", range(1, 27))
     def test_every_entry_at_the_double_range_is_finite_or_typed(self, eid):
         for t in (1e308, -1e308):

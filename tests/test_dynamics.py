@@ -17,7 +17,7 @@ from spineq.dynamics import (BlochState, bloch_propagate,
                              evolution_constant_direction, evolution_from_q,
                              field_from_q, hamiltonian_check, propagate,
                              se_residual, se_residuals, stationary_solutions,
-                             CSV_HEADER, Trajectory)
+                             CSV_HEADER, POLE_BAND, Trajectory)
 from spineq.errors import (AccuracyError, DomainError, FieldParseError, IntegrationError,
                            SingularityError, SpinEqError)
 from spineq.fields import (CatalogField, ConstField, ExprField, check_poles, field_callable,
@@ -668,6 +668,14 @@ class TestHamiltonianForm:
     def test_bad_q0(self):
         with pytest.raises(DomainError):
             hamiltonian_check(lambda t: 1, lambda t: 1, 1.5, 0.0, (0, 1))
+
+    @pytest.mark.parametrize("q0", [0.9999995, -0.9999995])
+    def test_start_inside_the_pole_band(self, q0):
+        # the truncating event cannot fall from inside its band: the solve
+        # ran through the pole and reported an angle mismatch of pi
+        assert 1 - abs(q0) < POLE_BAND
+        with pytest.raises(DomainError, match=f"got q0 = {q0}"):
+            hamiltonian_check(lambda t: 0.0, lambda t: 1.0, q0, -math.pi / 2, (0, 1))
 
 
 class TestConservationLaws:

@@ -424,6 +424,13 @@ class TestGeneratedCode:
     @example(parse_expr("tan(a*t) ^ (2 - 3i) / sqrt(t) - coth(b*t)"), 1, -0.0, [1e-300, 0.0])
     @example(parse_expr("exp(exp(t*a)) - sinh(b) * cosh(-t) + tanh(t) - sin(t)*cos(t)"),
              700, 1, [1.0, -1.0])
+    # repeated subtrees, each computed once, and 0 and -0 in one AST
+    @example(parse_expr("a*tan(b*t + 1) + tan(b*t + 1)*cot(b*t + 1)"), 0.5, 2 - 1j,
+             [0.5, -0.5, 0.0, 1.0])
+    @example(parse_expr("cot(t) + 1/sin(t)"), 1, 1, [0.0])  # the cot's division fails
+    @example(parse_expr("1/sin(t) + cot(t)"), 1, 1, [0.0])  # the '/' fails first
+    @example(parse_expr("coth(t)*sinh(t) - cosh(t)/sinh(t)"), 1, 1, [0.7, -0.0, 0.0])
+    @example(parse_expr("0*t + -0*t"), 1, 1, [1.0, -1.0, 0.0])
     @settings(max_examples=300, deadline=None)
     def test_scalar_and_grid_match_the_tree_walk(self, node, a, b, ts):
         params = {"a": a, "b": b}
@@ -446,6 +453,28 @@ class TestGeneratedCode:
             node = parse_expr(text)
             assert _outcome(expr.compile_expr(node, {}), 1.0) == \
                 _outcome(_reference, node, 1.0, {})
+
+    @pytest.mark.parametrize("eid", range(1, 27))
+    def test_an_entry_field_computes_each_operation_once(self, eid):
+        # the (F1, 0, F3) code bind_field runs: no expression text twice,
+        # and cot and coth as their quotients, no call of a lambda
+        defs = catalog.entry(eid).field_defs
+        ops, _, _, _ = expr._generate((defs["F1"], None, defs["F3"]))
+        texts = [text for text, _ in ops]
+        assert len(set(texts)) == len(texts)
+        assert not [text for text in texts if re.search(r"\bcoth?\(", text)]
+
+    @pytest.mark.parametrize("text, message", [
+        ("F1 = 1/sin(t); F3 = cot(t)", "'/' overflow/pole at t = 0.0"),
+        ("F1 = cot(t); F3 = 1/sin(t)", "cot pole at t = 0.0"),
+    ])
+    def test_an_op_shared_by_two_components_raises_the_first_error(self, text, message):
+        # sin(t) is one op of F1 and F3: the first failing op names the error
+        fn = field_callable(parse_field_spec(text))
+        for call in (lambda: fn(0.0), lambda: fn(np.array([0.5, 0.0, -0.5]))):
+            with pytest.raises(SingularityError) as got:
+                call()
+            assert (str(got.value), got.value.t) == (message, 0.0)
 
     def test_fields_of_one_shape_share_one_code_object(self, monkeypatch):
         text = "F1 = a*sin(w*t); F3 = b + 1/t"
