@@ -23,8 +23,7 @@ from .errors import AccuracyError, DomainError
 from .fields import FieldSpec, bind_field, check_poles, field_callable
 from .numutil import (central_difference, csv_rows, default_step, dop853, fd_derivative,
                       gauss_kronrod, real_number, solve_window, stencil_nodes)
-from .spinors import (CVec3, ID2, Spinor, eigenpairs, l_vector_arr, real_quotient, sigma_dot,
-                      sigma_exp)
+from .spinors import CVec3, ID2, Spinor, eigenpairs, real_quotient, sigma_dot, sigma_exp
 
 __all__ = [
     "Trajectory",
@@ -493,9 +492,3 @@ def trajectory_se_residuals(traj: Trajectory) -> np.ndarray:
     _, h = _check_uniform(traj.times)
     return se_residuals(fd_derivative(traj.states, h), traj.field_samples, traj.states)
 
-
-def bloch_vector_path(traj: Trajectory) -> np.ndarray:
-    """n = L^{v,v} / (V,V) along a spinor trajectory."""
-    L = l_vector_arr(traj.states, traj.states)
-    n2 = traj.norms()
-    return (L / n2[:, None]).real

@@ -21,9 +21,13 @@ number and parameter is bound as a generated name, so no input text
 reaches the source.
 One checked function runs at a time t: a failing operation or a value
 not finite or above SINGULARITY_THRESHOLD raises, naming the operator and
-t.  The same operations unchecked run on an object array of times with
-np.frompyfunc's cmath, where numpy applies CPython's complex operators
-element by element: each value has the bits of the call at its time.
+t.  The same code unchecked runs on a grid of times, each value a _Pair of
+float64 parts (re, im), t the pair (times, 0.0): +, - and * take CPython's
+formulas on the parts and / a transcription of its _Py_c_quot, each float
+operation one numpy operation, so each element has the bits of the call at
+its time; an operation on constants alone stays a Python complex.  cmath's
+functions and ^ run CPython's own code on the elements as Python complex,
+each pair converted once however many of them take it.
 
 Parsing and the scalar code need the standard library alone; numpy and
 numutil load on the first grid call, so that a field document the CLI
@@ -34,7 +38,9 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
+import operator
 import struct
 import sys
 import types
@@ -473,16 +479,113 @@ def _pole(what, t):
 
 
 # the globals of generated code besides its _c names: cmath's functions and
-# the checks' names for one time, np.frompyfunc's functions for an object
-# array of times (_grid_globals)
+# the checks' names for one time, and for a grid of times (_grid_globals)
 _CHECKED = {"__builtins__": {}, **FUNCTIONS, "complex": complex, "abs": abs,
             "isfinite": cmath.isfinite, "_LIMIT": SINGULARITY_THRESHOLD, "_pole": _pole,
             "_FAILS": (ValueError, OverflowError, ZeroDivisionError)}
 
+
 @functools.cache
 def _grid_globals():
+    return {"__builtins__": {}, **{k: _lifted(f) for k, f in FUNCTIONS.items()}}
+
+
+def _lifted(f):
+    """f on a Python complex, or on each element of a _Pair."""
+    def call(z):
+        return _Pair.of(map(f, z.values()), len(z.re)) if type(z) is _Pair else f(z)
+    return call
+
+
+def _parts(z):
+    return (z.re, z.im) if type(z) is _Pair else (z.real, z.imag)
+
+
+# CPython's _Py_c_sum, _Py_c_diff and _Py_c_prod on the parts, a Python
+# complex operand a constant: a float64 operation rounds as C's double one
+def _sum(a, b):
+    (ar, ai), (br, bi) = _parts(a), _parts(b)
+    return _Pair(ar + br, ai + bi)
+
+
+def _diff(a, b):
+    (ar, ai), (br, bi) = _parts(a), _parts(b)
+    return _Pair(ar - br, ai - bi)
+
+
+def _prod(a, b):
+    (ar, ai), (br, bi) = _parts(a), _parts(b)
+    return _Pair(ar * br - ai * bi, ar * bi + ai * br)
+
+
+def _quot(a, b):
+    """CPython's _Py_c_quot, Smith's method (CACM 5 (1962) 435): where
+    |br| >= |bi|, ratio = bi/br, denom = br + bi*ratio and the quotient
+    ((ar + ai*ratio)/denom, (ai - ar*ratio)/denom); else ratio = br/bi,
+    denom = br*ratio + bi and ((ar*ratio + ai)/denom, (ai*ratio - ar)/denom):
+    one expression, its factors m1, m2 the exact 1.0 or ratio.  A NaN in b
+    takes the second branch and gives NaN, as C's third does.  A zero
+    divisor raises ZeroDivisionError, as in CPython, since a NaN left there
+    could turn into 1 under z^0; so does the divisor (NaN, 0), whose NaN
+    quotient the caller's replay then gives."""
     import numpy as np
-    return {"__builtins__": {}, **{k: np.frompyfunc(f, 1, 1) for k, f in FUNCTIONS.items()}}
+    (ar, ai), (br, bi) = _parts(a), _parts(b)
+    big = abs(br) >= abs(bi)
+    den = np.where(big, br, bi)
+    if not den.all():
+        raise ZeroDivisionError("complex division by zero")
+    ratio = np.where(big, bi, br) / den
+    m1, m2 = np.where(big, 1.0, ratio), np.where(big, ratio, 1.0)
+    denom = br * m1 + bi * m2
+    return _Pair((ar * m1 + ai * m2) / denom, (ai * m1 - ar * m2) / denom)
+
+
+def _power(a, b):
+    """CPython's ** at each element, a constant operand repeated."""
+    n = len((a if type(a) is _Pair else b).re)
+    xs, ys = (z.values() if type(z) is _Pair else itertools.repeat(z) for z in (a, b))
+    return _Pair.of(map(operator.pow, xs, ys), n)
+
+
+def _reflected(op):
+    return lambda self, other: op(other, self)
+
+
+class _Pair:
+    """A complex value per time as float64 parts: re an array, im an array
+    or a float (t's 0.0).  The operators do CPython's complex arithmetic
+    on the parts (a Python complex operand is a constant), bit for bit that
+    of each element as a Python complex."""
+
+    __slots__ = ("re", "im", "_values")
+
+    def __init__(self, re, im):
+        self.re, self.im, self._values = re, im, None
+
+    @classmethod
+    def of(cls, values, n):
+        """The pair of n Python complex values from an iterable."""
+        import numpy as np
+        z = np.fromiter(values, complex, n)
+        return cls(z.real, z.imag)
+
+    def values(self):
+        """The elements as a list of Python complex, made on the first call."""
+        if self._values is None:
+            import numpy as np
+            z = np.empty(self.re.shape, complex)
+            z.real, z.imag = self.re, self.im
+            self._values = z.tolist()
+        return self._values
+
+    def __neg__(self):
+        return _Pair(-self.re, -self.im)
+
+    __add__, __radd__ = _sum, _reflected(_sum)
+    __sub__, __rsub__ = _diff, _reflected(_diff)
+    __mul__, __rmul__ = _prod, _reflected(_prod)
+    __truediv__, __rtruediv__ = _quot, _reflected(_quot)
+    __pow__, __rpow__ = _power, _reflected(_power)
 
 
 def _is_ndarray(t) -> bool:
@@ -515,8 +618,11 @@ class FieldCode:
     scalar(t) returns the values at a time t as Python complex, or raises
     the SingularityError of the first operation or value that fails.
     grid(times) returns the (n, len(nodes)) values at a 1-D ndarray of
-    times, bit for bit the calls at each time, or raises the first failure;
-    sample(t) is grid(t) for an ndarray t, else scalar(t) as an ndarray."""
+    times, or raises the first failure: the unchecked code runs once on
+    _Pair values, whose arithmetic and cmath give each element the bits of
+    scalar at its time, and a failing or singular grid is replayed by
+    scalar node by node.  sample(t) is grid(t) for an ndarray t, else
+    scalar(t) as an ndarray."""
 
     def __init__(self, nodes, params):
         self._nodes, numbers, names, self._checked, self._grid = _plan(tuple(nodes))
@@ -543,13 +649,11 @@ class FieldCode:
                               ok=lambda v: np.abs(v) <= SINGULARITY_THRESHOLD)
 
     def _array_call(self, times):
-        # numpy applies CPython's complex operators and cmath element by
-        # element to the object array of Python complex; a constant broadcasts
         import numpy as np
         fn = types.FunctionType(_function_code(self._grid), {**_grid_globals(), **self._consts})
         out = np.empty((len(times), len(self._nodes)), dtype=complex)
-        for k, v in enumerate(fn(np.array(times.astype(complex).tolist(), dtype=object))):
-            out[:, k] = v
+        for k, v in enumerate(fn(_Pair(np.asarray(times, dtype=float), 0.0))):
+            out.real[:, k], out.imag[:, k] = _parts(v)
         return out
 
 

@@ -46,10 +46,14 @@ E16_MARGIN = 2.0**-47
 def _powers_of_ten():
     """Row e + 100, e = -100 .. 100: 10**(16 - e) = n / d as ph + pl, ph the
     double nearest it and pl the double nearest the rest (int / int rounds
-    once); built on the first call, so that the import does not pay for it."""
-    return np.array([(i / j, (n * j - i * d) / (d * j))
-                     for n, d in [(10**max(k, 0), 10**max(-k, 0)) for k in range(116, -85, -1)]
-                     for i, j in [(n / d).as_integer_ratio()]])
+    once), then Veltkamp's split hh + hl of ph (see _digits_at); built on
+    the first call, so that the import does not pay for it."""
+    ph, pl = np.array([(i / j, (n * j - i * d) / (d * j))
+                       for n, d in [(10**max(k, 0), 10**max(-k, 0)) for k in range(116, -85, -1)]
+                       for i, j in [(n / d).as_integer_ratio()]]).T
+    c = ph * 134217729.0
+    hh = c - (c - ph)
+    return np.column_stack([ph, pl, hh, ph - hh])
 
 
 # the ASCII digits of 0000 .. 9999 as one 4-byte word each, and the exponent
@@ -65,11 +69,10 @@ _EXP_WORDS = np.column_stack([np.full(_EXP.size, ord("e")),
 
 def _digits_at(a, e):
     """a * 10**(16 - e) as p + r (see _e16_digits): D = p + rint(r) and f = r - rint(r)."""
-    ph, pl = _powers_of_ten().take(e + 100, axis=0, mode="clip").T
-    v = np.stack([a, ph])
-    c = v * 134217729.0
-    ah, hh = hi = c - (c - v)  # Veltkamp's split, 2**27 + 1: 26 bits each
-    al, hl = v - hi
+    ph, pl, hh, hl = _powers_of_ten().take(e + 100, axis=0, mode="clip").T
+    c = a * 134217729.0
+    ah = c - (c - a)  # Veltkamp's split, 2**27 + 1: 26 bits each
+    al = a - ah
     p = a * ph
     # Dekker's TwoProduct: a * ph - p, exact; then a * pl
     r = (((ah * hh - p) + ah * hl + al * hh) + al * hl) + a * pl
@@ -128,9 +131,14 @@ def _e16_block(table):
     rows, cols = table.shape
     x = table.ravel()
     fast, d, e = _e16_digits(x)
-    d = d.view(np.uint64)  # uint64 // a constant is numpy's fastest division
-    lead = d // 10**16
-    d -= lead * 10**16
+    # one uint64 division splits D < 10**17 into its lead digit and 8 digits,
+    # and 8 digits; the rest is uint32, where division is faster
+    d = d.view(np.uint64)
+    hi = d // 10**8
+    lo = (d - hi * 10**8).astype(np.uint32)
+    hi = hi.astype(np.uint32)
+    lead = hi // 10**8
+    hi -= lead * 10**8
     # per value 25 bytes: sign or NUL | lead digit, "." | 4 words of 4 digits | "e+dd" |
     # NUL | separator; a fallback text fills up to 24 bytes; the NULs are dropped at the end
     b = np.empty((x.size, 25), np.uint8)
@@ -138,11 +146,10 @@ def _e16_block(table):
     b[:, 1] = lead + ord("0")
     b[:, 2] = ord(".")
     words = b[:, 3:23].view(np.uint32)
-    for col, div in enumerate((10**12, 10**8, 10**4)):
-        group = d // div
-        d -= group * div
-        words[:, col] = _DIGIT_WORDS.take(group)
-    words[:, 3] = _DIGIT_WORDS.take(d)
+    for col, eight in ((0, hi), (2, lo)):
+        four = eight // 10**4
+        words[:, col] = _DIGIT_WORDS.take(four)
+        words[:, col + 1] = _DIGIT_WORDS.take(eight - four * 10**4)
     words[:, 4] = _EXP_WORDS.take(e + 99)
     b[:, 23] = 0
     slow = np.flatnonzero(~fast)

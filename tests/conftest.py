@@ -9,7 +9,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from spineq.spinors import CVec3, Spinor
+from spineq.spinors import CVec3, Spinor, l_vector_arr
 
 
 @pytest.fixture
@@ -34,6 +34,11 @@ def assert_rel(got, want, tol, scale=None):
         scale = max(1.0, float(np.max(np.abs(np.atleast_1d(want)))))
     err = float(np.max(np.abs(np.atleast_1d(got - want))))
     assert err <= tol * scale, f"|got - want| = {err:.3e} > {tol:.1e} * {scale:.3e}"
+
+
+def bloch_vector_path(traj):
+    """n = L^{v,v} / (V,V) along a spinor trajectory."""
+    return (l_vector_arr(traj.states, traj.states) / traj.norms()[:, None]).real
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")

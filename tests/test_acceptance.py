@@ -13,7 +13,7 @@ from spineq.darboux import (constant_f_seed_trajectory, darboux_apply,
                             darboux_field, darboux_from_seed,
                             darboux_params_constant_f)
 from spineq.dynamics import (BlochState, Trajectory, bloch_propagate,
-                             bloch_vector_path, constant_field_propagator,
+                             constant_field_propagator,
                              evolution_constant_direction, evolution_from_q,
                              field_from_q, hamiltonian_check, propagate,
                              trajectory_se_residuals)
@@ -25,6 +25,8 @@ from spineq.solutions import (gauge_from_field, invert_field,
 from spineq.specfun import complex_gamma, gauss_2f1, kummer_phi, parabolic_d
 from spineq.spinors import (AngleRep, Spinor, anticonjugate, frame,
                             from_angles, inner, l_vector, sigma_dot)
+
+from conftest import bloch_vector_path
 
 
 def report(num, ok, detail):

@@ -12,8 +12,7 @@ import pytest
 
 from spineq import catalog, dynamics, numutil
 from spineq.darboux import darboux_params_mu_route
-from spineq.dynamics import (BlochState, bloch_propagate,
-                             bloch_vector_path, constant_field_propagator,
+from spineq.dynamics import (BlochState, bloch_propagate, constant_field_propagator,
                              evolution_constant_direction, evolution_from_q,
                              field_from_q, hamiltonian_check, propagate,
                              se_residual, se_residuals, stationary_solutions,
@@ -27,7 +26,7 @@ from spineq.reductions import ReductionPlan, reduce_field, transform_matrix
 from spineq.spinors import (CVec3, Spinor, anticonjugate_arr, frame,
                             l_vector_arr, sigma_dot)
 
-from conftest import assert_rel
+from conftest import assert_rel, bloch_vector_path
 
 
 class TestPropagate:

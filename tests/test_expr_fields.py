@@ -299,7 +299,9 @@ class TestArrayCall:
         for p in [e.merged(None)] + [e.draw_params(rng) for _ in range(3)]:
             t0, t1 = e.window_for(p)
             specs = (CatalogField(eid, p), ExprField(parse_field_spec(e.field_dsl).defs, p))
-            for times in (np.linspace(t0, t1, 201), np.linspace(-t1, -t0, 51)):
+            # 2001 nodes: the size of a benchmark write
+            for times in (np.linspace(t0, t1, 201), np.linspace(-t1, -t0, 51),
+                          np.linspace(t0, t1, 2001)):
                 for spec in specs:
                     matched += _assert_array_call_matches_loop(field_callable(spec), times,
                                                                monkeypatch)
@@ -431,6 +433,18 @@ class TestGeneratedCode:
     @example(parse_expr("1/sin(t) + cot(t)"), 1, 1, [0.0])  # the '/' fails first
     @example(parse_expr("coth(t)*sinh(t) - cosh(t)/sinh(t)"), 1, 1, [0.7, -0.0, 0.0])
     @example(parse_expr("0*t + -0*t"), 1, 1, [1.0, -1.0, 0.0])
+    # the grid's pair arithmetic: a constant over t, whose zero divisor the
+    # grid raises on rather than leave a NaN that ^0 would turn into 1
+    @example(parse_expr("(2 - 3i)/t"), 1, 1, [0.5, -0.0, 1e-300])
+    @example(parse_expr("(1/t)^0 + t"), 1, 1, [0.5, -2.0, 0.0])
+    # -0.0 parts of a constant against t's 0.0 imaginary part
+    @example(BinOp("*", Num(complex(-0.0, -2.0)), Var("t")), 1, 1, [0.0, -0.0, 1.0])
+    @example(BinOp("*", Var("t"), Num(complex(1.5, -0.0))), 1, 1, [0.0, -0.0, 1.0])
+    @example(parse_expr("(a*t + 1)^3 - t^2 + (2*t)^(-1)"), 0.5 - 1j, 1, [0.5, -1.5, 0.0])
+    @example(parse_expr("t^(0.5 + 2i) + (1 - t)^b"), 1, 0.5 + 1j, [0.5, 2.0, 0.0])
+    # operations on constants alone, which the grid keeps as Python complex
+    @example(parse_expr("(a + 2i)*(b - 1)/3*sin(a) + t - exp(b)^2"), 0.5, -1 + 1j,
+             [0.25, -0.0])
     @settings(max_examples=300, deadline=None)
     def test_scalar_and_grid_match_the_tree_walk(self, node, a, b, ts):
         params = {"a": a, "b": b}
