@@ -51,8 +51,9 @@ class DarbouxParams:
 
     R satisfies alpha^2 + beta^2 = R^2; for seed-built pairs R^2 = -eps0^2.
     mu is the optional phase parameterization (alpha, beta) =
-    (R cos mu, R sin mu).  window/crossings are set when the pair was
-    built from samples and had to avoid zeros of L3.
+    (R cos mu, R sin mu).  window is set for a pair that answers only
+    within it (the mu route and the seed route): a time outside raises
+    DomainError.  crossings are the zeros of L3 a seed pair avoids.
     """
 
     alpha: Callable[[float], complex]
@@ -146,8 +147,8 @@ def darboux_field(F3_fn, params: DarbouxParams, t: float) -> complex:
 def pair_equation_residual(F3_fn, params: DarbouxParams, t: float) -> float:
     """Max residual of alpha' = 2 beta (F3 - beta), beta' = -2 alpha (F3 - beta)
     at t, with derivatives by central differences (numutil.default_step).
-    The stencil reaches t +- 2h: for a mu-route pair, t within 2h of an end
-    of its window raises DomainError."""
+    The stencil reaches t +- 2h: for a pair with a window (mu route, seed
+    route), t within 2h of an end of it raises DomainError."""
     ad = complex(fd_derivative_callable(lambda s: complex(params.alpha(s)), t))
     bd = complex(fd_derivative_callable(lambda s: complex(params.beta(s)), t))
     a, b = params.pair(t)
@@ -187,10 +188,13 @@ def darboux_from_seed(V_seed: Trajectory, eps0: complex) -> DarbouxParams:
 
     L = (Vbar, sigma V),  alpha = -eps0 L2/L3,  beta = -eps0 L1/L3,
 
-    giving alpha^2 + beta^2 = -eps0^2.  Zeros of L3 (nodes where |L3| is
-    at most L3_REL_FLOOR times its largest value) truncate the window to
-    the largest clean subinterval; the crossing locations are recorded.
-    If no usable subwindow remains a DomainError is raised.
+    giving alpha^2 + beta^2 = -eps0^2, interpolated linearly between the
+    seed's nodes.  Zeros of L3 (nodes where |L3| is at most L3_REL_FLOOR
+    times its largest value) truncate the window to the largest clean
+    subinterval; the crossing locations are recorded.  If no usable
+    subwindow remains a DomainError is raised.  alpha and beta answer only
+    within the window, either end included: a time outside it raises
+    DomainError, where the interpolation would hold the end value.
     """
     times, _ = _check_uniform(V_seed.times)
     states = V_seed.states
@@ -225,11 +229,14 @@ def darboux_from_seed(V_seed: Trajectory, eps0: complex) -> DarbouxParams:
         sl = slice(None)
     eps0 = complex(eps0)
     sub_t = times[sl]
+    lo, hi = float(sub_t[0]), float(sub_t[-1])
     alpha_s = -eps0 * L[sl, 1] / l3[sl]
     beta_s = -eps0 * L[sl, 0] / l3[sl]
 
     def interp(samples):
         def fn(t):
+            if not lo <= t <= hi:
+                raise DomainError(f"t = {t} is outside the window [{lo}, {hi}] of the seed route")
             re = np.interp(t, sub_t, samples.real)
             im = np.interp(t, sub_t, samples.imag)
             return complex(re, im)
@@ -238,7 +245,7 @@ def darboux_from_seed(V_seed: Trajectory, eps0: complex) -> DarbouxParams:
     return DarbouxParams(
         alpha=interp(alpha_s), beta=interp(beta_s),
         R=cmath.sqrt(-eps0 * eps0), mu=None,
-        window=(float(sub_t[0]), float(sub_t[-1])),
+        window=(lo, hi),
         crossings=tuple(crossings),
     )
 
@@ -251,8 +258,8 @@ def intertwine_residual(F3_fn, F3p_fn, params: DarbouxParams, t: float) -> float
 
     with A = alpha + i (F3 - beta) sigma3 and time derivatives by central
     differences, step numutil.default_step(t, 1e-6).  The stencil reaches
-    t +- 2h: for a mu-route pair, t within 2h of an end of its window
-    raises DomainError.
+    t +- 2h: for a pair with a window (mu route, seed route), t within 2h
+    of an end of it raises DomainError.
     """
     def A_of(s):
         a, b = params.pair(s)

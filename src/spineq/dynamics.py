@@ -197,9 +197,10 @@ def stationary_solutions(F):
 def _check_uniform(times):
     times = np.asarray(times, dtype=float)
     dt = np.diff(times)
-    if len(dt) == 0 or np.any(dt <= 0):
+    # written so that a NaN time fails them
+    if len(dt) == 0 or not (dt > 0).all():
         raise DomainError("times must be strictly increasing")
-    if np.max(np.abs(dt - dt[0])) > 1e-9 * max(abs(dt[0]), 1e-300):
+    if not np.max(np.abs(dt - dt[0])) <= 1e-9 * max(abs(dt[0]), 1e-300):
         raise DomainError("sampled-path operations require a uniform time grid")
     return times, float(dt[0])
 

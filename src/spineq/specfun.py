@@ -8,7 +8,8 @@ but z (_hyp2f1_coefficient, _hyp1f1_coefficient), which both loops take.
 They return (value, terms_used, relative_truncation_estimate); terms_used
 == -1 signals that the term cap was reached before convergence, or that a
 term is not finite, which ends the sum at once since NaN and inf never pass
-the stop test.  The AccuracyError raised then tells the two apart by the
+the stop test (the grid kernel ends at a partial sum that is not finite as
+well).  The AccuracyError that _run raises then tells the two apart by the
 sum's value, finite at the cap and not after a term that is not finite.
 Everything else — domain handling, the Pfaff transformation used near the
 unit circle, the Lanczos gamma and the parabolic-cylinder reduction — is
@@ -16,42 +17,39 @@ plain Python on top.
 
 _grid_series takes a list of jobs, each a term coefficient with an array of
 z, sums all of them in one pass over blocks of terms, and returns the three
-arrays of each job.  Every element reproduces the scalar loop bit for bit:
-the term coefficient is the same Python complex, the complex products are
-CPython's (xr*yr - xi*yi, xr*yi + xi*yr) on float64 real/imaginary pairs,
-and each element keeps its own STREAK count and MAX_TERMS cap, leaving the
-active set when it stops.  So a job gets the same bits in a pass of its own
-as beside other jobs, unless a job before it has a term that overflowed:
-then it is left out (None).  The stop test abs(term) < REL_EPS * abs(total)
-makes the scalar loop's decisions from squared magnitudes re**2 + im**2:
-a ratio of squares more than 1e-12 (relative) away from REL_EPS**2 settles
-it, about a thousand times the rounding the two ways can differ by, and
-only the ratios inside that margin take hypot, as abs does.  A block whose
-squares leave [2**-900, 2**900] (or are NaN) takes hypot whole, which keeps
-abs's OverflowError and its NaN.  Each pass allocates its block arrays
-once, as views of two workspaces that every block reuses.
+arrays of each job.  It only computes values: every job is summed to its
+end, and it never raises.  Each element reproduces the scalar loop bit for
+bit up to its end: the term coefficient is the same Python complex, the
+complex products are CPython's (xr*yr - xi*yi, xr*yi + xi*yr) on float64
+real/imaginary pairs, and each element keeps its own STREAK count and
+MAX_TERMS cap, leaving the active set when it stops.  The stop test
+abs(term) < REL_EPS * abs(total) makes the scalar loop's decisions from
+squared magnitudes re**2 + im**2: a ratio of squares more than 1e-12
+(relative) away from REL_EPS**2 settles it, about a thousand times the
+rounding the two ways can differ by, and only the ratios inside that margin
+take hypot, as abs does.  A block whose squares leave [2**-900, 2**900] (or
+are NaN) takes hypot whole, and an element ends over the cap at the first
+step where the magnitude of its term or partial sum is not finite, which is
+also where abs would raise OverflowError.  Each pass allocates its block
+arrays once, as views of two workspaces that every block reuses.
 
 gauss_2f1, kummer_phi and parabolic_d also take an ndarray of z (an
 object array of Python numbers, as the catalog's closed forms build) and
-return an object array of Python complex values.  gauss_2f1_many and
-kummer_phi_many take several parameter sets for one z, as each closed form
-needs two series on the same argument, and return one value (or object
-array) per set.  On an array, each element of each set takes the branch
-the scalar call would take.  For 2F1 the branches are planned once per
-array of z, as numpy masks that all sets share (_pfaff_branches): the
-image w = z/(z-1) is each element's own CPython division, on an object
-array, and the prefactor (1-z)^(-alpha) is one object-array power per
-distinct alpha; a set adds only its test of Re(gamma - alpha - beta), and
-a set that fails calls _pfaff_image at its first failing element, which
-raises the scalar call's error.  Each series becomes a job (the direct and
-the Pfaff-image elements of a 2F1 set are one job each), and the jobs of
-all sets are summed in one pass of _grid_series, so the values carry the
-bits of the scalar loop.  The one-set gauss_2f1 and kummer_phi are the
-many-forms with one set, and parabolic_d sums its two Kummer series in one
-pass.  Errors are those of the scalar call at some failing element, not
-necessarily the first one, and come in the order of the sets: the
-many-forms raise what the one-set calls, made one after the other, would
-raise.
+return an object array of Python complex values.  gauss_2f1_many,
+kummer_phi_many and parabolic_d_many take several parameter sets for one
+z, as each closed form needs two series on the same argument, and return
+one value (or object array) per set; the one-set functions call them.  On
+an ndarray they follow numutil.grid_or_replay's rule (_many): a grid
+function (_gauss_grid, _kummer_grid, _parabolic_grid) checks every set,
+sums the series of all sets in one pass of _grid_series and assembles the
+values; if it raises, at any failing check or any element over the cap,
+the scalar calls are made set by set and element by element, and the first
+error is raised.  So an array call returns the bits of the scalar calls, or
+raises the error of its first failing element.  For 2F1 the branches are
+planned once per array of z, as numpy masks that all sets share
+(_pfaff_branches): the image w = z/(z-1) is each element's own CPython
+division, on an object array, and the prefactor (1-z)^(-alpha) is one
+object-array power per distinct alpha.
 """
 
 from __future__ import annotations
@@ -62,7 +60,7 @@ import math
 import numpy as np
 
 from ._numbers import is_nonpositive_integer, record
-from .errors import AccuracyError, DomainError
+from .errors import AccuracyError, DomainError, SpinEqError
 
 # always False, as there is one series backend; kept because the benchmark
 # harness (perfbench/harness.py) writes it on its meta line
@@ -126,15 +124,10 @@ def _check_gamma_param(gamma: complex):
         raise DomainError(f"gamma = {gamma} is a non-positive integer (series pole)")
 
 
-def _check_finite_z(name, z):
-    """DomainError naming the first element of z, a complex number or
-    ndarray, that is not finite: a series there would run to the term cap
-    and report that rather than the argument."""
-    if isinstance(z, np.ndarray):
-        bad = ~np.isfinite(z)
-        if bad.any():
-            raise DomainError(f"{name} argument z = {z.flat[bad.argmax()]} is not finite")
-    elif not cmath.isfinite(z):
+def _check_finite_z(name, z: complex):
+    """DomainError naming z if it is not finite: a series there would run
+    to the term cap and report that rather than the argument."""
+    if not cmath.isfinite(z):
         raise DomainError(f"{name} argument z = {z} is not finite")
 
 
@@ -173,19 +166,15 @@ def _series(coefficient, z: complex):
     return total, n_used, abs(term) / max(abs(total), 1e-300)
 
 
-def _not_converged(name, z, value) -> AccuracyError:
-    """The error of a sum at z that ended over the cap with this value:
-    finite if it ran to MAX_TERMS, and not if it ended at a term that is
-    not finite."""
-    if cmath.isfinite(value):
-        return AccuracyError(f"{name} series did not converge within {MAX_TERMS} terms at z={z}")
-    return AccuracyError(f"{name} series has a term that is not finite at z={z}")
-
-
 def _run(name, coefficient, z) -> SeriesResult:
+    """The series at z, or AccuracyError if it ended over the cap: with a
+    finite sum if it ran to MAX_TERMS, and not if it ended at a term that
+    is not finite."""
     value, n, est = _series(coefficient, complex(z))
     if n < 0:
-        raise _not_converged(name, z, value)
+        if cmath.isfinite(value):
+            raise AccuracyError(f"{name} series did not converge within {MAX_TERMS} terms at z={z}")
+        raise AccuracyError(f"{name} series has a term that is not finite at z={z}")
     return SeriesResult(value, n, est)
 
 
@@ -211,11 +200,12 @@ def _grid_series(jobs):
     used; one of three times that holds the block's coefficients, gathered
     per element, and then its squared magnitudes.
 
-    An element whose term is not finite ends there, over the cap (terms -1),
-    as the scalar loop does: NaN and inf never pass the stop test.  The jobs
-    are read in order, up to the first with an element over the cap
-    (_job_values raises there), so once a term overflows to inf the jobs
-    after its own leave the pass and return None.
+    An element ends over the cap (terms -1) at the first step where the
+    magnitude of its term or its partial sum is not finite: where the
+    scalar loop ends too, as NaN and inf never pass its stop test, or where
+    its abs raises OverflowError on finite parts.  Past its first partial
+    sum that is not finite, the scalar loop may go on; the callers replay
+    every element over the cap with the scalar calls.
     """
     zs = [np.asarray(z, dtype=complex) for _, z in jobs]
     sizes = [z.size for z in zs]
@@ -230,7 +220,6 @@ def _grid_series(jobs):
     live = np.arange(n)
     owner = np.repeat(np.arange(len(jobs)), sizes)  # the job of each live element
     coefficients, which = _live_jobs(jobs, owner)
-    last_job = len(jobs) - 1  # the jobs after it have left the pass
     # each element's term and partial sum where it ended, [term/total, re/im, element]
     final = np.empty((2, 2, n))
     terms = np.full(n, -1, dtype=np.int64)
@@ -256,34 +245,22 @@ def _grid_series(jobs):
             small[:2] = tail
             mags = _small_terms(block, squares, small[2:])
             # three small terms in a row end the sum, as STREAK does, and a
-            # term that is not finite ends it over the cap
+            # term or partial sum that is not finite ends it over the cap
             ends = small[2:] & small[1:-1] & small[:-2]
             if mags is not None:
-                diverged = ~(mags[:, 0] < np.inf)
+                diverged = ~np.isfinite(mags).all(axis=1)
                 ends |= diverged
-            done = np.flatnonzero(ends.any(axis=0))
-            last = ends[:, done].argmax(axis=0)  # the step at which each one ends
-            used = k0 + last + 1
-            if mags is not None:
-                # abs raises at a step the scalar loop reaches: up to its
-                # end at an element done, every step at the others
-                reach = np.full(m, kb - 1)
-                reach[done] = last
-                if np.count_nonzero(_overflows(block, mags) & (np.arange(kb)[:, None] <= reach)):
-                    raise OverflowError("absolute value too large")  # as CPython's abs
-                over_cap = diverged[last, done]
-                used[over_cap] = -1
-                inf = done[over_cap & (mags[last, 0, done] == np.inf)]
-                if inf.size:  # a term overflowed: the caller stops at its job
-                    last_job = min(last_job, int(owner[inf].min()))
+            ended = ends.any(axis=0)
+            done = np.flatnonzero(ended)
             if done.size:
+                last = ends[:, done].argmax(axis=0)  # the step at which each one ends
+                used = k0 + last + 1
+                if mags is not None:
+                    used[diverged[last, done]] = -1
                 idx = live[done]
                 final[:, :, idx] = block[last, :, :, done].transpose(1, 2, 0)
                 terms[idx] = used
-            if done.size or owner[-1] > last_job:  # owner is sorted
-                keep = owner <= last_job
-                keep[done] = False
-                keep = np.flatnonzero(keep)
+                keep = np.flatnonzero(~ended)
                 # one at a time, so that each old array goes before the next new one
                 live = live.take(keep)
                 zz = zz.take(keep, 1)
@@ -300,9 +277,8 @@ def _grid_series(jobs):
     values = np.empty(n, dtype=complex)
     values.real, values.imag = final[1]
     cuts = np.cumsum(sizes)[:-1]
-    return [None if j > last_job else (v.reshape(z.shape), m.reshape(z.shape), r.reshape(z.shape))
-            for j, (z, v, m, r) in enumerate(
-                zip(zs, *(np.split(a, cuts) for a in (values, terms, estimates))))]
+    return [(v.reshape(z.shape), m.reshape(z.shape), r.reshape(z.shape))
+            for z, v, m, r in zip(zs, *(np.split(a, cuts) for a in (values, terms, estimates)))]
 
 
 def _live_jobs(jobs, owner):
@@ -382,13 +358,6 @@ def _small_terms(block, squares, small):
     return mags
 
 
-def _overflows(block, mags):
-    """Where abs(term) or abs(total) raises OverflowError, as [step,
-    element], from a block and its hypot magnitudes: CPython's abs raises
-    where hypot overflows on finite parts."""
-    return (np.isinf(mags) & np.isfinite(block).all(axis=2)).any(axis=1)
-
-
 def _estimate(ends):
     """abs(term) / max(abs(total), 1e-300) for ends = [term/total, re/im,
     element], with the positive NaN that CPython's abs gives when a part is
@@ -447,69 +416,56 @@ def gauss_2f1_info(alpha: complex, beta: complex, gamma: complex, z: complex) ->
     return _run("2F1", _hyp2f1_coefficient(alpha, beta, gamma), z)
 
 
-def _in_order(plan, sets, values) -> list:
-    """One result per parameter set, with the series of all sets taken from
-    values in one go, and the errors that one call per set, made in order,
-    would raise.
-
-    plan(*params) checks one set and returns its jobs and an assemble
-    function, which takes the iterator of job values (one per job, in
-    order) and returns the set's result.  values(jobs) is that iterator for
-    the jobs of all sets, summed lazily or in one pass.  A set that fails in
-    plan raises once the sets before it are assembled, and an error of a job
-    is raised before the sets after it are assembled.
-    """
-    plans, failure = [], None
-    for params in sets:
-        try:
-            plans.append(plan(*params))
-        except Exception as exc:  # raised below, after the sets before it
-            failure = exc
-            break
-    job_values = values([job for jobs, _ in plans for job in jobs])
-    out = [assemble(job_values) for _, assemble in plans]
-    if failure is not None:
-        raise failure
-    return out
-
-
-def _job_values(name, jobs):
-    """The values of each (coefficient, z) job as object arrays, in order,
-    all summed in one grid pass; AccuracyError names a job's first element
-    over the cap.  An OverflowError of the pass is raised by the first job
-    that overflows on its own, after the jobs before it, as one pass per job
-    would raise it."""
-    try:
-        results = _grid_series(jobs)
-    except OverflowError:
-        if len(jobs) == 1:
-            raise
-        results = None
-    for i, job in enumerate(jobs):
-        values, n, _ = results[i] if results else _grid_series([job])[0]
-        if (n < 0).any():
-            first = np.argmax(n < 0)
-            raise _not_converged(name, complex(job[1].flat[first]), values.flat[first])
-        yield values.astype(object)
-
-
-def gauss_2f1_many(sets, z) -> list:
-    """[gauss_2f1(alpha, beta, gamma, z) for (alpha, beta, gamma) in sets].
-
-    With an ndarray z, every element of every set takes the branch the
-    scalar call would take, and the direct and the Pfaff-image series of
-    all sets are summed in one grid pass.
-    """
+def _many(grid, one, sets, z) -> list:
+    """[one(*s, z) for s in sets] at a number z.  At an ndarray z, grid(sets,
+    z) computes the values of all sets at once; if it raises, the scalar
+    calls one(*s, complex(z_i)) are made set by set and element by element,
+    which raises the first error.  numpy's floating-point warnings are
+    silenced in grid: the scalar calls report a failure."""
     if not isinstance(z, np.ndarray):
-        return [gauss_2f1_info(alpha, beta, gamma, z).value for alpha, beta, gamma in sets]
+        return [one(*s, z) for s in sets]
+    try:
+        with np.errstate(all="ignore"):
+            return grid(sets, z)
+    except (SpinEqError, ArithmeticError, ValueError):  # as numutil.grid_or_replay
+        pass
+    zs = [complex(x) for x in z.flat]
+    return [np.array([one(*s, x) for x in zs], dtype=object).reshape(z.shape) for s in sets]
+
+
+def _values(jobs) -> list:
+    """The values of each (coefficient, z) job, summed in one grid pass, as
+    object arrays of Python complex; AccuracyError if an element ends over
+    the cap."""
+    results = _grid_series(jobs)
+    if any((n < 0).any() for _, n, _ in results):
+        raise AccuracyError("a series ended over the term cap")
+    return [values.astype(object) for values, _, _ in results]
+
+
+def _gauss_grid(sets, z) -> list:
+    """gauss_2f1_many on an ndarray z, with the direct and the Pfaff-image
+    series of all sets summed in one grid pass; raises if an element of a
+    set fails its branch or ends over the cap."""
     zc = np.asarray(z, dtype=complex).ravel()
-    image, images, base, fail, gated = _pfaff_branches(zc)
+    image, images, base, fails, slow = _pfaff_branches(zc)
+    if fails:
+        raise DomainError("2F1 argument outside the supported domain")
     direct = np.ones(zc.size, dtype=bool)
     direct[image] = False
     direct = np.flatnonzero(direct)
+    jobs = []
+    for alpha, beta, gamma in sets:
+        _check_gamma_param(gamma)
+        if slow and not _slow_series_ok(alpha, beta, gamma):
+            raise DomainError("2F1 argument outside the supported domain")
+        # Pfaff: F(a,b;c;z) = (1-z)^(-a) F(a, c-b; c; z/(z-1))
+        jobs += [(_hyp2f1_coefficient(alpha, beta, gamma), zc[direct]),
+                 (_hyp2f1_coefficient(alpha, gamma - beta, gamma), images)]
+    sums = iter(_values(jobs))
     powers = {}
-
-    def prefactor(alpha):
+    out = []
+    for alpha, _, _ in sets:
         # (1 - z)^(-alpha) at the images, once per alpha; keyed by its type and
         # bits, as two alphas that differ in the sign of a zero part compare equal
         key = type(alpha), np.complex128(complex(alpha)).tobytes()
@@ -517,46 +473,30 @@ def gauss_2f1_many(sets, z) -> list:
             exponent = np.empty((), dtype=object)
             exponent[()] = -alpha  # the scalar call's own exponent object
             powers[key] = np.power(base, exponent)
-        return powers[key]
+        values = np.empty(zc.size, dtype=object)
+        values[direct] = next(sums)
+        values[image] = powers[key] * next(sums)
+        out.append(values.reshape(np.shape(z)))
+    return out
 
-    def plan(alpha, beta, gamma):
-        _check_gamma_param(gamma)
-        first = fail
-        if gated < first and not _slow_series_ok(alpha, beta, gamma):
-            first = gated
-        if first < zc.size:
-            _pfaff_image(alpha, beta, gamma, complex(zc[first]))  # raises the scalar call's error
-        jobs = []
-        if direct.size:
-            jobs.append((_hyp2f1_coefficient(alpha, beta, gamma), zc[direct]))
-        if image.size:
-            # Pfaff: F(a,b;c;z) = (1-z)^(-a) F(a, c-b; c; z/(z-1))
-            jobs.append((_hyp2f1_coefficient(alpha, gamma - beta, gamma), images))
 
-        def assemble(values):
-            out = np.empty(zc.size, dtype=object)
-            if direct.size:
-                out[direct] = next(values)
-            if image.size:
-                inner = next(values)  # a series error comes before the prefactor's
-                out[image] = prefactor(alpha) * inner
-            return out.reshape(np.shape(z))
-        return jobs, assemble
-
-    return _in_order(plan, sets, lambda jobs: _job_values("2F1", jobs))
+def gauss_2f1_many(sets, z) -> list:
+    """[gauss_2f1(alpha, beta, gamma, z) for (alpha, beta, gamma) in sets]."""
+    return _many(_gauss_grid, lambda alpha, beta, gamma, z:
+                 gauss_2f1_info(alpha, beta, gamma, z).value, sets, z)
 
 
 def _pfaff_branches(zc):
     """The branches _pfaff_image takes on the complex array zc, for every
-    parameter set at once, as (image, images, base, fail, gated):
+    parameter set at once, as (image, images, base, fails, slow):
 
     - image, the indices of the elements that take the Pfaff image;
     - images, their w = z / (z - 1.0), each by CPython's own division;
     - base, their 1.0 - z, as an object array of Python complex;
-    - fail, the first index at which every set fails (on the cut, or where
-      |w| and |z| are both too large or NaN), or zc.size;
-    - gated, the first index that takes the slow direct series where
-      _slow_series_ok holds and fails otherwise, or zc.size.
+    - fails, whether an element fails for every set (on the cut, or where
+      |w| and |z| are both too large or NaN);
+    - slow, whether an element takes the slow direct series, which fails
+      for a set where _slow_series_ok does not hold.
 
     np.hypot is the hypot of CPython's abs, with the same inf and NaN, so
     the masks decide as abs does.  Where abs(z) would raise OverflowError,
@@ -564,19 +504,16 @@ def _pfaff_branches(zc):
     |z| <= 1 + 1e-12: there |z - 1| >= 2**-53, or Re z = 1 and CPython's
     w = 1 - i/Im z has a part that is inf or the modulus.
     """
-    with np.errstate(all="ignore"):
-        mag = np.hypot(zc.real, zc.imag)
-        far = np.flatnonzero(~(mag <= _DIRECT_RADIUS))
-        cut = (zc.imag[far] == 0.0) & (zc.real[far] >= 1.0)
-        rest = far[~cut]
-        z = zc[rest].astype(object)
-        wc = (z / (z - 1.0)).astype(complex)
-        inside = np.hypot(wc.real, wc.imag) <= _DIRECT_RADIUS
-        slow = ~inside & (mag[rest] <= 1.0 + 1e-12)
-    failing = np.concatenate([far[cut], rest[~inside & ~slow]])
-    fail = int(failing.min()) if failing.size else zc.size
-    gated = int(rest[slow][0]) if slow.any() else zc.size
-    return rest[inside], wc[inside], 1.0 - z[inside], fail, gated
+    mag = np.hypot(zc.real, zc.imag)
+    far = np.flatnonzero(~(mag <= _DIRECT_RADIUS))
+    cut = (zc.imag[far] == 0.0) & (zc.real[far] >= 1.0)
+    rest = far[~cut]
+    z = zc[rest].astype(object)
+    wc = (z / (z - 1.0)).astype(complex)
+    inside = np.hypot(wc.real, wc.imag) <= _DIRECT_RADIUS
+    slow = ~inside & (mag[rest] <= 1.0 + 1e-12)
+    fails = cut.any() or (~inside & ~slow).any()
+    return rest[inside], wc[inside], 1.0 - z[inside], fails, slow.any()
 
 
 def gauss_2f1(alpha: complex, beta: complex, gamma: complex, z: complex) -> complex:
@@ -591,30 +528,21 @@ def kummer_phi_info(alpha: complex, gamma: complex, z: complex) -> SeriesResult:
     return _run("Kummer", _hyp1f1_coefficient(alpha, gamma), z)
 
 
-def _kummer_values(z):
-    """jobs -> the iterator of their Phi(alpha, gamma; z), for jobs of
-    (alpha, gamma): one scalar call per job when it is taken, or one grid
-    pass for all jobs on an ndarray z."""
-    if not isinstance(z, np.ndarray):
-        return lambda jobs: (kummer_phi_info(alpha, gamma, z).value for alpha, gamma in jobs)
+def _kummer_grid(sets, z) -> list:
+    """kummer_phi_many on an ndarray z, all series in one grid pass.  A z
+    that is not finite needs no check: its first term is not finite, which
+    ends its series over the cap.  gamma does: every element may end before
+    the term whose coefficient divides by zero at a pole."""
+    for _, gamma in sets:
+        _check_gamma_param(gamma)
     zc = np.asarray(z, dtype=complex)
-
-    def values(jobs):
-        if jobs:  # checked as the scalar calls check it: after each set's gamma
-            _check_finite_z("Kummer", zc)
-        return _job_values("Kummer", [(_hyp1f1_coefficient(alpha, gamma), zc)
-                                      for alpha, gamma in jobs])
-    return values
+    return _values([(_hyp1f1_coefficient(alpha, gamma), zc) for alpha, gamma in sets])
 
 
 def kummer_phi_many(sets, z) -> list:
-    """[kummer_phi(alpha, gamma, z) for (alpha, gamma) in sets]; with an
-    ndarray z, the series of all sets are summed in one grid pass."""
-    def plan(alpha, gamma):
-        _check_gamma_param(gamma)
-        return [(alpha, gamma)], next
-
-    return _in_order(plan, sets, _kummer_values(z))
+    """[kummer_phi(alpha, gamma, z) for (alpha, gamma) in sets]."""
+    return _many(_kummer_grid, lambda alpha, gamma, z: kummer_phi_info(alpha, gamma, z).value,
+                 sets, z)
 
 
 def kummer_phi(alpha: complex, gamma: complex, z: complex) -> complex:
@@ -685,35 +613,49 @@ _SQRT_PI = math.sqrt(math.pi)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
-def parabolic_d_many(ps, z) -> list:
-    """[parabolic_d(p, z) for p in ps]; with an ndarray z, the two Kummer
-    series of every p are summed in one grid pass."""
-    z = np.asarray(z, dtype=complex) if isinstance(z, np.ndarray) else complex(z)
+def _parabolic_d_one(p, z) -> complex:
+    """D_p(z) at one z, by the two Kummer series of z*z/2.  The checks, in
+    order: z, then z*z/2, the weight of the first series, the first series,
+    the weight of the second, the second, and 2**(p/2)."""
+    z = complex(z)
     _check_finite_z("parabolic_d", z)
-    z = z.astype(object) if isinstance(z, np.ndarray) else z
-    with np.errstate(over="ignore", invalid="ignore"):
-        zz = 0.5 * z * z
-    # the Kummer series take z*z/2: where it overflows, name the caller's z
-    big = ~np.isfinite(np.asarray(zz, dtype=complex))
-    if big.any():
-        raise DomainError(f"parabolic_d argument z = {np.asarray(z).flat[big.argmax()]}: "
-                          f"z*z/2 is past the double range")
+    zz = 0.5 * z * z
+    if not cmath.isfinite(zz):  # name the caller's z, not z*z/2 = inf
+        raise DomainError(f"parabolic_d argument z = {z}: z*z/2 is past the double range")
+    p = complex(p)
+    term1 = _SQRT_PI * reciprocal_gamma(0.5 * (1.0 - p)) * kummer_phi_info(-0.5 * p, 0.5, zz).value
+    term2 = (_SQRT_2PI * z * reciprocal_gamma(-0.5 * p)
+             * kummer_phi_info(0.5 * (1.0 - p), 1.5, zz).value)
+    try:
+        scale = 2.0 ** (0.5 * p)
+    except OverflowError:
+        raise DomainError(f"parabolic_d order p = {p}: 2**(p/2) is not finite") from None
+    return scale * cmath.exp(-0.25 * z * z) * (term1 - term2)
 
-    def plan(p):
-        p = complex(p)
-        w1 = _SQRT_PI * reciprocal_gamma(0.5 * (1.0 - p))
 
-        def assemble(values):
-            term1 = w1 * next(values)
-            term2 = _SQRT_2PI * z * reciprocal_gamma(-0.5 * p) * next(values)
-            try:
-                scale = 2.0 ** (0.5 * p)
-            except OverflowError:
-                raise DomainError(f"parabolic_d order p = {p}: 2**(p/2) is not finite") from None
-            return scale * _exp(-0.25 * z * z) * (term1 - term2)
-        return [(-0.5 * p, 0.5), (0.5 * (1.0 - p), 1.5)], assemble
+def _parabolic_grid(sets, z) -> list:
+    """parabolic_d_many on an ndarray z, with the two Kummer series of every
+    order summed in one grid pass, and each order's weights once.  Where z
+    or z*z/2 is not finite, so are the series' first terms (_kummer_grid)."""
+    z = np.asarray(z, dtype=complex).astype(object)
+    zz = np.asarray(0.5 * z * z, dtype=complex)
+    ps = [complex(p) for p, in sets]
+    weights = [(_SQRT_PI * reciprocal_gamma(0.5 * (1.0 - p)), reciprocal_gamma(-0.5 * p),
+                2.0 ** (0.5 * p)) for p in ps]
+    sums = iter(_values([(_hyp1f1_coefficient(alpha, gamma), zz) for p in ps
+                         for alpha, gamma in ((-0.5 * p, 0.5), (0.5 * (1.0 - p), 1.5))]))
+    root, e = _SQRT_2PI * z, _exp(-0.25 * z * z)
+    out = []
+    for w1, w2, scale in weights:
+        term1 = w1 * next(sums)
+        term2 = root * w2 * next(sums)
+        out.append(scale * e * (term1 - term2))
+    return out
 
-    return _in_order(plan, [(p,) for p in ps], _kummer_values(zz))
+
+def parabolic_d_many(ps, z) -> list:
+    """[parabolic_d(p, z) for p in ps]."""
+    return _many(_parabolic_grid, _parabolic_d_one, [(p,) for p in ps], z)
 
 
 def parabolic_d(p: complex, z: complex) -> complex:

@@ -186,6 +186,13 @@ class TestSeedRoute:
             aw, bw = const_params.pair(t)
             assert abs(a - aw) <= 1e-8
             assert abs(b - bw) <= 1e-8
+        # the window's ends answer; past them np.interp would hold the end values
+        assert sp.window == (0.0, 2.0)
+        sp.pair(0.0), sp.pair(2.0)
+        for t in (5.0, -1e-9, math.nextafter(2.0, 3.0), math.nan):
+            for fn in (sp.alpha, sp.beta):
+                with pytest.raises(DomainError, match="outside the window"):
+                    fn(t)
 
     def test_seed_l_vector_is_null(self):
         seed = constant_f_seed_trajectory(F, R, PHI0, (0.0, 2.0), 401)

@@ -375,6 +375,10 @@ class TestFieldFromQ:
         q2 = np.zeros((101, 3), dtype=complex)
         with pytest.raises(DomainError):
             field_from_q(times, q2, unit=True)
+        # a NaN time, inside the grid or at its end
+        for bad in ([0, 0.1, math.nan, 0.3, 0.4, 0.5], [0, 0.1, 0.2, 0.3, 0.4, math.nan]):
+            with pytest.raises(DomainError, match="strictly increasing"):
+                field_from_q(bad, np.zeros((6, 3), dtype=complex))
 
 
 def _evolution_residual(times, R, F):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from spineq import specfun
 from spineq.errors import AccuracyError, DomainError
 from spineq.specfun import (REL_EPS, SeriesResult, _grid_series, _hyp1f1_coefficient,
-                            _hyp2f1_coefficient, _overflows, _series, _small_terms,
+                            _hyp2f1_coefficient, _series, _small_terms,
                             complex_gamma, gauss_2f1, gauss_2f1_info, gauss_2f1_many,
                             kummer_phi, kummer_phi_info, kummer_phi_many, parabolic_d,
                             parabolic_d_many, reciprocal_gamma)
@@ -132,16 +132,11 @@ def _kernel_jobs(specs):
 
 def _assert_jobs_match(specs):
     """One pass over all jobs against a pass per job and the scalar loop,
-    bit for bit in values, term counts and estimates, for every job up to
-    the first with an element over the cap; the jobs after it may be left
-    out (None)."""
+    bit for bit in values, term counts and estimates."""
     jobs = _kernel_jobs(specs)
     got = _grid_series(jobs)
     assert len(got) == len(jobs)
-    for i, ((kind, params, _), job, result) in enumerate(zip(specs, jobs, got)):
-        if result is None:
-            assert any((r[1] < 0).any() for r in got[:i]), "left out before a cap"
-            continue
+    for (kind, params, _), job, result in zip(specs, jobs, got):
         for got_part, alone_part in zip(result, _grid_series([job])[0]):
             assert _bits(got_part) == _bits(alone_part)
         _assert_grid_matches_scalar(result, lambda x: _series(_SERIES[kind](*params), x), job[1])
@@ -195,25 +190,18 @@ class TestGridJobs:
 
     @pytest.mark.parametrize("first", [True, False])
     def test_overflow_raised_as_the_scalar_loop_raises_it(self, first):
+        # the kernel ends the element where abs raises over the cap, beside
+        # a job summed to its end, and the array call raises abs's error
         with pytest.raises(OverflowError) as want:
             _series(_hyp1f1_coefficient(1.0, 1.0), _Z_OVERFLOW)
         specs = [("1F1", (1.0, 1.0), [0.5, _Z_OVERFLOW]), ("1F1", (0.2, 1.1), [1.0, 2j])]
+        results = _grid_series(_kernel_jobs(specs if first else specs[::-1]))
+        terms = [r[1].tolist() for r in (results if first else results[::-1])]
+        assert terms[0][0] > 0 and terms[0][1] == -1 and min(terms[1]) > 0
+        sets = [(1.0, 1.0), (0.2, 1.1)]
         with pytest.raises(OverflowError) as got:
-            _grid_series(_kernel_jobs(specs if first else specs[::-1]))
+            kummer_phi_many(sets if first else sets[::-1], np.array([0.5, _Z_OVERFLOW]))
         assert str(got.value) == str(want.value)
-
-    def test_jobs_after_a_diverging_term_are_left_out(self):
-        # at z = 1e300 the second term overflows to inf, and NaN follows
-        specs = [("1F1", (0.3, 1.2), [0.5, 2.0]),
-                 ("1F1", (0.3, 1.2), [1.0, 1e300]),
-                 ("1F1", (0.2, 1.1), [1.0])]
-        got = _assert_jobs_match(specs)
-        assert got[2] is None and got[1][1].tolist()[1] == -1
-        assert None not in _assert_jobs_match([specs[0], specs[2], specs[1]])
-        # the cap with finite terms, and a NaN argument (no magnitude
-        # overflows), leave no job out
-        for z in (1.0, complex(math.inf, 1.0)):
-            assert None not in _assert_jobs_match([("2F1", (1, 1, 1.5), [z]), specs[2]])
 
 
 def _block(terms, totals):
@@ -226,31 +214,36 @@ def _block(terms, totals):
 
 def _abs_rule(block):
     """The scalar loop's stop test at every [step, element] of a block, by
-    CPython's abs, and where that abs raises OverflowError."""
+    CPython's abs, where that abs raises OverflowError, and where it raises
+    or gives a magnitude that is not finite, for the term or the total."""
     kb, m = block.shape[0], block.shape[-1]
-    small, over = np.zeros((kb, m), dtype=bool), np.zeros((kb, m), dtype=bool)
+    small, over, odd = (np.zeros((kb, m), dtype=bool) for _ in range(3))
     for k in range(kb):
         for e in range(m):
             term, total = (complex(*block[k, i, :, e]) for i in (0, 1))
             try:
-                small[k, e] = abs(term) < REL_EPS * abs(total)
+                mags = abs(term), abs(total)
             except OverflowError:
-                over[k, e] = True
-    return small, over
+                over[k, e] = odd[k, e] = True
+            else:
+                small[k, e] = mags[0] < REL_EPS * mags[1]
+                odd[k, e] = not all(map(math.isfinite, mags))
+    return small, over, odd
 
 
 def _assert_stop_test(block):
-    """_small_terms and _overflows on a block, decision by decision against
-    CPython's abs; True where the squared magnitudes decided the block."""
+    """_small_terms on a block, decision by decision against CPython's abs,
+    and the steps at which the kernel ends an element over the cap, which
+    are those where abs raises or gives a magnitude that is not finite;
+    True where the squared magnitudes decided the block."""
     kb, m = block.shape[0], block.shape[-1]
     small = np.empty((kb, m), dtype=bool)
     with np.errstate(all="ignore"):  # as the kernel runs it
         mags = _small_terms(block, np.empty(3 * kb * m), small)
-        over = np.zeros((kb, m), dtype=bool) if mags is None else _overflows(block, mags)
-    want_small, want_over = _abs_rule(block)
-    assert over.tolist() == want_over.tolist()
-    # where abs raises, the kernel raises before it reads the decision
-    assert small[~over].tolist() == want_small[~over].tolist()
+        ends = np.zeros((kb, m), dtype=bool) if mags is None else ~np.isfinite(mags).all(axis=1)
+    want_small, want_over, want_ends = _abs_rule(block)
+    assert ends.tolist() == want_ends.tolist()  # want_over among them
+    assert small[~want_over].tolist() == want_small[~want_over].tolist()
     return mags is None
 
 
@@ -274,7 +267,7 @@ class TestStopTest:
         term, total = _near_eps(rng, 10.0 ** rng.uniform(-3, 3, u.shape), u)
         block = _block(term, total)
         assert _assert_stop_test(block)
-        small, _ = _abs_rule(block)
+        small = _abs_rule(block)[0]
         # the ratios within a few roundings of REL_EPS go both ways
         close = np.abs(u) < 4 * ulp
         assert small[close].any() and not small[close].all()
@@ -323,14 +316,15 @@ class TestStopTest:
         for terms, totals in ((cases, [1.0] * n), ([1.0] * n, cases), (cases, cases),
                               ([1e-20] * n, [complex(big, 1.0)] * n)):
             assert not _assert_stop_test(_block([terms], [totals]))
-        _, over = _abs_rule(_block([cases], [[1.0] * n]))
+        over = _abs_rule(_block([cases], [[1.0] * n]))[1]
         assert over.tolist() == [[True, True, False, False]]
 
 
 class TestBlockLength:
-    """The grid kernel gives the same values, term counts, estimates and
-    errors at any block length: each element keeps its own STREAK count and
-    cap, and the streak carries across blocks."""
+    """The grid kernel gives the same values, term counts and estimates at
+    any block length, and the array calls the same errors: each element
+    keeps its own STREAK count and cap, and the streak carries across
+    blocks."""
 
     BLOCKS = sorted({1, 7, 16, specfun._BLOCK})
     CASES = [
@@ -344,7 +338,7 @@ class TestBlockLength:
         # finite terms
         [("1F1", (0.5j, 0.5), [0.5j, _Z_CAP, -3.0])],
         [("2F1", (1, 1, 1.5), [1.0, 0.25])],
-        # jobs in one pass, the last one left out after a term overflows
+        # jobs in one pass, one with a term that overflows
         [("1F1", (0.3, 1.2), [0.1, 0j]), ("2F1", (1, 1, 1.5), [1.0, 0.25]),
          ("1F1", (0.5j, 0.5), [_Z_CAP]), ("2F1", (0.2, 0.3, 1.1), [0.5])],
         # more elements than _BLOCK_SIZE lets a block take _BLOCK terms of
@@ -356,11 +350,7 @@ class TestBlockLength:
 
     @staticmethod
     def _kernel(specs):
-        try:
-            return [None if r is None else [_bits(r[0]), r[1].tolist(), _bits(r[2])]
-                    for r in _grid_series(_kernel_jobs(specs))]
-        except OverflowError as exc:
-            return type(exc), str(exc)
+        return [[_bits(r[0]), r[1].tolist(), _bits(r[2])] for r in _grid_series(_kernel_jobs(specs))]
 
     @staticmethod
     def _many_forms():
@@ -378,8 +368,7 @@ class TestBlockLength:
             got[block] = [self._kernel(specs) for specs in self.CASES], self._many_forms()
         for block in self.BLOCKS:
             assert got[block] == got[16], f"_BLOCK = {block}"
-        kernel, errors = got[16]
-        assert kernel[-1][0] is OverflowError and kernel[4][3] is None
+        errors = got[16][1]
         assert errors[0][0] is errors[1][0] is AccuracyError and isinstance(errors[2], list)
         assert "did not converge" in errors[0][1] and "not finite" in errors[1][1]
 
@@ -408,18 +397,31 @@ class TestNonFiniteTerms:
                                     lambda x: _series(_hyp1f1_coefficient(0.3, 1.2), x), z)
 
     def test_the_error_tells_a_term_not_finite_from_the_cap(self):
-        # Phi(0.5i; 0.5; z) at _Z_CAP ends at an inf term; F(1, 1; 1.5; 1)
-        # runs to the cap with finite terms
-        for name, coefficient, z, text in [
-                ("Kummer", _hyp1f1_coefficient(0.5j, 0.5), _Z_CAP,
+        # Phi(0.5i; 0.5; z) at _Z_CAP ends at an inf term; F(0.5, 0.5; 1.06; z)
+        # on |z| = 1 takes the slow direct series, which runs to the cap with
+        # finite terms
+        slow = cmath.exp(0.5j)
+        for many, one, params, z, text in [
+                (kummer_phi_many, kummer_phi_info, (0.5j, 0.5), _Z_CAP,
                  f"Kummer series has a term that is not finite at z={_Z_CAP}"),
-                ("2F1", _hyp2f1_coefficient(1, 1, 1.5), 1 + 0j,
-                 "2F1 series did not converge within 20000 terms at z=(1+0j)")]:
+                (gauss_2f1_many, gauss_2f1_info, (0.5, 0.5, 1.06), slow,
+                 f"2F1 series did not converge within 20000 terms at z={slow}")]:
             with pytest.raises(AccuracyError) as scalar:
-                specfun._run(name, coefficient, z)
+                one(*params, z)
             with pytest.raises(AccuracyError) as grid:
-                list(specfun._job_values(name, [(coefficient, np.array([0.5, z]))]))
+                many([params], np.array([0.5, z]))
             assert str(scalar.value) == str(grid.value) == text
+
+    def test_a_partial_sum_past_the_double_range_is_replayed(self):
+        # e^z at z = 709.9: every term is finite but the partial sums pass
+        # the double range, and the scalar loop counts the inf sum converged;
+        # the kernel ends the element over the cap, so the array call replays it
+        coefficient = _hyp1f1_coefficient(1.0, 1.0)
+        value, n, _ = _series(coefficient, 709.9 + 0j)
+        assert n > 0 and value == complex(math.inf, 0.0)
+        assert _grid(coefficient, np.array([0.5, 709.9]))[1].tolist()[1] == -1
+        z = np.array([0.5, 709.9], dtype=object)
+        assert _bits(kummer_phi(1.0, 1.0, z).tolist()) == _bits([kummer_phi(1.0, 1.0, x) for x in z])
 
     def test_overflowing_orders_fail_fast(self, monkeypatch):
         # a = 1e150 on entry 1: the Kummer terms are inf from the second on
@@ -579,70 +581,83 @@ _PLANNER_SETS = [
     # alphas that compare equal but differ in the sign of a zero part
     (complex(0.0, 0.3), 0.2, 6.0), (complex(-0.0, 0.3), 0.2, 6.0),
     (complex(0.4, 0.0), -0.2j, 6.0), (complex(0.4, -0.0), -0.2j, 6.0),
-    # a gamma pole, for every argument
-    (0.5, 0.25, -2.0),
+    # gamma poles, for every argument: the second one past the terms that a
+    # series near z = 0 takes, where only the check of gamma finds it
+    (0.5, 0.25, -2.0), (0.5, 0.25, -30.0),
 ]
 
 
-def _scalar_outcome(sets, z):
-    """gauss_2f1_many(sets, z) by gauss_2f1 at each complex(z_i), made in
-    order: the bits of every set, or the error of the first set that fails.
-    That error is the one at its first element whose branch fails (a
-    DomainError or an OverflowError of abs), if any, since a set's branches
-    are all planned before its series are summed; else the one at its first
-    element over the term cap (these sets' Pfaff images all converge)."""
-    out = []
-    for s in sets:
-        got = [_outcome(lambda: [gauss_2f1(*s, complex(zi))]) for zi in z]
-        errors = [g for g in got if isinstance(g, tuple)]
-        if errors:
-            return ([e for e in errors if e[0] is not AccuracyError] or errors)[0]
-        out.append([bits for g in got for bits in g[0]])
-    return out
+# the arguments and parameter sets of kummer_phi_many and parabolic_d_many:
+# plain ones, and each failure of a scalar call (a term that overflows to inf,
+# abs past the double range, z or z*z/2 not finite, a gamma pole, a NaN order,
+# weights past the double range)
+_KUMMER_Z = [0.5 + 0j, -3 + 2j, 6j, complex(-0.0, 0.0), _Z_CAP, _Z_OVERFLOW,
+             complex(math.nan, 0.0), complex(1.0, math.inf), 1e200 + 0j, 1.5 + 0j]
+_KUMMER_SETS = [(0.3, 1.2), (0.5j, 0.5), (1.0, 1.0), (-0.7 + 1.0j, 1.9 - 0.3j), (1, -2),
+                (1, -30), (1, math.nan)]
+_PARABOLIC_Z = _KUMMER_Z + [71.0 * cmath.exp(0.25j * math.pi), 2e155j]
+_PARABOLIC_SETS = [(0.5,), (0.3j,), (-0.7 - 0.1j,), (math.nan,), (3000.0,), (600j,)]
+
+# each array call: the many-form, the one-set call, its arguments and its sets
+_ARRAY_CALLS = {
+    "2F1": (gauss_2f1_many, gauss_2f1, _PLANNER_Z, _PLANNER_SETS),
+    "1F1": (kummer_phi_many, kummer_phi, _KUMMER_Z, _KUMMER_SETS),
+    "D": (lambda sets, z: parabolic_d_many([p for p, in sets], z), parabolic_d,
+          _PARABOLIC_Z, _PARABOLIC_SETS),
+}
+
+
+def _scalar_outcome(kind, sets, z):
+    """The array call's outcome by the one-set call at each complex(z_i),
+    set by set and element by element: the bits of every set, or the first
+    error."""
+    one = _ARRAY_CALLS[kind][1]
+    return _outcome(lambda: [[one(*s, complex(zi)) for zi in z] for s in sets])
+
+
+def _array_outcome(kind, sets, z):
+    return _outcome(lambda: _ARRAY_CALLS[kind][0](sets, np.array(z, dtype=object)))
 
 
 class TestArrayPlanner:
     """gauss_2f1_many on an array takes each branch decision once per
-    argument array, with masks, and must still match the scalar call at
-    every element, bit for bit and error for error."""
+    argument array, with masks, and it, kummer_phi_many and parabolic_d_many
+    must still match the scalar calls at every element, bit for bit, or
+    raise the first error of the scalar calls made set by set and element by
+    element."""
 
     def test_the_arguments_reach_every_outcome(self):
-        outcomes = [_outcome(lambda: [gauss_2f1(*s, x)])
-                    for s in _PLANNER_SETS[:2] for x in _PLANNER_Z]
-        messages = " ".join(o[1] for o in outcomes if isinstance(o, tuple))
-        for text in ("branch cut", "outside the supported domain", "did not converge",
-                     "absolute value too large"):
-            assert text in messages
-        assert sum(isinstance(o, list) for o in outcomes) > 20
+        for kind, texts in (
+                ("2F1", ["branch cut", "outside the supported domain", "did not converge",
+                         "absolute value too large"]),
+                ("1F1", ["not finite at z", "absolute value too large", "is not finite",
+                         "non-positive integer"]),
+                ("D", ["not finite at z", "is not finite", "past the double range",
+                       "overflows in the Lanczos formula"])):
+            _, one, zs, sets = _ARRAY_CALLS[kind]
+            outcomes = [_outcome(lambda: [one(*s, x)]) for s in sets for x in zs]
+            messages = " ".join(o[1] for o in outcomes if isinstance(o, tuple))
+            for text in texts:
+                assert text in messages, (kind, text)
+            assert sum(isinstance(o, list) for o in outcomes) > 10
 
-    @given(st.lists(st.sampled_from(_PLANNER_Z), min_size=1, max_size=5),
-           st.lists(st.sampled_from(_PLANNER_SETS), min_size=1, max_size=3))
-    @settings(max_examples=60, deadline=None)
-    def test_many_against_the_scalar_calls(self, z, sets):
+    @given(st.one_of(*(st.tuples(st.just(kind), st.lists(st.sampled_from(zs), min_size=1,
+                                                         max_size=5),
+                                 st.lists(st.sampled_from(sets), min_size=1, max_size=3))
+                       for kind, (_, _, zs, sets) in _ARRAY_CALLS.items())))
+    @settings(max_examples=120, deadline=None)
+    def test_many_against_the_scalar_calls(self, case):
+        kind, z, sets = case
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _outcome(lambda: gauss_2f1_many(sets, np.array(z, dtype=object)))
-        assert got == _scalar_outcome(sets, z)
+            got = _array_outcome(kind, sets, z)
+        assert got == _scalar_outcome(kind, sets, z)
 
     def test_each_set_at_each_argument_and_at_all_at_once(self):
-        for s in _PLANNER_SETS:
-            for z in [[x] for x in _PLANNER_Z] + [_PLANNER_Z]:
-                assert _outcome(lambda: gauss_2f1_many([s], np.array(z, dtype=object))) == \
-                    _scalar_outcome([s], z)
-
-    def test_a_plan_calls_the_scalar_branch_only_to_fail(self, monkeypatch):
-        calls = []
-        branch = specfun._pfaff_image
-        monkeypatch.setattr(specfun, "_pfaff_image",
-                            lambda *args: calls.append(args) or branch(*args))
-        # direct, two images, the slow series at |z| = 0.96 (with Re(c-a-b) > 0.05)
-        z = np.array([0.3, cmath.exp(2j), -1.0, 0.96, cmath.exp(2.5j)], dtype=object)
-        ok, outside = (0.3, 0.2, 1.2), (0.3, 0.2, 0.5)
-        gauss_2f1_many([ok, (1.3, 0.2, 6.2)], z)
-        assert calls == []
-        with pytest.raises(DomainError, match="outside the supported domain"):
-            gauss_2f1_many([ok, outside, outside], z)
-        assert calls == [(0.3, 0.2, 0.5, 0.96 + 0j)]
+        for kind, (_, _, zs, sets) in _ARRAY_CALLS.items():
+            for s in sets:
+                for z in [[x] for x in zs] + [zs]:
+                    assert _array_outcome(kind, [s], z) == _scalar_outcome(kind, [s], z)
 
     def test_one_power_per_alpha(self, monkeypatch):
         powers = []
