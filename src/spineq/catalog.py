@@ -387,8 +387,11 @@ def verify_entry(entry_id: int, params: dict | None = None,
                  window: tuple | None = None, n_points: int = 50) -> EntryReport:
     """Residual-substitute the entry's closed form into the spin equation:
     dynamics.se_residual at n_points nodes of the window, all at once
-    (closed_forms.residuals).  The entry and its parameters are checked
-    first, before numpy loads."""
+    (closed_forms.residuals).  The entry, its parameters and n_points are
+    checked first, before numpy loads."""
+    import numbers
+    if not (isinstance(n_points, numbers.Integral) and n_points >= 1):
+        raise DomainError(f"n_points = {n_points!r} must be an integer >= 1")
     e = entry(entry_id)
     p = e.merged(params)
     e.check_params(p)

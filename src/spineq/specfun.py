@@ -7,10 +7,11 @@ given by its term coefficient k -> c_k, the factor of term k+1 over term k
 but z (_hyp2f1_coefficient, _hyp1f1_coefficient), which both loops take.
 They return (value, terms_used, relative_truncation_estimate); terms_used
 == -1 signals that the term cap was reached before convergence, or that a
-term is not finite, which ends the sum at once since NaN and inf never pass
-the stop test (the grid kernel ends at a partial sum that is not finite as
-well).  The AccuracyError that _run raises then tells the two apart by the
-sum's value, finite at the cap and not after a term that is not finite.
+term or a partial sum is not finite, which ends the sum at once: NaN and
+inf terms never pass the stop test, and a sum past the double range passes
+it at every finite term.  The AccuracyError that _run raises then tells the
+three apart: a finite sum ran to the cap, and the estimate is NaN after a
+term that is not finite.
 Everything else — domain handling, the Pfaff transformation used near the
 unit circle, the Lanczos gamma and the parabolic-cylinder reduction — is
 plain Python on top.
@@ -33,23 +34,22 @@ step where the magnitude of its term or partial sum is not finite, which is
 also where abs would raise OverflowError.  Each pass allocates its block
 arrays once, as views of two workspaces that every block reuses.
 
-gauss_2f1, kummer_phi and parabolic_d also take an ndarray of z (an
-object array of Python numbers, as the catalog's closed forms build) and
-return an object array of Python complex values.  gauss_2f1_many,
-kummer_phi_many and parabolic_d_many take several parameter sets for one
-z, as each closed form needs two series on the same argument, and return
-one value (or object array) per set; the one-set functions call them.  On
-an ndarray they follow numutil.grid_or_replay's rule (_many): a grid
-function (_gauss_grid, _kummer_grid, _parabolic_grid) checks every set,
-sums the series of all sets in one pass of _grid_series and assembles the
-values; if it raises, at any failing check or any element over the cap,
-the scalar calls are made set by set and element by element, and the first
-error is raised.  So an array call returns the bits of the scalar calls, or
-raises the error of its first failing element.  For 2F1 the branches are
-planned once per array of z, as numpy masks that all sets share
-(_pfaff_branches): the image w = z/(z-1) is each element's own CPython
-division, on an object array, and the prefactor (1-z)^(-alpha) is one
-object-array power per distinct alpha.
+gauss_2f1, kummer_phi and parabolic_d take one z.  The catalog's closed
+forms call gauss_2f1_many, kummer_phi_many and parabolic_d_many, which take
+several parameter sets for one z, as each closed form needs two series on
+the same argument, and return one value per set.  On an ndarray z (an
+object array of Python numbers, as the closed forms build) they return an
+object array of Python complex values per set: a grid function
+(_gauss_grid, _kummer_grid, _parabolic_grid) checks every set, sums the
+series of all sets in one pass of _grid_series and assembles the values,
+each with the bits of the scalar call at its element.  Any failing check
+or any element over the cap raises, with no replay: the caller,
+closed_forms.residuals, replays node by node (numutil.grid_or_replay) to
+raise the scalar calls' error.  For 2F1 the branches are planned once per
+array of z, as numpy masks that all sets share (_pfaff_branches): the image
+w = z/(z-1) is each element's own CPython division, on an object array,
+and the prefactor (1-z)^(-alpha) is one object-array power per distinct
+alpha.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ import math
 import numpy as np
 
 from ._numbers import is_nonpositive_integer, record
-from .errors import AccuracyError, DomainError, SpinEqError
+from .errors import AccuracyError, DomainError
 
 # always False, as there is one series backend; kept because the benchmark
 # harness (perfbench/harness.py) writes it on its meta line
@@ -98,12 +98,9 @@ __all__ = [
     "SeriesResult",
     "gauss_2f1",
     "gauss_2f1_info",
-    "gauss_2f1_many",
     "kummer_phi",
     "kummer_phi_info",
-    "kummer_phi_many",
     "parabolic_d",
-    "parabolic_d_many",
     "complex_gamma",
     "reciprocal_gamma",
     "USING_COMPILED",
@@ -155,6 +152,8 @@ def _series(coefficient, z: complex):
         total += term
         mag = abs(term)
         if mag < REL_EPS * abs(total):
+            if not cmath.isfinite(total):  # past the double range: every finite term passes
+                break
             streak += 1
             if streak >= STREAK:
                 n_used = k + 1
@@ -168,13 +167,14 @@ def _series(coefficient, z: complex):
 
 def _run(name, coefficient, z) -> SeriesResult:
     """The series at z, or AccuracyError if it ended over the cap: with a
-    finite sum if it ran to MAX_TERMS, and not if it ended at a term that
-    is not finite."""
+    finite sum if it ran to MAX_TERMS, else at a term that is not finite
+    (the estimate is NaN) or at a partial sum that is not finite."""
     value, n, est = _series(coefficient, complex(z))
     if n < 0:
         if cmath.isfinite(value):
             raise AccuracyError(f"{name} series did not converge within {MAX_TERMS} terms at z={z}")
-        raise AccuracyError(f"{name} series has a term that is not finite at z={z}")
+        what = "a term" if math.isnan(est) else "a partial sum"
+        raise AccuracyError(f"{name} series has {what} that is not finite at z={z}")
     return SeriesResult(value, n, est)
 
 
@@ -202,10 +202,9 @@ def _grid_series(jobs):
 
     An element ends over the cap (terms -1) at the first step where the
     magnitude of its term or its partial sum is not finite: where the
-    scalar loop ends too, as NaN and inf never pass its stop test, or where
-    its abs raises OverflowError on finite parts.  Past its first partial
-    sum that is not finite, the scalar loop may go on; the callers replay
-    every element over the cap with the scalar calls.
+    scalar loop ends too, or where its abs raises OverflowError on finite
+    parts.  The caller replays every element over the cap with the scalar
+    calls.
     """
     zs = [np.asarray(z, dtype=complex) for _, z in jobs]
     sizes = [z.size for z in zs]
@@ -379,19 +378,19 @@ def _slow_series_ok(alpha, beta, gamma) -> bool:
     return (complex(gamma) - alpha - beta).real > 0.05
 
 
-def _pfaff_image(alpha, beta, gamma, z: complex):
-    """Branch for |z| above the direct radius: the Pfaff image z/(z-1), or
-    None for the slow direct series; DomainError outside both."""
+def _pfaff_image(alpha, beta, gamma, z: complex, r: float):
+    """Branch for r = |z| above the direct radius: the Pfaff image z/(z-1),
+    or None for the slow direct series; DomainError outside both."""
     if z.imag == 0.0 and z.real >= 1.0:
         raise DomainError(f"2F1 branch cut: z = {z} lies on [1, inf)")
     w = z / (z - 1.0)
     if abs(w) <= _DIRECT_RADIUS:
         return w
-    if abs(z) <= 1.0 + 1e-12 and _slow_series_ok(alpha, beta, gamma):
+    if r <= 1.0 + 1e-12 and _slow_series_ok(alpha, beta, gamma):
         return None
     raise DomainError(
         f"2F1 argument z = {z} outside the supported domain "
-        f"(|z| = {abs(z):.6g}, |z/(z-1)| = {abs(w):.6g})"
+        f"(|z| = {r:.6g}, |z/(z-1)| = {abs(w):.6g})"
     )
 
 
@@ -406,8 +405,9 @@ def gauss_2f1_info(alpha: complex, beta: complex, gamma: complex, z: complex) ->
     """
     _check_gamma_param(gamma)
     z = complex(z)
-    if not abs(z) <= _DIRECT_RADIUS:
-        w = _pfaff_image(alpha, beta, gamma, z)
+    r = math.hypot(z.real, z.imag)  # abs(z), but inf where abs would overflow
+    if not r <= _DIRECT_RADIUS:
+        w = _pfaff_image(alpha, beta, gamma, z, r)
         if w is not None:
             # Pfaff: F(a,b;c;z) = (1-z)^(-a) F(a, c-b; c; z/(z-1))
             inner = _run("2F1", _hyp2f1_coefficient(alpha, gamma - beta, gamma), w)
@@ -417,20 +417,12 @@ def gauss_2f1_info(alpha: complex, beta: complex, gamma: complex, z: complex) ->
 
 
 def _many(grid, one, sets, z) -> list:
-    """[one(*s, z) for s in sets] at a number z.  At an ndarray z, grid(sets,
-    z) computes the values of all sets at once; if it raises, the scalar
-    calls one(*s, complex(z_i)) are made set by set and element by element,
-    which raises the first error.  numpy's floating-point warnings are
-    silenced in grid: the scalar calls report a failure."""
+    """[one(*s, z) for s in sets] at a number z, and grid(sets, z) at an
+    ndarray z: the values of all sets at once, each element with the bits
+    of one at it, or an error if any element fails."""
     if not isinstance(z, np.ndarray):
         return [one(*s, z) for s in sets]
-    try:
-        with np.errstate(all="ignore"):
-            return grid(sets, z)
-    except (SpinEqError, ArithmeticError, ValueError):  # as numutil.grid_or_replay
-        pass
-    zs = [complex(x) for x in z.flat]
-    return [np.array([one(*s, x) for x in zs], dtype=object).reshape(z.shape) for s in sets]
+    return grid(sets, z)
 
 
 def _values(jobs) -> list:
@@ -482,8 +474,7 @@ def _gauss_grid(sets, z) -> list:
 
 def gauss_2f1_many(sets, z) -> list:
     """[gauss_2f1(alpha, beta, gamma, z) for (alpha, beta, gamma) in sets]."""
-    return _many(_gauss_grid, lambda alpha, beta, gamma, z:
-                 gauss_2f1_info(alpha, beta, gamma, z).value, sets, z)
+    return _many(_gauss_grid, gauss_2f1, sets, z)
 
 
 def _pfaff_branches(zc):
@@ -498,11 +489,11 @@ def _pfaff_branches(zc):
     - slow, whether an element takes the slow direct series, which fails
       for a set where _slow_series_ok does not hold.
 
-    np.hypot is the hypot of CPython's abs, with the same inf and NaN, so
-    the masks decide as abs does.  Where abs(z) would raise OverflowError,
-    |z| is past 1 + 1e-12 and the element fails.  abs(w) cannot raise at
-    |z| <= 1 + 1e-12: there |z - 1| >= 2**-53, or Re z = 1 and CPython's
-    w = 1 - i/Im z has a part that is inf or the modulus.
+    np.hypot is the scalar call's math.hypot and the hypot of CPython's
+    abs, with the same inf and NaN, so the masks decide as the scalar call
+    does.  abs(w) cannot raise at |z| <= 1 + 1e-12: there |z - 1| >= 2**-53,
+    or Re z = 1 and CPython's w = 1 - i/Im z has a part that is inf or the
+    modulus.
     """
     mag = np.hypot(zc.real, zc.imag)
     far = np.flatnonzero(~(mag <= _DIRECT_RADIUS))
@@ -517,8 +508,8 @@ def _pfaff_branches(zc):
 
 
 def gauss_2f1(alpha: complex, beta: complex, gamma: complex, z: complex) -> complex:
-    """F(alpha, beta; gamma; z); an ndarray z gives an object array."""
-    return gauss_2f1_many([(alpha, beta, gamma)], z)[0]
+    """F(alpha, beta; gamma; z)."""
+    return gauss_2f1_info(alpha, beta, gamma, z).value
 
 
 def kummer_phi_info(alpha: complex, gamma: complex, z: complex) -> SeriesResult:
@@ -541,13 +532,12 @@ def _kummer_grid(sets, z) -> list:
 
 def kummer_phi_many(sets, z) -> list:
     """[kummer_phi(alpha, gamma, z) for (alpha, gamma) in sets]."""
-    return _many(_kummer_grid, lambda alpha, gamma, z: kummer_phi_info(alpha, gamma, z).value,
-                 sets, z)
+    return _many(_kummer_grid, kummer_phi, sets, z)
 
 
 def kummer_phi(alpha: complex, gamma: complex, z: complex) -> complex:
-    """Phi(alpha, gamma; z); an ndarray z gives an object array."""
-    return kummer_phi_many([(alpha, gamma)], z)[0]
+    """Phi(alpha, gamma; z)."""
+    return kummer_phi_info(alpha, gamma, z).value
 
 
 # Lanczos approximation, g = 7, 9 coefficients (~1e-13 relative accuracy)
@@ -574,11 +564,12 @@ def complex_gamma(z: complex) -> complex:
         raise DomainError(f"gamma pole at z = {z}")
     try:
         return _lanczos_gamma(z)
-    except (OverflowError, ZeroDivisionError):
+    except (OverflowError, ZeroDivisionError, ValueError):
         # t ** (z + 0.5) or the reflection's sin(pi z): Gamma(171.5) = 9.5e307
         # is in range, but its power of t is not; at |Im z| near 1e308 the
         # power's phase is not finite, which CPython's complex power reports
-        # as ZeroDivisionError
+        # as ZeroDivisionError; at Re z near -1e308, pi z has an infinite
+        # real part, whose sine is ValueError
         raise AccuracyError(f"gamma at z = {z} overflows in the Lanczos formula") from None
 
 
@@ -613,10 +604,14 @@ _SQRT_PI = math.sqrt(math.pi)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
-def _parabolic_d_one(p, z) -> complex:
-    """D_p(z) at one z, by the two Kummer series of z*z/2.  The checks, in
-    order: z, then z*z/2, the weight of the first series, the first series,
-    the weight of the second, the second, and 2**(p/2)."""
+def parabolic_d(p: complex, z: complex) -> complex:
+    """Parabolic cylinder function D_p(z).
+
+    Standard reduction to two Kummer functions of z*z/2 with complex-gamma
+    weights; entire in both p and z.  The checks, in order: z, then z*z/2,
+    the weight of the first series, the first series, the weight of the
+    second, the second, and 2**(p/2).
+    """
     z = complex(z)
     _check_finite_z("parabolic_d", z)
     zz = 0.5 * z * z
@@ -655,13 +650,4 @@ def _parabolic_grid(sets, z) -> list:
 
 def parabolic_d_many(ps, z) -> list:
     """[parabolic_d(p, z) for p in ps]."""
-    return _many(_parabolic_grid, _parabolic_d_one, [(p,) for p in ps], z)
-
-
-def parabolic_d(p: complex, z: complex) -> complex:
-    """Parabolic cylinder function D_p(z).
-
-    Standard reduction to two Kummer functions with complex-gamma weights;
-    entire in both p and z.
-    """
-    return parabolic_d_many([p], z)[0]
+    return _many(_parabolic_grid, parabolic_d, [(p,) for p in ps], z)

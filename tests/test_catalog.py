@@ -225,6 +225,26 @@ class TestGridVerification:
         if error is SingularityError:
             assert got.value.t == 0.0
 
+    def test_a_failing_grid_is_replayed_once(self, monkeypatch):
+        # every scalar series sum comes from the node replay: two per
+        # evaluation of the closed form, none from the failing grid call
+        from spineq import specfun
+        series, components = [], []
+
+        def counted(calls, fn):
+            return lambda *args: calls.append(1) or fn(*args)
+        monkeypatch.setattr(specfun, "_series", counted(series, specfun._series))
+        monkeypatch.setattr(catalog.CatalogEntry, "solution_components",
+                            counted(components, catalog.CatalogEntry.solution_components))
+        with pytest.raises(AccuracyError, match="away from a field pole"):
+            catalog.verify_entry(1, window=(0.2, 40), n_points=400)
+        assert components and len(series) == 2 * len(components)
+
+    @pytest.mark.parametrize("n_points", [0, -1, 1.5, None])
+    def test_n_points_is_a_positive_integer(self, n_points):
+        with pytest.raises(DomainError, match=rf"^n_points = {n_points!r} must be an integer >= 1$"):
+            catalog.verify_entry(1, n_points=n_points)
+
     def test_singular_replay_is_silent(self):
         # np.float64 ** complex at t = 0 is a NaN that numpy would warn of
         with warnings.catch_warnings():
