@@ -67,8 +67,14 @@ class CatalogEntry:
     notes: str | None = None
 
     def merged(self, params=None) -> dict:
+        """The entry's defaults updated by params; a name the entry does not
+        take raises DomainError."""
         p = dict(self.default_params)
         if params:
+            unknown = params.keys() - p
+            if unknown:
+                raise DomainError(f"entry {self.id} does not take {sorted(unknown)}; "
+                                  f"it takes {list(self.param_names)}")
             p.update(params)
         return p
 

@@ -265,6 +265,10 @@ def _cmd_invert(args) -> int:
 
 def _cmd_darboux(args) -> int:
     p = _parse_params(args.params)
+    unknown = p.keys() - {"f", "R", "phi0", "eps"}
+    if unknown:
+        raise _Validation(f"darboux does not take {sorted(unknown)}; "
+                          f"it takes ['f', 'R', 'phi0', 'eps']")
     for key in ("f", "R"):
         if key not in p:
             raise _Validation(f"darboux needs parameter '{key}' (--params \"f=..;R=..\")")
@@ -275,8 +279,7 @@ def _cmd_darboux(args) -> int:
     window = _check_window(args.window)
     from .darboux import constant_f_trajectory, darboux_apply, darboux_params_constant_f
     params = darboux_params_constant_f(f, R, phi0)
-    traj = constant_f_trajectory(f, eps, p.get("p", 1.0 + 0j), p.get("q", 1.0 + 0j),
-                                 window, args.nodes)
+    traj = constant_f_trajectory(f, eps, 1.0 + 0j, 1.0 + 0j, window, args.nodes)
     out = darboux_apply(traj, eps, params)
     with _output(args) as fh:
         out.to_csv(fh)

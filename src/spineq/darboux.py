@@ -23,9 +23,10 @@ import numpy as np
 
 from ._numbers import record
 from .errors import DomainError, SingularityError
-from .dynamics import Trajectory, trajectory_se_residuals, _check_uniform
-from .numutil import default_step, dop853, fd_derivative_callable, real_number, solve_window
-from .spinors import SIGMA1, SIGMA2, SIGMA3, l_vector_arr, anticonjugate_arr
+from .dynamics import Trajectory, se_residuals, _check_uniform
+from .numutil import (default_step, dop853, fd_derivative, fd_derivative_callable, real_number,
+                      solve_window)
+from .spinors import ID2, SIGMA1, SIGMA2, SIGMA3, l_vector_arr, anticonjugate_arr
 
 __all__ = [
     "DarbouxParams",
@@ -164,22 +165,23 @@ def darboux_apply(V_traj: Trajectory, eps: complex, params: DarbouxParams) -> Tr
     largest residual off the two end nodes at most INPUT_RESIDUAL.  The
     returned trajectory carries the partner field (eps, 0, 2 beta - F3).
     """
-    times, _ = _check_uniform(V_traj.times)
-    res = trajectory_se_residuals(V_traj)
+    times, h = _check_uniform(V_traj.times)
+    states = V_traj.states
+    res = se_residuals(fd_derivative(states, h), V_traj.field_samples, states)
     worst = float(np.max(res[2:-2])) if len(res) > 4 else float(np.max(res))
     if worst > INPUT_RESIDUAL:
         raise DomainError(
             f"input trajectory does not solve its spin equation "
             f"(residual {worst:.3e} > {INPUT_RESIDUAL:.0e})")
     eps = complex(eps)
-    out_states = np.empty_like(V_traj.states)
-    out_fields = np.empty_like(V_traj.field_samples)
-    for i, t in enumerate(times):
-        a, b = params.pair(t)
-        A = a * np.eye(2, dtype=complex) - 1j * (eps * SIGMA1 + b * SIGMA3)
-        out_states[i] = A @ V_traj.states[i]
-        f3 = V_traj.field_samples[i, 2]
-        out_fields[i] = (eps, 0.0, 2.0 * b - f3)
+    # 2 beta in Python's arithmetic, as darboux_field takes it: from 3.14 its
+    # real * complex, part by part, keeps signed zeros that numpy's does not
+    a, b, b2 = np.array([(*p, 2.0 * p[1]) for p in map(params.pair, times)], dtype=complex).T
+    # stacked 2x2 products give the bits of A @ V node by node
+    A = a[:, None, None] * ID2 - 1j * (eps * SIGMA1 + b[:, None, None] * SIGMA3)
+    out_states = np.matmul(A, states[:, :, None])[:, :, 0]
+    out_fields = np.stack([np.full_like(b2, eps), np.zeros_like(b2),
+                           b2 - V_traj.field_samples[:, 2]], axis=1)
     return Trajectory(times, out_states, out_fields, V_traj.est_error)
 
 
@@ -204,29 +206,18 @@ def darboux_from_seed(V_seed: Trajectory, eps0: complex) -> DarbouxParams:
     if scale == 0.0:
         raise DomainError("L3 vanishes identically along the seed")
     good = np.abs(l3) > L3_REL_FLOOR * scale
-    crossings = []
-    if not np.all(good):
-        # largest contiguous run of usable nodes
-        runs = []
-        start = None
-        for i, ok in enumerate(good):
-            if ok and start is None:
-                start = i
-            elif not ok:
-                if start is not None:
-                    runs.append((start, i - 1))
-                    start = None
-                crossings.append(float(times[i]))
-        if start is not None:
-            runs.append((start, len(good) - 1))
-        if not runs:
-            raise DomainError("L3 vanishes everywhere on the seed window")
-        start, stop = max(runs, key=lambda r: r[1] - r[0])
-        if stop - start < 4:
-            raise DomainError("no usable subwindow between L3 zero-crossings")
-        sl = slice(start, stop + 1)
-    else:
-        sl = slice(None)
+    crossings = tuple(float(t) for t in times[~good])
+    # runs of usable nodes [start, stop), from the edges of the padded mask;
+    # argmax keeps the first of the longest
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], good, [0]))))
+    starts, stops = edges[::2], edges[1::2]
+    if not starts.size:
+        raise DomainError("L3 vanishes everywhere on the seed window")
+    longest = np.argmax(stops - starts)
+    start, stop = int(starts[longest]), int(stops[longest])
+    if crossings and stop - start < 5:
+        raise DomainError("no usable subwindow between L3 zero-crossings")
+    sl = slice(start, stop)
     eps0 = complex(eps0)
     sub_t = times[sl]
     lo, hi = float(sub_t[0]), float(sub_t[-1])
@@ -246,7 +237,7 @@ def darboux_from_seed(V_seed: Trajectory, eps0: complex) -> DarbouxParams:
         alpha=interp(alpha_s), beta=interp(beta_s),
         R=cmath.sqrt(-eps0 * eps0), mu=None,
         window=(lo, hi),
-        crossings=tuple(crossings),
+        crossings=crossings,
     )
 
 

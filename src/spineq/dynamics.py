@@ -247,26 +247,26 @@ def evolution_from_q(times, q, *, unit: bool = False) -> np.ndarray:
     """
     times, _ = _check_uniform(times)
     q = np.asarray(q, dtype=complex)
+    if q.shape != (len(times), 3):
+        raise DomainError("q must have shape (n_times, 3)")
     q0 = q[0]
-    out = np.empty((len(times), 2, 2), dtype=complex)
+    # sigma.q at every node, contiguous: stacked 2x2 products then give the
+    # bits of the node-by-node ones
+    S = sigma_dot(q.T).transpose(2, 0, 1).copy()
     if unit:
         if abs(q0 @ q0 - 1.0) > 1e-10:
             raise DomainError("unit branch requires q0^2 = 1")
-        s0 = sigma_dot(q0)
-        for i in range(len(times)):
-            out[i] = sigma_dot(q[i]) @ s0
-        return out
+        return np.matmul(S, sigma_dot(q0))
     q02 = q0 @ q0
     if abs(1.0 + q02) < 1e-12:
         raise DomainError("q0^2 = -1; branch undefined")
-    m0 = ID2 + 1j * sigma_dot(q0)
-    for i in range(len(times)):
-        qi2 = q[i] @ q[i]
-        if abs(1.0 + qi2) < 1e-12:
-            raise DomainError(f"q^2 = -1 encountered at t = {times[i]}")
-        denom = cmath.sqrt((1.0 + qi2) * (1.0 + q02))
-        out[i] = (ID2 - 1j * sigma_dot(q[i])) @ m0 / denom
-    return out
+    q2 = np.matmul(q[:, None, :], q[:, :, None])[:, 0, 0]  # each q_i @ q_i, on its dot kernel
+    bad = np.abs(1.0 + q2) < 1e-12
+    if bad.any():
+        raise DomainError(f"q^2 = -1 encountered at t = {times[np.argmax(bad)]}")
+    # numpy's scalar complex product: its array loop may fuse a multiply and an add
+    denom = np.array([cmath.sqrt((1.0 + x) * (1.0 + q02)) for x in q2])
+    return np.matmul(ID2 - 1j * S, ID2 + 1j * sigma_dot(q0)) / denom[:, None, None]
 
 
 def evolution_constant_direction(q_fn, lam: complex, t: float) -> Mat2:

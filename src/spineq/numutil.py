@@ -25,7 +25,6 @@ __all__ = [
     "stencil_nodes",
     "fd_derivative",
     "fd_derivative_callable",
-    "fd_second_derivative_callable",
     "real_number",
     "cumulative_integral",
     "gauss_kronrod",
@@ -318,14 +317,6 @@ def fd_derivative_callable(f, t, h=None):
     if h is None:
         h = default_step(t)
     return central_difference(*(np.asarray(f(s)) for s in stencil_nodes(t, h)), h)
-
-
-def fd_second_derivative_callable(f, t, h=None):
-    """4th-order central second difference of a callable at one point."""
-    if h is None:
-        h = default_step(t)
-    m2, m1, p1, p2 = stencil_nodes(t, h)
-    return central_second_difference(*(np.asarray(f(s)) for s in (m2, m1, t, p1, p2)), h)
 
 
 def cumulative_integral(y, x):

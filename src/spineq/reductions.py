@@ -20,7 +20,8 @@ import numpy as np
 from ._numbers import record
 from .errors import DomainError
 from .fields import FieldSpec, eval_field
-from .numutil import default_step, fd_derivative_callable, fd_second_derivative_callable
+from .numutil import (central_difference, central_second_difference, default_step,
+                      fd_derivative_callable, stencil_nodes)
 from .spinors import CVec3, ID2, SIGMA1, SIGMA2, SIGMA3, Spinor, sigma_exp
 
 __all__ = [
@@ -193,10 +194,6 @@ def to_schrodinger_potentials(spec: FieldSpec, t: float):
     """
     h = default_step(t)
     h2 = default_step(t, 2e-3)
-
-    def comp(i):
-        return lambda s: _field_at(spec, s)[i]
-
     F = _field_at(spec, t)
     f1, f2, f3 = F
     a_vals = {}
@@ -206,15 +203,18 @@ def to_schrodinger_potentials(spec: FieldSpec, t: float):
         if abs(a) < 1e-14:
             raise DomainError(f"A_{s_idx} = F1 {'-' if s_idx == 1 else '+'} iF2 vanishes at t = {t}")
         a_vals[s_idx] = a
-    f1_fn, f2_fn = comp(0), comp(1)
-    f3dot = complex(fd_derivative_callable(comp(2), t, h))
+    # the field once at each of the 9 stencil nodes, in the order the
+    # differences take them
+    near = [_field_at(spec, s) for s in stencil_nodes(t, h)]
+    m2, m1, p1, p2 = (_field_at(spec, s) for s in stencil_nodes(t, h2))
+    f3dot = complex(central_difference(*(np.asarray(G[2]) for G in near), h))
     out = []
     prod = a_vals[1] * a_vals[2]
     for s_idx in (1, 2):
         sign = (-1) ** s_idx
-        a_fn = lambda s: f1_fn(s) + sign * 1j * f2_fn(s)
-        adot = complex(fd_derivative_callable(a_fn, t, h))
-        addot = complex(fd_second_derivative_callable(a_fn, t, h2))
+        A = [np.asarray(G[0] + sign * 1j * G[1]) for G in (*near, m2, m1, F, p1, p2)]
+        adot = complex(central_difference(*A[:4], h))
+        addot = complex(central_second_difference(*A[4:], h2))
         a = a_vals[s_idx]
         ratio = adot / a
         V_s = (0.75 * ratio * ratio - 0.5 * addot / a - prod - f3 * f3

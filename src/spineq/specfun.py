@@ -30,9 +30,10 @@ squared magnitudes re**2 + im**2: a ratio of squares more than 1e-12
 rounding the two ways can differ by, and only the ratios inside that margin
 take hypot, as abs does.  A block whose squares leave [2**-900, 2**900] (or
 are NaN) takes hypot whole, and an element ends over the cap at the first
-step where the magnitude of its term or partial sum is not finite, which is
-also where abs would raise OverflowError.  Each pass allocates its block
-arrays once, as views of two workspaces that every block reuses.
+step where the magnitude of its term or partial sum is not finite, as the
+scalar loop does, which takes a modulus that abs cannot return (finite parts
+past the double range) as inf.  Each pass allocates its block arrays once,
+as views of two workspaces that every block reuses.
 
 gauss_2f1, kummer_phi and parabolic_d take one z.  The catalog's closed
 forms call gauss_2f1_many, kummer_phi_many and parabolic_d_many, which take
@@ -142,7 +143,9 @@ def _hyp1f1_coefficient(a, c):
 
 def _series(coefficient, z: complex):
     """The raw power series with term ratio coefficient(k) * z at the
-    complex z, as (value, terms_used, relative_truncation_estimate)."""
+    complex z, as (value, terms_used, relative_truncation_estimate).  A
+    modulus past the double range, of a term or of a partial sum with
+    finite parts, counts as inf, as np.hypot gives it to _grid_series."""
     term = 1.0 + 0j
     total = 1.0 + 0j
     streak = 0
@@ -150,9 +153,12 @@ def _series(coefficient, z: complex):
     for k in range(MAX_TERMS):
         term *= coefficient(k) * z
         total += term
-        mag = abs(term)
-        if mag < REL_EPS * abs(total):
-            if not cmath.isfinite(total):  # past the double range: every finite term passes
+        try:
+            mag, size = abs(term), abs(total)
+        except OverflowError:
+            mag, size = _modulus(term), _modulus(total)
+        if mag < REL_EPS * size:
+            if size == math.inf:  # past the double range: every finite term passes
                 break
             streak += 1
             if streak >= STREAK:
@@ -162,18 +168,27 @@ def _series(coefficient, z: complex):
             streak = 0
             if not mag < math.inf:  # NaN or inf: no later term is finite
                 break
-    return total, n_used, abs(term) / max(abs(total), 1e-300)
+    return total, n_used, mag / max(size, 1e-300)
+
+
+def _modulus(x: complex) -> float:
+    """abs(x), or inf where it is past the double range."""
+    try:
+        return abs(x)
+    except OverflowError:
+        return math.inf
 
 
 def _run(name, coefficient, z) -> SeriesResult:
     """The series at z, or AccuracyError if it ended over the cap: with a
-    finite sum if it ran to MAX_TERMS, else at a term that is not finite
-    (the estimate is NaN) or at a partial sum that is not finite."""
+    finite sum if it ran to MAX_TERMS, else at a term whose modulus is not
+    finite (the estimate is NaN or inf) or at a partial sum whose modulus
+    is not (the estimate is 0)."""
     value, n, est = _series(coefficient, complex(z))
     if n < 0:
-        if cmath.isfinite(value):
+        if math.isfinite(est) and _modulus(value) < math.inf:
             raise AccuracyError(f"{name} series did not converge within {MAX_TERMS} terms at z={z}")
-        what = "a term" if math.isnan(est) else "a partial sum"
+        what = "a partial sum" if est == 0.0 else "a term"
         raise AccuracyError(f"{name} series has {what} that is not finite at z={z}")
     return SeriesResult(value, n, est)
 
@@ -201,10 +216,9 @@ def _grid_series(jobs):
     per element, and then its squared magnitudes.
 
     An element ends over the cap (terms -1) at the first step where the
-    magnitude of its term or its partial sum is not finite: where the
-    scalar loop ends too, or where its abs raises OverflowError on finite
-    parts.  The caller replays every element over the cap with the scalar
-    calls.
+    magnitude of its term or its partial sum is not finite, where the
+    scalar loop ends too.  The caller replays every element over the cap
+    with the scalar calls.
     """
     zs = [np.asarray(z, dtype=complex) for _, z in jobs]
     sizes = [z.size for z in zs]

@@ -659,9 +659,10 @@ class TestBoundaryDefects:
 
 
 class TestRejectedBeforeNumpy:
-    """A declared pole, a non-finite --v0 and a zero or non-finite --l exit 2
-    before numpy loads, reported as the library reports them; with two
-    faults, the one the library checks first."""
+    """A declared pole, a non-finite --v0, a zero or non-finite --l and a
+    parameter name that the entry or subcommand does not take exit 2 before
+    numpy loads, reported as the library reports them; with two faults, the
+    one the library checks first."""
 
     FILES = {
         "entry5.json": {"kind": "catalog", "defs": 5},
@@ -670,6 +671,7 @@ class TestRejectedBeforeNumpy:
         "affine.json": {"kind": "expr", "defs": "F3 = 1/(t - 0.505)"},
         "tan.json": {"kind": "expr", "defs": "F3 = tan(3*t)"},
         "smooth.json": {"kind": "expr", "defs": "F3 = 0.5"},
+        "entry5_z.json": {"kind": "catalog", "defs": 5, "params": {"z": [1, 0]}},
     }
     POLE_5 = "ERROR 2: window [0.2, 2.0] contains declared field poles at [1.5707963267948966]\n"
     CASES = {
@@ -712,6 +714,22 @@ class TestRejectedBeforeNumpy:
         "alpha-and-l": (["reduce", "--field", "smooth.json", "--l", "0,0,0", "--alpha", "t +",
                          "--window", "0", "1"],
                         "ERROR 2: unexpected 'end of input' (line 1, col 4)\n"),
+        # parameter names: a name is case-sensitive, and an entry takes only its own
+        "verify-name-case": (["verify", "--entry", "1", "--params", "A=2"],
+                             "ERROR 2: entry 1 does not take ['A']; it takes ['a', 'b', 'c']\n"),
+        "verify-name-unknown": (["verify", "--entry", "1", "--params", "z=1;a=1"],
+                                "ERROR 2: entry 1 does not take ['z']; "
+                                "it takes ['a', 'b', 'c']\n"),
+        "verify-all-w": (["verify", "--all", "--params", "w=1"],
+                         "ERROR 2: entry 1 does not take ['w']; it takes ['a', 'b', 'c']\n"),
+        "darboux-name-unknown": (["darboux", "--params", "f=0.5;R=1;epsilon=0.4",
+                                  "--window", "0", "1"],
+                                 "ERROR 2: darboux does not take ['epsilon']; "
+                                 "it takes ['f', 'R', 'phi0', 'eps']\n"),
+        "catalog-doc-name-unknown": (["propagate", "--field", "entry5_z.json", "--v0", "1,0",
+                                      "--window", "0.2", "1"],
+                                     "ERROR 2: entry 5 does not take ['z']; "
+                                     "it takes ['a', 'b', 'c', 'w', 'p0']\n"),
     }
 
     @pytest.fixture(scope="class")

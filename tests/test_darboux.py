@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from spineq.darboux import (DarbouxParams, constant_f_seed_trajectory,
-                            constant_f_solution, darboux_apply, darboux_field,
+                            constant_f_solution, constant_f_trajectory,
+                            darboux_apply, darboux_field,
                             darboux_from_seed, darboux_params_constant_f,
                             darboux_params_mu_route, intertwine_residual,
                             pair_equation_residual)
 from spineq.dynamics import Trajectory, propagate, trajectory_se_residuals
 from spineq.errors import DomainError
 from spineq.fields import ConstField
-from spineq.spinors import anticonjugate_arr, l_vector_arr
+from spineq.spinors import SIGMA1, SIGMA3, anticonjugate_arr, l_vector_arr
 
 from conftest import assert_rel
 
@@ -177,6 +178,64 @@ class TestApply:
             darboux_apply(junk, 0.3, const_params)
 
 
+def _apply_by_node(traj, eps, params):
+    """darboux_apply's map node by node, one 2x2 product per node: the
+    reference for the batched product's bits."""
+    eps = complex(eps)
+    states = np.empty_like(traj.states)
+    fields = np.empty_like(traj.field_samples)
+    for i, t in enumerate(traj.times):
+        a, b = params.pair(t)
+        A = a * np.eye(2, dtype=complex) - 1j * (eps * SIGMA1 + b * SIGMA3)
+        states[i] = A @ traj.states[i]
+        fields[i] = (eps, 0.0, 2.0 * b - traj.field_samples[i, 2])
+    return states, fields
+
+
+def _random_maps(seed, count):
+    """Seeded (trajectory, eps, pair) triples: exact constant-field inputs of
+    5 to 900 nodes, with closed-form pairs and pairs with signed zeros."""
+    rng = np.random.default_rng(seed)
+
+    def rc(scale):
+        return complex(*(rng.normal(size=2) * scale))
+
+    for k in range(count):
+        n = int(rng.integers(5, 901))
+        f, eps = rc(0.5), rc(0.3)
+        t0 = float(rng.uniform(-2, 2))
+        traj = constant_f_trajectory(f, eps, rc(1), rc(1), (t0, t0 + n * 0.005), n)
+        c1, c2 = rc(1), rc(1)
+        params = [
+            darboux_params_constant_f(f, rc(1), rc(0.2)),
+            darboux_params_constant_f(f.real, rng.uniform(0.5, 1.5), rng.uniform(0, 0.3)),
+            DarbouxParams(alpha=lambda t, c=c1: c * math.cos(3 * t),
+                          beta=lambda t, c=c2: complex(c.real * math.sin(2 * t), -0.0),
+                          R=1j),
+        ][k % 3]
+        yield traj, eps, params
+
+
+class TestApplyByNode:
+    """darboux_apply's batched map against the node-by-node one, bit for bit."""
+
+    def test_states_and_fields(self):
+        for traj, eps, params in _random_maps(2024, 30):
+            out = darboux_apply(traj, eps, params)
+            states, fields = _apply_by_node(traj, eps, params)
+            assert out.states.tobytes() == states.tobytes()
+            assert out.field_samples.tobytes() == fields.tobytes()
+            assert out.times.tobytes() == traj.times.tobytes()
+
+    def test_one_pair_call_per_node(self, const_params):
+        calls = []
+        params = DarbouxParams(alpha=lambda t: calls.append(t) or const_params.alpha(t),
+                               beta=const_params.beta, R=const_params.R)
+        traj = constant_f_trajectory(F, 0.3, 1.0, 1.0, (0.0, 1.0), 101)
+        darboux_apply(traj, 0.3, params)
+        assert calls == traj.times.tolist()
+
+
 class TestSeedRoute:
     def test_matches_direct_construction(self, const_params):
         seed = constant_f_seed_trajectory(F, R, PHI0, (0.0, 2.0), 1201)
@@ -220,6 +279,41 @@ class TestSeedRoute:
         lo, hi = sp.window
         assert lo > -1.0 + 1e-9 or hi < 1.0 - 1e-9
         assert any(abs(c) < 0.05 for c in sp.crossings)
+
+
+    @staticmethod
+    def _seed(states):
+        n = len(states)
+        return Trajectory(np.linspace(0.0, 1.0, n), np.asarray(states, dtype=complex),
+                          np.zeros((n, 3), dtype=complex), 0.0)
+
+    def test_a_nan_state_leaves_no_usable_node(self):
+        seed = constant_f_seed_trajectory(F, R, PHI0, (0.0, 2.0), 21)
+        states = seed.states.copy()
+        states[7] = math.nan
+        with pytest.raises(DomainError, match="^L3 vanishes everywhere on the seed window$"):
+            darboux_from_seed(self._seed(states), 1j * R)
+
+    def test_runs_shorter_than_five_nodes_are_refused(self):
+        states = constant_f_seed_trajectory(F, R, PHI0, (0.0, 2.0), 14).states.copy()
+        states[[4, 9]] = 0.0  # runs of 4, 4 and 4 nodes
+        with pytest.raises(DomainError, match="^no usable subwindow between L3 zero-crossings$"):
+            darboux_from_seed(self._seed(states), 1j * R)
+
+    def test_the_first_of_two_equal_runs_is_kept(self):
+        states = constant_f_seed_trajectory(F, R, PHI0, (0.0, 2.0), 11).states.copy()
+        states[5] = 0.0  # runs [0, 5) and [6, 11)
+        seed = self._seed(states)
+        sp = darboux_from_seed(seed, 1j * R)
+        assert sp.window == (0.0, float(seed.times[4]))
+        assert sp.crossings == (float(seed.times[5]),)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_a_short_seed_usable_everywhere_is_kept_whole(self, n):
+        seed = constant_f_seed_trajectory(F, R, PHI0, (0.0, 0.5), n)
+        sp = darboux_from_seed(seed, 1j * R)
+        assert sp.window == (0.0, 0.5) and sp.crossings == ()
+        sp.pair(0.25)
 
 
 class TestIntertwiner:

@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import re
 import time
 import warnings
 from pathlib import Path
@@ -439,6 +440,65 @@ class TestEvolutionFromQ:
         R = evolution_from_q(times, q)
         dets = np.array([np.linalg.det(Ri) for Ri in R])
         assert np.max(np.abs(dets - dets[0])) <= 1e-10
+
+
+def _evolution_by_node(times, q, unit):
+    """evolution_from_q node by node, one 2x2 product per node: the
+    reference for the batched products' bits."""
+    q0 = q[0]
+    out = np.empty((len(times), 2, 2), dtype=complex)
+    if unit:
+        for i in range(len(times)):
+            out[i] = sigma_dot(q[i]) @ sigma_dot(q0)
+        return out
+    q02 = q0 @ q0
+    m0 = np.eye(2) + 1j * sigma_dot(q0)
+    for i in range(len(times)):
+        denom = cmath.sqrt((1.0 + q[i] @ q[i]) * (1.0 + q02))
+        out[i] = (np.eye(2) - 1j * sigma_dot(q[i])) @ m0 / denom
+    return out
+
+
+class TestEvolutionFromQByNode:
+    """evolution_from_q's batched branches against the node-by-node ones,
+    bit for bit, on seeded paths of 2 to 400 nodes."""
+
+    @staticmethod
+    def _paths(seed, count):
+        rng = np.random.default_rng(seed)
+        for k in range(count):
+            n = int(rng.integers(2, 401))
+            q = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+            if k % 3 == 1:
+                q[:, 1] = 0.0  # a path in the (F1, 0, F3) plane
+            if k % 3 == 2:
+                q = q.real.astype(complex)
+            yield np.linspace(0.0, float(rng.uniform(0.1, 5.0)), n), q
+
+    def test_general_branch(self):
+        for times, q in self._paths(7, 40):
+            got = evolution_from_q(times, q)
+            assert got.tobytes() == _evolution_by_node(times, q, False).tobytes()
+
+    def test_unit_branch(self):
+        for times, q in self._paths(8, 40):
+            q = q / np.sqrt(np.sum(q * q, axis=1))[:, None]
+            got = evolution_from_q(times, q, unit=True)
+            assert got.tobytes() == _evolution_by_node(times, q, True).tobytes()
+
+    @pytest.mark.parametrize("rows", [3, 7])
+    def test_a_path_of_another_length_is_refused(self, rows):
+        # node by node, 3 rows raised IndexError and 7 rows returned 5 nodes
+        with pytest.raises(DomainError, match=re.escape("q must have shape (n_times, 3)")):
+            evolution_from_q(np.linspace(0.0, 1.0, 5), np.zeros((rows, 3), dtype=complex))
+
+    def test_the_first_node_with_q2_minus_one_is_named(self):
+        times = np.linspace(0.0, 1.0, 11)
+        q = np.full((11, 3), 0.2 + 0.1j)
+        q[[3, 6]] = (1j, 0.0, 0.0)
+        with pytest.raises(DomainError, match=re.escape(
+                f"q^2 = -1 encountered at t = {times[3]}")):
+            evolution_from_q(times, q)
 
 
 class TestEvolutionConstantDirection:

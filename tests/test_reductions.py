@@ -1,11 +1,13 @@
+import cmath
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 from spineq.dynamics import constant_field_propagator, se_residual
-from spineq.errors import DomainError
+from spineq.errors import DomainError, SingularityError
 from spineq.fields import ConstField, parse_field_spec
 from spineq.reductions import (ReductionPlan, SigmaMap, reduce_field,
                                reparametrize_time, sigma_map, sigma_map_field,
@@ -274,6 +276,30 @@ class TestSchrodingerPotentials:
     def test_vanishing_transverse_rejected(self):
         with pytest.raises(DomainError):
             to_schrodinger_potentials(ConstField((0.0, 0.0, 1.0)), 0.5)
+
+    def test_the_field_is_sampled_once_per_stencil_node(self):
+        # t, t +- h, t +- 2h for the first differences, t +- h2, t +- 2h2 for
+        # the second: 9 nodes, each sampled once
+        nodes = []
+
+        def field(s):
+            nodes.append(s)
+            return (1.0 + 0.3 * math.sin(s), 0.2 * s, 0.5 * s * s)
+
+        V1, V2 = to_schrodinger_potentials(field, 0.7)
+        assert len(nodes) == len(set(nodes)) == 9 and nodes[0] == 0.7
+        assert cmath.isfinite(V1) and cmath.isfinite(V2)
+
+    def test_a_vanishing_transverse_field_is_reported_before_a_pole_beside_it(self):
+        # A_1 = A_2 = F1 = t - 1 vanishes at t = 1, and every other stencil
+        # node is a pole: the A_s check at t comes first
+        def field(s):
+            if s != 1.0:
+                raise SingularityError(f"pole at {s}", t=s)
+            return (s - 1.0, 0.0, 0.5)
+
+        with pytest.raises(DomainError, match=re.escape("A_1 = F1 - iF2 vanishes at t = 1.0")):
+            to_schrodinger_potentials(field, 1.0)
 
     def test_component_functions_satisfy_their_equation(self):
         # psi_s = v_s / sqrt(A_s) obeys psi'' = V_s psi along a propagated path

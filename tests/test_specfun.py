@@ -132,7 +132,8 @@ _job = st.one_of(
               st.lists(st.builds(complex, st.floats(-6, 6), st.floats(-6, 6)),
                        min_size=1, max_size=6)))
 
-# where F(1; 1; z) = e^z overflows in the scalar loop, and the terms of
+# where the partial sums of F(1; 1; z) = e^z pass the double range in
+# modulus, with finite parts, and the terms of
 # Phi(0.5i; 0.5; z) and Phi(0.3; 1.2; z) overflow to inf instead
 _Z_OVERFLOW = 800 * cmath.exp(0.6j)
 # where a term of Phi(0.5i; 0.5; z) overflows to inf (entry 16 on [-50, 50]):
@@ -204,18 +205,27 @@ class TestGridJobs:
 
     @pytest.mark.parametrize("first", [True, False])
     def test_overflow_raised_as_the_scalar_loop_raises_it(self, first):
-        # the kernel ends the element where abs raises over the cap, beside
-        # a job summed to its end, and the array call raises
-        with pytest.raises(OverflowError) as want:
-            _series(_hyp1f1_coefficient(1.0, 1.0), _Z_OVERFLOW)
-        specs = [("1F1", (1.0, 1.0), [0.5, _Z_OVERFLOW]), ("1F1", (0.2, 1.1), [1.0, 2j])]
+        # where abs would raise on finite parts, the scalar loop and the
+        # kernel end the element over the cap with the same bits, beside a
+        # job summed to its end; the scalar call and the array call raise
+        coefficient = _hyp1f1_coefficient(1.0, 1.0)
+        z = np.array([0.5, _Z_OVERFLOW, 709.9 + 1j])
+        _assert_grid_matches_scalar(_grid(coefficient, z), lambda x: _series(coefficient, x), z)
+        specs = [("1F1", (1.0, 1.0), z), ("1F1", (0.2, 1.1), [1.0, 2j])]
         results = _grid_series(_kernel_jobs(specs if first else specs[::-1]))
         terms = [r[1].tolist() for r in (results if first else results[::-1])]
-        assert terms[0][0] > 0 and terms[0][1] == -1 and min(terms[1]) > 0
+        assert terms[0][0] > 0 and terms[0][1:] == [-1, -1] and min(terms[1]) > 0
         sets = [(1.0, 1.0), (0.2, 1.1)]
         with np.errstate(all="ignore"), pytest.raises(_GRID_ERRORS):
-            kummer_phi_many(sets if first else sets[::-1], np.array([0.5, _Z_OVERFLOW]))
-        assert "too large" in str(want.value)
+            kummer_phi_many(sets if first else sets[::-1], z)
+
+    @pytest.mark.parametrize("z", [_Z_OVERFLOW, 709.9 + 1j])
+    def test_a_modulus_past_the_double_range_is_typed(self, z):
+        # a partial sum whose parts are finite but whose modulus is not:
+        # AccuracyError, not the OverflowError that abs raises
+        with pytest.raises(AccuracyError, match=re.escape(
+                f"Kummer series has a partial sum that is not finite at z={z}")):
+            kummer_phi(1.0, 1.0, z)
 
 
 def _block(terms, totals):
@@ -535,7 +545,7 @@ class TestManyForms:
             gauss_2f1(0.2, 0.3, 0.5, self._SLOW)
         with pytest.raises(AccuracyError):
             kummer_phi(0.5j, 0.5, _Z_OVERFLOW)
-        with pytest.raises(OverflowError):
+        with pytest.raises(AccuracyError, match="a partial sum that is not finite"):
             kummer_phi(1.0, 1.0, _Z_OVERFLOW)
         with pytest.raises(AccuracyError):
             parabolic_d(0.5, 71.0 * cmath.exp(0.25j * math.pi))
@@ -665,7 +675,8 @@ class TestArrayPlanner:
     def test_the_arguments_reach_every_outcome(self):
         for kind, texts in (
                 ("2F1", ["branch cut", "outside the supported domain", "did not converge"]),
-                ("1F1", ["not finite at z", "absolute value too large", "is not finite",
+                ("1F1", ["a term that is not finite", "a partial sum that is not finite",
+                         "is not finite",
                          "non-positive integer"]),
                 ("D", ["not finite at z", "is not finite", "past the double range",
                        "overflows in the Lanczos formula"])):
