@@ -64,7 +64,8 @@ class _Validation(Exception):
 
 
 def _parse_params(text: str | None) -> dict:
-    """Parse 'k=re[,im];k2=...' parameter assignments."""
+    """Parse 'k=re[,im];k2=...' parameter assignments; a name given twice
+    is refused."""
     out: dict[str, complex] = {}
     if not text:
         return out
@@ -75,12 +76,15 @@ def _parse_params(text: str | None) -> dict:
         if "=" not in chunk:
             raise _Validation(f"bad parameter assignment '{chunk}'")
         key, val = chunk.split("=", 1)
+        name = key.strip()
+        if name in out:
+            raise _Validation(f"parameter '{name}' is given twice")
         parts = val.split(",")
         try:
             if len(parts) == 1:
-                out[key.strip()] = complex(float(parts[0]))
+                out[name] = complex(float(parts[0]))
             elif len(parts) == 2:
-                out[key.strip()] = complex(float(parts[0]), float(parts[1]))
+                out[name] = complex(float(parts[0]), float(parts[1]))
             else:
                 raise ValueError
         except ValueError:

@@ -68,6 +68,19 @@ class DarbouxParams:
         return complex(self.alpha(t)), complex(self.beta(t))
 
 
+def _once_per_t(fn):
+    """fn, keeping its value at the last t it took: alpha(t) and beta(t),
+    which pair(t) calls in turn with the same t object, share one
+    evaluation of fn there."""
+    last = [object(), None]  # the last t, at first a placeholder, and fn's value there
+
+    def at(t):
+        if last[0] is not t:
+            last[:] = t, fn(t)  # after fn returns: an error keeps the last pair
+        return last[1]
+    return at
+
+
 def darboux_params_constant_f(f: complex, R: complex, phi0: complex) -> DarbouxParams:
     """Closed-form pair for constant F3 = f:
 
@@ -93,6 +106,7 @@ def darboux_params_constant_f(f: complex, R: complex, phi0: complex) -> DarbouxP
     def Qdot(t):
         return 2 * w0 * R * cmath.sinh(2 * (w0 * t + phi0))
 
+    @_once_per_t
     def denom(t):
         d = Q(t) - f
         if abs(d) < 1e-12 * max(1.0, abs(R)):
@@ -128,6 +142,7 @@ def darboux_params_mu_route(F3_fn, R: complex, mu0: float, window,
     # no output nodes: the pair reads only the dense output
     dense = dop853(rhs, (t0, t1), [mu0], tol, (), "mu integration", dense_output=True).sol
 
+    @_once_per_t
     def mu(t):
         if not lo <= t <= hi:
             raise DomainError(f"t = {t} is outside the window [{t0}, {t1}] of the mu route")

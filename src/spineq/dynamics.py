@@ -486,10 +486,3 @@ def se_residual(u_fn, field_fn, t: float) -> float:
         du, u = central_difference(*(v / scale for v in side), h), u / scale
     return float(se_residuals([du], [field_fn(t)], [u])[0])
 
-
-def trajectory_se_residuals(traj: Trajectory) -> np.ndarray:
-    """Residual of a sampled trajectory against its own field samples,
-    with the derivative taken on the sample grid."""
-    _, h = _check_uniform(traj.times)
-    return se_residuals(fd_derivative(traj.states, h), traj.field_samples, traj.states)
-

@@ -46,11 +46,12 @@ series of all sets in one pass of _grid_series and assembles the values,
 each with the bits of the scalar call at its element.  Any failing check
 or any element over the cap raises, with no replay: the caller,
 closed_forms.residuals, replays node by node (numutil.grid_or_replay) to
-raise the scalar calls' error.  For 2F1 the branches are planned once per
-array of z, as numpy masks that all sets share (_pfaff_branches): the image
-w = z/(z-1) is each element's own CPython division, on an object array,
-and the prefactor (1-z)^(-alpha) is one object-array power per distinct
-alpha.
+raise the scalar calls' error.  One plan, _pfaff_branches, takes the 2F1
+branch of one z (as a one-element array) and of an array of z, with numpy
+masks that all sets share: w = z/(z-1) by each element's own CPython
+division, on an object array, and (1-z)^(-alpha) as one object-array power
+per distinct alpha.  An array that fails its branch raises the scalar
+call's DomainError message at its first failing element.
 """
 
 from __future__ import annotations
@@ -392,20 +393,45 @@ def _slow_series_ok(alpha, beta, gamma) -> bool:
     return (complex(gamma) - alpha - beta).real > 0.05
 
 
-def _pfaff_image(alpha, beta, gamma, z: complex, r: float):
-    """Branch for r = |z| above the direct radius: the Pfaff image z/(z-1),
-    or None for the slow direct series; DomainError outside both."""
-    if z.imag == 0.0 and z.real >= 1.0:
-        raise DomainError(f"2F1 branch cut: z = {z} lies on [1, inf)")
-    w = z / (z - 1.0)
-    if abs(w) <= _DIRECT_RADIUS:
-        return w
-    if r <= 1.0 + 1e-12 and _slow_series_ok(alpha, beta, gamma):
+def _pfaff_branches(zc):
+    """The 2F1 branch of each element of the complex array zc, for every
+    parameter set at once: the one branch rule, which gauss_2f1_info takes
+    on a one-element array.  As (image, images, base, fails, slow):
+
+    - image, the indices of the elements that take the Pfaff image, where
+      the others take the direct series;
+    - images, their w = z / (z - 1.0), each by CPython's own division;
+    - base, their 1.0 - z, as an object array of Python complex;
+    - fails, None or the DomainError message of the first element on the
+      cut, or where |z| and |w| are both too large or NaN;
+    - slow, None or the message of the first element that takes the slow
+      direct series, which a set raises where _slow_series_ok does not hold.
+
+    np.hypot is math.hypot and the hypot of CPython's abs, with the same
+    inf and NaN.
+    """
+    mag = np.hypot(zc.real, zc.imag)
+    far = np.flatnonzero(~(mag <= _DIRECT_RADIUS))
+    cut = (zc.imag[far] == 0.0) & (zc.real[far] >= 1.0)
+    rest = far[~cut]
+    z = zc[rest].astype(object)
+    wc = (z / (z - 1.0)).astype(complex)
+    w_mag = np.hypot(wc.real, wc.imag)
+    inside = w_mag <= _DIRECT_RADIUS
+    slow = ~inside & (mag[rest] <= 1.0 + 1e-12)
+    bad = ~inside & ~slow
+
+    def outside(where):  # the message at the first element of rest where `where` holds
+        if where.any():
+            i = where.argmax()
+            return (f"2F1 argument z = {z[i]} outside the supported domain "
+                    f"(|z| = {mag[rest[i]]:.6g}, |z/(z-1)| = {w_mag[i]:.6g})")
         return None
-    raise DomainError(
-        f"2F1 argument z = {z} outside the supported domain "
-        f"(|z| = {r:.6g}, |z/(z-1)| = {abs(w):.6g})"
-    )
+
+    fails = outside(bad)
+    if cut.any() and not (bad.any() and rest[bad.argmax()] < far[cut.argmax()]):
+        fails = f"2F1 branch cut: z = {complex(zc[far[cut.argmax()]])} lies on [1, inf)"
+    return rest[inside], wc[inside], 1.0 - z[inside], fails, outside(slow)
 
 
 def gauss_2f1_info(alpha: complex, beta: complex, gamma: complex, z: complex) -> SeriesResult:
@@ -419,14 +445,17 @@ def gauss_2f1_info(alpha: complex, beta: complex, gamma: complex, z: complex) ->
     """
     _check_gamma_param(gamma)
     z = complex(z)
-    r = math.hypot(z.real, z.imag)  # abs(z), but inf where abs would overflow
-    if not r <= _DIRECT_RADIUS:
-        w = _pfaff_image(alpha, beta, gamma, z, r)
-        if w is not None:
+    # abs(z), but inf where abs would overflow
+    if not math.hypot(z.real, z.imag) <= _DIRECT_RADIUS:
+        with np.errstate(all="ignore"):
+            image, images, _, fails, slow = _pfaff_branches(np.array([z]))
+        if image.size:
             # Pfaff: F(a,b;c;z) = (1-z)^(-a) F(a, c-b; c; z/(z-1))
-            inner = _run("2F1", _hyp2f1_coefficient(alpha, gamma - beta, gamma), w)
+            inner = _run("2F1", _hyp2f1_coefficient(alpha, gamma - beta, gamma), complex(images[0]))
             pref = (1.0 - z) ** (-alpha)
             return SeriesResult(pref * inner.value, inner.terms_used, inner.truncation_estimate)
+        if fails or (slow and not _slow_series_ok(alpha, beta, gamma)):
+            raise DomainError(fails or slow)
     return _run("2F1", _hyp2f1_coefficient(alpha, beta, gamma), z)
 
 
@@ -456,7 +485,7 @@ def _gauss_grid(sets, z) -> list:
     zc = np.asarray(z, dtype=complex).ravel()
     image, images, base, fails, slow = _pfaff_branches(zc)
     if fails:
-        raise DomainError("2F1 argument outside the supported domain")
+        raise DomainError(fails)
     direct = np.ones(zc.size, dtype=bool)
     direct[image] = False
     direct = np.flatnonzero(direct)
@@ -464,7 +493,7 @@ def _gauss_grid(sets, z) -> list:
     for alpha, beta, gamma in sets:
         _check_gamma_param(gamma)
         if slow and not _slow_series_ok(alpha, beta, gamma):
-            raise DomainError("2F1 argument outside the supported domain")
+            raise DomainError(slow)
         # Pfaff: F(a,b;c;z) = (1-z)^(-a) F(a, c-b; c; z/(z-1))
         jobs += [(_hyp2f1_coefficient(alpha, beta, gamma), zc[direct]),
                  (_hyp2f1_coefficient(alpha, gamma - beta, gamma), images)]
@@ -489,36 +518,6 @@ def _gauss_grid(sets, z) -> list:
 def gauss_2f1_many(sets, z) -> list:
     """[gauss_2f1(alpha, beta, gamma, z) for (alpha, beta, gamma) in sets]."""
     return _many(_gauss_grid, gauss_2f1, sets, z)
-
-
-def _pfaff_branches(zc):
-    """The branches _pfaff_image takes on the complex array zc, for every
-    parameter set at once, as (image, images, base, fails, slow):
-
-    - image, the indices of the elements that take the Pfaff image;
-    - images, their w = z / (z - 1.0), each by CPython's own division;
-    - base, their 1.0 - z, as an object array of Python complex;
-    - fails, whether an element fails for every set (on the cut, or where
-      |w| and |z| are both too large or NaN);
-    - slow, whether an element takes the slow direct series, which fails
-      for a set where _slow_series_ok does not hold.
-
-    np.hypot is the scalar call's math.hypot and the hypot of CPython's
-    abs, with the same inf and NaN, so the masks decide as the scalar call
-    does.  abs(w) cannot raise at |z| <= 1 + 1e-12: there |z - 1| >= 2**-53,
-    or Re z = 1 and CPython's w = 1 - i/Im z has a part that is inf or the
-    modulus.
-    """
-    mag = np.hypot(zc.real, zc.imag)
-    far = np.flatnonzero(~(mag <= _DIRECT_RADIUS))
-    cut = (zc.imag[far] == 0.0) & (zc.real[far] >= 1.0)
-    rest = far[~cut]
-    z = zc[rest].astype(object)
-    wc = (z / (z - 1.0)).astype(complex)
-    inside = np.hypot(wc.real, wc.imag) <= _DIRECT_RADIUS
-    slow = ~inside & (mag[rest] <= 1.0 + 1e-12)
-    fails = cut.any() or (~inside & ~slow).any()
-    return rest[inside], wc[inside], 1.0 - z[inside], fails, slow.any()
 
 
 def gauss_2f1(alpha: complex, beta: complex, gamma: complex, z: complex) -> complex:

@@ -9,6 +9,8 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
+from spineq.dynamics import _check_uniform, se_residuals
+from spineq.numutil import fd_derivative
 from spineq.spinors import CVec3, Spinor, l_vector_arr
 
 
@@ -39,6 +41,13 @@ def assert_rel(got, want, tol, scale=None):
 def bloch_vector_path(traj):
     """n = L^{v,v} / (V,V) along a spinor trajectory."""
     return (l_vector_arr(traj.states, traj.states) / traj.norms()[:, None]).real
+
+
+def trajectory_se_residuals(traj):
+    """Residual of a sampled trajectory against its own field samples,
+    with the derivative taken on the sample grid."""
+    _, h = _check_uniform(traj.times)
+    return se_residuals(fd_derivative(traj.states, h), traj.field_samples, traj.states)
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")

@@ -15,8 +15,7 @@ from spineq.darboux import (constant_f_seed_trajectory, darboux_apply,
 from spineq.dynamics import (BlochState, Trajectory, bloch_propagate,
                              constant_field_propagator,
                              evolution_constant_direction, evolution_from_q,
-                             field_from_q, hamiltonian_check, propagate,
-                             trajectory_se_residuals)
+                             field_from_q, hamiltonian_check, propagate)
 from spineq.fields import CatalogField, ConstField, parse_field_spec
 from spineq.numutil import fd_derivative
 from spineq.reductions import ReductionPlan, reduce_field, transform_matrix
@@ -26,7 +25,7 @@ from spineq.specfun import complex_gamma, gauss_2f1, kummer_phi, parabolic_d
 from spineq.spinors import (AngleRep, Spinor, anticonjugate, frame,
                             from_angles, inner, l_vector, sigma_dot)
 
-from conftest import bloch_vector_path
+from conftest import bloch_vector_path, trajectory_se_residuals
 
 
 def report(num, ok, detail):

@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 from spineq import catalog, closed_forms
-from spineq.dynamics import Trajectory, se_residual, trajectory_se_residuals
+from spineq.dynamics import Trajectory, se_residual
 from spineq.errors import AccuracyError, DomainError, SingularityError, SpinEqError
 from spineq.fields import CatalogField, eval_field, field_callable
 from spineq.solutions import general_solution
 
-from conftest import assert_rel
+from conftest import assert_rel, trajectory_se_residuals
 
 
 def entry_trajectory(eid, params=None, n_nodes=801, window=None):

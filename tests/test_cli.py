@@ -726,6 +726,13 @@ class TestRejectedBeforeNumpy:
                                   "--window", "0", "1"],
                                  "ERROR 2: darboux does not take ['epsilon']; "
                                  "it takes ['f', 'R', 'phi0', 'eps']\n"),
+        # a name given twice is refused, not read as its last value
+        "verify-name-repeated": (["verify", "--entry", "1", "--params", "a=1;a=2",
+                                  "--points", "5"],
+                                 "ERROR 2: parameter 'a' is given twice\n"),
+        "darboux-name-repeated": (["darboux", "--params", "f=0.5;R=1;f=0.6",
+                                   "--window", "0", "1"],
+                                  "ERROR 2: parameter 'f' is given twice\n"),
         "catalog-doc-name-unknown": (["propagate", "--field", "entry5_z.json", "--v0", "1,0",
                                       "--window", "0.2", "1"],
                                      "ERROR 2: entry 5 does not take ['z']; "

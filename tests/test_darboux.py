@@ -1,23 +1,30 @@
+import cmath
 import math
+import types
 
 import numpy as np
 import pytest
 
+from spineq import darboux
 from spineq.darboux import (DarbouxParams, constant_f_seed_trajectory,
                             constant_f_solution, constant_f_trajectory,
                             darboux_apply, darboux_field,
                             darboux_from_seed, darboux_params_constant_f,
                             darboux_params_mu_route, intertwine_residual,
                             pair_equation_residual)
-from spineq.dynamics import Trajectory, propagate, trajectory_se_residuals
+from spineq.dynamics import Trajectory, propagate
 from spineq.errors import DomainError
 from spineq.fields import ConstField
 from spineq.spinors import SIGMA1, SIGMA3, anticonjugate_arr, l_vector_arr
 
-from conftest import assert_rel
+from conftest import assert_rel, trajectory_se_residuals
 
 F, R, PHI0 = 0.5, 1.0, 0.1
 TS = np.linspace(0.0, 2.0, 9)
+
+
+def _bits(values):
+    return np.array(values, dtype=complex).view(np.int64).tolist()
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +116,20 @@ class TestConstantPair:
             assert_rel(got, want, 1e-8)
 
 
+    def test_a_pair_takes_q_minus_f_once(self, monkeypatch):
+        cosh, calls = cmath.cosh, []
+        monkeypatch.setattr(darboux.cmath, "cosh", lambda x: calls.append(x) or cosh(x))
+        f, r, phi0 = 0.5 + 0.1j, 1.0, 0.1
+        params = darboux_params_constant_f(f, r, phi0)
+        w0 = cmath.sqrt(r * r - f * f)
+        for n, t in enumerate(TS.tolist(), start=1):
+            a, b = params.pair(t)
+            assert len(calls) == n
+            d = r * cosh(2 * (w0 * t + phi0)) - f
+            qdot = 2 * w0 * r * cmath.sinh(2 * (w0 * t + phi0))
+            assert _bits([a, b]) == _bits([-qdot / (2 * d), f + (f * f - r * r) / d])
+
+
 class TestMuRoute:
     def test_matches_direct_route(self, const_params):
         a0, b0 = const_params.pair(0.0)
@@ -127,6 +148,22 @@ class TestMuRoute:
                                            params, t)
                     for t in np.linspace(0.1, 1.9, 7))
         assert worst <= 1e-6
+
+    def test_a_pair_evaluates_the_dense_output_once(self, monkeypatch):
+        calls, dense, solve = [], [], darboux.dop853
+
+        def counted(*args, **kwargs):
+            dense.append(solve(*args, **kwargs).sol)
+            return types.SimpleNamespace(sol=lambda t: calls.append(t) or dense[0](t))
+
+        monkeypatch.setattr(darboux, "dop853", counted)
+        r = 0.8
+        params = darboux_params_mu_route(lambda t: 0.3 + 0.1 * math.sin(t), r, 0.4, (0.0, 2.0))
+        for n, t in enumerate(TS.tolist(), start=1):
+            a, b = params.pair(t)
+            assert len(calls) == n
+            mu = float(dense[0](t)[0])
+            assert _bits([a, b]) == _bits([complex(r) * math.cos(mu), complex(r) * math.sin(mu)])
 
     def test_zero_length_window_is_refused(self):
         with pytest.raises(DomainError, match="t1 != t0"):

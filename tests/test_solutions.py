@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from spineq.darboux import darboux_apply, darboux_params_constant_f
-from spineq.dynamics import (Trajectory, field_from_q, propagate, se_residual,
-                             trajectory_se_residuals)
+from spineq.dynamics import Trajectory, field_from_q, propagate, se_residual
 from spineq.errors import DomainError
 from spineq.fields import ConstField, parse_field_spec
 from spineq.solutions import (field_square_from_angles, gauge_from_field,
@@ -13,7 +12,7 @@ from spineq.solutions import (field_square_from_angles, gauge_from_field,
                               invert_field_angles, invert_field_selfadjoint)
 from spineq.spinors import anticonjugate_arr, l_vector_arr
 
-from conftest import assert_rel
+from conftest import assert_rel, trajectory_se_residuals
 
 
 def make_traj(times, states, fields=None):

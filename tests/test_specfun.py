@@ -53,7 +53,7 @@ def _each(one, sets, z):
     return [np.array([one(*s, x) for x in z.flat], dtype=object).reshape(z.shape) for s in sets]
 
 
-def _pfaff_image(theta):
+def _circle_image(theta):
     z = cmath.exp(1j * theta)
     return z / (z - 1.0)
 
@@ -73,7 +73,7 @@ class TestGridKernels:
     @settings(max_examples=60, deadline=None)
     def test_hyp2f1_grid(self, a, b, c, zs, thetas):
         # Pfaff images of unit-circle points, as gauss_2f1 passes them on
-        z = np.array(zs + [0j, complex(-0.0, -0.0)] + [_pfaff_image(t) for t in thetas])
+        z = np.array(zs + [0j, complex(-0.0, -0.0)] + [_circle_image(t) for t in thetas])
         _assert_grid_matches_scalar(_grid(_hyp2f1_coefficient(a, b, c), z),
                                     lambda x: _series(_hyp2f1_coefficient(a, b, c), x), z)
 
@@ -124,7 +124,7 @@ class TestGridKernels:
 # a job of the grid kernel: the series ("2F1" or "1F1"), its parameters and its z
 _SERIES = {"2F1": _hyp2f1_coefficient, "1F1": _hyp1f1_coefficient}
 _z_2f1 = st.one_of(st.builds(complex, st.floats(-0.95, 0.95), st.floats(-0.3, 0.3)),
-                   st.floats(1.2, 5.0).map(_pfaff_image))
+                   st.floats(1.2, 5.0).map(_circle_image))
 _job = st.one_of(
     st.tuples(st.just("2F1"), st.tuples(_param, _param, _gamma),
               st.lists(_z_2f1, min_size=1, max_size=6)),
@@ -181,7 +181,7 @@ class TestGridJobs:
             ("1F1", (0.3, 1.2), [0j]),
             ("2F1", (0.4 + 0.2j, 1.1, 1.7 - 0.3j), [0.94, -0.93 + 0.2j, 0.3]),
             ("1F1", (0.8 - 0.4j, 1.9), [0.1, -2.0, 3j, 5 - 5j, 0.5]),
-            ("2F1", (0.9 + 0.8j, 0.2 - 0.5j, 0.8 - 0.5j), [_pfaff_image(1.3)])])
+            ("2F1", (0.9 + 0.8j, 0.2 - 0.5j, 0.8 - 0.5j), [_circle_image(1.3)])])
         assert got[0][1].tolist() == [3]
         assert max(got[1][1]) > 16 * 8
 
@@ -356,7 +356,7 @@ class TestBlockLength:
         # Pfaff images of unit-circle points; the 1F1 square
         [("2F1", (0.3 + 0.1j, -0.4j, 1.2 + 0.2j),
           [0.9, -0.93 + 0.2j, 0.3j, 0j, complex(-0.0, -0.0)]
-          + [_pfaff_image(t) for t in (1.2, 3.0, 5.0)])],
+          + [_circle_image(t) for t in (1.2, 3.0, 5.0)])],
         [("1F1", (-0.7 + 1.0j, 1.9 - 0.3j), [6 + 6j, -6 - 1j, 2.5, -0.5j, complex(0.0, -0.0)])],
         # test_cap_hit_element's: terms that overflow to inf, and a cap with
         # finite terms
@@ -704,6 +704,23 @@ class TestArrayPlanner:
                     _assert_sound(got, want)
                     # and no false alarm, which would cost the node replay
                     assert isinstance(got, list) == isinstance(want, list), (kind, s, z)
+
+    @pytest.mark.parametrize("z, text", [
+        # the cut, before an element outside the domain
+        ([0.3, 1.5 + 0j, -30 + 1j], "branch cut"),
+        # outside (|z| and |z/(z-1)| both too large), before an element on the cut
+        ([-0.2j, -30 + 1j, 1.5 + 0j], "outside the supported domain"),
+        # the slow direct series, which the second set may not take
+        ([0.3, 0.96 + 0.1j, 0.97 + 0j], "outside the supported domain"),
+    ])
+    def test_a_failing_branch_raises_the_scalar_message(self, z, text):
+        # the message of the scalar call at the first failing element, z[1]
+        sets = [(0.3, 0.2, 1.1), (0.3, 0.2, 0.5)]  # Re(gamma - alpha - beta) 0.6, then 0
+        with pytest.raises(DomainError, match=text) as scalar:
+            gauss_2f1(*sets[1], z[1])
+        with np.errstate(all="ignore"), pytest.raises(DomainError) as array:
+            gauss_2f1_many(sets, np.array(z, dtype=object))
+        assert str(array.value) == str(scalar.value)
 
     def test_one_power_per_alpha(self, monkeypatch):
         powers = []
