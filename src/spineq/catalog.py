@@ -99,7 +99,8 @@ class CatalogEntry:
 
     @cached_property
     def field_defs(self) -> dict:
-        """field_dsl parsed: component name -> AST."""
+        """field_dsl parsed: component name -> AST, the ASTs of every expr
+        document that carries this text (expr.field_statements)."""
         from .expr import parse_statements
         return parse_statements(self.field_dsl)
 

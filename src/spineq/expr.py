@@ -50,8 +50,8 @@ from ._numbers import record
 from .errors import DomainError, FieldParseError, SingularityError
 
 __all__ = ["ExprNode", "Num", "Var", "Call", "BinOp", "Neg", "parse_expr",
-           "parse_statements", "print_expr", "FieldCode", "compile_expr", "eval_expr",
-           "free_parameters", "poles", "FUNCTIONS"]
+           "parse_statements", "field_statements", "print_expr", "FieldCode",
+           "compile_expr", "eval_expr", "free_parameters", "poles", "FUNCTIONS"]
 
 
 FUNCTIONS = {"sin": cmath.sin, "cos": cmath.cos, "tan": cmath.tan,
@@ -64,6 +64,9 @@ FUNCTIONS = {"sin": cmath.sin, "cos": cmath.cos, "tan": cmath.tan,
 SINGULARITY_THRESHOLD = 1e12
 
 _PY_OPS = {"+": "+", "-": "-", "*": "*", "/": "/", "^": "**"}  # DSL -> Python
+
+# the number of field texts whose ASTs, and of AST tuples whose plans, are kept
+_CACHE_SIZE = 128
 
 
 class ExprNode:
@@ -240,7 +243,18 @@ def parse_expr(text: str) -> ExprNode:
 
 
 def parse_statements(text: str) -> dict[str, ExprNode]:
-    """Parse 'F1|F2|F3 = expr' statements into a component -> AST map."""
+    """Parse 'F1|F2|F3 = expr' statements into a component -> AST map, in
+    the order F1, F2, F3: a fresh dict of field_statements(text)'s ASTs."""
+    return dict(field_statements(text)[0])
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def field_statements(text: str) -> tuple[tuple[tuple[str, ExprNode], ...], frozenset[str]]:
+    """The statements of a field text, parsed once per process while it is
+    among the last _CACHE_SIZE texts: ((component, AST), ...) in the order
+    F1, F2, F3, and the set of the free parameters.  Each load of one text
+    shares its ASTs, and so their FieldCode plan and code.  A text that
+    fails raises its FieldParseError on every call; no error is cached."""
     parser = _Parser(_tokenize(text))
     defs: dict[str, ExprNode] = {}
     while (tok := parser.peek()).kind != "EOF":
@@ -262,7 +276,8 @@ def parse_statements(text: str) -> dict[str, ExprNode]:
             parser.next()
         elif tok.kind != "EOF":
             raise FieldParseError(f"trailing input '{tok.text}'", tok.line, tok.col)
-    return defs
+    ordered = tuple((comp, defs[comp]) for comp in ("F1", "F2", "F3") if comp in defs)
+    return ordered, frozenset().union(*(free_parameters(node) for _, node in ordered))
 
 
 def _fmt_complex(value: complex) -> str:
@@ -605,7 +620,7 @@ def _plan(nodes):
     if key not in _PLANS:
         ops, results, ends, leaves = _generate(nodes)
         names = [f"_c{k}" for k in range(len(leaves))]
-        if len(_PLANS) == 128:
+        if len(_PLANS) == _CACHE_SIZE:
             del _PLANS[next(iter(_PLANS))]
         _PLANS[key] = (nodes, {c: v for c, v in zip(names, leaves) if not isinstance(v, Var)},
                        [(c, v.name) for c, v in zip(names, leaves) if isinstance(v, Var)],

@@ -16,6 +16,12 @@ CatalogField's over its entry's defaults.  Evaluate a field with other
 values through another spec, ``ExprField(spec.defs, p)`` or
 ``CatalogField(spec.entry_id, p)``.
 
+Each DSL text is parsed once per process, in a bounded cache of the last
+128 texts (expr.field_statements).  A document loaded again, and a catalog
+entry whose field_dsl it carries, take the same ASTs, and so the plan and
+code expr.FieldCode made for them: binding new parameters to a text seen
+before builds only a dict of its constants.
+
 Loading and parsing a document and checking a window for the poles its
 ASTs declare (check_poles) need neither numpy nor spinors: a field the CLI
 rejects is rejected before either loads.  Evaluation imports them.
@@ -85,10 +91,9 @@ FieldSpec = ConstField | ExprField | CatalogField
 
 
 def parse_field_spec(text: str) -> ExprField:
-    """Parse DSL statements into an ExprField; omitted components are zero."""
-    defs = ex.parse_statements(text)
-    ordered = tuple((comp, defs[comp]) for comp in ("F1", "F2", "F3") if comp in defs)
-    return ExprField(ordered)
+    """Parse DSL statements into an ExprField; omitted components are zero.
+    The ASTs are expr.field_statements(text)'s, parsed once per text."""
+    return ExprField(ex.field_statements(text)[0])
 
 
 def eval_field(spec: FieldSpec, t: float) -> CVec3:
@@ -182,10 +187,13 @@ def _is_number(v) -> bool:
 
 
 def _complex_from_pair(v):
-    if _is_number(v):
-        return complex(v)
-    if isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_number, v)):
-        return complex(v[0], v[1])
+    try:
+        if _is_number(v):
+            return complex(v)
+        if isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_number, v)):
+            return complex(v[0], v[1])
+    except OverflowError:  # an integer past the double range, too long to echo
+        raise FieldParseError("a complex value's integer is past the double range") from None
     raise FieldParseError(f"bad complex value {v!r}; expected number or [re, im]")
 
 
@@ -209,6 +217,8 @@ def load_field_json(source) -> FieldSpec:
             raise FieldParseError(f"field document is not valid JSON: {exc}") from None
         except UnicodeDecodeError as exc:
             raise FieldParseError(f"field document is not UTF-8 text: {exc}") from None
+        except ValueError as exc:  # int() refuses an integer of over 4300 digits
+            raise FieldParseError(f"field document is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise FieldParseError("a field document must be a JSON object")
     kind = doc.get("kind")
@@ -228,11 +238,13 @@ def load_field_json(source) -> FieldSpec:
     if kind == "expr":
         if not isinstance(defs, str):
             raise FieldParseError("expr field needs its 'defs' as a DSL string")
-        spec = parse_field_spec(defs)
-        missing = spec.free_parameters() - set(params)
+        defs, free = ex.field_statements(defs)
+        if "t" in params:
+            raise FieldParseError("'t' is the time variable and takes no parameter value")
+        missing = free - params.keys()
         if missing:
             raise FieldParseError(f"missing parameter values for {sorted(missing)}")
-        return ExprField(spec.defs, params)
+        return ExprField(defs, params)
     if not isinstance(defs, int) or isinstance(defs, bool):
         raise FieldParseError(f"catalog field needs an integer entry id, got {defs!r}")
     from . import catalog

@@ -672,6 +672,8 @@ class TestRejectedBeforeNumpy:
         "tan.json": {"kind": "expr", "defs": "F3 = tan(3*t)"},
         "smooth.json": {"kind": "expr", "defs": "F3 = 0.5"},
         "entry5_z.json": {"kind": "catalog", "defs": 5, "params": {"z": [1, 0]}},
+        "time_param.json": {"kind": "expr", "defs": "F1 = t; F3 = t", "params": {"t": 5}},
+        "huge_int.json": {"kind": "expr", "defs": "F1 = a", "params": {"a": 10**400}},
     }
     POLE_5 = "ERROR 2: window [0.2, 2.0] contains declared field poles at [1.5707963267948966]\n"
     CASES = {
@@ -737,6 +739,15 @@ class TestRejectedBeforeNumpy:
                                       "--window", "0.2", "1"],
                                      "ERROR 2: entry 5 does not take ['z']; "
                                      "it takes ['a', 'b', 'c', 'w', 'p0']\n"),
+        # a value for the time variable would be ignored; an integer past
+        # the double range once escaped as an OverflowError
+        "expr-doc-time-param": (["propagate", "--field", "time_param.json", "--v0", "1,0",
+                                 "--window", "0.2", "1"],
+                                "ERROR 2: 't' is the time variable and takes no parameter "
+                                "value\n"),
+        "expr-doc-huge-int": (["propagate", "--field", "huge_int.json", "--v0", "1,0",
+                               "--window", "0.2", "1"],
+                              "ERROR 2: a complex value's integer is past the double range\n"),
     }
 
     @pytest.fixture(scope="class")

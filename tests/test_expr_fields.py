@@ -1,10 +1,13 @@
 import cmath
+import contextlib
 import gc
+import io
 import json
 import math
 import operator
 import re
 import types
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -216,6 +219,23 @@ class TestJsonEnvelope:
     def test_missing_params_rejected(self):
         with pytest.raises(FieldParseError, match="missing parameter"):
             load_field_json({"kind": "expr", "defs": "F1 = a*t", "params": {}})
+
+    def test_time_variable_takes_no_value(self):
+        # 't' is the time at every node: a value for it would be ignored
+        with pytest.raises(FieldParseError, match="'t' is the time variable"):
+            load_field_json({"kind": "expr", "defs": "F1 = t; F3 = t", "params": {"t": 5}})
+
+    @pytest.mark.parametrize("value", [10**400, [1, -10**400]])
+    def test_integer_past_double_range_rejected(self, value):
+        doc = {"kind": "expr", "defs": "F1 = a", "params": {"a": value}}
+        for source in (doc, io.StringIO(json.dumps(doc))):
+            with pytest.raises(FieldParseError, match="past the double range"):
+                load_field_json(source)
+
+    def test_integer_of_too_many_digits_rejected(self):
+        text = '{"kind": "expr", "defs": "F1 = a", "params": {"a": ' + "1" * 5000 + "}}"
+        with pytest.raises(FieldParseError, match="not valid JSON"):
+            load_field_json(io.StringIO(text))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(FieldParseError):
@@ -621,3 +641,150 @@ class TestFusedRhs:
             [_reference(node, t, params) for node in nodes if node is not None]
         assert (str(got.value), got.value.t) == (str(want.value), want.value.t) \
             == (str(walk.value), walk.value.t)
+
+
+def _expr_doc(e, params):
+    return {"kind": "expr", "defs": e.field_dsl,
+            "params": {k: [complex(v).real, complex(v).imag] for k, v in params.items()}}
+
+
+class TestStatementCache:
+    """Each field text is parsed once per process (expr.field_statements):
+    its loads share the ASTs, and so the plan and code of their binding."""
+
+    TEXT = "F3 = b*cos(w*t); F1 = a*sin(w*t) + 1/t"
+
+    def test_a_text_gives_the_same_asts(self):
+        first, again = parse_field_spec(self.TEXT), parse_field_spec(self.TEXT)
+        assert [comp for comp, _ in first.defs] == ["F1", "F3"]
+        assert all(a is b for (_, a), (_, b) in zip(first.defs, again.defs, strict=True))
+        # parse_statements hands out a fresh dict, so no caller can change the cache
+        defs = expr.parse_statements(self.TEXT)
+        assert defs is not expr.parse_statements(self.TEXT)
+        assert all(defs[comp] is node for comp, node in first.defs)
+        defs["F2"] = Num(1j)
+        del defs["F1"]
+        assert expr.parse_statements(self.TEXT).keys() == {"F1", "F3"}
+        assert expr.field_statements(self.TEXT) == (first.defs, frozenset({"a", "b", "w"}))
+
+    def test_a_second_load_and_bind_parses_and_generates_nothing(self, monkeypatch):
+        doc = {"kind": "expr", "defs": self.TEXT, "params": {"a": 1, "b": 2, "w": 3}}
+        times, y = np.linspace(0.5, 1.5, 7), np.array([0.6, 0.8j])
+        field, rhs = bind_field(load_field_json(doc))
+        field(times)
+        rhs(0.5, y)  # compiles the checked code for one time
+        plans, compiled = list(expr._PLANS), expr._function_code.cache_info().misses
+
+        def again(*args):
+            pytest.fail("a text seen before was tokenized or its code generated again")
+
+        for name in ("_tokenize", "_generate", "_source"):
+            monkeypatch.setattr(expr, name, again)
+        doc["params"] = {"a": [0.5, -1], "b": -1, "w": 0.25}
+        spec = load_field_json(io.StringIO(json.dumps(doc)))
+        field, rhs = bind_field(spec)
+        assert field(times).view(np.int64).tolist() == \
+            np.array([field(t) for t in times]).view(np.int64).tolist()
+        rhs(0.5, y)
+        assert list(expr._PLANS) == plans
+        assert expr._function_code.cache_info().misses == compiled
+
+    @pytest.mark.parametrize("text", ["F1 = 1 +", "F1 = t; F1 = 2", "F4 = t", "F1 = foo(t)",
+                                      "F1 = 1..2", "F1 = t $", "F1 = (t"])
+    def test_a_bad_text_raises_the_same_error_on_every_call(self, text):
+        with pytest.raises(FieldParseError) as uncached:
+            expr.field_statements.__wrapped__(text)
+        for load in (parse_field_spec, expr.parse_statements,
+                     lambda s: load_field_json({"kind": "expr", "defs": s})) * 2:
+            with pytest.raises(FieldParseError) as got:
+                load(text)
+            assert str(got.value) == str(uncached.value)
+
+    def test_samples_keep_their_bits_after_a_cache_clear(self):
+        for eid in range(1, 27):
+            e = catalog.entry(eid)
+            p = e.merged(None)
+            times = np.linspace(*e.window_for(p), 101)
+            before = load_field_json(_expr_doc(e, p))
+            want = field_callable(before)(times)
+            expr.field_statements.cache_clear()
+            after = load_field_json(_expr_doc(e, p))
+            assert after.defs[0][1] is not before.defs[0][1] and after == before
+            got = field_callable(after)(times)
+            assert got.view(np.int64).tolist() == want.view(np.int64).tolist(), eid
+
+    @pytest.mark.parametrize("eid", range(1, 27))
+    def test_an_entry_expr_and_catalog_share_one_plan(self, eid, monkeypatch):
+        e = catalog.entry(eid)
+        # after a cache_clear the entry keeps its ASTs: take them from the cache
+        monkeypatch.delitem(vars(e), "field_defs", raising=False)
+        p = e.draw_params(np.random.default_rng([eid, 37]))
+        exprs = load_field_json(_expr_doc(e, p))
+        catalogs = load_field_json({**_expr_doc(e, p), "kind": "catalog", "defs": eid})
+        assert all(a is b for a, b in zip(_nodes(exprs)[0], _nodes(catalogs)[0], strict=True))
+        times = np.linspace(*e.window_for(p), 5)
+        want = field_callable(exprs)(times)
+        plans = list(expr._PLANS)
+        got = field_callable(catalogs)(times)
+        assert list(expr._PLANS) == plans
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+_names = st.sampled_from(["a", "b", "w", "t", "i", "sin", "F1", "_x1", "a b", ""])
+_dsl = st.recursive(
+    st.sampled_from(["t", "i", "a", "b", "w", "2", "0.5", "1e-3", "3i", "1.5e2i", "0"]),
+    lambda sub: st.one_of(
+        st.tuples(sub, st.sampled_from("+-*/^"), sub).map(" ".join),
+        st.tuples(st.sampled_from([*sorted(expr.FUNCTIONS), "foo"]), sub).map(
+            lambda x: f"{x[0]}({x[1]})"),
+        sub.map(lambda x: f"({x})"), sub.map(lambda x: f"-{x}")),
+    max_leaves=8)
+_statements = st.lists(
+    st.tuples(st.sampled_from(["F1", "F2", "F3", "F3", "F4", "G"]), _dsl).map(" = ".join),
+    max_size=4).map("; ".join)
+_junk = st.text("F123 =+-*/^()t;abi.e0\n", max_size=30) | st.text(max_size=12)
+_number = st.floats(-1e3, 1e3) | st.integers(-5, 5)
+_values = st.one_of(
+    _number, _number, _number, st.lists(_number, min_size=2, max_size=2),
+    st.lists(_number, min_size=2, max_size=2), st.one_of(
+        st.integers(), st.floats(), st.just(10**400), st.booleans(), st.text(max_size=3),
+        st.lists(st.floats() | st.integers() | st.just(-10**400), max_size=3)))
+
+
+def _document(kind, defs, params, shape):
+    """A document, one in ten without its defs and one in ten with a list
+    for its params."""
+    doc = {"kind": kind, "defs": defs, "params": params}
+    if shape == 8:
+        del doc["defs"]
+    elif shape == 9:
+        doc["params"] = list(params)
+    return doc
+
+
+_documents = st.builds(
+    _document, st.sampled_from(["expr"] * 6 + ["catalog", "const", "smooth"]),
+    st.one_of(_statements, _statements, _statements, _junk, st.integers(-2, 30),
+              st.lists(st.lists(st.floats(), max_size=2), max_size=4)),
+    st.dictionaries(_names, _values, max_size=4), st.sampled_from(range(10)))
+
+
+@given(_documents, st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_a_document_loads_or_fails_alike_every_time(doc, as_text):
+    # a load returns a spec or raises a SpinEqError, the same on every load
+    # of one document (repr: equal NaN parameters are equal), and says
+    # nothing on stderr
+    def load():
+        source = io.StringIO(json.dumps(doc)) if as_text else doc
+        try:
+            return repr(load_field_json(source))
+        except SpinEqError as exc:
+            return type(exc), str(exc)
+
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        first, again = load(), load()
+    assert first == again
+    assert err.getvalue() == ""
