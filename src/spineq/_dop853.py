@@ -11,17 +11,24 @@ for operand, so that a solve returns the bits scipy's DOP853 returns, in t,
 y and the number of right-hand-side calls.  It makes fewer numpy calls to
 get there: the tableau is cast to the state's dtype once per solve, where
 np.dot would cast a row on every call; the stages take ndarray.dot, np.dot's
-routine without its dispatcher, times h as the state's scalar, the value
-numpy would cast a float h to; and the error norm is np.linalg.norm's own
-fast path without its checks.  The t_eval nodes are sampled in one pass
-after the last step (sample_nodes), each through its own step's dense
-output: the loop keeps a step's interpolant only if the step holds nodes,
-so a solve keeps at most min(steps, nodes) of them (all of them with
-dense_output).  A terminal event is not rooted: the solve stops after the
-step across which g falls through zero, and keeps that step's nodes up to
-the first where g, on the node's state, is below zero.  Unlike scipy's
-driver, solve does not check its input: each solver checks its own before
-it calls numutil.dop853, and none solves over a window of length zero.
+routine without its dispatcher; each array-by-scalar product (h, rtol, atol
+and the dense output's 2) takes its scalar as a 0-d array of the operand's
+dtype, the value and the ufunc loop numpy gives a Python or numpy scalar,
+without the conversion numpy makes of such a scalar on every call; the
+step's bookkeeping (t, h, the direction, the stage nodes and the error
+norm) runs in Python floats, whose arithmetic is np.float64's at a tenth of
+its cost; and the error norm is np.linalg.norm's own fast path without its
+checks, with its roots by math.sqrt, correctly rounded as np.sqrt is.  A
+step reuses the last one's |y_new| as its |y|.  The t_eval nodes are
+sampled in one pass after the last step (sample_nodes), each through its
+own step's dense output: the loop keeps a step's interpolant only if the
+step holds nodes, so a solve keeps at most min(steps, nodes) of them (all
+of them with dense_output).  A terminal event is not rooted: the solve
+stops after the step across which g falls through zero, and keeps that
+step's nodes up to the first where g, on the node's state, is below zero.
+Unlike scipy's driver, solve does not check its input: each solver checks
+its own before it calls numutil.dop853, and none solves over a window of
+length zero.
 Importing scipy.integrate costs about 0.54 s and 48 MB (Python 3.11, scipy
 1.17, 2 vCPU), more than a typical solve; this module needs numpy alone.
 """
@@ -245,10 +252,11 @@ D[3, 15] = -0.14972683625798562581422125276e+3
 _A = A[:N_STAGES, :N_STAGES]
 _C = C[:N_STAGES]
 # (stage, its row of A up to the stage, its node), for the step and for the
-# dense output's extra stages
-_STAGES = [(s, a[:s], c) for s, (a, c) in enumerate(zip(_A[1:], _C[1:]), start=1)]
+# dense output's extra stages; each node a Python float
+_STAGES = [(s, a[:s], c) for s, (a, c) in enumerate(zip(_A[1:], _C[1:].tolist()), start=1)]
 _EXTRA_STAGES = [(s, a[:s], c) for s, (a, c) in
-                 enumerate(zip(A[N_STAGES + 1:], C[N_STAGES + 1:]), start=N_STAGES + 1)]
+                 enumerate(zip(A[N_STAGES + 1:], C[N_STAGES + 1:].tolist()),
+                           start=N_STAGES + 1)]
 
 
 class BudgetExceeded(Exception):
@@ -260,17 +268,27 @@ class BudgetExceeded(Exception):
         self.t = t
 
 
-def _norm2(x):
-    """np.linalg.norm(x) of a 1-D float or complex x, by numpy's own fast
-    path for it, operation for operation, without its checks."""
+def _sum_squares(x):
+    """The sum of |x_i|^2 of a 1-D float or complex x, as np.linalg.norm's
+    own fast path sums it, operation for operation, without its checks."""
     if x.dtype.kind == "c":
-        return np.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
-    return np.sqrt(x.dot(x))
+        return x.real.dot(x.real) + x.imag.dot(x.imag)
+    return x.dot(x)
 
 
 def norm(x):
     """The RMS norm of the error estimates."""
-    return _norm2(x) / x.size ** 0.5
+    return np.sqrt(_sum_squares(x)) / x.size ** 0.5
+
+
+def _norm_squared(x):
+    """np.linalg.norm(x)**2, the root rounded and then squared, as scipy's
+    error norm takes it, in Python floats: math.sqrt is correctly rounded as
+    np.sqrt is, and both powers are the C library's pow.  A root past 1e154,
+    inf or NaN is squared as numpy squares it, to inf or NaN with no
+    OverflowError."""
+    r = math.sqrt(_sum_squares(x))
+    return r ** 2 if r < 1e154 else np.float64(r) ** 2
 
 
 def select_initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
@@ -380,12 +398,18 @@ class _Stepper:
         self.t = t0
         self.y = y0
         self.t_bound = t_bound
-        self.direction = np.sign(t_bound - t0)
-        self.rtol = rtol
-        self.atol = atol
+        # Python floats, as t0 and t_bound are (see the module docstring)
+        self.direction = 1.0 if t_bound > t0 else -1.0
         self.f = fun(t0, y0)
-        self.h_abs = select_initial_step(fun, t0, y0, t_bound, self.f, self.direction,
-                                         rtol, atol)
+        self.h_abs = float(select_initial_step(fun, t0, y0, t_bound, self.f, self.direction,
+                                               rtol, atol))
+        # the scalar operands as 0-d arrays (see the module docstring): |y|
+        # and so the error scale are float64 for a complex state too
+        self.dtype = y0.dtype
+        self.rtol = np.array(rtol, dtype=float)
+        self.atol = np.array(atol, dtype=float)
+        self.two = np.array(2, dtype=y0.dtype)
+        self.abs_y = np.abs(y0)
         K = self.K_extended = np.empty((N_STAGES_EXTENDED, y0.size), dtype=y0.dtype)
         self.K = K[:N_STAGES + 1]
         # the tableau as this solve uses it: each row with the stages it
@@ -400,36 +424,33 @@ class _Stepper:
         self.KB, self.B = K[:N_STAGES].T, row(B)
         self.KT = self.K.T
         self.E3, self.E5, self.D = row(E3), row(E5), row(D)
-        # h as the state's scalar: the value numpy's promotion casts a
-        # Python float h to before it multiplies an array of the state
-        self.scalar = y0.dtype.type
         self.t_old = self.y_old = self.h_previous = None
         self.n_accepted = self.n_rejected = 0
-        self.min_step = np.inf
+        self.min_step = math.inf
 
     def step(self):
         """Take one accepted step; False if the step size fell below ten
         spacings of floats at t."""
         t = self.t
         y = self.y
-        rtol = self.rtol
-        atol = self.atol
-        floor = 10 * abs(math.nextafter(t, self.direction * math.inf) - t)
+        direction = self.direction
+        floor = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         h_abs = floor if self.h_abs < floor else self.h_abs
         step_accepted = False
         step_rejected = False
         while not step_accepted:
             if h_abs < floor:
                 return False
-            h = h_abs * self.direction
+            h = h_abs * direction
             t_new = t + h
-            if self.direction * (t_new - self.t_bound) > 0:
+            if direction * (t_new - self.t_bound) > 0:
                 t_new = self.t_bound
             h = t_new - t
-            h_abs = np.abs(h)
+            h_abs = abs(h)
             y_new, f_new = self.rk_step(t, y, h)
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error_norm = self.estimate_error_norm(h, scale)
+            abs_y_new = np.abs(y_new)
+            scale = self.atol + np.maximum(self.abs_y, abs_y_new) * self.rtol
+            error_norm = self.estimate_error_norm(h_abs, scale)
             if error_norm < 1:
                 if error_norm == 0:
                     factor = MAX_FACTOR
@@ -450,6 +471,7 @@ class _Stepper:
         self.y_old = y
         self.t = t_new
         self.y = y_new
+        self.abs_y = abs_y_new
         self.h_abs = h_abs
         self.f = f_new
         return True
@@ -458,7 +480,7 @@ class _Stepper:
         """One step of size h from (t, y), where self.f = fun(t, y): the new
         state and its derivative, the stages left in the rows of K."""
         fun, K = self.fun, self.K
-        hs = self.scalar(h)
+        hs = np.array(h, dtype=self.dtype)
         K[0] = self.f
         for s, Ks, a, c in self.stages:
             dy = Ks.dot(a) * hs
@@ -468,23 +490,24 @@ class _Stepper:
         K[-1] = f_new
         return y_new, f_new
 
-    def estimate_error_norm(self, h, scale):
-        """The error norm of a step: the 5th-order estimate, damped by the
-        3rd-order one, in units of scale."""
+    def estimate_error_norm(self, h_abs, scale):
+        """The error norm of a step of length h_abs: the 5th-order estimate,
+        damped by the 3rd-order one, in units of scale."""
         err5 = self.KT.dot(self.E5) / scale
         err3 = self.KT.dot(self.E3) / scale
-        err5_norm_2 = _norm2(err5)**2
-        err3_norm_2 = _norm2(err3)**2
+        err5_norm_2 = _norm_squared(err5)
+        err3_norm_2 = _norm_squared(err3)
         if err5_norm_2 == 0 and err3_norm_2 == 0:
             return 0.0
-        denom = err5_norm_2 + 0.01 * err3_norm_2
-        return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
+        denom = math.sqrt((err5_norm_2 + 0.01 * err3_norm_2) * len(scale))
+        # a denominator of 0, where 0.01 * err3_norm_2 underflows, is numpy's 0 / 0
+        return h_abs * err5_norm_2 / denom if denom else math.nan
 
     def dense_output(self):
         """The interpolant of the last step; three more calls of fun."""
         K = self.K_extended
         h = self.h_previous
-        hs = self.scalar(h)
+        hs = np.array(h, dtype=self.dtype)
         for s, Ks, a, c in self.extra_stages:
             dy = Ks.dot(a) * hs
             K[s] = self.fun(self.t_old + c * h, self.y_old + dy)
@@ -493,7 +516,7 @@ class _Stepper:
         delta_y = self.y - self.y_old
         F[0] = delta_y
         F[1] = hs * f_old - delta_y
-        F[2] = 2 * delta_y - hs * (self.f + f_old)
+        F[2] = self.two * delta_y - hs * (self.f + f_old)
         F[3:] = hs * self.D.dot(K)
         return Interpolant(self.t_old, self.t, self.y_old, F)
 
@@ -544,16 +567,22 @@ def solve(fun, t_span, y0, rtol, atol, t_eval, dense_output=False, event=None, *
     holds no node, 3 more calls of fun.  A call of fun past max_nfev raises
     BudgetExceeded.
 
+    fun gets its time as a Python float at every call: at t0, as from scipy,
+    and at the stage times, which scipy passes as np.float64 of the same
+    value.  The result's min_step and t_last are np.float64.
+
     The input is the caller's to check, where scipy's driver checks it: t_span
     of nonzero length, y0 finite, and t_eval 1-D, inside t_span and sorted in
     the direction of the solve (empty for no output nodes).
     """
     t0, tf = map(float, t_span)
     t_eval = np.asarray(t_eval)
-    if tf > t0:
+    forward = tf > t0
+    side = "right" if forward else "left"
+    if forward:
         t_eval_i = 0
     else:
-        # decreasing order for np.searchsorted; t_eval_i bounds slices above
+        # increasing order for searchsorted; t_eval_i bounds slices above
         t_eval = t_eval[::-1]
         t_eval_i = t_eval.shape[0]
 
@@ -597,16 +626,16 @@ def solve(fun, t_span, y0, rtol, atol, t_eval, dense_output=False, event=None, *
                 status = 1
             g = g_new
 
-        # a node equal to t is taken in this step
-        if stepper.direction > 0:
-            t_eval_i_new = np.searchsorted(t_eval, t, side="right")
-            t_eval_step = t_eval[t_eval_i:t_eval_i_new]
-        else:
-            t_eval_i_new = np.searchsorted(t_eval, t, side="left")
-            t_eval_step = t_eval[t_eval_i_new:t_eval_i][::-1]
-        if t_eval_step.size > 0:
+        # a node equal to t is taken in this step ("right" going forward,
+        # "left" going back); the method skips np.searchsorted's dispatcher,
+        # and bisect would need the nodes as a list, 42 us at 2001 nodes
+        t_eval_i_new = t_eval.searchsorted(t, side)
+        n_step = abs(t_eval_i_new - t_eval_i)
+        if n_step:
             if sol is None:
                 sol = stepper.dense_output()
+            t_eval_step = (t_eval[t_eval_i:t_eval_i_new] if forward
+                           else t_eval[t_eval_i_new:t_eval_i][::-1])
             steps.append((t_eval_step, sol))
             t_eval_i = t_eval_i_new
         if dense_output:
@@ -617,11 +646,11 @@ def solve(fun, t_span, y0, rtol, atol, t_eval, dense_output=False, event=None, *
     else:
         t, y = np.empty(0), np.empty((y0.size, 0), dtype)
     if status == 1:
-        # the crossing step is the last: its nodes are the last t_eval_step.size
-        for i in range(t.size - t_eval_step.size, t.size):
+        # the crossing step is the last: its nodes are the last n_step
+        for i in range(t.size - n_step, t.size):
             if event(t[i], y[:, i]) < 0:
                 t, y = t[:i], y[:, :i]
                 break
     return Solution(t, y, DenseSolution(ti, interpolants) if dense_output else None,
                     status, MESSAGES[status], nfev, stepper.n_accepted,
-                    stepper.n_rejected, stepper.min_step, t_last)
+                    stepper.n_rejected, np.float64(stepper.min_step), np.float64(t_last))

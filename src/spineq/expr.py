@@ -12,7 +12,9 @@ Grammar (statements separated by ';', trailing ';' allowed):
 
 Functions: sin cos tan cot sinh cosh tanh coth exp ln sqrt.  'i' is the
 imaginary unit, 't' the time variable; every other identifier is a free
-parameter supplied at evaluation time.
+parameter supplied at evaluation time.  An expression nests at most
+MAX_DEPTH levels, in its text and in its AST; a deeper one raises
+FieldParseError.
 
 ASTs compile to straight-line Python (FieldCode), one assignment per
 distinct operation: a subtree that recurs is computed once, and cot and
@@ -67,6 +69,13 @@ _PY_OPS = {"+": "+", "-": "-", "*": "*", "/": "/", "^": "**"}  # DSL -> Python
 
 # the number of field texts whose ASTs, and of AST tuples whose plans, are kept
 _CACHE_SIZE = 128
+
+# the deepest an expression may nest, counted both in its text (parentheses,
+# calls, signs and powers, one parser level each) and in its AST (a sum of n
+# terms is n deep): the parser and the walkers of an AST (_walk, print_expr,
+# _affine) recurse once per level, and past about 197 levels Python's stack
+# runs out
+MAX_DEPTH = 100
 
 
 class ExprNode:
@@ -157,6 +166,7 @@ class _Parser:
     def __init__(self, tokens):
         self.toks = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.toks[self.pos]
@@ -189,17 +199,22 @@ class _Parser:
         return node
 
     def parse_unary(self) -> ExprNode:
+        # every level of nesting passes here: a sign, a power's exponent and
+        # the expression in parentheses or in a call
         tok = self.peek()
+        if self.depth == MAX_DEPTH:
+            raise _too_deep(tok)
+        self.depth += 1
         if tok.kind == "OP" and tok.text in "+-":
             self.next()
-            arg = self.parse_unary()
-            if tok.text == "+":
-                return arg
+            node = self.parse_unary()
             # canonicalize: a negated literal is just a negative literal
-            if isinstance(arg, Num):
-                return Num(-arg.value)
-            return Neg(arg)
-        return self.parse_power()
+            if tok.text == "-":
+                node = Num(-node.value) if isinstance(node, Num) else Neg(node)
+        else:
+            node = self.parse_power()
+        self.depth -= 1
+        return node
 
     def parse_power(self) -> ExprNode:
         base = self.parse_atom()
@@ -233,9 +248,28 @@ class _Parser:
         raise FieldParseError(f"unexpected '{tok.text or 'end of input'}'", tok.line, tok.col)
 
 
+def _too_deep(tok):
+    return FieldParseError(f"expression nested deeper than {MAX_DEPTH} levels",
+                           tok.line, tok.col)
+
+
+def _parse_checked(parser) -> ExprNode:
+    """The parser's next expression, refused if its AST is deeper than
+    MAX_DEPTH, by a walk that does not recurse."""
+    tok = parser.peek()
+    node = parser.parse_expr()
+    stack = [(node, 1)]
+    while stack:
+        n, depth = stack.pop()
+        if depth > MAX_DEPTH:
+            raise _too_deep(tok)
+        stack += [(getattr(n, k), depth + 1) for k in ("left", "right", "arg") if hasattr(n, k)]
+    return node
+
+
 def parse_expr(text: str) -> ExprNode:
     parser = _Parser(_tokenize(text))
-    node = parser.parse_expr()
+    node = _parse_checked(parser)
     tok = parser.peek()
     if tok.kind != "EOF":
         raise FieldParseError(f"trailing input '{tok.text}'", tok.line, tok.col)
@@ -270,7 +304,7 @@ def field_statements(text: str) -> tuple[tuple[tuple[str, ExprNode], ...], froze
             raise FieldParseError(f"duplicate definition of {name_tok.text}",
                                   name_tok.line, name_tok.col)
         parser.expect("EQ")
-        defs[name_tok.text] = parser.parse_expr()
+        defs[name_tok.text] = _parse_checked(parser)
         tok = parser.peek()
         if tok.kind == "SEMI":
             parser.next()

@@ -131,13 +131,16 @@ def bind_field(spec: FieldSpec):
     (a field_callable that samples only grids never compiles it).  The 2x2
     product is numpy's, as S.dot(y): it has the bits of S @ y, from the same
     BLAS kernel at half the call cost; a product in Python arithmetic rounds
-    differently."""
+    differently.  The factor -1j is a 0-d complex array: the value and the
+    ufunc loop numpy gives the Python -1j, without converting it on every
+    call."""
     import numpy as np
     code = ex.FieldCode(*_nodes(spec))
     field = code.scalar
     # sigma.F, refilled by each call: four stores cost a third of a new array
     S = np.empty((2, 2), dtype=complex)
     s = S.reshape(4)
+    minus_i = np.array(-1j)
 
     def rhs(t, y):
         f1, f2, f3 = field(t)
@@ -145,7 +148,7 @@ def bind_field(spec: FieldSpec):
         s[1] = f1 - 1j * f2
         s[2] = f1 + 1j * f2
         s[3] = -f3
-        return -1j * S.dot(y)
+        return minus_i * S.dot(y)
 
     return code.sample, rhs
 
@@ -203,7 +206,11 @@ def _pair(z: complex):
 
 
 def load_field_json(source) -> FieldSpec:
-    """Load a field spec from a JSON file path, file object, or dict."""
+    """Load a field spec from a JSON file path, file object, or dict.  An
+    expr document's params must be its text's free parameters, no fewer and
+    no more: a name the text does not use ('i', the imaginary unit, or a
+    misspelling) raises FieldParseError, as an unknown name of a catalog
+    document raises DomainError."""
     if isinstance(source, dict):
         doc = source
     else:
@@ -244,6 +251,10 @@ def load_field_json(source) -> FieldSpec:
         missing = free - params.keys()
         if missing:
             raise FieldParseError(f"missing parameter values for {sorted(missing)}")
+        unused = params.keys() - free
+        if unused:
+            raise FieldParseError(f"the field text does not take {sorted(unused)}; "
+                                  f"it takes {sorted(free)}")
         return ExprField(defs, params)
     if not isinstance(defs, int) or isinstance(defs, bool):
         raise FieldParseError(f"catalog field needs an integer entry id, got {defs!r}")

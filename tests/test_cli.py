@@ -635,6 +635,25 @@ class TestBoundaryDefects:
         assert run([arg.format(**paths) for arg in argv]) == 2
         assert capsys.readouterr().err.startswith("ERROR 2:")
 
+    # the probes that once escaped as a bare RecursionError, exit 1 with a
+    # traceback, and 250 nested calls
+    DEEP = {"signs-3000": "-" * 3000 + "t", "sum-2000": "+".join(["t"] * 2000),
+            "sin-250": "sin(" * 250 + "t" + ")" * 250}
+
+    @pytest.mark.parametrize("text", DEEP.values(), ids=DEEP)
+    def test_deep_text_is_one_error_line(self, tmp_path, const_field, capsys, text):
+        deep = tmp_path / "deep.json"
+        deep.write_text(json.dumps({"kind": "expr", "defs": f"F1 = {text}; F3 = 1"}))
+        for argv in (["propagate", "--field", str(deep), "--v0", "1,0,0,0",
+                      "--window", "0.5", "1", "--nodes", "3"],
+                     # "=": argparse would take a leading "-" for an option
+                     ["reduce", "--field", const_field, "--l", "0,0,1", f"--alpha={text}",
+                      "--window", "0.5", "1", "--nodes", "3"]):
+            assert run(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("ERROR 2: expression nested deeper than 100 levels (line 1,")
+            assert err.count("\n") == 1
+
     @pytest.mark.parametrize("argv", [
         ["propagate", "--field", "{const}", "--v0", "1,0", "--window", "0", "1",
          "--nodes", "{n}"],

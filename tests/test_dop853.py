@@ -9,13 +9,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.integrate._ivp import dop853_coefficients
 
 from spineq import _dop853, catalog, darboux, dynamics, numutil
 from spineq.dynamics import BlochState, bloch_propagate, hamiltonian_check, propagate
 from spineq.errors import DomainError, IntegrationError
-from spineq.fields import CatalogField, ConstField
+from spineq.fields import CatalogField, ConstField, ExprField, bind_field, parse_field_spec
 
 
 def bits(a):
@@ -279,3 +281,68 @@ def test_budget_refuses_the_call_past_it():
         _dop853.solve(rhs, (0, 100), [1.0], 1e-12, 1e-12, [0, 100], max_nfev=50)
     assert len(calls) == 50
     assert 0 < info.value.t < 100
+
+
+# the stepper's scalars, as 0-d arrays of the operand's dtype, against the
+# Python and numpy scalars scipy's arithmetic takes: the same values and the
+# same ufunc loop, so the same bytes
+_SCALARS = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, math.inf, -math.inf, math.nan,
+            1e300, -1e300, 1e-300, -1e-300, 1.0, -0.7, 2.0]
+
+
+@pytest.mark.parametrize("dt", [np.dtype(complex), np.dtype(float)], ids=["complex", "real"])
+@np.errstate(all="ignore")
+def test_zero_d_operands_give_the_scalars_bytes(dt):
+    x = np.array(_SCALARS)
+    if dt.kind == "c":  # every (re, im) pair of the values
+        re, im = np.meshgrid(x, x)
+        x = np.empty(re.size, dt)
+        x.real, x.imag = re.ravel(), im.ravel()
+    for h in _SCALARS:
+        zero_d = np.array(h, dt)
+        assert bits(x * zero_d) == bits(x * dt.type(h)) == bits(x * h)
+        assert bits(zero_d * x) == bits(dt.type(h) * x) == bits(h * x)
+        assert bits(zero_d + x) == bits(h + x)
+    # the dense output's 2 and the spin equation's -1j
+    assert bits(np.array(2, dt) * x) == bits(2 * x)
+    assert bits(np.array(-1j) * x) == bits(-1j * x)
+    # a real state's |y| * rtol + atol, as the error scale takes them
+    assert bits(np.array(1e-300) + np.abs(x) * np.array(2.5e-11)) == \
+        bits(1e-300 + np.abs(x) * 2.5e-11)
+
+
+_coefficient = st.complex_numbers(min_magnitude=0.05, max_magnitude=3.0,
+                                  allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _spin_problems(draw):
+    """A DSL field with three nonzero complex components, its right-hand
+    side, a window of either direction, its nodes, a y0, a tolerance and
+    whether to ask for the dense output."""
+    c = draw(st.lists(_coefficient, min_size=8, max_size=8))
+    text = "F1 = a0*cos(a1*t) + a2; F2 = b0*t + b1*sin(t); F3 = c0 + c1*exp(c2*t/4)"
+    names = ["a0", "a1", "a2", "b0", "b1", "c0", "c1", "c2"]
+    params = dict(zip(names, c))
+    _, rhs = bind_field(ExprField(parse_field_spec(text).defs, params))
+    t0 = draw(st.floats(-2.0, 2.0))
+    t1 = t0 + draw(st.sampled_from([1.0, -1.0])) * draw(st.floats(0.25, 2.0))
+    n = draw(st.integers(2, 40))
+    y0 = np.array([draw(_coefficient), draw(_coefficient)])
+    tol = 10.0 ** draw(st.floats(-12.0, -4.0))
+    return rhs, (t0, t1), np.linspace(t0, t1, n), y0, tol, draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(_spin_problems())
+def test_drawn_spin_equations_match_scipy(problem):
+    rhs, window, t_eval, y0, tol, dense = problem
+    ref = scipy_solve(rhs, window, y0, tol, t_eval, dense_output=dense)
+    rt = rtol_of(tol)
+    with np.errstate(all="ignore"):
+        sol = _dop853.solve(rhs, window, y0, rt, rt, t_eval, dense, max_nfev=numutil.RHS_BUDGET)
+    assert_same(ref, sol)
+    if dense:
+        assert_counts(sol, ref)
+        for t in (t_eval[:-1] + t_eval[1:]) / 2:
+            assert bits(sol.sol(t)) == bits(ref.sol(t))

@@ -17,11 +17,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spineq import catalog, expr
-from spineq.errors import FieldParseError, SingularityError, SpinEqError
+from spineq.errors import DomainError, FieldParseError, SingularityError, SpinEqError
 from spineq.expr import (BinOp, Call, Neg, Num, Var, eval_expr, parse_expr,
                          print_expr)
 from spineq.fields import (CatalogField, ConstField, ExprField, _nodes, bind_field,
-                           dump_field_json, eval_field, field_callable,
+                           check_poles, dump_field_json, eval_field, field_callable,
                            load_field_json, parse_field_spec, split_kg)
 from spineq.spinors import CVec3, sigma_dot
 
@@ -89,6 +89,42 @@ class TestParser:
     def test_bad_component_name(self):
         with pytest.raises(FieldParseError):
             parse_field_spec("F4 = 1")
+
+    # a text of each way to nest, n levels deep in the parser (parentheses,
+    # calls, signs, powers) or in the AST (a sum of n terms is n deep), and
+    # whether 1/(it) has a declared pole at t = 0
+    NESTINGS = {"parens": (lambda n: "(" * (n - 1) + "t" + ")" * (n - 1), True),
+                "sin": (lambda n: "sin(" * (n - 1) + "t" + ")" * (n - 1), False),
+                "signs": (lambda n: "-" * (n - 1) + "t", True),
+                "powers": (lambda n: "t^" * (n - 1) + "t", False),
+                "sum": (lambda n: "+".join(["t"] * n), True)}
+    # one level past expr.MAX_DEPTH, and far past it: each of the last three
+    # once escaped as a bare RecursionError
+    PAST_BOUND = {**{k: nest(101) for k, (nest, _) in NESTINGS.items()},
+                  "signs-3000": "-" * 3000 + "t", "sum-2000": "+".join(["t"] * 2000),
+                  "sin-250": "sin(" * 250 + "t" + ")" * 250}
+
+    @pytest.mark.parametrize("text", PAST_BOUND.values(), ids=PAST_BOUND)
+    def test_nesting_past_the_bound_is_a_parse_error(self, text):
+        for parse in (parse_expr, lambda x: parse_field_spec(f"F1 = {x}; F3 = 1"),
+                      lambda x: load_field_json({"kind": "expr", "defs": f"F1 = {x}"})):
+            with pytest.raises(FieldParseError, match="nested deeper than 100 levels"):
+                parse(text)
+
+    @pytest.mark.parametrize("nest, pole", NESTINGS.values(), ids=NESTINGS)
+    def test_nesting_at_the_bound_is_taken_everywhere(self, nest, pole):
+        # FieldCode's _walk and print_expr walk F1's 100 levels, and poles'
+        # _affine those of F3's divisor (print_expr writes 99 signs as 98
+        # nested "(-", past the bound when parsed again)
+        spec = parse_field_spec(f"F1 = {nest(100)}; F3 = 1/({nest(99)})")
+        _, rhs = bind_field(spec)
+        assert np.isfinite(rhs(0.5, np.array([1, 0j]))).all()
+        assert spec.text().startswith("F1 = ")
+        if pole:
+            with pytest.raises(DomainError, match=r"declared field poles at \[0.0\]"):
+                check_poles(spec, (-1, 1))
+        else:
+            check_poles(spec, (-1, 1))
 
 
 class TestPrintRoundTrip:
@@ -219,6 +255,14 @@ class TestJsonEnvelope:
     def test_missing_params_rejected(self):
         with pytest.raises(FieldParseError, match="missing parameter"):
             load_field_json({"kind": "expr", "defs": "F1 = a*t", "params": {}})
+
+    def test_unused_parameters_rejected(self):
+        # 'i' is the imaginary unit and 'A' a misspelt 'a': neither is a
+        # parameter of the text, and neither may pass unnoticed
+        doc = {"kind": "expr", "defs": "F1 = i*t; F3 = a", "params": {"i": 5, "a": 1, "A": 2}}
+        with pytest.raises(FieldParseError) as info:
+            load_field_json(doc)
+        assert str(info.value) == "the field text does not take ['A', 'i']; it takes ['a']"
 
     def test_time_variable_takes_no_value(self):
         # 't' is the time at every node: a value for it would be ignored
