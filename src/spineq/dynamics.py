@@ -18,7 +18,7 @@ import numbers
 
 import numpy as np
 
-from ._numbers import MIN_TOL, record
+from ._numbers import record
 from .errors import AccuracyError, DomainError
 from .fields import FieldSpec, bind_field, check_poles, field_callable
 from .numutil import (central_difference, csv_rows, default_step, dop853, fd_derivative,
@@ -106,65 +106,42 @@ class HamiltonianReport:
     t_stop: float
 
 
-def _sampled_field(spec: FieldSpec, window, tol: float, n_nodes: int, t_eval=None):
+def _sampled_field(spec: FieldSpec, window, tol: float, n_nodes: int):
     """The checks every field solve makes before it starts: the window and
-    tol (numutil.solve_window, then the minimum tol and the order), and the
-    poles the field's ASTs declare (fields.check_poles).  Returns the window
-    as floats, the bound field callable, the output nodes (t_eval, or
-    n_nodes uniform ones) and the field sampled there, so that a field
-    singular at a node, at a pole expr.poles does not read, fails at once,
-    not after a crawl up to it."""
+    tol (numutil.solve_window, then the order), and the poles the field's
+    ASTs declare (fields.check_poles).  Returns the window as floats, the
+    bound field callable, the n_nodes uniform output nodes and the field
+    sampled there, so that a field singular at a node, at a pole expr.poles
+    does not read, fails at once, not after a crawl up to it."""
     t0, t1 = solve_window(window, tol)
-    if tol < MIN_TOL:
-        raise DomainError(f"tol = {tol} below the supported minimum {MIN_TOL}")
     if not t1 > t0:
         raise DomainError("window must satisfy t1 > t0")
-    t_eval = _output_nodes((t0, t1), n_nodes, t_eval)
+    t_eval = _output_nodes((t0, t1), n_nodes)
     field_fn, rhs = bind_field(spec)  # an unbound parameter raises here
     check_poles(spec, (t0, t1))
     return (t0, t1), field_fn, rhs, t_eval, field_fn(t_eval)
 
 
-def _output_nodes(window, n_nodes: int, t_eval=None) -> np.ndarray:
-    """The output nodes of a solve over window = (t0, t1): t_eval, which
-    must be 1-D, finite, strictly increasing and inside the window, or else
-    n_nodes uniform ones, at least 2 as on the command line.  DomainError
-    names the input that fails, which the solver would otherwise reject with
-    a bare ValueError, or answer with no nodes at all."""
-    t0, t1 = window
-    if t_eval is None:
-        if not (isinstance(n_nodes, numbers.Integral) and n_nodes >= 2):
-            raise DomainError(f"n_nodes = {n_nodes!r} must be an integer >= 2")
-        return np.linspace(t0, t1, n_nodes)
-    try:
-        if np.iscomplexobj(t_eval):  # the float cast would warn and drop the imaginary parts
-            raise TypeError
-        t_eval = np.asarray(t_eval, dtype=float)
-    except (TypeError, ValueError):
-        raise DomainError("t_eval must be an array of real times") from None
-    if t_eval.ndim != 1 or t_eval.size == 0:
-        raise DomainError(f"t_eval must be a non-empty 1-D array, not of shape {t_eval.shape}")
-    if not np.isfinite(t_eval).all():
-        raise DomainError("t_eval has a time that is not finite")
-    if not (np.diff(t_eval) > 0).all():
-        raise DomainError("t_eval must be strictly increasing")
-    if t_eval[0] < min(t0, t1) or t_eval[-1] > max(t0, t1):
-        raise DomainError(f"t_eval [{t_eval[0]}, {t_eval[-1]}] is not within the "
-                          f"window [{t0}, {t1}]")
-    return t_eval
+def _output_nodes(window, n_nodes: int) -> np.ndarray:
+    """n_nodes uniform nodes over window = (t0, t1), finite ends, at least 2
+    as on the command line.  DomainError names an n_nodes that fails, which
+    np.linspace would otherwise answer with no nodes at all."""
+    if not (isinstance(n_nodes, numbers.Integral) and n_nodes >= 2):
+        raise DomainError(f"n_nodes = {n_nodes!r} must be an integer >= 2")
+    return np.linspace(window[0], window[1], n_nodes)
 
 
 def propagate(spec: FieldSpec, V0, window, tol: float = 1e-10,
-              n_nodes: int = 801, t_eval=None) -> Trajectory:
+              n_nodes: int = 801) -> Trajectory:
     """Adaptive propagation of the spin equation over [t0, t1].
 
     V0 may be a Spinor or a length-2 complex sequence.  The returned grid
-    is t_eval if given, else n_nodes uniform nodes.
+    is n_nodes uniform nodes.
     """
     y0 = V0.as_array() if isinstance(V0, Spinor) else np.asarray(V0, dtype=complex)
     if not np.isfinite(y0).all():
         raise DomainError(f"initial state V0 = {y0} is not finite")
-    window, _, rhs, t_eval, fsamp = _sampled_field(spec, window, tol, n_nodes, t_eval)
+    window, _, rhs, t_eval, fsamp = _sampled_field(spec, window, tol, n_nodes)
     sol = dop853(rhs, window, y0, tol, t_eval, "propagation")
     return Trajectory(t_eval, sol.y.T.copy(), fsamp, est_error=tol)
 

@@ -337,7 +337,8 @@ def print_expr(node: ExprNode) -> str:
         if isinstance(n, Call):
             return f"{n.fn}({render(n.arg, 0)})"
         if isinstance(n, Neg):
-            inner = render(n.arg, 3)
+            # a sign on a sign needs no parentheses: n signs take n parser levels
+            inner = render(n.arg, 1 if isinstance(n.arg, Neg) else 3)
             return f"(-{inner})" if parent_prec > 1 else f"-{inner}"
         if isinstance(n, BinOp):
             prec = _PREC[n.op]

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from ._numbers import E16
+from ._numbers import E16, MIN_TOL
 from .errors import DomainError, IntegrationError, SingularityError, SpinEqError
 
 __all__ = [
@@ -17,6 +17,7 @@ __all__ = [
     "CSV_BLOCK_ROWS",
     "csv_rows",
     "dop853",
+    "finite_window",
     "solve_window",
     "RHS_BUDGET",
     "grid_or_replay",
@@ -205,27 +206,38 @@ def real_number(name, v, t=None):
     return v.real
 
 
-def solve_window(window, tol):
-    """The window's ends as floats, once they and tol are checked finite
-    and the ends checked distinct.
-
-    Each solver calls it first, before it builds an array from the window:
-    a solve over an infinite window, or at a NaN or infinite tol, would spin
-    until RHS_BUDGET runs out, and the stepper takes no window of length
-    zero."""
+def finite_window(window):
+    """The window's ends as floats, once they and its length are checked
+    finite: np.linspace over a longer window warns and returns NaN nodes."""
     t0, t1 = float(window[0]), float(window[1])
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise DomainError(f"window [{t0}, {t1}] is not finite")
+    if not math.isfinite(t1 - t0):
+        raise DomainError(f"window [{t0}, {t1}] is longer than the double range")
+    return t0, t1
+
+
+def solve_window(window, tol):
+    """The window's ends as floats (finite_window), once tol is checked
+    finite and at least MIN_TOL and the ends checked distinct.
+
+    Each solver calls it first, before it builds an array from the window:
+    a solve over an infinite window, or at a NaN or infinite tol, would spin
+    until RHS_BUDGET runs out, one below MIN_TOL asks for more than double
+    precision gives, and the stepper takes no window of length zero."""
+    t0, t1 = finite_window(window)
     if not math.isfinite(tol):
         raise DomainError(f"tol = {tol} is not finite")
     if t1 == t0:
         raise DomainError("window must satisfy t1 != t0")
+    if tol < MIN_TOL:
+        raise DomainError(f"tol = {tol} below the supported minimum {MIN_TOL}")
     return t0, t1
 
 
 def dop853(rhs, window, y0, tol, t_eval, what, dense_output=False, event=None):
     """Integrate y' = rhs(t, y) over window, of nonzero length (see
-    solve_window), with DOP853 at rtol = atol = max(tol / 4, 2.3e-14),
+    solve_window), with DOP853 at rtol = atol = tol / 4,
     sampled at t_eval; with dense_output, the result's ``sol`` gives y at
     any time, and a terminal ``event`` stops the solve, with status 1, after
     the step across which it falls through zero (see _dop853.solve).
@@ -245,7 +257,7 @@ def dop853(rhs, window, y0, tol, t_eval, what, dense_output=False, event=None):
     from . import _dop853
 
     budget = RHS_BUDGET
-    rt = max(tol / 4.0, 2.3e-14)
+    rt = tol / 4.0
     try:
         with np.errstate(all="ignore"):
             sol = _dop853.solve(rhs, window, y0, rt, rt, t_eval, dense_output, event,

@@ -62,7 +62,7 @@ def test_criterion_2_oracle_cross_check(capsys):
         times = np.linspace(win[0], win[1], 101)
         closed = np.array([e.solution_components(t, p) for t in times])
         traj = propagate(CatalogField(eid, {}), closed[0], (win[0], win[1]),
-                         tol=1e-10, t_eval=times)
+                         tol=1e-10, n_nodes=101)
         worst = max(worst, float(np.max(np.abs(traj.states - closed))))
     ok = worst <= 1e-6
     with capsys.disabled():

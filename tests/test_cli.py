@@ -311,6 +311,24 @@ class TestDarboux:
     def test_missing_params(self, capsys):
         assert run(["darboux", "--params", "f=0.5", "--window", "0", "1"]) == 2
 
+    # parameters past the double range once gave rows of nan and exit 0, or
+    # an OverflowError traceback and exit 1; cosh overflows past t = 410
+    NOT_FINITE = {
+        "f-inf": ("f=inf;R=1", "1", 5, 2, "ERROR 2: f = (inf+0j) is not finite"),
+        "R-nan": ("f=0.5;R=nan", "1", 5, 2, "ERROR 2: R = (nan+0j) is not finite"),
+        "phi0-inf": ("f=0.5;R=1;phi0=inf", "1", 5, 2, "ERROR 2: phi0 = (inf+0j) is not finite"),
+        "eps-1e308": ("f=0.5;R=1;eps=1e308", "1", 5, 2, "ERROR 2: w = (inf+0j) is not finite"),
+        "R-1e200": ("f=0.5;R=1e200", "1", 5, 2, "ERROR 2: w0 = (inf+0j) is not finite"),
+        "t-450": ("f=0.5;R=1", "450", 9001, 3,
+                  "ERROR 3: the constant-F3 pair leaves the double range at t = 409.90000000000003"),
+    }
+
+    @pytest.mark.parametrize("params, t1, nodes, rc, err", NOT_FINITE.values(), ids=NOT_FINITE)
+    def test_past_the_double_range_is_one_error_line(self, capsys, params, t1, nodes, rc, err):
+        argv = ["darboux", "--params", params, "--window", "0", t1, "--nodes", str(nodes)]
+        assert run(argv) == rc
+        assert capsys.readouterr() == ("", err + "\n")
+
 
 class TestCatalog:
     def test_list(self, capsys):

@@ -1,9 +1,16 @@
 import cmath
+import contextlib
+import hashlib
+import io
 import math
+import re
 import types
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spineq import darboux
 from spineq.darboux import (DarbouxParams, constant_f_seed_trajectory,
@@ -13,7 +20,7 @@ from spineq.darboux import (DarbouxParams, constant_f_seed_trajectory,
                             darboux_params_mu_route, intertwine_residual,
                             pair_equation_residual)
 from spineq.dynamics import Trajectory, propagate
-from spineq.errors import DomainError
+from spineq.errors import AccuracyError, DomainError, SpinEqError
 from spineq.fields import ConstField
 from spineq.spinors import SIGMA1, SIGMA3, anticonjugate_arr, l_vector_arr
 
@@ -21,6 +28,8 @@ from conftest import assert_rel, trajectory_se_residuals
 
 F, R, PHI0 = 0.5, 1.0, 0.1
 TS = np.linspace(0.0, 2.0, 9)
+# _route_values() at the commit before DarbouxParams carried the pair as one function
+ROUTE_VALUES_SHA256 = "79bfdf733237f8e36ed65cf9a26879914489c10946b31968f71a8806504e2bd6"
 
 
 def _bits(values):
@@ -35,8 +44,7 @@ def const_params():
 class TestConstantPair:
     def test_fixed_point_is_identity(self):
         # beta = f, alpha = 0 solves the pair equations and keeps the field
-        params = DarbouxParams(alpha=lambda t: 0j, beta=lambda t: complex(F),
-                               R=complex(F))
+        params = DarbouxParams(pair=lambda t: (0j, complex(F)), R=complex(F))
         f3 = lambda t: F
         assert max(pair_equation_residual(f3, params, t) for t in TS) <= 1e-12
         assert darboux_field(f3, params, 0.7) == F
@@ -186,8 +194,7 @@ class TestApply:
         # alpha = 0, beta = F3: V' = -i (eps s1 + F3 s3) V solves the same
         # equation for a constant field
         eps = 0.4
-        params = DarbouxParams(alpha=lambda t: 0j, beta=lambda t: complex(F),
-                               R=complex(F))
+        params = DarbouxParams(pair=lambda t: (0j, complex(F)), R=complex(F))
         traj = propagate(ConstField((eps, 0.0, F)), np.array([0.7, -0.3j]),
                          (0.0, 2.0), tol=1e-12, n_nodes=1201)
         out = darboux_apply(traj, eps, params)
@@ -246,9 +253,8 @@ def _random_maps(seed, count):
         params = [
             darboux_params_constant_f(f, rc(1), rc(0.2)),
             darboux_params_constant_f(f.real, rng.uniform(0.5, 1.5), rng.uniform(0, 0.3)),
-            DarbouxParams(alpha=lambda t, c=c1: c * math.cos(3 * t),
-                          beta=lambda t, c=c2: complex(c.real * math.sin(2 * t), -0.0),
-                          R=1j),
+            DarbouxParams(pair=lambda t, c1=c1, c2=c2: (
+                c1 * math.cos(3 * t), complex(c2.real * math.sin(2 * t), -0.0)), R=1j),
         ][k % 3]
         yield traj, eps, params
 
@@ -266,8 +272,8 @@ class TestApplyByNode:
 
     def test_one_pair_call_per_node(self, const_params):
         calls = []
-        params = DarbouxParams(alpha=lambda t: calls.append(t) or const_params.alpha(t),
-                               beta=const_params.beta, R=const_params.R)
+        params = DarbouxParams(pair=lambda t: calls.append(t) or const_params.pair(t),
+                               R=const_params.R)
         traj = constant_f_trajectory(F, 0.3, 1.0, 1.0, (0.0, 1.0), 101)
         darboux_apply(traj, 0.3, params)
         assert calls == traj.times.tolist()
@@ -318,6 +324,21 @@ class TestSeedRoute:
         assert any(abs(c) < 0.05 for c in sp.crossings)
 
 
+    def test_a_pair_takes_four_interpolations(self, monkeypatch):
+        seed = constant_f_seed_trajectory(F, R, PHI0, (0.0, 2.0), 41)
+        sp = darboux_from_seed(seed, 1j * R)
+        L = l_vector_arr(anticonjugate_arr(seed.states), seed.states)
+        eps0 = complex(1j * R)
+        al, be = -eps0 * L[:, 1] / L[:, 2], -eps0 * L[:, 0] / L[:, 2]
+        interp, calls = np.interp, []
+        monkeypatch.setattr(np, "interp", lambda *args: calls.append(args[0]) or interp(*args))
+        for n, t in enumerate(TS.tolist(), start=1):
+            a, b = sp.pair(t)
+            assert len(calls) == 4 * n and calls[-4:] == [t] * 4
+            want = [complex(interp(t, seed.times, v.real), interp(t, seed.times, v.imag))
+                    for v in (al, be)]
+            assert _bits([a, b]) == _bits(want)
+
     @staticmethod
     def _seed(states):
         n = len(states)
@@ -355,8 +376,7 @@ class TestSeedRoute:
 
 class TestIntertwiner:
     def test_identity_params_zero_residual(self):
-        params = DarbouxParams(alpha=lambda t: 0j, beta=lambda t: complex(F),
-                               R=complex(F))
+        params = DarbouxParams(pair=lambda t: (0j, complex(F)), R=complex(F))
         f3 = lambda t: F
         f3p = lambda t: darboux_field(f3, params, t)
         assert max(intertwine_residual(f3, f3p, params, t) for t in TS) <= 1e-12
@@ -369,9 +389,171 @@ class TestIntertwiner:
 
     def test_perturbed_pair_fails(self, const_params):
         # negative control: breaking beta must break the relations
-        bad = DarbouxParams(alpha=const_params.alpha,
-                            beta=lambda t: const_params.beta(t) + 0.01,
+        bad = DarbouxParams(pair=lambda t: (const_params.alpha(t), const_params.beta(t) + 0.01),
                             R=const_params.R)
         f3 = lambda t: F
         f3p = lambda t: darboux_field(f3, bad, t)
         assert max(intertwine_residual(f3, f3p, bad, t) for t in TS) > 1e-3
+
+
+def _route_values():
+    """Pairs, alpha, beta, the partner field, both residuals and the map of
+    a constant-field trajectory, on the three routes (the constant one in
+    its hyperbolic, complex and oscillatory regimes), as one complex array."""
+    f3m = lambda t: 0.3 + 0.1 * math.sin(t)
+    seed = constant_f_seed_trajectory(F, R, PHI0, (0.0, 2.0), 201)
+    routes = [
+        (darboux_params_constant_f(F, R, PHI0), lambda t: F),
+        (darboux_params_constant_f(0.5 + 0.1j, 1.0 - 0.2j, 0.1j), lambda t: 0.5 + 0.1j),
+        (darboux_params_constant_f(1.0, 0.5, 0.2), lambda t: 1.0),
+        (darboux_params_mu_route(f3m, 0.8, 0.4, (0.0, 2.0)), f3m),
+        (darboux_from_seed(seed, 1j * R), lambda t: F),
+    ]
+    traj = constant_f_trajectory(F, 0.3, 1.0, 0.5j, (0.0, 2.0), 201)
+    values = []
+    for params, f3 in routes:
+        f3p = lambda s, params=params, f3=f3: darboux_field(f3, params, s)
+        for t in TS[1:-1].tolist():
+            values += [*params.pair(t), params.alpha(t), params.beta(t), f3p(t),
+                       pair_equation_residual(f3, params, t),
+                       intertwine_residual(f3, f3p, params, t)]
+        out = darboux_apply(traj, 0.3, params)
+        values += out.states.ravel().tolist() + out.field_samples.ravel().tolist()
+    return np.array(values, dtype=complex)
+
+
+class TestRecordedValues:
+    def test_route_values_as_recorded(self):
+        # recorded on x86-64 (glibc's cmath) when each route still built
+        # alpha and beta as two functions; other C libraries may round
+        # cosh, sinh and exp differently
+        values = _route_values()
+        assert values.size == 5 * (7 * 7 + 5 * 201)
+        assert hashlib.sha256(values.tobytes()).hexdigest() == ROUTE_VALUES_SHA256
+
+
+class TestNotFinite:
+    @pytest.mark.parametrize("args, message", [
+        ((math.inf, R, PHI0), "f = inf is not finite"),
+        ((F, complex(0, math.nan), PHI0), "R = nanj is not finite"),
+        ((F, R, -math.inf), "phi0 = -inf is not finite"),
+        ((F, 1e200, PHI0), r"w0 = \(inf\+0j\) is not finite"),
+    ])
+    def test_constant_route_parameters(self, args, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            darboux_params_constant_f(*args)
+
+    def test_constant_route_times(self, const_params):
+        for t in (math.inf, math.nan):
+            with pytest.raises(DomainError, match=f"^t = {t} is not finite$"):
+                const_params.pair(t)
+        # cosh raises OverflowError past the double range; inf * 0 gives a NaN
+        for t in (410.0, 1e300):
+            with pytest.raises(AccuracyError, match=f"double range at t = {re.escape(str(t))}$"):
+                const_params.pair(t)
+
+    @pytest.mark.parametrize("args, message", [
+        ((F, math.nan, 1.0, 1.0), "eps = nan is not finite"),
+        ((F, 0.3, 1.0, complex(math.inf, 0)), r"q = \(inf\+0j\) is not finite"),
+        ((F, 1e308, 1.0, 1.0), r"w = \(inf\+0j\) is not finite"),
+    ])
+    def test_constant_field_solution_parameters(self, args, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            constant_f_solution(*args)
+
+    def test_constant_field_solution_times(self):
+        sol = constant_f_solution(F, 0.3 + 1j, 1.0, 1.0)
+        with pytest.raises(DomainError, match="^t = nan is not finite$"):
+            sol(math.nan)
+        with pytest.raises(AccuracyError, match="leaves the double range at t = 1000.0$"):
+            sol(1000.0)
+
+    @pytest.mark.parametrize("window, n_nodes, message", [
+        ((0.0, math.inf), 5, r"window \[0.0, inf\] is not finite"),
+        ((-1e308, 1e308), 5, "longer than the double range"),
+        ((0.0, 1.0), 0, "n_nodes = 0 must be an integer >= 2"),
+        ((0.0, 1.0), 1, "n_nodes = 1 must be an integer >= 2"),
+    ])
+    def test_constant_field_trajectory_nodes(self, window, n_nodes, message):
+        with pytest.raises(DomainError, match=message):
+            constant_f_trajectory(F, 0.3, 1.0, 1.0, window, n_nodes)
+
+    def test_apply_takes_a_finite_eps(self, const_params):
+        traj = constant_f_trajectory(F, 0.3, 1.0, 1.0, (0.0, 1.0), 11)
+        with pytest.raises(DomainError, match="^eps = inf is not finite$"):
+            darboux_apply(traj, math.inf, const_params)
+
+    def test_apply_refuses_a_nan_residual(self, const_params):
+        traj = constant_f_trajectory(F, 0.3, 1.0, 1.0, (0.0, 1.0), 11)
+        states = traj.states.copy()
+        states[5] = math.nan
+        with pytest.raises(DomainError, match=r"\(residual nan > 1e-05\)"):
+            darboux_apply(Trajectory(traj.times, states, traj.field_samples, 0.0), 0.3,
+                          const_params)
+
+
+# ±0, subnormals, ±1e308, ±inf, NaN and ordinary values
+_REALS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e308, -1e308,
+                                    math.inf, -math.inf, math.nan]),
+                   st.floats(-3.0, 3.0))
+_COMPLEX = st.builds(complex, _REALS, _REALS)
+
+
+def _finite(value):
+    if isinstance(value, Trajectory):
+        return all(np.isfinite(a).all() for a in (value.times, value.states,
+                                                  value.field_samples))
+    return bool(np.isfinite(np.asarray(value)).all())
+
+
+class TestTypedFailures:
+    """Each entry point returns finite values or raises a SpinEqError, and
+    says nothing on stderr."""
+
+    @staticmethod
+    def assert_finite_or_typed(call):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                assert _finite(call())
+            except SpinEqError:
+                pass
+        assert [str(w.message) for w in caught] == []
+        assert err.getvalue() == ""
+
+    @given(_COMPLEX, _COMPLEX, _COMPLEX, _REALS)
+    @settings(max_examples=300, deadline=None)
+    def test_constant_route(self, f, r, phi0, t):
+        self.assert_finite_or_typed(lambda: darboux_params_constant_f(f, r, phi0).pair(t))
+
+    @given(_REALS, _REALS, _REALS, _REALS)
+    @settings(max_examples=100, deadline=None)
+    def test_mu_route(self, f3, r, mu0, t):
+        self.assert_finite_or_typed(
+            lambda: darboux_params_mu_route(lambda s: f3, r, mu0, (0.0, 1.0)).pair(t))
+
+    @given(_COMPLEX, _COMPLEX, _COMPLEX, _COMPLEX, _REALS)
+    @settings(max_examples=200, deadline=None)
+    def test_seed_route(self, f, r, phi0, eps0, t):
+        self.assert_finite_or_typed(lambda: darboux_from_seed(
+            constant_f_seed_trajectory(f, r, phi0, (0.0, 1.0), 21), eps0).pair(t))
+
+    @given(_COMPLEX, _COMPLEX, _COMPLEX, _COMPLEX, _REALS)
+    @settings(max_examples=300, deadline=None)
+    def test_constant_field_solution(self, f, eps, p, q, t):
+        self.assert_finite_or_typed(lambda: constant_f_solution(f, eps, p, q)(t))
+
+    @given(_COMPLEX, _COMPLEX, _COMPLEX, _COMPLEX, _REALS, _REALS,
+           st.sampled_from([0, 1, 2, 5, 21]))
+    @settings(max_examples=200, deadline=None)
+    def test_constant_field_trajectory(self, f, eps, p, q, t0, t1, n):
+        self.assert_finite_or_typed(lambda: constant_f_trajectory(f, eps, p, q, (t0, t1), n))
+
+    @given(_COMPLEX, _COMPLEX, _COMPLEX, _COMPLEX, _COMPLEX, _COMPLEX)
+    @example(0.5, 0.3, 1e300, 1.0, 0.0, 1e10)  # the map overflowed, a numpy warning
+    @settings(max_examples=200, deadline=None)
+    def test_apply(self, f, eps, p, r, phi0, eps_map):
+        self.assert_finite_or_typed(lambda: darboux_apply(
+            constant_f_trajectory(f, eps, p, 1.0, (0.0, 1.0), 21), eps_map,
+            darboux_params_constant_f(f, r, phi0)))

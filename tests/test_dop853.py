@@ -26,7 +26,7 @@ def bits(a):
 
 
 def rtol_of(tol):
-    return max(tol / 4.0, 2.3e-14)
+    return tol / 4.0
 
 
 @pytest.fixture

@@ -862,20 +862,14 @@ _BAD_GRIDS = {
     "no-nodes": ({"n_nodes": 0}, r"n_nodes = 0 must be an integer >= 2"),
     "one-node": ({"n_nodes": 1}, r"n_nodes = 1 must be an integer >= 2"),
     "fractional": ({"n_nodes": 2.5}, r"n_nodes = 2.5 must be an integer >= 2"),
-    "t-eval-outside": ({"t_eval": [0.0, 2.0]},
-                       r"t_eval \[0.0, 2.0\] is not within the window \[0.0, 1.0\]"),
-    "t-eval-unsorted": ({"t_eval": [0.5, 0.2, 0.7]}, "t_eval must be strictly increasing"),
-    "t-eval-repeated": ({"t_eval": [0.2, 0.2]}, "t_eval must be strictly increasing"),
-    "t-eval-nan": ({"t_eval": [0.2, math.nan]}, "t_eval has a time that is not finite"),
-    "t-eval-2d": ({"t_eval": [[0.2, 0.5]]}, r"not of shape \(1, 2\)"),
-    "t-eval-empty": ({"t_eval": []}, r"not of shape \(0,\)"),
 }
 
 
 class TestSolveInputs:
     """Each solver checks its window and tol with numutil.solve_window before
-    it builds an array: a non-finite one raises DomainError at once, where
-    the solve would spin until the budget ran out."""
+    it builds an array: a non-finite one, or a tol below MIN_TOL, raises
+    DomainError at once, where the solve would spin until the budget ran
+    out."""
 
     SOLVES = {
         "propagate": lambda w, tol: propagate(ConstField((1, 0, 0.5)), [1, 0], w, tol=tol,
@@ -893,6 +887,12 @@ class TestSolveInputs:
         "t0-nan": ((math.nan, 1.0), 1e-10, r"window \[nan, 1.0\] is not finite"),
         "tol-nan": ((0.0, 1.0), math.nan, "tol = nan is not finite"),
         "tol-inf": ((0.0, 1.0), math.inf, "tol = inf is not finite"),
+        # the one floor of every solve, where DOP853 would run at tol / 4
+        "tol-negative": ((0.0, 1.0), -1.0, "tol = -1.0 below the supported minimum 1e-13"),
+        "tol-zero": ((0.0, 1.0), 0.0, "tol = 0.0 below the supported minimum 1e-13"),
+        "tol-tiny": ((0.0, 1.0), 1e-20, "tol = 1e-20 below the supported minimum 1e-13"),
+        "window-too-long": ((-1e308, 1e308), 1e-10,
+                            r"window \[-1e\+308, 1e\+308\] is longer than the double range"),
     }
 
     # the two solvers of a real state check their own scalars, and the
@@ -957,26 +957,13 @@ class TestSolveInputs:
         self.assert_raises_at_once(capsys, *self.REAL_INPUTS[case])
 
     @pytest.mark.parametrize("name, case", [
-        (name, case) for name in _GRIDS for case in _BAD_GRIDS
-        if name == "propagate" or "t_eval" not in _BAD_GRIDS[case][0]])  # only it takes t_eval
+        (name, case) for name in _GRIDS for case in _BAD_GRIDS])
     def test_bad_node_grid_raises_domain_error(self, name, case):
         grid, message = _BAD_GRIDS[case]
         with pytest.raises(DomainError, match=message):
             _GRIDS[name](**grid)
 
-    @pytest.mark.parametrize("t_eval", [np.array([0.1j, 0.2j]), [0.1j, 0.2j]],
-                             ids=["array", "list"])
-    def test_complex_t_eval_is_rejected_as_such(self, capsys, t_eval):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with pytest.raises(DomainError, match="t_eval must be an array of real times"):
-                _GRIDS["propagate"](t_eval=t_eval)
-        assert caught == []
-        assert capsys.readouterr() == ("", "")
-
     def test_good_node_grids_still_run(self):
-        assert _GRIDS["propagate"](t_eval=[0.0, 0.5, 1.0]).times.tolist() == [0, 0.5, 1]
-        assert _GRIDS["propagate"](t_eval=[0.25]).states.shape == (1, 2)
         for name in _GRIDS:
             assert len(_GRIDS[name](n_nodes=np.int64(2)).times) == 2
 

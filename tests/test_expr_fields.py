@@ -114,12 +114,11 @@ class TestParser:
     @pytest.mark.parametrize("nest, pole", NESTINGS.values(), ids=NESTINGS)
     def test_nesting_at_the_bound_is_taken_everywhere(self, nest, pole):
         # FieldCode's _walk and print_expr walk F1's 100 levels, and poles'
-        # _affine those of F3's divisor (print_expr writes 99 signs as 98
-        # nested "(-", past the bound when parsed again)
+        # _affine those of F3's divisor; the printed text parses again
         spec = parse_field_spec(f"F1 = {nest(100)}; F3 = 1/({nest(99)})")
         _, rhs = bind_field(spec)
         assert np.isfinite(rhs(0.5, np.array([1, 0j]))).all()
-        assert spec.text().startswith("F1 = ")
+        assert parse_field_spec(spec.text()).defs == spec.defs
         if pole:
             with pytest.raises(DomainError, match=r"declared field poles at \[0.0\]"):
                 check_poles(spec, (-1, 1))
@@ -157,6 +156,23 @@ class TestPrintRoundTrip:
             ast2 = parse_expr(text2)
             assert ast2 == ast1, f"round trip failed for {text!r} -> {text2!r}"
             assert print_expr(ast2) == text2
+
+    @pytest.mark.parametrize("text", ["-(-t)*x", "x*-(-t)", "-(-t)^2", "2 - -t", "sin(--t)"])
+    def test_a_sign_on_a_sign_round_trips(self, text):
+        ast = parse_expr(text)
+        assert parse_expr(print_expr(ast)) == ast
+
+    def test_sign_runs_round_trip_up_to_the_bound(self):
+        # a sign on a sign is printed without parentheses, so n signs take
+        # n parser levels again; they once took about 2n, past the bound
+        # from 51 signs
+        for n in range(1, 100):
+            ast = parse_expr("-" * n + "t")
+            assert parse_expr(print_expr(ast)) == ast
+        doc = {"kind": "expr", "defs": "F1 = " + "-" * 60 + "t; F3 = 1"}
+        spec = load_field_json(doc)
+        again = load_field_json(dump_field_json(spec))
+        assert again.defs == spec.defs
 
     def test_statement_round_trip(self):
         text = "F1 = a*tan(w*t + p0); F3 = b*tan(w*t + p0) + c*cot(w*t + p0)"
