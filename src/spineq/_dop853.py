@@ -8,27 +8,33 @@ the package needs (scipy's ``integrate/_ivp``, BSD licence): the same tableau
 decimals, the same initial step, step-size control, error norm and dense
 output, and the same t_eval bookkeeping, with the same arithmetic, operand
 for operand, so that a solve returns the bits scipy's DOP853 returns, in t,
-y and the number of right-hand-side calls.  It makes fewer numpy calls to
-get there: the tableau is cast to the state's dtype once per solve, where
-np.dot would cast a row on every call; the stages take ndarray.dot, np.dot's
-routine without its dispatcher; each array-by-scalar product (h, rtol, atol
-and the dense output's 2) takes its scalar as a 0-d array of the operand's
-dtype, the value and the ufunc loop numpy gives a Python or numpy scalar,
-without the conversion numpy makes of such a scalar on every call; the
-step's bookkeeping (t, h, the direction, the stage nodes and the error
-norm) runs in Python floats, whose arithmetic is np.float64's at a tenth of
-its cost; and the error norm is np.linalg.norm's own fast path without its
-checks, with its roots by math.sqrt, correctly rounded as np.sqrt is.  A
-step reuses the last one's |y_new| as its |y|.  The t_eval nodes are
-sampled in one pass after the last step (sample_nodes), each through its
-own step's dense output: the loop keeps a step's interpolant only if the
-step holds nodes, so a solve keeps at most min(steps, nodes) of them (all
-of them with dense_output).  A terminal event is not rooted: the solve
-stops after the step across which g falls through zero, and keeps that
-step's nodes up to the first where g, on the node's state, is below zero.
+y and the number of right-hand-side calls.  The package solves at one
+tolerance, which this module takes as both of scipy's rtol and atol.  It
+makes fewer numpy calls to get there: the tableau is cast to the state's
+dtype once per solve, where np.dot would cast a row on every call; the
+stages take ndarray.dot, np.dot's routine without its dispatcher; each
+array-by-scalar product (h, the tolerance and the dense output's 2) takes
+its scalar as a 0-d array of the operand's dtype, the value and the ufunc
+loop numpy gives a Python or numpy scalar, without the conversion numpy
+makes of such a scalar on every call; the step's bookkeeping (t, h, the
+direction, the stage nodes and the error norm) runs in Python floats, whose
+arithmetic is np.float64's at a tenth of its cost; and the error norm is
+np.linalg.norm's own fast path without its checks, with its roots by
+math.sqrt, correctly rounded as np.sqrt is.  A step reuses the last one's
+|y_new| as its |y|.  Both directions of time run on one path: the t_eval
+nodes and the dense output's step ends are searched as direction * times,
+which ascend either way (negation is exact).  The t_eval nodes are sampled
+in one pass after the last step (sample_nodes), each through its own step's
+dense output: the loop keeps a step's dense output only if the step holds
+nodes, so a solve keeps at most min(steps, nodes) of them (all of them with
+dense_output).  A terminal event is not rooted: the solve stops after the
+step across which g falls through zero, and keeps that step's nodes up to
+the first where g, on the node's state, is below zero.
 Unlike scipy's driver, solve does not check its input: each solver checks
 its own before it calls numutil.dop853, and none solves over a window of
-length zero.
+length zero.  A NaN step size, from a NaN slope at the start, ends the solve
+as one below the spacing of floats (status -1), where scipy's loop would try
+it forever.
 Importing scipy.integrate costs about 0.54 s and 48 MB (Python 3.11, scipy
 1.17, 2 vCPU), more than a typical solve; this module needs numpy alone.
 """
@@ -291,11 +297,11 @@ def _norm_squared(x):
     return r ** 2 if r < 1e154 else np.float64(r) ** 2
 
 
-def select_initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
+def select_initial_step(fun, t0, y0, t_bound, f0, direction, tol):
     """The first step size of Hairer, Norsett & Wanner, Sec. II.4, as scipy
     computes it: one extra call of fun, and never beyond t_bound."""
     interval_length = abs(t_bound - t0)
-    scale = atol + np.abs(y0) * rtol
+    scale = tol + np.abs(y0) * tol
     d0 = norm(y0 / scale)
     d1 = norm(f0 / scale)
     if d0 < 1e-5 or d1 < 1e-5:
@@ -313,21 +319,6 @@ def select_initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
     return min(100 * h0, h1, interval_length)
 
 
-class Interpolant:
-    """The 7th-degree dense output over one step from (t_old, y_old) to t."""
-
-    def __init__(self, t_old, t, y_old, F):
-        self.t_old = t_old
-        self.h = t - t_old
-        self.F = F
-        self.y_old = y_old
-
-    def __call__(self, t):
-        """y at one time t, shape (n,)."""
-        x = (t - self.t_old) / self.h
-        return _horner(reversed(self.F), x, self.y_old)
-
-
 def _horner(rows, x, y_old):
     """The dense output at x, as scipy's Dop853DenseOutput takes it: from
     zeros (0 + -0 is +0, as there), the rows of F, last first, each added
@@ -343,57 +334,51 @@ def _horner(rows, x, y_old):
 
 def sample_nodes(steps):
     """The nodes of a solve and y at them, shape (n, len(t)), from the
-    (nodes, interpolant) of each step that holds nodes, in the solve's order.
+    (nodes, dense output) of each step that holds nodes, in the solve's
+    order; a dense output is the step's (t_old, h, y_old, F).
 
     One pass of _horner over every node at once, each node through the
-    elementwise operations, on the operands, of its step's interpolant, x
+    elementwise operations, on the operands, of its step's dense output, x
     from its step's t_old and h.  A t_eval of float64 or integer times gets
     the bits of scipy's step by step sampling; a narrower float does not,
     since scipy subtracts the first step's t_old, a Python float, in that
     narrower type.
     """
     t = np.concatenate([nodes for nodes, _ in steps])
-    interpolants = [sol for _, sol in steps]
+    # the F and y_old are read only now, after the loop: each step made them
+    # as fresh arrays, which no later step writes
+    t_old, h, y_old, F = zip(*[dense for _, dense in steps])
     idx = np.repeat(np.arange(len(steps)), [nodes.size for nodes, _ in steps])
-    # the interpolants' F and y_old are read only now, after the loop: each
-    # step made them as fresh arrays, which no later step writes
-    F = np.stack([sol.F for sol in interpolants], axis=1)   # (row, step, n)
-    t_old = np.array([sol.t_old for sol in interpolants])
-    h = np.array([sol.h for sol in interpolants])
-    x = ((t - t_old.take(idx)) / h.take(idx))[:, None]
-    y_old = np.stack([sol.y_old for sol in interpolants]).take(idx, 0)
+    F = np.stack(F, axis=1)   # (row, step, n)
+    x = ((t - np.array(t_old).take(idx)) / np.array(h).take(idx))[:, None]
+    y_old = np.stack(y_old).take(idx, 0)
     return t, _horner((f.take(idx, 0) for f in F[::-1]), x, y_old).T
 
 
 class DenseSolution:
-    """y(t) over the whole solve from the interpolants of its steps, which
+    """y(t) over the whole solve from the dense outputs of its steps, which
     run between consecutive ``ts``.  A time on a step boundary takes the
-    earlier step's interpolant, and a time outside the window the nearest
-    end step's, as scipy's OdeSolution does."""
+    earlier step's, and a time outside the window the nearest end step's,
+    as scipy's OdeSolution does."""
 
-    def __init__(self, ts, interpolants):
-        ts = np.asarray(ts)
-        self.interpolants = interpolants
-        self.ascending = ts[-1] >= ts[0]
-        self.ts_sorted = ts if self.ascending else ts[::-1]
-        self.side = "left" if self.ascending else "right"
+    def __init__(self, ts, steps, direction):
+        self.keys = direction * np.asarray(ts)   # ascending either way
+        self.direction = direction
+        self.steps = steps
 
     def __call__(self, t):
         """y at one time t, shape (n,)."""
         t = np.asarray(t)
-        ind = np.searchsorted(self.ts_sorted, t, side=self.side)
-        last = len(self.interpolants) - 1
-        segment = min(max(ind - 1, 0), last)
-        if not self.ascending:
-            segment = last - segment
-        return self.interpolants[segment](t)
+        ind = self.keys.searchsorted(self.direction * t, "left")
+        t_old, h, y_old, F = self.steps[min(max(ind - 1, 0), len(self.steps) - 1)]
+        return _horner(reversed(F), (t - t_old) / h, y_old)
 
 
 class _Stepper:
     """The state of one solve between steps: time, state, derivative, the
     next step size and the stages of the last step."""
 
-    def __init__(self, fun, t0, y0, t_bound, rtol, atol):
+    def __init__(self, fun, t0, y0, t_bound, tol):
         self.fun = fun
         self.t = t0
         self.y = y0
@@ -402,12 +387,11 @@ class _Stepper:
         self.direction = 1.0 if t_bound > t0 else -1.0
         self.f = fun(t0, y0)
         self.h_abs = float(select_initial_step(fun, t0, y0, t_bound, self.f, self.direction,
-                                               rtol, atol))
+                                               tol))
         # the scalar operands as 0-d arrays (see the module docstring): |y|
         # and so the error scale are float64 for a complex state too
         self.dtype = y0.dtype
-        self.rtol = np.array(rtol, dtype=float)
-        self.atol = np.array(atol, dtype=float)
+        self.tol = np.array(tol, dtype=float)
         self.two = np.array(2, dtype=y0.dtype)
         self.abs_y = np.abs(y0)
         K = self.K_extended = np.empty((N_STAGES_EXTENDED, y0.size), dtype=y0.dtype)
@@ -430,7 +414,7 @@ class _Stepper:
 
     def step(self):
         """Take one accepted step; False if the step size fell below ten
-        spacings of floats at t."""
+        spacings of floats at t, or is NaN."""
         t = self.t
         y = self.y
         direction = self.direction
@@ -439,7 +423,7 @@ class _Stepper:
         step_accepted = False
         step_rejected = False
         while not step_accepted:
-            if h_abs < floor:
+            if not h_abs >= floor:   # a NaN too (see the module docstring)
                 return False
             h = h_abs * direction
             t_new = t + h
@@ -449,7 +433,7 @@ class _Stepper:
             h_abs = abs(h)
             y_new, f_new = self.rk_step(t, y, h)
             abs_y_new = np.abs(y_new)
-            scale = self.atol + np.maximum(self.abs_y, abs_y_new) * self.rtol
+            scale = self.tol + np.maximum(self.abs_y, abs_y_new) * self.tol
             error_norm = self.estimate_error_norm(h_abs, scale)
             if error_norm < 1:
                 if error_norm == 0:
@@ -504,7 +488,8 @@ class _Stepper:
         return h_abs * err5_norm_2 / denom if denom else math.nan
 
     def dense_output(self):
-        """The interpolant of the last step; three more calls of fun."""
+        """The last step's dense output, (t_old, h, y_old, F); three more
+        calls of fun."""
         K = self.K_extended
         h = self.h_previous
         hs = np.array(h, dtype=self.dtype)
@@ -518,7 +503,7 @@ class _Stepper:
         F[1] = hs * f_old - delta_y
         F[2] = self.two * delta_y - hs * (self.f + f_old)
         F[3:] = hs * self.D.dot(K)
-        return Interpolant(self.t_old, self.t, self.y_old, F)
+        return self.t_old, h, self.y_old, F
 
 
 @record
@@ -527,8 +512,8 @@ class Solution:
 
     t, y: the t_eval nodes reached and the states there, shape (n, len(t));
     sol: the DenseSolution, if asked for; status: 0 at the window's end, 1
-    at the event, -1 for a step size below the spacing of floats, with
-    message the text scipy gives; nfev: right-hand-side calls, dense output
+    at the event, -1 for a step size below the spacing of floats or NaN,
+    with message the text scipy gives; nfev: right-hand-side calls, dense output
     included; n_accepted, n_rejected: steps taken and trial steps refused;
     min_step: the smallest step taken (the last one, cut at the window's
     end, included; inf if none); t_last: the time of the last
@@ -551,11 +536,11 @@ class Solution:
         return self.status >= 0
 
 
-def solve(fun, t_span, y0, rtol, atol, t_eval, dense_output=False, event=None, *,
-          max_nfev):
+def solve(fun, t_span, y0, tol, t_eval, dense_output=False, event=None, *, max_nfev):
     """Integrate y' = fun(t, y) from t_span[0] to t_span[1], from y0 (real
     or complex), bit for bit as scipy.integrate's driver does with
-    method="DOP853" and these rtol, atol, t_eval, dense_output and event.
+    method="DOP853", rtol = atol = tol and these t_eval, dense_output and
+    event.
 
     event, if given, is a terminal event g(t, y) that falls through zero:
     the solve stops with status 1 after the first step whose g falls from
@@ -577,14 +562,6 @@ def solve(fun, t_span, y0, rtol, atol, t_eval, dense_output=False, event=None, *
     """
     t0, tf = map(float, t_span)
     t_eval = np.asarray(t_eval)
-    forward = tf > t0
-    side = "right" if forward else "left"
-    if forward:
-        t_eval_i = 0
-    else:
-        # increasing order for searchsorted; t_eval_i bounds slices above
-        t_eval = t_eval[::-1]
-        t_eval_i = t_eval.shape[0]
 
     y0 = np.asarray(y0)
     dtype = complex if np.issubdtype(y0.dtype, np.complexfloating) else float
@@ -604,8 +581,11 @@ def solve(fun, t_span, y0, rtol, atol, t_eval, dense_output=False, event=None, *
         # np.asarray would return such an f itself
         return f if type(f) is np.ndarray and f.dtype is dt else np.asarray(f, dtype=dtype)
 
-    stepper = _Stepper(counted, t0, y0, tf, rtol, atol)
-    steps, interpolants, ti = [], [], [t0]
+    stepper = _Stepper(counted, t0, y0, tf, tol)
+    direction = stepper.direction
+    keys = direction * t_eval   # the nodes ascend as keys either way
+    t_eval_i = 0
+    steps, dense_steps, ti = [], [], [t0]
     if event is not None:
         g = event(t0, y0)
     status = None
@@ -613,12 +593,12 @@ def solve(fun, t_span, y0, rtol, atol, t_eval, dense_output=False, event=None, *
         if not stepper.step():
             status = -1
             break
-        if stepper.direction * (stepper.t - tf) >= 0:
+        if direction * (stepper.t - tf) >= 0:
             status = 0
         t = stepper.t
-        sol = stepper.dense_output() if dense_output else None
+        dense = stepper.dense_output() if dense_output else None
         if dense_output:
-            interpolants.append(sol)
+            dense_steps.append(dense)
 
         if event is not None:
             g_new = event(t, stepper.y)
@@ -626,17 +606,15 @@ def solve(fun, t_span, y0, rtol, atol, t_eval, dense_output=False, event=None, *
                 status = 1
             g = g_new
 
-        # a node equal to t is taken in this step ("right" going forward,
-        # "left" going back); the method skips np.searchsorted's dispatcher,
-        # and bisect would need the nodes as a list, 42 us at 2001 nodes
-        t_eval_i_new = t_eval.searchsorted(t, side)
-        n_step = abs(t_eval_i_new - t_eval_i)
+        # a node equal to t is taken in this step; the method skips
+        # np.searchsorted's dispatcher, and bisect would need the nodes as a
+        # list, 42 us at 2001 nodes
+        t_eval_i_new = keys.searchsorted(direction * t, "right")
+        n_step = t_eval_i_new - t_eval_i
         if n_step:
-            if sol is None:
-                sol = stepper.dense_output()
-            t_eval_step = (t_eval[t_eval_i:t_eval_i_new] if forward
-                           else t_eval[t_eval_i_new:t_eval_i][::-1])
-            steps.append((t_eval_step, sol))
+            if dense is None:
+                dense = stepper.dense_output()
+            steps.append((t_eval[t_eval_i:t_eval_i_new], dense))
             t_eval_i = t_eval_i_new
         if dense_output:
             ti.append(t)
@@ -651,6 +629,6 @@ def solve(fun, t_span, y0, rtol, atol, t_eval, dense_output=False, event=None, *
             if event(t[i], y[:, i]) < 0:
                 t, y = t[:i], y[:, :i]
                 break
-    return Solution(t, y, DenseSolution(ti, interpolants) if dense_output else None,
+    return Solution(t, y, DenseSolution(ti, dense_steps, direction) if dense_output else None,
                     status, MESSAGES[status], nfev, stepper.n_accepted,
                     stepper.n_rejected, np.float64(stepper.min_step), np.float64(t_last))

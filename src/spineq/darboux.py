@@ -26,7 +26,8 @@ from .errors import AccuracyError, DomainError, SingularityError
 from .dynamics import Trajectory, se_residuals, _check_uniform, _output_nodes
 from .numutil import (default_step, dop853, fd_derivative, fd_derivative_callable, finite_window,
                       real_number, solve_window)
-from .spinors import ID2, SIGMA1, SIGMA2, SIGMA3, l_vector_arr, anticonjugate_arr
+from .spinors import (ID2, SIGMA1, SIGMA2, SIGMA3, anticonjugate_arr, l_vector_arr,
+                       real_quotient)
 
 __all__ = ["DarbouxParams", "darboux_params_constant_f", "darboux_params_mu_route",
            "darboux_field", "darboux_apply", "darboux_from_seed", "intertwine_residual",
@@ -172,7 +173,14 @@ def darboux_apply(V_traj: Trajectory, eps: complex, params: DarbouxParams) -> Tr
     times, h = _check_uniform(V_traj.times)
     states = V_traj.states
     with np.errstate(over="ignore", invalid="ignore"):  # a NaN fails the tests below
-        res = se_residuals(fd_derivative(states, h), V_traj.field_samples, states)
+        u = states
+        du = fd_derivative(u, h)
+        # past |V| ~ 1e306 the difference quotient overflows: finite states
+        # are taken again over their largest |component|, as in se_residual
+        if not np.isfinite(du).all() and np.isfinite(u).all():
+            u = real_quotient(u, max(np.abs(u.real).max(), np.abs(u.imag).max()))
+            du = fd_derivative(u, h)
+        res = se_residuals(du, V_traj.field_samples, u)
         worst = float(np.max(res[2:-2])) if len(res) > 4 else float(np.max(res))
         if not worst <= INPUT_RESIDUAL:
             raise DomainError(

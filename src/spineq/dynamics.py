@@ -351,6 +351,10 @@ def hamiltonian_check(f_fn, g_fn, q0: float, p0: float, window,
         q, p = y
         g = g_at(t)
         f = f_at(t)
+        # math.sin and math.cos raise at +-inf: a NaN slope fails the step
+        # instead, and the stepper reports where
+        if not math.isfinite(p):
+            return [math.nan, math.nan]
         root = math.sqrt(max(1.0 - q * q, 1e-300))
         dq = -2.0 * g * root * math.sin(p)
         dp = 2.0 * g * q * math.cos(p) / root - 2.0 * f
@@ -378,6 +382,8 @@ def hamiltonian_check(f_fn, g_fn, q0: float, p0: float, window,
         th, Phi = y
         g = g_at(t)
         f = f_at(t)
+        if not (math.isfinite(th) and math.isfinite(Phi)):  # as in rhs
+            return [math.nan, math.nan]
         s = math.sin(th)
         if abs(s) < 1e-12:
             s = math.copysign(1e-12, s if s != 0 else 1.0)

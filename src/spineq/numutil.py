@@ -237,8 +237,8 @@ def solve_window(window, tol):
 
 def dop853(rhs, window, y0, tol, t_eval, what, dense_output=False, event=None):
     """Integrate y' = rhs(t, y) over window, of nonzero length (see
-    solve_window), with DOP853 at rtol = atol = tol / 4,
-    sampled at t_eval; with dense_output, the result's ``sol`` gives y at
+    solve_window), with DOP853 at one tolerance, tol / 4 (scipy's rtol and
+    atol), sampled at t_eval; with dense_output, the result's ``sol`` gives y at
     any time, and a terminal ``event`` stops the solve, with status 1, after
     the step across which it falls through zero (see _dop853.solve).
 
@@ -257,10 +257,9 @@ def dop853(rhs, window, y0, tol, t_eval, what, dense_output=False, event=None):
     from . import _dop853
 
     budget = RHS_BUDGET
-    rt = tol / 4.0
     try:
         with np.errstate(all="ignore"):
-            sol = _dop853.solve(rhs, window, y0, rt, rt, t_eval, dense_output, event,
+            sol = _dop853.solve(rhs, window, y0, tol / 4.0, t_eval, dense_output, event,
                                 max_nfev=budget)
     except SingularityError as exc:
         raise IntegrationError(f"field singular during {what}: {exc}", t=exc.t) from exc

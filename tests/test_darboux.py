@@ -491,6 +491,23 @@ class TestNotFinite:
             darboux_apply(Trajectory(traj.times, states, traj.field_samples, 0.0), 0.3,
                           const_params)
 
+    def test_apply_takes_an_exact_input_near_the_double_range(self):
+        # the difference quotient of states near 1e308 overflows: the input
+        # residual is taken again on the states over their largest |component|
+        params = darboux_params_constant_f(F, R, 0.0)
+        big = constant_f_trajectory(F, 0.3, 1e308, 1.0, (0.0, 1.0), 21)
+        mapped = darboux_apply(big, 0.3, params).states
+        assert 3e307 < np.abs(mapped).max() < 3.2e307
+        # the map is linear in V: the p = 1 solution's image, 1e308 times
+        small = darboux_apply(constant_f_trajectory(F, 0.3, 1.0, 1e-308, (0.0, 1.0), 21), 0.3,
+                              params).states
+        assert_rel(mapped / 1e308, small, 1e-14)
+        # the same states under another F3 solve no spin equation
+        fields = big.field_samples.copy()
+        fields[:, 2] += 0.1
+        with pytest.raises(DomainError, match=r"\(residual 1.000e-01 > 1e-05\)"):
+            darboux_apply(Trajectory(big.times, big.states, fields, 0.0), 0.3, params)
+
 
 # ±0, subnormals, ±1e308, ±inf, NaN and ordinary values
 _REALS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e308, -1e308,

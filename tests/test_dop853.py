@@ -120,6 +120,37 @@ def test_nodes_on_every_step_end_match_scipy(solves, eid):
     assert sol.t.size == sol.n_accepted + 1
 
 
+@pytest.mark.parametrize("eid", [5, 16])
+def test_nodes_on_every_step_end_match_scipy_backward(solves, eid):
+    # the same from t1 back to t0: a node on a step boundary is still sampled
+    # in the step that reaches it first
+    rhs, (t0, t1), y0 = _propagation(solves, eid)
+    ends = scipy_solve(rhs, (t1, t0), y0, 1e-10, None, dense_output=True).sol.ts
+    sol = numutil.dop853(rhs, (t1, t0), y0, 1e-10, ends, "propagation")
+    assert_same(scipy_solve(rhs, (t1, t0), y0, 1e-10, ends), sol)
+    assert sol.t.size == sol.n_accepted + 1
+
+
+@pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+@pytest.mark.parametrize("eid", [5, 16])
+def test_dense_output_at_step_ends_and_outside_matches_scipy(solves, eid, backward):
+    # a time on a step end takes the earlier step's polynomial, and a time
+    # past either end of the window the nearest end step's, as in scipy's
+    # OdeSolution, whichever way the solve runs (at a step end the two
+    # polynomials meet to the bit here, y_old + (y - y_old) being y)
+    rhs, (t0, t1), y0 = _propagation(solves, eid)
+    if backward:
+        t0, t1 = t1, t0
+    ref = scipy_solve(rhs, (t0, t1), y0, 1e-10, None, dense_output=True).sol
+    sol = numutil.dop853(rhs, (t0, t1), y0, 1e-10, (), "propagation", dense_output=True).sol
+    away = t1 - t0
+    outside = [math.nextafter(t0, t0 - away), t0 - away / 10,
+               math.nextafter(t1, t1 + away), t1 + away / 10]
+    assert len(ref.ts) > 10
+    for t in [*ref.ts, *outside]:
+        assert bits(sol(t)) == bits(ref(t))
+
+
 @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
 @pytest.mark.parametrize("eid", [1, 21])
 def test_hundreds_of_nodes_per_step_match_scipy(solves, eid, backward):
@@ -264,7 +295,7 @@ def test_overflow_failure_matches_scipy(solves):
     ref = scipy_solve(rhs, window, y0, tol, t_eval)
     rt = rtol_of(tol)
     with np.errstate(all="ignore"):
-        sol = _dop853.solve(rhs, window, y0, rt, rt, t_eval, max_nfev=numutil.RHS_BUDGET)
+        sol = _dop853.solve(rhs, window, y0, rt, t_eval, max_nfev=numutil.RHS_BUDGET)
     assert ref.status == -1
     assert_same(ref, sol)
     assert 100 < sol.t_last < 150
@@ -278,9 +309,18 @@ def test_budget_refuses_the_call_past_it():
         return -y
 
     with pytest.raises(_dop853.BudgetExceeded) as info:
-        _dop853.solve(rhs, (0, 100), [1.0], 1e-12, 1e-12, [0, 100], max_nfev=50)
+        _dop853.solve(rhs, (0, 100), [1.0], 1e-12, [0, 100], max_nfev=50)
     assert len(calls) == 50
     assert 0 < info.value.t < 100
+
+
+def test_nan_first_slope_ends_the_solve():
+    # a NaN slope at t0 makes the first step size NaN, which never changes:
+    # scipy's loop tries it forever, the stepper stops at once
+    sol = _dop853.solve(lambda t, y: [math.nan, 1.0], (0, 1), [1.0, 0.0], 1e-10,
+                        [0, 1], max_nfev=numutil.RHS_BUDGET)
+    assert (sol.status, sol.message) == (-1, _dop853.MESSAGES[-1])
+    assert sol.nfev == 2 and sol.n_accepted == 0 and sol.t.size == 0
 
 
 # the stepper's scalars, as 0-d arrays of the operand's dtype, against the
@@ -340,7 +380,7 @@ def test_drawn_spin_equations_match_scipy(problem):
     ref = scipy_solve(rhs, window, y0, tol, t_eval, dense_output=dense)
     rt = rtol_of(tol)
     with np.errstate(all="ignore"):
-        sol = _dop853.solve(rhs, window, y0, rt, rt, t_eval, dense, max_nfev=numutil.RHS_BUDGET)
+        sol = _dop853.solve(rhs, window, y0, rt, t_eval, dense, max_nfev=numutil.RHS_BUDGET)
     assert_same(ref, sol)
     if dense:
         assert_counts(sol, ref)

@@ -1,4 +1,6 @@
 import cmath
+import contextlib
+import io
 import json
 import math
 import re
@@ -10,6 +12,8 @@ from types import SimpleNamespace
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spineq import catalog, dynamics, numutil
 from spineq.darboux import darboux_params_mu_route
@@ -740,6 +744,45 @@ class TestHamiltonianForm:
         with pytest.raises(DomainError, match=f"got q0 = {q0}"):
             hamiltonian_check(lambda t: 0.0, lambda t: 1.0, q0, -math.pi / 2, (0, 1))
 
+    @pytest.mark.parametrize("f, g", [(1e308, 1.0), (1.0, 1e308), (-1e308, 1e308)])
+    def test_angle_past_the_double_range_is_a_failed_solve(self, f, g):
+        # p leaves the double range in the first stages: math.sin raised a
+        # bare ValueError there
+        with pytest.raises(IntegrationError, match="canonical integration failed"):
+            hamiltonian_check(lambda t: f, lambda t: g, 0.2, 0.3, (0, 1), n_nodes=5)
+
+
+# +-0, subnormals, +-1e308, +-inf, NaN and ordinary values; the ordinary ones
+# stop at 10, since a constant f near 1e5 and above turns p so fast that the
+# solve crawls to RHS_BUDGET, about 10 s, before its IntegrationError
+_FIELD_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e308, -1e308,
+                                           math.inf, -math.inf, math.nan]),
+                          st.floats(-10.0, 10.0))
+
+
+class TestHamiltonianTypedFailures:
+    @given(f=_FIELD_VALUES, g=_FIELD_VALUES,
+           q0=st.floats(-(1.0 - POLE_BAND), 1.0 - POLE_BAND),
+           p0=st.floats(-4.0, 4.0), t0=st.floats(-2.0, 2.0),
+           length=st.floats(0.1, 2.0), backward=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_finite_report_or_typed_error(self, f, g, q0, p0, t0, length, backward):
+        # each call returns finite q, p, H, theta and Phi or raises a
+        # SpinEqError, and says nothing on stderr
+        window = (t0, t0 - length if backward else t0 + length)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                rep = hamiltonian_check(lambda t: f, lambda t: g, q0, p0, window, n_nodes=21)
+            except SpinEqError:
+                pass
+            else:
+                assert all(np.isfinite(a).all() for a in (rep.q, rep.p, rep.H, rep.theta,
+                                                          rep.Phi))
+        assert [str(w.message) for w in caught] == []
+        assert err.getvalue() == ""
+
 
 class TestConservationLaws:
     def test_l_vector_evolution(self):
@@ -985,7 +1028,7 @@ class TestSolveFailure:
         # them on
         from spineq import _dop853
 
-        def finished_with_nan(fun, t_span, y0, rtol, atol, t_eval, *args, **kwargs):
+        def finished_with_nan(fun, t_span, y0, tol, t_eval, *args, **kwargs):
             y = np.ones((len(y0), len(t_eval)), dtype=complex)
             y[0, 2:] = np.nan
             return SimpleNamespace(t=t_eval, y=y, success=True, message="")
