@@ -70,8 +70,9 @@ def sample_array(fields):
 
 
 def residual_inputs(n_points):
-    """(du, F, u) of each catalog entry at its default parameters on n_points
-    nodes of its default window, as verify_entry builds them."""
+    """(samples, F, h) of each catalog entry at its default parameters on
+    n_points nodes of its default window, as verify_entry builds them: the
+    (n_points, 5, 2) stencil samples, the fields and the (n_points, 1) steps."""
     out = []
     for e in catalog.entries():
         p = e.merged(None)
@@ -80,20 +81,20 @@ def residual_inputs(n_points):
         nodes = np.stack([*stencil_nodes(times, h), times], axis=1)
         t = np.array(list(nodes.ravel()), dtype=object)
         u = np.stack([np.asarray(ui, dtype=complex) for ui in e._solution(t, p)], axis=-1)
-        u = u.reshape(n_points, 5, 2)
-        du = central_difference(u[:, 0], u[:, 1], u[:, 2], u[:, 3], h[:, None])
-        out.append((du, field_callable(CatalogField(e.id, p))(times), u[:, 4]))
+        out.append((u.reshape(n_points, 5, 2), field_callable(CatalogField(e.id, p))(times),
+                    h[:, None]))
     return out
 
 
 def residuals_per_point(inputs):
     """The per-point residual loop verify_entry ran before se_residuals."""
-    return [np.array([np.linalg.norm(1j * d - sigma_dot(f) @ v) / max(np.linalg.norm(v), 1e-30)
-                      for d, f, v in zip(du, F, u)]) for du, F, u in inputs]
+    return [np.array([np.linalg.norm(1j * central_difference(*s[:4], k) - sigma_dot(f) @ s[4])
+                      / max(np.linalg.norm(s[4]), 1e-30) for s, f, k in zip(samples, F, h[:, 0])])
+            for samples, F, h in inputs]
 
 
 def residuals_rows(inputs):
-    return [dynamics.se_residuals(du, F, u) for du, F, u in inputs]
+    return [dynamics.se_residuals(samples, F, h) for samples, F, h in inputs]
 
 
 def _bits(values):

@@ -516,7 +516,7 @@ class Solution:
     with message the text scipy gives; nfev: right-hand-side calls, dense output
     included; n_accepted, n_rejected: steps taken and trial steps refused;
     min_step: the smallest step taken (the last one, cut at the window's
-    end, included; inf if none); t_last: the time of the last
+    end, included; inf if none); t_last: the last finite time of a
     right-hand-side call, where a failed solve stopped.
     """
 
@@ -573,7 +573,8 @@ def solve(fun, t_span, y0, tol, t_eval, dense_output=False, event=None, *, max_n
 
     def counted(t, y):
         nonlocal nfev, t_last
-        t_last = t
+        # a NaN first slope makes select_initial_step probe at t0 + NaN
+        t_last = t if math.isfinite(t) else t_last
         if nfev == max_nfev:
             raise BudgetExceeded(t)
         nfev += 1

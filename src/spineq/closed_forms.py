@@ -27,7 +27,7 @@ bits of the scalar arithmetic a node takes.
 Both components are built from series on the same argument, and each
 closed form hands them to one call of gauss_2f1_many, kummer_phi_many or
 parabolic_d_many, which sums them all in one grid pass.  residuals uses
-this to evaluate a whole residual stencil in one call.
+this to evaluate every residual stencil in one call for dynamics.se_residuals.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import cmath
 import numpy as np
 
 from .fields import CatalogField, field_callable
-from .numutil import central_difference, default_step, grid_or_replay, stencil_nodes
+from .numutil import default_step, grid_or_replay, stencil_nodes
 from .specfun import gauss_2f1_many, kummer_phi_many, parabolic_d_many, _elementwise
 
 # cmath, element by element on an array, so that the _sol_N closed forms
@@ -257,10 +257,13 @@ def _sol_10(t, p):
 
 
 def _sol_11(t, p):
+    ep = _exp(_phi(t, p))
+    return _sol_11_in_z(((ep + 1j) / (ep - 1j)) ** 2, p)
+
+
+def _sol_11_in_z(z, p):
+    """Entry 11's closed form in its argument z, and entry 21's in its own."""
     a, b, c, w = p["a"], p["b"], p["c"], p["w"]
-    ph = _phi(t, p)
-    ep = _exp(ph)
-    z = ((ep + 1j) / (ep - 1j)) ** 2
     mu = 0.5 / w * _sqrt(a * a + (c - 1j * b) ** 2)
     lam = 0.5 / w * _sqrt(a * a + (c + 1j * b) ** 2)
     nu = 1j * b / w
@@ -367,19 +370,7 @@ def _sol_20(t, p):
 
 
 def _sol_21(t, p):
-    a, b, c, w = p["a"], p["b"], p["c"], p["w"]
-    ph = _phi(t, p)
-    z = -_exp(-2j * ph)
-    mu = 0.5 / w * _sqrt(a * a + (c - 1j * b) ** 2)
-    lam = 0.5 / w * _sqrt(a * a + (c + 1j * b) ** 2)
-    nu = 1j * b / w
-    al = mu + nu + lam
-    be = mu + nu - lam
-    g = 1 + 2 * mu
-    zm = z ** mu
-    c1 = a * zm * (1 - z) ** nu
-    f1, f2 = gauss_2f1_many([(al, be, g), (al + 1, be + 1, g)], z)
-    return c1 * f1, (2 * w * mu - c + 1j * b) * zm * (1 - z) ** (nu + 1) * f2
+    return _sol_11_in_z(-_exp(-2j * _phi(t, p)), p)
 
 
 def _sol_22(t, p):
@@ -471,10 +462,11 @@ def residuals(e, p: dict, window, n_points: int):
 
     All at once: the closed form is evaluated at all 5 n_points stencil
     nodes in one call on an object array of times, the field at the centre
-    nodes in one call, and dynamics.se_residuals takes all the rows, which
-    gives the same bits as se_residual node by node.  If that raises or a
-    residual is not finite, the node-by-node path is replayed, so an error
-    keeps its type, message and t.
+    nodes in one call, and dynamics.se_residuals takes all (n_points, 5, 2)
+    samples, the rows se_residual hands it one at a time: the same bits,
+    rows past the double range included.  If that raises or a residual is
+    not finite, the node-by-node path is replayed, so an error keeps its
+    type, message and t.
     """
     # here, not at module level: entry_solution needs no solver
     from . import dynamics
@@ -489,9 +481,7 @@ def residuals(e, p: dict, window, n_points: int):
         # does not round as float ** complex does
         t = np.array(list(nodes.ravel()), dtype=object)
         u = np.stack([np.asarray(ui, dtype=complex) for ui in sol(t, p)], axis=-1)
-        u = u.reshape(len(times), 5, 2)
-        du = central_difference(u[:, 0], u[:, 1], u[:, 2], u[:, 3], h[:, None])
-        return dynamics.se_residuals(du, f_fn(times), u[:, 4])
+        return dynamics.se_residuals(u.reshape(len(times), 5, 2), f_fn(times), h[:, None])
 
     def u_fn(t):
         return np.array(e.solution_components(t, p))

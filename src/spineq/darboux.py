@@ -24,10 +24,9 @@ import numpy as np
 from ._numbers import record
 from .errors import AccuracyError, DomainError, SingularityError
 from .dynamics import Trajectory, se_residuals, _check_uniform, _output_nodes
-from .numutil import (default_step, dop853, fd_derivative, fd_derivative_callable, finite_window,
-                      real_number, solve_window)
-from .spinors import (ID2, SIGMA1, SIGMA2, SIGMA3, anticonjugate_arr, l_vector_arr,
-                       real_quotient)
+from .numutil import (default_step, dop853, fd_derivative_callable, finite_window, real_number,
+                      solve_window, stencil_slices)
+from .spinors import ID2, SIGMA1, SIGMA2, SIGMA3, anticonjugate_arr, l_vector_arr
 
 __all__ = ["DarbouxParams", "darboux_params_constant_f", "darboux_params_mu_route",
            "darboux_field", "darboux_apply", "darboux_from_seed", "intertwine_residual",
@@ -165,23 +164,17 @@ def darboux_apply(V_traj: Trajectory, eps: complex, params: DarbouxParams) -> Tr
 
     The input must solve the SE with field (eps, 0, F3) where F3 is the
     trajectory's third field sample; that precondition is checked, the
-    largest residual off the two end nodes at most INPUT_RESIDUAL, and a
-    finite eps (DomainError).  The returned trajectory carries the partner
-    field (eps, 0, 2 beta - F3), or AccuracyError past the double range.
+    largest se_residuals of its interior nodes' stencils (at least 5 nodes)
+    at most INPUT_RESIDUAL, and a finite eps (DomainError).  The returned
+    trajectory carries the partner field (eps, 0, 2 beta - F3), or
+    AccuracyError past the double range.
     """
     [eps] = _finite(eps=eps)
     times, h = _check_uniform(V_traj.times)
     states = V_traj.states
     with np.errstate(over="ignore", invalid="ignore"):  # a NaN fails the tests below
-        u = states
-        du = fd_derivative(u, h)
-        # past |V| ~ 1e306 the difference quotient overflows: finite states
-        # are taken again over their largest |component|, as in se_residual
-        if not np.isfinite(du).all() and np.isfinite(u).all():
-            u = real_quotient(u, max(np.abs(u.real).max(), np.abs(u.imag).max()))
-            du = fd_derivative(u, h)
-        res = se_residuals(du, V_traj.field_samples, u)
-        worst = float(np.max(res[2:-2])) if len(res) > 4 else float(np.max(res))
+        worst = float(np.max(se_residuals(np.stack(stencil_slices(states), axis=1),
+                                          V_traj.field_samples[2:-2], h)))
         if not worst <= INPUT_RESIDUAL:
             raise DomainError(
                 f"input trajectory does not solve its spin equation "

@@ -417,18 +417,27 @@ def hamiltonian_check(f_fn, g_fn, q0: float, p0: float, window,
                              theta_eq_residual, truncated, float(times[-1]))
 
 
-def se_residuals(du, F, u) -> np.ndarray:
+def se_residuals(samples, F, h) -> np.ndarray:
     """Relative residuals ||i u' - (sigma.F) u|| / max(||u||, 1e-30) of the
-    spin equation, one per row of the derivatives du (n, 2), the fields
-    F (n, 3) and the states u (n, 2)."""
-    du, F, u = (np.asarray(a, dtype=complex) for a in (du, F, u))
+    spin equation, one per row of samples (n, 5, 2), u at t-2h, t-h, t+h and
+    t+2h (numutil.stencil_nodes' order) and at t, with u' their
+    numutil.central_difference, of fields F (n, 3) at t and of h, one step
+    or one per row as an (n, 1) array.  Rows with finite inputs past the
+    double range are taken again over their largest |part| (the residual is
+    scale-free): the samples where the difference overflows, |u| ~ 1e306, u'
+    and u where the squares do, ~1e154 (the 1e-30 floor scales with them)."""
+    samples, F = np.asarray(samples, dtype=complex), np.asarray(F, dtype=complex)
     S = np.ascontiguousarray(sigma_dot(F.T).transpose(2, 0, 1))
     with np.errstate(over="ignore", invalid="ignore"):
+        du, u = central_difference(*samples.swapaxes(0, 1)[:4], h), samples[:, 4].copy()
+        over = ~np.isfinite(du).all(axis=1) & np.isfinite(samples).all(axis=(1, 2))
+        if over.any():
+            part = samples[over]
+            part = part / np.abs(part.view(float)).max(axis=(1, 2), keepdims=True)
+            du[over] = central_difference(*part.swapaxes(0, 1)[:4], h[over] if np.ndim(h) else h)
+            u[over] = part[:, 4]
         norm_r, norm_u = _residual_norms(S, du, u)
         res = norm_r / np.maximum(norm_u, 1e-30)
-        # past |u| ~ 1e154 the squares overflow: such rows, with finite inputs,
-        # are taken again scaled by their largest |component|, which the
-        # relative residual does not depend on (the 1e-30 floor scales with them)
         again = ~(np.isfinite(norm_r) & np.isfinite(norm_u))
         if again.any():
             again &= np.isfinite(np.concatenate([du, F, u], axis=1)).all(axis=1)
@@ -452,20 +461,9 @@ def _residual_norms(S, du, u):
 
 
 def se_residual(u_fn, field_fn, t: float) -> float:
-    """Relative residual ||i u' - (sigma.F) u|| / max(||u||, 1e-30) at t.
-
-    u' by the central difference with step h = numutil.default_step(t).
-    u_fn is called at t-2h, t-h, t+h, t+2h and t, then field_fn at t.
-    """
+    """se_residuals at one time t, on u's stencil at step h =
+    numutil.default_step(t): u_fn is called at t-2h, t-h, t+h, t+2h and t,
+    then field_fn at t."""
     h = default_step(t)
-    side = [np.asarray(u_fn(s), dtype=complex) for s in stencil_nodes(t, h)]
-    with np.errstate(over="ignore", invalid="ignore"):
-        du = central_difference(*side, h)
-    u = np.asarray(u_fn(t), dtype=complex)
-    # past |u| ~ 1e306 the difference overflows: a finite stencil is taken
-    # again scaled by its largest |component|, as in se_residuals
-    if not np.isfinite(du).all() and np.isfinite(side).all():
-        scale = np.abs(np.concatenate([*side, u]).view(float)).max()
-        du, u = central_difference(*(v / scale for v in side), h), u / scale
-    return float(se_residuals([du], [field_fn(t)], [u])[0])
-
+    samples = [np.asarray(u_fn(s), dtype=complex) for s in (*stencil_nodes(t, h), t)]
+    return float(se_residuals([samples], [field_fn(t)], h)[0])

@@ -24,6 +24,7 @@ __all__ = [
     "central_difference",
     "central_second_difference",
     "stencil_nodes",
+    "stencil_slices",
     "fd_derivative",
     "fd_derivative_callable",
     "real_number",
@@ -305,17 +306,25 @@ def central_second_difference(fm2, fm1, f0, fp1, fp2, h):
     return (-fm2 + 16 * fm1 - 30 * f0 + 16 * fp1 - fp2) / (12 * h * h)
 
 
+def stencil_slices(values):
+    """The 4th-order stencils of the n - 4 interior nodes of samples on a
+    uniform grid along axis 0, as views in stencil_nodes' order, then t."""
+    y = np.asarray(values)
+    if y.shape[0] < 5:
+        raise DomainError(f"{y.shape[0]} samples: the 4th-order stencil needs at least 5")
+    return y[:-4], y[1:-3], y[3:-1], y[4:], y[2:-2]
+
+
 def fd_derivative(values, h):
     """Differentiate samples on a uniform grid along axis 0.
 
     4th-order central stencil in the interior, 3rd-order one-sided at the
     two nodes on each end.
     """
+    *sides, _ = stencil_slices(values)
     y = np.asarray(values)
-    if y.shape[0] < 5:
-        raise DomainError(f"{y.shape[0]} samples: the 4th-order stencil needs at least 5")
     d = np.empty_like(y, dtype=complex if np.iscomplexobj(y) else float)
-    d[2:-2] = central_difference(y[:-4], y[1:-3], y[3:-1], y[4:], h)
+    d[2:-2] = central_difference(*sides, h)
     d[0] = (-11 * y[0] + 18 * y[1] - 9 * y[2] + 2 * y[3]) / (6 * h)
     d[1] = (-2 * y[0] - 3 * y[1] + 6 * y[2] - y[3]) / (6 * h)
     d[-2] = (2 * y[-1] + 3 * y[-2] - 6 * y[-3] + y[-4]) / (6 * h)

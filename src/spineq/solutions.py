@@ -121,17 +121,20 @@ def trajectory_angles(V_traj: Trajectory):
     return N, p1 + p2, theta, p2 - p1
 
 
+def _angle_rates(V_traj: Trajectory):
+    """theta and phi along a trajectory, then alpha', theta' and phi'."""
+    _, h = _check_uniform(V_traj.times)
+    _, alpha, theta, phi = trajectory_angles(V_traj)
+    return theta, phi, *(fd_derivative(x, h) for x in (alpha, theta, phi))
+
+
 def invert_field_angles(V_traj: Trajectory) -> np.ndarray:
     """Real field via the spherical-angle route (constant-norm trajectories):
 
     F = 1/2 [ (phi' cos theta - alpha') n - phi' sin theta e_theta
               + theta' e_phi ]
     """
-    times, h = _check_uniform(V_traj.times)
-    _, alpha, theta, phi = trajectory_angles(V_traj)
-    ad = fd_derivative(alpha, h)
-    td = fd_derivative(theta, h)
-    pd = fd_derivative(phi, h)
+    theta, phi, ad, td, pd = _angle_rates(V_traj)
     st, ct = np.sin(theta), np.cos(theta)
     sp, cp = np.sin(phi), np.cos(phi)
     n = np.stack([st * cp, st * sp, ct], axis=1)
@@ -144,11 +147,7 @@ def invert_field_angles(V_traj: Trajectory) -> np.ndarray:
 
 def field_square_from_angles(V_traj: Trajectory) -> np.ndarray:
     """F^2 = (theta'^2 + phi'^2 + alpha'^2 - 2 alpha' phi' cos theta) / 4."""
-    times, h = _check_uniform(V_traj.times)
-    _, alpha, theta, phi = trajectory_angles(V_traj)
-    ad = fd_derivative(alpha, h)
-    td = fd_derivative(theta, h)
-    pd = fd_derivative(phi, h)
+    theta, _, ad, td, pd = _angle_rates(V_traj)
     return 0.25 * (td ** 2 + pd ** 2 + ad ** 2 - 2.0 * ad * pd * np.cos(theta))
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from spineq.dynamics import _check_uniform, se_residuals
-from spineq.numutil import fd_derivative
+from spineq.numutil import stencil_slices
 from spineq.spinors import CVec3, Spinor, l_vector_arr
 
 
@@ -44,10 +44,12 @@ def bloch_vector_path(traj):
 
 
 def trajectory_se_residuals(traj):
-    """Residual of a sampled trajectory against its own field samples,
-    with the derivative taken on the sample grid."""
+    """Residuals of a sampled trajectory's interior nodes, all but two at
+    each end, against its own field samples, with the stencils taken on the
+    sample grid."""
     _, h = _check_uniform(traj.times)
-    return se_residuals(fd_derivative(traj.states, h), traj.field_samples, traj.states)
+    return se_residuals(np.stack(stencil_slices(traj.states), axis=1),
+                        traj.field_samples[2:-2], h)
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")

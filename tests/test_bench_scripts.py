@@ -27,3 +27,15 @@ def test_bench_series_loads_without_running_main():
     assert math.isclose(abs(values[0]), 2 * math.log(2), rel_tol=1e-14) and terms[1] == 3
     values, terms, _ = bench.grid_1f1(1.7, 1.7, np.array([1.0]))
     assert math.isclose(abs(values[0]), math.e, rel_tol=1e-14)
+
+
+def test_bench_series_residual_helpers_run():
+    # se_residuals on the inputs residual_inputs builds, with the bits of
+    # the per-point loop it replaced
+    bench = _load("bench_series")
+    inputs = bench.residual_inputs(3)
+    assert len(inputs) == 26
+    samples, F, h = inputs[0]
+    assert samples.shape == (3, 5, 2) and F.shape == (3, 3) and h.shape == (3, 1)
+    for rows, loop in zip(bench.residuals_rows(inputs), bench.residuals_per_point(inputs)):
+        assert rows.view(np.int64).tolist() == loop.view(np.int64).tolist()

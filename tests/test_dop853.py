@@ -317,10 +317,18 @@ def test_budget_refuses_the_call_past_it():
 def test_nan_first_slope_ends_the_solve():
     # a NaN slope at t0 makes the first step size NaN, which never changes:
     # scipy's loop tries it forever, the stepper stops at once
-    sol = _dop853.solve(lambda t, y: [math.nan, 1.0], (0, 1), [1.0, 0.0], 1e-10,
-                        [0, 1], max_nfev=numutil.RHS_BUDGET)
+    times = []
+    sol = _dop853.solve(lambda t, y: times.append(t) or [math.nan, 1.0], (0.5, 1), [1.0, 0.0],
+                        1e-10, [0.5, 1], max_nfev=numutil.RHS_BUDGET)
     assert (sol.status, sol.message) == (-1, _dop853.MESSAGES[-1])
     assert sol.nfev == 2 and sol.n_accepted == 0 and sol.t.size == 0
+    # the second call is select_initial_step's probe, at t0 + NaN: the
+    # failure is named at t0
+    assert math.isnan(times[1]) and sol.t_last == 0.5
+    with pytest.raises(IntegrationError, match=r"^canonical integration failed near t = 0\.0: ") \
+            as exc:
+        hamiltonian_check(lambda t: 0.0, lambda t: 1e308, 0.0, 0.3, (0, 1), n_nodes=5)
+    assert exc.value.t == 0.0
 
 
 # the stepper's scalars, as 0-d arrays of the operand's dtype, against the

@@ -26,7 +26,7 @@ from spineq.errors import (AccuracyError, DomainError, FieldParseError, Integrat
                            SingularityError, SpinEqError)
 from spineq.fields import (CatalogField, ConstField, ExprField, check_poles, field_callable,
                            parse_field_spec)
-from spineq.numutil import fd_derivative
+from spineq.numutil import central_difference, fd_derivative
 from spineq.reductions import ReductionPlan, reduce_field, transform_matrix
 from spineq.spinors import (CVec3, Spinor, anticonjugate_arr, frame,
                             l_vector_arr, sigma_dot)
@@ -185,49 +185,70 @@ class TestDeclaredPoles:
 
 
 class TestResiduals:
-    """se_residuals, on arrays, against the per-row formula it replaced,
-    kept here as the reference: the same bits, row for row."""
+    """se_residuals, on stencil samples, against the per-row formula: the
+    central difference of each row's 1-D samples, then the norms, kept here
+    as the reference.  The same bits, row for row."""
 
     @staticmethod
-    def per_row(du, F, u):
-        return np.array([np.linalg.norm(1j * d - sigma_dot(f) @ v) / max(np.linalg.norm(v), 1e-30)
-                         for d, f, v in zip(du, F, u)])
+    def per_row(samples, F, h):
+        h = np.broadcast_to(h, (len(samples), 1))[:, 0]
+        return np.array([np.linalg.norm(1j * central_difference(*s[:4], k) - sigma_dot(f) @ s[4])
+                         / max(np.linalg.norm(s[4]), 1e-30) for s, f, k in zip(samples, F, h)])
+
+    @staticmethod
+    def draw(rng, n, exponents=(-140, 140)):
+        # one magnitude per row, so that the reference's squares stay within
+        # the double range at steps of 1e-2 and above
+        scale = 10.0 ** rng.uniform(*exponents, size=(n, 1, 1))
+        samples = scale * (rng.normal(size=(n, 5, 2)) + 1j * rng.normal(size=(n, 5, 2)))
+        return samples, rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
 
     @pytest.mark.parametrize("n", [1, 7, 400])
     def test_bit_identical_to_per_row_formula(self, n):
         rng = np.random.default_rng([n, 10])
-
-        def draw(cols, lo, hi):
-            # one magnitude per row, so that squares stay within the double range
-            scale = 10.0 ** rng.uniform(lo, hi, size=(n, 1))
-            return scale * (rng.normal(size=(n, cols)) + 1j * rng.normal(size=(n, cols)))
-
-        u = draw(2, -150, 150)
-        du = draw(2, -150, 150)
-        F = draw(3, -3, 3)
-        got = se_residuals(du, F, u)
-        want = self.per_row(du, F, u)
-        assert got.shape == (n,)
-        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+        samples, F = self.draw(rng, n)
+        # one step for all rows, and one per row
+        for h in (0.03, 10.0 ** rng.uniform(-2, 0, size=(n, 1))):
+            got = se_residuals(samples, F, h)
+            want = self.per_row(samples, F, h)
+            assert got.shape == (n,)
+            assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
     @pytest.mark.parametrize("exponent", [160, 200, 300])
     def test_rows_past_the_square_range_scale_out(self, exponent):
         # the squared norms overflow; the relative residual does not depend
         # on the scale, so the rows scaled down give it to rounding
-        rng = np.random.default_rng([exponent, 11])
-        u, du = (rng.normal(size=(50, 2)) + 1j * rng.normal(size=(50, 2)) for _ in range(2))
-        F = rng.normal(size=(50, 3)) + 1j * rng.normal(size=(50, 3))
+        samples, F = self.draw(np.random.default_rng([exponent, 11]), 50, (0, 0))
         big = 10.0 ** (exponent - 2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = se_residuals(big * du, F, big * u)
-        np.testing.assert_allclose(got, se_residuals(du, F, u), rtol=1e-14)
+            got = se_residuals(big * samples, F, 0.1)
+        np.testing.assert_allclose(got, se_residuals(samples, F, 0.1), rtol=1e-14)
+
+    @pytest.mark.parametrize("c", [1e306, 1e307, 1e308])
+    def test_rows_past_the_difference_range_scale_out(self, c):
+        # samples within the double range whose central difference is not:
+        # each row is differenced again over its largest |part|
+        rng = np.random.default_rng([int(math.log10(c)), 12])
+        samples = c * (rng.uniform(-1, 1, size=(50, 5, 2)) + 1j * rng.uniform(-1, 1, (50, 5, 2)))
+        F = rng.normal(size=(50, 3)) + 1j * rng.normal(size=(50, 3))
+        h = np.full((50, 1), 1e-5)
+        with np.errstate(all="ignore"):
+            assert not np.isfinite(central_difference(*samples.swapaxes(0, 1)[:4], h)).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = se_residuals(samples, F, h)
+        np.testing.assert_allclose(got, se_residuals(samples / c, F, h), rtol=1e-14)
 
     def test_non_finite_rows_stay_non_finite(self):
-        u = np.array([[1.0, 2.0], [np.inf, 1.0], [1e200, 1.0]], dtype=complex)
-        du = np.array([[0.5, 1.0], [1.0, 1.0], [1e200, np.nan]], dtype=complex)
-        got = se_residuals(du, np.ones((3, 3)), u)
-        assert np.isfinite(got).tolist() == [True, False, False]
+        samples = np.ones((4, 5, 2), dtype=complex)
+        samples[1, 0, 0] = np.inf  # a side sample
+        samples[2, 4, 1] = np.nan  # the centre
+        samples[3] *= 1e200        # squares past the double range, at a field that is not finite
+        F = np.ones((4, 3), dtype=complex)
+        F[3, 2] = np.nan
+        got = se_residuals(samples, F, 1e-5)
+        assert np.isfinite(got).tolist() == [True, False, False, False]
 
     @pytest.mark.parametrize("c", [1e306, 1e308])
     def test_stencil_past_the_difference_range_scales_out(self, c):
