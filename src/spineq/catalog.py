@@ -395,15 +395,16 @@ def verify_entry(entry_id: int, params: dict | None = None,
     """Residual-substitute the entry's closed form into the spin equation:
     dynamics.se_residual at n_points nodes of the window, all at once
     (closed_forms.residuals).  The entry, its parameters and n_points are
-    checked first, before numpy loads."""
+    checked first, before numpy loads, then the window (numutil.finite_window)."""
     import numbers
     if not (isinstance(n_points, numbers.Integral) and n_points >= 1):
         raise DomainError(f"n_points = {n_points!r} must be an integer >= 1")
     e = entry(entry_id)
     p = e.merged(params)
     e.check_params(p)
-    win = tuple(window) if window is not None else e.window_for(p)
     from .closed_forms import residuals
+    from .numutil import finite_window
+    win = finite_window(window) if window is not None else e.window_for(p)
     times, res = residuals(e, p, win, n_points)
     return EntryReport(entry_id, p, win, times, res, float(res.max()), e.flagged)
 

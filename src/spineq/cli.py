@@ -12,6 +12,8 @@ Python numbers, and then imports the modules it runs, so an invocation
 loads only what its subcommand needs.  numpy loads only where something is
 computed: ``catalog list`` and ``catalog show`` (the catalog's table) and
 every argument or field document these checks reject exit without it.
+Every CSV table, and propagate's JSON values, is numutil.write_csv's text;
+every ``--out`` file is opened by ``_output``.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import contextlib
+import io
 import json
 import math
 import os
@@ -44,14 +47,6 @@ MAX_NODES = 10**6
 
 def _fmt(x: float) -> str:
     return E16 % x
-
-
-def csv_rows(columns):
-    """numutil.csv_rows, imported on first call.  The subcommands call it
-    by this module's name, so replacing it here changes what all of them
-    write."""
-    from . import numutil
-    return numutil.csv_rows(columns)
 
 
 def _json_dump(doc, fh):
@@ -138,20 +133,14 @@ def _check_window(window) -> tuple[float, float]:
 
 
 @contextlib.contextmanager
-def _output(args):
-    """The file --out names, open for writing and closed on exit, or stdout."""
+def _output(args, suffix=""):
+    """The file --out names, with suffix appended, open for writing and
+    closed on exit, or stdout."""
     if not args.out:
         yield sys.stdout
         return
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with open(args.out + suffix, "w", encoding="utf-8") as fh:
         yield fh
-
-
-def _write_field_csv(fh, times, samples):
-    fh.write("t,re_F1,im_F1,re_F2,im_F2,re_F3,im_F3\n")
-    fh.writelines(csv_rows([times, samples[:, 0].real, samples[:, 0].imag,
-                            samples[:, 1].real, samples[:, 1].imag,
-                            samples[:, 2].real, samples[:, 2].imag]))
 
 
 def _propagation_inputs(args):
@@ -169,17 +158,19 @@ def _propagation_inputs(args):
 
 def _cmd_propagate(args) -> int:
     spec, v0, window, tol = _propagation_inputs(args)
+    from . import numutil
     from .dynamics import propagate
     traj = propagate(spec, v0, window, tol=tol, n_nodes=args.nodes)
     with _output(args) as fh:
         if args.format == "csv":
             traj.to_csv(fh)
         else:
-            v = traj.states.ravel()
+            table = io.StringIO()
+            numutil.write_csv(table, "t,re_v1,im_v1,re_v2,im_v2", [traj.times, *traj.states.T])
+            rows = [line.split(",") for line in table.getvalue().split()[1:]]
             doc = {
-                "times": "".join(csv_rows([traj.times])).split(),
-                "states": [pair.split(",") for pair in
-                           "".join(csv_rows([v.real, v.imag])).split()],
+                "times": [row[0] for row in rows],
+                "states": [pair for row in rows for pair in (row[1:3], row[3:])],
                 "est_error": _fmt(traj.est_error),
             }
             _json_dump(doc, fh)
@@ -194,10 +185,10 @@ def _verify_one(entry_id, params, window, n_points, tol):
     return {
         "entry": entry_id,
         "label": e.label,
-        "window": [rep.window[0], rep.window[1]],
+        "window": [_fmt(rep.window[0]), _fmt(rep.window[1])],
         "n_points": n_points,
-        "max_residual": rep.max_residual,
-        "tolerance": tol,
+        "max_residual": _fmt(rep.max_residual),
+        "tolerance": _fmt(tol),
         "passed": bool(rep.max_residual <= tol),
         "flagged": e.flagged,
     }
@@ -214,12 +205,12 @@ def _cmd_verify(args) -> int:
                    for i in range(1, catalog.N_ENTRIES + 1)]
         with _output(args) as fh:
             if args.format == "json":
-                _json_dump({"reports": _round_reports(reports)}, fh)
+                _json_dump({"reports": reports}, fh)
             else:
                 fh.write(f"{'entry':>5} {'max residual':>16} {'status':>8}  label\n")
                 for r in reports:
                     status = "flagged" if r["flagged"] else ("pass" if r["passed"] else "FAIL")
-                    fh.write(f"{r['entry']:>5} {_fmt(r['max_residual']):>16} "
+                    fh.write(f"{r['entry']:>5} {r['max_residual']:>16} "
                              f"{status:>8}  {r['label']}\n")
         bad = [r for r in reports if not r["passed"] and not r["flagged"]]
         return EXIT_NUMERICAL if bad else EXIT_OK
@@ -227,19 +218,8 @@ def _cmd_verify(args) -> int:
         raise _Validation("verify needs --entry <id> or --all")
     report = _verify_one(args.entry, params, window, args.points, tol)
     with _output(args) as fh:
-        _json_dump(_round_reports([report])[0], fh)
+        _json_dump(report, fh)
     return EXIT_OK if (report["passed"] or report["flagged"]) else EXIT_NUMERICAL
-
-
-def _round_reports(reports):
-    out = []
-    for r in reports:
-        r = dict(r)
-        r["max_residual"] = _fmt(r["max_residual"])
-        r["tolerance"] = _fmt(r["tolerance"])
-        r["window"] = [_fmt(x) for x in r["window"]]
-        out.append(r)
-    return out
 
 
 def _cmd_invert(args) -> int:
@@ -294,11 +274,8 @@ def _cmd_darboux(args) -> int:
         "eps": [complex(eps).real, complex(eps).imag],
         "window": [window[0], window[1]],
     }
-    if args.out:
-        with open(args.out + ".json", "w", encoding="utf-8") as jh:
-            _json_dump(descr, jh)
-    else:
-        _json_dump(descr, sys.stdout)
+    with _output(args, ".json") as fh:
+        _json_dump(descr, fh)
     return EXIT_OK
 
 
@@ -342,13 +319,12 @@ def _cmd_bloch(args) -> int:
     check_poles(spec, window)
     import numpy as np
 
+    from . import numutil
     from .dynamics import BlochState, bloch_propagate
     path = bloch_propagate(spec, BlochState(np.array(n0), 0.0, 1.0), window, tol=tol,
                            n_nodes=args.nodes)
     with _output(args) as fh:
-        fh.write("t,n1,n2,n3,alpha,N\n")
-        fh.writelines(csv_rows([path.times, path.n[:, 0], path.n[:, 1], path.n[:, 2],
-                                path.alpha, path.N]))
+        numutil.write_csv(fh, "t,n1,n2,n3,alpha,N", [path.times, *path.n.T, path.alpha, path.N])
     return EXIT_OK
 
 
@@ -367,6 +343,7 @@ def _cmd_reduce(args) -> int:
         raise _Validation("transform axis must be nonzero")
     import numpy as np
 
+    from . import numutil
     from .fields import field_callable
     from .reductions import ReductionPlan, reduce_field
     plan = ReductionPlan.make(np.array(l, dtype=complex), alpha_fn, adot_fn)
@@ -376,7 +353,7 @@ def _cmd_reduce(args) -> int:
     # the error raised
     samples = np.array([reduce_field(field, plan, t).as_array() for t in times])
     with _output(args) as fh:
-        _write_field_csv(fh, times, samples)
+        numutil.write_csv(fh, "t,re_F1,im_F1,re_F2,im_F2,re_F3,im_F3", [times, *samples.T])
     return EXIT_OK
 
 

@@ -21,8 +21,8 @@ import numpy as np
 from ._numbers import record
 from .errors import AccuracyError, DomainError
 from .fields import FieldSpec, bind_field, check_poles, field_callable
-from .numutil import (central_difference, csv_rows, default_step, dop853, fd_derivative,
-                      gauss_kronrod, real_number, solve_window, stencil_nodes)
+from .numutil import (central_difference, default_step, dop853, fd_derivative, gauss_kronrod,
+                      real_number, solve_window, stencil_nodes, write_csv)
 from .spinors import CVec3, ID2, Spinor, eigenpairs, real_quotient, sigma_dot, sigma_exp
 
 __all__ = [
@@ -68,12 +68,10 @@ class Trajectory:
             return np.sum(np.abs(self.states) ** 2, axis=1)
 
     def to_csv(self, fh) -> None:
-        fh.write(CSV_HEADER + "\n")
-        v, f = self.states, self.field_samples
-        fh.writelines(csv_rows([self.times, v[:, 0].real, v[:, 0].imag,
-                                v[:, 1].real, v[:, 1].imag,
-                                f[:, 0].real, f[:, 0].imag, f[:, 1].real, f[:, 1].imag,
-                                f[:, 2].real, f[:, 2].imag, self.norms()]))
+        """The rows under CSV_HEADER (numutil.write_csv): each state and field
+        component's real and imaginary parts, 0.0 for a real one, then (V,V)."""
+        write_csv(fh, CSV_HEADER, [self.times, *self.states.T, *self.field_samples.T,
+                                   self.norms()])
 
 
 @record
@@ -182,34 +180,43 @@ def _check_uniform(times):
     return times, float(dt[0])
 
 
-def field_from_q(times, q, F1: FieldSpec | None = None, unit: bool = False) -> np.ndarray:
-    """External field generated by a transformation-vector path q(t).
-
-    q is sampled on a uniform grid, shape (n, 3) complex; derivatives are
-    4th-order finite differences.  unit=False uses the generic branch
-    (q^2 != -1); unit=True requires q^2 = 1 to 1e-10.  F1 is the source
-    field spec (None means zero).
-    """
+def _q_path(times, q, unit):
+    """(times, step, q as complex, q.q) of a uniform grid and a path q of shape
+    (n, 3), q^2 finite, and q^2 = 1 to 1e-10 (unit) or q^2 != -1 at every node."""
     times, h = _check_uniform(times)
     q = np.asarray(q, dtype=complex)
     if q.shape != (len(times), 3):
         raise DomainError("q must have shape (n_times, 3)")
-    q2 = np.sum(q * q, axis=1)
+    with np.errstate(all="ignore"):  # a q^2 that is not finite is refused here
+        q2 = np.sum(q * q, axis=1)
+    finite = np.isfinite(q2)
+    if not finite.all():
+        raise DomainError(f"q is not finite, or q^2 overflows, at t = {times[np.argmin(finite)]}")
+    if unit and not np.max(np.abs(q2 - 1.0)) <= 1e-10:
+        raise DomainError("unit branch requires q^2 = 1 to 1e-10 along the path")
+    bad = ~(np.abs(1.0 + q2) >= 1e-12)
+    if not unit and bad.any():
+        raise DomainError(f"q^2 = -1 encountered at t = {times[np.argmax(bad)]}; branch undefined")
+    return times, h, q, q2
+
+
+def field_from_q(times, q, F1: FieldSpec | None = None, unit: bool = False) -> np.ndarray:
+    """External field generated by a transformation-vector path q(t).
+
+    q is sampled on a uniform grid, shape (n, 3) complex and finite; derivatives
+    are 4th-order finite differences.  unit=False uses the generic branch
+    (q^2 != -1), unit=True requires q^2 = 1 to 1e-10, at every node (_q_path).
+    F1 is the source field spec (None means zero).
+    """
+    times, h, q, q2 = _q_path(times, q, unit)
     qd = fd_derivative(q, h)
     if F1 is None:
         f1 = np.zeros_like(q)
     else:
         f1 = field_callable(F1)(times)
-    if unit:
-        if np.max(np.abs(q2 - 1.0)) > 1e-10:
-            raise DomainError("unit branch requires q^2 = 1 to 1e-10 along the path")
-        qf1 = np.sum(q * f1, axis=1)
-        return np.cross(q, qd) + 2.0 * q * qf1[:, None] - f1
-    bad = np.abs(1.0 + q2) < 1e-12
-    if np.any(bad):
-        t_bad = times[np.argmax(bad)]
-        raise DomainError(f"q^2 = -1 encountered at t = {t_bad}; branch undefined")
     qf1 = np.sum(q * f1, axis=1)
+    if unit:
+        return np.cross(q, qd) + 2.0 * q * qf1[:, None] - f1
     num = qd + np.cross(q, qd) + 2.0 * np.cross(q, f1) + 2.0 * q * qf1[:, None] \
         - 2.0 * q2[:, None] * f1
     return num / (1.0 + q2)[:, None] + f1
@@ -219,28 +226,18 @@ def evolution_from_q(times, q, *, unit: bool = False) -> np.ndarray:
     """Evolution-operator path R(t) built algebraically from q(t), R(t0) = I
     at the first node, q0 = q(t0).
 
-    Solves the SE whose field is field_from_q(times, q, F1=None, unit=unit).
-    Returns an (n, 2, 2) complex array.
+    Solves the SE whose field is field_from_q(times, q, unit=unit), on a path
+    checked the same way (_q_path).  Returns an (n, 2, 2) complex array.
     """
-    times, _ = _check_uniform(times)
-    q = np.asarray(q, dtype=complex)
-    if q.shape != (len(times), 3):
-        raise DomainError("q must have shape (n_times, 3)")
+    times, _, q, _ = _q_path(times, q, unit)
     q0 = q[0]
     # sigma.q at every node, contiguous: stacked 2x2 products then give the
     # bits of the node-by-node ones
     S = sigma_dot(q.T).transpose(2, 0, 1).copy()
     if unit:
-        if abs(q0 @ q0 - 1.0) > 1e-10:
-            raise DomainError("unit branch requires q0^2 = 1")
         return np.matmul(S, sigma_dot(q0))
     q02 = q0 @ q0
-    if abs(1.0 + q02) < 1e-12:
-        raise DomainError("q0^2 = -1; branch undefined")
     q2 = np.matmul(q[:, None, :], q[:, :, None])[:, 0, 0]  # each q_i @ q_i, on its dot kernel
-    bad = np.abs(1.0 + q2) < 1e-12
-    if bad.any():
-        raise DomainError(f"q^2 = -1 encountered at t = {times[np.argmax(bad)]}")
     # numpy's scalar complex product: its array loop may fuse a multiply and an add
     denom = np.array([cmath.sqrt((1.0 + x) * (1.0 + q02)) for x in q2])
     return np.matmul(ID2 - 1j * S, ID2 + 1j * sigma_dot(q0)) / denom[:, None, None]
@@ -397,8 +394,9 @@ def hamiltonian_check(f_fn, g_fn, q0: float, p0: float, window,
     angle_mismatch = float(max(np.max(np.abs(q - np.cos(theta))), np.max(np.abs(p + Phi))))
 
     # residual of the second-order theta equation on the cos(Phi) >= 0 branch
-    h = times[1] - times[0] if len(times) > 1 else 1.0
+    theta_eq_residual = float("nan")
     if len(times) >= 5:
+        h = times[1] - times[0]
         thd = fd_derivative(theta, h)
         thdd = fd_derivative(thd, h)
         gd = fd_derivative(g_vals, h)
@@ -409,10 +407,6 @@ def hamiltonian_check(f_fn, g_fn, q0: float, p0: float, window,
             res = (thdd - gd / g_vals * thd + 2.0 * f_vals * np.sqrt(np.abs(rad))
                    - rad * np.cos(theta) / np.sin(theta))
             theta_eq_residual = float(np.max(np.abs(res[mask])))
-        else:
-            theta_eq_residual = float("nan")
-    else:
-        theta_eq_residual = float("nan")
     return HamiltonianReport(times, q, p, H, theta, Phi, angle_mismatch,
                              theta_eq_residual, truncated, float(times[-1]))
 

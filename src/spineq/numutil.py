@@ -1,5 +1,6 @@
 """The central difference and its step, stencils, quadrature, the
-grid-or-replay rule, the one DOP853 driver and the one float formatter."""
+grid-or-replay rule, the one DOP853 driver, the one float formatter and the
+one CSV writer."""
 
 import cmath
 import functools
@@ -16,6 +17,7 @@ __all__ = [
     "E16_MARGIN",
     "CSV_BLOCK_ROWS",
     "csv_rows",
+    "write_csv",
     "dop853",
     "finite_window",
     "solve_window",
@@ -169,6 +171,16 @@ def csv_rows(columns):
     ``E16 % v`` writes it."""
     for i in range(0, len(columns[0]), CSV_BLOCK_ROWS):
         yield _e16_block(np.column_stack([c[i:i + CSV_BLOCK_ROWS] for c in columns]))[0]
+
+
+def write_csv(fh, header, columns):
+    """Write the header line, then the csv_rows of columns, one for each name
+    of header but the im_ ones.  The one place that writes a column under re_X
+    as its real part, then its imaginary part under im_X (0.0 if it is real)."""
+    fh.write(header + "\n")
+    names = [name for name in header.split(",") if not name.startswith("im_")]
+    fh.writelines(csv_rows([part for name, c in zip(names, columns)
+                            for part in ((c.real, c.imag) if name.startswith("re_") else (c,))]))
 
 
 def grid_or_replay(grid, node, times, ok=np.isfinite):

@@ -417,6 +417,39 @@ class TestSolutionTimes:
         assert not isinstance(info.value, SpinEqError)
 
 
+class TestVerifyWindow:
+    """verify_entry checks a window given to it with numutil.finite_window,
+    after the entry and its parameters: a window past the double range is
+    the window's error, with nothing written on stderr."""
+
+    @pytest.mark.parametrize("window, message", [
+        ((-1e308, 1e308), "window [-1e+308, 1e+308] is longer than the double range"),
+        ((0.2, math.inf), "window [0.2, inf] is not finite"),
+        ((math.nan, 1.0), "window [nan, 1.0] is not finite"),
+    ], ids=["too-long", "inf", "nan"])
+    def test_bad_window_is_its_own_error(self, capfd, window, message):
+        # each read "entry 1 solution: t = nan is not finite", two of them
+        # after numpy's overflow or invalid-value warning
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DomainError, match=re.escape(message)):
+                catalog.verify_entry(1, window=window, n_points=5)
+        assert caught == [] and capfd.readouterr() == ("", "")
+
+    def test_entry_and_parameters_are_checked_first(self):
+        with pytest.raises(DomainError, match="catalog entry id"):
+            catalog.verify_entry(27, window=(0.2, math.inf))
+        with pytest.raises(DomainError, match="parameters not finite"):
+            catalog.verify_entry(1, {"a": math.nan}, window=(0.2, math.inf))
+
+    def test_reversed_window_keeps_its_bits(self):
+        e = catalog.entry(1)
+        rep = catalog.verify_entry(1, window=(1.0, 0.2), n_points=7)
+        times, res = closed_forms.residuals(e, e.merged(None), (1.0, 0.2), 7)
+        assert rep.window == (1.0, 0.2)
+        assert rep.residuals.tobytes() == res.tobytes()
+
+
 class TestSecondSolution:
     @pytest.mark.parametrize("eid", range(1, 27))
     def test_general_solution_is_independent(self, eid):

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spineq
-from spineq import catalog, cli, dynamics
+from spineq import catalog, dynamics, numutil
 from spineq.cli import MAX_NODES, _fmt, _verify_one, run
 from spineq.dynamics import CSV_HEADER
 
@@ -269,7 +269,7 @@ class TestVerify:
         rows = [_verify_one(i, {}, None, 50, 1e-6)
                 for i in range(1, catalog.N_ENTRIES + 1)]
         want = f"{'entry':>5} {'max residual':>16} {'status':>8}  label\n" + "".join(
-            f"{r['entry']:>5} {_fmt(r['max_residual']):>16} "
+            f"{r['entry']:>5} {r['max_residual']:>16} "
             f"{'flagged' if r['flagged'] else 'pass' if r['passed'] else 'FAIL':>8}"
             f"  {r['label']}\n" for r in rows)
         assert capsys.readouterr().out == want
@@ -307,6 +307,20 @@ class TestDarboux:
         descr = json.loads((tmp_path / "pair.csv.json").read_text())
         assert descr["f"] == [0.5, 0.0]
         assert descr["R"] == [1.0, 0.0]
+
+    def test_out_files_hold_the_stdout_text(self, tmp_path, capsys):
+        # the CSV goes to --out and the descriptor to --out + ".json", byte
+        # for byte what stdout shows one after the other
+        argv = ["darboux", "--params", "f=0.5;R=1;phi0=0.1;eps=0.3", "--window", "0", "2",
+                "--nodes", "41"]
+        assert run(argv) == 0
+        stdout = capsys.readouterr().out
+        out = tmp_path / "pair.csv"
+        assert run(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        csv_text = out.read_bytes().decode()
+        assert csv_text.count("\n") == 42
+        assert csv_text + (tmp_path / "pair.csv.json").read_bytes().decode() == stdout
 
     def test_missing_params(self, capsys):
         assert run(["darboux", "--params", "f=0.5", "--window", "0", "1"]) == 2
@@ -419,6 +433,43 @@ class TestBlochReduce:
         assert p.stderr == f"ERROR 2: reduced field at t = 0.0 (alpha = {shown}) is not finite\n"
 
 
+class TestCsvFieldCounts:
+    """Every CSV row has as many fields as its header names."""
+
+    @pytest.mark.parametrize("argv, width", [
+        (["propagate", "--field", "{expr}", "--v0", "1,0,0.3,0.2"], 12),
+        (["invert", "--field", "{expr}", "--v0", "1,0,0.3,0.2"], 12),
+        (["darboux", "--params", "f=0.5;R=1"], 12),
+        (["reduce", "--field", "{expr}", "--l", "1,0,0", "--alpha", "sin(t)"], 7),
+        (["bloch", "--field", "{expr}", "--n0", "1,0,0"], 6),
+    ], ids=["propagate", "invert", "darboux", "reduce", "bloch"])
+    def test_rows_as_wide_as_the_header(self, expr_field, tmp_path, argv, width):
+        out = tmp_path / "table.csv"
+        argv = [arg.format(expr=expr_field) for arg in argv]
+        assert run(argv + ["--window", "0", "1", "--nodes", "300", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert len(lines) == 301
+        assert {line.count(",") + 1 for line in lines} == {width}
+
+    def test_real_trajectory_writes_zero_imaginary_parts(self):
+        # a real state or field is still written as 12 columns, each
+        # imaginary part 0.0
+        times = np.linspace(0.0, 1.0, 300)
+        states = np.stack([np.cos(times), np.sin(times)], axis=1)
+        field = np.tile([0.0, 0.0, 0.5], (300, 1))
+        buf = io.StringIO()
+        dynamics.Trajectory(times, states, field, 0.0).to_csv(buf)
+        lines = buf.getvalue().splitlines()
+        assert lines[0] == CSV_HEADER and len(lines) == 301
+        rows = [line.split(",") for line in lines[1:]]
+        assert {len(row) for row in rows} == {12}
+        zero = _fmt(0.0)
+        assert all(row[k] == zero for row in rows for k in (2, 4, 6, 8, 10))
+        want = [[_fmt(x) for x in (t, v1, v2, 0.0, 0.0, 0.5, v1 * v1 + v2 * v2)]
+                for t, (v1, v2) in zip(times, states)]
+        assert [[row[k] for k in (0, 1, 3, 5, 7, 9, 11)] for row in rows] == want
+
+
 def _per_value_rows(columns):
     """The per-value row loop the CLI wrote its floats with before the
     vectorised formatter."""
@@ -458,8 +509,7 @@ class TestFloatText:
         argv = [arg.format(expr=expr_field, grow=str(grow)) for arg in argv]
         assert run(argv) == 0
         got = capsys.readouterr().out
-        monkeypatch.setattr(cli, "csv_rows", _per_value_rows)
-        monkeypatch.setattr(dynamics, "csv_rows", _per_value_rows)
+        monkeypatch.setattr(numutil, "csv_rows", _per_value_rows)
         assert run(argv) == 0
         want = capsys.readouterr().out
         assert got.splitlines() == want.splitlines() and got == want

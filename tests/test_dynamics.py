@@ -467,6 +467,60 @@ class TestEvolutionFromQ:
         assert np.max(np.abs(dets - dets[0])) <= 1e-10
 
 
+class TestQPathChecks:
+    """field_from_q and evolution_from_q check one path the same way: at
+    every node, on its branch and finite."""
+
+    @pytest.mark.parametrize("fn", [field_from_q, evolution_from_q])
+    def test_unit_branch_needs_a_unit_path(self, fn):
+        # evolution_from_q checked q0 alone, and returned R(1) with det 1.25
+        times = np.linspace(0.0, 1.0, 11)
+        q = np.stack([0.5 * times, 0 * times, 1 + 0 * times], axis=1)
+        with pytest.raises(DomainError, match=re.escape(
+                "unit branch requires q^2 = 1 to 1e-10 along the path")):
+            fn(times, q, unit=True)
+
+    @pytest.mark.parametrize("unit", [False, True])
+    @pytest.mark.parametrize("fn", [field_from_q, evolution_from_q])
+    @pytest.mark.parametrize("node, part", [(0, 0), (4, 1), (10, 2)])
+    def test_a_nan_names_its_node(self, fn, unit, node, part):
+        # both returned non-finite arrays, the generic branch with numpy's
+        # "invalid value" warning
+        times = np.linspace(0.0, 1.0, 11)
+        q = np.zeros((11, 3), dtype=complex)
+        q[:, 2] = 1.0
+        q[node, part] = complex(0.0, math.nan) if part == 1 else math.nan
+        q[7, 0] = math.inf
+        q[8, 1] = 1e160  # finite, but its square overflows
+        first = min(node, 7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=re.escape(
+                    f"q is not finite, or q^2 overflows, at t = {times[first]}")):
+                fn(times, q, unit=unit)
+
+    @pytest.mark.parametrize("unit", [False, True])
+    @pytest.mark.parametrize("fn", [field_from_q, evolution_from_q])
+    def test_a_square_past_the_double_range_names_its_node(self, fn, unit):
+        # both returned non-finite arrays, with numpy's overflow warnings
+        times = np.linspace(0.0, 1.0, 11)
+        q = np.zeros((11, 3), dtype=complex)
+        q[:, 0] = 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=re.escape(
+                    "q is not finite, or q^2 overflows, at t = 0.0")):
+                fn(times, q, unit=unit)
+
+    def test_evolution_names_t0_for_q0(self):
+        times = np.linspace(0.0, 1.0, 11)
+        q = np.full((11, 3), 0.2 + 0.1j)
+        q[0] = (1j, 0.0, 0.0)
+        with pytest.raises(DomainError, match=re.escape(
+                "q^2 = -1 encountered at t = 0.0; branch undefined")):
+            evolution_from_q(times, q)
+
+
 def _evolution_by_node(times, q, unit):
     """evolution_from_q node by node, one 2x2 product per node: the
     reference for the batched products' bits."""

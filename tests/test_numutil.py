@@ -168,6 +168,22 @@ class TestFormatter:
         assert "".join(blocks).splitlines() == _reference(columns)
         assert list(csv_rows([np.empty(0)])) == []
 
+    def test_write_csv_splits_the_columns_under_re_names(self):
+        # a column under re_X is written as its real part, then its
+        # imaginary part under im_X (0.0 for a real array); any other
+        # column as it is
+        n = numutil.CSV_BLOCK_ROWS + 5
+        t = np.linspace(0.0, 1.0, n)
+        z = np.exp(1j * t) * 1e-3
+        buf = io.StringIO()
+        numutil.write_csv(buf, "t,re_z,im_z,re_x,im_x,y", [t, z, t * 2, t + 1])
+        lines = buf.getvalue().splitlines()
+        assert lines[0] == "t,re_z,im_z,re_x,im_x,y"
+        assert lines[1:] == _reference([t, z.real, z.imag, t * 2, np.zeros(n), t + 1])
+        buf = io.StringIO()
+        numutil.write_csv(buf, "t", [np.empty(0)])
+        assert buf.getvalue() == "t\n"
+
 
 class _NullWriter:
     def write(self, text):
