@@ -23,7 +23,7 @@ from .errors import AccuracyError, DomainError
 from .fields import FieldSpec, bind_field, check_poles, field_callable
 from .numutil import (central_difference, default_step, dop853, fd_derivative, gauss_kronrod,
                       real_number, solve_window, stencil_nodes, write_csv)
-from .spinors import CVec3, ID2, Spinor, eigenpairs, real_quotient, sigma_dot, sigma_exp
+from .spinors import ID2, complex_vector, eigenpairs, real_quotient, sigma_dot, sigma_exp
 
 __all__ = [
     "Trajectory",
@@ -136,7 +136,7 @@ def propagate(spec: FieldSpec, V0, window, tol: float = 1e-10,
     V0 may be a Spinor or a length-2 complex sequence.  The returned grid
     is n_nodes uniform nodes.
     """
-    y0 = V0.as_array() if isinstance(V0, Spinor) else np.asarray(V0, dtype=complex)
+    y0 = complex_vector(V0)
     if not np.isfinite(y0).all():
         raise DomainError(f"initial state V0 = {y0} is not finite")
     window, _, rhs, t_eval, fsamp = _sampled_field(spec, window, tol, n_nodes)
@@ -148,7 +148,7 @@ def constant_field_propagator(F, t: float) -> Mat2:
     """exp(-i t sigma.F) for a constant field F (spinors.sigma_exp, with
     k^2 = F.F).  A non-finite F or t, or a propagator past the double range
     (|Im k t| above about 710), raises DomainError."""
-    Fv = F.as_array() if isinstance(F, CVec3) else np.asarray(F, dtype=complex)
+    Fv = complex_vector(F)
     if not (np.isfinite(Fv).all() and cmath.isfinite(t)):
         raise DomainError(f"propagator of F = {Fv} over t = {t}: not finite")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -165,8 +165,7 @@ def constant_field_propagator(F, t: float) -> Mat2:
 
 def stationary_solutions(F):
     """Pairs (lambda, V) with V(t) = exp(-i lambda t) V solving the constant-F SE."""
-    Fv = F if isinstance(F, CVec3) else CVec3.from_array(np.asarray(F, dtype=complex))
-    return [(pair.lam, pair.vector) for pair in eigenpairs(Fv)]
+    return [(pair.lam, pair.vector) for pair in eigenpairs(F)]
 
 
 def _check_uniform(times):

@@ -141,7 +141,8 @@ def _tokenize(text: str) -> list[_Token]:
                     j += 1
             lit = text[i:j]
             try:
-                float(lit)
+                if not math.isfinite(float(lit)):  # past the double range
+                    raise ValueError
             except ValueError:
                 raise FieldParseError(f"bad number literal '{lit}'", line, col)
             kind = "IMAG" if j < n and text[j] == "i" else "NUM"

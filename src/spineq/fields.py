@@ -29,6 +29,7 @@ rejects is rejected before either loads.  Evaluation imports them.
 
 from __future__ import annotations
 
+import cmath
 import json
 from typing import TYPE_CHECKING
 
@@ -179,9 +180,8 @@ def check_poles(spec: FieldSpec, window) -> None:
 
 def split_kg(F: CVec3):
     """Real and imaginary parts K, G of the field, K + iG = F exactly."""
-    import numpy as np
-    from .spinors import CVec3
-    a = F.as_array() if isinstance(F, CVec3) else np.asarray(F, dtype=complex)
+    from .spinors import complex_vector
+    a = complex_vector(F)
     return a.real.copy(), a.imag.copy()
 
 
@@ -190,14 +190,16 @@ def _is_number(v) -> bool:
 
 
 def _complex_from_pair(v):
+    pair = isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_number, v))
+    if not (pair or _is_number(v)):
+        raise FieldParseError(f"bad complex value {v!r}; expected number or [re, im]")
     try:
-        if _is_number(v):
-            return complex(v)
-        if isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_number, v)):
-            return complex(v[0], v[1])
+        z = complex(*v) if pair else complex(v)
     except OverflowError:  # an integer past the double range, too long to echo
         raise FieldParseError("a complex value's integer is past the double range") from None
-    raise FieldParseError(f"bad complex value {v!r}; expected number or [re, im]")
+    if not cmath.isfinite(z):
+        raise FieldParseError(f"complex value {v!r} is not finite")
+    return z
 
 
 def _pair(z: complex):

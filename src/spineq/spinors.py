@@ -116,6 +116,11 @@ class CVec3:
         return CVec3(-self.x, -self.y, -self.z)
 
 
+def complex_vector(v) -> np.ndarray:
+    """The components of a Spinor or CVec3, or of any sequence, as a complex ndarray."""
+    return v.as_array() if isinstance(v, (Spinor, CVec3)) else np.asarray(v, dtype=complex)
+
+
 @record
 class AngleRep:
     """Polar form of a spinor: overall amplitude N, total phase alpha and
@@ -142,9 +147,7 @@ def real_quotient(a, s: float) -> np.ndarray:
 
 def sigma_dot(p) -> np.ndarray:
     """The 2x2 matrix sigma . p for a complex 3-vector p."""
-    if isinstance(p, CVec3):
-        p = p.as_array()
-    p = np.asarray(p, dtype=complex)
+    p = complex_vector(p)
     return np.array(
         [[p[2], p[0] - 1j * p[1]], [p[0] + 1j * p[1], -p[2]]], dtype=complex
     )
@@ -276,10 +279,7 @@ def eigenpairs(a) -> list[EigenPair]:
     branch); for a^2 = 0, a != 0 the single lambda = 0 null mode; for a = 0
     both basis spinors flagged degenerate.
     """
-    if isinstance(a, CVec3):
-        av = a.as_array()
-    else:
-        av = np.asarray(a, dtype=complex)
+    av = complex_vector(a)
     a1, a2, a3 = av
     scale = float(np.max(np.abs(av)))
     if scale == 0.0:
@@ -292,8 +292,11 @@ def eigenpairs(a) -> list[EigenPair]:
     if not 1e-150 < scale < 1e150:
         # the squares below would overflow or underflow: sigma . (a / scale)
         # has the eigenvectors of sigma . a and its eigenvalues over scale
-        return [EigenPair(p.lam * scale, p.vector, p.degenerate)
-                for p in eigenpairs(real_quotient(av, scale))]
+        pairs = [EigenPair(p.lam * scale, p.vector, p.degenerate)
+                 for p in eigenpairs(real_quotient(av, scale))]
+        if not all(cmath.isfinite(p.lam) for p in pairs):
+            raise DomainError(f"eigenvalues of sigma . a: a = {av} are past the double range")
+        return pairs
     asq = a1 * a1 + a2 * a2 + a3 * a3
     if abs(asq) <= 1e-14 * scale * scale:
         cand = [np.array([1j * a2 - a1, a3]), np.array([a3, a1 + 1j * a2])]

@@ -18,7 +18,7 @@ from spineq import catalog, dynamics, numutil
 from spineq.cli import MAX_NODES, _fmt, _verify_one, run
 from spineq.dynamics import CSV_HEADER
 
-from conftest import run_cli_refusing
+from conftest import assert_rel, run_cli_refusing
 
 SRC = str(Path(spineq.__file__).resolve().parent.parent)
 # a rejected input must be reported quickly: interpreter start and import
@@ -418,6 +418,23 @@ class TestBlochReduce:
         assert rc == 3
         assert capsys.readouterr().err == "ERROR 3: '/' overflow/pole at t = 0.25\n"
 
+    @pytest.mark.parametrize("l", ["1e-200,0,1e-200", "1e160,0,1e160", "1e-300,0,1e-300",
+                                   "1e300,0,1e300", "5e-324,0,5e-324"])
+    def test_reduce_axis_scale_drops_out(self, tmp_path, capsys, l):
+        # l.l once underflowed to a null axis (the field came back untransformed)
+        # or overflowed to a zero axis, at exit 0
+        (tmp_path / "f.json").write_text(
+            json.dumps({"kind": "const", "defs": [[0.5, 0], [0.1, 0], [0.2, 0]]}))
+        rows = {}
+        for axis in ("1,0,1", l):
+            assert run(["reduce", "--field", str(tmp_path / "f.json"), "--l", axis,
+                        "--alpha", "0.3*t", "--window", "0", "0.7", "--nodes", "8"]) == 0
+            out, err = capsys.readouterr()
+            assert err == ""
+            rows[axis] = np.array([[float(x) for x in ln.split(",")]
+                                   for ln in out.splitlines()[1:]])
+        assert_rel(rows[l], rows["1,0,1"], 1e-15)
+
     @pytest.mark.parametrize("F, alpha, shown", [((1, 0, 1), "400*i", "400j"),
                                                  ((10, 0, 1), "355*i", "355j")])
     def test_reduced_field_past_double_range_is_one_error_line(self, tmp_path, F, alpha,
@@ -685,6 +702,26 @@ class TestBoundaryDefects:
         p = _python(["-m", "spineq.cli", *argv], files, timeout=FAST_TIMEOUT_S)
         assert p.returncode == 2, p.stderr
         assert p.stderr.startswith("ERROR 2:")
+
+    # a value past the double range or not finite, in params, const defs or
+    # DSL text, was once read as inf and failed as a pole at the first node
+    NON_FINITE = {
+        "param-1e400": ('{"kind": "expr", "defs": "F1 = a*t; F3 = 1", "params": {"a": [1e400, 0]}}',
+                        "ERROR 2: complex value [inf, 0] is not finite\n"),
+        "const-infinity": ('{"kind": "const", "defs": [[Infinity, 0], [0, 0], [1, 0]]}',
+                           "ERROR 2: complex value [inf, 0] is not finite\n"),
+        "literal-1e999": ('{"kind": "expr", "defs": "F1 = 1e999*t; F3 = 1"}',
+                          "ERROR 2: bad number literal '1e999' (line 1, col 6)\n"),
+    }
+
+    @pytest.mark.parametrize("name", list(NON_FINITE))
+    def test_non_finite_document_exits_2_without_numpy(self, tmp_path, name):
+        text, stderr = self.NON_FINITE[name]
+        (tmp_path / "doc.json").write_text(text)
+        p = run_cli_refusing("numpy", ["propagate", "--field", "doc.json", "--v0", "1,0",
+                                       "--window", "0.2", "1"], tmp_path)
+        assert (p.returncode, p.stdout, p.stderr) == (2, "", stderr)
+        assert p.refused == []
 
     @pytest.mark.parametrize("argv", [
         ["propagate", "--field", "{dir}", "--v0", "1,0", "--window", "0", "1"],

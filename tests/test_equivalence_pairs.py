@@ -20,11 +20,17 @@ Each of the 26 entries at its defaults on its default window, times three
 axes: a real one, a complex non-null one (normalized by ReductionPlan.make
 to l^2 = 1) and the null axis (1, i, 0).  The bounds are bounds, not bits:
 each is derived below from tol and the node spacing h.
+
+The paper's other exact maps close the module: the five discrete sigma
+maps, each entry's field taken to its partner field, and a time
+reparametrization of each entry.
 """
 
 import cmath
 import functools
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -33,9 +39,11 @@ from spineq import catalog
 from spineq.cli import run
 from spineq.dynamics import propagate
 from spineq.expr import print_expr
-from spineq.fields import load_field_json
-from spineq.reductions import ReductionPlan, transform_matrix
+from spineq.fields import CatalogField, field_callable, load_field_json
+from spineq.reductions import (ReductionPlan, SigmaMap, reparametrize_time, sigma_map,
+                               sigma_map_field, transform_matrix)
 from spineq.solutions import gauge_from_field, invert_field
+from spineq.spinors import Spinor
 
 TOL = 1e-10
 NODES = 401
@@ -77,6 +85,13 @@ def _source(eid):
     return window, times, states
 
 
+def _document(e, text, **extra):
+    """An expr document of the DSL text, with entry e's defaults and extra as params."""
+    params = dict(e.merged(None), **extra)
+    return {"kind": "expr", "defs": text,
+            "params": {k: [complex(v).real, complex(v).imag] for k, v in params.items()}}
+
+
 @functools.cache
 def _pair(eid, axis):
     """(field document, window, nodes, exact V = T V', propagated trajectory)."""
@@ -84,9 +99,8 @@ def _pair(eid, axis):
     window, times, source = _source(eid)
     plan = ReductionPlan.make(np.array(AXES[axis], dtype=complex),
                               lambda t: K1 * t + K2 * cmath.sin(t))
-    params = dict(e.merged(None), l1=plan.l[0], l2=plan.l[1], l3=plan.l[2], k1=K1, k2=K2)
-    doc = {"kind": "expr", "defs": _transformed_dsl(e, plan.null),
-           "params": {k: [complex(v).real, complex(v).imag] for k, v in params.items()}}
+    doc = _document(e, _transformed_dsl(e, plan.null),
+                    l1=plan.l[0], l2=plan.l[1], l3=plan.l[2], k1=K1, k2=K2)
     exact = np.array([transform_matrix(plan, t) @ v for t, v in zip(times, source)])
     traj = propagate(load_field_json(doc), exact[0], window, tol=TOL, n_nodes=NODES)
     return doc, window, times, exact, traj
@@ -166,3 +180,82 @@ def test_cli_propagates_the_document(eid, axis, tmp_path, capsys):
     assert np.array_equal(states, traj.states)
     err = np.max(np.abs(states - exact))
     assert err <= _state_bound(exact), f"{err:.3e}"
+
+
+# The discrete sigma maps: if V' solves the equation for F = (F1, 0, F3),
+# sigma_map(V', which) solves it for the partner field, written here as DSL
+# text from the entry's field_defs
+PARTNER_TEXT = {
+    SigmaMap.XY: "F1 = {P}; F2 = {Q}",
+    SigmaMap.FLIP3: "F1 = {P}; F3 = -({Q})",
+    SigmaMap.FLIP1: "F1 = -({P}); F3 = {Q}",
+    SigmaMap.FLIP13: "F1 = -({P}); F3 = -({Q})",
+    SigmaMap.SWAP13: "F1 = {Q}; F3 = {P}",
+}
+# the partner document's samples against sigma_map_field of the entry's: the
+# same ASTs and parameters, so at most a rounding of |F| apart (on x86-64
+# they are equal); propagate is held to STATE_BOUND, and the 130 pairs read
+# at most 6.0 tol
+SAMPLE_BOUND = 2.0**-52
+MAP_CASES = [(eid, which) for which in SigmaMap for eid in range(1, catalog.N_ENTRIES + 1)]
+MAP_IDS = [f"{which.value}-{eid}" for eid, which in MAP_CASES]
+
+
+@pytest.mark.parametrize("eid, which", MAP_CASES, ids=MAP_IDS)
+def test_sigma_map_pairs(eid, which):
+    e = catalog.entry(eid)
+    window, times, source = _source(eid)
+    P, Q = (print_expr(e.field_defs[c]) for c in ("F1", "F3"))
+    spec = load_field_json(_document(e, PARTNER_TEXT[which].format(P=P, Q=Q)))
+    mapped = np.array([sigma_map_field(F, which).as_array()
+                       for F in field_callable(CatalogField(eid))(times)])
+    err = np.abs(field_callable(spec)(times) - mapped)
+    assert np.all(err <= SAMPLE_BOUND * np.max(np.abs(mapped), axis=1, keepdims=True))
+    exact = np.array([sigma_map(Spinor.from_array(v), which).as_array() for v in source])
+    traj = propagate(spec, exact[0], window, tol=TOL, n_nodes=NODES)
+    err = np.max(np.abs(traj.states - exact))
+    assert err <= _state_bound(exact), f"{err / (TOL * np.max(np.abs(exact))):.2f} tol"
+
+
+# Time reparametrization: V'(T(t)) solves the equation for F(T(t)) T'(t).
+# T(t) = t + c sin(k (t - t0)) with k = pi / (t1 - t0) and c = 0.05 (t1 - t0)
+# fixes both ends of the window and keeps T' >= 1 - 0.05 pi > 0.  The
+# document substitutes T for t in the entry's ASTs and multiplies by T'.
+# reparametrize_time with the given T' computes the same products in another
+# order: at most a few roundings of |F| apart (on x86-64 they are equal).
+# With T' differenced, the 4th-order stencil's roundoff, about eps |T| / h
+# with h = 1e-5 max(1, |t|), dominates: the 26 entries read at most 2.7e-11
+# relative, and the bound is 2e-10.  Propagate read at most 1.9 tol.
+REPARAM_SAMPLE_BOUND = 8 * 2.0**-52
+REPARAM_FD_BOUND = 2e-10
+
+
+def _reparam(window):
+    t0, t1 = window
+    k, c = math.pi / (t1 - t0), 0.05 * (t1 - t0)
+    T = lambda t: t + c * math.sin(k * (t - t0))  # noqa: E731
+    Tdot = lambda t: 1 + c * k * math.cos(k * (t - t0))  # noqa: E731
+    text = (f"(t + {c!r}*sin({k!r}*(t - ({t0!r}))))",
+            f"(1 + {c * k!r}*cos({k!r}*(t - ({t0!r}))))")
+    return T, Tdot, text
+
+
+@pytest.mark.parametrize("eid", range(1, catalog.N_ENTRIES + 1))
+def test_reparametrized_pairs(eid):
+    e = catalog.entry(eid)
+    window, times, _ = _source(eid)
+    T, Tdot, (T_text, Tdot_text) = _reparam(window)
+    P, Q = (re.sub(r"\bt\b", T_text, print_expr(e.field_defs[c])) for c in ("F1", "F3"))
+    spec = load_field_json(_document(e, f"F1 = ({P})*{Tdot_text}; F3 = ({Q})*{Tdot_text}"))
+    exact = np.array([catalog.entry_solution(eid, None, T(t)).as_array() for t in times])
+    traj = propagate(spec, exact[0], window, tol=TOL, n_nodes=NODES)
+    err = np.max(np.abs(traj.states - exact))
+    assert err <= _state_bound(exact), f"{err / (TOL * np.max(np.abs(exact))):.2f} tol"
+    inner = times[4:-4:4]
+    want = field_callable(spec)(inner)
+    scale = np.max(np.abs(want), axis=1)
+    for rate, bound in ((Tdot, REPARAM_SAMPLE_BOUND), (None, REPARAM_FD_BOUND)):
+        got = np.array([reparametrize_time(CatalogField(eid), T, t, rate).as_array()
+                        for t in inner])
+        rel = np.max(np.abs(got - want), axis=1) / scale
+        assert np.all(rel <= bound), f"{np.max(rel):.2e}"

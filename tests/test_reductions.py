@@ -1,19 +1,24 @@
 import cmath
+import contextlib
+import io
 import math
 import re
+import sys
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spineq.dynamics import constant_field_propagator, se_residual
-from spineq.errors import DomainError, SingularityError
-from spineq.fields import ConstField, parse_field_spec
+from spineq.dynamics import constant_field_propagator, se_residual, stationary_solutions
+from spineq.errors import DomainError, SingularityError, SpinEqError
+from spineq.fields import ConstField, ExprField, parse_field_spec
 from spineq.reductions import (ReductionPlan, SigmaMap, reduce_field,
                                reparametrize_time, sigma_map, sigma_map_field,
                                to_schrodinger_potentials, transform_matrix,
                                transform_solution)
-from spineq.spinors import CVec3, Spinor
+from spineq.spinors import CVec3, EigenPair, Spinor, eigenpairs
 
 from conftest import assert_rel
 
@@ -107,6 +112,23 @@ class TestReduceField:
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="transform axis must be finite"):
                 ReductionPlan.make(l, lambda t: 0.0)
+
+    def test_axis_scale_drops_out(self, capsys):
+        # l.l once underflowed to 0 (a null axis) or overflowed to inf (l
+        # normalized to 0) outside about 1e+-150, with no error
+        spec = ConstField((0.5, 0.1, 0.2))
+        alpha = lambda t: 0.3 * t + 0.2 * math.sin(t)  # noqa: E731
+        l = np.array([0.48, 0.6, 0.64])
+        want = reduce_field(spec, ReductionPlan.make(l, alpha), 0.7).as_array()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for c in [*(10.0 ** k for k in range(-300, 301, 25)), 1.7e308]:
+                got = reduce_field(spec, ReductionPlan.make(c * l, alpha), 0.7).as_array()
+                assert_rel(got, want, 4e-16)
+                # a null axis keeps its length, which is part of the transform
+                plan = ReductionPlan.make(c * np.array([1, 1j, 0]), alpha)
+                assert plan.null and np.array_equal(plan.l, c * np.array([1, 1j, 0]))
+        assert capsys.readouterr() == ("", "")
 
     def test_zero_axis_rejected(self):
         with pytest.raises(DomainError):
@@ -258,6 +280,19 @@ class TestReparametrizeTime:
         with pytest.raises(DomainError):
             reparametrize_time(spec, lambda t: -t, 0.5, Tdot=lambda t: -1.0)
 
+    @pytest.mark.parametrize("T, Tdot, t, match", [
+        (lambda t: t, None, math.nan, "time t = nan is not finite"),
+        (lambda t: math.nan, lambda t: 1.0, 0.5, r"T\(0.5\) is not finite"),
+        (lambda t: t, lambda t: math.nan, 0.5, "finite real nonzero derivative at t = 0.5"),
+        (lambda t: t, None, 1e308, "finite real nonzero derivative at t = 1e\\+308"),
+        (lambda t: math.inf, lambda t: 1.0, 0.5, r"T\(0.5\) is not finite"),
+    ], ids=["t-nan", "T-nan", "Tdot-nan", "t-1e308", "T-inf"])
+    def test_non_finite_is_a_domain_error(self, capsys, T, Tdot, t, match):
+        # each once returned CVec3(nan, nan, nan), the last after three warnings
+        err = _raises_quietly(capsys, lambda: reparametrize_time(ConstField((0.5, 0, 0.2)),
+                                                                 T, t, Tdot))
+        assert re.search(match, str(err))
+
 
 class TestSchrodingerPotentials:
     def test_constant_transverse(self):
@@ -276,6 +311,17 @@ class TestSchrodingerPotentials:
     def test_vanishing_transverse_rejected(self):
         with pytest.raises(DomainError):
             to_schrodinger_potentials(ConstField((0.0, 0.0, 1.0)), 0.5)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_is_a_domain_error(self, capsys, t):
+        # a ConstField once gave numbers at these times, a DSL field a
+        # SingularityError; reduce_field raised after numpy's warnings
+        plan = ReductionPlan.make((0, 0, 1), lambda s: 0.3 * s)
+        for call in (lambda: to_schrodinger_potentials(ConstField((0.5, 0.1, 0.2)), t),
+                     lambda: to_schrodinger_potentials(parse_field_spec("F1 = 1 + t"), t),
+                     lambda: reduce_field(ConstField((0.5, 0.1, 0.2)), plan, t),
+                     lambda: transform_matrix(plan, t)):
+            assert str(_raises_quietly(capsys, call)) == f"time t = {t} is not finite"
 
     def test_the_field_is_sampled_once_per_stencil_node(self):
         # t, t +- h, t +- 2h for the first differences, t +- h2, t +- 2h2 for
@@ -319,3 +365,109 @@ class TestSchrodingerPotentials:
         res = d2 - pots * psi[2:-2]
         worst = np.max(np.abs(res))
         assert worst <= 1e-6
+
+
+# +-0, subnormals, +-1e308 and the largest double, +-inf, NaN and ordinary values
+_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e308, -1e308,
+                                     sys.float_info.max, -sys.float_info.max,
+                                     math.inf, -math.inf, math.nan]),
+                    st.floats(-10.0, 10.0))
+_COMPLEX = st.builds(complex, _VALUES, _VALUES)
+_VEC3 = st.tuples(_COMPLEX, _COMPLEX, _COMPLEX)
+_FIELD_TEXT = parse_field_spec("F1 = a*cos(t); F2 = b; F3 = c*t")
+
+
+def _field(kind, v):
+    """A field of each kind the transforms take, from the 3-vector v."""
+    if kind == "const":
+        return ConstField(v)
+    if kind == "expr":
+        return ExprField(_FIELD_TEXT.defs, dict(zip("abc", v)))
+    if kind == "cvec3":
+        return CVec3(*v)
+    return lambda t: v
+
+
+_FIELDS = st.builds(_field, st.sampled_from(["const", "expr", "cvec3", "callable"]), _VEC3)
+
+
+def _numbers(out):
+    """Every number a call returned, flattened."""
+    if isinstance(out, (list, tuple)):
+        return [x for item in out for x in _numbers(item)]
+    if isinstance(out, (Spinor, CVec3)):
+        return list(out.as_array())
+    if isinstance(out, EigenPair):
+        return [out.lam, *out.vector.as_array()]
+    if isinstance(out, ReductionPlan):
+        return list(out.l)
+    return list(np.ravel(out))
+
+
+def _finite_or_typed(call):
+    """call() returns finite values or raises a SpinEqError, with nothing on
+    stderr and no warning."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = call()
+        except SpinEqError:
+            out = None
+    assert [str(w.message) for w in caught] == []
+    assert err.getvalue() == ""
+    if out is not None:
+        assert all(cmath.isfinite(x) for x in _numbers(out)), out
+
+
+def _plan(l, k, given_rate):
+    alpha = lambda t: k * t + 0.2 * cmath.sin(t)  # noqa: E731
+    rate = (lambda t: k + 0.2 * cmath.cos(t)) if given_rate else None
+    return ReductionPlan.make(l, alpha, rate)
+
+
+class TestTypedFailures:
+    """Every public function of the transforms, and the constant-field maps
+    whose vector coercion they share, returns finite values or raises a
+    SpinEqError, and writes nothing on stderr."""
+
+    @given(l=_VEC3, k=_VALUES, given_rate=st.booleans(), F=_FIELDS,
+           V=st.builds(Spinor, _COMPLEX, _COMPLEX), t=_VALUES)
+    @settings(max_examples=300, deadline=None)
+    def test_exponential_transform(self, l, k, given_rate, F, V, t):
+        _finite_or_typed(lambda: _plan(l, k, given_rate))
+        try:
+            plan = _plan(l, k, given_rate)
+        except DomainError:
+            return
+        _finite_or_typed(lambda: reduce_field(F, plan, t))
+        _finite_or_typed(lambda: reduce_field(F, plan.inverse(), t))
+        _finite_or_typed(lambda: transform_matrix(plan, t))
+        _finite_or_typed(lambda: transform_solution(V, plan, t))
+
+    @given(V=st.builds(Spinor, _COMPLEX, _COMPLEX), F=_VEC3, which=st.sampled_from(SigmaMap))
+    @settings(max_examples=200, deadline=None)
+    def test_sigma_maps(self, V, F, which):
+        _finite_or_typed(lambda: sigma_map(V, which))
+        _finite_or_typed(lambda: sigma_map_field(F, which))
+        _finite_or_typed(lambda: sigma_map_field(CVec3(*F), which))
+
+    @given(F=_FIELDS, c=_VALUES, given_rate=st.booleans(), t=_VALUES)
+    @settings(max_examples=300, deadline=None)
+    def test_reparametrize_time(self, F, c, given_rate, t):
+        T = lambda s: c * s + 0.05 * math.sin(s)  # noqa: E731
+        Tdot = (lambda s: c + 0.05 * math.cos(s)) if given_rate else None
+        _finite_or_typed(lambda: reparametrize_time(F, T, t, Tdot))
+
+    @given(F=_FIELDS, t=_VALUES)
+    @settings(max_examples=300, deadline=None)
+    def test_schrodinger_potentials(self, F, t):
+        _finite_or_typed(lambda: to_schrodinger_potentials(F, t))
+
+    @given(F=_VEC3, t=_VALUES)
+    @settings(max_examples=300, deadline=None)
+    def test_constant_field_maps(self, F, t):
+        _finite_or_typed(lambda: constant_field_propagator(F, t))
+        _finite_or_typed(lambda: constant_field_propagator(CVec3(*F), t))
+        _finite_or_typed(lambda: stationary_solutions(F))
+        _finite_or_typed(lambda: eigenpairs(CVec3(*F)))
